@@ -44,6 +44,7 @@ import (
 
 	"blastlan/internal/core"
 	"blastlan/internal/params"
+	"blastlan/internal/store"
 	"blastlan/internal/udplan"
 	"blastlan/internal/wire"
 )
@@ -264,7 +265,7 @@ func main() {
 			cfg.Name, cfg.Bytes = *getName, int(size)
 			statEp = ep
 		}
-		var out *os.File
+		var out *store.ChunkFile
 		opts := udplan.StripeOptions{
 			Endpoint:  statEp,
 			Streams:   *streams,
@@ -286,15 +287,8 @@ func main() {
 			}
 		}
 		if *outFile != "" {
-			var err error
-			if out, err = os.Create(*outFile); err != nil {
-				log.Fatalf("blastcp: %v", err)
-			}
-			opts.Sink = func(off int, b []byte) {
-				if _, werr := out.WriteAt(b, int64(off)); werr != nil {
-					log.Printf("blastcp: writing %s: %v", *outFile, werr)
-				}
-			}
+			out = createOut(*outFile)
+			opts.Sink = out.Sink
 		}
 		res, err := udplan.PullStriped(*to, cfg, opts)
 		if err != nil {
@@ -325,12 +319,7 @@ func main() {
 		fmt.Printf("pulled %d bytes over %d stripes in %v (%.2f MB/s), checksum %04x\n",
 			res.Bytes, len(res.Stripes), res.Elapsed.Round(time.Microsecond),
 			res.MBps(), res.Checksum)
-		if out != nil {
-			if err := out.Close(); err != nil {
-				log.Fatalf("blastcp: closing %s: %v", *outFile, err)
-			}
-			fmt.Printf("wrote %s\n", *outFile)
-		}
+		closeOut(out, *outFile)
 		if *wantSum != "" && res.Checksum != expectSum {
 			fail(exitChecksum, "pulled checksum %04x, expected %04x", res.Checksum, expectSum)
 		}
@@ -395,18 +384,11 @@ func main() {
 	// Stream the pull: chunks are checksummed incrementally and discarded
 	// (or written through to -o), so pulling 1 GB costs no 1 GB buffer on
 	// this side either.
-	var out *os.File
+	var out *store.ChunkFile
 	cfg.Sink = func(off int, b []byte) {}
 	if *outFile != "" {
-		var err error
-		if out, err = os.Create(*outFile); err != nil {
-			log.Fatalf("blastcp: %v", err)
-		}
-		cfg.Sink = func(off int, b []byte) {
-			if _, werr := out.WriteAt(b, int64(off)); werr != nil {
-				log.Printf("blastcp: writing %s: %v", *outFile, werr)
-			}
-		}
+		out = createOut(*outFile)
+		cfg.Sink = out.Sink
 	}
 	var res core.RecvResult
 	if *resume {
@@ -429,13 +411,30 @@ func main() {
 		res.Bytes, res.Elapsed.Round(time.Microsecond),
 		float64(res.Bytes)/res.Elapsed.Seconds()/1e6,
 		res.DataPackets, res.Duplicates, res.Checksum)
-	if out != nil {
-		if err := out.Close(); err != nil {
-			log.Fatalf("blastcp: closing %s: %v", *outFile, err)
-		}
-		fmt.Printf("wrote %s\n", *outFile)
-	}
+	closeOut(out, *outFile)
 	if *wantSum != "" && res.Checksum != expectSum {
 		fail(exitChecksum, "pulled checksum %04x, expected %04x", res.Checksum, expectSum)
 	}
+}
+
+// createOut opens the -o file both pull paths deliver into: chunks are
+// gathered into large in-order writes (store.ChunkFile), not one WriteAt
+// per packet payload.
+func createOut(name string) *store.ChunkFile {
+	out, err := store.CreateChunkFile(name)
+	if err != nil {
+		log.Fatalf("blastcp: %v", err)
+	}
+	return out
+}
+
+// closeOut finishes the -o file of a completed pull, if there is one.
+func closeOut(out *store.ChunkFile, name string) {
+	if out == nil {
+		return
+	}
+	if err := out.Close(); err != nil {
+		log.Fatalf("blastcp: writing %s: %v", name, err)
+	}
+	fmt.Printf("wrote %s\n", name)
 }

@@ -17,14 +17,14 @@
 // checksum logged so blastcp can verify end to end.
 //
 // With -serve, named pulls (blastcp -get NAME) are answered from real files
-// under the given directory through the disk-backed store: a sharded
-// hot-object cache with single-flight fills and pipelined read-ahead
-// (-cache-mb, -readahead), so N clients pulling the same file cost one pass
-// over the disk. Anonymous pulls still hit the seeded generator. A -serve
-// daemon also answers third-party copy asks (blastcp -copy NAME -dest B):
-// it pushes the named file to the target daemon itself, relaying progress
-// to the orchestrator, so replicating between two servers never routes the
-// bytes through the client.
+// under the given directory through the disk-backed store: a cache of
+// large file extents with single-flight fills and pipelined read-ahead
+// (-cache-mb, -readahead), so N clients pulling the same file — at any
+// chunk size — cost one pass over the disk. Anonymous pulls still hit the
+// seeded generator. A -serve daemon also answers third-party copy asks
+// (blastcp -copy NAME -dest B): it pushes the named file to the target
+// daemon itself, relaying progress to the orchestrator, so replicating
+// between two servers never routes the bytes through the client.
 //
 // Striped pulls (blastcp -streams N) arrive as N concurrent sessions each
 // requesting a byte range of one logical stream; the daemon resolves each
@@ -37,8 +37,8 @@
 //
 // SIGINT/SIGTERM drains gracefully: new sessions are refused (clients
 // retry elsewhere), active transfers get up to -drain to finish — a second
-// signal forces the socket closed — and a per-peer session summary is
-// logged on exit.
+// signal forces the socket closed — and a per-peer session summary (plus,
+// with -serve, the store's cache counters) is logged on exit.
 package main
 
 import (
@@ -64,7 +64,7 @@ func main() {
 		outDir      = flag.String("out", "", "directory for pushed transfers (empty: verify and discard)")
 		serveDir    = flag.String("serve", "", "directory of real files served to named pulls (blastcp -get) through the disk-backed store")
 		cacheMB     = flag.Int("cache-mb", 256, "hot-object cache budget for -serve, in MiB")
-		readAhead   = flag.Int("readahead", 8, "chunks of pipelined read-ahead for -serve (0 disables)")
+		readAhead   = flag.Int("readahead", 8, fmt.Sprintf("extents (%d KiB each) of pipelined read-ahead for -serve (0 disables)", store.ExtentBytes>>10))
 		maxBytes    = flag.Int("max-bytes", 1<<30, "reject transfers larger than this")
 		concurrency = flag.Int("concurrency", 8, "session cap: concurrent transfers served at once (1 = serial)")
 		batch       = flag.Int("batch", 32, "syscall batch size for sendmmsg/recvmmsg frame rings (1 = single-syscall)")
@@ -157,6 +157,7 @@ func main() {
 
 	// Named pulls come from real files through the disk-backed store; the
 	// store refuses anonymous REQs, so those fall back to the generator.
+	logStore := func() {}
 	if *serveDir != "" {
 		ra := *readAhead
 		if ra == 0 {
@@ -168,6 +169,13 @@ func main() {
 			Logf:       log.Printf,
 		})
 		defer st.Close()
+		// The exit summary says which regime the cache ran in: evictions
+		// and read ops near the miss count mean the hot set outgrew it.
+		logStore = func() {
+			x := st.Stats()
+			log.Printf("blastd: store: %d extent hits, %d misses, %d read ops, %d evictions, %d bytes cached",
+				x.Hits, x.Misses, x.ReadOps, x.Evictions, x.BytesCached)
+		}
 		srv.SourceEnv = func(r wire.Req, env core.Env) (core.ChunkSource, bool) {
 			if r.Name == "" {
 				return seeded(r)
@@ -235,7 +243,7 @@ func main() {
 			}
 			return size, nil
 		}
-		log.Printf("blastd: serving files from %s (cache %d MiB, read-ahead %d)", *serveDir, *cacheMB, *readAhead)
+		log.Printf("blastd: serving files from %s (cache %d MiB, read-ahead %d extents)", *serveDir, *cacheMB, *readAhead)
 	} else {
 		// Without a store there is nothing a copy could name; answer the ask
 		// with a clear refusal instead of letting the orchestrator time out.
@@ -283,6 +291,7 @@ func main() {
 		}
 	}
 	summary.log()
+	logStore()
 	if runErr != nil {
 		log.Fatalf("blastd: %v", runErr)
 	}

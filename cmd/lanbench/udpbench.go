@@ -135,14 +135,19 @@ func setSocketBufs(conn net.PacketConn) { udplan.SetConnBuffers(conn, udpSocketB
 
 // filePullCase is one named pull from a real on-disk file through the
 // disk-backed store (internal/store): stat by name, then pull through the
-// sharded hot-object cache with pipelined read-ahead. cold measures the
-// first pull against a fresh store; hot warms the cache with one pull and
-// measures the second — the figure the bench floor gates, since a warm hot
-// set must cost near what the in-memory generator path costs.
+// extent cache with pipelined read-ahead. cold measures the first pull
+// against a fresh store; hot warms the cache with one pull and measures the
+// second — the figure the bench floor gates, since a warm hot set must cost
+// near what the in-memory generator path costs; evict measures a cold pull
+// after a filler file larger than the cache has been read through it, so
+// every extent the pull reads evicts another — the regime a daemon serving
+// more than -cache-mb lives in, and the one whose cost must not depend on
+// how much is cached.
 type filePullCase struct {
 	name  string
 	bytes int
 	hot   bool
+	evict bool
 }
 
 // runFilePull executes one file-backed pull case: a fresh store over a
@@ -220,6 +225,30 @@ func runFilePull(c filePullCase, tier udplan.Tier) (time.Duration, udplan.Tier, 
 	if c.hot {
 		if _, _, err := pull(); err != nil {
 			return 0, 0, fmt.Errorf("warming pull: %w", err)
+		}
+	}
+	if c.evict {
+		// A sparse filler the size of the default cache plus one extent,
+		// read at the pulls' chunk size: the ring is full when the timer
+		// starts.
+		const filler = "filler.bin"
+		f, err := os.Create(filepath.Join(dir, filler))
+		if err != nil {
+			return 0, 0, err
+		}
+		err = f.Truncate(256<<20 + store.ExtentBytes)
+		f.Close()
+		if err != nil {
+			return 0, 0, err
+		}
+		src, err := st.Source(filler, 1000, 0, nil)
+		if err != nil {
+			return 0, 0, err
+		}
+		for seq, buf := 0, make([]byte, 1000); len(src(seq, buf)) > 0; seq++ {
+		}
+		if st.Stats().Evictions == 0 {
+			return 0, 0, fmt.Errorf("filler did not fill the store cache")
 		}
 	}
 	return pull()
@@ -607,8 +636,9 @@ func runUDPBench(path string, quick bool, streams int, controller string, tierNa
 			// The disk-backed store cases at the same size and tier as _gso,
 			// so cold-vs-hot and store-vs-generator read off one table.
 			for _, fc := range []filePullCase{
-				{fmt.Sprintf("udp_pull_file_cold_%dmb", mb), size, false},
-				{fmt.Sprintf("udp_pull_file_hot_%dmb", mb), size, true},
+				{name: fmt.Sprintf("udp_pull_file_cold_%dmb", mb), bytes: size},
+				{name: fmt.Sprintf("udp_pull_file_hot_%dmb", mb), bytes: size, hot: true},
+				{name: fmt.Sprintf("udp_pull_file_evict_%dmb", mb), bytes: size, evict: true},
 			} {
 				fc := fc
 				if err := measurePull(&snap, fc.name, fc.bytes, 3,

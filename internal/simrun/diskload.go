@@ -15,12 +15,13 @@ import (
 
 // DiskLoadScenario is the disk-economy experiment on the DES: N clients pull
 // the same named file from one simulated server whose reads go through the
-// disk-backed store — the sharded hot-object cache, single-flight fills and
-// batched read-ahead of internal/store — over a modelled disk
-// (disk.Geometry). The first reader pays the platter's price in virtual
-// time; everyone overlapping or following hits the cache, so the scenario
-// measures exactly the paper's argument about accessing the disk in large
-// quantities: how many disk reads does a fleet of pullers actually cost?
+// disk-backed store — the extent cache and single-flight fills of
+// internal/store — over a modelled disk (disk.Geometry), each miss one
+// extent-sized read the model charges as one large page. The first reader
+// pays the platter's price in virtual time; everyone overlapping or
+// following hits the cache, so the scenario measures exactly the paper's
+// argument about accessing the disk in large quantities: how many disk
+// reads does a fleet of pullers actually cost?
 //
 // Every client stats the object first (the named-pull handshake blastcp
 // -get uses), then pulls it by name. The whole run is deterministic: same
@@ -54,10 +55,6 @@ type DiskLoadScenario struct {
 	// CacheBytes is the store's hot-object cache budget (0: store default).
 	// Size it below FileBytes to watch CLOCK eviction under pressure.
 	CacheBytes int64
-	// ReadAhead is the store's read-ahead window in chunks (0: store
-	// default; negative disables). On the DES a cold miss reads the whole
-	// window as one span — one disk access charged like a single large page.
-	ReadAhead int
 	// Seed drives the file's content and the network model's randomness.
 	Seed int64
 }
@@ -118,10 +115,10 @@ type DiskLoadResult struct {
 	Completed int           // clients that finished with an intact payload
 	Makespan  time.Duration // first arrival to last completion (virtual)
 	// Store is the store's counter snapshot after the run: the experiment's
-	// headline numbers. With a cache at least file-sized, ChunkReads equals
-	// the file's chunk count no matter how many clients pulled — one pass
-	// over the platter for the whole fleet — and ReadOps shows how few disk
-	// accesses the batched read-ahead folded that pass into.
+	// headline numbers. With a cache at least file-sized, ReadOps equals
+	// the file's extent count no matter how many clients pulled or at what
+	// chunk size — one pass over the platter for the whole fleet, in
+	// store.ExtentBytes pages.
 	Store store.Stats
 }
 
@@ -140,7 +137,6 @@ func (sc DiskLoadScenario) Run() (DiskLoadResult, error) {
 	st := store.New(fs, store.Options{
 		Sim:        true,
 		CacheBytes: sc.CacheBytes,
-		ReadAhead:  sc.ReadAhead,
 	})
 	srv := &session.Server{
 		Concurrency: sc.Concurrency,

@@ -6,20 +6,20 @@ import (
 	"time"
 
 	"blastlan/internal/disk"
+	"blastlan/internal/store"
 )
 
 // A thundering herd against one cold cache costs exactly one pass over the
-// platter: with the cache at least file-sized, ChunkReads equals the file's
-// chunk count no matter how many clients pulled, and the batched read-ahead
-// folds that pass into far fewer disk accesses than chunks.
+// platter: with the cache at least file-sized, the store reads each extent
+// once no matter how many clients pulled — far fewer disk accesses than
+// chunks served.
 func TestDiskLoadSingleReadPerChunk(t *testing.T) {
-	const fileBytes, chunk = 256 << 10, 1 << 10
+	const fileBytes, chunk = 8*store.ExtentBytes + 5000, 1 << 10
 	sc := DiskLoadScenario{
 		Name:      "herd",
 		N:         8,
 		FileBytes: fileBytes,
 		Chunk:     chunk,
-		ReadAhead: 7,
 		Seed:      42,
 	}
 	res, err := sc.Run()
@@ -29,13 +29,13 @@ func TestDiskLoadSingleReadPerChunk(t *testing.T) {
 	if res.Completed != sc.N || res.Served != sc.N {
 		t.Fatalf("completed %d served %d, want %d", res.Completed, res.Served, sc.N)
 	}
-	chunks := int64(fileBytes / chunk)
-	if res.Store.ChunkReads != chunks {
-		t.Errorf("ChunkReads = %d, want exactly %d (one disk pass for %d clients)",
-			res.Store.ChunkReads, chunks, sc.N)
+	extents := int64((fileBytes + store.ExtentBytes - 1) / store.ExtentBytes)
+	if res.Store.ReadOps != extents {
+		t.Errorf("ReadOps = %d, want exactly %d (one disk pass of ceil(size/extent) reads for %d clients)",
+			res.Store.ReadOps, extents, sc.N)
 	}
-	if want := chunks / 8; res.Store.ReadOps != want {
-		t.Errorf("ReadOps = %d, want %d (8-chunk spans)", res.Store.ReadOps, want)
+	if res.Store.Misses != extents {
+		t.Errorf("Misses = %d, want %d (single-flight)", res.Store.Misses, extents)
 	}
 	if res.Store.Hits == 0 {
 		t.Error("no cache hits across 8 pullers of one file")
@@ -48,14 +48,14 @@ func TestDiskLoadSingleReadPerChunk(t *testing.T) {
 // Same seed, same bits: the whole result — every virtual timestamp and
 // every store counter — reproduces exactly across runs.
 func TestDiskLoadDeterministic(t *testing.T) {
+	const fileBytes = 16 * store.ExtentBytes
 	sc := DiskLoadScenario{
 		Name:       "det",
 		N:          6,
-		FileBytes:  128 << 10,
+		FileBytes:  fileBytes,
 		Chunk:      1 << 10,
 		Spacing:    3 * time.Millisecond,
-		CacheBytes: 32 << 10, // pressure: evictions must reproduce too
-		ReadAhead:  7,
+		CacheBytes: fileBytes / 4, // pressure: evictions must reproduce too
 		Seed:       7,
 	}
 	a, err := sc.Run()
@@ -75,8 +75,8 @@ func TestDiskLoadDeterministic(t *testing.T) {
 	if a.Store.Evictions == 0 {
 		t.Error("no evictions with a cache a quarter of the file")
 	}
-	if a.Store.ChunkReads <= int64(128<<10/(1<<10)) {
-		t.Errorf("ChunkReads = %d: eviction pressure should force re-reads", a.Store.ChunkReads)
+	if a.Store.ReadOps <= fileBytes/store.ExtentBytes {
+		t.Errorf("ReadOps = %d: eviction pressure should force re-reads", a.Store.ReadOps)
 	}
 }
 
@@ -84,7 +84,7 @@ func TestDiskLoadDeterministic(t *testing.T) {
 // whole file from cache and finishes far faster than the first, whose cold
 // read is bounded below by the disk model's full-file read time.
 func TestDiskLoadColdVsHot(t *testing.T) {
-	const fileBytes, chunk, ra = 1 << 20, 1 << 10, 7
+	const fileBytes, chunk = 1 << 20, 1 << 10
 	g := disk.FujitsuEagle()
 	sc := DiskLoadScenario{
 		Name:      "coldhot",
@@ -93,7 +93,6 @@ func TestDiskLoadColdVsHot(t *testing.T) {
 		FileBytes: fileBytes,
 		Chunk:     chunk,
 		Spacing:   2 * time.Second, // client 1 arrives after client 0 finishes
-		ReadAhead: ra,
 		Seed:      3,
 	}
 	res, err := sc.Run()
@@ -105,16 +104,16 @@ func TestDiskLoadColdVsHot(t *testing.T) {
 	}
 	cold, hot := res.Clients[0], res.Clients[1]
 	// The cold pull cannot beat the platter: its elapsed time is at least
-	// the model's cost of reading the file in read-ahead-sized pages.
-	diskFloor := g.FileReadTime(fileBytes, (ra+1)*chunk)
+	// the model's cost of reading the file in extent-sized pages.
+	diskFloor := g.FileReadTime(fileBytes, store.ExtentBytes)
 	if cold.Elapsed < diskFloor {
 		t.Errorf("cold pull took %v, below the disk floor %v", cold.Elapsed, diskFloor)
 	}
 	if hot.Elapsed*4 > cold.Elapsed {
 		t.Errorf("hot pull (%v) not ≫ faster than cold (%v)", hot.Elapsed, cold.Elapsed)
 	}
-	if res.Store.ChunkReads != int64(fileBytes/chunk) {
-		t.Errorf("ChunkReads = %d, want %d (hot client cost zero disk reads)",
-			res.Store.ChunkReads, fileBytes/chunk)
+	if res.Store.ReadOps != fileBytes/store.ExtentBytes {
+		t.Errorf("ReadOps = %d, want %d (hot client cost zero disk reads)",
+			res.Store.ReadOps, fileBytes/store.ExtentBytes)
 	}
 }

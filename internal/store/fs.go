@@ -88,10 +88,11 @@ func (o *osFile) Close() error { return o.f.Close() }
 // content, read through a disk.Geometry timing model. A read continuing
 // where the previous one ended pays the model's page-boundary cost (half a
 // rotation plus transfer — the same accounting as disk.FileReadTime);
-// anything else pays a full random access. A store with read-ahead R over
-// chunk size c therefore reads a cold file in exactly
-// FileReadTime(size, R*c): read-ahead IS the large-page economy the
-// paper's introduction argues for, applied to the server's disk.
+// anything else pays a full random access. The store reads a cold file
+// one extent at a time, in order, so it pays exactly
+// FileReadTime(size, ExtentBytes): the extent IS the large page of the
+// economy the paper's introduction argues for, applied to the server's
+// disk.
 type SimFS struct {
 	geo disk.Geometry
 

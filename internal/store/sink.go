@@ -67,19 +67,14 @@ func (fs *FileSink) SinkStream(r wire.Req) (core.ChunkSink, func(core.RecvResult
 		}, true
 	}
 	name := filepath.Join(fs.Dir, fmt.Sprintf("transfer-%04d.bin", n))
-	f, err := os.Create(name)
+	w, err := CreateChunkFile(name)
 	if err != nil {
 		fs.logf("store: creating %s: %v", name, err)
 		return nil, nil, false
 	}
-	sink := func(off int, b []byte) {
-		if _, werr := f.WriteAt(b, int64(off)); werr != nil {
-			fs.logf("store: writing %s: %v", name, werr)
-		}
-	}
 	done := func(res core.RecvResult) {
-		if cerr := f.Close(); cerr != nil {
-			fs.logf("store: closing %s: %v", name, cerr)
+		if cerr := w.Close(); cerr != nil {
+			fs.logf("store: writing %s: %v", name, cerr)
 		}
 		kept := res.Completed
 		if !kept {
@@ -93,5 +88,57 @@ func (fs *FileSink) SinkStream(r wire.Req) (core.ChunkSink, func(core.RecvResult
 			fs.OnDone(name, res, kept)
 		}
 	}
-	return sink, done, true
+	return w.Sink, done, true
+}
+
+// chunkRun is how many contiguous bytes a ChunkFile gathers before it
+// writes: the disk economy of the read side applied to the write side.
+const chunkRun = 256 << 10
+
+// ChunkFile is a file being filled by a core.ChunkSink. Transfers deliver
+// mostly in order, a packet payload at a time; ChunkFile buffers the
+// contiguous in-order run and issues one WriteAt per run — flushed when a
+// delivery lands elsewhere (a repaired hole, another stripe), when the run
+// is full, and at Close — instead of one per chunk. Not safe for
+// concurrent use (the engines and core.StripeMerger serialise deliveries).
+type ChunkFile struct {
+	f   *os.File
+	off int64  // file offset of run[0]
+	run []byte // contiguous bytes not yet written
+	err error  // first write error; later deliveries are dropped
+}
+
+// CreateChunkFile creates (or truncates) the named file.
+func CreateChunkFile(name string) (*ChunkFile, error) {
+	f, err := os.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return &ChunkFile{f: f, run: make([]byte, 0, chunkRun)}, nil
+}
+
+// Sink is the core.ChunkSink: b belongs at byte offset off of the file.
+func (w *ChunkFile) Sink(off int, b []byte) {
+	if int64(off) != w.off+int64(len(w.run)) || len(w.run)+len(b) > chunkRun {
+		w.flush()
+		w.off = int64(off)
+	}
+	w.run = append(w.run, b...)
+}
+
+func (w *ChunkFile) flush() {
+	if len(w.run) > 0 && w.err == nil {
+		_, w.err = w.f.WriteAt(w.run, w.off)
+	}
+	w.run = w.run[:0]
+}
+
+// Close writes what is still buffered and closes the file, reporting the
+// first error of the file's whole life.
+func (w *ChunkFile) Close() error {
+	w.flush()
+	if err := w.f.Close(); w.err == nil {
+		w.err = err
+	}
+	return w.err
 }

@@ -9,20 +9,21 @@
 // Three pieces matter at fleet scale (the hot set must leave the disk
 // once, not once per client):
 //
-//   - a sharded hot-object cache with ref-counted chunk buffers, so one
-//     disk read fans out to N concurrent pullers without copying per
-//     session or breaking the zero-alloc datapath (cache.go);
-//   - single-flight fills: N sessions racing for the same cold chunk
+//   - a hot-object cache of fixed-size file extents (ExtentBytes, far
+//     larger than a packet), so one disk read fans out to N concurrent
+//     pullers at any chunk size without copying per session or breaking
+//     the zero-alloc datapath (cache.go);
+//   - single-flight fills: N sessions racing for the same cold extent
 //     trigger exactly one backing read;
-//   - pipelined read-ahead that stays a configurable window ahead of the
-//     sender — background prefetch goroutines on real substrates, and on
-//     the DES a batched span read whose cost the disk model charges as
-//     one large page (read-ahead IS the paper's page-size economy).
+//   - pipelined read-ahead that stays a configurable window of extents
+//     ahead of the sender on real substrates. On the DES there are no
+//     background goroutines: each miss is one synchronous extent read,
+//     which the disk model charges as one large page (the extent IS the
+//     paper's page-size economy).
 package store
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -31,30 +32,29 @@ import (
 )
 
 // maxChunk bounds a client-requested chunk size: above this a REQ is
-// rejected rather than allocating attacker-sized buffers per chunk. Real
+// rejected rather than allocating attacker-sized scratch per chunk. Real
 // substrates bound chunks at the MTU long before this; the DES has no MTU.
 const maxChunk = 1 << 20
 
 // Options configures a Store.
 type Options struct {
-	// CacheBytes is the hot-object cache budget. Default 256 MiB.
+	// CacheBytes is the hot-object cache budget, rounded down to whole
+	// extents (at least one). Default 256 MiB.
 	CacheBytes int64
 
-	// Shards is the cache shard count. Default GOMAXPROCS.
-	Shards int
-
-	// ReadAhead is how many chunks the store keeps in flight ahead of the
-	// sender. Default 8; negative disables read-ahead.
+	// ReadAhead is how many extents the store keeps in flight ahead of the
+	// sender (real substrates only). Default 8; negative disables
+	// read-ahead.
 	ReadAhead int
 
 	// Prefetchers caps concurrent background prefetch reads (real
 	// substrates only). Default 4.
 	Prefetchers int
 
-	// Sim selects DES mode: no goroutines (fills are synchronous batched
-	// span reads charged to the session's virtual clock) and cache waits
-	// poll in virtual time. Required when the Store serves simulator
-	// sessions; forbidden otherwise.
+	// Sim selects DES mode: no goroutines (a miss is a synchronous extent
+	// read charged to the session's virtual clock) and cache waits poll in
+	// virtual time. Required when the Store serves simulator sessions;
+	// forbidden otherwise.
 	Sim bool
 
 	// Logf, when non-nil, receives operational log lines.
@@ -65,13 +65,10 @@ func (o Options) withDefaults() Options {
 	if o.CacheBytes == 0 {
 		o.CacheBytes = 256 << 20
 	}
-	if o.Shards < 1 {
-		o.Shards = runtime.GOMAXPROCS(0)
-	}
 	if o.ReadAhead == 0 {
 		o.ReadAhead = 8
 	}
-	if o.ReadAhead < 0 {
+	if o.ReadAhead < 0 || o.Sim {
 		o.ReadAhead = 0
 	}
 	if o.Prefetchers < 1 {
@@ -80,67 +77,47 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Stats is a point-in-time snapshot of the store's counters.
+// Stats is a point-in-time snapshot of the store's counters, in extents:
+// a source looks an extent up once and then serves every chunk inside it
+// from the pointer it holds.
 type Stats struct {
-	Hits        int64 // chunk requests served from cache (incl. fill waits)
-	Misses      int64 // chunk requests that owned a backing fill
-	ChunkReads  int64 // chunks filled from the backing FS — with single-flight, ≤ one per (file, chunk)
-	ReadOps     int64 // backing ReadAt calls (batched read-ahead folds many fills into one)
-	Evictions   int64 // entries reclaimed by CLOCK
-	BytesCached int64 // budget-accounted cache residency
+	Hits        int64 // extent lookups served from cache (incl. waits on a fill in flight)
+	Misses      int64 // extent lookups that owned a backing fill
+	ReadOps     int64 // backing ReadAt calls: one per extent filled, demand or read-ahead
+	Evictions   int64 // extents reclaimed by CLOCK
+	BytesCached int64 // bytes resident in filled extents
 }
 
-// Store serves named files through the chunk cache.
+// Store serves named files through the extent cache.
 type Store struct {
 	fs  FS
 	opt Options
 	c   *cache
 
-	mu     sync.Mutex
-	objs   map[string]*object
-	nextID uint32
+	mu   sync.Mutex
+	objs map[string]*object
 
 	sem chan struct{} // prefetch slots
 
-	hits       atomic.Int64
-	misses     atomic.Int64
-	chunkReads atomic.Int64
-	readOps    atomic.Int64
+	hits    atomic.Int64
+	misses  atomic.Int64
+	readOps atomic.Int64
 }
 
 // object is one resolved file in the registry.
 type object struct {
-	id   uint32
 	name string
 	f    File
 	size int64
 
-	// views are dense per-chunk-size indexes over the object's cache
-	// entries: views[chunk][idx] points at the entry for chunk idx, nil
-	// when absent or torn down. Entries publish themselves into their
-	// cell at creation and clear it on eviction (cache.go), so every
-	// source over the object — including all stripes of a striped pull
-	// and every later session — shares one lock-free warm path. The
-	// cells cost 8 bytes per chunk per chunk size, unaccounted against
-	// the cache budget (the budget covers payload bytes).
-	mu    sync.Mutex
-	views map[uint32][]atomic.Pointer[entry]
-}
-
-// view returns (creating if needed) the object's dense index at the
-// given chunk size.
-func (o *object) view(chunk int) []atomic.Pointer[entry] {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.views == nil {
-		o.views = make(map[uint32][]atomic.Pointer[entry])
-	}
-	v, ok := o.views[uint32(chunk)]
-	if !ok {
-		v = make([]atomic.Pointer[entry], totalChunks(o.size, chunk))
-		o.views[uint32(chunk)] = v
-	}
-	return v
+	// index is the dense lookup over the object's cached extents: cell i
+	// points at the live extent for bytes [i*ExtentBytes, (i+1)*ExtentBytes),
+	// nil when absent. Cells are written under the cache mutex (publish at
+	// creation, clear on eviction or failed fill) and read lock-free, so
+	// every source over the object — every chunk size, all stripes of a
+	// striped pull, every later session — shares one warm path. 8 bytes
+	// per extent: 64 KiB of index for a 1 GiB file.
+	index []atomic.Pointer[extent]
 }
 
 // New creates a Store over fs.
@@ -149,7 +126,7 @@ func New(fs FS, opt Options) *Store {
 	return &Store{
 		fs:   fs,
 		opt:  opt,
-		c:    newCache(opt.CacheBytes, opt.Shards, opt.Sim),
+		c:    newCache(opt.CacheBytes, opt.Sim),
 		objs: make(map[string]*object),
 		sem:  make(chan struct{}, opt.Prefetchers),
 	}
@@ -169,10 +146,9 @@ func (s *Store) Stats() Stats {
 	return Stats{
 		Hits:        s.hits.Load(),
 		Misses:      s.misses.Load(),
-		ChunkReads:  s.chunkReads.Load(),
 		ReadOps:     s.readOps.Load(),
 		Evictions:   s.c.evictions.Load(),
-		BytesCached: s.c.bytesCached(),
+		BytesCached: s.c.bytes.Load(),
 	}
 }
 
@@ -198,8 +174,9 @@ func (s *Store) resolve(name string) (*object, error) {
 	if err != nil {
 		return nil, err
 	}
-	o := &object{id: s.nextID, name: name, f: f, size: f.Size()}
-	s.nextID++
+	size := f.Size()
+	o := &object{name: name, f: f, size: size,
+		index: make([]atomic.Pointer[extent], (size+ExtentBytes-1)/ExtentBytes)}
 	s.objs[name] = o
 	return o, nil
 }
@@ -270,159 +247,118 @@ func (s *Store) Source(name string, chunk, offsetChunks int, env core.Env) (core
 // returned bytes only until its next call (core.ChunkSource contract), so
 // a copy-out keeps cached buffers shared and immutable while staying
 // alloc-free on hits.
-//
-// Warm chunks are served through the object's view — one pointer load,
-// one state load and a memcpy, no shard mutex and no map lookup — which
-// is what keeps a fully cached pull at parity with the in-memory
-// generator. Because the view is shared at the object, a chunk any
-// earlier session (or stripe, or prefetcher) filled is already on the
-// fast path for this one; the locked cache path only runs for absent or
-// in-flight chunks.
 func (s *Store) source(o *object, chunk, offsetChunks int, env core.Env) core.ChunkSource {
-	ahead := offsetChunks // high-water chunk index already dispatched to prefetch
-	ra := s.opt.ReadAhead
-	view := o.view(chunk)
+	r := &reader{s: s, o: o, env: env}
 	return func(seq int, dst []byte) []byte {
-		idx := offsetChunks + seq
-		n := chunkLen(o.size, chunk, idx)
-		if n <= 0 {
-			return dst[:0]
-		}
-		if cap(dst) < n {
-			dst = make([]byte, n)
-		}
-		dst = dst[:n]
-		var advance bool
-		if e := view[idx].Load(); e != nil && e.state.Load() == entryFilled {
-			s.hits.Add(1)
-			if !e.hot.Load() {
-				e.hot.Store(true)
-			}
-			advance = e.prefetched.Load() && e.prefetched.Swap(false)
-			copy(dst, e.buf)
-		} else {
-			adv, err := s.readChunk(o, chunk, idx, dst, env, view)
+		return r.read(int64(offsetChunks+seq)*int64(chunk), chunk, dst)
+	}
+}
+
+// reader is one source's cursor over an object. It keeps a plain pointer
+// to the extent it is inside (safe because filled buffers are immutable,
+// cache.go), so the ~ExtentBytes/chunk chunks that follow a lookup cost a
+// bounds check and a memcpy: no atomics, no lock, no shared counter. That
+// is what keeps a fully cached pull at parity with the in-memory
+// generator.
+type reader struct {
+	s   *Store
+	o   *object
+	env core.Env
+
+	cur    *extent // extent the last copy came from
+	curOff int64   // its file offset
+	ahead  int     // high-water extent index already dispatched to prefetch
+}
+
+// read copies up to n bytes at file offset off into dst. A chunk is just
+// a byte range — stripes' OffsetChunks are byte offsets in disguise — and
+// may straddle an extent boundary or, above ExtentBytes, several.
+func (r *reader) read(off int64, n int, dst []byte) []byte {
+	n = int(min(int64(n), r.o.size-off))
+	if n <= 0 {
+		return dst[:0]
+	}
+	if cap(dst) < n {
+		dst = make([]byte, n)
+	}
+	dst = dst[:n]
+	for done := 0; done < n; {
+		pos := off + int64(done)
+		if r.cur == nil || pos < r.curOff || pos >= r.curOff+int64(len(r.cur.buf)) {
+			i := int(pos / ExtentBytes)
+			e, err := r.extent(i)
 			if err != nil {
-				s.logf("store: reading %q chunk %d: %v", o.name, idx, err)
+				r.s.logf("store: reading %q extent %d: %v", r.o.name, i, err)
 				return dst[:0]
 			}
-			advance = adv
+			r.cur, r.curOff = e, int64(i)*ExtentBytes
 		}
-		if !s.opt.Sim && ra > 0 && advance {
-			// Pipelined read-ahead: keep (idx, idx+ra] in flight behind
-			// the sender. The high-water mark makes the steady state O(1)
-			// — each served chunk dispatches at most one new prefetch —
-			// and only advances past chunks actually dispatched, so a
-			// busy prefetcher pool delays the window instead of punching
-			// holes in it. The window slides only when the pipeline is
-			// live (a miss, or the first consumption of a prefetched
-			// chunk); a warm hit skips the probing outright, so fully
-			// cached streams pay no read-ahead tax.
-			start := idx + 1
-			if ahead > start {
-				start = ahead
-			}
-			for j := start; j <= idx+ra; j++ {
-				if !s.prefetch(o, chunk, j, view) {
-					break
-				}
-				ahead = j + 1
-			}
-		}
-		return dst
+		done += copy(dst[done:], r.cur.buf[pos-r.curOff:])
 	}
+	return dst
 }
 
-// readChunk delivers chunk idx into dst through the cache — the slow
-// path behind the view: absent chunks (a miss that owns the fill) and
-// in-flight chunks (wait on another session's fill). advance reports
-// whether the read-ahead window should slide: true on a miss or on the
-// first consumption of a prefetched chunk, false on a warm hit (the
-// stream ahead is already cached).
-func (s *Store) readChunk(o *object, chunk, idx int, dst []byte, env core.Env, view []atomic.Pointer[entry]) (advance bool, err error) {
-	k := chunkKey{file: o.id, chunk: uint32(chunk), idx: uint32(idx)}
-	e, hit, prefetched := s.c.acquire(k, len(dst), &view[idx])
-	if hit {
+// extent returns extent i of the object, filled: from the index when it
+// is cached (one pointer load and one state load, no lock), waiting on
+// another session's fill when one is in flight, reading it from the
+// backing file otherwise.
+func (r *reader) extent(i int) (*extent, error) {
+	s, o := r.s, r.o
+	e := o.index[i].Load()
+	owner := false
+	if e == nil || e.state.Load() != extentFilled {
+		e, owner = s.c.acquire(o, i, false)
+	}
+	if owner {
+		s.misses.Add(1)
+		if err := s.fill(e, r.env); err != nil {
+			return nil, err
+		}
+	} else {
 		s.hits.Add(1)
-		if err := s.c.wait(e, env); err != nil {
-			s.c.release(e)
-			return prefetched, err
+		if err := s.c.wait(e, r.env); err != nil {
+			return nil, err
 		}
-		copy(dst, e.buf)
-		s.c.release(e)
-		return prefetched, nil
+		if !e.hot.Load() {
+			e.hot.Store(true)
+		}
 	}
-	s.misses.Add(1)
-	if s.opt.Sim {
-		return true, s.fillSpanSim(o, chunk, idx, e, dst, env, view)
+	// Pipelined read-ahead: keep (i, i+ReadAhead] in flight behind the
+	// sender. The window slides only when the pipeline is live — a miss,
+	// or the first consumption of a prefetched extent — so a warm stream
+	// skips the probing outright; the high-water mark makes each slide
+	// dispatch at most one new read, and only advances past extents
+	// actually dispatched, so a busy prefetcher pool delays the window
+	// instead of punching holes in it.
+	if owner || (e.prefetched.Load() && e.prefetched.Swap(false)) {
+		for j := max(i+1, r.ahead); j <= i+s.opt.ReadAhead && j < len(o.index); j++ {
+			if !s.prefetch(o, j) {
+				break
+			}
+			r.ahead = j + 1
+		}
 	}
-	buf := make([]byte, len(dst))
-	s.readOps.Add(1)
-	if _, err := o.f.ReadAt(env, buf, int64(idx)*int64(chunk)); err != nil {
-		s.c.fillFail(e, err)
-		s.c.release(e)
-		return true, err
-	}
-	s.chunkReads.Add(1)
-	s.c.fillDone(e, buf)
-	copy(dst, buf)
-	s.c.release(e)
-	return true, nil
+	return e, nil
 }
 
-// fillSpanSim is the DES miss path: instead of background goroutines
-// (which would break the kernel's deterministic handoff scheduling),
-// read-ahead happens synchronously as one span read of up to ReadAhead+1
-// chunks — one disk access the timing model charges like a single large
-// page, which is exactly the paper's disk-economy argument. The span
-// stops at the file's end and at the first chunk some other session
-// already owns.
-func (s *Store) fillSpanSim(o *object, chunk, idx int, first *entry, dst []byte, env core.Env, view []atomic.Pointer[entry]) error {
-	entries := []*entry{first}
-	for j := idx + 1; j <= idx+s.opt.ReadAhead; j++ {
-		n := chunkLen(o.size, chunk, j)
-		if n <= 0 {
-			break
-		}
-		e, hit, _ := s.c.acquire(chunkKey{file: o.id, chunk: uint32(chunk), idx: uint32(j)}, n, &view[j])
-		if hit {
-			s.c.release(e)
-			break
-		}
-		entries = append(entries, e)
-	}
-	span := int(min64(int64(len(entries))*int64(chunk), o.size-int64(idx)*int64(chunk)))
-	buf := make([]byte, span)
+// fill reads e's bytes from the backing file — the one ReadAt per extent
+// — and publishes the outcome to everyone waiting on it.
+func (s *Store) fill(e *extent, env core.Env) error {
+	lo := int64(e.idx) * ExtentBytes
+	buf := make([]byte, min(ExtentBytes, e.obj.size-lo))
 	s.readOps.Add(1)
-	if _, err := o.f.ReadAt(env, buf, int64(idx)*int64(chunk)); err != nil {
-		for _, e := range entries {
-			s.c.fillFail(e, err)
-			s.c.release(e)
-		}
-		return err
-	}
-	s.chunkReads.Add(int64(len(entries)))
-	for i, e := range entries {
-		lo := i * chunk
-		hi := lo + chunkLen(o.size, chunk, idx+i)
-		s.c.fillDone(e, buf[lo:hi:hi])
-		if i > 0 {
-			s.c.release(e)
-		}
-	}
-	copy(dst, first.buf)
-	s.c.release(first)
-	return nil
+	_, err := e.obj.f.ReadAt(env, buf, lo)
+	s.c.publish(e, buf, err)
+	return err
 }
 
-// prefetch schedules a background fill for chunk idx if no entry exists
-// and a prefetch slot is free; otherwise it does nothing — read-ahead is
-// an optimisation, never a wait. It reports whether the chunk is covered
-// (already present, past EOF, or now in flight); false means no slot was
-// free and the caller should retry on its next serve.
-func (s *Store) prefetch(o *object, chunk, idx int, view []atomic.Pointer[entry]) bool {
-	n := chunkLen(o.size, chunk, idx)
-	if n <= 0 {
+// prefetch starts a background fill of extent i if it is absent and a
+// prefetch slot is free; otherwise it does nothing — read-ahead is an
+// optimisation, never a wait. It reports whether the extent is covered
+// (already present or now in flight); false means no slot was free and
+// the caller should retry on its next lookup.
+func (s *Store) prefetch(o *object, i int) bool {
+	if o.index[i].Load() != nil {
 		return true
 	}
 	select {
@@ -430,52 +366,14 @@ func (s *Store) prefetch(o *object, chunk, idx int, view []atomic.Pointer[entry]
 	default:
 		return false // all prefetchers busy
 	}
-	e, hit, _ := s.c.acquire(chunkKey{file: o.id, chunk: uint32(chunk), idx: uint32(idx)}, n, &view[idx])
-	if hit {
-		s.c.release(e)
+	e, owner := s.c.acquire(o, i, true)
+	if !owner {
 		<-s.sem
 		return true
 	}
-	s.c.markPrefetched(e)
 	go func() {
 		defer func() { <-s.sem }()
-		buf := make([]byte, n)
-		s.readOps.Add(1)
-		if _, err := o.f.ReadAt(nil, buf, int64(idx)*int64(chunk)); err != nil {
-			s.c.fillFail(e, err)
-			s.c.release(e)
-			return
-		}
-		s.chunkReads.Add(1)
-		s.c.fillDone(e, buf)
-		s.c.release(e)
+		_ = s.fill(e, nil) // a failed read-ahead reaches whoever waits on e
 	}()
 	return true
-}
-
-// totalChunks is how many chunk-sized pieces a size-byte object splits
-// into (the memo slot count for a source over it).
-func totalChunks(size int64, chunk int) int {
-	return int((size + int64(chunk) - 1) / int64(chunk))
-}
-
-// chunkLen is the length of chunk idx in a size-byte object: the chunk
-// size except for a short tail, zero past the end.
-func chunkLen(size int64, chunk, idx int) int {
-	off := int64(idx) * int64(chunk)
-	if off >= size {
-		return 0
-	}
-	n := size - off
-	if n > int64(chunk) {
-		n = int64(chunk)
-	}
-	return int(n)
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

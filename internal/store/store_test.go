@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -37,6 +39,7 @@ type memFS struct {
 type memFile struct {
 	content []byte
 	delay   time.Duration
+	gate    chan struct{} // when non-nil, reads block (already counted) until it closes
 	mu      sync.Mutex
 	reads   int
 }
@@ -72,6 +75,9 @@ func (f *memFile) ReadAt(_ core.Env, p []byte, off int64) (int, error) {
 	f.mu.Unlock()
 	if f.delay > 0 {
 		time.Sleep(f.delay)
+	}
+	if f.gate != nil {
+		<-f.gate
 	}
 	if off < 0 || off > int64(len(f.content)) {
 		return 0, fmt.Errorf("read at %d outside %d bytes", off, len(f.content))
@@ -136,17 +142,22 @@ func TestDirFSServesAndValidates(t *testing.T) {
 	}
 }
 
+// extentSeq is the packet seq of the first chunk inside extent i, for
+// chunk sizes that divide ExtentBytes.
+func extentSeq(i, chunk int) int { return i * (ExtentBytes / chunk) }
+
 // The acceptance criterion: N concurrent pullers of one cold file trigger
-// exactly one backing read per chunk — the cache's single-flight fan-out,
+// exactly one backing read per extent — the cache's single-flight fan-out,
 // verified under -race by the CI race job.
 func TestSingleFlightFanOut(t *testing.T) {
 	const (
 		pullers = 8
 		chunk   = 1024
-		chunks  = 64
+		extents = 8
+		chunks  = extents * ExtentBytes / chunk
 	)
 	fs := newMemFS()
-	f := fs.add("hot.bin", chunk*chunks, 200*time.Microsecond)
+	f := fs.add("hot.bin", extents*ExtentBytes, 200*time.Microsecond)
 	s := New(fs, Options{CacheBytes: 64 << 20})
 	defer s.Close()
 
@@ -181,23 +192,23 @@ func TestSingleFlightFanOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := s.Stats()
-	if st.ChunkReads != chunks {
-		t.Errorf("ChunkReads = %d, want exactly %d (one per chunk)", st.ChunkReads, chunks)
+	if st.ReadOps != extents {
+		t.Errorf("ReadOps = %d, want exactly %d (one per extent)", st.ReadOps, extents)
 	}
-	if got := f.readCount(); got != chunks {
-		t.Errorf("backing ReadAt calls = %d, want exactly %d", got, chunks)
+	if got := f.readCount(); got != extents {
+		t.Errorf("backing ReadAt calls = %d, want exactly %d", got, extents)
 	}
 	if st.Hits == 0 {
 		t.Error("fan-out produced no cache hits")
 	}
 }
 
-// Read-ahead keeps a window in flight behind the sender: after serving
-// early chunks the later ones must already be cached.
+// Read-ahead keeps a window of extents in flight behind the sender: after
+// serving the first chunk the following extents must land undemanded.
 func TestReadAheadPipelines(t *testing.T) {
-	const chunk, chunks = 2048, 32
+	const chunk, extents = 2048, 32
 	fs := newMemFS()
-	fs.add("ra.bin", chunk*chunks, 0)
+	fs.add("ra.bin", extents*ExtentBytes, 0)
 	s := New(fs, Options{CacheBytes: 64 << 20, ReadAhead: 8, Prefetchers: 8})
 	defer s.Close()
 
@@ -207,32 +218,29 @@ func TestReadAheadPipelines(t *testing.T) {
 	}
 	buf := make([]byte, chunk)
 	src(0, buf)
-	// Chunks 1..8 should land without being demanded.
+	// Extents 1..8 should land without being demanded.
 	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if s.Stats().ChunkReads >= 9 {
-			break
-		}
+	for s.Stats().BytesCached < 9*ExtentBytes {
 		if time.Now().After(deadline) {
-			t.Fatalf("read-ahead idle: ChunkReads = %d after chunk 0", s.Stats().ChunkReads)
+			t.Fatalf("read-ahead idle: %d bytes cached after chunk 0", s.Stats().BytesCached)
 		}
 		time.Sleep(time.Millisecond)
 	}
 	before := s.Stats().Misses
-	src(1, buf)
-	src(2, buf)
+	src(extentSeq(1, chunk), buf)
+	src(extentSeq(2, chunk), buf)
 	if after := s.Stats().Misses; after != before {
-		t.Errorf("chunks 1-2 missed (%d -> %d misses) despite read-ahead", before, after)
+		t.Errorf("extents 1-2 missed (%d -> %d misses) despite read-ahead", before, after)
 	}
 }
 
-// CLOCK eviction: fresh chunks enter cold (scan-resistant), re-referenced
-// chunks get a second chance, pins are never evicted.
+// CLOCK eviction: fresh extents enter cold (scan-resistant), re-referenced
+// extents get a second chance, and the victim's slot is reused in place.
 func TestClockEviction(t *testing.T) {
 	const chunk = 1024
 	fs := newMemFS()
-	fs.add("ev.bin", chunk*16, 0)
-	s := New(fs, Options{CacheBytes: 4 * chunk, Shards: 1, ReadAhead: -1})
+	fs.add("ev.bin", 16*ExtentBytes, 0)
+	s := New(fs, Options{CacheBytes: 4 * ExtentBytes, ReadAhead: -1})
 	defer s.Close()
 
 	src, err := s.Source("ev.bin", chunk, 0, nil)
@@ -240,36 +248,288 @@ func TestClockEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, chunk)
-	for seq := 0; seq < 4; seq++ {
-		src(seq, buf)
+	touch := func(extent int) { src(extentSeq(extent, chunk), buf) }
+	for i := 0; i < 4; i++ {
+		touch(i)
 	}
-	src(0, buf) // re-reference chunk 0: hot bit set
-	reads := s.Stats().ChunkReads
-	src(4, buf) // over budget: CLOCK clears 0's hot bit, evicts cold 1
-	if s.Stats().Evictions == 0 {
-		t.Fatal("no eviction past the budget")
+	touch(0) // re-reference extent 0: hot bit set
+	reads := s.Stats().ReadOps
+	touch(4) // cache full: CLOCK clears 0's hot bit, evicts cold 1
+	if got := s.Stats().Evictions; got != 1 {
+		t.Fatalf("Evictions = %d past the budget, want 1", got)
 	}
-	src(0, buf) // survived its second chance
-	if got := s.Stats().ChunkReads; got != reads+1 {
-		t.Errorf("re-read of hot chunk 0 went to disk (ChunkReads %d -> %d)", reads, got)
+	touch(0) // survived its second chance
+	if got := s.Stats().ReadOps; got != reads+1 {
+		t.Errorf("re-read of hot extent 0 went to disk (ReadOps %d -> %d)", reads, got)
 	}
-	src(1, buf) // the cold victim was evicted
-	if got := s.Stats().ChunkReads; got != reads+2 {
-		t.Errorf("evicted chunk 1 not re-read (ChunkReads %d -> %d)", reads, got)
+	touch(1) // the cold victim was evicted
+	if got := s.Stats().ReadOps; got != reads+2 {
+		t.Errorf("evicted extent 1 not re-read (ReadOps %d -> %d)", reads, got)
+	}
+	if got, want := len(s.c.ring), 4; got != want {
+		t.Errorf("ring has %d slots after evictions, want the fixed %d", got, want)
+	}
+	if got := s.Stats().BytesCached; got != 4*ExtentBytes {
+		t.Errorf("BytesCached = %d, want %d", got, 4*ExtentBytes)
 	}
 }
 
-// The DES read path: a cold sequential file read through the store with
-// read-ahead R costs exactly disk.FileReadTime(size, (R+1)*chunk) of
-// virtual time — read-ahead is the paper's large-page disk economy, and
-// the model is exact, so the DES can gate on it deterministically.
+// A source keeps serving from the extent it is inside after CLOCK has
+// evicted it: buffers are immutable and never recycled, so the held
+// pointer stays valid and costs no second read.
+func TestHeldExtentSurvivesEviction(t *testing.T) {
+	const chunk = 1000
+	fs := newMemFS()
+	f := fs.add("held.bin", 8*ExtentBytes, 0)
+	s := New(fs, Options{CacheBytes: 2 * ExtentBytes, ReadAhead: -1})
+	defer s.Close()
+
+	holder, err := s.Source("held.bin", chunk, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, chunk)
+	holder(0, buf)
+	pullAll(t, s, "held.bin", chunk, nil) // churns extent 0 out of the cache
+	if s.objs["held.bin"].index[0].Load() != nil {
+		t.Fatal("scenario sized to evict extent 0, but it is still cached")
+	}
+	reads := s.Stats().ReadOps
+	if b := holder(1, buf); !bytes.Equal(b, f.content[chunk:2*chunk]) {
+		t.Error("held extent served wrong bytes after its eviction")
+	}
+	if got := s.Stats().ReadOps; got != reads {
+		t.Errorf("serving from a held extent cost %d backing reads", got-reads)
+	}
+}
+
+// An extent mid-fill is never evicted: with every slot pending the ring
+// grows instead, so late arrivals still join the one read in flight.
+func TestPendingNeverEvicted(t *testing.T) {
+	const chunk, extents = 1024, 4
+	fs := newMemFS()
+	f := fs.add("pend.bin", extents*ExtentBytes, 0)
+	f.gate = make(chan struct{})
+	s := New(fs, Options{CacheBytes: ExtentBytes, ReadAhead: -1}) // one slot
+	defer s.Close()
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 2*extents)
+	pull := func(extent int) {
+		defer wg.Done()
+		src, err := s.Source("pend.bin", chunk, 0, nil)
+		if err != nil {
+			errs <- err
+			return
+		}
+		seq := extentSeq(extent, chunk)
+		if b := src(seq, make([]byte, chunk)); !bytes.Equal(b, f.content[seq*chunk:(seq+1)*chunk]) {
+			errs <- fmt.Errorf("extent %d served wrong bytes", extent)
+		}
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	wg.Add(2 * extents)
+	for i := 0; i < extents; i++ {
+		go pull(i)
+	}
+	waitFor("every extent's read to be in flight", func() bool { return f.readCount() == extents })
+	for i := 0; i < extents; i++ {
+		go pull(i) // joins the pending fill
+	}
+	waitFor("the late pullers to join", func() bool { return s.Stats().Hits == extents })
+	close(f.gate)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if got := f.readCount(); got != extents {
+		t.Errorf("backing reads = %d, want %d: a pending extent was evicted and re-read", got, extents)
+	}
+	if got := s.Stats().Evictions; got != 0 {
+		t.Errorf("Evictions = %d while every slot was mid-fill", got)
+	}
+}
+
+// Chunks are byte ranges, not cache keys: any chunk size — dividing the
+// extent or not, smaller than it or larger — over any stripe split of a
+// file with a short tail reassembles to the file, boundary-straddling
+// chunks included.
+func TestOddChunkSizesAndStripes(t *testing.T) {
+	const size = 3*ExtentBytes + 4321
+	fs := newMemFS()
+	f := fs.add("odd.bin", size, 0)
+	s := New(fs, Options{CacheBytes: 2 * ExtentBytes}) // under eviction pressure throughout
+	defer s.Close()
+
+	for _, chunk := range []int{1000, 1400, 1, ExtentBytes + 1} {
+		total := (size + chunk - 1) / chunk
+		for _, stripes := range []int{1, 2, 3} {
+			got := make([]byte, 0, size)
+			buf := make([]byte, chunk)
+			for k := 0; k < stripes; k++ {
+				lo, hi := total*k/stripes, total*(k+1)/stripes
+				src, err := s.Source("odd.bin", chunk, lo, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for seq := 0; seq < hi-lo; seq++ {
+					got = append(got, src(seq, buf)...)
+				}
+				if k == stripes-1 {
+					if b := src(hi-lo, buf); len(b) != 0 {
+						t.Errorf("chunk %d: %d bytes served past the end", chunk, len(b))
+					}
+				}
+			}
+			if !bytes.Equal(got, f.content) {
+				t.Errorf("chunk %d over %d stripe(s): reassembly differs from the file", chunk, stripes)
+			}
+		}
+	}
+}
+
+// Cache keys are independent of the REQ's chunk size: a pull at chunk
+// 1400 after one at chunk 1000 is all hits and costs no backing read.
+func TestChunkSizesShareExtents(t *testing.T) {
+	const size = 5*ExtentBytes + 99
+	fs := newMemFS()
+	f := fs.add("share.bin", size, 0)
+	s := New(fs, Options{})
+	defer s.Close()
+
+	if !bytes.Equal(pullAll(t, s, "share.bin", 1000, nil), f.content) {
+		t.Fatal("first pull differs from the file")
+	}
+	before := s.Stats()
+	if before.ReadOps != 6 {
+		t.Fatalf("ReadOps = %d after a cold pull of 6 extents", before.ReadOps)
+	}
+	if !bytes.Equal(pullAll(t, s, "share.bin", 1400, nil), f.content) {
+		t.Fatal("second pull differs from the file")
+	}
+	after := s.Stats()
+	if after.ReadOps != before.ReadOps || after.Misses != before.Misses {
+		t.Errorf("pull at a second chunk size went to disk: %+v -> %+v", before, after)
+	}
+	if after.Hits != before.Hits+6 {
+		t.Errorf("second pull made %d extent hits, want 6", after.Hits-before.Hits)
+	}
+}
+
+// The ROADMAP 5c bound: index memory is O(size/ExtentBytes) per object no
+// matter what chunk sizes clients ask for. A Chunk=1 source over a 1 GiB
+// object used to allocate an 8 GiB pointer slice, and one more slice per
+// distinct chunk size.
+func TestIndexMemoryIndependentOfChunkSize(t *testing.T) {
+	const size = 1 << 30
+	dir := t.TempDir()
+	file, err := os.Create(filepath.Join(dir, "sparse.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	marks := []int64{0, ExtentBytes - 700, size - 1500} // start, an extent boundary, the tail
+	mark := bytes.Repeat([]byte("blastlan"), 175)       // 1400 bytes
+	for _, off := range marks {
+		if _, err := file.WriteAt(mark, off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := file.Truncate(size); err != nil {
+		t.Fatal(err)
+	}
+	file.Close()
+	s := Open(dir, Options{ReadAhead: -1})
+	defer s.Close()
+
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	one, err := s.Source("sparse.bin", 1, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := s.Source("sparse.bin", 1400, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	index := uint64(size / ExtentBytes * 8)
+	if got := m1.TotalAlloc - m0.TotalAlloc; got > 2*index {
+		t.Errorf("two sources over a 1 GiB object allocated %d bytes, want about the %d-byte index", got, index)
+	}
+	buf1, bufW := make([]byte, 1), make([]byte, 1400)
+	for _, off := range marks {
+		off -= off % 1400
+		want := append([]byte(nil), wide(int(off/1400), bufW)...)
+		got := make([]byte, 0, len(want))
+		for i := range want {
+			got = append(got, one(int(off)+i, buf1)...)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("Chunk=1 and Chunk=1400 disagree at offset %d", off)
+		}
+		if !bytes.Contains(want, mark[:700]) {
+			t.Errorf("chunk at offset %d misses the bytes written there", off)
+		}
+	}
+}
+
+// Eviction cost must not depend on how much is cached: the victim's slot
+// is reused in place. (The chunk-grained ring memmoved every later entry
+// per eviction, so an 8x larger cache evicted 8x slower — cli_get's cliff.)
+func TestEvictionCostIndependentOfCacheSize(t *testing.T) {
+	perEviction := func(slots int) time.Duration {
+		c := newCache(int64(slots)*ExtentBytes, false)
+		o := &object{index: make([]atomic.Pointer[extent], 2*slots)}
+		next := 0 // cyclic over twice the cache: once it is full, every acquire misses
+		cycle := func(n int) {
+			for ; n > 0; n-- {
+				e, owner := c.acquire(o, next%len(o.index), false)
+				if !owner {
+					t.Fatalf("extent %d still cached in a cyclic scan of twice the cache", next%len(o.index))
+				}
+				c.publish(e, nil, nil)
+				next++
+			}
+		}
+		cycle(slots) // fill: from here every acquire evicts
+		best := time.Duration(1 << 62)
+		for trial := 0; trial < 5; trial++ {
+			const n = 1 << 16
+			t0 := time.Now()
+			cycle(n)
+			best = min(best, time.Since(t0)/n)
+		}
+		if got := c.evictions.Load(); got < 5<<16 {
+			t.Fatalf("%d-slot cache evicted %d times, want one per acquire", slots, got)
+		}
+		return best
+	}
+	small, large := perEviction(512), perEviction(8*512)
+	t.Logf("per eviction: %v at 512 slots, %v at 4096", small, large)
+	if large > 3*small+50*time.Nanosecond {
+		t.Errorf("eviction cost grew with the cache: %v at 512 slots, %v at 4096", small, large)
+	}
+}
+
+// The DES read path: a cold sequential file read through the store costs
+// exactly disk.FileReadTime(size, ExtentBytes) of virtual time — the
+// extent is the paper's large page, and the model is exact (short tail
+// included), so the DES can gate on it deterministically.
 func TestSimColdReadMatchesDiskModel(t *testing.T) {
-	const chunk, ra = 1024, 7
-	const size = chunk * 64 // divisible by the (ra+1)-chunk span
+	const chunk = 1024
+	const size = 5*ExtentBytes + 777
 	g := disk.FujitsuEagle()
 	sfs := NewSimFS(g)
 	sfs.Add("cold.bin", 42, size)
-	s := New(sfs, Options{Sim: true, ReadAhead: ra, CacheBytes: 64 << 20})
+	s := New(sfs, Options{Sim: true, CacheBytes: 64 << 20})
 	defer s.Close()
 
 	env := &fakeEnv{}
@@ -277,7 +537,7 @@ func TestSimColdReadMatchesDiskModel(t *testing.T) {
 	if !bytes.Equal(got, core.SeededPayload(42, size, 1024)) {
 		t.Fatal("sim content mismatch")
 	}
-	want := g.FileReadTime(size, (ra+1)*chunk)
+	want := g.FileReadTime(size, ExtentBytes)
 	if env.t != want {
 		t.Errorf("cold read cost %v, disk model says %v", env.t, want)
 	}
@@ -287,12 +547,8 @@ func TestSimColdReadMatchesDiskModel(t *testing.T) {
 	if env2.t != 0 {
 		t.Errorf("hot re-read charged %v of disk time", env2.t)
 	}
-	st := s.Stats()
-	if st.ChunkReads != 64 {
-		t.Errorf("ChunkReads = %d, want 64", st.ChunkReads)
-	}
-	if st.ReadOps != 8 {
-		t.Errorf("ReadOps = %d, want 8 span reads", st.ReadOps)
+	if st := s.Stats(); st.ReadOps != 6 {
+		t.Errorf("ReadOps = %d, want 6 extent reads", st.ReadOps)
 	}
 }
 
@@ -302,8 +558,8 @@ func TestSimDeterministic(t *testing.T) {
 	run := func() (Stats, time.Duration) {
 		g := disk.FujitsuEagle()
 		sfs := NewSimFS(g)
-		sfs.Add("d.bin", 9, 100_000)
-		s := New(sfs, Options{Sim: true, ReadAhead: 4, CacheBytes: 16 * 1024, Shards: 2})
+		sfs.Add("d.bin", 9, 20*ExtentBytes+100)
+		s := New(sfs, Options{Sim: true, CacheBytes: 4 * ExtentBytes})
 		defer s.Close()
 		env := &fakeEnv{}
 		pullAll(t, s, "d.bin", 1000, env)
@@ -428,4 +684,45 @@ func TestFileSinkLifecycle(t *testing.T) {
 	}
 	put(0, []byte("hello"))
 	done(core.RecvResult{Completed: true})
+}
+
+// ChunkFile gathers in-order deliveries into large writes but must still
+// land every byte where it belongs when deliveries arrive out of order
+// (a hole repaired later, interleaved stripes) or exceed its run buffer.
+func TestChunkFileCoalescesAnyOrder(t *testing.T) {
+	const size, chunk = 6*chunkRun + 12345, 1000
+	want := make([]byte, size)
+	rand.New(rand.NewSource(3)).Read(want)
+	name := filepath.Join(t.TempDir(), "out.bin")
+	w, err := CreateChunkFile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func(lo, hi int) {
+		for off := lo; off < hi; off += chunk {
+			w.Sink(off, want[off:min(off+chunk, hi)])
+		}
+	}
+	hole := 400 * chunk
+	put(0, hole)                                                      // in order, across a full run buffer
+	put(hole+chunk, 500*chunk)                                        // skip one chunk
+	put(hole, hole+chunk)                                             // repair it
+	w.Sink(500*chunk, want[500*chunk:500*chunk+2*chunkRun])           // one delivery larger than the buffer
+	for off := 500*chunk + 2*chunkRun; off < size; off += 2 * chunk { // two interleaved stripes
+		mid := off + chunk
+		if mid < size {
+			w.Sink(mid, want[mid:min(mid+chunk, size)])
+		}
+		w.Sink(off, want[off:min(off+chunk, size)])
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("file differs from the delivered bytes")
+	}
 }

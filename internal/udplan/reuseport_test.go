@@ -81,6 +81,12 @@ func TestReuseportServedAccounting(t *testing.T) {
 			t.Fatalf("client %d: %v", i, err)
 		}
 	}
+	done := func() int {
+		doneMu.Lock()
+		defer doneMu.Unlock()
+		return doneCount
+	}
+	settle(func() bool { return srv.Served() >= clients && done() >= clients })
 	if got := srv.Served(); got != clients {
 		t.Errorf("served = %d, want %d", got, clients)
 	}

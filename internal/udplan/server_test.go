@@ -65,6 +65,11 @@ func TestConcurrentServerParallelPulls(t *testing.T) {
 			t.Fatalf("client %d: %v", i, err)
 		}
 	}
+	settle(func() bool {
+		doneMu.Lock()
+		defer doneMu.Unlock()
+		return srv.Served() >= clients && len(stats) >= clients
+	})
 	if got := srv.Served(); got != clients {
 		t.Errorf("served = %d, want %d", got, clients)
 	}
@@ -177,6 +182,7 @@ func TestConcurrentServerSessionCap(t *testing.T) {
 			t.Fatalf("client %d under cap pressure: %v", i, err)
 		}
 	}
+	settle(func() bool { return srv.Served() >= clients })
 	if got := srv.Served(); got != clients {
 		t.Errorf("served = %d, want %d", got, clients)
 	}
@@ -241,5 +247,14 @@ func TestConcurrentServerRejectsOversized(t *testing.T) {
 	case <-rejected:
 	case <-time.After(2 * time.Second):
 		t.Error("server never logged the rejection")
+	}
+}
+
+// settle waits (bounded) for the server's side of a completed transfer: a
+// client returns on the final ack, while its session's accounting (Served,
+// then Done) runs on the server's goroutine just after sending it.
+func settle(done func() bool) {
+	for deadline := time.Now().Add(5 * time.Second); !done() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
 }
