@@ -230,7 +230,7 @@ func PullUDP(e *UDPEndpoint, cfg Config) (RecvResult, error) { return udplan.Pul
 // Striped transfers: one logical pull fanned out across parallel stripe
 // sessions, reassembled by offset (set cfg.Controller to a registered
 // rate-control policy — "aimd", "bbr", "autotune" — for per-stripe rate
-// control; the deprecated cfg.Adaptive maps to "aimd").
+// control).
 type (
 	// StripeOptions configures the fan-out of a striped pull.
 	StripeOptions = udplan.StripeOptions

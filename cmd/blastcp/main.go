@@ -140,7 +140,6 @@ func main() {
 		sockbuf   = flag.Int("sockbuf", 4<<20, "kernel socket buffer size (large windows overflow the default)")
 		streams   = flag.Int("streams", 1, "stripe a pull across this many parallel sessions")
 		ctrlName  = flag.String("controller", "", "rate-control policy: "+strings.Join(core.ControllerNames(), ", ")+" (empty: fixed schedule)")
-		adaptive  = flag.Bool("adaptive", false, "deprecated: same as -controller=aimd")
 		lossTx    = flag.Float64("drop-tx", 0, "inject outbound loss (testing)")
 		lossRx    = flag.Float64("drop-rx", 0, "inject inbound loss (testing)")
 		resume    = flag.Bool("resume", false, "resume a pull across server crashes/restarts (offset REQs from the verified frontier)")
@@ -196,13 +195,8 @@ func main() {
 	if err != nil {
 		fail(exitUsage, "%v", err)
 	}
-	controller := *ctrlName
-	if *adaptive && controller == "" {
-		log.Printf("blastcp: -adaptive is deprecated; use -controller=%s", core.ControllerAIMD)
-		controller = core.ControllerAIMD
-	}
-	if controller != "" && core.ControllerID(controller) == 0 {
-		fail(exitUsage, "unknown controller %q (registered: %s)", controller, strings.Join(core.ControllerNames(), ", "))
+	if *ctrlName != "" && core.ControllerID(*ctrlName) == 0 {
+		fail(exitUsage, "unknown controller %q (registered: %s)", *ctrlName, strings.Join(core.ControllerNames(), ", "))
 	}
 
 	cfg := core.Config{
@@ -211,7 +205,7 @@ func main() {
 		Protocol:       proto,
 		Strategy:       strat,
 		Window:         *window,
-		Controller:     controller,
+		Controller:     *ctrlName,
 		RetransTimeout: *tr,
 		MaxAttempts:    100,
 		Linger:         2**tr + 100*time.Millisecond,
@@ -331,7 +325,7 @@ func main() {
 		failErr("dial", err)
 	}
 	defer e.Close()
-	e.PacketGap = *gap
+	e.SetPacketGap(*gap)
 	if *mtu > 0 {
 		if err := e.SetMTU(*mtu); err != nil {
 			log.Fatalf("blastcp: %v", err)

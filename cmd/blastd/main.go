@@ -30,10 +30,10 @@
 // requesting a byte range of one logical stream; the daemon resolves each
 // range against the same generator, so the client's reassembly is
 // byte-identical to an unstriped pull. Requests carrying a rate-control
-// policy id in the REQ flags (blastcp -controller aimd|bbr|autotune, or the
-// deprecated -adaptive) are served with that controller reacting to observed
-// drops and NAKs instead of the fixed REQ parameters; an id this build does
-// not know degrades to AIMD.
+// policy id in the REQ flags (blastcp -controller aimd|bbr|autotune) are
+// served with that controller reacting to observed drops and NAKs instead
+// of the fixed REQ parameters; an id this build does not know degrades to
+// AIMD.
 //
 // SIGINT/SIGTERM drains gracefully: new sessions are refused (clients
 // retry elsewhere), active transfers get up to -drain to finish — a second
@@ -66,7 +66,7 @@ func main() {
 		cacheMB     = flag.Int("cache-mb", 256, "hot-object cache budget for -serve, in MiB")
 		readAhead   = flag.Int("readahead", 8, fmt.Sprintf("extents (%d KiB each) of pipelined read-ahead for -serve (0 disables)", store.ExtentBytes>>10))
 		maxBytes    = flag.Int("max-bytes", 1<<30, "reject transfers larger than this")
-		concurrency = flag.Int("concurrency", 8, "session cap: concurrent transfers served at once (1 = serial)")
+		concurrency = flag.Int("concurrency", 8, "session cap: concurrent transfers served at once (1 = one session at a time, others get BUSY)")
 		batch       = flag.Int("batch", 32, "syscall batch size for sendmmsg/recvmmsg frame rings (1 = single-syscall)")
 		sockets     = flag.Int("sockets", 1, "SO_REUSEPORT demux sockets sharing the listen port, one demux loop each (Linux; 1 = single socket)")
 		tierName    = flag.String("tier", "auto", "cap the batched datapath tier: gso, mmsg, writeto, auto")

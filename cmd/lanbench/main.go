@@ -44,13 +44,11 @@ func main() {
 		benchjson = flag.String("benchjson", "",
 			"write a machine-readable micro-benchmark snapshot (ns/op, allocs/op) to this file and exit")
 		udp = flag.Bool("udp", false,
-			"run the loopback UDP datapath throughput suite (batched vs single-syscall vs pre-batching legacy, plus the striped streams×policy sweep) instead of the paper experiments; writes -benchjson when set")
+			"run the loopback UDP datapath throughput suite (gso vs batched vs single-syscall, plus the striped streams×policy sweep) instead of the paper experiments; writes -benchjson when set")
 		streams = flag.Int("streams", 0,
 			"with -udp: restrict the striped sweep to this stream count (0: full {1,2,4,8} sweep plus the classic single-stream cases)")
 		ctrlName = flag.String("controller", "",
 			"with -udp: restrict the striped sweep to one rate-control policy ("+strings.Join(core.ControllerNames(), ", ")+")")
-		adaptive = flag.Bool("adaptive", false,
-			"deprecated: same as -controller=aimd")
 		tier = flag.String("tier", "auto",
 			"with -udp: cap the datapath tier of the classic pull cases (gso, mmsg, writeto, auto); the snapshot records the tier that actually ran")
 	)
@@ -60,19 +58,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	controller := *ctrlName
-	if *adaptive && controller == "" {
-		fmt.Fprintf(os.Stderr, "lanbench: -adaptive is deprecated; use -controller=%s\n", core.ControllerAIMD)
-		controller = core.ControllerAIMD
-	}
-	if controller != "" && core.ControllerID(controller) == 0 {
+	if *ctrlName != "" && core.ControllerID(*ctrlName) == 0 {
 		fmt.Fprintf(os.Stderr, "lanbench: unknown controller %q (registered: %s)\n",
-			controller, strings.Join(core.ControllerNames(), ", "))
+			*ctrlName, strings.Join(core.ControllerNames(), ", "))
 		os.Exit(2)
 	}
 
 	if *udp {
-		if err := runUDPBench(*benchjson, *quick, *streams, controller, *tier); err != nil {
+		if err := runUDPBench(*benchjson, *quick, *streams, *ctrlName, *tier); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

@@ -1,21 +1,18 @@
 package main
 
 // The -udp mode: loopback throughput benchmarks for the real-UDP datapath.
-// The classic suite compares the single-syscall path (batch=1), the
-// sendmmsg/recvmmsg batched path (batch=32), and a faithful emulation of
-// the pre-batching pipeline (serial server, whole payload materialised per
-// pull, no streaming) as the baseline — archived as BENCH_3.json and
-// guarded by CI's perf-regression gate (cmd/benchgate). The striped sweep
-// measures streams ∈ {1,2,4,8} × {fixed, aimd, bbr} pulls against the
-// sharded server, on a clean loopback and under a 1% seeded drop adversary
-// — archived as BENCH_4.json and the EXPERIMENTS.md streams×policy table
-// (-controller restricts the sweep to one rate-control policy). The gated
-// udp_pull_bbr_loss1 case pins the BBR policy's 16 MB striped pull under
-// 1% loss against the ci/bench_floor.json floor.
+// The classic suite compares the syscall-per-packet path (batch=1, the
+// one-slot frame ring), the sendmmsg/recvmmsg batched path (batch=32) and
+// the GSO tier — guarded by CI's perf-regression gate (cmd/benchgate). The
+// striped sweep measures streams ∈ {1,2,4,8} × {fixed, aimd, bbr} pulls
+// against the server, on a clean loopback and under a 1% seeded drop
+// adversary — archived as BENCH_4.json and the EXPERIMENTS.md
+// streams×policy table (-controller restricts the sweep to one rate-control
+// policy). The gated udp_pull_bbr_loss1 case pins the BBR policy's 16 MB
+// striped pull under 1% loss against the ci/bench_floor.json floor.
 
 import (
 	"fmt"
-	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
@@ -37,7 +34,6 @@ type udpPullCase struct {
 	bytes      int
 	batch      int // sendmmsg/recvmmsg ring size; 1 = single-syscall
 	window     int
-	legacy     bool        // pre-PR pipeline: serial server, materialised payload, no streaming
 	tier       udplan.Tier // datapath tier cap (TierAuto: probe for the best)
 	controller string      // rate-control policy the REQ asks the server for
 	drop       float64     // seeded wire-loss probability on the client endpoint
@@ -69,19 +65,11 @@ func runUDPPull(c udpPullCase) (time.Duration, udplan.Tier, error) {
 	defer conn.Close()
 	setSocketBufs(conn)
 	srv := udplan.NewServer(conn)
-	if c.legacy {
-		srv.Data = func(r wire.Req) ([]byte, bool) {
-			payload := make([]byte, r.Bytes)
-			rand.New(rand.NewSource(int64(r.Bytes))).Read(payload)
-			return payload, true
-		}
-	} else {
-		srv.Concurrency = 2
-		srv.Batch = c.batch
-		srv.MaxTier = c.tier
-		srv.Source = func(r wire.Req) (core.ChunkSource, bool) {
-			return core.SeededSource(int64(r.Bytes), int(r.Bytes), int(r.Chunk)), true
-		}
+	srv.Concurrency = 2
+	srv.Batch = c.batch
+	srv.MaxTier = c.tier
+	srv.Source = func(r wire.Req) (core.ChunkSource, bool) {
+		return core.SeededSource(int64(r.Bytes), int(r.Bytes), int(r.Chunk)), true
 	}
 	go srv.Run()
 
@@ -91,10 +79,8 @@ func runUDPPull(c udpPullCase) (time.Duration, udplan.Tier, error) {
 	}
 	defer e.Close()
 	e.SetSocketBuffers(udpSocketBuf)
-	if !c.legacy {
-		e.MaxTier = c.tier
-		e.SetBatch(c.batch)
-	}
+	e.MaxTier = c.tier
+	e.SetBatch(c.batch)
 	engaged := e.Tier()
 	if c.drop > 0 {
 		if err := e.SetAdversary(params.Adversary{Loss: params.LossModel{PNet: c.drop}}, 1); err != nil {
@@ -113,9 +99,7 @@ func runUDPPull(c udpPullCase) (time.Duration, udplan.Tier, error) {
 		MaxAttempts:    10000,
 		Linger:         50 * time.Millisecond,
 		ReceiverIdle:   10 * time.Second,
-	}
-	if !c.legacy {
-		cfg.Sink = func(int, []byte) {} // stream: checksum and discard
+		Sink:           func(int, []byte) {}, // stream: checksum and discard
 	}
 	t0 := time.Now()
 	res, err := udplan.Pull(e, cfg)
@@ -617,7 +601,6 @@ func runUDPBench(path string, quick bool, streams int, controller string, tierNa
 			// UDP_SEGMENT is unsupported — the snapshot's tier column says
 			// which actually ran.
 			cases := []udpPullCase{
-				{name: fmt.Sprintf("udp_pull_%dmb_legacy", mb), bytes: size, batch: 1, window: 128, legacy: true, tier: udplan.TierAuto},
 				{name: fmt.Sprintf("udp_pull_%dmb_batch1", mb), bytes: size, batch: 1, window: 128, tier: udplan.TierAuto},
 				{name: fmt.Sprintf("udp_pull_%dmb_batch32", mb), bytes: size, batch: 32, window: 128, tier: udplan.TierMmsg},
 				{name: fmt.Sprintf("udp_pull_%dmb_gso", mb), bytes: size, batch: 32, window: 128, tier: udplan.TierGSO},

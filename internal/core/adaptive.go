@@ -3,7 +3,7 @@ package core
 import "time"
 
 // AIMD blast rate control — the "aimd" policy of the RateController
-// registry (ratecontrol.go), which the deprecated Config.Adaptive maps to.
+// registry (ratecontrol.go).
 //
 // The paper fixes every transfer parameter — window, batch, retransmission
 // interval — at connection setup, which is exactly right for its matched
@@ -31,10 +31,10 @@ import "time"
 // same window trajectory on the simulator, the V kernel and real UDP, which
 // is what lets the cross-substrate conformance suite pin adaptive transfers
 // too. Substrate-specific actuation (pacing sleeps, syscall batch rings) is
-// applied through the optional Pacer and BatchLimiter interfaces; substrates
-// without them simply get the window adjustments.
+// applied through the optional Datapath interface; substrates without it
+// simply get the window adjustments.
 //
-// Adaptive mode also subsumes Config.AdaptiveTr: response timing is learned
+// A controlled transfer also subsumes Config.AdaptiveTr: response timing is learned
 // online with the Jacobson/Karn estimator (rto.go), seeded by
 // RetransTimeout. A fixed 250 ms Tr turns every lost last-packet or ack
 // into a quarter-second stall; the estimator converges to the real response
@@ -229,26 +229,3 @@ func (c *Controller) Observe(o WindowObs) {
 
 // Stats returns the trajectory summary so far.
 func (c *Controller) Stats() ControllerStats { return c.stats }
-
-// Pacer is optionally implemented by substrates that can space data packets
-// on the wire (udplan.Endpoint sleeps between datagram writes). The
-// adaptive sender owns pacing while it runs — it updates the gap between
-// windows — and restores the gap it found (Gap at transfer start, e.g. a
-// user-configured pacing flag) when the transfer finishes.
-type Pacer interface {
-	Gap() time.Duration
-	SetPacketGap(d time.Duration)
-}
-
-// BatchLimiter is optionally implemented by substrates whose syscall
-// batching can be throttled mid-transfer without reallocating: the frame
-// ring keeps its configured size and only the queued-frames flush
-// threshold moves (n <= 1 flushes every frame). SetBatchLimit must not
-// strand queued traffic (flush anything beyond the new threshold). The
-// adaptive sender restores the original limit when the transfer finishes,
-// so one lossy transfer never ratchets an endpoint's configured batching
-// down for its successors.
-type BatchLimiter interface {
-	BatchLimit() int
-	SetBatchLimit(n int)
-}

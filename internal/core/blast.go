@@ -17,7 +17,7 @@ import (
 // interface with SendAsync so that a double-buffered interface overlaps the
 // copy of packet k+1 with the transmission of packet k.
 func sendBlast(env Env, c Config, async bool) (SendResult, error) {
-	if c.Controller != "" || c.Adaptive {
+	if c.Controller != "" {
 		return sendBlastControlled(env, c, async)
 	}
 	var res SendResult
@@ -44,12 +44,11 @@ func sendBlast(env Env, c Config, async bool) (SendResult, error) {
 }
 
 // sendBlastControlled is the blast sender under pluggable rate control
-// (Config.Controller; the deprecated Config.Adaptive maps to "aimd"): each
-// window's size comes from the policy, each completed window's recovery
-// cost (and measured duration) feeds back into it, and the policy's pacing
-// and batch decisions are actuated on substrates that support them. The
-// receiver needs no changes — it judges windows by the high-water FlagLast
-// sequence, whatever their sizes.
+// (Config.Controller): each window's size comes from the policy, each
+// completed window's recovery cost (and measured duration) feeds back into
+// it, and the policy's pacing and batch decisions are actuated on substrates
+// with a Datapath. The receiver needs no changes — it judges windows by the
+// high-water FlagLast sequence, whatever their sizes.
 func sendBlastControlled(env Env, c Config, async bool) (SendResult, error) {
 	var res SendResult
 	start := env.Now()
@@ -58,34 +57,23 @@ func sendBlastControlled(env Env, c Config, async bool) (SendResult, error) {
 	// both substrates of a conformance pair share the transfer id, so they
 	// share the search trajectory too.
 	cc := ControllerConfig{InitWindow: c.Window, Seed: int64(c.TransferID)}
-	limiter, _ := env.(BatchLimiter)
-	pacer, _ := env.(Pacer)
-	origLimit := 0
-	origGap := time.Duration(0)
-	if limiter != nil {
-		origLimit = limiter.BatchLimit()
+	dp := datapathOf(env)
+	origLimit, origGap, unit := 0, time.Duration(0), 1
+	if dp != nil {
+		origLimit = dp.BatchLimit()
 		cc.MaxBatch = origLimit
-	}
-	if pacer != nil {
 		// A pre-configured gap becomes the controller's pacing floor: the
 		// transfer never runs faster than its operator deliberately paced
 		// it, and the gap is restored verbatim afterwards.
-		origGap = pacer.Gap()
+		origGap = dp.Gap()
 		cc.MinGap = origGap
-	}
-	// Frames per flush syscall unit: >1 on the GSO tier, where batch
-	// actuation is quantized to whole superbuffers (see BatchGeometry).
-	unit := 1
-	if g, ok := env.(BatchGeometry); ok {
-		if u := g.FlushUnit(); u > 1 {
+		// Frames per flush syscall unit: >1 on the GSO tier, where batch
+		// actuation is quantized to whole superbuffers (see Datapath).
+		if u := dp.FlushUnit(); u > 1 {
 			unit = u
 		}
 	}
-	name := c.Controller
-	if name == "" {
-		name = ControllerAIMD
-	}
-	ctrl, err := NewRateController(name, cc)
+	ctrl, err := NewRateController(c.Controller, cc)
 	if err != nil {
 		return res, err
 	}
@@ -102,11 +90,9 @@ func sendBlastControlled(env Env, c Config, async bool) (SendResult, error) {
 		// substrate's configured batching and pacing come back, so a
 		// lossy transfer never ratchets the endpoint down for its
 		// successors (and a user-configured gap survives).
-		if limiter != nil {
-			limiter.SetBatchLimit(origLimit)
-		}
-		if pacer != nil {
-			pacer.SetPacketGap(origGap)
+		if dp != nil {
+			dp.SetBatchLimit(origLimit)
+			dp.SetPacketGap(origGap)
 		}
 	}
 	for base := 0; base < n; {
@@ -127,12 +113,10 @@ func sendBlastControlled(env Env, c Config, async bool) (SendResult, error) {
 			Timeouts:    res.Timeouts - before.Timeouts,
 			Elapsed:     env.Now() - t0,
 		})
-		if pacer != nil {
-			pacer.SetPacketGap(ctrl.Gap())
-		}
-		if limiter != nil {
-			if want := batchLimitFor(ctrl, unit, origLimit); limiter.BatchLimit() != want {
-				limiter.SetBatchLimit(want)
+		if dp != nil {
+			dp.SetPacketGap(ctrl.Gap())
+			if want := batchLimitFor(ctrl, unit, origLimit); dp.BatchLimit() != want {
+				dp.SetBatchLimit(want)
 			}
 		}
 		base = end
@@ -166,7 +150,7 @@ func batchLimitFor(ctrl RateController, unit, ring int) int {
 
 // sendBlastWindow drives one blast of packets [base, end) to completion.
 // scratch, when non-nil, is the transfer's reusable data packet (the
-// substrate consumes packets synchronously, see core.PacketReuser).
+// substrate consumes packets synchronously, see Datapath).
 func sendBlastWindow(env Env, c Config, res *SendResult, est *rto, scratch *wire.Packet, base, end, total int, async bool) error {
 	pending := make([]int, 0, end-base)
 	for seq := base; seq < end; seq++ {

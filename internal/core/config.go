@@ -144,11 +144,6 @@ type Config struct {
 	// ValidateConfig. Ignored by StopAndWait and SlidingWindow.
 	Controller string
 
-	// Adaptive is the deprecated PR-4 spelling of Controller: true maps to
-	// Controller="aimd" when Controller is empty. Kept so existing callers
-	// and the wire flag bit keep working.
-	Adaptive bool
-
 	// StripeOffset and StripeTotal identify this transfer as one stripe of
 	// a larger logical stream: the transfer's Bytes start StripeOffset
 	// bytes into a StripeTotal-byte stream. Both zero for a standalone
@@ -268,15 +263,11 @@ func (c Config) withDefaults() (Config, error) {
 	if err := c.validateStripe(); err != nil {
 		return c, err
 	}
-	if c.Controller == "" && c.Adaptive {
-		c.Controller = ControllerAIMD
-	}
 	if c.Controller != "" {
 		if _, ok := controllerRegistry[c.Controller]; !ok {
 			return c, fmt.Errorf("%w: unknown controller %q (registered: %s)",
 				ErrBadConfig, c.Controller, strings.Join(ControllerNames(), ", "))
 		}
-		c.Adaptive = true
 	}
 	if c.Name != "" && !wire.ValidReqName(c.Name) {
 		return c, fmt.Errorf("%w: Name %q does not fit the request encoding", ErrBadConfig, c.Name)
@@ -307,7 +298,7 @@ func (c *Config) dataPacket(seq, total int, attempt int, last bool) *wire.Packet
 
 // fillData overwrites p with the data packet for sequence number seq and
 // returns it. Senders on substrates that consume packets synchronously
-// (core.PacketReuser) pass one scratch packet for the whole transfer, which
+// (core.Datapath) pass one scratch packet for the whole transfer, which
 // keeps the steady-state send loop allocation-free.
 func (c *Config) fillData(p *wire.Packet, seq, total int, attempt int, last bool) *wire.Packet {
 	*p = wire.Packet{

@@ -50,15 +50,17 @@ type Env interface {
 	Recv(timeout time.Duration) (*wire.Packet, error)
 }
 
-// BatchFlusher is optionally implemented by substrates that queue outbound
-// packets for batched transmission (e.g. a sendmmsg- or UDP_SEGMENT-backed
-// UDP endpoint, which amortises one syscall across a whole blast window).
+// Datapath is the one optional capability of a substrate: a batching
+// transmit side whose Send and SendAsync fully consume the packet (encode or
+// copy it) before returning. The engines assert it once per transfer
+// (datapathOf); a substrate without it — the simulator, which delivers
+// payload-elided packets by reference and has no syscalls to amortise —
+// gets a fresh packet per send and no flush, batch or pacing actuation.
+//
 // FlushBatch writes every queued packet to the wire, in the order it was
 // queued. Substrates must also flush implicitly before blocking in Recv and
-// on close, so the explicit hook is a latency optimisation, never a
-// correctness requirement.
-//
-// The engines guarantee batching substrates a useful geometry: every
+// on close, so the explicit call is a latency optimisation, never a
+// correctness requirement. The engines guarantee a useful geometry: every
 // mid-window data frame of a transfer is the same size (ChunkSize), and the
 // one shorter data frame — the transfer's tail chunk — always carries
 // FlagLast (fillData marks seq == total-1 as last even mid-window), which
@@ -66,8 +68,31 @@ type Env interface {
 // therefore carries equal-sized frames with at most one shorter trailing
 // frame, exactly the segment layout a GSO superbuffer may carry — see
 // wire.FrameBytes and TestFlushGeometryGSOCompatible.
-type BatchFlusher interface {
+//
+// BatchLimit/SetBatchLimit move the queued-frames flush threshold without
+// reallocating (n <= 1 flushes every frame; anything queued beyond a lowered
+// threshold goes out at once). FlushUnit is how many frames one flush
+// syscall puts on the wire as a single unit — a GSO superbuffer's segment
+// capacity, 1 when every frame is its own datagram — and the controlled
+// sender quantizes its batch actuation to whole units, because the kernel
+// bursts a superbuffer back-to-back regardless. Gap/SetPacketGap space data
+// packets on the wire. The controlled sender owns limit and gap while it
+// runs and restores what it found when the transfer finishes, so one lossy
+// transfer never ratchets an endpoint down for its successors and a
+// user-configured gap survives.
+type Datapath interface {
 	FlushBatch() error
+	BatchLimit() int
+	SetBatchLimit(n int)
+	FlushUnit() int
+	Gap() time.Duration
+	SetPacketGap(d time.Duration)
+}
+
+// datapathOf returns env's Datapath, or nil on substrates without one.
+func datapathOf(env Env) Datapath {
+	dp, _ := env.(Datapath)
+	return dp
 }
 
 // FlushBatch flushes env's outbound batch queue if the substrate batches;
@@ -75,25 +100,18 @@ type BatchFlusher interface {
 // window, between the unreliable packets and the reliable last, so the
 // window is on the wire before the response timer starts.
 func FlushBatch(env Env) error {
-	if f, ok := env.(BatchFlusher); ok {
-		return f.FlushBatch()
+	if dp := datapathOf(env); dp != nil {
+		return dp.FlushBatch()
 	}
 	return nil
 }
 
-// PacketReuser is optionally implemented by substrates whose Send and
-// SendAsync fully consume the packet — encoding or copying it — before
-// returning, so a sender may reuse one Packet value across data sends and
-// keep its steady-state loop allocation-free. The simulator delivers
-// payload-elided packets by reference and must NOT implement this.
-type PacketReuser interface {
-	PacketConsumedOnSend()
-}
-
-// scratchPacket returns a reusable packet for env's data sends, or nil when
-// the substrate retains references and every send needs a fresh packet.
+// scratchPacket returns a reusable packet for env's data sends (a Datapath
+// consumes each packet before Send returns, so one value serves the whole
+// transfer and the steady-state loop allocates nothing), or nil when the
+// substrate retains references and every send needs a fresh packet.
 func scratchPacket(env Env) *wire.Packet {
-	if _, ok := env.(PacketReuser); ok {
+	if datapathOf(env) != nil {
 		return new(wire.Packet)
 	}
 	return nil

@@ -43,16 +43,19 @@ func (e *batchGeomEnv) Send(p *wire.Packet) error {
 }
 
 func (e *batchGeomEnv) SendAsync(p *wire.Packet) error { return e.Send(p) }
+func (e *batchGeomEnv) BatchLimit() int                { return e.limit }
+func (e *batchGeomEnv) SetBatchLimit(n int)            { e.limit = n }
 
 func (e *batchGeomEnv) Recv(timeout time.Duration) (*wire.Packet, error) {
 	e.flushNow()
 	return e.loopEnv.Recv(timeout)
 }
 
-// gsoBatchEnv extends batchGeomEnv with the batch-limiter and flush-unit
-// geometry of a GSO-tier endpoint: the flush threshold is adjustable
-// (core.BatchLimiter) and one flush syscall carries up to unit frames as a
-// single superbuffer (core.BatchGeometry), the way udplan reports TierGSO.
+// gsoBatchEnv extends batchGeomEnv with the batch-limit and flush-unit
+// geometry of a GSO-tier endpoint: the flush threshold is adjustable and one
+// flush syscall carries up to unit frames as a single superbuffer
+// (core.Datapath's SetBatchLimit and FlushUnit), the way udplan reports
+// TierGSO.
 type gsoBatchEnv struct {
 	*batchGeomEnv
 	unit   int
@@ -60,7 +63,6 @@ type gsoBatchEnv struct {
 	limits []int // SetBatchLimit history, restore included
 }
 
-func (e *gsoBatchEnv) BatchLimit() int { return e.limit }
 func (e *gsoBatchEnv) SetBatchLimit(n int) {
 	e.limits = append(e.limits, n)
 	e.limit = n

@@ -19,8 +19,7 @@ import (
 
 // ReqOf encodes a transfer configuration as a request payload. The
 // rate-control policy rides as its registered wire id; a policy registered
-// without an id (or the deprecated Adaptive bool alone) encodes as the AIMD
-// id, the only policy pre-policy-byte servers know.
+// without an id encodes as the AIMD id.
 func ReqOf(c Config, push bool) wire.Req {
 	chunk := c.ChunkSize
 	if chunk == 0 {
@@ -31,8 +30,6 @@ func ReqOf(c Config, push bool) wire.Req {
 		if policy = ControllerID(c.Controller); policy == 0 {
 			policy = ControllerID(ControllerAIMD)
 		}
-	} else if c.Adaptive {
-		policy = ControllerID(ControllerAIMD)
 	}
 	return wire.Req{
 		Bytes:        uint64(c.Bytes),
@@ -55,7 +52,6 @@ func ReqOf(c Config, push bool) wire.Req {
 // does not know degrades to AIMD (see ControllerNameOf), so a newer
 // client's request is served rather than refused.
 func ConfigOf(transferID uint32, r wire.Req) Config {
-	ctrl := ControllerNameOf(r.Adaptive)
 	return Config{
 		TransferID:     transferID,
 		Bytes:          int(r.Bytes),
@@ -64,8 +60,7 @@ func ConfigOf(transferID uint32, r wire.Req) Config {
 		Strategy:       Strategy(r.Strategy),
 		Window:         int(r.Window),
 		RetransTimeout: time.Duration(r.TrMicros) * time.Microsecond,
-		Controller:     ctrl,
-		Adaptive:       ctrl != "",
+		Controller:     ControllerNameOf(r.Adaptive),
 		StripeOffset:   int(r.Offset()),
 		StripeTotal:    int(r.Total),
 		Name:           r.Name,
@@ -125,11 +120,7 @@ func Request(env Env, cfg Config) (RecvResult, error) {
 			// but without burning REQ rounds against a server that already
 			// said no. Callers that manage their own backoff (PullResume)
 			// set surfaceBusy and see the refusal instead.
-			wait := busy.RetryAfter
-			if wait <= 0 {
-				wait = c.RetransTimeout
-			}
-			sleepOn(env, wait)
+			sleepOn(env, busy.wait(c.RetransTimeout))
 			continue
 		}
 		if !IsTimeout(err) {
@@ -179,6 +170,15 @@ func (e *BusyError) Error() string {
 	return fmt.Sprintf("server busy (retry after %v)", e.RetryAfter)
 }
 
+// wait is how long to back off before re-requesting: the server's hint, or
+// tr when the refusal carried none.
+func (e *BusyError) wait(tr time.Duration) time.Duration {
+	if e.RetryAfter > 0 {
+		return e.RetryAfter
+	}
+	return tr
+}
+
 // busyErrorOf converts a received BUSY packet into its client-side error.
 func busyErrorOf(pkt *wire.Packet) *BusyError {
 	return &BusyError{RetryAfter: time.Duration(pkt.Seq) * time.Millisecond}
@@ -212,9 +212,10 @@ func statSize(p *wire.Packet, trans uint32) (int64, bool) {
 
 // Stat asks the serving side for the size of the named object, so a pull —
 // striped or not — can size its REQ exactly. Like any request the stat REQ
-// is retransmitted on silence; cfg supplies the transfer id, retransmit
-// timeout, attempt bound and ack size (Bytes may be zero — no transfer
-// starts, and the session stays open for the pull that follows).
+// is retransmitted on silence, and after the server's retry-after hint when
+// it answers BUSY; cfg supplies the transfer id, retransmit timeout, attempt
+// bound and ack size (Bytes may be zero — no transfer starts, and the
+// session stays open for the pull that follows).
 func Stat(env Env, cfg Config, name string) (int64, error) {
 	if !wire.ValidReqName(name) {
 		return 0, fmt.Errorf("%w: object name %q does not fit the request encoding", ErrBadConfig, name)
@@ -258,6 +259,13 @@ func Stat(env Env, cfg Config, name string) (int64, error) {
 			remaining -= env.Now() - t0
 			if n, ok := statSize(resp, cfg.TransferID); ok {
 				return n, nil
+			}
+			if resp.Type == wire.TypeBusy && resp.Trans == cfg.TransferID {
+				// Refused at admission: honor the server's hint and ask
+				// again, exactly as Request does, instead of waiting out
+				// the rest of 4*Tr against a server that already said no.
+				sleepOn(env, busyErrorOf(resp).wait(tr))
+				break // re-request
 			}
 		}
 	}

@@ -9,13 +9,10 @@ import (
 
 // Pluggable blast rate control (Config.Controller).
 //
-// PR 4 hard-wired one policy — the AIMD state machine of adaptive.go —
-// behind a Config.Adaptive bool. This file makes the policy a first-class
-// choice: RateController is the interface the blast sender drives, and a
-// registry of named factories turns a policy name (carried end to end: CLI
-// flag → Config.Controller → REQ policy byte → serving side) into a
-// controller instance. "aimd" preserves the PR-4 behaviour exactly;
-// Adaptive=true maps to it for back-compat.
+// RateController is the interface the blast sender drives, and a registry
+// of named factories turns a policy name (carried end to end: CLI flag →
+// Config.Controller → REQ policy byte → serving side) into a controller
+// instance. "aimd" is the AIMD state machine of adaptive.go.
 //
 // Contract: a controller's *window and batch decisions* must be a pure
 // function of its observation sequence's recovery counters — never of
@@ -30,8 +27,8 @@ import (
 
 // RateController is the pluggable policy the controlled blast sender drives:
 // before each window it asks Window (size in packets), Gap (inter-packet
-// pacing, actuated on substrates implementing Pacer) and Batch (syscall
-// batch recommendation, actuated through BatchLimiter); after each window it
+// pacing) and Batch (syscall batch recommendation), both actuated on
+// substrates implementing Datapath; after each window it
 // feeds back one WindowObs. Stats summarises the trajectory for
 // SendResult.Controller. Controllers are used from the sender's goroutine
 // only, like everything else in a protocol engine.
@@ -141,19 +138,6 @@ func ControllerNameOf(id uint8) string {
 func ValidateConfig(cfg Config) error {
 	_, err := cfg.withDefaults()
 	return err
-}
-
-// BatchGeometry is optionally implemented by substrates whose flush syscall
-// puts many frames on the wire as one unit — a GSO superbuffer. FlushUnit
-// returns that unit in frames (1 when every frame is its own wire unit, as
-// on the sendmmsg and WriteTo tiers). The controlled sender quantizes its
-// batch actuation to whole units: at the GSO tier the flush threshold
-// follows the window in superbuffer units rather than mmsg frame counts,
-// because the kernel bursts a superbuffer back-to-back regardless — a
-// threshold below one superbuffer only adds syscalls without shrinking the
-// wire burst.
-type BatchGeometry interface {
-	FlushUnit() int
 }
 
 func init() {

@@ -42,13 +42,9 @@ func TestUnknownControllerRejected(t *testing.T) {
 	}
 }
 
-// The deprecated Adaptive bool maps to the AIMD policy, and the policy
-// selector survives the REQ handshake round trip: name → wire id → name.
+// The policy selector survives the REQ handshake round trip: name → wire id
+// → name.
 func TestControllerPolicyHandshakeRoundTrip(t *testing.T) {
-	legacy := Config{Bytes: 1 << 20, Adaptive: true}
-	if r := ReqOf(legacy, false); r.Adaptive != ControllerID(ControllerAIMD) {
-		t.Errorf("Adaptive=true encoded policy %d, want the aimd id %d", r.Adaptive, ControllerID(ControllerAIMD))
-	}
 	for _, name := range ControllerNames() {
 		r := ReqOf(Config{Bytes: 1 << 20, Controller: name}, false)
 		if r.Adaptive == 0 {
@@ -59,16 +55,16 @@ func TestControllerPolicyHandshakeRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := ConfigOf(7, dec)
-		if got.Controller != name || !got.Adaptive {
-			t.Errorf("policy %q round-tripped as Controller=%q Adaptive=%v", name, got.Controller, got.Adaptive)
+		if got.Controller != name {
+			t.Errorf("policy %q round-tripped as Controller=%q", name, got.Controller)
 		}
 	}
 	// A policy id this build does not know degrades to aimd, never a refusal.
 	if got := ConfigOf(7, wire.Req{Bytes: 1 << 20, Adaptive: 29}); got.Controller != ControllerAIMD {
 		t.Errorf("unknown policy id resolved to %q, want aimd", got.Controller)
 	}
-	if got := ConfigOf(7, wire.Req{Bytes: 1 << 20}); got.Controller != "" || got.Adaptive {
-		t.Errorf("policy 0 resolved to %q/%v, want fixed schedule", got.Controller, got.Adaptive)
+	if got := ConfigOf(7, wire.Req{Bytes: 1 << 20}); got.Controller != "" {
+		t.Errorf("policy 0 resolved to %q, want fixed schedule", got.Controller)
 	}
 }
 

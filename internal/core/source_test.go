@@ -15,6 +15,7 @@ type loopEnv struct {
 	in    chan *wire.Packet
 	out   chan *wire.Packet
 	start time.Time
+	gap   time.Duration
 }
 
 func newLoopEnvPair() (*loopEnv, *loopEnv) {
@@ -28,7 +29,18 @@ func (e *loopEnv) Now() time.Duration             { return time.Since(e.start) }
 func (e *loopEnv) Compute(time.Duration)          {}
 func (e *loopEnv) Send(p *wire.Packet) error      { e.out <- p.Clone(); return nil }
 func (e *loopEnv) SendAsync(p *wire.Packet) error { return e.Send(p) }
-func (e *loopEnv) PacketConsumedOnSend()          {} // Send clones: reuse is safe
+
+// loopEnv is a Datapath with nothing to batch: Send clones (so packet reuse
+// is safe), every frame is its own flush, and pacing is recorded but not
+// slept. Fakes that model a batching substrate embed it and override the
+// methods they care about.
+func (e *loopEnv) FlushBatch() error            { return nil }
+func (e *loopEnv) BatchLimit() int              { return 1 }
+func (e *loopEnv) SetBatchLimit(int)            {}
+func (e *loopEnv) FlushUnit() int               { return 1 }
+func (e *loopEnv) Gap() time.Duration           { return e.gap }
+func (e *loopEnv) SetPacketGap(d time.Duration) { e.gap = d }
+
 func (e *loopEnv) Recv(timeout time.Duration) (*wire.Packet, error) {
 	if timeout < 0 {
 		return <-e.in, nil

@@ -279,8 +279,8 @@ func runUDPLoopback(opt Options) (*Result, error) {
 			}
 			// SendResult.Elapsed covers first data packet to final ack —
 			// the paper's measurement window — and excludes the request
-			// handshake (whose latency is serial-server scheduling, not
-			// protocol cost).
+			// handshake (whose latency is the cap-of-one server finishing
+			// the previous session's linger, not protocol cost).
 			sres, err := udplan.Push(e, cfg)
 			if err != nil {
 				e.Close()

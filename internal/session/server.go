@@ -34,12 +34,13 @@ import (
 // re-checking whether its last session has completed.
 const drainPoll = 50 * time.Millisecond
 
-// Server answers transfer requests on one listener. With Concurrency <= 1
-// callers usually drive a single env serially through ServeEnv (the paper's
-// world of two matched machines); Run is the sharded daemon: one demux loop
-// routes arrivals by source into per-session bodies, each running the
-// unmodified core protocol engines over its own channel-fed Env — the
-// fan-out a daemon needs to serve many clients at once, on any substrate.
+// Server answers transfer requests on one listener (Run) or several
+// (RunAll): one demux loop routes arrivals by source into per-session
+// bodies, each running the unmodified core protocol engines over its own
+// channel-fed Env — the fan-out a daemon needs to serve many clients at
+// once, on any substrate. Concurrency caps the sessions in flight; at the
+// default of one a transfer in progress owns the server (the paper's world
+// of two matched machines) and other clients are refused with BUSY.
 type Server struct {
 	// Data, when non-nil, satisfies pull requests (MoveFrom): it returns
 	// the bytes to blast back for an accepted request.
@@ -100,7 +101,7 @@ type Server struct {
 	// the cap are refused with a best-effort BUSY/RETRY-AFTER reply (when
 	// the listener can address one) and otherwise dropped — either way the
 	// client retries on its own schedule. Values <= 1 mean a single session
-	// at a time.
+	// at a time: the same demux loop with a cap of one.
 	Concurrency int
 
 	// RetryAfter is the back-off hint carried on BUSY refusals (default
@@ -126,8 +127,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	served   int
-	active   atomic.Int32 // sessions admitted by the sharded demux loop
-	busy     atomic.Int32 // transfers in flight inside ServeEnv (any path)
+	active   atomic.Int32 // sessions admitted by the demux loops
 	draining atomic.Bool
 	limiter  logLimiter
 }
@@ -202,15 +202,8 @@ func (s *Server) Served() int {
 	return s.served
 }
 
-// Active reports how many conversations are currently in flight: admitted
-// sessions on the sharded path, or the accepted transfer a serial single-env
-// server is driving (which never registers a session).
-func (s *Server) Active() int {
-	if a := int(s.active.Load()); a > 0 {
-		return a
-	}
-	return int(s.busy.Load())
-}
+// Active reports how many sessions are currently admitted.
+func (s *Server) Active() int { return int(s.active.Load()) }
 
 // BeginDrain puts the server into graceful shutdown: no new session opens
 // (a REQ beyond this point is dropped and the client's retry will find the
@@ -218,9 +211,6 @@ func (s *Server) Active() int {
 // completed. Callers that want a bound put a timer on Run's return and
 // force the issue by closing the listener's socket.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
-
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 func (s *Server) logf(format string, args ...any) {
 	if s.Logf != nil {
@@ -268,14 +258,14 @@ func (s *Server) concurrency() int {
 	return s.Concurrency
 }
 
-// session is one client conversation in the sharded server.
+// session is one client conversation.
 type session struct {
 	key  string
 	conn transport.Conn
 }
 
-// Run is the sharded daemon: the single demux loop feeding per-session
-// bodies through the listener's conns. It returns nil on a clean close
+// Run is the demux loop feeding per-session bodies through the listener's
+// conns. It returns nil on a clean close
 // (listener closed, idle bound reached with nothing in flight, or drain
 // completed) and blocks until every session body has returned.
 func (s *Server) Run(l transport.Listener) error {
@@ -325,9 +315,8 @@ func (s *Server) Run(l transport.Listener) error {
 
 		sess := table.get(inb.Key)
 		if sess == nil {
-			// Only a checksum-valid REQ opens a session — the demux mirror
-			// of LearnReqOnly: stragglers from finished transfers cannot
-			// claim server state.
+			// Only a checksum-valid REQ opens a session: stragglers from
+			// finished transfers cannot claim server state.
 			if _, ok := l.ReqOf(inb.Msg); !ok {
 				continue
 			}
@@ -397,28 +386,22 @@ func (s *Server) runSession(env core.Env, peer transport.Peer) {
 	if idle <= 0 {
 		idle = 30 * time.Second
 	}
-	err := s.ServeEnv(env, idle, s.Validate, func() transport.Peer { return peer })
+	err := s.serve(env, idle, peer)
 	if err != nil && !core.IsTimeout(err) && !errors.Is(err, net.ErrClosed) {
 		s.logf("session: %v: %v", peer, err)
 	}
 }
 
-// ServeEnv accepts one request on env and completes the transfer,
-// dispatching to the server's streaming or buffering handlers. It is the
-// whole per-session protocol path — Run's session bodies and serial
-// single-env servers (udplan's Concurrency <= 1 mode) share it. peerOf is
-// consulted lazily (a serial endpoint only learns its peer from the REQ);
-// validate, when non-nil, overrides the server-wide Validate hook.
-func (s *Server) ServeEnv(env core.Env, idle time.Duration, validate func(core.Config) error, peerOf func() transport.Peer) error {
+// serve accepts one request on env and completes the transfer, dispatching
+// to the server's streaming or buffering handlers: the whole per-session
+// protocol path.
+func (s *Server) serve(env core.Env, idle time.Duration, peer transport.Peer) error {
 	var (
 		isPush   bool
 		isCopy   bool
 		req      wire.Req
 		pushDone func(core.RecvResult)
 	)
-	if validate == nil {
-		validate = s.Validate
-	}
 	cfg, err := core.ServeOnceID(env, idle, func(r wire.Req, trans uint32) (core.Config, bool) {
 		if r.Copy {
 			// A copy ask opens a control session, not a transfer: the
@@ -426,7 +409,7 @@ func (s *Server) ServeEnv(env core.Env, idle time.Duration, validate func(core.C
 			// to the third party. Servers without the hook drop the REQ
 			// (the orchestrator's retry gives up on its own schedule).
 			if s.Copy == nil {
-				s.logfPeer(peerOf(), "session: copy %q to %q from %v: no copy handler", r.Name, r.Target, peerOf())
+				s.logfPeer(peer, "session: copy %q to %q from %v: no copy handler", r.Name, r.Target, peer)
 				return core.Config{}, false
 			}
 			req, isCopy = r, true
@@ -447,11 +430,11 @@ func (s *Server) ServeEnv(env core.Env, idle time.Duration, validate func(core.C
 			}
 			size, ok := s.Stat(r)
 			if !ok {
-				s.logfPeer(peerOf(), "session: stat %q from %v: no such object", r.Name, peerOf())
+				s.logfPeer(peer, "session: stat %q from %v: no such object", r.Name, peer)
 				return core.Config{}, false
 			}
 			if serr := env.Send(core.StatReply(trans, size)); serr != nil {
-				s.logf("session: stat reply to %v: %v", peerOf(), serr)
+				s.logf("session: stat reply to %v: %v", peer, serr)
 			}
 			return core.Config{}, false
 		}
@@ -462,11 +445,11 @@ func (s *Server) ServeEnv(env core.Env, idle time.Duration, validate func(core.C
 		// virtual waits — so one scenario behaves identically everywhere.
 		c.Linger = 2*c.RetransTimeout + 100*time.Millisecond
 		c.ReceiverIdle = 8*c.RetransTimeout + 2*time.Second
-		if validate != nil {
-			if verr := validate(c); verr != nil {
+		if s.Validate != nil {
+			if verr := s.Validate(c); verr != nil {
 				// Rate-limited: a degenerate-REQ storm (one malformed client
 				// retransmitting hard) must not write a log line per packet.
-				s.logfPeer(peerOf(), "session: rejecting request from %v: %v", peerOf(), verr)
+				s.logfPeer(peer, "session: rejecting request from %v: %v", peer, verr)
 				return core.Config{}, false
 			}
 		}
@@ -514,9 +497,7 @@ func (s *Server) ServeEnv(env core.Env, idle time.Duration, validate func(core.C
 	if err != nil {
 		return err
 	}
-	s.busy.Add(1)
-	defer s.busy.Add(-1)
-	stats := TransferStats{Peer: peerOf(), Req: req, TransferID: cfg.TransferID, Push: isPush}
+	stats := TransferStats{Peer: peer, Req: req, TransferID: cfg.TransferID, Push: isPush}
 	if isCopy {
 		t0 := env.Now()
 		bytes, cerr := core.ServeCopy(env, cfg, func(progress func(int64)) (int64, error) {

@@ -137,7 +137,7 @@ func (sc *stripeCancel) first() (int, error) {
 }
 
 // PullStriped requests the logical transfer cfg describes (Bytes, ChunkSize,
-// Protocol, Strategy, Window, Adaptive, timeouts) through the fabric as
+// Protocol, Strategy, Window, Controller, timeouts) through the fabric as
 // opts.Streams concurrent stripe sessions and reassembles the result. The
 // serving side must resolve each stripe's REQ against the logical stream
 // (see wire.Req.Offset); Server does this whenever its Source/Data handler

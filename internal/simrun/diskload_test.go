@@ -117,3 +117,39 @@ func TestDiskLoadColdVsHot(t *testing.T) {
 			res.Store.ReadOps, fileBytes/store.ExtentBytes)
 	}
 }
+
+// A stat refused at admission is retried on the server's RETRY-AFTER hint,
+// not after 4*Tr of silence: with a session cap of one and both clients
+// arriving together, the loser's stat earns BUSY, and with Tr deliberately
+// huge its whole stat + pull must still finish well inside one 4*Tr wait.
+func TestDiskLoadStatHonorsBusy(t *testing.T) {
+	sc := DiskLoadScenario{
+		Name:        "busy-stat",
+		N:           2,
+		FileBytes:   2 * store.ExtentBytes,
+		Chunk:       1 << 10,
+		Tr:          5 * time.Second,
+		Concurrency: 1,
+		Seed:        3,
+	}
+	res, err := sc.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != sc.N || res.Served != sc.N {
+		t.Fatalf("completed %d served %d, want %d", res.Completed, res.Served, sc.N)
+	}
+	for _, c := range res.Clients {
+		if c.Elapsed >= 4*sc.Tr {
+			t.Errorf("client %d took %v: its refused stat waited out 4*Tr = %v instead of the BUSY hint",
+				c.Client, c.Elapsed, 4*sc.Tr)
+		}
+	}
+	again, err := sc.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, again) {
+		t.Error("BUSY-retried stat is not deterministic across runs")
+	}
+}

@@ -186,7 +186,6 @@ func (sc Scenario) RunVKernel() (Outcome, error) {
 		Tr:           sc.Config.RetransTimeout,
 		Window:       sc.Config.Window,
 		Controller:   sc.Config.Controller,
-		Adaptive:     sc.Config.Adaptive,
 		Chunk:        sc.Config.ChunkSize,
 		MaxAttempts:  sc.Config.MaxAttempts,
 		Linger:       sc.Config.Linger,

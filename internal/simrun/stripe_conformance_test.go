@@ -185,7 +185,7 @@ func TestAdaptiveControllerDeterministicSim(t *testing.T) {
 		ChunkSize:      1000,
 		Protocol:       core.Blast,
 		Strategy:       core.GoBackN,
-		Adaptive:       true,
+		Controller:     core.ControllerAIMD,
 		RetransTimeout: 100 * time.Millisecond,
 		MaxAttempts:    200,
 		Linger:         150 * time.Millisecond,
@@ -220,7 +220,7 @@ func TestAdaptiveControllerDeterministicSim(t *testing.T) {
 	// under the same seeded loss: the learned Tr turns silent-loss stalls
 	// from 100 ms into response-time scale.
 	fixed := sc
-	fixed.Config.Adaptive = false
+	fixed.Config.Controller = ""
 	fixed.Config.Window = 128
 	av, fx := simElapsed(t, sc), simElapsed(t, fixed)
 	if av >= fx {

@@ -57,8 +57,8 @@ type Listener interface {
 	Accept(idle time.Duration) (Inbound, error)
 
 	// ReqOf decodes msg as a session-opening request. Only a checksum-valid
-	// REQ packet may open a session (the demux mirror of LearnReqOnly):
-	// stragglers from finished transfers cannot claim server state.
+	// REQ packet may open a session: stragglers from finished transfers
+	// cannot claim server state.
 	ReqOf(msg Message) (wire.Req, bool)
 
 	// Open creates the session conn for the source of the most recent

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"net"
 	"syscall"
-
-	"blastlan/internal/wire"
 )
 
 // This file holds the platform-independent half of the batched datapath:
@@ -18,7 +16,8 @@ import (
 // txBatch is a frame ring of pre-allocated MTU-sized slots. The sender
 // encodes each outbound packet directly into the next slot
 // (wire.EncodeInto — no allocation), and the ring flushes as one vectored
-// write when full or on demand.
+// write when full or on demand. A one-slot ring is the unbatched datapath:
+// every commit flushes.
 type txBatch struct {
 	frames [][]byte // fixed slots, each cap = MTU
 	lens   []int
@@ -185,53 +184,6 @@ func (r *rxBatch) drain(raw syscall.RawConn) {
 	if n, ok := recvBatch(raw, r); ok {
 		r.count, r.next, r.segOff = n, 0, 0
 	}
-}
-
-// flushFramesTiered writes frames[0:n] to peer through the highest rung of
-// the datapath ladder the writer's tier allows, degrading per flush when a
-// rung cannot take the frames (an unroutable peer, a platform stub): GSO
-// superbuffer → sendmmsg → WriteTo loop. The single implementation behind
-// every batched writer (Endpoint, server sessions).
-func flushFramesTiered(tier Tier, raw syscall.RawConn, gs *gsoSender, ms *mmsgSender, conn net.PacketConn, peer net.Addr, frames [][]byte, lens []int, n int) error {
-	if tier >= TierGSO {
-		if handled, err := sendGSO(raw, gs, peer, frames, lens, n); handled {
-			return err
-		}
-	}
-	if tier >= TierMmsg {
-		if handled, err := sendBatch(raw, ms, peer, frames, lens, n); handled {
-			return err
-		}
-	}
-	var firstErr error
-	for i := 0; i < n; i++ {
-		if _, err := conn.WriteTo(frames[i][:lens[i]], peer); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// flushFramesTo is flushFramesTiered at the sendmmsg rung — the pre-GSO
-// entry point, kept for writers that never probe a tier.
-func flushFramesTo(raw syscall.RawConn, ms *mmsgSender, conn net.PacketConn, peer net.Addr, frames [][]byte, lens []int, n int) error {
-	if handled, err := sendBatch(raw, ms, peer, frames, lens, n); handled {
-		return err
-	}
-	var firstErr error
-	for i := 0; i < n; i++ {
-		if _, err := conn.WriteTo(frames[i][:lens[i]], peer); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// flushesImmediately reports whether a packet must not linger in the batch
-// ring: control traffic and the reliable last packet of a window keep
-// their single-packet latency.
-func flushesImmediately(p *wire.Packet) bool {
-	return p.Type != wire.TypeData || p.Flags&wire.FlagLast != 0
 }
 
 // rawConnOf extracts the raw connection for batched syscalls, when the

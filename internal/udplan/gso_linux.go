@@ -24,12 +24,12 @@ package udplan
 // which may be shorter (never longer). The protocol engines already emit
 // that geometry — data frames are equal-sized and the transfer's short tail
 // always carries FlagLast, which flushes separately (see core's blast
-// sender and flushesImmediately) — and sendGSO re-checks it anyway,
+// sender and txPath.flushControl) — and sendGSO re-checks it anyway,
 // splitting any mixed-size flush into maximal GSO-compatible runs.
 //
 // Everything here degrades: a probe failure at setup drops the endpoint to
 // the sendmmsg tier, and an unroutable peer drops a single flush to the
-// caller's fallback (see flushFramesTiered).
+// caller's fallback (see txPath.flushFrames).
 
 import (
 	"net"

@@ -1,6 +1,7 @@
 package udplan
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -16,7 +17,7 @@ import (
 // This file is the UDP substrate's implementation of transport.Listener:
 // everything socket- and syscall-specific about serving many clients on one
 // socket — recvmmsg demux drains, raw-sockaddr keys, pooled datagram
-// copies, per-session goroutines with sendmmsg frame rings. The serving
+// copies, per-session goroutines each with its own txPath. The serving
 // logic itself (session table, REQ-only admission, handler dispatch) lives
 // in internal/session and is shared with the simulator substrate.
 
@@ -36,7 +37,8 @@ type serverListener struct {
 	lastAddr net.Addr // source of the most recent Accept (blocking read)
 	lastName []byte   // raw sockaddr of the most recent Accept (batch drain)
 
-	wg sync.WaitGroup
+	wg   sync.WaitGroup
+	logf func(format string, args ...any) // the server's Logf (nil: silent)
 }
 
 func newServerListener(conn net.PacketConn, batch, mtu int, maxTier Tier) *serverListener {
@@ -205,165 +207,56 @@ func (c *serverConn) Deliver(msg transport.Message) {
 func (c *serverConn) Hangup() { close(c.inbox) }
 
 // Spawn runs the session body in its own goroutine over a channel-fed Env
-// with its own sendmmsg frame ring, and tears the ring down after the body
-// returns.
+// with its own transmit path, and puts whatever the body left queued on the
+// wire once it returns.
 func (c *serverConn) Spawn(name string, body func(env core.Env)) {
 	c.l.wg.Add(1)
 	go func() {
 		defer c.l.wg.Done()
-		env := newSessionEnv(c.l.conn, c.l.raw, c.peer, c.inbox, c.l.pool)
-		env.tier = c.l.tier
-		env.line = c.l.line
-		if c.l.batch > 1 {
-			env.tx = newTxBatch(c.l.batch, c.l.mtu, env.flushFrames)
-		}
+		env := newSessionEnv(c.l, c.peer, c.inbox)
 		body(env)
-		env.FlushBatch()
+		if err := env.FlushBatch(); err != nil && !errors.Is(err, net.ErrClosed) && c.l.logf != nil {
+			c.l.logf("udplan: session %v: flushing after the session ended: %v", c.peer, err)
+		}
 		env.recycle()
 	}()
 }
 
 // sessionEnv adapts one demuxed session to core.Env: receives come from the
-// demux loop's channel, sends go straight to the shared socket (batched
-// through a per-session frame ring when enabled).
+// demux loop's channel, sends go to the shared socket through the session's
+// own txPath (ring size and tier inherited from the listener's probe). The
+// demux loop owns the receive side; only transmit state is per-session.
 type sessionEnv struct {
-	conn  net.PacketConn
-	raw   syscall.RawConn
-	peer  net.Addr
+	txPath
 	inbox chan dgram
 	pool  *sync.Pool
 	start time.Time
 	timer *time.Timer
 	cur   *[]byte // current packet's buffer; recycled on the next Recv
 	pkt   wire.Packet
-	wbuf  []byte
-	tx    *txBatch
-	ms    mmsgSender
-	gs    gsoSender
-	tier  Tier          // transmit tier, inherited from the listener's probe
-	line  *linePacer    // shared per-socket line rate (nil: unlimited)
-	gap   time.Duration // adaptive pacing between data packets (core.Pacer)
-	pace  pacer         // amortized sleep state for gap actuation
 }
 
-func newSessionEnv(conn net.PacketConn, raw syscall.RawConn, peer net.Addr, inbox chan dgram, pool *sync.Pool) *sessionEnv {
+func newSessionEnv(l *serverListener, peer net.Addr, inbox chan dgram) *sessionEnv {
 	t := time.NewTimer(time.Hour)
 	if !t.Stop() {
 		<-t.C
 	}
-	return &sessionEnv{conn: conn, raw: raw, peer: peer, inbox: inbox, pool: pool, start: time.Now(), timer: t}
-}
-
-// BatchLimit implements core.BatchLimiter.
-func (se *sessionEnv) BatchLimit() int {
-	if se.tx == nil {
-		return 1
+	se := &sessionEnv{
+		txPath: txPath{conn: l.conn, raw: l.raw, peer: peer, line: l.line},
+		inbox:  inbox,
+		pool:   l.pool,
+		start:  time.Now(),
+		timer:  t,
 	}
-	return se.tx.flushAt()
+	se.setRing(l.tier, l.batch, l.mtu)
+	return se
 }
-
-// SetBatchLimit implements core.BatchLimiter: the session's flush
-// threshold follows the adaptive controller's window without reallocating
-// the ring. The demux loop owns the receive side; only transmit batching
-// is per-session.
-func (se *sessionEnv) SetBatchLimit(n int) {
-	if se.tx == nil {
-		return
-	}
-	se.tx.setLimit(n)
-}
-
-// FlushUnit implements core.BatchGeometry: the frames one flush syscall
-// carries as a single wire unit at the session's inherited tier (see
-// flushUnitOf), so a serving-side controller's batch actuation is quantized
-// to whole GSO superbuffers too.
-func (se *sessionEnv) FlushUnit() int {
-	if se.tx == nil {
-		return 1
-	}
-	return flushUnitOf(se.tier, len(se.tx.frames))
-}
-
-// SetPacketGap implements core.Pacer for the serving side of a pull.
-func (se *sessionEnv) SetPacketGap(d time.Duration) { se.gap = d }
-
-// Gap implements core.Pacer.
-func (se *sessionEnv) Gap() time.Duration { return se.gap }
 
 // Now returns the wall-clock time since the session started.
 func (se *sessionEnv) Now() time.Duration { return time.Since(se.start) }
 
 // Compute is a no-op: real work takes real time.
 func (se *sessionEnv) Compute(time.Duration) {}
-
-// PacketConsumedOnSend implements core.PacketReuser.
-func (se *sessionEnv) PacketConsumedOnSend() {}
-
-// FlushBatch implements core.BatchFlusher.
-func (se *sessionEnv) FlushBatch() error {
-	if se.tx == nil {
-		return nil
-	}
-	return se.tx.Flush()
-}
-
-// flushFrames writes the session's queued frames through the listener's
-// probed datapath tier (GSO superbuffer, sendmmsg or WriteTo loop). A
-// modeled line rate charges the whole flush before it hits the socket: the
-// shared pacer serializes this session's frames against every other
-// session's on the same link.
-func (se *sessionEnv) flushFrames(frames [][]byte, lens []int, n int) error {
-	if se.line != nil {
-		total := 0
-		for _, l := range lens[:n] {
-			total += l
-		}
-		se.line.wait(total)
-	}
-	return flushFramesTiered(se.tier, se.raw, &se.gs, &se.ms, se.conn, se.peer, frames, lens, n)
-}
-
-// Send encodes and transmits one packet to the session's peer. A non-zero
-// pacing gap spaces data packets on the wire, exactly like
-// Endpoint.PacketGap: the pacer flushes queued frames before it sleeps so
-// the gap is real spacing, not a queued burst, and amortizes sub-quantum
-// gaps so the actuation cost tracks the nominal rate (see pace.go).
-func (se *sessionEnv) Send(p *wire.Packet) error {
-	if err := se.send(p); err != nil {
-		return err
-	}
-	if se.gap > 0 && p.Type == wire.TypeData {
-		return se.pace.owe(se.gap, se.FlushBatch)
-	}
-	return nil
-}
-
-func (se *sessionEnv) send(p *wire.Packet) error {
-	if se.tx != nil {
-		n, err := p.EncodeInto(se.tx.slot())
-		if err != nil {
-			return err
-		}
-		if err := se.tx.commit(n); err != nil {
-			return err
-		}
-		if flushesImmediately(p) {
-			return se.tx.Flush()
-		}
-		return nil
-	}
-	buf, err := p.Encode(se.wbuf[:0])
-	if err != nil {
-		return err
-	}
-	se.wbuf = buf[:0]
-	se.line.wait(len(buf))
-	_, err = se.conn.WriteTo(buf, se.peer)
-	return err
-}
-
-// SendAsync is Send: UDP writes do not wait for transmission anyway.
-func (se *sessionEnv) SendAsync(p *wire.Packet) error { return se.Send(p) }
 
 // Recv returns the session's next valid packet. The decoded packet aliases
 // a pooled buffer that stays valid until the following Recv.

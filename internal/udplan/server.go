@@ -1,10 +1,8 @@
 package udplan
 
 import (
-	"errors"
 	"fmt"
 	"net"
-	"time"
 
 	"blastlan/internal/core"
 	"blastlan/internal/params"
@@ -14,18 +12,18 @@ import (
 )
 
 // Server answers transfer requests on one socket (or several SO_REUSEPORT
-// siblings). With Concurrency <= 1 it serves serially, the paper's world of
-// two matched machines where a transfer in progress owns the link. With
-// Concurrency > 1 it becomes a sharded daemon: the substrate-agnostic
-// session layer (internal/session) runs its demux loop over this socket's
+// siblings). It has one serving path: the substrate-agnostic session layer
+// (internal/session) runs its demux loop over each socket's
 // transport.Listener, routing datagrams by source address into per-session
 // goroutines — each running the unmodified core protocol engines over its
-// own channel-fed Env, with its own tiered frame ring (GSO superbuffers,
-// sendmmsg, or a WriteTo loop; see Tier). Given multiple sockets
-// (NewMultiServer over ListenReuseport), it runs one independent demux loop
-// per socket with kernel-hashed flow steering — the single-demux bottleneck
-// removed once per-packet cost is amortised. All the serving machinery
-// (sharded session table, REQ-only admission, streaming handlers,
+// own channel-fed Env with its own transmit path (txPath). Concurrency only
+// sets the session cap: at the default of one, a transfer in progress owns
+// the server — the paper's world of two matched machines — and any other
+// client is told BUSY/RETRY-AFTER until it finishes. Given multiple sockets
+// (NewMultiServer over ListenReuseport), Run drives one independent demux
+// loop per socket with kernel-hashed flow steering — the single-demux
+// bottleneck removed once per-packet cost is amortised. All the serving
+// machinery (sharded session table, REQ-only admission, streaming handlers,
 // stripe-range resolution, graceful drain) is shared with the simulator
 // substrate; only the socket/syscall specifics live here.
 type Server struct {
@@ -35,8 +33,8 @@ type Server struct {
 	session.Server
 
 	// Batch enables batched syscall I/O (tiered frame rings per session,
-	// recvmmsg demux drain) with the given batch size; <= 1 stays on the
-	// single-syscall path.
+	// recvmmsg demux drain) with the given batch size; <= 1 is a syscall
+	// per packet.
 	Batch int
 
 	// MTU overrides the maximum datagram size (default MaxDatagram) for
@@ -53,9 +51,8 @@ type Server struct {
 	// this many egress bytes per second, shared by every session on it —
 	// loopback has no NIC, so topology benchmarks (fan-out trees vs N
 	// independent pulls) need the modeled link to measure anything but CPU.
-	// Applies to the sharded datapath (Concurrency > 1 or multiple
-	// sockets); the serial path ignores it. Each socket of a MultiServer
-	// gets its own line, like ports on a switch.
+	// Each socket of a MultiServer gets its own line, like ports on a
+	// switch.
 	LineRate int
 
 	conns []net.PacketConn
@@ -72,8 +69,8 @@ func NewServer(conn net.PacketConn) *Server {
 // NewMultiServer wraps several sockets bound to the same address
 // (ListenReuseport) in one transfer server: Run drives an independent demux
 // loop per socket, with the kernel steering each client flow to exactly one
-// of them. Requires Concurrency > 1 to be useful; accounting (Served, Done)
-// is shared across the loops.
+// of them. The session cap (Concurrency) and the accounting (Served, Done)
+// are shared across the loops.
 func NewMultiServer(conns ...net.PacketConn) *Server {
 	return &Server{conns: conns}
 }
@@ -103,96 +100,20 @@ func (s *Server) Tier() Tier {
 }
 
 // Run serves requests until the socket is closed (or Idle expires with no
-// session in flight). It returns nil on a clean close.
+// session in flight, or a drain completes). It returns nil on a clean close.
 func (s *Server) Run() error {
 	mtu := s.mtu()
 	if s.Validate == nil {
 		s.Validate = func(c core.Config) error { return validateConfigMTU(c, mtu) }
 	}
-	if len(s.conns) > 1 {
-		ls := make([]transport.Listener, len(s.conns))
-		for i, conn := range s.conns {
-			sl := newServerListener(conn, s.Batch, mtu, s.MaxTier)
-			sl.line = newLinePacer(s.LineRate)
-			ls[i] = sl
-		}
-		return s.Server.RunAll(ls...)
-	}
-	if s.Concurrency > 1 {
-		sl := newServerListener(s.conns[0], s.Batch, mtu, s.MaxTier)
+	ls := make([]transport.Listener, len(s.conns))
+	for i, conn := range s.conns {
+		sl := newServerListener(conn, s.Batch, mtu, s.MaxTier)
 		sl.line = newLinePacer(s.LineRate)
-		return s.Server.Run(sl)
+		sl.logf = s.Logf
+		ls[i] = sl
 	}
-	var e *Endpoint
-	for {
-		// Serial drain: finish the transfer in flight (ServeEnv returns only
-		// between transfers), then stop accepting — the same contract as the
-		// sharded loop's BeginDrain handling.
-		if s.Draining() {
-			return nil
-		}
-		if e == nil {
-			var err error
-			if e, err = s.serveEndpoint(); err != nil {
-				return err
-			}
-		}
-		err := s.serveOne(e)
-		if err == nil {
-			e = nil // a fresh endpoint per transfer, exactly as before
-			continue
-		}
-		if core.IsTimeout(err) {
-			if s.Idle > 0 || s.Draining() {
-				return nil // idle bound reached
-			}
-			// Wait-poll expired: keep the endpoint but forget any peer a
-			// rejected REQ locked it to, exactly as retiring it would have.
-			e.ResetPeer()
-			continue
-		}
-		if errors.Is(err, net.ErrClosed) {
-			return nil
-		}
-		return err
-	}
-}
-
-// serveEndpoint builds the serial path's per-transfer endpoint. It is
-// reused across idle wait-polls (only a completed transfer retires it), so
-// an idle server allocates nothing while it waits.
-func (s *Server) serveEndpoint() (*Endpoint, error) {
-	e := NewEndpoint(s.conns[0], nil)
-	e.LockPeer = true
-	e.LearnReqOnly = true
-	e.MaxTier = s.MaxTier
-	if s.MTU > 0 {
-		if err := e.SetMTU(s.MTU); err != nil {
-			return nil, err
-		}
-	}
-	if s.Batch > 1 {
-		e.SetBatch(s.Batch)
-	}
-	return e, nil
-}
-
-// serveOne accepts and completes a single transfer on the serial path.
-func (s *Server) serveOne(e *Endpoint) error {
-	// An unbounded wait becomes a poll, so Run's loop notices BeginDrain on
-	// an idle server instead of blocking in Recv until the next request.
-	idle := 250 * time.Millisecond
-	if s.Idle > 0 {
-		idle = s.Idle
-	}
-	// The serial endpoint only learns its peer from the REQ, so the peer is
-	// resolved lazily.
-	return s.ServeEnv(e, idle, e.ValidateConfig, func() transport.Peer {
-		if p := e.Peer(); p != nil {
-			return p
-		}
-		return nil
-	})
+	return s.Server.RunAll(ls...)
 }
 
 // validateConfigMTU checks that a transfer's packets fit datagrams of the

@@ -258,3 +258,185 @@ func settle(done func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// slowSource serves the seeded stream a millisecond per chunk, so a transfer
+// stays in flight long enough for a test to act while it runs.
+func slowSource(r wire.Req) (core.ChunkSource, bool) {
+	src := core.SeededSource(int64(r.Bytes), int(r.Bytes), int(r.Chunk))
+	return func(seq int, dst []byte) []byte {
+		time.Sleep(time.Millisecond)
+		return src(seq, dst)
+	}, true
+}
+
+// busyCounter decorates a client endpoint to count the BUSY refusals it is
+// handed.
+type busyCounter struct {
+	*Endpoint
+	busy int
+}
+
+func (b *busyCounter) Recv(timeout time.Duration) (*wire.Packet, error) {
+	p, err := b.Endpoint.Recv(timeout)
+	if err == nil && p.Type == wire.TypeBusy {
+		b.busy++
+	}
+	return p, err
+}
+
+// pullSeeded pulls size seeded bytes through env and checks them.
+func pullSeeded(env core.Env, id uint32, size int) error {
+	cfg := loopCfg(id, nil, core.Blast, core.GoBackN)
+	cfg.Bytes = size
+	cfg.Window = 16
+	cfg.MaxAttempts = 400
+	res, err := core.Request(env, cfg)
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(res.Data, core.SeededPayload(int64(size), size, 1000)) {
+		return fmt.Errorf("pull %d corrupted", id)
+	}
+	return nil
+}
+
+// With Concurrency unset the server is the demux loop at a cap of one: while
+// a transfer is in flight a second client is told BUSY (not silently
+// dropped), retries on the hint and completes once the first has finished;
+// and a non-REQ straggler from an unknown source opens no session and cannot
+// disturb the transfer.
+func TestCapOneBusyAndStragglers(t *testing.T) {
+	const size = 200 * 1000 // ~200 ms in flight at a millisecond per chunk
+	srv, addr := newLoopbackServer(t)
+	srv.RetryAfter = 20 * time.Millisecond
+	started := make(chan struct{}, 2) // one send per admitted pull
+	srv.Source = func(r wire.Req) (core.ChunkSource, bool) {
+		started <- struct{}{}
+		return slowSource(r)
+	}
+	go srv.Run()
+
+	first := make(chan error, 1)
+	go func() {
+		e, err := Dial(addr)
+		if err != nil {
+			first <- err
+			return
+		}
+		defer e.Close()
+		first <- pullSeeded(e, 801, size)
+	}()
+	<-started // the first session is admitted and mid-transfer
+
+	// A straggler: a valid non-REQ packet from a socket the server has no
+	// session for.
+	stranger, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stranger.Close()
+	if err := stranger.Send(&wire.Packet{Type: wire.TypeAck, Trans: 801, Seq: 1 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := stranger.Recv(50 * time.Millisecond); !core.IsTimeout(err) {
+		t.Errorf("the straggler was answered: %v, %v", p, err)
+	}
+	if a := srv.Active(); a != 1 {
+		t.Errorf("%d sessions active with one transfer and one straggler, want 1", a)
+	}
+
+	e, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	second := &busyCounter{Endpoint: e}
+	if err := pullSeeded(second, 802, 8*1000); err != nil {
+		t.Fatalf("second client: %v", err)
+	}
+	if second.busy == 0 {
+		t.Error("second client was never told BUSY while the first transfer held the server")
+	}
+	if err := <-first; err != nil {
+		t.Fatalf("first client, disturbed by the straggler or the refusals: %v", err)
+	}
+	settle(func() bool { return srv.Served() >= 2 })
+	if got := srv.Served(); got != 2 {
+		t.Errorf("served = %d, want 2", got)
+	}
+}
+
+// Idle and BeginDrain end Run at a cap of one exactly as at any other cap:
+// an idle server returns when the bound expires, and a draining one returns
+// once the transfer in flight has completed.
+func TestCapOneIdleAndDrain(t *testing.T) {
+	wait := func(what string, done chan error) {
+		t.Helper()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: Run did not return", what)
+		}
+	}
+
+	idle, _ := newLoopbackServer(t)
+	idle.Idle = 50 * time.Millisecond
+	idleDone := make(chan error, 1)
+	go func() { idleDone <- idle.Run() }()
+	wait("idle bound", idleDone)
+
+	srv, addr := newLoopbackServer(t)
+	started := make(chan struct{}, 1)
+	srv.Source = func(r wire.Req) (core.ChunkSource, bool) {
+		started <- struct{}{}
+		return slowSource(r)
+	}
+	srvDone := make(chan error, 1)
+	go func() { srvDone <- srv.Run() }()
+	pull := make(chan error, 1)
+	go func() {
+		e, err := Dial(addr)
+		if err != nil {
+			pull <- err
+			return
+		}
+		defer e.Close()
+		pull <- pullSeeded(e, 811, 100*1000)
+	}()
+	<-started
+	srv.BeginDrain()
+	select {
+	case err := <-srvDone:
+		t.Fatalf("drain abandoned the transfer in flight: Run returned %v", err)
+	case err := <-pull:
+		if err != nil {
+			t.Fatalf("transfer in flight when the drain began: %v", err)
+		}
+	}
+	wait("drain", srvDone)
+	if got := srv.Served(); got != 1 {
+		t.Errorf("served = %d, want 1", got)
+	}
+}
+
+// LineRate models the socket, not a serving mode: it bounds egress at a cap
+// of one too.
+func TestCapOneLineRate(t *testing.T) {
+	const rate = 16 << 20
+	payload := randomPayload(512<<10, 4)
+	ideal := time.Duration(int64(len(payload)) * int64(time.Second) / rate)
+	srv, addr := newLoopbackServer(t)
+	srv.LineRate = rate
+	srv.Data = func(r wire.Req) ([]byte, bool) { return payload, true }
+	go srv.Run()
+	took, err := linePull(addr, 821, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took < ideal*6/10 {
+		t.Fatalf("pull took %v, faster than the %v line permits (ideal %v)", took, ideal*6/10, ideal)
+	}
+}

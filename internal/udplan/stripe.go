@@ -39,7 +39,7 @@ type StripeOptions struct {
 	MTU int
 	// SocketBuf, when positive, raises each endpoint's kernel buffers.
 	SocketBuf int
-	// PacketGap paces each stripe's data packets (see Endpoint.PacketGap).
+	// PacketGap paces each stripe's data packets (see Endpoint.SetPacketGap).
 	PacketGap time.Duration
 	// Sink, when non-nil, receives every distinct chunk at its
 	// logical-stream offset. Stripes deliver concurrently; calls are
@@ -77,7 +77,7 @@ type StripeOutcome = session.StripeOutcome
 type StripedResult = session.StripedResult
 
 // PullStriped requests the logical transfer cfg describes (Bytes, ChunkSize,
-// Protocol, Strategy, Window, Adaptive, timeouts) from the daemon at addr as
+// Protocol, Strategy, Window, Controller, timeouts) from the daemon at addr as
 // opts.Streams concurrent stripe sessions and reassembles the result. The
 // server must resolve each stripe's REQ against the logical stream (see
 // wire.Req.Offset); the sharded Server does this whenever its Source/Data
@@ -157,7 +157,7 @@ func (f *stripeFabric) dial(i int) (transport.Client, error) {
 	if opts.Batch > 1 {
 		e.SetBatch(opts.Batch)
 	}
-	e.PacketGap = opts.PacketGap
+	e.SetPacketGap(opts.PacketGap)
 	if opts.Adversary.Active() {
 		if err := e.SetAdversary(opts.Adversary, opts.AdversarySeed+int64(i)); err != nil {
 			e.Close()

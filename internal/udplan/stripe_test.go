@@ -134,7 +134,7 @@ func TestStripedPullUnderAdversary(t *testing.T) {
 	}
 }
 
-// Adaptive striped pull: the REQ's adaptive bit makes the serving side run
+// Adaptive striped pull: the REQ's policy byte makes the serving side run
 // the AIMD controller; the transfer must still reassemble byte-identically,
 // with loss on every stripe.
 func TestStripedPullAdaptive(t *testing.T) {
@@ -143,7 +143,7 @@ func TestStripedPullAdaptive(t *testing.T) {
 	want := core.SeededPayload(int64(total), total, 1000)
 	out := make([]byte, total)
 	cfg := logicalCfg(total)
-	cfg.Adaptive = true
+	cfg.Controller = core.ControllerAIMD
 	res, err := PullStriped(addr, cfg, StripeOptions{
 		Streams:       4,
 		Batch:         8,
@@ -168,10 +168,10 @@ func TestStripedPullAdaptive(t *testing.T) {
 func TestAdaptiveSenderControllerOverUDP(t *testing.T) {
 	ea, eb := pipe(t)
 	ea.SetBatch(16)
-	ea.PacketGap = 5 * time.Microsecond // user-configured pacing: must survive
+	ea.SetPacketGap(5 * time.Microsecond) // user-configured pacing: must survive
 	payload := randomPayload(256<<10, 5)
 	cfg := loopCfg(9, payload, core.Blast, core.GoBackN)
-	cfg.Adaptive = true
+	cfg.Controller = core.ControllerAIMD
 	cfg.Window = 32
 	// Drop a handful of identified first transmissions: NAK-driven
 	// recovery, deterministic on any substrate.
@@ -220,8 +220,8 @@ func TestAdaptiveSenderControllerOverUDP(t *testing.T) {
 	if got := ea.BatchLimit(); got != 16 {
 		t.Errorf("batch limit after adaptive transfer = %d, want the configured 16", got)
 	}
-	if ea.PacketGap != 5*time.Microsecond {
-		t.Errorf("pacing gap %v after the transfer, want the configured 5µs restored", ea.PacketGap)
+	if ea.Gap() != 5*time.Microsecond {
+		t.Errorf("pacing gap %v after the transfer, want the configured 5µs restored", ea.Gap())
 	}
 }
 

@@ -77,9 +77,9 @@ const gsoSegLimit = 64
 // flushUnitOf returns how many frames one flush syscall puts on the wire as
 // a single unit: a superbuffer's segment capacity at TierGSO (bounded by
 // the ring size), 1 everywhere else — sendmmsg and the WriteTo loop
-// transmit each frame as its own datagram unit. This is what Endpoint and
-// sessionEnv report through core.BatchGeometry, so the controlled sender
-// quantizes batch actuation to whole superbuffers at the GSO tier.
+// transmit each frame as its own datagram unit. This is what txPath reports
+// as core.Datapath's FlushUnit, so the controlled sender quantizes batch
+// actuation to whole superbuffers at the GSO tier.
 func flushUnitOf(tier Tier, ring int) int {
 	if tier >= TierGSO && ring > 1 {
 		if ring < gsoSegLimit {

@@ -11,14 +11,18 @@
 // (MangleTx/MangleRx, or SetAdversary for a seeded params.Adversary) for
 // testing recovery paths on a lossless loopback.
 //
-// The hot path batches syscalls: with SetBatch, outbound data packets are
-// encoded into a reusable frame ring (wire.EncodeInto, no allocation) and
-// flushed with one sendmmsg per batch, and each blocking receive
-// opportunistically drains the socket with recvmmsg — cutting syscalls per
-// blast window from W to roughly ⌈W/batch⌉ on Linux, with a portable
-// single-datagram fallback elsewhere. Adversary semantics are preserved
-// bit-for-bit: every packet is judged before it enters the batch, in send
-// order, exactly as on the unbatched path.
+// There is one transmit path and one serving path. Every sender — a client
+// Endpoint, a server session — embeds the same txPath: packets are encoded
+// into a reusable frame ring (wire.EncodeInto, no allocation) and flushed
+// through the best datapath tier the socket supports (one GSO superbuffer,
+// one sendmmsg, or a WriteTo loop; see Tier), cutting syscalls per blast
+// window from W to roughly ⌈W/batch⌉; with batching off the ring has one
+// slot and the same code runs a syscall per packet. Every Server — whatever
+// its session cap and socket count — is the demux loop of internal/session
+// over this package's transport.Listener. Each blocking client receive
+// opportunistically drains the socket with recvmmsg. Adversary semantics are
+// preserved bit-for-bit at every batch size: every packet is judged before
+// it enters the ring, in send order.
 package udplan
 
 import (
@@ -26,7 +30,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"syscall"
 	"time"
 
 	"blastlan/internal/core"
@@ -46,26 +49,20 @@ const MaxMTU = 65507
 // endpoint's datagram size.
 var ErrMTU = errors.New("udplan: packet exceeds endpoint MTU")
 
-// Endpoint adapts a packet socket to core.Env. It must be used from a
-// single goroutine, like every Env.
+// Endpoint adapts a packet socket talking to one peer to core.Env: the
+// shared transmit path plus what is the client side's own — the receive
+// ring, the adversary hooks, MTU and batch configuration. It must be used
+// from a single goroutine, like every Env.
 type Endpoint struct {
-	conn    net.PacketConn
-	raw     syscall.RawConn // non-nil when the socket supports raw batched I/O
-	peer    net.Addr
-	peerKey string
+	txPath
+	peerKey string // canonical comparison key of txPath.peer: arrivals from anyone else are skipped
 	start   time.Time
 	mtu     int
 	rbuf    []byte
-	wbuf    []byte
 	keybuf  [addrKeyLen]byte
 
-	// Batched I/O state (nil when batching is off, the default).
-	tx      *txBatch
-	rx      *rxBatch
-	msender mmsgSender
-	gsender gsoSender
-	tier    Tier // active transmit tier, probed by SetBatch
-	gro     bool // receive side is UDP_GRO-coalesced (GSO tier only)
+	rx  *rxBatch // recvmmsg drain ring (nil when batching is off, the default)
+	gro bool     // receive side is UDP_GRO-coalesced (GSO tier only)
 
 	// MaxTier, when non-zero, caps the datapath tier SetBatch may probe up
 	// to (the -tier flags of blastd/blastcp/lanbench land here). Set it
@@ -88,9 +85,9 @@ type Endpoint struct {
 	// Hold later arrivals, or when a blocking read times out with the hold
 	// still pending (a late arrival instead of a deadline).
 	//
-	// On the batched path the verdict is judged before the frame enters the
-	// batch queue, in send order, so one seeded script produces identical
-	// protocol behaviour at every batch size.
+	// The verdict is judged before the frame enters the ring, in send order,
+	// so one seeded script produces identical protocol behaviour at every
+	// batch size.
 	MangleTx func(*wire.Packet) params.Mangle
 	MangleRx func(*wire.Packet) params.Mangle
 
@@ -99,24 +96,6 @@ type Endpoint struct {
 	rxReady     []*wire.Packet
 	rxReadyHead int         // index-advancing ring head: pops are O(1), not a slice delete
 	rxPkt       wire.Packet // reusable decode target: one live packet per Env, per the Recv contract
-
-	// LockPeer, when set, discards datagrams from other sources once a
-	// peer is known.
-	LockPeer bool
-
-	// LearnReqOnly restricts peer learning to TypeReq packets. Servers use
-	// this so stragglers from a finished transfer cannot claim the
-	// endpoint before the next client's request arrives.
-	LearnReqOnly bool
-
-	// PacketGap paces data packets: Send sleeps this long after writing a
-	// TypeData packet. The paper assumes "source and destination machine
-	// are more or less matched in speed" (§1); on a modern loopback the
-	// sender can outrun kernel socket buffers by orders of magnitude, and
-	// pacing restores the matched-speed premise for large blasts.
-	PacketGap time.Duration
-
-	pace pacer // amortized sleep state for PacketGap actuation
 }
 
 // heldFrame is one packet the endpoint's adversary is holding back for
@@ -128,20 +107,17 @@ type heldFrame struct {
 	remaining int
 }
 
-// NewEndpoint wraps an open socket. peer may be nil for servers; it is
-// learned from the first valid datagram.
+// NewEndpoint wraps an open socket talking to peer, which must be non-nil:
+// an endpoint sends to, and accepts datagrams from, exactly that address.
 func NewEndpoint(conn net.PacketConn, peer net.Addr) *Endpoint {
 	e := &Endpoint{
-		conn:  conn,
-		start: time.Now(),
-		mtu:   MaxDatagram,
-		rbuf:  make([]byte, MaxDatagram),
-		tier:  TierWriteTo,
+		txPath:  txPath{conn: conn, raw: rawConnOf(conn), peer: peer},
+		peerKey: addrKey(peer),
+		start:   time.Now(),
+		mtu:     MaxDatagram,
+		rbuf:    make([]byte, MaxDatagram),
 	}
-	e.raw = rawConnOf(conn)
-	if peer != nil {
-		e.setPeer(peer)
-	}
+	e.setRing(TierWriteTo, 1, e.mtu)
 	return e
 }
 
@@ -177,9 +153,7 @@ func (e *Endpoint) SetMTU(n int) error {
 	}
 	e.mtu = n
 	e.rbuf = make([]byte, n)
-	if e.tx != nil {
-		e.SetBatch(len(e.tx.frames)) // re-size the rings to the new MTU
-	}
+	e.SetBatch(e.Batch()) // re-size the rings to the new MTU
 	return nil
 }
 
@@ -211,19 +185,18 @@ func (e *Endpoint) SetSocketBuffers(bytes int) { SetConnBuffers(e.conn, bytes) }
 // blocking receive drains already-arrived datagrams in one recvmmsg — on
 // the GSO tier with UDP_GRO enabled, so a whole window can arrive as one
 // coalesced superbuffer split back into frames in user space. n <= 1
-// restores the single-syscall path. On platforms without the fast paths the
-// queue still forms and flushes as a WriteTo loop, preserving semantics.
+// restores a syscall per packet (a one-slot ring). On platforms without the
+// fast paths the queue still forms and flushes as a WriteTo loop, preserving
+// semantics.
 //
 // SetBatch is a configuration call: make it before the transfer starts
-// (queued outbound frames are flushed first, but rebuilding the receive
-// ring discards any drained-but-undelivered datagrams — between transfers
-// that is nothing). Mid-transfer batch adaptation goes through
+// (queued outbound frames are flushed first — a failure is kept and
+// returned by the next Send, FlushBatch or Recv — but rebuilding the
+// receive ring discards any drained-but-undelivered datagrams; between
+// transfers that is nothing). Mid-transfer batch adaptation goes through
 // SetBatchLimit, which moves only the flush threshold.
 func (e *Endpoint) SetBatch(n int) {
-	if e.tx != nil {
-		e.tx.Flush() // socket errors resurface on the next Send/Recv
-	}
-	e.tier = pickTxTier(e.raw, n, e.MaxTier)
+	e.setRing(pickTxTier(e.raw, n, e.MaxTier), n, e.mtu)
 	wantGRO := e.tier >= TierGSO
 	switch {
 	case wantGRO && !e.gro:
@@ -238,92 +211,20 @@ func (e *Endpoint) SetBatch(n int) {
 		setGRO(e.raw, false)
 		e.gro = false
 	}
-	if n <= 1 {
-		e.tx, e.rx = nil, nil
-		return
+	e.rx = nil
+	if n > 1 {
+		e.rx = newRxBatch(n, e.mtu, e.gro)
 	}
-	e.tx = newTxBatch(n, e.mtu, e.flushFrames)
-	e.rx = newRxBatch(n, e.mtu, e.gro)
 }
-
-// Tier reports the active transmit tier of the batched datapath
-// (TierWriteTo when batching is off). Probed by SetBatch.
-func (e *Endpoint) Tier() Tier { return e.tier }
 
 // GRO reports whether the receive side is UDP_GRO-coalesced.
 func (e *Endpoint) GRO() bool { return e.gro }
-
-// Batch reports the configured batch size (1 when batching is off).
-func (e *Endpoint) Batch() int {
-	if e.tx == nil {
-		return 1
-	}
-	return len(e.tx.frames)
-}
-
-// SetPacketGap implements core.Pacer: the adaptive controller's pacing
-// actuation (see Endpoint.PacketGap).
-func (e *Endpoint) SetPacketGap(d time.Duration) { e.PacketGap = d }
-
-// Gap implements core.Pacer: the current pacing gap, which the adaptive
-// sender snapshots so it can restore a user-configured gap afterwards.
-func (e *Endpoint) Gap() time.Duration { return e.PacketGap }
-
-// BatchLimit implements core.BatchLimiter: the effective queued-frames
-// flush threshold (1 when batching is off).
-func (e *Endpoint) BatchLimit() int {
-	if e.tx == nil {
-		return 1
-	}
-	return e.tx.flushAt()
-}
-
-// SetBatchLimit implements core.BatchLimiter: the adaptive controller's
-// batch actuation. The ring keeps its configured size — only the flush
-// threshold moves, so mid-transfer adjustments allocate nothing — and
-// frames already queued beyond the new threshold flush immediately. A
-// no-op when batching is off.
-func (e *Endpoint) SetBatchLimit(n int) {
-	if e.tx == nil {
-		return
-	}
-	e.tx.setLimit(n) // socket errors resurface on the next Send/Recv
-}
-
-// FlushUnit implements core.BatchGeometry: the frames one flush syscall
-// carries as a single wire unit — a superbuffer's segment capacity at the
-// GSO tier, 1 on the frame-at-a-time tiers (see flushUnitOf).
-func (e *Endpoint) FlushUnit() int {
-	if e.tx == nil {
-		return 1
-	}
-	return flushUnitOf(e.tier, len(e.tx.frames))
-}
 
 // ValidateConfig checks that the configured transfer's packets fit the
 // endpoint's datagram size, returning a clear error instead of the silent
 // truncating receive an oversized chunk would otherwise cause.
 func (e *Endpoint) ValidateConfig(cfg core.Config) error {
 	return validateConfigMTU(cfg, e.mtu)
-}
-
-// FlushBatch implements core.BatchFlusher: every queued frame goes on the
-// wire, in queue order.
-func (e *Endpoint) FlushBatch() error {
-	if e.tx == nil {
-		return nil
-	}
-	return e.tx.Flush()
-}
-
-// PacketConsumedOnSend implements core.PacketReuser: Send encodes the packet
-// before returning, so senders may reuse one Packet value.
-func (e *Endpoint) PacketConsumedOnSend() {}
-
-// flushFrames writes frames[0:n] to the peer through the endpoint's active
-// datapath tier (GSO superbuffer, sendmmsg or WriteTo loop).
-func (e *Endpoint) flushFrames(frames [][]byte, lens []int, n int) error {
-	return flushFramesTiered(e.tier, e.raw, &e.gsender, &e.msender, e.conn, e.peer, frames, lens, n)
 }
 
 // Dial opens an ephemeral UDP socket talking to remote.
@@ -340,36 +241,29 @@ func Dial(remote string) (*Endpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("udplan: listen: %w", err)
 	}
-	e := NewEndpoint(conn, raddr)
-	e.LockPeer = true
-	return e, nil
+	return NewEndpoint(conn, raddr), nil
 }
 
 // Close flushes the batch queue and any held transmissions, then releases
-// the underlying socket.
+// the underlying socket. It returns the first error of the three.
 func (e *Endpoint) Close() error {
-	e.FlushBatch()
-	e.flushTx()
-	return e.conn.Close()
+	err := e.FlushBatch()
+	if herr := e.flushTx(); err == nil {
+		err = herr
+	}
+	if cerr := e.conn.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // LocalAddr returns the socket's address.
 func (e *Endpoint) LocalAddr() net.Addr { return e.conn.LocalAddr() }
 
-// Peer returns the current peer (nil until learned).
+// Peer returns the address the endpoint talks to.
 func (e *Endpoint) Peer() net.Addr { return e.peer }
 
-// ResetPeer forgets the current peer so a server endpoint can accept its
-// next client.
-func (e *Endpoint) ResetPeer() { e.peer, e.peerKey = nil, "" }
-
-// setPeer records the peer and its canonical comparison key.
-func (e *Endpoint) setPeer(a net.Addr) {
-	e.peer = a
-	e.peerKey = addrKey(a)
-}
-
-// fromPeer reports whether an arrival came from the locked peer. name, when
+// fromPeer reports whether an arrival came from the peer. name, when
 // non-nil, is the raw sockaddr of a batch-drained datagram; it is compared
 // without constructing a net.Addr (no allocation on the hot receive path).
 func (e *Endpoint) fromPeer(addr net.Addr, name []byte) bool {
@@ -392,27 +286,25 @@ func (e *Endpoint) Now() time.Duration { return time.Since(e.start) }
 // Compute is a no-op: real work takes real time.
 func (e *Endpoint) Compute(time.Duration) {}
 
-// Send encodes and transmits one packet to the peer, applying the MangleTx
-// verdict on the way out. PacketGap pacing applies to every data packet
-// regardless of the verdict — the sender spends the slot whether or not the
-// adversary lets the frame through.
+// Send encodes and transmits one packet to the peer. With no adversary
+// installed that is the shared transmit sequence, txPath.Send; otherwise the
+// MangleTx verdict is applied on the way out. Pacing applies to every data
+// packet regardless of the verdict — the sender spends the slot whether or
+// not the adversary lets the frame through.
 func (e *Endpoint) Send(p *wire.Packet) error {
-	err := e.sendMangled(p)
-	if err == nil && e.PacketGap > 0 && p.Type == wire.TypeData {
-		// Pacing means spacing on the wire: the pacer flushes the batch
-		// ring before it sleeps, and amortizes sub-quantum gaps so the
-		// actuation cost tracks the nominal rate (see pace.go).
-		if ferr := e.pace.owe(e.PacketGap, e.FlushBatch); ferr != nil {
-			return ferr
-		}
+	if e.MangleTx == nil && len(e.txHeld) == 0 {
+		return e.txPath.Send(p)
 	}
-	return err
+	if err := e.sendMangled(p); err != nil {
+		return err
+	}
+	return e.paceData(p)
 }
 
+// SendAsync is Send: UDP writes do not wait for transmission anyway.
+func (e *Endpoint) SendAsync(p *wire.Packet) error { return e.Send(p) }
+
 func (e *Endpoint) sendMangled(p *wire.Packet) error {
-	if e.peer == nil {
-		return errors.New("udplan: no peer known")
-	}
 	var m params.Mangle
 	if e.MangleTx != nil {
 		m = e.MangleTx(p)
@@ -424,22 +316,9 @@ func (e *Endpoint) sendMangled(p *wire.Packet) error {
 	if m.Drop || m.IfaceDrop {
 		return e.passTx() // injected loss: silently dropped, like a wire error
 	}
-	// Encode into the next frame-ring slot (batched) or the reusable
-	// scratch buffer (single-syscall path).
-	var buf []byte
-	if e.tx != nil {
-		n, err := p.EncodeInto(e.tx.slot())
-		if err != nil {
-			return err
-		}
-		buf = e.tx.slot()[:n]
-	} else {
-		b, err := p.Encode(e.wbuf[:0])
-		if err != nil {
-			return err
-		}
-		e.wbuf = b[:0]
-		buf = b
+	buf, err := e.encode(p)
+	if err != nil {
+		return err
 	}
 	if m.Corrupt {
 		// Mangle the real datagram: the peer's decode rejects it on the
@@ -456,7 +335,7 @@ func (e *Endpoint) sendMangled(p *wire.Packet) error {
 		// arrival matures. The new hold must not overtake itself, so it is
 		// appended after passTx.
 		if m.Duplicate {
-			if err := e.emitCurrent(buf); err != nil {
+			if err := e.ring.commit(len(buf)); err != nil {
 				return err
 			}
 		}
@@ -464,51 +343,20 @@ func (e *Endpoint) sendMangled(p *wire.Packet) error {
 			return err
 		}
 		e.txHeld = append(e.txHeld, heldFrame{data: held, remaining: m.Hold})
-		return e.maybeFlushControl(p)
+		return e.flushControl(p)
 	}
-	if err := e.emitCurrent(buf); err != nil {
+	if err := e.ring.commit(len(buf)); err != nil {
 		return err
 	}
 	if m.Duplicate {
-		if err := e.emitCopy(buf); err != nil {
+		if err := e.ring.enqueueCopy(buf); err != nil {
 			return err
 		}
 	}
 	if err := e.passTx(); err != nil {
 		return err
 	}
-	return e.maybeFlushControl(p)
-}
-
-// emitCurrent puts the just-encoded frame on the wire: it commits the
-// current ring slot when batching, or writes the scratch buffer directly.
-func (e *Endpoint) emitCurrent(buf []byte) error {
-	if e.tx != nil {
-		return e.tx.commit(len(buf))
-	}
-	_, err := e.conn.WriteTo(buf, e.peer)
-	return err
-}
-
-// emitCopy puts a copy of an arbitrary encoded frame on the wire (injected
-// duplicates, matured reorder holds), preserving queue order when batching.
-func (e *Endpoint) emitCopy(buf []byte) error {
-	if e.tx != nil {
-		return e.tx.enqueueCopy(buf)
-	}
-	_, err := e.conn.WriteTo(buf, e.peer)
-	return err
-}
-
-// maybeFlushControl flushes the batch queue behind control traffic and the
-// reliable last packet of a window: only unreliable mid-window data may
-// linger in the ring, so acknowledgement exchanges keep their single-packet
-// latency.
-func (e *Endpoint) maybeFlushControl(p *wire.Packet) error {
-	if e.tx == nil || !flushesImmediately(p) {
-		return nil
-	}
-	return e.tx.Flush()
+	return e.flushControl(p)
 }
 
 // passTx records one datagram overtaking the held transmissions and writes
@@ -524,7 +372,7 @@ func (e *Endpoint) passTx() error {
 		h := e.txHeld[i]
 		h.remaining--
 		if h.remaining <= 0 {
-			if err := e.emitCopy(h.data); err != nil && firstErr == nil {
+			if err := e.ring.enqueueCopy(h.data); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		} else {
@@ -541,9 +389,6 @@ func (e *Endpoint) passTx() error {
 func (e *Endpoint) flushTx() error {
 	var firstErr error
 	for _, h := range e.txHeld {
-		if e.peer == nil {
-			break
-		}
 		if _, err := e.conn.WriteTo(h.data, e.peer); err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -552,12 +397,9 @@ func (e *Endpoint) flushTx() error {
 	return firstErr
 }
 
-// SendAsync is Send: UDP writes do not wait for transmission anyway.
-func (e *Endpoint) SendAsync(p *wire.Packet) error { return e.Send(p) }
-
 // Recv returns the next valid packet, applying the MangleRx verdict to every
-// arrival. timeout < 0 waits forever. Malformed datagrams and (with
-// LockPeer) foreign sources are skipped. On expiry the error satisfies
+// arrival. timeout < 0 waits forever. Malformed datagrams and datagrams from
+// anyone but the peer are skipped. On expiry the error satisfies
 // errors.Is(err, os.ErrDeadlineExceeded).
 func (e *Endpoint) Recv(timeout time.Duration) (*wire.Packet, error) {
 	// Anything queued for batch transmission is committed traffic: it must
@@ -606,18 +448,7 @@ func (e *Endpoint) Recv(timeout time.Duration) (*wire.Packet, error) {
 		if derr := wire.DecodeInto(pkt, data); derr != nil {
 			continue // not ours / corrupted: the checksum did its job
 		}
-		if e.peer == nil {
-			if e.LearnReqOnly && pkt.Type != wire.TypeReq {
-				continue // unverifiable straggler
-			}
-			if addr == nil {
-				addr = rawToUDPAddr(name)
-				if addr == nil {
-					continue
-				}
-			}
-			e.setPeer(addr)
-		} else if e.LockPeer && !e.fromPeer(addr, name) {
+		if !e.fromPeer(addr, name) {
 			continue
 		}
 		var m params.Mangle

@@ -223,24 +223,37 @@ func TestServerRejectsUnknown(t *testing.T) {
 	}
 }
 
-func TestEndpointErrors(t *testing.T) {
-	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("no loopback: %v", err)
+// An endpoint talks to exactly one peer: it reports it, times out on a
+// silent socket, and skips valid datagrams from any other source.
+func TestEndpointFiltersOnPeer(t *testing.T) {
+	listen := func() net.PacketConn {
+		c, err := net.ListenPacket("udp", "127.0.0.1:0")
+		if err != nil {
+			t.Skipf("no loopback: %v", err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
 	}
-	defer conn.Close()
-	e := NewEndpoint(conn, nil)
-	if err := e.Send(&wire.Packet{Type: wire.TypeAck}); err == nil {
-		t.Error("send without peer should fail")
+	conn, peer, stranger := listen(), listen(), listen()
+
+	e := NewEndpoint(conn, peer.LocalAddr())
+	if e.LocalAddr() == nil {
+		t.Error("no local addr")
+	}
+	if e.Peer().String() != peer.LocalAddr().String() {
+		t.Errorf("peer = %v, want %v", e.Peer(), peer.LocalAddr())
 	}
 	if _, err := e.Recv(10 * time.Millisecond); !core.IsTimeout(err) {
 		t.Errorf("recv on silent socket: %v", err)
 	}
-	if e.LocalAddr() == nil {
-		t.Error("no local addr")
+	buf, _ := (&wire.Packet{Type: wire.TypeAck, Trans: 1, Seq: 9}).Encode(nil)
+	stranger.WriteTo(buf, conn.LocalAddr())
+	if pkt, err := e.Recv(50 * time.Millisecond); !core.IsTimeout(err) {
+		t.Errorf("a stranger's datagram was delivered: %v, %v", pkt, err)
 	}
-	if e.Peer() != nil {
-		t.Error("peer should be nil")
+	peer.WriteTo(buf, conn.LocalAddr())
+	if pkt, err := e.Recv(2 * time.Second); err != nil || pkt.Seq != 9 {
+		t.Errorf("the peer's datagram: %v, %v", pkt, err)
 	}
 }
 
@@ -257,7 +270,7 @@ func TestMalformedDatagramsIgnored(t *testing.T) {
 	}
 	defer sender.Close()
 
-	e := NewEndpoint(conn, nil)
+	e := NewEndpoint(conn, sender.LocalAddr())
 	go func() {
 		sender.WriteTo([]byte("garbage that is not a packet"), conn.LocalAddr())
 		pkt := &wire.Packet{Type: wire.TypeAck, Trans: 1, Seq: 5}
@@ -270,41 +283,6 @@ func TestMalformedDatagramsIgnored(t *testing.T) {
 	}
 	if pkt.Type != wire.TypeAck || pkt.Seq != 5 {
 		t.Errorf("got %v", pkt)
-	}
-}
-
-func TestLearnReqOnly(t *testing.T) {
-	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("no loopback: %v", err)
-	}
-	defer conn.Close()
-	sender, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("no loopback: %v", err)
-	}
-	defer sender.Close()
-
-	e := NewEndpoint(conn, nil)
-	e.LearnReqOnly = true
-	go func() {
-		ack := &wire.Packet{Type: wire.TypeAck, Trans: 1}
-		buf, _ := ack.Encode(nil)
-		sender.WriteTo(buf, conn.LocalAddr()) // straggler: must not claim peer
-		req := &wire.Packet{Type: wire.TypeReq, Trans: 2,
-			Payload: wire.EncodeReq(wire.Req{Bytes: 10, Chunk: 10})}
-		buf2, _ := req.Encode(nil)
-		sender.WriteTo(buf2, conn.LocalAddr())
-	}()
-	pkt, err := e.Recv(2 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pkt.Type != wire.TypeReq {
-		t.Errorf("learned from %v packet", pkt.Type)
-	}
-	if e.Peer() == nil {
-		t.Error("peer not learned from REQ")
 	}
 }
 
@@ -334,7 +312,7 @@ func TestLargePacedPush(t *testing.T) {
 		t.Skipf("dial: %v", err)
 	}
 	defer e.Close()
-	e.PacketGap = 10 * time.Microsecond
+	e.SetPacketGap(10 * time.Microsecond)
 	cfg := loopCfg(500, payload, core.Blast, core.GoBackN)
 	cfg.RetransTimeout = 300 * time.Millisecond
 	cfg.ReceiverIdle = 5 * time.Second

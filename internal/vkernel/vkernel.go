@@ -178,9 +178,6 @@ type MoveOptions struct {
 	// (core.Config.Controller): the same controller state machines the UDP
 	// substrate runs, in virtual time.
 	Controller string
-	// Adaptive is the deprecated boolean spelling of Controller: it selects
-	// the AIMD policy (core.ControllerAIMD) when Controller is empty.
-	Adaptive bool
 	// Chunk is the data packet size (defaults to params.DataPacketSize).
 	Chunk int
 	// MaxAttempts, Linger and ReceiverIdle bound the transfer exactly like
@@ -330,7 +327,6 @@ func (c *Cluster) transferConfig(payload []byte, opt MoveOptions) core.Config {
 		RetransTimeout: tr,
 		Window:         opt.Window,
 		Controller:     opt.Controller,
-		Adaptive:       opt.Adaptive,
 		MaxAttempts:    opt.MaxAttempts,
 		Linger:         opt.Linger,
 		ReceiverIdle:   opt.ReceiverIdle,

@@ -133,9 +133,7 @@ type Req struct {
 	// fixed schedule of the REQ parameters, a non-zero id asks the data's
 	// sender to drive the transfer with that registered rate controller
 	// (the REQ parameters then only seed it; ids map to names through the
-	// core registry, 1 = the classic AIMD controller). Encoders from before
-	// the policy byte set only the adaptive flag bit, which decodes as
-	// policy 1 — the old meaning exactly.
+	// core registry, 1 = the classic AIMD controller).
 	Adaptive uint8
 
 	// OffsetChunks is this stripe's byte offset within the logical stream,
@@ -221,8 +219,8 @@ func EncodeReq(r Req) []byte {
 		buf[14] |= reqFlagPush
 	}
 	if r.Adaptive != 0 {
-		// The flag bit stays set alongside the policy id so pre-policy
-		// decoders still see "rate control on".
+		// The flag bit marks the policy field as meaningful; a set bit with
+		// an empty field decodes as policy 0, the fixed schedule.
 		buf[14] |= reqFlagAdaptive
 		buf[14] |= (r.Adaptive & reqPolicyMask) << reqPolicyShift
 	}
@@ -288,10 +286,6 @@ func DecodeReq(payload []byte) (Req, error) {
 	}
 	if payload[14]&reqFlagAdaptive != 0 {
 		r.Adaptive = (payload[14] >> reqPolicyShift) & reqPolicyMask
-		if r.Adaptive == 0 {
-			// A pre-policy encoder: the lone flag bit meant AIMD.
-			r.Adaptive = 1
-		}
 	}
 	if len(payload) > reqLen {
 		n := int(payload[reqLen])

@@ -351,19 +351,12 @@ func TestReqRoundTrip(t *testing.T) {
 	if got != r {
 		t.Errorf("stripe round trip %+v -> %+v", r, got)
 	}
-	// Every policy id the flags byte can carry round-trips, and a
-	// pre-policy encoding (the lone adaptive flag bit) decodes as policy 1,
-	// its original AIMD meaning.
+	// Every policy id the flags byte can carry round-trips.
 	for id := uint8(1); id <= MaxReqPolicy; id++ {
 		r.Adaptive = id
 		if got, _ := DecodeReq(EncodeReq(r)); got.Adaptive != id {
 			t.Errorf("policy %d decoded as %d", id, got.Adaptive)
 		}
-	}
-	legacy := EncodeReq(Req{Bytes: 1 << 20, Chunk: 1000})
-	legacy[14] |= 1 << 1 // reqFlagAdaptive, as a pre-policy encoder set it
-	if got, _ := DecodeReq(legacy); got.Adaptive != 1 {
-		t.Errorf("legacy adaptive bit decoded as policy %d, want 1", got.Adaptive)
 	}
 	if got.Offset() != 16384*1000 {
 		t.Errorf("Offset() = %d", got.Offset())
@@ -456,5 +449,32 @@ func TestNakFitsInAckPacket(t *testing.T) {
 	}
 	if HeaderSize+len(payload) > 64 {
 		t.Errorf("NAK packet is %d bytes, exceeds the 64-byte ack size", HeaderSize+len(payload))
+	}
+}
+
+// The policy field of the flags byte decodes as what it says: zero is the
+// fixed schedule whatever the adaptive flag bit claims (no encoder of this
+// protocol ever sent the lone bit, so it is not read as "aimd"), and a field
+// without its flag bit is not a policy request at all.
+func TestDecodeReqPolicyField(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		flags byte // OR-ed into byte 14 of a policy-free encoding
+		want  uint8
+	}{
+		{"no flag, empty field", 0, 0},
+		{"lone adaptive bit", reqFlagAdaptive, 0},
+		{"flag and field", reqFlagAdaptive | 5<<reqPolicyShift, 5},
+		{"field without its flag", 5 << reqPolicyShift, 0},
+	} {
+		buf := EncodeReq(Req{Bytes: 1 << 20, Chunk: 1000})
+		buf[14] |= tc.flags
+		got, err := DecodeReq(buf)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got.Adaptive != tc.want {
+			t.Errorf("%s: decoded policy %d, want %d", tc.name, got.Adaptive, tc.want)
+		}
 	}
 }
