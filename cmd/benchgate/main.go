@@ -1,9 +1,10 @@
 // Command benchgate is CI's perf-regression gate: it compares a freshly
 // measured lanbench -benchjson snapshot against a committed throughput
 // floor and fails (exit 1) when any gated benchmark falls below its
-// minimum. The floor file lists only the benchmarks worth gating; a gated
-// name missing from the snapshot is itself a failure, so a renamed or
-// silently dropped benchmark cannot sneak past the gate.
+// minimum, or when a benchmark the floor file lists under zero_retransmits
+// sent any packet twice. The floor file lists only the benchmarks worth
+// gating; a gated name missing from the snapshot is itself a failure, so a
+// renamed or silently dropped benchmark cannot sneak past the gate.
 //
 //	benchgate -got BENCH_udp_ci.json -floor ci/bench_floor.json
 package main
@@ -21,16 +22,20 @@ import (
 type snapshot struct {
 	GoVersion  string `json:"go_version"`
 	Benchmarks []struct {
-		Name string  `json:"name"`
-		MBps float64 `json:"mbps"`
+		Name        string  `json:"name"`
+		MBps        float64 `json:"mbps"`
+		Retransmits int64   `json:"retransmits"`
 	} `json:"benchmarks"`
 }
 
 // floorFile is the committed gate: a note documenting how the floors were
-// derived, and the minimum MB/s per gated benchmark.
+// derived, the minimum MB/s per gated benchmark, and the gated benchmarks
+// that must not have retransmitted a single packet (a count, so unlike a
+// wall-clock floor it does not drift with the host).
 type floorFile struct {
-	Note    string             `json:"note"`
-	MinMBps map[string]float64 `json:"min_mbps"`
+	Note            string             `json:"note"`
+	MinMBps         map[string]float64 `json:"min_mbps"`
+	ZeroRetransmits []string           `json:"zero_retransmits"`
 }
 
 func main() {
@@ -53,8 +58,10 @@ func main() {
 	}
 
 	measured := make(map[string]float64, len(snap.Benchmarks))
+	retransmits := make(map[string]int64, len(snap.Benchmarks))
 	for _, b := range snap.Benchmarks {
 		measured[b.Name] = b.MBps
+		retransmits[b.Name] = b.Retransmits
 	}
 
 	names := make([]string, 0, len(floor.MinMBps))
@@ -77,6 +84,15 @@ func main() {
 			fmt.Printf("%-28s %10.1f %10.1f  REGRESSION\n", name, mbps, min)
 		default:
 			fmt.Printf("%-28s %10.1f %10.1f  ok\n", name, mbps, min)
+		}
+	}
+	for _, name := range floor.ZeroRetransmits {
+		if _, ok := measured[name]; !ok {
+			failed = true
+			fmt.Printf("%-28s MISSING from snapshot (gated on zero retransmits)\n", name)
+		} else if n := retransmits[name]; n != 0 {
+			failed = true
+			fmt.Printf("%-28s %d packets retransmitted on a clean loopback  REGRESSION\n", name, n)
 		}
 	}
 	if failed {

@@ -1,0 +1,187 @@
+package main
+
+import (
+	"bufio"
+	"bytes"
+	"fmt"
+	"net"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"sync"
+	"syscall"
+	"testing"
+	"time"
+
+	"blastlan/internal/core"
+)
+
+// daemon is a blastd child process with its log captured.
+type daemon struct {
+	cmd  *exec.Cmd
+	addr string
+	mu   sync.Mutex
+	log  []string
+	done chan struct{} // closed when the log pipe reaches EOF
+}
+
+func (d *daemon) lines() []string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return append([]string(nil), d.log...)
+}
+
+// buildBinaries builds blastd and blastcp from this tree into a temp dir.
+func buildBinaries(t *testing.T) (blastd, blastcp string) {
+	t.Helper()
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skipf("no go toolchain to build the binaries with: %v", err)
+	}
+	dir := t.TempDir()
+	build := exec.Command("go", "build", "-o", dir+string(os.PathSeparator), "blastlan/cmd/blastd", "blastlan/cmd/blastcp")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("building the binaries: %v\n%s", err, out)
+	}
+	return filepath.Join(dir, "blastd"), filepath.Join(dir, "blastcp")
+}
+
+func startDaemon(t *testing.T, bin string, args ...string) *daemon {
+	t.Helper()
+	probe, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("no UDP loopback available: %v", err)
+	}
+	addr := probe.LocalAddr().String()
+	probe.Close()
+	d := &daemon{addr: addr, done: make(chan struct{})}
+	d.cmd = exec.Command(bin, append([]string{"-listen", addr}, args...)...)
+	stderr, err := d.cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.cmd.Process.Kill(); d.cmd.Wait() })
+	ready := make(chan struct{})
+	go func() {
+		defer close(d.done)
+		sc := bufio.NewScanner(stderr)
+		for sc.Scan() {
+			d.mu.Lock()
+			d.log = append(d.log, sc.Text())
+			d.mu.Unlock()
+			if strings.Contains(sc.Text(), "blastd: serving on") {
+				close(ready)
+			}
+		}
+	}()
+	select {
+	case <-ready:
+	case <-d.done:
+		t.Fatalf("blastd exited before serving:\n%s", strings.Join(d.lines(), "\n"))
+	case <-time.After(10 * time.Second):
+		t.Fatal("blastd did not start serving within 10 s")
+	}
+	return d
+}
+
+var pushedRE = regexp.MustCompile(`(?m)^pushed (\d+) bytes in \S+ \([0-9.]+ MB/s\), (\d+) packets \((\d+) retransmitted\), checksum ([0-9a-f]{4})$`)
+
+// The path a user types, end to end through the shipped binaries: blastcp
+// -push at default flags streams files of awkward sizes — a single byte, one
+// short of a chunk, exactly a chunk, one over, and 8 MiB + 17 (many runs of
+// the file source, a window derived from the socket buffer) — to a blastd
+// -out, which must hold the identical bytes; blastcp prints the file's
+// checksum and exits 0. A file that is not there is a usage error with its
+// taxonomy line, not a fatal log. And the daemon's exit summary is keyed by
+// host (six runs from six ephemeral ports are one peer), reports the inbox
+// drop count, and arrives within a second of SIGTERM.
+func TestPushThroughTheBinaries(t *testing.T) {
+	blastd, blastcp := buildBinaries(t)
+	out := t.TempDir()
+	d := startDaemon(t, blastd, "-out", out)
+
+	src := t.TempDir()
+	sizes := []int{1, 999, 1000, 1001, 8<<20 + 17}
+	for i, size := range sizes {
+		want := core.SeededPayload(int64(size), size, 1000)
+		name := filepath.Join(src, fmt.Sprintf("f%d.bin", size))
+		if err := os.WriteFile(name, want, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(blastcp, "-to", d.addr, "-push", name)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("push of %d bytes: %v\n%s", size, err, stderr.String())
+		}
+		m := pushedRE.FindStringSubmatch(stdout.String())
+		if m == nil {
+			t.Fatalf("push of %d bytes printed no result line: %q", size, stdout.String())
+		}
+		if m[1] != fmt.Sprint(size) {
+			t.Errorf("push of %d bytes reported %s bytes", size, m[1])
+		}
+		if sum := fmt.Sprintf("%04x", core.TransferChecksum(want)); m[4] != sum {
+			t.Errorf("push of %d bytes printed checksum %s, the file's is %s", size, m[4], sum)
+		}
+		if m[3] != "0" {
+			t.Logf("push of %d bytes retransmitted %s of %s packets", size, m[3], m[2])
+		}
+		// The daemon closes the file as its session completes, just after the
+		// final ack the client returned on.
+		got := filepath.Join(out, fmt.Sprintf("transfer-%04d.bin", i+1))
+		var have []byte
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(2 * time.Millisecond) {
+			if have, _ = os.ReadFile(got); len(have) == size {
+				break
+			}
+		}
+		if !bytes.Equal(have, want) {
+			t.Errorf("%s holds %d bytes that differ from the %d pushed", got, len(have), size)
+		}
+	}
+
+	var stderr bytes.Buffer
+	cmd := exec.Command(blastcp, "-to", d.addr, "-push", filepath.Join(src, "no-such-file"))
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != exitUsage {
+		t.Errorf("pushing a missing file: %v, want exit code %d", err, exitUsage)
+	}
+	if !strings.HasPrefix(stderr.String(), "blastcp: "+exitLabel(exitUsage)+": ") {
+		t.Errorf("pushing a missing file printed %q, want the %q taxonomy line", stderr.String(), exitLabel(exitUsage))
+	}
+
+	t0 := time.Now()
+	d.cmd.Process.Signal(syscall.SIGTERM)
+	select {
+	case <-d.done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("blastd still running 5 s after SIGTERM")
+	}
+	if took := time.Since(t0); took > time.Second {
+		t.Errorf("idle blastd took %v to exit after SIGTERM", took)
+	}
+	var summaries, drops int
+	for _, line := range d.lines() {
+		if strings.Contains(line, "blastd: session summary ") {
+			summaries++
+			if !strings.Contains(line, fmt.Sprintf("session summary 127.0.0.1: %d transfer(s)", len(sizes))) {
+				t.Errorf("summary line not keyed by host: %q", line)
+			}
+		}
+		if strings.Contains(line, "dropped on full session inboxes") {
+			drops++
+		}
+	}
+	if summaries != 1 {
+		t.Errorf("%d session summary lines for %d pushes from one host, want 1", summaries, len(sizes))
+	}
+	if drops != 1 {
+		t.Errorf("exit summary reports the inbox drop count %d times, want once", drops)
+	}
+}

@@ -17,6 +17,14 @@
 //	blastcp -to 127.0.0.1:7025 -pull 65536 -sum 1a2b                 # verify the checksum
 //	blastcp -to A:7025 -copy data.bin -dest B:7025                   # third-party copy A→B
 //
+// A push streams the file: chunks are served out of one 256 KiB run buffer
+// and the printed checksum accumulates as they first go out, so pushing 1 GB
+// holds no 1 GB buffer and reads the file once. With -window left at 0 a
+// push derives its blast window from the socket receive buffer the kernel
+// actually granted (window x chunk <= 1/4 of it — 2048 packets at the
+// default -sockbuf): a blast larger than the receiver's buffering only
+// earns retransmissions. An explicit -window is honoured verbatim.
+//
 // A named pull (-get) stats the remote object first — the daemon answers
 // with its size from the file store — then pulls exactly that many bytes by
 // name, striped or not. -o writes the pulled bytes to a local file.
@@ -130,7 +138,7 @@ func main() {
 		protoName = flag.String("proto", "blast", "protocol: saw, sw, blast")
 		stratName = flag.String("strategy", "go-back-n", "blast strategy")
 		chunk     = flag.Int("chunk", 1000, "payload bytes per packet")
-		window    = flag.Int("window", 0, "multiblast window in packets")
+		window    = flag.Int("window", 0, "multiblast window in packets (0: a pull is one blast; a push derives it, window x chunk <= 1/4 of the granted socket receive buffer)")
 		tr        = flag.Duration("tr", 200*time.Millisecond, "retransmission timeout")
 		id        = flag.Uint("id", 1, "transfer id")
 		gap       = flag.Duration("gap", 0, "pace data packets with this inter-packet gap")
@@ -320,6 +328,23 @@ func main() {
 		return
 	}
 
+	// A file that cannot be pushed is a usage error, found before anything
+	// touches the network.
+	var pushed *os.File
+	var pushBytes int
+	if *pushFile != "" {
+		f, err := os.Open(*pushFile)
+		if err != nil {
+			fail(exitUsage, "%v", err)
+		}
+		defer f.Close()
+		st, err := f.Stat()
+		if err != nil || !st.Mode().IsRegular() {
+			fail(exitUsage, "%s is not a regular file", *pushFile)
+		}
+		pushed, pushBytes = f, int(st.Size())
+	}
+
 	e, err := udplan.Dial(*to)
 	if err != nil {
 		failErr("dial", err)
@@ -347,20 +372,22 @@ func main() {
 	}
 
 	if *pushFile != "" {
-		payload, err := os.ReadFile(*pushFile)
-		if err != nil {
-			log.Fatalf("blastcp: %v", err)
+		src := newFileSource(pushed, pushBytes, *chunk, func(err error) {
+			fail(1, "reading %s: %v", *pushFile, err)
+		})
+		cfg.Bytes = pushBytes
+		cfg.Source = src.Source
+		if cfg.Window == 0 {
+			cfg.Window = pushWindow(e.ReadBuffer(), *sockbuf, *chunk)
 		}
-		cfg.Bytes = len(payload)
-		cfg.Payload = payload
 		res, err := udplan.Push(e, cfg)
 		if err != nil {
 			failErr("push", err)
 		}
 		fmt.Printf("pushed %d bytes in %v (%.2f MB/s), %d packets (%d retransmitted), checksum %04x\n",
-			len(payload), res.Elapsed.Round(time.Microsecond),
-			float64(len(payload))/res.Elapsed.Seconds()/1e6,
-			res.DataPackets, res.Retransmits, core.TransferChecksum(payload))
+			cfg.Bytes, res.Elapsed.Round(time.Microsecond),
+			float64(cfg.Bytes)/res.Elapsed.Seconds()/1e6,
+			res.DataPackets, res.Retransmits, src.sum.Sum16())
 		return
 	}
 
@@ -409,6 +436,20 @@ func main() {
 	if *wantSum != "" && res.Checksum != expectSum {
 		fail(exitChecksum, "pulled checksum %04x, expected %04x", res.Checksum, expectSum)
 	}
+}
+
+// pushWindow derives a push's blast window when -window leaves it to us: a
+// blast larger than the receiver's buffering degenerates into
+// retransmission (the paper's §3.1.3), so a window's worth of chunks is
+// held to a quarter of the receive buffer the kernel granted this socket —
+// the peer's is unknowable from here, but daemons are started with the same
+// -sockbuf default and clamped by the same kind of limit. Where the grant
+// cannot be read back the requested size stands in for it.
+func pushWindow(granted, requested, chunk int) int {
+	if granted <= 0 {
+		granted = requested
+	}
+	return max(1, granted/4/chunk)
 }
 
 // createOut opens the -o file both pull paths deliver into: chunks are

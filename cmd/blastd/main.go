@@ -4,9 +4,13 @@
 //	blastd -listen 127.0.0.1:7025 -out /tmp/received
 //	blastd -concurrency 64 -batch 32            # sharded, sendmmsg-batched
 //
-// The daemon is concurrent by default: datagrams are demultiplexed by peer
+// The daemon is concurrent by default: arrivals are demultiplexed by peer
 // address into per-session goroutines (up to -concurrency at once), and the
-// hot path batches syscalls with sendmmsg/recvmmsg frame rings (-batch).
+// hot path batches syscalls with sendmmsg/recvmmsg frame rings (-batch). On
+// the GSO tier the listening socket receives coalesced (UDP_GRO): a pushing
+// client's superbuffer crosses the kernel and the demux loop as one burst
+// and is split into packets only by the session that consumes it, each
+// session queueing at most one granted socket buffer's worth of bursts.
 //
 // Pushed transfers stream to numbered files under -out, or are verified
 // against their incremental checksum and discarded when -out is empty.
@@ -37,14 +41,16 @@
 //
 // SIGINT/SIGTERM drains gracefully: new sessions are refused (clients
 // retry elsewhere), active transfers get up to -drain to finish — a second
-// signal forces the socket closed — and a per-peer session summary (plus,
-// with -serve, the store's cache counters) is logged on exit.
+// signal forces the socket closed — and a per-host session summary, the
+// count of datagrams dropped on full session inboxes (plus, with -serve, the
+// store's cache counters) is logged on exit.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"os"
 	"os/signal"
 	"sort"
@@ -291,13 +297,16 @@ func main() {
 		}
 	}
 	summary.log()
+	// Receiver overrun in user space, where RcvbufErrors cannot see it: a
+	// session too slow for its sender overflowed its inbox this many times.
+	log.Printf("blastd: %d datagram(s) dropped on full session inboxes", srv.InboxDrops())
 	logStore()
 	if runErr != nil {
 		log.Fatalf("blastd: %v", runErr)
 	}
 }
 
-// peerSummary accumulates per-peer transfer totals for the shutdown log.
+// peerSummary accumulates per-host transfer totals for the shutdown log.
 type peerSummary struct {
 	mu sync.Mutex
 	m  map[string]*peerTotals
@@ -317,7 +326,13 @@ func newPeerSummary() *peerSummary { return &peerSummary{m: map[string]*peerTota
 func (s *peerSummary) add(ts udplan.TransferStats) {
 	peer := "<unknown>"
 	if ts.Peer != nil {
+		// Keyed by host: every client run dials from a fresh ephemeral port,
+		// so keying by address would grow the map by one entry per transfer
+		// for the daemon's lifetime.
 		peer = ts.Peer.String()
+		if host, _, err := net.SplitHostPort(peer); err == nil {
+			peer = host
+		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -336,7 +351,7 @@ func (s *peerSummary) add(ts udplan.TransferStats) {
 	t.elapsed += ts.Elapsed
 }
 
-// log prints one line per peer, then the grand total.
+// log prints one line per host, then the grand total.
 func (s *peerSummary) log() {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -124,8 +124,9 @@ type benchEntry struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
-	MBps        float64 `json:"mbps,omitempty"` // end-to-end throughput cases only
-	Tier        string  `json:"tier,omitempty"` // datapath tier that actually ran (UDP pull cases)
+	MBps        float64 `json:"mbps,omitempty"`        // end-to-end throughput cases only
+	Tier        string  `json:"tier,omitempty"`        // datapath tier that actually ran (UDP pull cases)
+	Retransmits int64   `json:"retransmits,omitempty"` // data packets sent more than once (UDP push cases: must be 0)
 }
 
 // benchSnapshot is the machine-readable perf record CI archives as

@@ -117,6 +117,80 @@ func runUDPPull(c udpPullCase) (time.Duration, udplan.Tier, error) {
 // survives skb truesize accounting (see udplan.SetConnBuffers).
 func setSocketBufs(conn net.PacketConn) { udplan.SetConnBuffers(conn, udpSocketBuf) }
 
+// udpPushCase is one loopback push measurement: the direction cli_put and
+// blastcp -push exercise — client Endpoint TX into the server's demux ring
+// and session inboxes — which no pull case touches.
+type udpPushCase struct {
+	name   string
+	bytes  int
+	window int // 0: derived from the granted receive buffer, as blastcp -push does
+}
+
+// runUDPPush executes one measured push and returns the elapsed wall time,
+// the tier the client engaged and how many data packets it retransmitted. A
+// clean loopback push inside the receiver's buffering retransmits nothing;
+// anything else means datagrams were dropped (a full session inbox, a full
+// socket buffer) and is what the bench gate fails the row on.
+func runUDPPush(c udpPushCase, tier udplan.Tier) (time.Duration, udplan.Tier, int, error) {
+	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	defer conn.Close()
+	setSocketBufs(conn)
+	srv := udplan.NewServer(conn)
+	srv.Concurrency = 2
+	srv.Batch = 32
+	srv.MaxTier = tier
+	received := make(chan core.RecvResult, 1) // one push per server
+	srv.SinkStream = func(wire.Req) (core.ChunkSink, func(core.RecvResult), bool) {
+		return func(int, []byte) {}, func(res core.RecvResult) { received <- res }, true
+	}
+	go srv.Run()
+
+	e, err := udplan.Dial(conn.LocalAddr().String())
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	defer e.Close()
+	e.SetSocketBuffers(udpSocketBuf)
+	e.MaxTier = tier
+	e.SetBatch(32)
+	engaged := e.Tier()
+	const chunk = 1000
+	window := c.window
+	if window == 0 {
+		window = max(1, e.ReadBuffer()/4/chunk)
+	}
+	cfg := core.Config{
+		TransferID:     1,
+		Bytes:          c.bytes,
+		ChunkSize:      chunk,
+		Protocol:       core.Blast,
+		Strategy:       core.GoBackN,
+		Window:         window,
+		RetransTimeout: 250 * time.Millisecond,
+		MaxAttempts:    10000,
+		Linger:         50 * time.Millisecond,
+		Source:         core.SeededSource(int64(c.bytes), c.bytes, chunk),
+	}
+	t0 := time.Now()
+	res, err := udplan.Push(e, cfg)
+	elapsed := time.Since(t0)
+	if err != nil {
+		return elapsed, engaged, res.Retransmits, err
+	}
+	select {
+	case got := <-received:
+		if !got.Completed || got.Bytes != c.bytes {
+			return elapsed, engaged, res.Retransmits, fmt.Errorf("push delivered %d of %d bytes", got.Bytes, c.bytes)
+		}
+	case <-time.After(5 * time.Second):
+		return elapsed, engaged, res.Retransmits, fmt.Errorf("server never completed the push")
+	}
+	return elapsed, engaged, res.Retransmits, nil
+}
+
 // filePullCase is one named pull from a real on-disk file through the
 // disk-backed store (internal/store): stat by name, then pull through the
 // extent cache with pipelined read-ahead. cold measures the first pull
@@ -632,6 +706,30 @@ func runUDPBench(path string, quick bool, streams int, controller string, tierNa
 					return err
 				}
 			}
+		}
+	}
+
+	if streams == 0 {
+		// The push direction (PR 16): an 8 MB push at the window cli_put
+		// uses and a 64 MB push at the window blastcp derives when -window is
+		// left at 0. Full size even in -quick — the floors need a stable
+		// figure — and the retransmit count rides in the snapshot: the worst
+		// of the reps, which cmd/benchgate requires to be zero.
+		for _, pc := range []udpPushCase{
+			{name: "udp_push_8mb_w128", bytes: 8 << 20, window: 128},
+			{name: "udp_push_64mb_default", bytes: 64 << 20},
+		} {
+			pc := pc
+			retx := 0
+			if err := measurePull(&snap, pc.name, pc.bytes, 3,
+				func() (time.Duration, string, error) {
+					el, tr, n, err := runUDPPush(pc, tierCap)
+					retx = max(retx, n)
+					return el, tr.String(), err
+				}); err != nil {
+				return err
+			}
+			snap.Benchmarks[len(snap.Benchmarks)-1].Retransmits = int64(retx)
 		}
 	}
 

@@ -285,7 +285,8 @@ func isGoAhead(p *wire.Packet, trans uint32) bool {
 // Push announces a sender-initiated transfer (the paper's MoveTo over a
 // shared medium where the peer must first set up the pre-allocated buffer),
 // waits for the receiver's go-ahead, and then runs the sender. The REQ is
-// retransmitted on silence.
+// retransmitted on silence, and after the server's retry-after hint when it
+// answers BUSY, up to Config.MaxAttempts times.
 func Push(env Env, cfg Config) (SendResult, error) {
 	c, err := cfg.withDefaults()
 	if err != nil {
@@ -308,6 +309,13 @@ func Push(env Env, cfg Config) (SendResult, error) {
 			remaining -= env.Now() - t0
 			if isGoAhead(resp, c.TransferID) {
 				return RunSender(env, c)
+			}
+			if resp.Type == wire.TypeBusy && resp.Trans == c.TransferID {
+				// Refused at admission: honor the server's hint and announce
+				// again, exactly as Request and Stat do, instead of waiting
+				// out the rest of Tr against a server that already said no.
+				sleepOn(env, busyErrorOf(resp).wait(c.RetransTimeout))
+				break // re-announce
 			}
 		}
 	}

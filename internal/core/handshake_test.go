@@ -17,12 +17,16 @@ type scriptEnv struct {
 	replies []*wire.Packet
 	pending *wire.Packet
 	sent    int
+	reqs    int // how many of the sent packets were REQs
 	slept   []time.Duration
 }
 
 func (e *scriptEnv) Now() time.Duration    { return e.now }
 func (e *scriptEnv) Compute(time.Duration) {}
-func (e *scriptEnv) Send(*wire.Packet) error {
+func (e *scriptEnv) Send(p *wire.Packet) error {
+	if p.Type == wire.TypeReq {
+		e.reqs++
+	}
 	if e.sent < len(e.replies) {
 		e.pending = e.replies[e.sent]
 	}
@@ -94,6 +98,85 @@ func TestStatHonorsBusy(t *testing.T) {
 			}
 			if env.sent != tc.wantSent {
 				t.Errorf("sent %d stat REQs, want %d", env.sent, tc.wantSent)
+			}
+			if len(env.slept) != len(tc.wantNaps) {
+				t.Fatalf("slept %v, want %v", env.slept, tc.wantNaps)
+			}
+			for i := range tc.wantNaps {
+				if env.slept[i] != tc.wantNaps[i] {
+					t.Errorf("slept %v, want %v", env.slept, tc.wantNaps)
+				}
+			}
+			if env.now != tc.wantNow {
+				t.Errorf("took %v of virtual time, want %v", env.now, tc.wantNow)
+			}
+		})
+	}
+}
+
+// Push honors a BUSY refusal of its announcement the way Request and Stat
+// do: it sleeps the server's retry-after hint (Tr when the hint is empty)
+// and announces again at once, instead of dropping the reply and waiting out
+// Tr; a BUSY for some other transfer is not a refusal; and a server that
+// only ever says BUSY costs exactly MaxAttempts announcements.
+func TestPushHonorsBusy(t *testing.T) {
+	const tr = 100 * time.Millisecond
+	cfg := Config{
+		TransferID: 7, Bytes: 10, Payload: make([]byte, 10),
+		Protocol: Blast, Strategy: GoBackN, RetransTimeout: tr, MaxAttempts: 3,
+	}
+	c, err := cfg.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The one-packet transfer that follows an accepted announcement: the
+	// go-ahead earns the data packet, which earns the final ack.
+	goAheadPkt, doneAck := goAhead(c), c.ackPacket(1, 1)
+	for _, tc := range []struct {
+		name     string
+		replies  []*wire.Packet
+		wantErr  error
+		wantReqs int
+		wantNaps []time.Duration
+		wantNow  time.Duration
+	}{
+		{
+			name:     "busy then go-ahead",
+			replies:  []*wire.Packet{Busy(7, 40*time.Millisecond), goAheadPkt, doneAck},
+			wantReqs: 2,
+			wantNaps: []time.Duration{40 * time.Millisecond}, wantNow: 40 * time.Millisecond,
+		},
+		{
+			name:     "empty hint sleeps Tr",
+			replies:  []*wire.Packet{Busy(7, 0), goAheadPkt, doneAck},
+			wantReqs: 2,
+			wantNaps: []time.Duration{tr}, wantNow: tr,
+		},
+		{
+			name:     "another transfer's busy is ignored",
+			replies:  []*wire.Packet{Busy(8, 40*time.Millisecond), goAheadPkt, doneAck},
+			wantReqs: 2,
+			wantNow:  tr, // silence as far as transfer 7 is concerned
+		},
+		{
+			name:     "always busy gives up after MaxAttempts",
+			replies:  []*wire.Packet{Busy(7, time.Millisecond), Busy(7, time.Millisecond), Busy(7, time.Millisecond), goAheadPkt},
+			wantErr:  ErrGiveUp,
+			wantReqs: 3,
+			wantNaps: []time.Duration{time.Millisecond, time.Millisecond, time.Millisecond}, wantNow: 3 * time.Millisecond,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := &scriptEnv{replies: tc.replies}
+			res, err := Push(env, cfg)
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("Push = %v; want %v", err, tc.wantErr)
+			}
+			if err == nil && res.DataPackets != 1 {
+				t.Errorf("accepted push sent %d data packets, want 1", res.DataPackets)
+			}
+			if env.reqs != tc.wantReqs {
+				t.Errorf("announced %d times, want %d", env.reqs, tc.wantReqs)
 			}
 			if len(env.slept) != len(tc.wantNaps) {
 				t.Fatalf("slept %v, want %v", env.slept, tc.wantNaps)

@@ -7,7 +7,9 @@ import (
 
 	"blastlan/internal/core"
 	"blastlan/internal/params"
+	"blastlan/internal/session"
 	"blastlan/internal/sim"
+	"blastlan/internal/transport"
 	"blastlan/internal/wire"
 )
 
@@ -132,5 +134,81 @@ func TestConfigReqRoundTrip(t *testing.T) {
 	}
 	if got.TransferID != 9 {
 		t.Errorf("transfer id = %d", got.TransferID)
+	}
+}
+
+// A push refused at admission is re-announced on the server's RETRY-AFTER
+// hint, not after a Tr of silence: with a session cap of one and both
+// pushers arriving together the loser's announcement earns BUSY, and with Tr
+// deliberately huge both pushes must still finish well inside one Tr.
+func TestPushHonorsBusyAgainstCapOfOne(t *testing.T) {
+	const (
+		tr    = 5 * time.Second
+		bytes = 64 << 10
+	)
+	run := func() ([2]time.Duration, int) {
+		k := sim.NewKernel()
+		n, err := sim.NewNetwork(k, params.ModernGigabit(), params.LossModel{}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serverSt := n.AddStation("server")
+		var got [][]byte
+		srv := &session.Server{
+			Concurrency: 1,
+			Idle:        time.Minute,
+			Sink:        func(_ wire.Req, b []byte) { got = append(got, b) },
+		}
+		var srvErr error
+		sim.Serve(n, serverSt, func(l *sim.Listener) { srvErr = srv.Run(l) })
+
+		var elapsed [2]time.Duration
+		k.Go("pushers", func(p *sim.Proc) {
+			f := &sim.Fabric{Net: n, Server: serverSt, P: p}
+			errs := f.Fan(2, func(i int, c transport.Client) error {
+				cfg := core.Config{
+					TransferID:     uint32(i + 1),
+					Bytes:          bytes,
+					Payload:        core.SeededPayload(int64(i), bytes, 1024),
+					Protocol:       core.Blast,
+					Strategy:       core.GoBackN,
+					RetransTimeout: tr,
+					MaxAttempts:    8,
+				}
+				t0 := c.Now()
+				_, err := core.Push(c, cfg)
+				elapsed[i] = c.Now() - t0
+				return err
+			})
+			for i, err := range errs {
+				if err != nil {
+					t.Errorf("pusher %d: %v", i, err)
+				}
+			}
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if srvErr != nil {
+			t.Fatal(srvErr)
+		}
+		for i, b := range got {
+			if len(b) != bytes {
+				t.Errorf("push %d delivered %d of %d bytes", i, len(b), bytes)
+			}
+		}
+		return elapsed, srv.Served()
+	}
+	elapsed, served := run()
+	if served != 2 {
+		t.Fatalf("served %d pushes, want 2", served)
+	}
+	for i, el := range elapsed {
+		if el >= tr {
+			t.Errorf("pusher %d took %v: its refused announcement waited out Tr = %v instead of the BUSY hint", i, el, tr)
+		}
+	}
+	if again, _ := run(); again != elapsed {
+		t.Errorf("BUSY-retried push is not deterministic across runs: %v then %v", elapsed, again)
 	}
 }

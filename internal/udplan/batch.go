@@ -3,6 +3,7 @@ package udplan
 import (
 	"encoding/binary"
 	"net"
+	"sync"
 	"syscall"
 )
 
@@ -107,40 +108,44 @@ const (
 	groRingMsgs  = 4     // messages per fill; each can carry ~a window of frames
 )
 
-// rxBatch is the receive ring recvmmsg drains into: raw datagrams plus the
-// raw source sockaddr of each, consumed FIFO by the endpoint's Recv loop.
-// A GRO ring additionally carries per-message control buffers and segment
-// sizes, and pop splits coalesced superbuffers back into frames.
+// rxBatch is the receive ring recvmmsg drains into: raw messages plus the
+// raw source sockaddr of each, consumed FIFO. A GRO ring additionally
+// carries per-message control buffers, so a coalesced superbuffer arrives
+// with its gso_size and splits back into frames (splitSeg). A client
+// Endpoint pops the ring one datagram at a time; the server's demux loop
+// takes whole messages and hands their buffers — pooled slabs — on to the
+// sessions.
 type rxBatch struct {
 	bufs        [][]byte
+	slabs       []*[]byte // pooled ring only: bufs[i] is *slabs[i], swapped out by replace
+	pool        *sync.Pool
 	names       [][]byte
 	ctrls       [][]byte // GRO mode only: per-message cmsg space (gso_size)
 	lens        []int
-	segs        []int // GRO mode only: per-message gso_size (0 = one plain datagram)
+	segs        []int // per-message gso_size (0 = one plain datagram)
 	count, next int
 	segOff      int // byte cursor inside the current coalesced message
 	recv        mmsgReceiver
 }
 
-func newRxBatch(n, mtu int, gro bool) *rxBatch {
-	bufSize := mtu
-	if gro {
-		if n > groRingMsgs {
-			n = groRingMsgs
-		}
-		bufSize = groBufBytes
+// newRxRing builds the bookkeeping of an n-message ring; the caller attaches
+// the buffers. A GRO ring is capped at groRingMsgs superbuffer-sized
+// messages.
+func newRxRing(n int, gro bool) *rxBatch {
+	if n < 1 {
+		n = 1
 	}
-	backing := make([]byte, n*bufSize)
+	if gro && n > groRingMsgs {
+		n = groRingMsgs
+	}
 	names := make([]byte, n*rawNameLen)
-	r := &rxBatch{bufs: make([][]byte, n), names: make([][]byte, n), lens: make([]int, n)}
+	r := &rxBatch{bufs: make([][]byte, n), names: make([][]byte, n), lens: make([]int, n), segs: make([]int, n)}
 	for i := 0; i < n; i++ {
-		r.bufs[i] = backing[i*bufSize : (i+1)*bufSize]
 		r.names[i] = names[i*rawNameLen : (i+1)*rawNameLen]
 	}
 	if gro {
 		ctrls := make([]byte, n*groCtrlBytes)
 		r.ctrls = make([][]byte, n)
-		r.segs = make([]int, n)
 		for i := 0; i < n; i++ {
 			r.ctrls[i] = ctrls[i*groCtrlBytes : (i+1)*groCtrlBytes]
 		}
@@ -148,31 +153,94 @@ func newRxBatch(n, mtu int, gro bool) *rxBatch {
 	return r
 }
 
-// pending reports whether drained datagrams are waiting.
+// rxBufSize is the size of one ring buffer: a whole superbuffer on a GRO
+// socket, one datagram otherwise.
+func rxBufSize(mtu int, gro bool) int {
+	if gro {
+		return groBufBytes
+	}
+	return mtu
+}
+
+// newRxBatch builds a ring over one backing array: the buffers never leave
+// it (a client Endpoint consumes each datagram before the next drain).
+func newRxBatch(n, mtu int, gro bool) *rxBatch {
+	r := newRxRing(n, gro)
+	size := rxBufSize(mtu, gro)
+	backing := make([]byte, len(r.bufs)*size)
+	for i := range r.bufs {
+		r.bufs[i] = backing[i*size : (i+1)*size]
+	}
+	return r
+}
+
+// newPooledRxBatch builds a ring whose buffers are slabs drawn from pool, so
+// a filled one can be handed off whole (replace) instead of copied out.
+func newPooledRxBatch(n int, gro bool, pool *sync.Pool) *rxBatch {
+	r := newRxRing(n, gro)
+	r.pool = pool
+	r.slabs = make([]*[]byte, len(r.bufs))
+	for i := range r.bufs {
+		r.replace(i)
+	}
+	return r
+}
+
+// replace gives ring slot i a fresh slab from the pool; the slab it held now
+// belongs to whoever took it.
+func (r *rxBatch) replace(i int) {
+	r.slabs[i] = r.pool.Get().(*[]byte)
+	r.bufs[i] = *r.slabs[i]
+}
+
+// pending reports whether drained messages are waiting.
 func (r *rxBatch) pending() bool { return r.next < r.count }
+
+// splitSeg returns the datagram of a received message that starts at *off
+// and advances *off past it: seg bytes of a coalesced message (gso_size
+// attached; the final segment possibly shorter — the inverse of the GSO
+// transmit packing), everything that is left of a plain one (seg 0). The
+// one splitter of every receive path.
+func splitSeg(msg []byte, seg int, off *int) []byte {
+	end := len(msg)
+	if seg > 0 && *off+seg < end {
+		end = *off + seg
+	}
+	data := msg[*off:end]
+	*off = end
+	return data
+}
 
 // pop returns the next drained datagram and its raw source sockaddr. Both
 // slices are valid until the ring's next drain (which only happens after
 // every pending datagram has been popped). A message delivered coalesced
-// (gso_size attached) pops one segment at a time: gso_size bytes each, the
-// final one possibly shorter — the inverse of the GSO transmit packing.
+// pops one segment at a time.
 func (r *rxBatch) pop() (data, name []byte) {
 	i := r.next
-	if r.segs != nil && r.segs[i] > 0 {
-		end := r.segOff + r.segs[i]
-		if end > r.lens[i] {
-			end = r.lens[i]
-		}
-		data, name = r.bufs[i][r.segOff:end], r.names[i]
-		r.segOff = end
-		if r.segOff >= r.lens[i] {
-			r.next++
-			r.segOff = 0
-		}
-		return data, name
+	data = splitSeg(r.bufs[i][:r.lens[i]], r.segs[i], &r.segOff)
+	if r.segOff >= r.lens[i] {
+		r.next++
+		r.segOff = 0
 	}
-	r.next++
-	return r.bufs[i][:r.lens[i]], r.names[i]
+	return data, r.names[i]
+}
+
+// fill blocks (honouring the socket's read deadline) until at least one
+// message is in the ring: one cmsg-aware recvmmsg where the platform has it,
+// one ReadFrom into the first slot where it does not.
+func (r *rxBatch) fill(conn net.PacketConn, raw syscall.RawConn) error {
+	if mmsgSupported && raw != nil {
+		return fillBatch(raw, r)
+	}
+	n, addr, err := conn.ReadFrom(r.bufs[0])
+	if err != nil {
+		return err
+	}
+	r.count, r.next, r.segOff = 0, 0, 0
+	if ua, ok := addr.(*net.UDPAddr); ok && putRawName(r.names[0], ua) {
+		r.lens[0], r.segs[0], r.count = n, 0, 1
+	}
+	return nil
 }
 
 // drain performs one non-blocking recvmmsg, filling the ring with whatever

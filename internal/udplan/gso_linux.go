@@ -207,9 +207,10 @@ func (g *gsoSender) sendRun(raw syscall.RawConn, iovs []syscall.Iovec, total, se
 }
 
 // fillBatch blocks (honouring the socket's read deadline) until at least
-// one message is drained into the ring — the GRO tier's blocking receive.
-// Messages carry their gso_size control data, so a coalesced superbuffer
-// splits back into frames as the ring is popped.
+// one message is drained into the ring — the blocking receive of a GRO
+// Endpoint and of every server demux socket. On a GRO ring messages carry
+// their gso_size control data, so a coalesced superbuffer splits back into
+// frames as the ring is consumed.
 func fillBatch(raw syscall.RawConn, r *rxBatch) error {
 	if raw == nil {
 		return syscall.EINVAL
@@ -267,11 +268,9 @@ func recvmmsgInto(fd uintptr, r *rxBatch) (got int, errno syscall.Errno) {
 	got = int(r0)
 	for i := 0; i < got; i++ {
 		r.lens[i] = int(hdrs[i].n)
-		if r.segs != nil {
-			r.segs[i] = 0
-			if r.ctrls != nil {
-				r.segs[i] = parseGROSize(r.ctrls[i][:hdrs[i].hdr.Controllen])
-			}
+		r.segs[i] = 0
+		if r.ctrls != nil {
+			r.segs[i] = parseGROSize(r.ctrls[i][:hdrs[i].hdr.Controllen])
 		}
 	}
 	return got, 0

@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -16,10 +17,43 @@ import (
 
 // This file is the UDP substrate's implementation of transport.Listener:
 // everything socket- and syscall-specific about serving many clients on one
-// socket — recvmmsg demux drains, raw-sockaddr keys, pooled datagram
-// copies, per-session goroutines each with its own txPath. The serving
-// logic itself (session table, REQ-only admission, handler dispatch) lives
-// in internal/session and is shared with the simulator substrate.
+// socket — recvmmsg demux reads into pooled slabs, raw-sockaddr keys, whole
+// bursts handed to per-session goroutines each with its own txPath. The
+// serving logic itself (session table, REQ-only admission, handler
+// dispatch) lives in internal/session and is shared with the simulator
+// substrate.
+
+// dgram is one burst in flight from the demux loop to a session: what one
+// received message held — n bytes from one source in a pooled slab,
+// coalesced by UDP_GRO into seg-byte datagrams (seg 0: a single datagram).
+// It is the transport.Message of this substrate.
+type dgram struct {
+	b      *[]byte
+	n, seg int32 // a message is at most 64 KiB; a small entry keeps a deep inbox cheap to make
+}
+
+// first returns the burst's first datagram.
+func (d *dgram) first() []byte {
+	off := 0
+	return splitSeg((*d.b)[:d.n], int(d.seg), &off)
+}
+
+// datagrams counts the datagrams the burst carries.
+func (d *dgram) datagrams() int {
+	if d.seg <= 0 || d.n <= d.seg {
+		return 1
+	}
+	return int((d.n + d.seg - 1) / d.seg)
+}
+
+const (
+	// inboxFallbackDatagrams sizes a session inbox where the granted receive
+	// buffer cannot be read back: this many MTU-sized datagrams.
+	inboxFallbackDatagrams = 256
+	// minGROInbox is the fewest bursts a session inbox must afford before
+	// the demux socket receives coalesced (2 MiB of granted buffer).
+	minGROInbox = 32
+)
 
 // serverListener adapts one shared socket to transport.Listener.
 type serverListener struct {
@@ -29,13 +63,21 @@ type serverListener struct {
 	batch int
 	tier  Tier       // transmit tier for session frame rings, probed once per socket
 	line  *linePacer // modeled egress line rate shared by all sessions (nil: unlimited)
-	rx    *rxBatch
-	rbuf  []byte
-	pool  *sync.Pool
+	gro   bool       // the socket receives coalesced (UDP_GRO): bursts can hold many datagrams
+	rx    *rxBatch   // the demux ring: every read of the socket fills it
+	pool  *sync.Pool // the ring's slabs, and where sessions return them
 
-	keybuf   [addrKeyLen]byte
-	lastAddr net.Addr // source of the most recent Accept (blocking read)
-	lastName []byte   // raw sockaddr of the most recent Accept (batch drain)
+	// inboxCap is how many bursts one session's inbox queues. Every slab has
+	// the same capacity, so the bound is one in bytes: queued slab capacity
+	// per session never exceeds the receive buffer the kernel granted the
+	// socket, whatever the slab size — a session cannot hold more memory
+	// waiting in user space than the socket could hold waiting in the kernel.
+	inboxCap int
+	drops    *atomic.Int64 // datagrams dropped on full inboxes (Server.InboxDrops)
+
+	keybuf [addrKeyLen]byte
+	cur    dgram // the burst of the most recent Accept, aliasing ring slot slot
+	slot   int
 
 	wg   sync.WaitGroup
 	logf func(format string, args ...any) // the server's Logf (nil: silent)
@@ -48,24 +90,39 @@ func newServerListener(conn net.PacketConn, batch, mtu int, maxTier Tier) *serve
 		mtu:   mtu,
 		batch: batch,
 		tier:  pickTxTier(rawConnOf(conn), batch, maxTier),
-		rbuf:  make([]byte, mtu),
-		pool:  &sync.Pool{New: func() any { b := make([]byte, mtu); return &b }},
+		drops: new(atomic.Int64),
 	}
-	if batch > 1 && l.raw != nil {
-		// The demux ring stays plain (no UDP_GRO): session datagrams copy
-		// into MTU-sized pooled buffers, which a coalesced superbuffer would
-		// overflow. GSO-tier clients still work — the kernel segments an
-		// inbound GSO skb for a socket without GRO — so only the transmit
-		// side of the server rides the GSO tier.
-		l.rx = newRxBatch(batch, mtu, false)
-	}
+	budget := inboxBudget(l.raw, mtu)
+	// A GSO-tier socket receives coalesced too: a client's superbuffer
+	// crosses the kernel as one message and is split only by the session
+	// that consumes it — provided the inbox budget is worth enough
+	// superbuffer-sized slabs that a window's worth of lone control
+	// datagrams, one slab each, still fits (a socket left at the default
+	// buffer is not). Otherwise, and where the kernel refuses UDP_GRO
+	// (UDP_SEGMENT without it, 4.18–4.20), the kernel segments inbound
+	// superbuffers itself and every burst is one datagram in an MTU slab,
+	// as on the lower tiers.
+	l.gro = l.tier >= TierGSO && budget/groBufBytes >= minGROInbox && setGRO(l.raw, true)
+	slab := rxBufSize(mtu, l.gro)
+	l.pool = &sync.Pool{New: func() any { b := make([]byte, slab); return &b }}
+	l.rx = newPooledRxBatch(batch, l.gro, l.pool)
+	l.inboxCap = max(1, budget/slab)
 	return l
 }
 
-// Accept returns the next datagram on the socket: a batch-drained one if
-// pending, otherwise one blocking read followed (when batching) by an
-// opportunistic recvmmsg drain of everything else already queued in the
-// kernel. The demux key is canonical and allocation-free.
+// inboxBudget is how many bytes of slabs one session's inbox may queue: the
+// receive buffer the kernel granted the socket, read back once.
+func inboxBudget(raw syscall.RawConn, mtu int) int {
+	if granted := connReadBuffer(raw); granted > 0 {
+		return granted
+	}
+	return inboxFallbackDatagrams * mtu
+}
+
+// Accept returns the next burst on the socket — one received message: a
+// pending one from the ring if any, otherwise whatever one blocking
+// recvmmsg finds queued in the kernel. The demux key is canonical and
+// allocation-free.
 func (l *serverListener) Accept(idle time.Duration) (transport.Inbound, error) {
 	var deadline time.Time
 	if idle > 0 {
@@ -75,45 +132,31 @@ func (l *serverListener) Accept(idle time.Duration) (transport.Inbound, error) {
 		return transport.Inbound{}, err
 	}
 	for {
-		var (
-			data, name []byte
-			addr       net.Addr
-		)
-		if l.rx != nil && l.rx.pending() {
-			data, name = l.rx.pop()
-		} else {
-			n, a, err := l.conn.ReadFrom(l.rbuf)
-			if err != nil {
+		if !l.rx.pending() {
+			if err := l.rx.fill(l.conn, l.raw); err != nil {
 				return transport.Inbound{}, err
 			}
-			data, addr = l.rbuf[:n], a
-			if l.rx != nil {
-				l.rx.drain(l.raw)
-			}
-		}
-		if name != nil {
-			if !keyFromRaw(&l.keybuf, name) {
-				continue
-			}
-		} else if ua, ok := addr.(*net.UDPAddr); ok {
-			keyFromUDP(&l.keybuf, ua)
-		} else {
 			continue
 		}
-		l.lastAddr, l.lastName = addr, name
-		return transport.Inbound{Key: l.keybuf[:], Msg: data}, nil
+		i := l.rx.next
+		l.rx.next++
+		if !keyFromRaw(&l.keybuf, l.rx.names[i]) {
+			continue
+		}
+		l.slot, l.cur = i, dgram{b: l.rx.slabs[i], n: int32(l.rx.lens[i]), seg: int32(l.rx.segs[i])}
+		return transport.Inbound{Key: l.keybuf[:], Msg: &l.cur}, nil
 	}
 }
 
-// ReqOf decodes a datagram as a session-opening request: only a
+// ReqOf decodes a burst as a session-opening request: only one led by a
 // checksum-valid REQ qualifies.
 func (l *serverListener) ReqOf(msg transport.Message) (wire.Req, bool) {
-	data, ok := msg.([]byte)
+	d, ok := msg.(*dgram)
 	if !ok {
 		return wire.Req{}, false
 	}
 	var pkt wire.Packet
-	if wire.DecodeInto(&pkt, data) != nil || pkt.Type != wire.TypeReq {
+	if wire.DecodeInto(&pkt, d.first()) != nil || pkt.Type != wire.TypeReq {
 		return wire.Req{}, false
 	}
 	req, err := wire.DecodeReq(pkt.Payload)
@@ -123,17 +166,24 @@ func (l *serverListener) ReqOf(msg transport.Message) (wire.Req, bool) {
 	return req, true
 }
 
+// lastPeer resolves the source of the most recent Accept.
+func (l *serverListener) lastPeer() (net.Addr, error) {
+	ua := rawToUDPAddr(l.rx.names[l.slot])
+	if ua == nil {
+		return nil, fmt.Errorf("udplan: unresolvable raw source address")
+	}
+	return ua, nil
+}
+
 // Open creates the session conn for the source of the most recent Accept.
 func (l *serverListener) Open() (transport.Conn, transport.Peer, error) {
-	peer := l.lastAddr
-	if peer == nil {
-		ua := rawToUDPAddr(l.lastName)
-		if ua == nil {
-			return nil, nil, fmt.Errorf("udplan: unresolvable raw source address")
-		}
-		peer = ua
+	peer, err := l.lastPeer()
+	if err != nil {
+		return nil, nil, err
 	}
-	return &serverConn{l: l, peer: peer, inbox: make(chan dgram, 256)}, peer, nil
+	// Sized to the inbox's byte budget (see inboxCap), not to a number of
+	// sends: the demux loop never blocks on it, a full inbox drops.
+	return &serverConn{l: l, peer: peer, inbox: make(chan dgram, l.inboxCap)}, peer, nil
 }
 
 // ReplyBusy sends a best-effort BUSY/RETRY-AFTER refusal to the source of
@@ -141,21 +191,17 @@ func (l *serverListener) Open() (transport.Conn, transport.Peer, error) {
 // unbatched write: refusals are rare by construction (one per refused REQ
 // round trip) and must not sit in a frame ring.
 func (l *serverListener) ReplyBusy(msg transport.Message, retryAfter time.Duration) error {
-	data, ok := msg.([]byte)
+	d, ok := msg.(*dgram)
 	if !ok {
 		return fmt.Errorf("udplan: refused arrival is not a datagram")
 	}
 	var pkt wire.Packet
-	if err := wire.DecodeInto(&pkt, data); err != nil {
+	if err := wire.DecodeInto(&pkt, d.first()); err != nil {
 		return err
 	}
-	peer := l.lastAddr
-	if peer == nil {
-		ua := rawToUDPAddr(l.lastName)
-		if ua == nil {
-			return fmt.Errorf("udplan: unresolvable raw source address")
-		}
-		peer = ua
+	peer, err := l.lastPeer()
+	if err != nil {
+		return err
 	}
 	buf, err := core.Busy(pkt.Trans, retryAfter).Encode(nil)
 	if err != nil {
@@ -173,33 +219,35 @@ func (l *serverListener) Drain() { l.wg.Wait() }
 // read timeout every quarter second costs nothing.
 func (l *serverListener) AcceptPoll() time.Duration { return 250 * time.Millisecond }
 
-// dgram is one pooled datagram in flight from the demux loop to a session.
-type dgram struct {
-	b *[]byte
-	n int
-}
-
-// serverConn is one admitted session's channel: a buffered inbox of pooled
-// datagram copies fed by the demux loop, consumed by the session goroutine.
+// serverConn is one admitted session's channel: a byte-bounded inbox of
+// bursts fed by the demux loop, consumed by the session goroutine.
 type serverConn struct {
-	l     *serverListener
-	peer  net.Addr
-	inbox chan dgram
+	l       *serverListener
+	peer    net.Addr
+	inbox   chan dgram
+	dropLog time.Time // when this peer's inbox overflow was last logged (demux loop only)
 }
 
-// Deliver copies the datagram into a pooled buffer and queues it. A full
-// inbox drops — an interface drop; the protocol recovers.
+// Deliver hands the burst's slab itself to the session and gives the ring
+// slot a fresh one: no copy, one channel operation per burst. A full inbox
+// drops the burst — an interface drop the protocol recovers from — and the
+// slab simply stays in the ring.
 func (c *serverConn) Deliver(msg transport.Message) {
-	data, ok := msg.([]byte)
-	if !ok {
+	d, ok := msg.(*dgram)
+	if !ok || d.b == nil {
 		return
 	}
-	bp := c.l.pool.Get().(*[]byte)
-	n := copy(*bp, data)
 	select {
-	case c.inbox <- dgram{bp, n}:
+	case c.inbox <- *d:
+		d.b = nil // the session owns the slab now
+		c.l.rx.replace(c.l.slot)
 	default:
-		c.l.pool.Put(bp) // inbox overflow: an interface drop; the protocol recovers
+		c.l.drops.Add(int64(d.datagrams()))
+		if now := time.Now(); c.l.logf != nil && now.Sub(c.dropLog) >= time.Second {
+			c.dropLog = now
+			c.l.logf("udplan: session %v: inbox full (%d bursts queued); dropped a burst of %d datagram(s), %d dropped on this server so far",
+				c.peer, len(c.inbox), d.datagrams(), c.l.drops.Load())
+		}
 	}
 }
 
@@ -232,7 +280,8 @@ type sessionEnv struct {
 	pool  *sync.Pool
 	start time.Time
 	timer *time.Timer
-	cur   *[]byte // current packet's buffer; recycled on the next Recv
+	cur   dgram // the burst being consumed; its slab is recycled once exhausted
+	off   int   // byte cursor inside cur
 	pkt   wire.Packet
 }
 
@@ -258,32 +307,36 @@ func (se *sessionEnv) Now() time.Duration { return time.Since(se.start) }
 // Compute is a no-op: real work takes real time.
 func (se *sessionEnv) Compute(time.Duration) {}
 
-// Recv returns the session's next valid packet. The decoded packet aliases
-// a pooled buffer that stays valid until the following Recv.
+// Recv returns the session's next valid packet, walking the current burst
+// in place. The decoded packet aliases the burst's slab, which stays valid
+// until the following Recv.
 func (se *sessionEnv) Recv(timeout time.Duration) (*wire.Packet, error) {
 	if err := se.FlushBatch(); err != nil {
 		return nil, err
 	}
 	for {
-		d, err := se.nextDgram(timeout)
-		if err != nil {
-			return nil, err
+		if se.off >= int(se.cur.n) {
+			se.recycle()
+			d, err := se.nextDgram(timeout)
+			if err != nil {
+				return nil, err
+			}
+			se.cur, se.off = d, 0
 		}
-		se.recycle()
-		se.cur = d.b
-		if derr := wire.DecodeInto(&se.pkt, (*d.b)[:d.n]); derr != nil {
+		data := splitSeg((*se.cur.b)[:se.cur.n], int(se.cur.seg), &se.off)
+		if derr := wire.DecodeInto(&se.pkt, data); derr != nil {
 			continue // corrupted in flight: the checksum did its job
 		}
 		return &se.pkt, nil
 	}
 }
 
-// recycle returns the current packet's buffer to the pool.
+// recycle returns the current burst's slab to the pool.
 func (se *sessionEnv) recycle() {
-	if se.cur != nil {
-		se.pool.Put(se.cur)
-		se.cur = nil
+	if se.cur.b != nil {
+		se.pool.Put(se.cur.b)
 	}
+	se.cur, se.off = dgram{}, 0
 }
 
 // nextDgram waits for the demux loop's next datagram with core.Env timeout

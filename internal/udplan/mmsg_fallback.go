@@ -31,6 +31,30 @@ func recvBatch(syscall.RawConn, *rxBatch) (int, bool) {
 	return 0, false
 }
 
-func keyFromRaw(*[addrKeyLen]byte, []byte) bool { return false }
+// Without recvmmsg there are no kernel sockaddrs to carry: a ring's raw
+// source-address slot holds the canonical address key itself (16-byte IP,
+// big-endian port), written by putRawName from the ReadFrom address.
 
-func rawToUDPAddr([]byte) *net.UDPAddr { return nil }
+func putRawName(dst []byte, ua *net.UDPAddr) bool {
+	if ua.IP.To16() == nil {
+		return false
+	}
+	keyFromUDP((*[addrKeyLen]byte)(dst), ua)
+	return true
+}
+
+func keyFromRaw(dst *[addrKeyLen]byte, name []byte) bool {
+	return copy(dst[:], name) == addrKeyLen
+}
+
+func rawToUDPAddr(name []byte) *net.UDPAddr {
+	if len(name) < addrKeyLen {
+		return nil
+	}
+	ip := make(net.IP, 16)
+	copy(ip, name[:16])
+	if ip4 := ip.To4(); ip4 != nil {
+		ip = ip4
+	}
+	return &net.UDPAddr{IP: ip, Port: int(name[16])<<8 | int(name[17])}
+}

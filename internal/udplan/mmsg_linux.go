@@ -161,6 +161,13 @@ func recvBatch(raw syscall.RawConn, r *rxBatch) (got int, ok bool) {
 	return got, true
 }
 
+// putRawName writes ua into a ring's raw source-address slot, for arrivals
+// read without recvmmsg (a socket with no raw access).
+func putRawName(dst []byte, ua *net.UDPAddr) bool {
+	var n uint32
+	return encodeUDPName((*[rawNameLen]byte)(dst), &n, ua)
+}
+
 // keyFromRaw writes the canonical address key of a raw sockaddr into dst
 // without allocating (IPv4 is mapped into IPv6 form, matching
 // keyFromUDP's net.IP.To16 normalisation).

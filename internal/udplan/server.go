@@ -3,6 +3,7 @@ package udplan
 import (
 	"fmt"
 	"net"
+	"sync/atomic"
 
 	"blastlan/internal/core"
 	"blastlan/internal/params"
@@ -14,7 +15,7 @@ import (
 // Server answers transfer requests on one socket (or several SO_REUSEPORT
 // siblings). It has one serving path: the substrate-agnostic session layer
 // (internal/session) runs its demux loop over each socket's
-// transport.Listener, routing datagrams by source address into per-session
+// transport.Listener, routing bursts by source address into per-session
 // goroutines — each running the unmodified core protocol engines over its
 // own channel-fed Env with its own transmit path (txPath). Concurrency only
 // sets the session cap: at the default of one, a transfer in progress owns
@@ -32,9 +33,9 @@ type Server struct {
 	// see session.Server.
 	session.Server
 
-	// Batch enables batched syscall I/O (tiered frame rings per session,
-	// recvmmsg demux drain) with the given batch size; <= 1 is a syscall
-	// per packet.
+	// Batch enables batched syscall I/O (tiered frame rings per session, a
+	// recvmmsg demux ring of that many messages) with the given batch size;
+	// <= 1 is a syscall per packet.
 	Batch int
 
 	// MTU overrides the maximum datagram size (default MaxDatagram) for
@@ -55,7 +56,8 @@ type Server struct {
 	// switch.
 	LineRate int
 
-	conns []net.PacketConn
+	conns      []net.PacketConn
+	inboxDrops atomic.Int64
 }
 
 // TransferStats reports one completed transfer for the Done hook.
@@ -99,6 +101,12 @@ func (s *Server) Tier() Tier {
 	return pickTxTier(rawConnOf(s.conns[0]), s.Batch, s.MaxTier)
 }
 
+// InboxDrops reports how many datagrams the demux loops have dropped because
+// the session they belonged to had its inbox full: the receiver-overrun
+// drops that happen in user space, where the kernel's RcvbufErrors counter
+// cannot see them.
+func (s *Server) InboxDrops() int64 { return s.inboxDrops.Load() }
+
 // Run serves requests until the socket is closed (or Idle expires with no
 // session in flight, or a drain completes). It returns nil on a clean close.
 func (s *Server) Run() error {
@@ -111,6 +119,7 @@ func (s *Server) Run() error {
 		sl := newServerListener(conn, s.Batch, mtu, s.MaxTier)
 		sl.line = newLinePacer(s.LineRate)
 		sl.logf = s.Logf
+		sl.drops = &s.inboxDrops
 		ls[i] = sl
 	}
 	return s.Server.RunAll(ls...)

@@ -19,10 +19,15 @@
 // window from W to roughly ⌈W/batch⌉; with batching off the ring has one
 // slot and the same code runs a syscall per packet. Every Server — whatever
 // its session cap and socket count — is the demux loop of internal/session
-// over this package's transport.Listener. Each blocking client receive
-// opportunistically drains the socket with recvmmsg. Adversary semantics are
-// preserved bit-for-bit at every batch size: every packet is judged before
-// it enters the ring, in send order.
+// over this package's transport.Listener, whose receive side moves bursts:
+// one recvmmsg fills a ring of pooled slabs, each received message (on the
+// GSO tier a whole UDP_GRO-coalesced superbuffer) is routed with one lookup
+// and handed to its session uncopied, and the session splits it into packets
+// in place; a session's inbox is bounded by the receive buffer the kernel
+// granted the socket, and what overflows it is counted (Server.InboxDrops).
+// Each blocking client receive opportunistically drains the socket with
+// recvmmsg. Adversary semantics are preserved bit-for-bit at every batch
+// size: every packet is judged before it enters the ring, in send order.
 package udplan
 
 import (
@@ -176,6 +181,13 @@ func SetConnBuffers(conn net.PacketConn, bytes int) {
 // SetSocketBuffers raises the kernel buffers of the endpoint's socket; see
 // SetConnBuffers.
 func (e *Endpoint) SetSocketBuffers(bytes int) { SetConnBuffers(e.conn, bytes) }
+
+// ReadBuffer reads back the receive buffer the kernel actually granted the
+// endpoint's socket (SO_RCVBUF, in the kernel's own accounting units), 0
+// where it cannot be read. A sender sizing its blast window reads it as a
+// stand-in for its peer's: both ends of a transfer usually ask for the same
+// buffer and are clamped by the same kind of limit.
+func (e *Endpoint) ReadBuffer() int { return connReadBuffer(e.raw) }
 
 // SetBatch enables batched syscall I/O and probes the best datapath tier
 // the socket supports (GSO superbuffers → sendmmsg → WriteTo loop; see
