@@ -1,8 +1,9 @@
 // Command benchgate is CI's perf-regression gate: it compares a freshly
 // measured lanbench -benchjson snapshot against a committed throughput
 // floor and fails (exit 1) when any gated benchmark falls below its
-// minimum, or when a benchmark the floor file lists under zero_retransmits
-// sent any packet twice. The floor file lists only the benchmarks worth
+// minimum, when a benchmark the floor file lists under zero_retransmits sent
+// any packet twice, or when one listed under max_allocs_per_op allocated more
+// than its ceiling. The floor file lists only the benchmarks worth
 // gating; a gated name missing from the snapshot is itself a failure, so a
 // renamed or silently dropped benchmark cannot sneak past the gate.
 //
@@ -25,17 +26,20 @@ type snapshot struct {
 		Name        string  `json:"name"`
 		MBps        float64 `json:"mbps"`
 		Retransmits int64   `json:"retransmits"`
+		AllocsPerOp int64   `json:"allocs_per_op"`
 	} `json:"benchmarks"`
 }
 
 // floorFile is the committed gate: a note documenting how the floors were
 // derived, the minimum MB/s per gated benchmark, and the gated benchmarks
-// that must not have retransmitted a single packet (a count, so unlike a
-// wall-clock floor it does not drift with the host).
+// that must not have retransmitted a single packet, and the most heap
+// allocations a gated benchmark may make per operation (counts, so unlike a
+// wall-clock floor they do not drift with the host).
 type floorFile struct {
 	Note            string             `json:"note"`
 	MinMBps         map[string]float64 `json:"min_mbps"`
 	ZeroRetransmits []string           `json:"zero_retransmits"`
+	MaxAllocsPerOp  map[string]int64   `json:"max_allocs_per_op"`
 }
 
 func main() {
@@ -59,9 +63,11 @@ func main() {
 
 	measured := make(map[string]float64, len(snap.Benchmarks))
 	retransmits := make(map[string]int64, len(snap.Benchmarks))
+	allocs := make(map[string]int64, len(snap.Benchmarks))
 	for _, b := range snap.Benchmarks {
 		measured[b.Name] = b.MBps
 		retransmits[b.Name] = b.Retransmits
+		allocs[b.Name] = b.AllocsPerOp
 	}
 
 	names := make([]string, 0, len(floor.MinMBps))
@@ -93,6 +99,15 @@ func main() {
 		} else if n := retransmits[name]; n != 0 {
 			failed = true
 			fmt.Printf("%-28s %d packets retransmitted on a clean loopback  REGRESSION\n", name, n)
+		}
+	}
+	for name, most := range floor.MaxAllocsPerOp {
+		if _, ok := measured[name]; !ok {
+			failed = true
+			fmt.Printf("%-28s MISSING from snapshot (gated on allocations)\n", name)
+		} else if n := allocs[name]; n > most {
+			failed = true
+			fmt.Printf("%-28s %d allocs/op, ceiling %d  REGRESSION\n", name, n, most)
 		}
 	}
 	if failed {

@@ -185,3 +185,51 @@ func TestPushThroughTheBinaries(t *testing.T) {
 		t.Errorf("exit summary reports the inbox drop count %d times, want once", drops)
 	}
 }
+
+// A named pull whose -o cannot be created is a usage error with its one
+// taxonomy line, not a fatal log indistinguishable from an internal failure,
+// and it stops before the transfer: the daemon serves nothing. The same get
+// to a writable path delivers the file, and the daemon says at start-up what
+// memory limit it derived from -cache-mb.
+func TestGetToAnUnwritablePath(t *testing.T) {
+	blastd, blastcp := buildBinaries(t)
+	dir := t.TempDir()
+	want := core.SeededPayload(9, 300_001, 1000)
+	if err := os.WriteFile(filepath.Join(dir, "obj.bin"), want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d := startDaemon(t, blastd, "-serve", dir, "-cache-mb", "64")
+	served := func() (n int) {
+		for _, line := range d.lines() {
+			if strings.Contains(line, "served pull to") {
+				n++
+			}
+		}
+		return n
+	}
+
+	var stderr bytes.Buffer
+	cmd := exec.Command(blastcp, "-to", d.addr, "-get", "obj.bin", "-o", "/nonexistent/dir/x")
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != exitUsage {
+		t.Errorf("get to an unwritable path: %v, want exit code %d\n%s", err, exitUsage, stderr.String())
+	}
+	if n := strings.Count(stderr.String(), "blastcp: "+exitLabel(exitUsage)+": "); n != 1 {
+		t.Errorf("get to an unwritable path printed %d usage lines, want 1:\n%s", n, stderr.String())
+	}
+	if n := served(); n != 0 {
+		t.Errorf("daemon served %d pulls for a get that could not open its output", n)
+	}
+
+	local := filepath.Join(t.TempDir(), "local.bin")
+	if out, err := exec.Command(blastcp, "-to", d.addr, "-get", "obj.bin", "-o", local).CombinedOutput(); err != nil {
+		t.Fatalf("get to a writable path: %v\n%s", err, out)
+	}
+	if got, _ := os.ReadFile(local); !bytes.Equal(got, want) {
+		t.Errorf("%s holds %d bytes that differ from the %d served", local, len(got), len(want))
+	}
+	if !strings.Contains(strings.Join(d.lines(), "\n"), "(cache 64 MiB, read-ahead 8 extents, memory limit 96 MiB)") {
+		t.Errorf("daemon did not log its memory limit:\n%s", strings.Join(d.lines(), "\n"))
+	}
+}

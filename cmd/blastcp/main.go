@@ -353,7 +353,7 @@ func main() {
 	e.SetPacketGap(*gap)
 	if *mtu > 0 {
 		if err := e.SetMTU(*mtu); err != nil {
-			log.Fatalf("blastcp: %v", err)
+			fail(exitUsage, "-mtu: %v", err)
 		}
 	}
 	if *sockbuf > 0 {
@@ -458,7 +458,7 @@ func pushWindow(granted, requested, chunk int) int {
 func createOut(name string) *store.ChunkFile {
 	out, err := store.CreateChunkFile(name)
 	if err != nil {
-		log.Fatalf("blastcp: %v", err)
+		fail(exitUsage, "-o: %v", err)
 	}
 	return out
 }
@@ -469,7 +469,7 @@ func closeOut(out *store.ChunkFile, name string) {
 		return
 	}
 	if err := out.Close(); err != nil {
-		log.Fatalf("blastcp: writing %s: %v", name, err)
+		fail(1, "writing %s: %v", name, err)
 	}
 	fmt.Printf("wrote %s\n", name)
 }

@@ -53,6 +53,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"syscall"
@@ -169,8 +170,19 @@ func main() {
 		if ra == 0 {
 			ra = -1 // Options treats 0 as "default"; the flag's 0 means off
 		}
+		// Tell the runtime the budget: every miss makes a fresh extent and an
+		// evicted one waits for a collection, so at the default GOGC the heap
+		// grows to twice the live cache before the collector runs. The limit
+		// leaves the cache plus an eighth (at least 32 MiB) for everything
+		// else the daemon holds.
+		cache := int64(*cacheMB) << 20
+		if cache <= 0 {
+			cache = 256 << 20 // store.Options' default budget: the limit needs the number
+		}
+		memLimit := cache + max(cache/8, 32<<20)
+		debug.SetMemoryLimit(memLimit)
 		st := store.Open(*serveDir, store.Options{
-			CacheBytes: int64(*cacheMB) << 20,
+			CacheBytes: cache,
 			ReadAhead:  ra,
 			Logf:       log.Printf,
 		})
@@ -249,7 +261,7 @@ func main() {
 			}
 			return size, nil
 		}
-		log.Printf("blastd: serving files from %s (cache %d MiB, read-ahead %d extents)", *serveDir, *cacheMB, *readAhead)
+		log.Printf("blastd: serving files from %s (cache %d MiB, read-ahead %d extents, memory limit %d MiB)", *serveDir, *cacheMB, *readAhead, memLimit>>20)
 	} else {
 		// Without a store there is nothing a copy could name; answer the ask
 		// with a clear refusal instead of letting the orchestrator time out.

@@ -620,16 +620,24 @@ func runStripedPull(c stripedCase) (time.Duration, error) {
 
 // measurePull runs one named pull case reps times and records the best
 // (minimum) elapsed time: wall-clock loopback runs jitter with scheduler
-// noise, and the minimum is the repeatable hardware-bound figure. The row
-// is printed and appended to the snapshot.
+// noise, and the minimum is the repeatable hardware-bound figure. The fewest
+// heap allocations any rep made — set-up, both ends, everything the process
+// did meanwhile — ride along as allocs_per_op: a count, which does not drift
+// with the host. The row is printed and appended to the snapshot.
 func measurePull(snap *benchSnapshot, name string, bytes, reps int, run func() (time.Duration, string, error)) error {
 	best := time.Duration(0)
+	allocs := ^uint64(0)
 	tier := ""
+	var ms runtime.MemStats
 	for i := 0; i < reps; i++ {
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
 		el, tr, err := run()
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
+		runtime.ReadMemStats(&ms)
+		allocs = min(allocs, ms.Mallocs-before)
 		tier = tr
 		if best == 0 || el < best {
 			best = el
@@ -642,11 +650,12 @@ func measurePull(snap *benchSnapshot, name string, bytes, reps int, run func() (
 	}
 	fmt.Printf("%-32s %10.1f %12v\n", label, mbps, best.Round(time.Millisecond))
 	snap.Benchmarks = append(snap.Benchmarks, benchEntry{
-		Name:       name,
-		NsPerOp:    float64(best.Nanoseconds()),
-		BytesPerOp: int64(bytes),
-		MBps:       mbps,
-		Tier:       tier,
+		Name:        name,
+		NsPerOp:     float64(best.Nanoseconds()),
+		AllocsPerOp: int64(allocs),
+		BytesPerOp:  int64(bytes),
+		MBps:        mbps,
+		Tier:        tier,
 	})
 	return nil
 }

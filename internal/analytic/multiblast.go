@@ -44,6 +44,28 @@ func TimeMultiblast(m params.CostModel, n, w int) time.Duration {
 	return total
 }
 
+// TimeMultiblastOverlapped is TimeMultiblast for a sender that prepares the
+// next window while the current one's acknowledgement exchange is in flight.
+// Of each packet's C, fill is the part that needs no interface — sourcing and
+// encoding the packet — and the reliable last packet of a window is not
+// prepared ahead. Every window after the first therefore hides
+// min((k−1)·fill, C+2Ca+Ta) of its time in its predecessor's exchange, and
+// max(0, (k−1)·fill − (C+2Ca+Ta)) of that fill stays exposed. With fill = 0
+// it is TimeMultiblast; once a window's fill fits the exchange, shrinking
+// the window costs only the exchanges the larger window would have saved.
+func TimeMultiblastOverlapped(m params.CostModel, n, w int, fill time.Duration) time.Duration {
+	fill = min(fill, m.C())
+	exchange := m.C() + 2*m.Ca() + m.Ta()
+	var total time.Duration
+	for i, k := range windows(n, w) {
+		total += TimeBlast(m, k)
+		if i > 0 {
+			total -= min(time.Duration(k-1)*fill, exchange)
+		}
+	}
+	return total
+}
+
 // ExpectedTimeMultiblast returns the expected elapsed time under
 // independent per-packet loss pn when every window uses full
 // retransmission on timeout with interval tr: windows are independent, so

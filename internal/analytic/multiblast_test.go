@@ -61,6 +61,38 @@ func TestTimeMultiblastErrorFree(t *testing.T) {
 	}
 }
 
+func TestTimeMultiblastOverlapped(t *testing.T) {
+	m := params.VKernel()
+	exchange := m.C() + 2*m.Ca() + m.Ta()
+	plain := TimeMultiblast(m, 64, 16) // 4 windows of 16: 15 packets of each later one can be filled ahead
+	small := exchange / 15             // 15 of these fit one exchange
+	for _, c := range []struct {
+		name string
+		n, w int
+		fill time.Duration
+		want time.Duration
+	}{
+		{"no fill is the serial multiblast", 64, 16, 0, plain},
+		{"one window has no predecessor to hide in", 64, 0, m.C(), TimeBlast(m, 64)},
+		{"a fill that fits the exchange is hidden whole", 64, 16, small, plain - 3*15*small},
+		{"a fill that outgrows it leaves (k-1)·fill − exchange exposed", 64, 16, m.C(), plain - 3*exchange},
+		{"fill is part of C, never more", 64, 16, 10 * m.C(), plain - 3*exchange},
+		{"a short last window hides only its own fill", 40, 16, small, TimeMultiblast(m, 40, 16) - (15+7)*small},
+	} {
+		if got := TimeMultiblastOverlapped(m, c.n, c.w, c.fill); got != c.want {
+			t.Errorf("%s: %v, want %v", c.name, got, c.want)
+		}
+	}
+	// Fully overlapped, every extra exchange is paid for by the fill it
+	// hides: the multiblast costs what the single blast costs.
+	if 15*m.C() < exchange {
+		t.Fatal("preset changed: a window's fill no longer covers an exchange")
+	}
+	if got, want := TimeMultiblastOverlapped(m, 64, 16, m.C()), TimeBlast(m, 64); got != want {
+		t.Errorf("fully overlapped 4 windows: %v, single blast %v", got, want)
+	}
+}
+
 func TestExpectedTimeMultiblastCrossover(t *testing.T) {
 	m := params.VKernel()
 	n := 1024 // the 1 MB dump

@@ -20,27 +20,19 @@ func sendBlast(env Env, c Config, async bool) (SendResult, error) {
 	if c.Controller != "" {
 		return sendBlastControlled(env, c, async)
 	}
-	var res SendResult
 	start := env.Now()
 	n := c.NumPackets()
 	w := c.Window
 	if w <= 0 || w > n {
 		w = n
 	}
-	est := newRTO(c)
-	scratch := scratchPacket(env)
-	for base := 0; base < n; base += w {
-		end := base + w
-		if end > n {
-			end = n
-		}
-		if err := sendBlastWindow(env, c, &res, &est, scratch, base, end, n, async); err != nil {
-			res.Elapsed = env.Now() - start
-			return res, err
-		}
+	b := newBlastTx(env, c, async)
+	var err error
+	for base := 0; base < n && err == nil; base += w {
+		err = b.window(base, min(base+w, n), min(base+2*w, n))
 	}
-	res.Elapsed = env.Now() - start
-	return res, nil
+	b.res.Elapsed = env.Now() - start
+	return b.res, err
 }
 
 // sendBlastControlled is the blast sender under pluggable rate control
@@ -50,7 +42,6 @@ func sendBlast(env Env, c Config, async bool) (SendResult, error) {
 // with a Datapath. The receiver needs no changes — it judges windows by the
 // high-water FlagLast sequence, whatever their sizes.
 func sendBlastControlled(env Env, c Config, async bool) (SendResult, error) {
-	var res SendResult
 	start := env.Now()
 	n := c.NumPackets()
 	// The hill-climbing policy draws its perturbation order from the seed;
@@ -75,13 +66,13 @@ func sendBlastControlled(env Env, c Config, async bool) (SendResult, error) {
 	}
 	ctrl, err := NewRateController(c.Controller, cc)
 	if err != nil {
-		return res, err
+		return SendResult{}, err
 	}
 	// A controlled transfer subsumes AdaptiveTr: the fixed Tr only seeds
 	// the estimator (see adaptive.go).
 	c.AdaptiveTr = true
-	est := newRTO(c)
-	scratch := scratchPacket(env)
+	b := newBlastTx(env, c, async)
+	res := &b.res
 	finish := func() {
 		res.Elapsed = env.Now() - start
 		st := ctrl.Stats()
@@ -96,15 +87,15 @@ func sendBlastControlled(env Env, c Config, async bool) (SendResult, error) {
 		}
 	}
 	for base := 0; base < n; {
-		end := base + ctrl.Window()
-		if end > n {
-			end = n
-		}
-		before := res
+		end := min(base+ctrl.Window(), n)
+		before := *res
 		t0 := env.Now()
-		if err := sendBlastWindow(env, c, &res, &est, scratch, base, end, n, async); err != nil {
+		// The next window is staged at the size the policy would pick now;
+		// should this window's outcome change it, window releases what still
+		// fits and sends or drops the difference.
+		if err := b.window(base, end, min(end+ctrl.Window(), n)); err != nil {
 			finish()
-			return res, err
+			return *res, err
 		}
 		ctrl.Observe(WindowObs{
 			Packets:     end - base,
@@ -122,7 +113,7 @@ func sendBlastControlled(env Env, c Config, async bool) (SendResult, error) {
 		base = end
 	}
 	finish()
-	return res, nil
+	return *res, nil
 }
 
 // batchLimitFor translates the policy's batch recommendation into the
@@ -148,12 +139,62 @@ func batchLimitFor(ctrl RateController, unit, ring int) int {
 	return lim
 }
 
-// sendBlastWindow drives one blast of packets [base, end) to completion.
-// scratch, when non-nil, is the transfer's reusable data packet (the
-// substrate consumes packets synchronously, see Datapath).
-func sendBlastWindow(env Env, c Config, res *SendResult, est *rto, scratch *wire.Packet, base, end, total int, async bool) error {
-	pending := make([]int, 0, end-base)
-	for seq := base; seq < end; seq++ {
+// blastTx is what the windows of one blast transfer share. scratch, when
+// non-nil, is the transfer's reusable data packet (the substrate consumes
+// packets synchronously, see Datapath); stage is nil on a substrate that
+// cannot stage.
+type blastTx struct {
+	env     Env
+	c       Config
+	res     SendResult
+	est     rto
+	scratch *wire.Packet
+	stage   Stager
+	pending []int
+	total   int // NumPackets, computed once
+	async   bool
+}
+
+func newBlastTx(env Env, c Config, async bool) *blastTx {
+	b := &blastTx{env: env, c: c, est: newRTO(c), scratch: scratchPacket(env), total: c.NumPackets(), async: async}
+	if st, ok := env.(Stager); ok && b.scratch != nil {
+		_ = st.ReleaseStaged(0) // sends nothing: only forgets what an abandoned transfer left staged
+		b.stage = st
+	}
+	return b
+}
+
+// stageWindow encodes the unreliable packets of the window [from, to) into
+// the substrate's stage, as far as it takes them: the sender's one use of
+// Stager.Stage, made while the previous window's response is in flight.
+func (b *blastTx) stageWindow(from, to int) {
+	for seq := from; seq < to-1; seq++ {
+		if !b.stage.Stage(b.c.fillData(b.scratch, seq, b.total, 0, false)) {
+			return
+		}
+	}
+}
+
+// window drives one blast of packets [base, end) to completion. next is where
+// the following window is expected to end (end itself when there is none): it
+// is staged once this window's reliable last packet has left, and whatever of
+// this window was staged the same way goes out first, counted as sent now.
+func (b *blastTx) window(base, end, next int) error {
+	env, c, res, total := b.env, b.c, &b.res, b.total
+	first := base
+	if b.stage != nil {
+		k := min(b.stage.Staged(), end-1-base)
+		if err := b.stage.ReleaseStaged(k); err != nil {
+			return err
+		}
+		res.DataPackets += k
+		first += k
+	}
+	if cap(b.pending) < end-base {
+		b.pending = make([]int, 0, end-base)
+	}
+	pending := b.pending[:0]
+	for seq := first; seq < end; seq++ {
 		pending = append(pending, seq)
 	}
 	attempts := 0
@@ -164,7 +205,7 @@ func sendBlastWindow(env Env, c Config, res *SendResult, est *rto, scratch *wire
 		// without acknowledgement; the final packet carries FlagLast to
 		// elicit the receiver's (positive or negative) response.
 		for _, seq := range pending[:len(pending)-1] {
-			if err := sendData(env, c, res, scratch, seq, total, round, false, async); err != nil {
+			if err := sendData(env, c, res, b.scratch, seq, total, round, false, b.async); err != nil {
 				return err
 			}
 		}
@@ -186,16 +227,19 @@ func sendBlastWindow(env Env, c Config, res *SendResult, est *rto, scratch *wire
 			// The FlagLast packet is always sent synchronously so that Tr
 			// starts when it has actually left the interface. Its attempt
 			// number advances per retry so retries count as retransmissions.
-			if err := sendData(env, c, res, scratch, last, total, round+lastTries, true, false); err != nil {
+			if err := sendData(env, c, res, b.scratch, last, total, round+lastTries, true, false); err != nil {
 				return err
 			}
 			lastTries++
 			sent := env.Now()
-			nak, done := awaitBlastResponse(env, c, res, end, est.timeout())
+			if attempts == 1 && b.stage != nil {
+				b.stageWindow(end, next)
+			}
+			nak, done := awaitBlastResponse(env, c, res, end, b.est.timeout())
 			if (done || nak != nil) && lastTries == 1 {
 				// Karn's rule: the response unambiguously answers this
 				// round's single transmission of the reliable last.
-				est.sample(env.Now() - sent)
+				b.est.sample(env.Now() - sent)
 			}
 			if done {
 				return nil

@@ -89,6 +89,26 @@ type Datapath interface {
 	SetPacketGap(d time.Duration)
 }
 
+// Stager is the second optional capability, beside Datapath: a substrate
+// that can take a packet fully encoded into a second frame ring — the stage
+// — without sending it. The blast sender fills the stage with the next
+// window's unreliable packets while it would otherwise idle waiting for the
+// current window's response (the paper's Figure 3 overlap, inside one host),
+// and releases it when that window's turn comes. Nothing staged reaches the
+// wire before ReleaseStaged. The simulator and the V kernel model have no
+// stage, so virtual-time results do not depend on it.
+//
+// Stage reports false when the substrate will not stage (the stage is full,
+// or packets are being paced or mangled one by one). Staged is how many
+// frames a release may put on the wire now — zero whenever Stage would
+// refuse. ReleaseStaged sends the first n staged frames, in staging order and
+// in the flush units of ordinary sends, and forgets the rest.
+type Stager interface {
+	Stage(p *wire.Packet) bool
+	Staged() int
+	ReleaseStaged(n int) error
+}
+
 // datapathOf returns env's Datapath, or nil on substrates without one.
 func datapathOf(env Env) Datapath {
 	dp, _ := env.(Datapath)

@@ -142,7 +142,11 @@ func deliverChunk(res *RecvResult, c Config, pkt *wire.Packet) {
 		off := int(pkt.Seq) * c.ChunkSize
 		if c.Sink != nil {
 			res.usedSink = true
-			res.sinkSum.AddAt(off, pkt.Payload)
+			if sum, ok := pkt.PayloadSum(); ok {
+				res.sinkSum.AddSumAt(off, sum) // decoding already read the bytes
+			} else {
+				res.sinkSum.AddAt(off, pkt.Payload)
+			}
 			c.Sink(off, pkt.Payload)
 			res.Bytes += len(pkt.Payload)
 			return

@@ -105,13 +105,20 @@ func setGRO(raw syscall.RawConn, on bool) bool {
 // uint16 segment size, padded to the kernel's alignment.
 const gsoOobLen = 24 // syscall.CmsgSpace(2) on 64-bit Linux
 
-// gsoSender holds the reusable sendmsg arguments of one GSO-tier writer;
-// the zero value is ready to use.
+// gsoSender holds the reusable sendmsg arguments of one GSO-tier writer and
+// the one callback RawConn.Write runs them through — kept here, and built
+// once, so a flush allocates nothing. The zero value is ready to use; it
+// must not be copied once it has sent.
 type gsoSender struct {
 	iovs    []syscall.Iovec
 	name    [rawNameLen]byte
 	nameLen uint32
 	oob     [gsoOobLen]byte
+
+	mh    syscall.Msghdr
+	sent  int
+	errno syscall.Errno
+	write func(fd uintptr) bool // g.sendmsg
 }
 
 // setSegment encodes the UDP_SEGMENT control message for segment size seg.
@@ -170,40 +177,35 @@ func sendGSO(raw syscall.RawConn, g *gsoSender, peer net.Addr, frames [][]byte, 
 // sendRun performs one sendmsg over the run's iovecs, attaching the
 // UDP_SEGMENT cmsg when the run holds more than one frame.
 func (g *gsoSender) sendRun(raw syscall.RawConn, iovs []syscall.Iovec, total, seg int, segmented bool) error {
-	var mh syscall.Msghdr
-	mh.Name = &g.name[0]
-	mh.Namelen = g.nameLen
-	mh.Iov = &iovs[0]
-	mh.Iovlen = uint64(len(iovs))
+	g.mh = syscall.Msghdr{Name: &g.name[0], Namelen: g.nameLen, Iov: &iovs[0], Iovlen: uint64(len(iovs))}
 	if segmented {
 		g.setSegment(seg)
-		mh.Control = &g.oob[0]
-		mh.SetControllen(gsoOobLen)
+		g.mh.Control = &g.oob[0]
+		g.mh.SetControllen(gsoOobLen)
 	}
-	var sent int
-	var serr error
-	werr := raw.Write(func(fd uintptr) bool {
-		r0, _, errno := syscall.Syscall(syscall.SYS_SENDMSG, fd,
-			uintptr(unsafe.Pointer(&mh)), 0)
-		if errno == syscall.EAGAIN {
-			return false // wait for writability, then retry
-		}
-		if errno != 0 {
-			serr = errno
-		} else {
-			sent = int(r0)
-		}
-		return true
-	})
-	switch {
+	if g.write == nil {
+		g.write = g.sendmsg
+	}
+	g.sent, g.errno = 0, 0
+	switch werr := raw.Write(g.write); {
 	case werr != nil:
 		return werr
-	case serr != nil:
-		return serr
-	case sent != total:
+	case g.errno != 0:
+		return g.errno
+	case g.sent != total:
 		return syscall.EIO // defensive: a datagram sendmsg is all-or-error
 	}
 	return nil
+}
+
+// sendmsg is the RawConn.Write callback: one sendmsg of g.mh.
+func (g *gsoSender) sendmsg(fd uintptr) bool {
+	r0, _, errno := syscall.Syscall(syscall.SYS_SENDMSG, fd, uintptr(unsafe.Pointer(&g.mh)), 0)
+	if errno == syscall.EAGAIN {
+		return false // wait for writability, then retry
+	}
+	g.sent, g.errno = int(r0), errno
+	return true
 }
 
 // fillBatch blocks (honouring the socket's read deadline) until at least
@@ -215,23 +217,13 @@ func fillBatch(raw syscall.RawConn, r *rxBatch) error {
 	if raw == nil {
 		return syscall.EINVAL
 	}
-	var got int
-	var rerrno syscall.Errno
-	err := raw.Read(func(fd uintptr) bool {
-		n, errno := recvmmsgInto(fd, r)
-		if errno == syscall.EAGAIN {
-			return false // wait for readability, then retry
-		}
-		got, rerrno = n, errno
-		return true
-	})
-	if err != nil {
+	if err := r.rawRead(raw, true); err != nil {
 		return err // deadline expired or socket closed
 	}
-	if rerrno != 0 {
-		return rerrno
+	if r.recv.errno != 0 {
+		return r.recv.errno
 	}
-	r.count, r.next, r.segOff = got, 0, 0
+	r.count, r.next, r.segOff = r.recv.got, 0, 0
 	return nil
 }
 

@@ -31,12 +31,18 @@ type mmsgHdr struct {
 }
 
 // mmsgSender holds the reusable sendmmsg argument arrays of one batched
-// writer; the zero value is ready to use.
+// writer and, like gsoSender, the one RawConn.Write callback over them. The
+// zero value is ready to use; it must not be copied once it has sent.
 type mmsgSender struct {
 	hdrs    []mmsgHdr
 	iovs    []syscall.Iovec
 	name    [rawNameLen]byte
 	nameLen uint32
+
+	todo  []mmsgHdr // what the next sendmmsg is to send
+	sent  int
+	errno syscall.Errno
+	write func(fd uintptr) bool // s.sendmmsg
 }
 
 // setName encodes the destination into the shared sockaddr every message
@@ -77,10 +83,33 @@ func encodeUDPName(name *[rawNameLen]byte, nameLen *uint32, ua *net.UDPAddr) boo
 }
 
 // mmsgReceiver holds the reusable recvmmsg argument arrays of one batched
-// reader; the zero value is ready to use.
+// reader, the result of its last call and the one RawConn.Read callback over
+// them, built once so a read allocates nothing; the zero value is ready to use.
 type mmsgReceiver struct {
 	hdrs []mmsgHdr
 	iovs []syscall.Iovec
+
+	got   int
+	errno syscall.Errno
+	block bool                  // wait for a message (fillBatch) or take what is there (recvBatch)
+	read  func(fd uintptr) bool // r.recvmmsg
+}
+
+// rawRead runs one recvmmsg into the ring under raw.Read, waiting for the
+// socket to turn readable when block is set; got and errno hold its outcome.
+func (r *rxBatch) rawRead(raw syscall.RawConn, block bool) error {
+	rv := &r.recv
+	if rv.read == nil {
+		rv.read = r.recvmmsg
+	}
+	rv.block = block
+	return raw.Read(rv.read)
+}
+
+// recvmmsg is rawRead's RawConn.Read callback.
+func (r *rxBatch) recvmmsg(fd uintptr) bool {
+	r.recv.got, r.recv.errno = recvmmsgInto(fd, r)
+	return !r.recv.block || r.recv.errno != syscall.EAGAIN
 }
 
 // sendBatch transmits frames[0:n] to peer with as few sendmmsg calls as the
@@ -108,57 +137,45 @@ func sendBatch(raw syscall.RawConn, s *mmsgSender, peer net.Addr, frames [][]byt
 		hdrs[i].hdr.Iov = &iovs[i]
 		hdrs[i].hdr.Iovlen = 1
 	}
-	for off := 0; off < n; {
-		var sent int
-		var serr error
-		werr := raw.Write(func(fd uintptr) bool {
-			r0, _, errno := syscall.Syscall6(sysSENDMMSG, fd,
-				uintptr(unsafe.Pointer(&hdrs[off])), uintptr(n-off), 0, 0, 0)
-			if errno == syscall.EAGAIN {
-				return false // wait for writability, then retry
-			}
-			if errno != 0 {
-				serr = errno
-			} else {
-				sent = int(r0)
-			}
-			return true
-		})
-		switch {
+	if s.write == nil {
+		s.write = s.sendmmsg
+	}
+	for off := 0; off < n; off += s.sent {
+		s.todo, s.sent, s.errno = hdrs[off:], 0, 0
+		switch werr := raw.Write(s.write); {
 		case werr != nil:
 			return true, werr
-		case serr != nil:
-			return true, serr
-		case sent <= 0:
+		case s.errno != 0:
+			return true, s.errno
+		case s.sent <= 0:
 			return true, syscall.EIO // defensive: avoid a zero-progress spin
 		}
-		off += sent
 	}
 	return true, nil
+}
+
+// sendmmsg is the RawConn.Write callback: one sendmmsg of s.todo.
+func (s *mmsgSender) sendmmsg(fd uintptr) bool {
+	r0, _, errno := syscall.Syscall6(sysSENDMMSG, fd,
+		uintptr(unsafe.Pointer(&s.todo[0])), uintptr(len(s.todo)), 0, 0, 0)
+	if errno == syscall.EAGAIN {
+		return false // wait for writability, then retry
+	}
+	s.sent, s.errno = int(r0), errno
+	return true
 }
 
 // recvBatch performs one non-blocking recvmmsg into the ring, recording
 // each datagram's length, raw source sockaddr and (on GRO rings) segment
 // size. It never waits: an empty socket returns (0, true). ok is false when
 // the platform path failed and the caller should not trust the ring. The
-// blocking variant is gso_linux.go's fillBatch; both share recvmmsgInto.
+// blocking variant is gso_linux.go's fillBatch; both go through rawRead.
 func recvBatch(raw syscall.RawConn, r *rxBatch) (got int, ok bool) {
-	if raw == nil {
+	// Opportunistic: EAGAIN (socket empty) or a transient error drains nothing.
+	if raw == nil || r.rawRead(raw, false) != nil {
 		return 0, false
 	}
-	rerr := raw.Read(func(fd uintptr) bool {
-		n, errno := recvmmsgInto(fd, r)
-		if errno != 0 {
-			got = 0 // EAGAIN (socket empty) or transient: drain nothing
-		} else {
-			got = n
-		}
-		return true // opportunistic: never block the drain
-	})
-	if rerr != nil {
-		return 0, false
-	}
-	return got, true
+	return r.recv.got, true
 }
 
 // putRawName writes ua into a ring's raw source-address slot, for arrivals

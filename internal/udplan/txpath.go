@@ -30,6 +30,11 @@ type txPath struct {
 	gap  time.Duration // spacing between data packets (core.Datapath)
 	pace pacer         // amortized sleep state for gap actuation
 
+	// stage is the second frame ring (core.Stager): the next window's frames,
+	// encoded while this window's response is in flight and released through
+	// flushFrames when their turn comes. Allocated on first use.
+	stage *txBatch
+
 	// err holds a flush failure from a call that cannot return one (SetBatch,
 	// SetBatchLimit) until the next Send, FlushBatch or Recv reports it.
 	err error
@@ -47,6 +52,7 @@ func (t *txPath) setRing(tier Tier, n, mtu int) {
 	}
 	t.tier = tier
 	t.ring = newTxBatch(n, mtu, t.flushFrames)
+	t.stage = nil // staged frames were encoded against the old geometry too
 }
 
 func (t *txPath) keep(err error) {
@@ -146,6 +152,65 @@ func (t *txPath) flushFrames(frames [][]byte, lens []int, n int) error {
 		}
 	}
 	return firstErr
+}
+
+// stageFactor bounds the stage at this many frame rings: 128 frames, 256 KiB
+// at the default batch and MTU — a whole window of the sizes that have a next
+// window to stage.
+const stageFactor = 4
+
+// Stage implements core.Stager. A paced path does not stage: the gap is
+// spent packet by packet as frames are sent.
+func (t *txPath) Stage(p *wire.Packet) bool {
+	if t.gap > 0 {
+		return false
+	}
+	if t.stage == nil {
+		t.stage = newTxBatch(stageFactor*len(t.ring.frames), len(t.ring.frames[0]), nil)
+	}
+	st := t.stage
+	if st.queued == len(st.frames) {
+		return false
+	}
+	n, err := p.EncodeInto(st.slot())
+	if err != nil {
+		return false
+	}
+	st.lens[st.queued] = n
+	st.queued++
+	return true
+}
+
+// Staged implements core.Stager.
+func (t *txPath) Staged() int {
+	if t.stage == nil || t.gap > 0 {
+		return 0
+	}
+	return t.stage.queued
+}
+
+// ReleaseStaged implements core.Stager: the first n staged frames go out
+// behind whatever the ring holds, cut into the flushes the ring would have
+// made of them; the stage is empty afterwards.
+func (t *txPath) ReleaseStaged(n int) error {
+	st := t.stage
+	if st == nil {
+		return nil
+	}
+	n = min(n, st.queued)
+	st.queued = 0
+	if n <= 0 {
+		return nil
+	}
+	if err := t.FlushBatch(); err != nil {
+		return err
+	}
+	for off, unit := 0, t.ring.flushAt(); off < n; off += unit {
+		if err := t.ring.flush(st.frames[off:], st.lens[off:], min(unit, n-off)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // FlushBatch implements core.Datapath: every queued frame goes on the wire,

@@ -304,7 +304,7 @@ func (e *Endpoint) Compute(time.Duration) {}
 // packet regardless of the verdict — the sender spends the slot whether or
 // not the adversary lets the frame through.
 func (e *Endpoint) Send(p *wire.Packet) error {
-	if e.MangleTx == nil && len(e.txHeld) == 0 {
+	if !e.mangling() {
 		return e.txPath.Send(p)
 	}
 	if err := e.sendMangled(p); err != nil {
@@ -315,6 +315,21 @@ func (e *Endpoint) Send(p *wire.Packet) error {
 
 // SendAsync is Send: UDP writes do not wait for transmission anyway.
 func (e *Endpoint) SendAsync(p *wire.Packet) error { return e.Send(p) }
+
+// mangling reports whether sends go through the adversary, which judges
+// packets one at a time in send order: nothing is staged past it.
+func (e *Endpoint) mangling() bool { return e.MangleTx != nil || len(e.txHeld) > 0 }
+
+// Stage implements core.Stager (see txPath.Stage).
+func (e *Endpoint) Stage(p *wire.Packet) bool { return !e.mangling() && e.txPath.Stage(p) }
+
+// Staged implements core.Stager.
+func (e *Endpoint) Staged() int {
+	if e.mangling() {
+		return 0
+	}
+	return e.txPath.Staged()
+}
 
 func (e *Endpoint) sendMangled(p *wire.Packet) error {
 	var m params.Mangle
@@ -429,18 +444,25 @@ func (e *Endpoint) Recv(timeout time.Duration) (*wire.Packet, error) {
 			return nil, err
 		}
 	}
-	var deadline time.Time
-	if timeout >= 0 {
-		deadline = time.Now().Add(timeout)
-	}
-	if err := e.conn.SetReadDeadline(deadline); err != nil {
-		return nil, err
-	}
+	armed := false
 	for {
 		// Matured holds and injected duplicates deliver before the socket
 		// is read again.
 		if e.readyCount() > 0 {
 			return e.popReady(), nil
+		}
+		// The deadline is armed once, and only when the socket has to be
+		// read: a datagram already drained into the ring costs no clock
+		// read and no deadline change.
+		if !armed && (e.rx == nil || !e.rx.pending()) {
+			var deadline time.Time
+			if timeout >= 0 {
+				deadline = time.Now().Add(timeout)
+			}
+			if err := e.conn.SetReadDeadline(deadline); err != nil {
+				return nil, err
+			}
+			armed = true
 		}
 		data, addr, name, err := e.readDatagram()
 		if err != nil {

@@ -27,8 +27,8 @@ func TestCodecRoundTripAllocFree(t *testing.T) {
 	}
 }
 
-// TestChecksumZeroedMatchesNaive cross-checks the single-pass
-// subtract-the-word rewrite against a naive masked recomputation.
+// TestChecksumZeroedMatchesNaive cross-checks the one's-complement
+// subtraction of the checksum word against a naive masked recomputation.
 func TestChecksumZeroedMatchesNaive(t *testing.T) {
 	naive := func(b []byte, off int) uint16 {
 		masked := make([]byte, len(b))
@@ -42,7 +42,8 @@ func TestChecksumZeroedMatchesNaive(t *testing.T) {
 			b[i] = byte(i*131 + 17)
 		}
 		for _, off := range []int{0, 2, 20, 22} {
-			if got, want := checksumZeroed(b, off), naive(b, off); got != want {
+			field := uint16(b[off])<<8 | uint16(b[off+1])
+			if got, want := checksumZeroed(^Checksum(b), field), naive(b, off); got != want {
 				t.Fatalf("len=%d off=%d: got %04x want %04x", n, off, got, want)
 			}
 		}

@@ -19,12 +19,15 @@ type SumAcc struct {
 }
 
 // AddAt folds in one chunk of the stream located at byte offset off.
-func (a *SumAcc) AddAt(off int, b []byte) {
-	s := fold16(sumWords(b))
+func (a *SumAcc) AddAt(off int, b []byte) { a.AddSumAt(off, sum16(b)) }
+
+// AddSumAt is AddAt for a chunk whose one's-complement sum is already known
+// (Packet.PayloadSum): the bytes are not read again.
+func (a *SumAcc) AddSumAt(off int, sum uint16) {
 	if off&1 == 1 {
-		s = s<<8 | s>>8 // odd offset: every byte swaps word halves
+		sum = sum<<8 | sum>>8 // odd offset: every byte swaps word halves
 	}
-	a.sum += uint64(s)
+	a.sum += uint64(sum)
 }
 
 // Merge folds another accumulator's contribution into this one. Each
@@ -40,15 +43,9 @@ func (a *SumAcc) Merge(b SumAcc) { a.sum += b.sum }
 // to merge a stripe's already-computed whole-range checksum (for example
 // RecvResult.Checksum, accumulated in the stripe's own coordinates) into
 // the stream's: un-complement back to the raw folded sum, swap bytes if the
-// range starts at an odd stream offset, accumulate. Each range must tile
+// range starts at an odd stream offset (AddSumAt). Each range must tile
 // the stream exactly once, like AddAt chunks.
-func (a *SumAcc) AddChecksumAt(off int, checksum uint16) {
-	s := ^checksum
-	if off&1 == 1 {
-		s = s<<8 | s>>8 // odd offset: every byte swaps word halves
-	}
-	a.sum += uint64(s)
-}
+func (a *SumAcc) AddChecksumAt(off int, checksum uint16) { a.AddSumAt(off, ^checksum) }
 
 // Sum16 returns the Internet checksum of the stream accumulated so far.
 func (a *SumAcc) Sum16() uint16 {

@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Type identifies the role of a packet.
@@ -136,6 +137,11 @@ type Packet struct {
 	Seq     uint32 // sequence number / cumulative ack / first missing
 	Total   uint32 // number of data packets in the transfer
 
+	// psum is the payload's folded one's-complement sum, valid when summed:
+	// DecodeInto has it from verifying the checksum (see PayloadSum).
+	psum   uint16
+	summed bool
+
 	// Payload is the chunk bytes (TypeData), the missing-packet bitmap
 	// (selective TypeNak) or the transfer request parameters (TypeReq).
 	Payload []byte
@@ -159,6 +165,12 @@ func (p *Packet) WireSize() int {
 	}
 	return HeaderSize + len(p.Payload)
 }
+
+// PayloadSum returns the one's-complement sum of the payload (^Checksum of
+// it) when decoding already computed it — what SumAcc.AddSumAt takes, so a
+// receiver's transfer checksum does not read the bytes again. ok is false on
+// a packet built by hand; Payload must not be altered after decoding.
+func (p *Packet) PayloadSum() (sum uint16, ok bool) { return p.psum, p.summed }
 
 // IsLast reports whether the packet closes a transmission round.
 func (p *Packet) IsLast() bool { return p.Flags&FlagLast != 0 }
@@ -271,9 +283,12 @@ func DecodeInto(p *Packet, buf []byte) error {
 		// padding).
 		return fmt.Errorf("%w: %d bytes for a %d-byte payload", ErrLength, len(buf), plen)
 	}
-	// Verify the checksum with the checksum field zeroed.
+	// Verify the checksum with the checksum field zeroed. The header is an
+	// even number of bytes, so header and payload sum separately and the
+	// payload's sum stays on the packet for the transfer checksum to reuse.
 	want := binary.BigEndian.Uint16(buf[20:22])
-	if got := checksumZeroed(buf[:HeaderSize+plen], 20); got != want {
+	psum := sum16(buf[HeaderSize:])
+	if got := checksumZeroed(add16(sum16(buf[:HeaderSize]), psum), want); got != want {
 		return fmt.Errorf("%w: got %04x want %04x", ErrChecksum, got, want)
 	}
 	*p = Packet{
@@ -283,6 +298,8 @@ func DecodeInto(p *Packet, buf []byte) error {
 		Trans:   binary.BigEndian.Uint32(buf[6:10]),
 		Seq:     binary.BigEndian.Uint32(buf[10:14]),
 		Total:   binary.BigEndian.Uint32(buf[14:18]),
+		psum:    psum,
+		summed:  true,
 	}
 	if plen > 0 {
 		p.Payload = buf[HeaderSize : HeaderSize+plen]
@@ -304,48 +321,39 @@ func Decode(buf []byte) (*Packet, error) {
 // Checksum computes the 16-bit one's-complement Internet checksum (RFC 1071)
 // of b. A buffer whose checksum field already holds the Checksum of the rest
 // verifies by recomputation in Decode.
-func Checksum(b []byte) uint16 {
-	return ^fold16(sumWords(b))
-}
+func Checksum(b []byte) uint16 { return ^sum16(b) }
 
-// sumWords accumulates b as big-endian 16-bit words (a trailing odd byte is
-// padded with zero). The hot loop loads 64-bit words — each carrying four
-// 16-bit digits whose positional weight 2^16 ≡ 1 (mod 2^16−1), so the mixed
-// accumulator folds to the same one's-complement sum — quartering the
-// memory operations of a plain 16-bit loop. Each word is split into its two
-// 32-bit halves before accumulating (branchless, no carry tracking); the
-// halves are ≤ 2^32, so the uint64 accumulator cannot overflow for any
-// buffer shorter than 2^32 bytes and folding is deferred to the very end.
-func sumWords(b []byte) uint64 {
-	var sum uint64
-	for len(b) >= 32 {
-		w0 := binary.BigEndian.Uint64(b)
-		w1 := binary.BigEndian.Uint64(b[8:])
-		w2 := binary.BigEndian.Uint64(b[16:])
-		w3 := binary.BigEndian.Uint64(b[24:])
-		sum += w0>>32 + w0&0xffffffff +
-			w1>>32 + w1&0xffffffff +
-			w2>>32 + w2&0xffffffff +
-			w3>>32 + w3&0xffffffff
-		b = b[32:]
+// sum16 returns the folded one's-complement sum of b as big-endian 16-bit
+// words (a trailing odd byte is padded with zero): zero only for all-zero
+// input. The sum is byte-order independent up to one final swap (RFC 1071
+// §2B), so the loop adds little-endian 64-bit loads — no per-word swap —
+// down two independent add-with-carry chains, 64 bytes per iteration, each
+// carry wrapping into its chain's next add, and swaps the folded result once.
+func sum16(b []byte) uint16 {
+	var s0, s1, c0, c1 uint64
+	for len(b) >= 64 {
+		s0, c0 = bits.Add64(s0, binary.LittleEndian.Uint64(b), c0)
+		s1, c1 = bits.Add64(s1, binary.LittleEndian.Uint64(b[8:]), c1)
+		s0, c0 = bits.Add64(s0, binary.LittleEndian.Uint64(b[16:]), c0)
+		s1, c1 = bits.Add64(s1, binary.LittleEndian.Uint64(b[24:]), c1)
+		s0, c0 = bits.Add64(s0, binary.LittleEndian.Uint64(b[32:]), c0)
+		s1, c1 = bits.Add64(s1, binary.LittleEndian.Uint64(b[40:]), c1)
+		s0, c0 = bits.Add64(s0, binary.LittleEndian.Uint64(b[48:]), c0)
+		s1, c1 = bits.Add64(s1, binary.LittleEndian.Uint64(b[56:]), c1)
+		b = b[64:]
 	}
 	for len(b) >= 8 {
-		w := binary.BigEndian.Uint64(b)
-		sum += w>>32 + w&0xffffffff
+		s0, c0 = bits.Add64(s0, binary.LittleEndian.Uint64(b), c0)
 		b = b[8:]
 	}
-	if len(b) >= 4 {
-		sum += uint64(binary.BigEndian.Uint32(b))
-		b = b[4:]
+	var tail uint64 // the last 0-7 bytes, as the low end of one more word
+	for i, x := range b {
+		tail |= uint64(x) << (8 * i)
 	}
-	if len(b) >= 2 {
-		sum += uint64(binary.BigEndian.Uint16(b))
-		b = b[2:]
-	}
-	if len(b) == 1 {
-		sum += uint64(b[0]) << 8
-	}
-	return sum
+	s0, c0 = bits.Add64(s0, tail, c0)
+	s0, c0 = bits.Add64(s0, s1, c0)
+	s0, c0 = bits.Add64(s0, c1, c0)
+	return bits.ReverseBytes16(fold16(s0>>32 + s0&0xffffffff + c0))
 }
 
 // fold16 reduces a deferred one's-complement sum to 16 bits.
@@ -356,14 +364,10 @@ func fold16(sum uint64) uint16 {
 	return uint16(sum)
 }
 
-// checksumZeroed computes Checksum of b treating the 2 bytes at off as zero:
-// one unrolled pass sums the whole buffer, then the checksum word is
-// subtracted from the running total. off must be even and word-aligned with
-// off+2 <= len(b) (the header checksum field always is), so the word at off
-// is one of the addends and the subtraction is exact — the accumulator holds
-// the full unfolded sum.
-func checksumZeroed(b []byte, off int) uint16 {
-	sum := sumWords(b)
-	sum -= uint64(binary.BigEndian.Uint16(b[off:]))
-	return ^fold16(sum)
-}
+// add16 is the one's-complement sum of two folded sums; adding ^x subtracts
+// x, exactly whenever the difference is not a sum of nothing but zeros.
+func add16(a, b uint16) uint16 { return fold16(uint64(a) + uint64(b)) }
+
+// checksumZeroed is the Checksum of a buffer whose folded sum is sum, taken
+// as if its 16-bit checksum field, which holds field, were zero.
+func checksumZeroed(sum, field uint16) uint16 { return ^add16(sum, ^field) }
