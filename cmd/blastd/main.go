@@ -130,8 +130,9 @@ func main() {
 	// running checksum of the served range is logged the first time it
 	// completes in order.
 	seeded := func(r wire.Req) (core.ChunkSource, bool) {
-		if r.Bytes == 0 || r.Chunk == 0 {
-			return nil, false // degenerate request: the generator needs both
+		src, ok := core.SeededReqSource(r)
+		if !ok {
+			return nil, false // degenerate request: the generator needs bytes and a chunk size
 		}
 		stream := int(r.StreamBytes())
 		if int(r.Bytes) > *maxBytes || stream > *maxBytes {
@@ -139,9 +140,6 @@ func main() {
 				r.Bytes, stream, *maxBytes)
 			return nil, false
 		}
-		src := core.OffsetSource(
-			core.SeededSource(int64(stream), stream, int(r.Chunk)),
-			int(r.OffsetChunks))
 		var acc wire.SumAcc
 		next, total := 0, int(r.Bytes+uint64(r.Chunk)-1)/int(r.Chunk)
 		return func(seq int, dst []byte) []byte {

@@ -23,6 +23,7 @@ import (
 
 	"blastlan/internal/core"
 	"blastlan/internal/params"
+	"blastlan/internal/simrun"
 	"blastlan/internal/store"
 	"blastlan/internal/udplan"
 	"blastlan/internal/wire"
@@ -68,9 +69,7 @@ func runUDPPull(c udpPullCase) (time.Duration, udplan.Tier, error) {
 	srv.Concurrency = 2
 	srv.Batch = c.batch
 	srv.MaxTier = c.tier
-	srv.Source = func(r wire.Req) (core.ChunkSource, bool) {
-		return core.SeededSource(int64(r.Bytes), int(r.Bytes), int(r.Chunk)), true
-	}
+	srv.Source = core.SeededReqSource
 	go srv.Run()
 
 	e, err := udplan.Dial(conn.LocalAddr().String())
@@ -344,10 +343,10 @@ func runResumePull(bytes int) (time.Duration, error) {
 		srv.Batch = 32
 		srv.SessionIdle = 2 * time.Second
 		srv.Source = func(r wire.Req) (core.ChunkSource, bool) {
-			stream := int(r.StreamBytes())
-			base := core.OffsetSource(
-				core.SeededSource(int64(stream), stream, int(r.Chunk)),
-				int(r.OffsetChunks))
+			base, ok := core.SeededReqSource(r)
+			if !ok {
+				return nil, false
+			}
 			return func(seq int, dst []byte) []byte {
 				if trigger.OnChunk() {
 					crash()
@@ -443,9 +442,7 @@ func runBusyBackoff(bytes, clients int) (time.Duration, error) {
 	srv.Concurrency = 2
 	srv.Batch = 32
 	srv.RetryAfter = 10 * time.Millisecond
-	srv.Source = func(r wire.Req) (core.ChunkSource, bool) {
-		return core.SeededSource(int64(r.Bytes), int(r.Bytes), int(r.Chunk)), true
-	}
+	srv.Source = core.SeededReqSource
 	go srv.Run()
 	defer srv.Close()
 
@@ -512,48 +509,26 @@ func runBusyBackoff(bytes, clients int) (time.Duration, error) {
 // or as 8 independent whole-object pulls (relays=0: the source pays 8×).
 // Returns the fan-out's makespan; aggregate MB/s is 8×object over it.
 func runFanoutBench(objBytes, relays, lineRate int) (time.Duration, error) {
-	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
+	res, err := simrun.FanoutScenario{
+		N:      8,
+		Relays: relays,
+		Bytes:  objBytes,
+		Chunk:  1000,
+		Window: 128,
+		Tr:     250 * time.Millisecond,
+	}.RunUDP(simrun.FanoutUDP{Batch: 32, SocketBuf: udpSocketBuf, LineRate: lineRate})
 	if err != nil {
-		return 0, err
-	}
-	defer conn.Close()
-	setSocketBufs(conn)
-	srv := udplan.NewServer(conn)
-	srv.Concurrency = 16
-	srv.Batch = 32
-	srv.LineRate = lineRate
-	srv.Source = func(r wire.Req) (core.ChunkSource, bool) {
-		stream := int(r.StreamBytes())
-		src := core.SeededSource(int64(stream), stream, int(r.Chunk))
-		return core.OffsetSource(src, int(r.OffsetChunks)), true
-	}
-	go srv.Run()
-
-	res, err := udplan.RunFanout(conn.LocalAddr().String(), udplan.FanoutOptions{
-		N:         8,
-		Relays:    relays,
-		Bytes:     objBytes,
-		Chunk:     1000,
-		Window:    128,
-		Tr:        250 * time.Millisecond,
-		Batch:     32,
-		SocketBuf: udpSocketBuf,
-		LineRate:  lineRate,
-	})
-	if err != nil {
-		return res.Elapsed, err
+		return res.Makespan, err
 	}
 	if res.Completed != 8 {
 		for _, r := range res.Receivers {
-			for _, so := range r.Stripes {
-				if so.Err != nil {
-					return res.Elapsed, fmt.Errorf("fanout receiver %d stripe %d: %w", r.Receiver, so.Stripe.Index, so.Err)
-				}
+			if r.Err != "" {
+				return res.Makespan, fmt.Errorf("fanout receiver %d: %s", r.Receiver, r.Err)
 			}
 		}
-		return res.Elapsed, fmt.Errorf("fanout completed %d of 8 receivers", res.Completed)
+		return res.Makespan, fmt.Errorf("fanout completed %d of 8 receivers", res.Completed)
 	}
-	return res.Elapsed, nil
+	return res.Makespan, nil
 }
 
 // stripedCase is one streams×policy×network loopback measurement.
@@ -577,11 +552,7 @@ func runStripedPull(c stripedCase) (time.Duration, error) {
 	srv := udplan.NewServer(conn)
 	srv.Concurrency = c.streams + 1
 	srv.Batch = 32
-	srv.Source = func(r wire.Req) (core.ChunkSource, bool) {
-		stream := int(r.StreamBytes())
-		src := core.SeededSource(int64(stream), stream, int(r.Chunk))
-		return core.OffsetSource(src, int(r.OffsetChunks)), true
-	}
+	srv.Source = core.SeededReqSource
 	go srv.Run()
 
 	cfg := core.Config{

@@ -1,6 +1,10 @@
 package core
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"blastlan/internal/wire"
+)
 
 // SeededSource returns a ChunkSource generating deterministic pseudo-random
 // transfer bytes: packet seq's chunk is derived from (seed, seq) alone, so
@@ -24,6 +28,20 @@ func SeededSource(seed int64, bytes, chunk int) ChunkSource {
 		fillChunk(uint64(seed)+0x9e3779b97f4a7c15*uint64(seq+1), dst)
 		return dst
 	}
+}
+
+// SeededReqSource resolves a pull REQ against the size-seeded logical
+// stream every test daemon and blastd serve: the stream is StreamBytes long
+// and seeded by that length, and a stripe or resume REQ (OffsetChunks) reads
+// from its own offset into it, so a client that knows only the object's size
+// can verify any range. Degenerate REQs (no bytes, no chunk size) are
+// refused.
+func SeededReqSource(r wire.Req) (ChunkSource, bool) {
+	if r.Bytes == 0 || r.Chunk == 0 {
+		return nil, false
+	}
+	stream := int(r.StreamBytes())
+	return OffsetSource(SeededSource(int64(stream), stream, int(r.Chunk)), int(r.OffsetChunks)), true
 }
 
 // SeededPayload materialises the full transfer a SeededSource generates —

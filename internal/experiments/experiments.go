@@ -10,10 +10,8 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"blastlan/internal/core"
@@ -197,36 +195,7 @@ func desSample(cfg core.Config, opt simrun.Options, n, workers int) (acc stats.D
 // output slot, so the rendered artifact is identical regardless of
 // parallelism. The first error by point index is returned.
 func forEachPoint(workers, n int, point func(i int) error) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	errs := make([]error, n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			errs[i] = point(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < n; i += workers {
-					errs[i] = point(i)
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return simrun.Pool(n, workers, func(_, i int) error { return point(i) })
 }
 
 // one runs a single deterministic (error-free) DES transfer and returns the

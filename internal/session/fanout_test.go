@@ -8,45 +8,6 @@ import (
 	"blastlan/internal/wire"
 )
 
-func TestPlanFanout(t *testing.T) {
-	tr := PlanFanout(8, 3)
-	want := []int{-1, -1, -1, 0, 0, 0, 1, 1}
-	for i, p := range tr.Parent {
-		if p != want[i] {
-			t.Errorf("Parent[%d] = %d, want %d", i, p, want[i])
-		}
-	}
-	if d := tr.Depth(); d != 2 {
-		t.Errorf("Depth() = %d, want 2", d)
-	}
-	if got := tr.Internal(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Errorf("Internal() = %v, want [0 1]", got)
-	}
-	if kids := tr.Children(0); len(kids) != 3 || kids[0] != 3 || kids[2] != 5 {
-		t.Errorf("Children(0) = %v", kids)
-	}
-	if kids := tr.Children(7); kids != nil {
-		t.Errorf("Children(7) = %v, want none", kids)
-	}
-	// A flat plan: everyone pulls from the source.
-	flat := PlanFanout(4, 0)
-	for i, p := range flat.Parent {
-		if p != -1 {
-			t.Errorf("flat Parent[%d] = %d", i, p)
-		}
-	}
-	if flat.Depth() != 1 || flat.Internal() != nil {
-		t.Errorf("flat plan depth %d internal %v", flat.Depth(), flat.Internal())
-	}
-	// Wider trees stay consistent: every parent index precedes its child.
-	wide := PlanFanout(64, 4)
-	for i, p := range wide.Parent {
-		if p >= i {
-			t.Errorf("Parent[%d] = %d is not upstream", i, p)
-		}
-	}
-}
-
 func TestBoardCutThrough(t *testing.T) {
 	const chunk, n = 100, 10
 	payload := make([]byte, chunk*n)

@@ -1,46 +1,9 @@
 package session
 
-import "fmt"
-
-// Fan-out planning: which receiver pulls from whom. The planner lays the
-// N receivers out as a complete branch-ary tree rooted at the source, so
-// the source blasts each chunk to at most Branch children and every other
-// hop is carried by a receiver that wanted the bytes anyway — the relay
-// shape that turns N× distribution cost at the source into ~1× (§ the
-// paper's single-LAN setting makes the source NIC the contended link; the
-// modern reading is the same for a source's socket and disk).
-
-// Tree is a fan-out plan over n receivers. Receiver i pulls from
-// Parent[i]; -1 means directly from the source. Receivers with children
-// run a relay (a Board-backed server) as well as their own pull.
-type Tree struct {
-	Parent []int
-	Branch int
-}
-
-// PlanFanout lays n receivers out as a complete branch-ary tree: the
-// first branch receivers pull from the source, receiver i (i >= branch)
-// pulls from receiver i/branch - 1. branch < 1 plans a flat tree (all n
-// from the source).
-func PlanFanout(n, branch int) Tree {
-	if n < 0 {
-		panic(fmt.Sprintf("session: PlanFanout(%d, %d): negative receiver count", n, branch))
-	}
-	t := Tree{Parent: make([]int, n), Branch: branch}
-	for i := range t.Parent {
-		if branch < 1 || i < branch {
-			t.Parent[i] = -1
-			continue
-		}
-		t.Parent[i] = i/branch - 1
-	}
-	return t
-}
-
-// Transfer-ID scheme for stripe fan-outs, shared by every substrate's
-// runner so one Done-hook map joins sender-side counters to the right
-// session: stripe k of receiver i and relay k's uplink each get a distinct
-// ID. FanoutStripeStride bounds stripes per receiver.
+// Transfer-ID scheme for stripe fan-outs, so one Done-hook map joins
+// sender-side counters to the right session: stripe k of receiver i and
+// relay k's uplink each get a distinct ID. FanoutStripeStride bounds stripes
+// per receiver.
 const FanoutStripeStride = 16
 
 // FanoutReceiverID is receiver i's transfer ID for stripe k (k = 0 for a
@@ -49,54 +12,3 @@ func FanoutReceiverID(i, k int) uint32 { return uint32(101 + i*FanoutStripeStrid
 
 // FanoutRelayID is relay k's uplink transfer ID.
 func FanoutRelayID(k int) uint32 { return uint32(901 + k) }
-
-// Children returns the receivers that pull from receiver i.
-func (t Tree) Children(i int) []int {
-	var kids []int
-	for j, p := range t.Parent {
-		if p == i {
-			kids = append(kids, j)
-		}
-	}
-	return kids
-}
-
-// Internal returns the receivers that relay to at least one child, in
-// index order.
-func (t Tree) Internal() []int {
-	relay := make([]bool, len(t.Parent))
-	for _, p := range t.Parent {
-		if p >= 0 {
-			relay[p] = true
-		}
-	}
-	var out []int
-	for i, r := range relay {
-		if r {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// DepthOf returns receiver i's hop count from the source (1 = pulls
-// directly).
-func (t Tree) DepthOf(i int) int {
-	d := 1
-	for t.Parent[i] >= 0 {
-		d++
-		i = t.Parent[i]
-	}
-	return d
-}
-
-// Depth returns the deepest receiver's hop count; 0 for an empty plan.
-func (t Tree) Depth() int {
-	max := 0
-	for i := range t.Parent {
-		if d := t.DepthOf(i); d > max {
-			max = d
-		}
-	}
-	return max
-}

@@ -2,9 +2,7 @@ package simrun
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"blastlan/internal/core"
@@ -143,53 +141,29 @@ func (sw ContentionSweep) Run(workers int) ([]ContentionCell, error) {
 		}
 	}
 	out := make([]ContentionCell, len(specs))
-	errs := make([]error, len(specs))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-	worker := func(w int) {
-		for i := w; i < len(specs); i += workers {
-			s := specs[i]
-			res, err := sw.cell(s.policy, s.adv, s.clients, s.seed).Run()
-			if err != nil {
-				errs[i] = err
-				continue
-			}
-			c := ContentionCell{
-				Policy:    s.policy,
-				Adversary: s.adv.Name,
-				Clients:   s.clients,
-				Completed: res.Completed,
-				Fairness:  res.Fairness,
-				Makespan:  res.Makespan,
-				Retrans:   res.Agg.Retransmits,
-			}
-			if res.Makespan > 0 {
-				c.Goodput = float64(res.AggBytes) / res.Makespan.Seconds() / 1e6
-			}
-			out[i] = c
-		}
-	}
-	if workers == 1 {
-		worker(0)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				worker(w)
-			}(w)
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
+	err := Pool(len(specs), workers, func(_, i int) error {
+		s := specs[i]
+		res, err := sw.cell(s.policy, s.adv, s.clients, s.seed).Run()
 		if err != nil {
-			return nil, err
+			return err
 		}
+		c := ContentionCell{
+			Policy:    s.policy,
+			Adversary: s.adv.Name,
+			Clients:   s.clients,
+			Completed: res.Completed,
+			Fairness:  res.Fairness,
+			Makespan:  res.Makespan,
+			Retrans:   res.Agg.Retransmits,
+		}
+		if res.Makespan > 0 {
+			c.Goodput = float64(res.AggBytes) / res.Makespan.Seconds() / 1e6
+		}
+		out[i] = c
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -8,7 +8,6 @@ import (
 	"blastlan/internal/disk"
 	"blastlan/internal/params"
 	"blastlan/internal/session"
-	"blastlan/internal/sim"
 	"blastlan/internal/store"
 	"blastlan/internal/transport"
 )
@@ -63,9 +62,6 @@ type DiskLoadScenario struct {
 const diskLoadObject = "data.bin"
 
 func (sc DiskLoadScenario) withDefaults() DiskLoadScenario {
-	if sc.Cost.BandwidthBitsPerSec == 0 {
-		sc.Cost = params.ModernGigabit()
-	}
 	if sc.Disk.RotationPeriod == 0 {
 		sc.Disk = disk.FujitsuEagle()
 	}
@@ -125,12 +121,10 @@ type DiskLoadResult struct {
 // Run executes the scenario once on a fresh kernel, server and store.
 func (sc DiskLoadScenario) Run() (DiskLoadResult, error) {
 	sc = sc.withDefaults()
-	k := sim.NewKernel()
-	n, err := sim.NewNetwork(k, sc.Cost, params.LossModel{}, sc.Seed)
+	w, err := newDESWorld(sc.Cost, sc.Seed)
 	if err != nil {
 		return DiskLoadResult{}, err
 	}
-	serverSt := n.AddStation("server")
 
 	fs := store.NewSimFS(sc.Disk)
 	fs.Add(diskLoadObject, sc.Seed, sc.FileBytes)
@@ -144,70 +138,55 @@ func (sc DiskLoadScenario) Run() (DiskLoadResult, error) {
 		SourceEnv:   st.SourceReq,
 		Stat:        st.StatReq,
 	}
-	var srvErr error
-	sim.Serve(n, serverSt, func(l *sim.Listener) { srvErr = srv.Run(l) })
+	serverSt := w.listen("server", srv)
 
 	want := core.TransferChecksum(core.SeededPayload(sc.Seed, sc.FileBytes, 1024))
 	results := make([]DiskLoadClient, sc.N)
-	k.Go("diskload", func(p *sim.Proc) {
-		f := &sim.Fabric{Net: n, Server: serverSt, P: p}
-		f.Fan(sc.N, func(i int, c transport.Client) error {
-			r := &results[i]
-			r.Client = i
-			r.Arrival = time.Duration(i) * sc.Spacing
-			c.Compute(r.Arrival)
-			cfg := core.Config{
-				TransferID:     uint32(i + 1),
-				ChunkSize:      sc.Chunk,
-				Protocol:       core.Blast,
-				Strategy:       core.Selective,
-				Window:         sc.Window,
-				RetransTimeout: sc.Tr,
-			}
-			r.Start = c.Now()
-			size, err := core.Stat(c, cfg, diskLoadObject)
-			if err != nil {
-				r.Err = fmt.Sprintf("stat: %v", err)
-				return err
-			}
-			r.StatBytes = size
-			cfg.Name, cfg.Bytes = diskLoadObject, int(size)
-			res, err := core.Request(c, cfg)
-			r.End = c.Now()
-			r.Elapsed = r.End - r.Start
-			if err != nil {
-				r.Err = err.Error()
-				return err
-			}
-			r.Completed = res.Completed
-			r.ChecksumOK = res.Completed && res.Checksum == want
-			return nil
-		})
+	w.fan("diskload", serverSt, sc.N, nil, func(i int, c transport.Client) error {
+		r := &results[i]
+		r.Client = i
+		r.Arrival = time.Duration(i) * sc.Spacing
+		c.Compute(r.Arrival)
+		cfg := core.Config{
+			TransferID:     uint32(i + 1),
+			ChunkSize:      sc.Chunk,
+			Protocol:       core.Blast,
+			Strategy:       core.Selective,
+			Window:         sc.Window,
+			RetransTimeout: sc.Tr,
+		}
+		r.Start = c.Now()
+		size, err := core.Stat(c, cfg, diskLoadObject)
+		if err != nil {
+			r.Err = fmt.Sprintf("stat: %v", err)
+			return err
+		}
+		r.StatBytes = size
+		cfg.Name, cfg.Bytes = diskLoadObject, int(size)
+		res, err := core.Request(c, cfg)
+		r.End = c.Now()
+		r.Elapsed = r.End - r.Start
+		if err != nil {
+			r.Err = err.Error()
+			return err
+		}
+		r.Completed = res.Completed
+		r.ChecksumOK = res.Completed && res.Checksum == want
+		return nil
 	})
-	if err := k.Run(); err != nil {
+	if err := w.run(); err != nil {
 		return DiskLoadResult{}, fmt.Errorf("simrun: diskload %s: %w", sc.Name, err)
-	}
-	if srvErr != nil {
-		return DiskLoadResult{}, fmt.Errorf("simrun: diskload %s server: %w", sc.Name, srvErr)
 	}
 
 	out := DiskLoadResult{Clients: results, Served: srv.Served(), Store: st.Stats()}
-	var first, last time.Duration = -1, 0
+	var span makespan
 	for i := range results {
 		r := &results[i]
-		if first < 0 || r.Arrival < first {
-			first = r.Arrival
-		}
-		if r.End > last {
-			last = r.End
-		}
+		span.add(r.Arrival, r.End)
 		if r.Completed && r.ChecksumOK {
 			out.Completed++
 		}
 	}
-	if first < 0 {
-		first = 0
-	}
-	out.Makespan = last - first
+	out.Makespan = span.span()
 	return out, nil
 }

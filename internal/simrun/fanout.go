@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"blastlan/internal/core"
@@ -13,10 +14,12 @@ import (
 	"blastlan/internal/wire"
 )
 
-// FanoutScenario is a DES-backed one-to-many replication experiment: one
-// source distributes the same seeded object to N receivers, either through
-// a depth-2 stripe-relay tree (Relays > 0) or as N independent pulls
-// (Relays == 0, the baseline the tree is judged against).
+// FanoutScenario is a one-to-many replication experiment: one source
+// distributes the same seeded object to N receivers, either through a
+// depth-2 stripe-relay tree (Relays > 0) or as N independent pulls
+// (Relays == 0, the baseline the tree is judged against). One orchestration
+// runs it on the discrete-event simulator (Run) and over UDP loopback
+// (RunUDP), and both return the one FanoutResult.
 //
 // The tree is the relay shape of ROADMAP item 4: the source blasts each
 // stripe of the object exactly once — to the relay that owns it — so the
@@ -29,13 +32,14 @@ import (
 // fields, PullResume budgets, BUSY/RETRY-AFTER), so a mid-tree failure
 // repairs the affected subtree instead of restarting the fan-out.
 //
-// Everything runs under one kernel's handoff scheduling, so a run is
-// deterministic bit for bit at any GOMAXPROCS — the property the sim==UDP
-// fanout conformance suite pins.
+// On the simulator everything runs under one kernel's handoff scheduling,
+// so a run is deterministic bit for bit at any GOMAXPROCS — the reference
+// the sim==UDP fanout conformance suite holds the sockets to.
 type FanoutScenario struct {
 	// Name labels the scenario in test output and experiment tables.
 	Name string
-	// Cost is the simulator hardware model (zero: modern gigabit).
+	// Cost is the simulator hardware model (zero: modern gigabit); RunUDP
+	// ignores it.
 	Cost params.CostModel
 	// N is the number of receivers (default 8).
 	N int
@@ -49,7 +53,7 @@ type FanoutScenario struct {
 	Chunk int
 	// Window splits blasts (default 16).
 	Window int
-	// Tr is every hop's retransmission timeout (default 100 ms virtual).
+	// Tr is every hop's retransmission timeout (default 100 ms).
 	Tr time.Duration
 	// Controller names the rate-control policy each pull requests (empty:
 	// fixed schedule).
@@ -63,8 +67,8 @@ type FanoutScenario struct {
 	// dialing (missing entries arrive at t=0). Relays always start at t=0.
 	Arrivals []time.Duration
 	// DrainAt, when positive, calls BeginDrain on every server (source and
-	// relays) at that virtual time: in-flight subtrees complete, latecomers
-	// are refused BUSY/RETRY-AFTER.
+	// relays) that long into the run: in-flight subtrees complete,
+	// latecomers are refused BUSY/RETRY-AFTER.
 	DrainAt time.Duration
 	// MaxResumes and MaxBusyWaits bound every pull's recovery budget, and
 	// Backoff is its initial retry delay (zero: core.ResumeOptions
@@ -72,15 +76,12 @@ type FanoutScenario struct {
 	MaxResumes   int
 	MaxBusyWaits int
 	Backoff      time.Duration
-	// Seed drives backoff jitter and the network model.
+	// Seed drives backoff jitter and the simulated network model.
 	Seed int64
 }
 
 // withFanoutDefaults fills the zero fields.
 func (sc FanoutScenario) withFanoutDefaults() FanoutScenario {
-	if sc.Cost.BandwidthBitsPerSec == 0 {
-		sc.Cost = params.ModernGigabit()
-	}
 	if sc.N <= 0 {
 		sc.N = 8
 	}
@@ -107,12 +108,12 @@ func (sc FanoutScenario) withFanoutDefaults() FanoutScenario {
 type FanoutReceiverResult struct {
 	Receiver   int
 	Arrival    time.Duration
-	Start      time.Duration // first stripe REQ issued (virtual)
-	End        time.Duration // last stripe completed (virtual)
+	Start      time.Duration // first stripe REQ issued (the substrate's clock)
+	End        time.Duration // last stripe completed
 	Elapsed    time.Duration
 	Completed  bool
 	ChecksumOK bool
-	Data       []byte
+	Data       []byte // the assembled payload (nil over UDP without KeepData)
 	// Counts sums the receiver's stripe sessions: receiver-side counters
 	// net of linger plus the serving sessions' sender-side ones.
 	Counts Counts
@@ -122,14 +123,6 @@ type FanoutReceiverResult struct {
 	Busy       bool
 	RetryAfter time.Duration
 	Err        string
-}
-
-// MBps is the receiver's end-to-end virtual throughput.
-func (r FanoutReceiverResult) MBps() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(len(r.Data)) / r.Elapsed.Seconds() / 1e6
 }
 
 // FanoutRelayResult is one relay's uplink outcome.
@@ -152,7 +145,8 @@ type FanoutResult struct {
 	// SourceDataSent counts data packets the source's sessions transmitted
 	// — the headline: ~1 object with relays, N objects without.
 	SourceDataSent int
-	// SourceTxBytes counts wire bytes out of the source station.
+	// SourceTxBytes counts wire bytes out of the source station (simulator
+	// only: a socket has no interface counters to read).
 	SourceTxBytes int64
 	Agg           Counts
 }
@@ -163,16 +157,6 @@ func (r FanoutResult) AggMBps() float64 {
 		return 0
 	}
 	return float64(r.AggBytes) / r.Makespan.Seconds() / 1e6
-}
-
-// recvCounts projects a pull's receiver-side counters net of linger.
-func recvCounts(res core.RecvResult) Counts {
-	return Counts{
-		DataRecv:   res.DataPackets - res.LingerEvents,
-		Duplicates: res.Duplicates - res.LingerEvents,
-		AcksOut:    res.AcksSent - res.LingerAcks,
-		NaksOut:    res.NaksSent - res.LingerNaks,
-	}
 }
 
 // addResume folds one session's resume stats into an aggregate.
@@ -192,259 +176,254 @@ func (sc FanoutScenario) fanoutParts() []core.Stripe {
 	return []core.Stripe{{Index: 0, Offset: 0, Bytes: sc.Bytes}}
 }
 
-// seededReqSource streams the size-seeded object exactly like blastd: any
-// stripe REQ resolves against the logical stream.
-func seededReqSource(r wire.Req) (core.ChunkSource, bool) {
-	if r.Bytes == 0 || r.Chunk == 0 {
-		return nil, false
+// arrival is when receiver i dials.
+func (sc FanoutScenario) arrival(i int) time.Duration {
+	if i < len(sc.Arrivals) {
+		return sc.Arrivals[i]
 	}
-	stream := int(r.StreamBytes())
-	return core.OffsetSource(
-		core.SeededSource(int64(stream), stream, int(r.Chunk)),
-		int(r.OffsetChunks)), true
+	return 0
 }
 
-// fanoutStripeOut is one stripe session's raw outcome, recorded by the
-// stripe's own process.
-type fanoutStripeOut struct {
+// fanoutHop is one pull of the plan — a relay's uplink or one stripe of one
+// receiver: what to pull from whom, then, filled in by the hop's own thread
+// of control, how it went.
+type fanoutHop struct {
+	name  string
+	at    host          // the server pulled from
+	delay time.Duration // before dialing
+	id    uint32
+	seed  int64 // backoff jitter
+	st    core.Stripe
+	sink  core.ChunkSink
+	fail  func(error) // when non-nil, told that the pull failed for good
+
 	res        core.RecvResult
 	rst        core.ResumeStats
 	err        error
 	start, end time.Duration
 }
 
-// Run executes the scenario once: one kernel, one source server, Relays
-// relay servers (each a cut-through board fed by its own uplink pull), and
-// N receivers each pulling every stripe. Deterministic — same seed, same
-// bits — at any worker count.
+// counts joins the hop's receiver-side counters, net of linger, to the
+// serving session's sender-side ones.
+func (h *fanoutHop) counts(served map[uint32]session.TransferStats) Counts {
+	var c Counts
+	if h.err == nil {
+		c = recvCounts(h.res)
+	}
+	if ts, ok := served[h.id]; ok {
+		c.DataSent += ts.Packets
+		c.Retransmits += ts.Retransmits
+	}
+	return c
+}
+
+// Run executes the scenario once on the discrete-event simulator.
+// Deterministic — same seed, same bits — at any worker count.
 func (sc FanoutScenario) Run() (FanoutResult, error) {
 	sc = sc.withFanoutDefaults()
-	parts := sc.fanoutParts()
-	treed := sc.Relays > 0
-	k := sim.NewKernel()
-	n, err := sim.NewNetwork(k, sc.Cost, params.LossModel{}, sc.Seed)
+	w, err := newDESWorld(sc.Cost, sc.Seed)
 	if err != nil {
 		return FanoutResult{}, err
 	}
+	res, err := sc.run(w, true)
+	if err == nil {
+		// The source is the first host the orchestration starts.
+		res.SourceTxBytes = w.n.Stations()[0].Counters.TxBytes
+	}
+	return res, err
+}
 
-	// Virtual idle only delays the free virtual clock at the end; it must
-	// outlive arrivals plus service so no server quits early.
+// RunUDP executes the scenario once over real UDP loopback sockets: an
+// in-process source daemon, relay daemons and receivers each on their own
+// socket. Times in the result are wall-clock.
+func (sc FanoutScenario) RunUDP(u FanoutUDP) (FanoutResult, error) {
+	return sc.withFanoutDefaults().run(newUDPWorld(u), u.KeepData)
+}
+
+// run is the fan-out, written once against the substrate seam: plan the
+// stripes; start the source and one board-backed relay server per stripe;
+// spawn one uplink pull per relay and N × stripes receiver pulls; run to
+// completion; join every hop's counters to its serving session's by
+// transfer ID. keep assembles and byte-compares every receiver's payload.
+// Setup failures (too many stripes, a socket that cannot bind, a substrate
+// that broke) are the returned error; a hop's failure is in its result.
+func (sc FanoutScenario) run(sub substrate, keep bool) (FanoutResult, error) {
+	parts := sc.fanoutParts()
+	if len(parts) > session.FanoutStripeStride {
+		// Past the stride two receivers' stripes share a transfer ID and the
+		// sender-side join silently credits one with the other's packets.
+		return FanoutResult{}, fmt.Errorf("simrun: fanout %s: %d stripes exceed the transfer-ID stride %d",
+			sc.Name, len(parts), session.FanoutStripeStride)
+	}
+	treed := sc.Relays > 0
+
+	// A server's idle bound must outlive arrivals plus service so none
+	// quits early; virtual idle only delays the free clock at the end, and
+	// a UDP server is closed when the run is over.
 	idle := sc.DrainAt + 10*time.Minute
 	for _, a := range sc.Arrivals {
 		idle += a
 	}
-	stats := make(map[uint32]session.TransferStats)
-	record := func(ts session.TransferStats) { stats[ts.TransferID] = ts }
-
-	srcSt := n.AddStation("source")
-	srcSrv := &session.Server{
-		Concurrency: sc.Concurrency,
-		Idle:        idle,
-		RetryAfter:  sc.RetryAfter,
-		Source:      seededReqSource,
-		Done:        record,
-	}
-	srvErrs := make([]error, 1+len(parts))
-	sim.Serve(n, srcSt, func(l *sim.Listener) { srvErrs[0] = srcSrv.Run(l) })
-
-	// Relay plumbing: serving station + board per stripe, then the uplink
-	// stations, then the receivers' stripe stations — all created in a
-	// fixed order before any process runs.
-	var boards []*session.Board
-	var relaySrvs []*session.Server
-	var relaySts []*sim.Station
-	if treed {
-		boards = make([]*session.Board, len(parts))
-		relaySrvs = make([]*session.Server, len(parts))
-		relaySts = make([]*sim.Station, len(parts))
-		for ki := range parts {
-			ki := ki
-			boards[ki] = session.NewBoardAt(parts[ki].Offset, parts[ki].Bytes, sc.Chunk, true)
-			relaySts[ki] = n.AddStation(fmt.Sprintf("relay%d", ki))
-			srv := &session.Server{
-				Concurrency: sc.Concurrency,
-				Idle:        idle,
-				RetryAfter:  sc.RetryAfter,
-				SourceEnv:   boards[ki].SourceReq,
-				Done:        record,
+	var mu sync.Mutex // UDP sessions finish on their own goroutines
+	served := make(map[uint32]session.TransferStats)
+	var servers []*session.Server
+	serve := func(name string, handler func(*session.Server)) (host, error) {
+		h, err := sub.serve(name, func(s *session.Server) {
+			s.Concurrency = sc.Concurrency
+			s.Idle = idle
+			s.RetryAfter = sc.RetryAfter
+			s.Done = func(ts session.TransferStats) {
+				mu.Lock()
+				served[ts.TransferID] = ts
+				mu.Unlock()
 			}
-			relaySrvs[ki] = srv
-			sim.Serve(n, relaySts[ki], func(l *sim.Listener) { srvErrs[1+ki] = srv.Run(l) })
+			handler(s)
+			servers = append(servers, s)
+		})
+		if err != nil {
+			err = fmt.Errorf("simrun: fanout %s: %w", sc.Name, err)
 		}
+		return h, err
 	}
-
-	relayRes := make([]FanoutRelayResult, 0, len(parts))
-	if treed {
-		relayRes = make([]FanoutRelayResult, len(parts))
-		for ki := range parts {
-			ki, st := ki, parts[ki]
-			ust := n.AddStation(fmt.Sprintf("relay%d-up", ki))
-			k.Go(fmt.Sprintf("relay%d-up", ki), func(p *sim.Proc) {
-				ep := sim.NewEndpoint(p, ust, srcSt)
-				rr := &relayRes[ki]
-				rr.Relay, rr.Stripe = ki, st
-				cfg := core.Config{
-					TransferID:     session.FanoutRelayID(ki),
-					Bytes:          st.Bytes,
-					ChunkSize:      sc.Chunk,
-					Protocol:       core.Blast,
-					Strategy:       core.GoBackN,
-					Window:         sc.Window,
-					Controller:     sc.Controller,
-					RetransTimeout: sc.Tr,
-					StripeOffset:   st.Offset,
-					StripeTotal:    sc.Bytes,
-					Sink:           boards[ki].Sink(),
-				}
-				res, rst, err := core.PullResume(ep, cfg, core.ResumeOptions{
-					MaxResumes:   sc.MaxResumes,
-					MaxBusyWaits: sc.MaxBusyWaits,
-					Backoff:      sc.Backoff,
-					Seed:         sc.Seed + 7000 + int64(ki),
-				})
-				rr.Resume = rst
-				if err != nil {
-					rr.Err = err.Error()
-					// Children unblock and recover through their own resume
-					// budgets instead of deadlocking on a dead board.
-					boards[ki].Fail(err)
-					return
-				}
-				rr.Completed = res.Completed
-				rr.Counts = recvCounts(res)
-			})
-		}
-	}
-
-	arrival := func(i int) time.Duration {
-		if i < len(sc.Arrivals) {
-			return sc.Arrivals[i]
-		}
-		return 0
-	}
-	outs := make([][]fanoutStripeOut, sc.N)
-	bufs := make([][]byte, sc.N)
-	for i := 0; i < sc.N; i++ {
-		outs[i] = make([]fanoutStripeOut, len(parts))
-		bufs[i] = make([]byte, sc.Bytes)
-	}
-	for i := 0; i < sc.N; i++ {
-		for ki := range parts {
-			i, ki, st := i, ki, parts[ki]
-			cst := n.AddStation(fmt.Sprintf("recv%d-%d", i, ki))
-			target := srcSt
-			if treed {
-				target = relaySts[ki]
+	spawn := func(h *fanoutHop) {
+		sub.client(h.name, h.at, h.delay, func(env core.Env, redial func() (core.Env, error)) {
+			cfg := core.Config{
+				TransferID:     h.id,
+				Bytes:          h.st.Bytes,
+				ChunkSize:      sc.Chunk,
+				Protocol:       core.Blast,
+				Strategy:       core.GoBackN,
+				Window:         sc.Window,
+				Controller:     sc.Controller,
+				RetransTimeout: sc.Tr,
+				Sink:           h.sink,
 			}
-			k.Go(fmt.Sprintf("recv%d-%d", i, ki), func(p *sim.Proc) {
-				ep := sim.NewEndpoint(p, cst, target)
-				if a := arrival(i); a > 0 {
-					ep.SleepFor(a)
-				}
-				o := &outs[i][ki]
-				cfg := core.Config{
-					TransferID:     session.FanoutReceiverID(i, ki),
-					Bytes:          st.Bytes,
-					ChunkSize:      sc.Chunk,
-					Protocol:       core.Blast,
-					Strategy:       core.GoBackN,
-					Window:         sc.Window,
-					Controller:     sc.Controller,
-					RetransTimeout: sc.Tr,
-					Sink: func(off int, b []byte) {
-						copy(bufs[i][st.Offset+off:], b)
-					},
-				}
-				if treed {
-					cfg.StripeOffset = st.Offset
-					cfg.StripeTotal = sc.Bytes
-				}
-				o.start = p.Now()
-				o.res, o.rst, o.err = core.PullResume(ep, cfg, core.ResumeOptions{
-					MaxResumes:   sc.MaxResumes,
-					MaxBusyWaits: sc.MaxBusyWaits,
-					Backoff:      sc.Backoff,
-					Seed:         sc.Seed + int64(i*session.FanoutStripeStride+ki),
-				})
-				o.end = p.Now()
+			if treed { // a range of the logical stream; the baseline pulls it whole
+				cfg.StripeOffset, cfg.StripeTotal = h.st.Offset, sc.Bytes
+			}
+			h.start = sub.now()
+			h.res, h.rst, h.err = core.PullResume(env, cfg, core.ResumeOptions{
+				MaxResumes:   sc.MaxResumes,
+				MaxBusyWaits: sc.MaxBusyWaits,
+				Backoff:      sc.Backoff,
+				Seed:         h.seed,
+				Redial:       redial,
 			})
-		}
-	}
-
-	if sc.DrainAt > 0 {
-		k.After(sc.DrainAt, func() {
-			srcSrv.BeginDrain()
-			for _, s := range relaySrvs {
-				s.BeginDrain()
+			h.end = sub.now()
+			if h.err != nil && h.fail != nil {
+				h.fail(h.err)
 			}
 		})
 	}
 
-	if err := k.Run(); err != nil {
-		return FanoutResult{}, fmt.Errorf("simrun: fanout %s: %w", sc.Name, err)
+	// Hosts, then uplinks, then receivers: the DES creates its stations and
+	// processes in exactly this order.
+	src, err := serve("source", func(s *session.Server) { s.Source = core.SeededReqSource })
+	if err != nil {
+		return FanoutResult{}, err
 	}
-	for i, e := range srvErrs {
-		if e != nil {
-			return FanoutResult{}, fmt.Errorf("simrun: fanout %s server %d: %w", sc.Name, i, e)
+	targets := []host{src} // targets[k] serves stripe k to the receivers
+	var uplinks []fanoutHop
+	if treed {
+		targets = make([]host, len(parts))
+		uplinks = make([]fanoutHop, len(parts))
+		for ki, st := range parts {
+			board := session.NewBoardAt(st.Offset, st.Bytes, sc.Chunk, sub.virtual())
+			targets[ki], err = serve(fmt.Sprintf("relay%d", ki), func(s *session.Server) { s.SourceEnv = board.SourceReq })
+			if err != nil {
+				return FanoutResult{}, err
+			}
+			// A failed uplink poisons its board: the relay's children unblock
+			// and recover through their own resume budgets instead of
+			// deadlocking on a dead board.
+			uplinks[ki] = fanoutHop{name: fmt.Sprintf("relay%d-up", ki), at: src, id: session.FanoutRelayID(ki),
+				seed: sc.Seed + 7000 + int64(ki), st: st, sink: board.Sink(), fail: board.Fail}
+		}
+		for ki := range uplinks {
+			spawn(&uplinks[ki])
 		}
 	}
+	hops := make([][]fanoutHop, sc.N)
+	bufs := make([][]byte, sc.N)
+	for i := range hops {
+		hops[i] = make([]fanoutHop, len(parts))
+		if keep {
+			bufs[i] = make([]byte, sc.Bytes)
+		}
+		for ki, st := range parts {
+			hops[i][ki] = fanoutHop{name: fmt.Sprintf("recv%d-%d", i, ki), at: targets[ki], delay: sc.arrival(i),
+				id: session.FanoutReceiverID(i, ki), seed: sc.Seed + int64(i*session.FanoutStripeStride+ki), st: st,
+				// Stripes cover disjoint ranges, so concurrent sinks never
+				// overlap; without keep the stripe checksums are the evidence.
+				sink: func(off int, b []byte) {
+					if keep {
+						copy(bufs[i][st.Offset+off:], b)
+					}
+				}}
+			spawn(&hops[i][ki])
+		}
+	}
+	if sc.DrainAt > 0 {
+		sub.after(sc.DrainAt, func() {
+			for _, s := range servers {
+				s.BeginDrain()
+			}
+		})
+	}
+	if err := sub.run(); err != nil {
+		return FanoutResult{}, fmt.Errorf("simrun: fanout %s: %w", sc.Name, err)
+	}
 
+	// Every server has stopped: served is complete and no longer shared.
 	expected := core.SeededPayload(int64(sc.Bytes), sc.Bytes, sc.Chunk)
+	want := core.TransferChecksum(expected)
 	out := FanoutResult{
 		Receivers: make([]FanoutReceiverResult, sc.N),
-		Relays:    relayRes,
+		Relays:    make([]FanoutRelayResult, len(uplinks)),
 	}
-	for ki := range relayRes {
-		rr := &relayRes[ki]
-		if ts, ok := stats[session.FanoutRelayID(ki)]; ok {
-			rr.Counts.DataSent += ts.Packets
-			rr.Counts.Retransmits += ts.Retransmits
+	for ki := range uplinks {
+		h := &uplinks[ki]
+		rr := &out.Relays[ki]
+		rr.Relay, rr.Stripe, rr.Resume, rr.Counts = ki, h.st, h.rst, h.counts(served)
+		if h.err != nil {
+			rr.Err = h.err.Error()
+		} else {
+			rr.Completed = h.res.Completed
 		}
 		out.SourceDataSent += rr.Counts.DataSent
 	}
-	var first, last time.Duration = -1, 0
+	var span makespan
 	for i := range out.Receivers {
 		r := &out.Receivers[i]
-		r.Receiver, r.Arrival = i, arrival(i)
+		r.Receiver, r.Arrival = i, sc.arrival(i)
 		r.Completed = true
-		r.Start = -1
-		for ki := range parts {
-			o := &outs[i][ki]
-			if r.Start < 0 || o.start < r.Start {
-				r.Start = o.start
-			}
-			if o.end > r.End {
-				r.End = o.end
-			}
-			addResume(&r.Resume, o.rst)
-			if o.err != nil {
+		var whole makespan
+		var sum wire.SumAcc
+		for ki := range hops[i] {
+			h := &hops[i][ki]
+			whole.add(h.start, h.end)
+			addResume(&r.Resume, h.rst)
+			if h.err != nil {
 				r.Completed = false
 				if r.Err == "" {
-					r.Err = o.err.Error()
+					r.Err = h.err.Error()
 				}
 				var busy *core.BusyError
-				if errors.As(o.err, &busy) {
+				if errors.As(h.err, &busy) {
 					r.Busy = true
 					r.RetryAfter = busy.RetryAfter
 				}
 				continue
 			}
-			if !o.res.Completed {
+			if !h.res.Completed {
 				r.Completed = false
 			}
-			c := recvCounts(o.res)
-			r.Counts.DataRecv += c.DataRecv
-			r.Counts.Duplicates += c.Duplicates
-			r.Counts.AcksOut += c.AcksOut
-			r.Counts.NaksOut += c.NaksOut
-			if ts, ok := stats[session.FanoutReceiverID(i, ki)]; ok {
-				r.Counts.DataSent += ts.Packets
-				r.Counts.Retransmits += ts.Retransmits
-			}
+			sum.AddChecksumAt(h.st.Offset, h.res.Checksum)
+			r.Counts.Add(h.counts(served))
 		}
-		r.Elapsed = r.End - r.Start
+		r.Start, r.End, r.Elapsed = whole.first, whole.last, whole.span()
 		r.Data = bufs[i]
-		r.ChecksumOK = r.Completed && bytes.Equal(bufs[i], expected)
+		r.ChecksumOK = r.Completed && sum.Sum16() == want && (!keep || bytes.Equal(bufs[i], expected))
 		if !treed {
 			// Baseline: the source's sessions are the receivers' own.
 			out.SourceDataSent += r.Counts.DataSent
@@ -452,25 +431,11 @@ func (sc FanoutScenario) Run() (FanoutResult, error) {
 		if r.Completed && r.ChecksumOK {
 			out.Completed++
 			out.AggBytes += int64(sc.Bytes)
-			if first < 0 || r.Start < first {
-				first = r.Start
-			}
-			if r.End > last {
-				last = r.End
-			}
+			span.add(r.Start, r.End)
 		}
-		out.Agg.DataSent += r.Counts.DataSent
-		out.Agg.Retransmits += r.Counts.Retransmits
-		out.Agg.DataRecv += r.Counts.DataRecv
-		out.Agg.Duplicates += r.Counts.Duplicates
-		out.Agg.AcksOut += r.Counts.AcksOut
-		out.Agg.NaksOut += r.Counts.NaksOut
+		out.Agg.Add(r.Counts)
 	}
-	if first < 0 {
-		first = 0
-	}
-	out.Makespan = last - first
-	out.SourceTxBytes = srcSt.Counters.TxBytes
+	out.Makespan = span.span()
 	return out, nil
 }
 
@@ -497,18 +462,16 @@ func (r BroadcastResult) AggMBps() float64 {
 // usable protocol on its own.
 func (sc FanoutScenario) RunBroadcast() (BroadcastResult, error) {
 	sc = sc.withFanoutDefaults()
-	k := sim.NewKernel()
-	n, err := sim.NewNetwork(k, sc.Cost, params.LossModel{}, sc.Seed)
+	w, err := newDESWorld(sc.Cost, sc.Seed)
 	if err != nil {
 		return BroadcastResult{}, err
 	}
-	src := n.AddStation("source")
+	src := w.n.AddStation("source")
 	for i := 0; i < sc.N; i++ {
-		st := n.AddStation(fmt.Sprintf("recv%d", i))
-		st.SetSink()
+		w.n.AddStation(fmt.Sprintf("recv%d", i)).SetSink()
 	}
 	var out BroadcastResult
-	k.Go("broadcast", func(p *sim.Proc) {
+	w.k.Go("broadcast", func(p *sim.Proc) {
 		payload := core.SeededPayload(int64(sc.Bytes), sc.Bytes, sc.Chunk)
 		total := (sc.Bytes + sc.Chunk - 1) / sc.Chunk
 		t0 := p.Now()
@@ -527,7 +490,7 @@ func (sc FanoutScenario) RunBroadcast() (BroadcastResult, error) {
 		}
 		out.Elapsed = p.Now() - t0
 	})
-	if err := k.Run(); err != nil {
+	if err := w.run(); err != nil {
 		return BroadcastResult{}, fmt.Errorf("simrun: broadcast %s: %w", sc.Name, err)
 	}
 	out.AggBytes = int64(sc.N) * int64(sc.Bytes)

@@ -3,200 +3,167 @@ package simrun
 import (
 	"bytes"
 	"fmt"
-	"net"
-	"sync"
 	"testing"
 	"time"
 
 	"blastlan/internal/core"
 	"blastlan/internal/session"
-	"blastlan/internal/udplan"
 )
 
-// Fan-out conformance: the 1-source → 4-relay → 8-receiver stripe tree runs
-// once on the discrete-event simulator and once over real UDP loopback,
-// through the same session layer (boards, stripe REQs, PullResume) on both
-// substrates. Per-receiver and per-relay protocol counters and the
-// receivers' assembled payloads must be identical. The network is clean and
-// timeouts generous on both sides, so every counter is purely data-driven —
-// any divergence is a protocol-layer bug, not scheduling noise.
+// Fan-out conformance: the 1-source → 4-relay → 8-receiver stripe tree is
+// one FanoutScenario, run by the one orchestration on the discrete-event
+// simulator and over real UDP loopback at two batch sizes. Per-receiver and
+// per-relay protocol counters and the receivers' assembled payloads must be
+// identical. The network is clean and timeouts generous on both sides, so
+// every counter is purely data-driven — any divergence is a protocol-layer
+// bug, not scheduling noise.
 
 const (
-	fanConfN      = 8
-	fanConfRelays = 4
-	fanConfBytes  = 64000
-	fanConfChunk  = 1000
-	fanConfTr     = 500 * time.Millisecond
+	fanConfBytes = 64000
+	fanConfChunk = 1000
 )
 
 func fanConfScenario() FanoutScenario {
 	return FanoutScenario{
 		Name:   "fanout-conformance",
-		N:      fanConfN,
-		Relays: fanConfRelays,
+		N:      8,
+		Relays: 4,
 		Bytes:  fanConfBytes,
 		Chunk:  fanConfChunk,
-		Tr:     fanConfTr,
+		Tr:     500 * time.Millisecond,
 		Seed:   5,
 	}
 }
 
-// fanConfOutcome is the cross-substrate projection of one hop.
-type fanConfOutcome struct {
-	Counts    Counts
-	Completed bool
-	Data      []byte
+// fanoutSubstrate is one row of the conformance table's substrate axis.
+type fanoutSubstrate struct {
+	name string
+	run  func(t *testing.T) (FanoutResult, error)
 }
 
-// runFanoutConformanceSim runs the tree on the simulator.
-func runFanoutConformanceSim(t *testing.T) (recv, relays []fanConfOutcome) {
-	t.Helper()
-	res, err := fanConfScenario().Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range res.Receivers {
-		recv = append(recv, fanConfOutcome{Counts: r.Counts, Completed: r.Completed && r.ChecksumOK, Data: r.Data})
-	}
-	for _, rr := range res.Relays {
-		relays = append(relays, fanConfOutcome{Counts: rr.Counts, Completed: rr.Completed})
-	}
-	return recv, relays
-}
-
-// runFanoutConformanceUDP runs the same tree over UDP loopback: the source
-// is an ordinary sharded daemon streaming the seeded object, the relays and
-// receivers are udplan.RunFanout's.
-func runFanoutConformanceUDP(t *testing.T, batch int) (recv, relays []fanConfOutcome) {
-	t.Helper()
-	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("no UDP loopback: %v", err)
-	}
-	defer conn.Close()
-	udplan.SetConnBuffers(conn, 4<<20)
-	stats := make(map[uint32]session.TransferStats)
-	var mu sync.Mutex
-	record := func(ts session.TransferStats) {
-		mu.Lock()
-		stats[ts.TransferID] = ts
-		mu.Unlock()
-	}
-	srv := udplan.NewServer(conn)
-	srv.Batch = batch
-	srv.Concurrency = fanConfRelays + 2
-	srv.Source = seededReqSource
-	srv.Done = record
-	srvDone := make(chan error, 1)
-	go func() { srvDone <- srv.Run() }()
-
-	res, err := udplan.RunFanout(conn.LocalAddr().String(), udplan.FanoutOptions{
-		N:        fanConfN,
-		Relays:   fanConfRelays,
-		Bytes:    fanConfBytes,
-		Chunk:    fanConfChunk,
-		Tr:       fanConfTr,
-		Batch:    batch,
-		Seed:     5,
-		KeepData: true,
-		Done:     record,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn.Close()
-	if err := <-srvDone; err != nil {
-		t.Fatalf("udp source server: %v", err)
-	}
-
-	join := func(id uint32, recvRes core.RecvResult) Counts {
-		c := recvCounts(recvRes)
-		mu.Lock()
-		if ts, ok := stats[id]; ok {
-			c.DataSent += ts.Packets
-			c.Retransmits += ts.Retransmits
-		}
-		mu.Unlock()
-		return c
-	}
-	for i := range res.Receivers {
-		r := &res.Receivers[i]
-		var c Counts
-		ok := r.Completed
-		for ki := range r.Stripes {
-			so := &r.Stripes[ki]
-			if so.Err != nil {
-				t.Fatalf("udp receiver %d stripe %d: %v", i, ki, so.Err)
+// fanoutSubstrates binds sc to every substrate. The UDP rows skip without
+// loopback networking.
+func fanoutSubstrates(sc FanoutScenario) []fanoutSubstrate {
+	udp := func(batch int) func(t *testing.T) (FanoutResult, error) {
+		return func(t *testing.T) (FanoutResult, error) {
+			if !udpAvailable() {
+				t.Skip("no UDP loopback")
 			}
-			sc := join(so.ID, so.Recv)
-			c.DataSent += sc.DataSent
-			c.Retransmits += sc.Retransmits
-			c.DataRecv += sc.DataRecv
-			c.Duplicates += sc.Duplicates
-			c.AcksOut += sc.AcksOut
-			c.NaksOut += sc.NaksOut
+			return sc.RunUDP(FanoutUDP{Batch: batch, KeepData: true})
 		}
-		recv = append(recv, fanConfOutcome{Counts: c, Completed: ok, Data: r.Data})
 	}
-	for ki := range res.Relays {
-		rr := &res.Relays[ki]
-		if rr.Err != nil {
-			t.Fatalf("udp relay %d uplink: %v", ki, rr.Err)
-		}
-		relays = append(relays, fanConfOutcome{Counts: join(rr.ID, rr.Recv), Completed: rr.Recv.Completed})
+	return []fanoutSubstrate{
+		{"des", func(*testing.T) (FanoutResult, error) { return sc.Run() }},
+		{"batch1", udp(1)},
+		{"batch32", udp(32)},
 	}
-	return recv, relays
 }
 
 // TestFanoutConformance is the acceptance pin: the 1→8 stripe-relay tree
 // produces identical per-receiver and per-relay protocol counters and
 // byte-identical payloads on the simulator and over UDP loopback.
 func TestFanoutConformance(t *testing.T) {
-	simRecv, simRelays := runFanoutConformanceSim(t)
-
-	// Non-vacuity: every receiver holds the seeded object and the source
-	// transmitted it ~once (each stripe to exactly one relay).
 	expected := core.SeededPayload(int64(fanConfBytes), fanConfBytes, fanConfChunk)
-	srcSent := 0
-	for _, rr := range simRelays {
-		if !rr.Completed {
-			t.Fatal("sim relay uplink incomplete")
-		}
-		srcSent += rr.Counts.DataSent
-	}
-	if want := fanConfBytes / fanConfChunk; srcSent != want {
-		t.Fatalf("sim source sent %d data packets, want %d (~1x the object)", srcSent, want)
-	}
-	for i, o := range simRecv {
-		if !o.Completed {
-			t.Fatalf("sim receiver %d incomplete", i)
-		}
-		if !bytes.Equal(o.Data, expected) {
-			t.Fatalf("sim receiver %d payload differs from the seeded stream", i)
-		}
-	}
-
-	for _, batch := range []int{1, 32} {
-		t.Run(fmt.Sprintf("batch%d", batch), func(t *testing.T) {
-			udpRecv, udpRelays := runFanoutConformanceUDP(t, batch)
-			for i := range udpRecv {
-				if !udpRecv[i].Completed {
-					t.Fatalf("udp receiver %d incomplete", i)
-				}
-				if !bytes.Equal(udpRecv[i].Data, simRecv[i].Data) {
-					t.Errorf("receiver %d payload differs between sim and udp", i)
-				}
-				if udpRecv[i].Counts != simRecv[i].Counts {
-					t.Errorf("receiver %d counters diverge:\nsim %+v\nudp %+v",
-						i, simRecv[i].Counts, udpRecv[i].Counts)
+	var ref FanoutResult // the DES row: what every other substrate must equal
+	for _, sub := range fanoutSubstrates(fanConfScenario()) {
+		t.Run(sub.name, func(t *testing.T) {
+			res, err := sub.run(t)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Non-vacuity: every receiver holds the seeded object and the
+			// source transmitted it ~once (each stripe to exactly one relay).
+			for ki, rr := range res.Relays {
+				if !rr.Completed {
+					t.Fatalf("relay %d uplink incomplete: %s", ki, rr.Err)
 				}
 			}
-			for ki := range udpRelays {
-				if udpRelays[ki].Counts != simRelays[ki].Counts {
-					t.Errorf("relay %d counters diverge:\nsim %+v\nudp %+v",
-						ki, simRelays[ki].Counts, udpRelays[ki].Counts)
+			if want := fanConfBytes / fanConfChunk; res.SourceDataSent != want {
+				t.Fatalf("source sent %d data packets, want %d (~1x the object)", res.SourceDataSent, want)
+			}
+			for i, r := range res.Receivers {
+				if !r.Completed || !r.ChecksumOK {
+					t.Fatalf("receiver %d incomplete: %s", i, r.Err)
+				}
+				if !bytes.Equal(r.Data, expected) {
+					t.Fatalf("receiver %d payload differs from the seeded stream", i)
+				}
+			}
+			if ref.Receivers == nil {
+				ref = res
+				return
+			}
+			for i, r := range res.Receivers {
+				if !bytes.Equal(r.Data, ref.Receivers[i].Data) {
+					t.Errorf("receiver %d payload differs between sim and udp", i)
+				}
+				if r.Counts != ref.Receivers[i].Counts {
+					t.Errorf("receiver %d counters diverge:\nsim %+v\nudp %+v", i, ref.Receivers[i].Counts, r.Counts)
+				}
+			}
+			for ki, rr := range res.Relays {
+				if rr.Counts != ref.Relays[ki].Counts {
+					t.Errorf("relay %d counters diverge:\nsim %+v\nudp %+v", ki, ref.Relays[ki].Counts, rr.Counts)
 				}
 			}
 		})
+	}
+}
+
+// TestFanoutBaselineConformance runs the Relays == 0 baseline — N
+// independent whole-object pulls, the shape the tree is judged against — on
+// every substrate: all receivers complete and the source pays N × the
+// object.
+func TestFanoutBaselineConformance(t *testing.T) {
+	sc := fanConfScenario()
+	sc.Relays = 0
+	for _, sub := range fanoutSubstrates(sc) {
+		t.Run(sub.name, func(t *testing.T) {
+			res, err := sub.run(t)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Completed != sc.N {
+				t.Fatalf("completed %d/%d receivers", res.Completed, sc.N)
+			}
+			if want := sc.N * fanConfBytes / fanConfChunk; res.SourceDataSent != want {
+				t.Errorf("source sent %d data packets, want %d (N x the object)", res.SourceDataSent, want)
+			}
+		})
+	}
+}
+
+// TestFanoutStrideGuard is the regression for the DES fan-out silently
+// miscounting past session.FanoutStripeStride relays: receiver 0's stripe
+// 16 and receiver 1's stripe 0 share a transfer ID, so the sender-side join
+// credited one with the other's packets (DataSent 71 against DataRecv 70 on
+// a clean network) and Run returned nil. One stripe too many is an error on
+// every substrate, before any host exists; the stride itself still runs.
+func TestFanoutStrideGuard(t *testing.T) {
+	sc := FanoutScenario{Name: "fanout-stride", N: 3, Bytes: 70000, Chunk: 1000, Tr: 500 * time.Millisecond}
+	for _, relays := range []int{17, 16} {
+		sc.Relays = relays
+		for _, sub := range fanoutSubstrates(sc) {
+			t.Run(fmt.Sprintf("relays%d/%s", relays, sub.name), func(t *testing.T) {
+				res, err := sub.run(t)
+				if relays > session.FanoutStripeStride {
+					if err == nil {
+						t.Fatalf("ran (receiver 0 counts %+v), want the stride error", res.Receivers[0].Counts)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Completed != 3 {
+					t.Fatalf("completed %d/3 receivers at the stride", res.Completed)
+				}
+				for i, r := range res.Receivers {
+					if r.Counts.DataSent != 70 || r.Counts.DataRecv != 70 {
+						t.Errorf("receiver %d: DataSent %d DataRecv %d, want 70 and 70", i, r.Counts.DataSent, r.Counts.DataRecv)
+					}
+				}
+			})
+		}
 	}
 }

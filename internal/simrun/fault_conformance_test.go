@@ -53,13 +53,10 @@ func fcConfig() core.Config {
 // schedule — the serving side both substrates share.
 func fcSource(trigger *params.CrashTrigger, crash func()) func(wire.Req) (core.ChunkSource, bool) {
 	return func(r wire.Req) (core.ChunkSource, bool) {
-		if r.Bytes == 0 || r.Chunk == 0 {
+		base, ok := core.SeededReqSource(r)
+		if !ok {
 			return nil, false
 		}
-		stream := int(r.StreamBytes())
-		base := core.OffsetSource(
-			core.SeededSource(int64(stream), stream, int(r.Chunk)),
-			int(r.OffsetChunks))
 		return func(seq int, dst []byte) []byte {
 			if trigger.OnChunk() {
 				crash()

@@ -3,8 +3,6 @@ package simrun
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 	"time"
 
 	"blastlan/internal/core"
@@ -75,9 +73,6 @@ type FaultScenario struct {
 
 // withFaultDefaults fills the zero fields.
 func (sc FaultScenario) withFaultDefaults() FaultScenario {
-	if sc.Cost.BandwidthBitsPerSec == 0 {
-		sc.Cost = params.ModernGigabit()
-	}
 	if sc.N <= 0 {
 		sc.N = 4
 	}
@@ -174,17 +169,14 @@ func (sc FaultScenario) Run() (FaultResult, error) {
 	if err := sc.Faults.Validate(); err != nil {
 		return FaultResult{}, err
 	}
-	k := sim.NewKernel()
-	n, err := sim.NewNetwork(k, sc.Cost, params.LossModel{}, sc.Seed)
+	w, err := newDESWorld(sc.Cost, sc.Seed)
 	if err != nil {
 		return FaultResult{}, err
 	}
-	serverSt := n.AddStation("server")
 	specs := sc.specs()
 	trigger := sc.Faults.Trigger()
 
 	restarts := 0
-	var srvErr error
 	srv := &session.Server{
 		Concurrency: sc.Concurrency,
 		RetryAfter:  sc.RetryAfter,
@@ -203,13 +195,10 @@ func (sc FaultScenario) Run() (FaultResult, error) {
 	// crash loses its socket buffers).
 	var crash func()
 	srv.Source = func(r wire.Req) (core.ChunkSource, bool) {
-		if r.Bytes == 0 || r.Chunk == 0 {
+		base, ok := core.SeededReqSource(r)
+		if !ok {
 			return nil, false
 		}
-		stream := int(r.StreamBytes())
-		base := core.OffsetSource(
-			core.SeededSource(int64(stream), stream, int(r.Chunk)),
-			int(r.OffsetChunks))
 		return func(seq int, dst []byte) []byte {
 			if trigger.OnChunk() {
 				crash()
@@ -217,89 +206,70 @@ func (sc FaultScenario) Run() (FaultResult, error) {
 			return base(seq, dst)
 		}, true
 	}
-	var runServer func()
-	runServer = func() {
-		sim.Serve(n, serverSt, func(l *sim.Listener) {
-			if err := srv.Run(l); err != nil && srvErr == nil {
-				srvErr = err
-			}
-		})
-	}
+	serverSt := w.listen("server", srv)
 	crash = func() {
 		if serverSt.Closed() {
 			return
 		}
 		serverSt.Close()
 		restarts++
-		k.After(sc.Faults.RestartDelay(), func() {
+		w.after(sc.Faults.RestartDelay(), func() {
 			serverSt.FlushRx()
 			serverSt.Reopen()
-			runServer()
+			w.listenOn(serverSt, srv)
 		})
 	}
-	runServer()
 
 	blackhole := sc.Faults.BlackholeHook()
 	results := make([]FaultClientResult, sc.N)
-	k.Go("faultload", func(p *sim.Proc) {
-		f := &sim.Fabric{
-			Net:    n,
-			Server: serverSt,
-			P:      p,
-			Prepare: func(i int, st *sim.Station) error {
-				if i != 0 || blackhole == nil {
-					return nil
-				}
-				// Client 0 goes dark for a stretch of its receive stream.
-				return st.SetAdversary(params.Adversary{Script: blackhole}, sc.Seed)
-			},
-		}
-		f.Fan(sc.N, func(i int, c transport.Client) error {
-			s := specs[i]
-			r := &results[i]
-			r.Client, r.Bytes, r.Strategy, r.Arrival = i, s.bytes, s.strategy, s.arrival
-			r.TransferID = uint32(i + 1)
-			c.Compute(s.arrival)
-			cfg := core.Config{
-				TransferID:     r.TransferID,
-				Bytes:          s.bytes,
-				ChunkSize:      sc.Chunk,
-				Protocol:       core.Blast,
-				Strategy:       s.strategy,
-				Window:         sc.Window,
-				RetransTimeout: sc.Tr,
-				// One REQ round per session: a quiet server means the session
-				// is dead and recovery belongs to the resume layer's offset
-				// REQs — an in-session REQ retry would re-request the full
-				// range and re-receive verified chunks.
-				MaxAttempts: 1,
-			}
-			r.Start = c.Now()
-			res, rstats, err := core.PullResume(c, cfg, core.ResumeOptions{
-				MaxResumes:   sc.MaxResumes,
-				MaxBusyWaits: sc.MaxBusyWaits,
-				Backoff:      sc.Backoff,
-				Seed:         sc.Seed + int64(i),
-			})
-			r.End = c.Now()
-			r.Elapsed = r.End - r.Start
-			r.Resume = rstats
-			r.DataRecv = res.DataPackets - res.Duplicates - res.LingerEvents
-			if err != nil {
-				r.Err = err.Error()
-				return err
-			}
-			r.Completed = res.Completed
-			r.ChecksumOK = res.Completed &&
-				res.Checksum == core.TransferChecksum(core.SeededPayload(int64(s.bytes), s.bytes, sc.Chunk))
+	w.fan("faultload", serverSt, sc.N, func(i int, st *sim.Station) error {
+		if i != 0 || blackhole == nil {
 			return nil
+		}
+		// Client 0 goes dark for a stretch of its receive stream.
+		return st.SetAdversary(params.Adversary{Script: blackhole}, sc.Seed)
+	}, func(i int, c transport.Client) error {
+		s := specs[i]
+		r := &results[i]
+		r.Client, r.Bytes, r.Strategy, r.Arrival = i, s.bytes, s.strategy, s.arrival
+		r.TransferID = uint32(i + 1)
+		c.Compute(s.arrival)
+		cfg := core.Config{
+			TransferID:     r.TransferID,
+			Bytes:          s.bytes,
+			ChunkSize:      sc.Chunk,
+			Protocol:       core.Blast,
+			Strategy:       s.strategy,
+			Window:         sc.Window,
+			RetransTimeout: sc.Tr,
+			// One REQ round per session: a quiet server means the session
+			// is dead and recovery belongs to the resume layer's offset
+			// REQs — an in-session REQ retry would re-request the full
+			// range and re-receive verified chunks.
+			MaxAttempts: 1,
+		}
+		r.Start = c.Now()
+		res, rstats, err := core.PullResume(c, cfg, core.ResumeOptions{
+			MaxResumes:   sc.MaxResumes,
+			MaxBusyWaits: sc.MaxBusyWaits,
+			Backoff:      sc.Backoff,
+			Seed:         sc.Seed + int64(i),
 		})
+		r.End = c.Now()
+		r.Elapsed = r.End - r.Start
+		r.Resume = rstats
+		r.DataRecv = res.DataPackets - res.Duplicates - res.LingerEvents
+		if err != nil {
+			r.Err = err.Error()
+			return err
+		}
+		r.Completed = res.Completed
+		r.ChecksumOK = res.Completed &&
+			res.Checksum == core.TransferChecksum(core.SeededPayload(int64(s.bytes), s.bytes, sc.Chunk))
+		return nil
 	})
-	if err := k.Run(); err != nil {
+	if err := w.run(); err != nil {
 		return FaultResult{}, fmt.Errorf("simrun: faults %s: %w", sc.Name, err)
-	}
-	if srvErr != nil {
-		return FaultResult{}, fmt.Errorf("simrun: faults %s server: %w", sc.Name, srvErr)
 	}
 
 	out := FaultResult{
@@ -308,28 +278,20 @@ func (sc FaultScenario) Run() (FaultResult, error) {
 		Crashes:  trigger.Crashes(),
 		Restarts: restarts,
 	}
-	var first, last time.Duration = -1, 0
+	var span makespan
 	for i := range results {
 		r := &results[i]
 		out.Sessions += r.Resume.Sessions
 		out.BusyWaits += r.Resume.BusyWaits
 		out.Resumed += r.Resume.ResumedChunks
 		out.Dups += r.Resume.DupChunks
-		if first < 0 || r.Arrival < first {
-			first = r.Arrival
-		}
-		if r.End > last {
-			last = r.End
-		}
+		span.add(r.Arrival, r.End)
 		if r.Completed && r.ChecksumOK {
 			out.Completed++
 			out.AggBytes += int64(r.Bytes)
 		}
 	}
-	if first < 0 {
-		first = 0
-	}
-	out.Makespan = last - first
+	out.Makespan = span.span()
 	return out, nil
 }
 
@@ -351,41 +313,18 @@ type FaultStats struct {
 // index order.
 func (sc FaultScenario) Sample(workers int) (FaultStats, error) {
 	sc = sc.withFaultDefaults()
-	n := sc.Trials
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	results := make([]FaultResult, n)
-	errs := make([]error, n)
-	worker := func(w int) {
-		for t := w; t < n; t += workers {
-			s := sc
-			s.Seed = sc.Seed + int64(t)
-			results[t], errs[t] = s.Run()
-		}
-	}
-	if workers == 1 {
-		worker(0)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				worker(w)
-			}(w)
-		}
-		wg.Wait()
-	}
+	results := make([]FaultResult, sc.Trials)
+	err := Pool(sc.Trials, workers, func(_, t int) (err error) {
+		s := sc
+		s.Seed = sc.Seed + int64(t)
+		results[t], err = s.Run()
+		return err
+	})
 	var agg FaultStats
-	for t := 0; t < n; t++ {
-		if errs[t] != nil {
-			return agg, errs[t]
-		}
-		r := results[t]
+	if err != nil {
+		return agg, err
+	}
+	for _, r := range results {
 		agg.Trials++
 		agg.Makespan.Add(r.Makespan)
 		agg.Completed += int64(r.Completed)

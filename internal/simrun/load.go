@@ -3,8 +3,6 @@ package simrun
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 	"time"
 
 	"blastlan/internal/core"
@@ -13,7 +11,6 @@ import (
 	"blastlan/internal/sim"
 	"blastlan/internal/stats"
 	"blastlan/internal/transport"
-	"blastlan/internal/wire"
 )
 
 // LoadScenario is a DES-backed many-client load experiment: N seeded
@@ -75,9 +72,6 @@ type LoadScenario struct {
 
 // withLoadDefaults fills the zero fields.
 func (sc LoadScenario) withLoadDefaults() LoadScenario {
-	if sc.Cost.BandwidthBitsPerSec == 0 {
-		sc.Cost = params.ModernGigabit()
-	}
 	if sc.N <= 0 {
 		sc.N = 8
 	}
@@ -201,12 +195,10 @@ func (sc LoadScenario) specs() []loadClientSpec {
 // handoff scheduling.
 func (sc LoadScenario) Run() (LoadResult, error) {
 	sc = sc.withLoadDefaults()
-	k := sim.NewKernel()
-	n, err := sim.NewNetwork(k, sc.Cost, params.LossModel{}, sc.Seed)
+	w, err := newDESWorld(sc.Cost, sc.Seed)
 	if err != nil {
 		return LoadResult{}, err
 	}
-	serverSt := n.AddStation("server")
 	specs := sc.specs()
 
 	// The server streams seeded chunks, exactly like blastd: a pull of B
@@ -217,101 +209,64 @@ func (sc LoadScenario) Run() (LoadResult, error) {
 		Concurrency: sc.Concurrency,
 		// Virtual idle: generous enough to outlive the full arrival window
 		// plus service; it only delays the (free) virtual clock at the end.
-		Idle: sc.Arrival + 5*time.Minute,
-		Source: func(r wire.Req) (core.ChunkSource, bool) {
-			if r.Bytes == 0 || r.Chunk == 0 {
-				return nil, false
-			}
-			stream := int(r.StreamBytes())
-			return core.OffsetSource(
-				core.SeededSource(int64(stream), stream, int(r.Chunk)),
-				int(r.OffsetChunks)), true
-		},
-		Done: func(ts session.TransferStats) { serverStats[ts.TransferID] = ts },
+		Idle:   sc.Arrival + 5*time.Minute,
+		Source: core.SeededReqSource,
+		Done:   func(ts session.TransferStats) { serverStats[ts.TransferID] = ts },
 	}
-	var srvErr error
-	sim.Serve(n, serverSt, func(l *sim.Listener) { srvErr = srv.Run(l) })
+	serverSt := w.listen("server", srv)
 
 	results := make([]LoadClientResult, sc.N)
-	k.Go("load", func(p *sim.Proc) {
-		f := &sim.Fabric{
-			Net:    n,
-			Server: serverSt,
-			P:      p,
-			Prepare: func(i int, st *sim.Station) error {
-				if !specs[i].adv.Active() {
-					return nil
-				}
-				return st.SetAdversary(specs[i].adv, specs[i].advSeed)
-			},
-		}
-		// Per-client errors are recorded in results[i].Err; Fan's error
-		// slice would only duplicate them.
-		f.Fan(sc.N, func(i int, c transport.Client) error {
-			s := specs[i]
-			r := &results[i]
-			r.Client, r.Bytes, r.Strategy, r.Arrival = i, s.bytes, s.strategy, s.arrival
-			r.Controller = s.controller
-			r.TransferID = uint32(i + 1)
-			c.Compute(s.arrival) // staggered arrival
-			cfg := core.Config{
-				TransferID:     r.TransferID,
-				Bytes:          s.bytes,
-				ChunkSize:      sc.Chunk,
-				Protocol:       core.Blast,
-				Strategy:       s.strategy,
-				Window:         sc.Window,
-				Controller:     s.controller,
-				RetransTimeout: sc.Tr,
-			}
-			r.Start = c.Now()
-			res, err := core.Request(c, cfg)
-			r.End = c.Now()
-			r.Elapsed = r.End - r.Start
-			if err != nil {
-				r.Err = err.Error()
-				return err
-			}
-			r.Completed = res.Completed
-			r.ChecksumOK = res.Completed &&
-				res.Checksum == core.TransferChecksum(core.SeededPayload(int64(s.bytes), s.bytes, sc.Chunk))
-			r.Counts = Counts{
-				DataRecv:   res.DataPackets - res.LingerEvents,
-				Duplicates: res.Duplicates - res.LingerEvents,
-				AcksOut:    res.AcksSent - res.LingerAcks,
-				NaksOut:    res.NaksSent - res.LingerNaks,
-			}
+	w.fan("load", serverSt, sc.N, func(i int, st *sim.Station) error {
+		if !specs[i].adv.Active() {
 			return nil
-		})
+		}
+		return st.SetAdversary(specs[i].adv, specs[i].advSeed)
+	}, func(i int, c transport.Client) error {
+		s := specs[i]
+		r := &results[i]
+		r.Client, r.Bytes, r.Strategy, r.Arrival = i, s.bytes, s.strategy, s.arrival
+		r.Controller = s.controller
+		r.TransferID = uint32(i + 1)
+		c.Compute(s.arrival) // staggered arrival
+		cfg := core.Config{
+			TransferID:     r.TransferID,
+			Bytes:          s.bytes,
+			ChunkSize:      sc.Chunk,
+			Protocol:       core.Blast,
+			Strategy:       s.strategy,
+			Window:         sc.Window,
+			Controller:     s.controller,
+			RetransTimeout: sc.Tr,
+		}
+		r.Start = c.Now()
+		res, err := core.Request(c, cfg)
+		r.End = c.Now()
+		r.Elapsed = r.End - r.Start
+		if err != nil {
+			r.Err = err.Error()
+			return err
+		}
+		r.Completed = res.Completed
+		r.ChecksumOK = res.Completed &&
+			res.Checksum == core.TransferChecksum(core.SeededPayload(int64(s.bytes), s.bytes, sc.Chunk))
+		r.Counts = recvCounts(res)
+		return nil
 	})
-	if err := k.Run(); err != nil {
+	if err := w.run(); err != nil {
 		return LoadResult{}, fmt.Errorf("simrun: load %s: %w", sc.Name, err)
-	}
-	if srvErr != nil {
-		return LoadResult{}, fmt.Errorf("simrun: load %s server: %w", sc.Name, srvErr)
 	}
 
 	out := LoadResult{Clients: results, Served: srv.Served()}
 	var rates []float64
-	var first, last time.Duration = -1, 0
+	var span makespan
 	for i := range results {
 		r := &results[i]
 		if ts, ok := serverStats[r.TransferID]; ok {
 			r.Counts.DataSent = ts.Packets
 			r.Counts.Retransmits = ts.Retransmits
 		}
-		if first < 0 || r.Arrival < first {
-			first = r.Arrival
-		}
-		if r.End > last {
-			last = r.End
-		}
-		out.Agg.DataSent += r.Counts.DataSent
-		out.Agg.Retransmits += r.Counts.Retransmits
-		out.Agg.DataRecv += r.Counts.DataRecv
-		out.Agg.Duplicates += r.Counts.Duplicates
-		out.Agg.AcksOut += r.Counts.AcksOut
-		out.Agg.NaksOut += r.Counts.NaksOut
+		span.add(r.Arrival, r.End)
+		out.Agg.Add(r.Counts)
 		if r.Completed && r.ChecksumOK {
 			out.Completed++
 			out.AggBytes += int64(r.Bytes)
@@ -320,10 +275,7 @@ func (sc LoadScenario) Run() (LoadResult, error) {
 			}
 		}
 	}
-	if first < 0 {
-		first = 0
-	}
-	out.Makespan = last - first
+	out.Makespan = span.span()
 	out.Fairness = jain(rates)
 	return out, nil
 }
@@ -347,45 +299,22 @@ type LoadStats struct {
 // convention as SampleWorkers), merging in index order.
 func (sc LoadScenario) Sample(workers int) (LoadStats, error) {
 	sc = sc.withLoadDefaults()
-	n := sc.Trials
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
 	if sc.ClientAdversary != nil || sc.ClientController != nil || sc.Adversary.Script != nil {
 		workers = 1 // callback hooks are not goroutine-safe
 	}
-	results := make([]LoadResult, n)
-	errs := make([]error, n)
-	worker := func(w int) {
-		for t := w; t < n; t += workers {
-			s := sc
-			s.Seed = sc.Seed + int64(t)
-			results[t], errs[t] = s.Run()
-		}
-	}
-	if workers == 1 {
-		worker(0)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				worker(w)
-			}(w)
-		}
-		wg.Wait()
-	}
+	results := make([]LoadResult, sc.Trials)
+	err := Pool(sc.Trials, workers, func(_, t int) (err error) {
+		s := sc
+		s.Seed = sc.Seed + int64(t)
+		results[t], err = s.Run()
+		return err
+	})
 	var agg LoadStats
+	if err != nil {
+		return agg, err
+	}
 	var fairSum float64
-	for t := 0; t < n; t++ {
-		if errs[t] != nil {
-			return agg, errs[t]
-		}
-		r := results[t]
+	for _, r := range results {
 		agg.Trials++
 		agg.Makespan.Add(r.Makespan)
 		agg.Served += int64(r.Served)

@@ -42,12 +42,7 @@ func SampleWorkers(cfg core.Config, opt Options, n, workers int) (Stats, error) 
 	if n <= 0 {
 		return agg, nil
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers = poolSize(n, workers)
 	if opt.Trace != nil || opt.DropFilter != nil || opt.Adversary.Script != nil {
 		workers = 1
 	}
@@ -57,34 +52,78 @@ func SampleWorkers(cfg core.Config, opt Options, n, workers int) (Stats, error) 
 		retransmits int
 		dataPackets int
 		failed      bool
-		err         error
 	}
 	trials := make([]trial, n)
+	// One kernel per worker, Reset between trials: pools stay warm. A
+	// substrate error (deadlock, panic) can leave processes blocked, so the
+	// kernel no longer satisfies Reset's quiesce precondition — Pool stops a
+	// worker at its first error.
+	kernels := make([]*sim.Kernel, workers)
+	err := Pool(n, workers, func(w, i int) error {
+		if kernels[w] == nil {
+			kernels[w] = sim.NewKernel()
+		}
+		o := opt
+		o.Seed = opt.Seed + int64(i)
+		res, err := TransferOn(kernels[w], cfg, o)
+		if err != nil {
+			return err
+		}
+		if res.Failed() {
+			trials[i].failed = true
+			return nil
+		}
+		trials[i].elapsed = res.Send.Elapsed
+		trials[i].retransmits = res.Send.Retransmits
+		trials[i].dataPackets = res.Send.DataPackets
+		return nil
+	})
+	if err != nil {
+		return agg, err
+	}
+
+	// Merge strictly in trial-index order so the accumulated moments are
+	// identical no matter how the trials were scheduled.
+	for i := range trials {
+		t := &trials[i]
+		if t.failed {
+			agg.Failures++
+			continue
+		}
+		agg.Elapsed.Add(t.elapsed)
+		agg.Retransmits += int64(t.retransmits)
+		agg.DataPackets += int64(t.dataPackets)
+	}
+	return agg, nil
+}
+
+// poolSize resolves a requested worker count against n items: 0 or negative
+// means GOMAXPROCS, and there are never more workers than items.
+func poolSize(n, workers int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return min(workers, n)
+}
+
+// Pool is the one deterministic worker pool every sampler, sweep and figure
+// shares: fn(w, i) runs once for each i in [0, n) on poolSize(n, workers)
+// goroutines, worker w taking i = w, w+workers, … in order (w lets a caller
+// keep per-worker state, such as a reusable kernel). fn must write only
+// slot i of whatever it fills, so the caller's index-order merge is
+// identical at any worker count. A worker stops at its first error; the
+// error returned is the one with the lowest index.
+func Pool(n, workers int, fn func(w, i int) error) error {
+	workers = poolSize(n, workers)
+	errs := make([]error, n)
 	worker := func(w int) {
-		// One kernel per worker, Reset between trials: pools stay warm.
-		k := sim.NewKernel()
 		for i := w; i < n; i += workers {
-			o := opt
-			o.Seed = opt.Seed + int64(i)
-			res, err := TransferOn(k, cfg, o)
-			if err != nil {
-				// A substrate error (deadlock, panic) can leave processes
-				// blocked, so the kernel no longer satisfies Reset's quiesce
-				// precondition — and the merge loop discards everything after
-				// the first error anyway. Stop this worker.
-				trials[i].err = err
+			if errs[i] = fn(w, i); errs[i] != nil {
 				return
 			}
-			if res.Failed() {
-				trials[i].failed = true
-				continue
-			}
-			trials[i].elapsed = res.Send.Elapsed
-			trials[i].retransmits = res.Send.Retransmits
-			trials[i].dataPackets = res.Send.DataPackets
 		}
 	}
-	if workers == 1 {
+	if workers <= 1 {
 		worker(0)
 	} else {
 		var wg sync.WaitGroup
@@ -97,21 +136,10 @@ func SampleWorkers(cfg core.Config, opt Options, n, workers int) (Stats, error) 
 		}
 		wg.Wait()
 	}
-
-	// Merge strictly in trial-index order so the accumulated moments are
-	// identical no matter how the trials were scheduled.
-	for i := range trials {
-		t := &trials[i]
-		if t.err != nil {
-			return agg, t.err
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
-		if t.failed {
-			agg.Failures++
-			continue
-		}
-		agg.Elapsed.Add(t.elapsed)
-		agg.Retransmits += int64(t.retransmits)
-		agg.DataPackets += int64(t.dataPackets)
 	}
-	return agg, nil
+	return nil
 }

@@ -128,24 +128,41 @@ type Outcome struct {
 // IntactPayload reports whether the delivered bytes match the scenario's.
 func (o Outcome) IntactPayload(want []byte) bool { return bytes.Equal(o.Data, want) }
 
+// Add folds another conversation's counters into c.
+func (c *Counts) Add(o Counts) {
+	c.DataSent += o.DataSent
+	c.Retransmits += o.Retransmits
+	c.Rounds += o.Rounds
+	c.Timeouts += o.Timeouts
+	c.AcksIn += o.AcksIn
+	c.NaksIn += o.NaksIn
+	c.DataRecv += o.DataRecv
+	c.Duplicates += o.Duplicates
+	c.AcksOut += o.AcksOut
+	c.NaksOut += o.NaksOut
+}
+
+// recvCounts projects a receiver's counters net of linger: what arrives
+// after completion depends on teardown timing, not on protocol behaviour.
+func recvCounts(r core.RecvResult) Counts {
+	return Counts{
+		DataRecv:   r.DataPackets - r.LingerEvents,
+		Duplicates: r.Duplicates - r.LingerEvents,
+		AcksOut:    r.AcksSent - r.LingerAcks,
+		NaksOut:    r.NaksSent - r.LingerNaks,
+	}
+}
+
 // outcomeOf projects the two sides' results.
 func outcomeOf(s core.SendResult, r core.RecvResult) Outcome {
-	return Outcome{
-		Counts: Counts{
-			DataSent:    s.DataPackets,
-			Retransmits: s.Retransmits,
-			Rounds:      s.Rounds,
-			Timeouts:    s.Timeouts,
-			AcksIn:      s.AcksReceived,
-			NaksIn:      s.NaksReceived,
-			DataRecv:    r.DataPackets - r.LingerEvents,
-			Duplicates:  r.Duplicates - r.LingerEvents,
-			AcksOut:     r.AcksSent - r.LingerAcks,
-			NaksOut:     r.NaksSent - r.LingerNaks,
-		},
-		Completed: r.Completed,
-		Data:      r.Data,
-	}
+	c := recvCounts(r)
+	c.DataSent = s.DataPackets
+	c.Retransmits = s.Retransmits
+	c.Rounds = s.Rounds
+	c.Timeouts = s.Timeouts
+	c.AcksIn = s.AcksReceived
+	c.NaksIn = s.NaksReceived
+	return Outcome{Counts: c, Completed: r.Completed, Data: r.Data}
 }
 
 // RunSim executes the scenario once on the discrete-event simulator.

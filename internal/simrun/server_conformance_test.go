@@ -109,15 +109,7 @@ func srvConfExpected(i int) []byte {
 // session.Server — the same value drives both substrates.
 func configureConformanceServer(srv *session.Server, stats map[uint32]session.TransferStats, mu *sync.Mutex) {
 	srv.Concurrency = srvConfConcurrency
-	srv.Source = func(r wire.Req) (core.ChunkSource, bool) {
-		if r.Bytes == 0 || r.Chunk == 0 {
-			return nil, false
-		}
-		stream := int(r.StreamBytes())
-		return core.OffsetSource(
-			core.SeededSource(int64(stream), stream, int(r.Chunk)),
-			int(r.OffsetChunks)), true
-	}
+	srv.Source = core.SeededReqSource
 	srv.Done = func(ts session.TransferStats) {
 		mu.Lock()
 		stats[ts.TransferID] = ts
@@ -137,18 +129,9 @@ type srvConfOutcome struct {
 // clientOutcome projects a client's RecvResult plus its server session's
 // stats.
 func clientOutcome(res core.RecvResult, ts session.TransferStats) srvConfOutcome {
-	return srvConfOutcome{
-		Counts: Counts{
-			DataSent:    ts.Packets,
-			Retransmits: ts.Retransmits,
-			DataRecv:    res.DataPackets - res.LingerEvents,
-			Duplicates:  res.Duplicates - res.LingerEvents,
-			AcksOut:     res.AcksSent - res.LingerAcks,
-			NaksOut:     res.NaksSent - res.LingerNaks,
-		},
-		Completed: res.Completed,
-		Data:      res.Data,
-	}
+	c := recvCounts(res)
+	c.DataSent, c.Retransmits = ts.Packets, ts.Retransmits
+	return srvConfOutcome{Counts: c, Completed: res.Completed, Data: res.Data}
 }
 
 // runServerConformanceSim serves the 8 clients on the simulator through the

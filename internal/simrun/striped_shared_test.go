@@ -11,7 +11,6 @@ import (
 	"blastlan/internal/session"
 	"blastlan/internal/sim"
 	"blastlan/internal/udplan"
-	"blastlan/internal/wire"
 )
 
 // The striped fan-out itself is now substrate-agnostic (session.PullStriped):
@@ -36,18 +35,6 @@ func stripedSharedConfig() core.Config {
 	}
 }
 
-// stripedSharedSource is the server-side seeded generator (identical on
-// both substrates), resolving stripe ranges from the REQ.
-func stripedSharedSource(r wire.Req) (core.ChunkSource, bool) {
-	if r.Bytes == 0 || r.Chunk == 0 {
-		return nil, false
-	}
-	stream := int(r.StreamBytes())
-	return core.OffsetSource(
-		core.SeededSource(int64(stream), stream, int(r.Chunk)),
-		int(r.OffsetChunks)), true
-}
-
 // runStripedShared runs the striped pull on the simulator through the
 // shared session layer end to end: sharded session.Server on one station,
 // session.PullStriped over a sim.Fabric of per-stripe client stations.
@@ -62,7 +49,7 @@ func runStripedSharedSim(t *testing.T, streams int, adv params.Adversary, seed i
 	srv := &session.Server{
 		Idle:        time.Minute,
 		Concurrency: streams + 1,
-		Source:      stripedSharedSource,
+		Source:      core.SeededReqSource,
 	}
 	var srvErr error
 	sim.Serve(n, serverSt, func(l *sim.Listener) { srvErr = srv.Run(l) })
@@ -112,7 +99,7 @@ func runStripedSharedUDP(t *testing.T, streams int, adv params.Adversary, seed i
 	srv := udplan.NewServer(conn)
 	srv.Concurrency = streams + 1
 	srv.Batch = 32
-	srv.Source = stripedSharedSource
+	srv.Source = core.SeededReqSource
 	go srv.Run()
 
 	opts := udplan.StripeOptions{
@@ -128,16 +115,6 @@ func runStripedSharedUDP(t *testing.T, streams int, adv params.Adversary, seed i
 		t.Fatal(err)
 	}
 	return res
-}
-
-// stripeNetCounts projects one stripe's receiver counters net of linger.
-func stripeNetCounts(r core.RecvResult) Counts {
-	return Counts{
-		DataRecv:   r.DataPackets - r.LingerEvents,
-		Duplicates: r.Duplicates - r.LingerEvents,
-		AcksOut:    r.AcksSent - r.LingerAcks,
-		NaksOut:    r.NaksSent - r.LingerNaks,
-	}
 }
 
 // TestStripedPullSharedLayer pins the tentpole property: a striped
@@ -184,7 +161,7 @@ func TestStripedPullSharedLayer(t *testing.T) {
 		t.Fatalf("checksums diverge: sim %04x udp %04x", simRes.Checksum, udpRes.Checksum)
 	}
 	for i := range simRes.Stripes {
-		sc, uc := stripeNetCounts(simRes.Stripes[i].Recv), stripeNetCounts(udpRes.Stripes[i].Recv)
+		sc, uc := recvCounts(simRes.Stripes[i].Recv), recvCounts(udpRes.Stripes[i].Recv)
 		if sc != uc {
 			t.Errorf("stripe %d counters diverge:\nsim %+v\nudp %+v", i, sc, uc)
 		}

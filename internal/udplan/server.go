@@ -28,9 +28,8 @@ import (
 // stripe-range resolution, graceful drain) is shared with the simulator
 // substrate; only the socket/syscall specifics live here.
 type Server struct {
-	// The shared serving machinery and its handler hooks: Data, Source,
-	// Sink, SinkStream, Idle, Concurrency, Logf, Done, BeginDrain, Served —
-	// see session.Server.
+	// The shared serving machinery — handler hooks, limits, drain and
+	// accounting are session.Server's, documented there.
 	session.Server
 
 	// Batch enables batched syscall I/O (tiered frame rings per session, a
