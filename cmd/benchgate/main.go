@@ -2,10 +2,11 @@
 // measured lanbench -benchjson snapshot against a committed throughput
 // floor and fails (exit 1) when any gated benchmark falls below its
 // minimum, when a benchmark the floor file lists under zero_retransmits sent
-// any packet twice, or when one listed under max_allocs_per_op allocated more
-// than its ceiling. The floor file lists only the benchmarks worth
-// gating; a gated name missing from the snapshot is itself a failure, so a
-// renamed or silently dropped benchmark cannot sneak past the gate.
+// any packet twice, when one listed under max_allocs_per_op allocated more
+// than its ceiling, or when a count listed under exact (the DES kernel's,
+// which repeat bit for bit on any host) differs at all. The floor file lists
+// only the benchmarks worth gating; a gated name missing from the snapshot is
+// itself a failure, so a renamed or dropped benchmark cannot sneak past.
 //
 //	benchgate -got BENCH_udp_ci.json -floor ci/bench_floor.json
 package main
@@ -40,6 +41,10 @@ type floorFile struct {
 	MinMBps         map[string]float64 `json:"min_mbps"`
 	ZeroRetransmits []string           `json:"zero_retransmits"`
 	MaxAllocsPerOp  map[string]int64   `json:"max_allocs_per_op"`
+	// Rationale derives floors row by row (Note covers the rows it lacks);
+	// Exact maps benchmark → snapshot field → the only value that passes.
+	Rationale map[string]string             `json:"rationale"`
+	Exact     map[string]map[string]float64 `json:"exact"`
 }
 
 func main() {
@@ -87,7 +92,7 @@ func main() {
 			fmt.Printf("%-28s %10s %10.1f  MISSING from snapshot\n", name, "-", min)
 		case mbps < min:
 			failed = true
-			fmt.Printf("%-28s %10.1f %10.1f  REGRESSION\n", name, mbps, min)
+			fmt.Printf("%-28s %10.1f %10.1f  REGRESSION %s\n", name, mbps, min, floor.Rationale[name])
 		default:
 			fmt.Printf("%-28s %10.1f %10.1f  ok\n", name, mbps, min)
 		}
@@ -108,6 +113,21 @@ func main() {
 		} else if n := allocs[name]; n > most {
 			failed = true
 			fmt.Printf("%-28s %d allocs/op, ceiling %d  REGRESSION\n", name, n, most)
+		}
+	}
+	rows, _ := readJSON[struct {
+		Benchmarks []map[string]any `json:"benchmarks"`
+	}](*got)
+	byName := make(map[string]map[string]any, len(rows.Benchmarks))
+	for _, row := range rows.Benchmarks {
+		byName[fmt.Sprint(row["name"])] = row
+	}
+	for name, fields := range floor.Exact {
+		for field, want := range fields {
+			if v, ok := byName[name][field].(float64); !ok || v != want {
+				failed = true
+				fmt.Printf("%-28s %s = %v, committed %v  CHANGED\n", name, field, byName[name][field], want)
+			}
 		}
 	}
 	if failed {

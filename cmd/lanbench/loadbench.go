@@ -38,7 +38,8 @@ func loadScenarioFor(n int) simrun.LoadScenario {
 
 // appendLoadRows measures the sweep (N = 1, 8, 64) and appends one row per
 // N. Each row is the best of reps runs (wall-clock DES throughput jitters
-// with scheduler noise like any other wall-clock figure).
+// with scheduler noise like any other wall-clock figure); the kernel counts
+// per simulated packet beside it repeat bit for bit, and CI gates them exactly.
 func appendLoadRows(snap *benchSnapshot, quick bool) error {
 	reps := 3
 	if quick {
@@ -47,10 +48,11 @@ func appendLoadRows(snap *benchSnapshot, quick bool) error {
 	for _, c := range []loadCase{{"sim_load1", 1}, {"sim_load8", 8}, {"sim_load64", 64}} {
 		sc := loadScenarioFor(c.n)
 		var best time.Duration
-		var bytes int64
+		var res simrun.LoadResult
 		for r := 0; r < reps; r++ {
 			t0 := time.Now()
-			res, err := sc.Run()
+			var err error
+			res, err = sc.Run()
 			el := time.Since(t0)
 			if err != nil {
 				return fmt.Errorf("%s: %w", c.name, err)
@@ -58,19 +60,24 @@ func appendLoadRows(snap *benchSnapshot, quick bool) error {
 			if res.Completed != sc.N {
 				return fmt.Errorf("%s: %d of %d clients completed", c.name, res.Completed, sc.N)
 			}
-			bytes = res.AggBytes
 			if best == 0 || el < best {
 				best = el
 			}
 		}
-		mbps := float64(bytes) / best.Seconds() / 1e6
-		fmt.Printf("%-32s %10.1f %12v\n", c.name, mbps, best.Round(time.Millisecond))
-		snap.Benchmarks = append(snap.Benchmarks, benchEntry{
-			Name:       c.name,
-			NsPerOp:    float64(best.Nanoseconds()),
-			BytesPerOp: bytes,
-			MBps:       mbps,
-		})
+		mbps := float64(res.AggBytes) / best.Seconds() / 1e6
+		pkts := float64(res.Agg.DataSent + res.Agg.AcksOut + res.Agg.NaksOut)
+		e := benchEntry{
+			Name:           c.name,
+			NsPerOp:        float64(best.Nanoseconds()),
+			BytesPerOp:     res.AggBytes,
+			MBps:           mbps,
+			EventsPerPkt:   float64(res.Kernel.Events) / pkts,
+			SwitchesPerPkt: float64(res.Kernel.Switches) / pkts,
+			HeapPeak:       res.Kernel.HeapPeak,
+		}
+		fmt.Printf("%-32s %10.1f %12v  %.3f events/pkt %.3f switches/pkt heap peak %d\n",
+			c.name, mbps, best.Round(time.Millisecond), e.EventsPerPkt, e.SwitchesPerPkt, e.HeapPeak)
+		snap.Benchmarks = append(snap.Benchmarks, e)
 	}
 	return nil
 }

@@ -127,6 +127,10 @@ type benchEntry struct {
 	MBps        float64 `json:"mbps,omitempty"`        // end-to-end throughput cases only
 	Tier        string  `json:"tier,omitempty"`        // datapath tier that actually ran (UDP pull cases)
 	Retransmits int64   `json:"retransmits,omitempty"` // data packets sent more than once (UDP push cases: must be 0)
+	// sim_load rows: exact DES kernel counts per simulated packet (sim.KernelStats).
+	EventsPerPkt   float64 `json:"events_per_pkt,omitempty"`
+	SwitchesPerPkt float64 `json:"switches_per_pkt,omitempty"`
+	HeapPeak       int     `json:"heap_peak,omitempty"`
 }
 
 // benchSnapshot is the machine-readable perf record CI archives as

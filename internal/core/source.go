@@ -57,6 +57,21 @@ func SeededPayload(seed int64, bytes, chunk int) []byte {
 	return out
 }
 
+// SeededChecksum is TransferChecksum(SeededPayload(seed, bytes, chunk))
+// without the payload: each chunk is generated into one buffer and folded in
+// at its offset.
+func SeededChecksum(seed int64, bytes, chunk int) uint16 {
+	src := SeededSource(seed, bytes, chunk)
+	buf := make([]byte, 0, chunk)
+	var acc wire.SumAcc
+	for seq, off := 0, 0; off < bytes; seq++ {
+		b := src(seq, buf)
+		acc.AddAt(off, b)
+		off += len(b)
+	}
+	return acc.Sum16()
+}
+
 // fillChunk fills dst from a splitmix64 stream starting at state.
 func fillChunk(state uint64, dst []byte) {
 	var word [8]byte

@@ -152,3 +152,23 @@ func TestSourceSinkStreaming(t *testing.T) {
 		t.Errorf("incremental checksum %04x, want %04x", ro.res.Checksum, wire.Checksum(want))
 	}
 }
+
+// TestSeededChecksumMatchesPayload pins the streaming checksum to the
+// materialised one across odd sizes, a short last chunk (which puts later
+// chunks at odd offsets when the chunk size is odd) and degenerate chunks.
+func TestSeededChecksumMatchesPayload(t *testing.T) {
+	for _, chunk := range []int{1, 999, 1000, 1024} {
+		for _, size := range []int{1, 7, 999, 1000, 1001, 4097, 65536, 65537, 262144, 300001} {
+			if chunk == 1 && size > 5000 {
+				continue
+			}
+			want := TransferChecksum(SeededPayload(int64(size), size, chunk))
+			if got := SeededChecksum(int64(size), size, chunk); got != want {
+				t.Errorf("size %d chunk %d: streaming sum %#04x, materialised %#04x", size, chunk, got, want)
+			}
+		}
+	}
+	if got, want := SeededChecksum(3, 0, 1000), TransferChecksum(nil); got != want {
+		t.Errorf("empty transfer: %#04x, want %#04x", got, want)
+	}
+}

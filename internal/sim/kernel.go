@@ -2,24 +2,29 @@
 //
 // It exists to stand in for the paper's hardware testbed (two SUN
 // workstations on an idle 10 Mb/s Ethernet): simulated "processes" are
-// goroutine coroutines that execute the paper's busy-wait protocol programs
+// coroutines (iter.Pull) that execute the paper's busy-wait protocol programs
 // in virtual time, charging CPU time for packet copies, occupying a
 // half-duplex medium for transmissions, and suffering seeded packet loss.
 //
 // Scheduling is strictly sequential: the kernel resumes exactly one process
-// at a time and waits for it to block again before advancing the clock, so
-// a given seed always produces an identical execution. Events at equal
-// times fire in schedule order.
+// at a time with a coroutine switch — goroutine to goroutine, with no pass
+// through the Go scheduler's queues — and runs again when the process blocks
+// in Sleep or Wait, so a given seed always produces an identical execution.
+// Events at equal times fire in schedule order.
 //
 // The kernel is built for cheap mass replay: event records live on a
-// per-kernel free list, the Sleep/Wait/handoff hot path schedules typed
-// resume events instead of allocating closures, and Reset rewinds a kernel
-// to time zero so one kernel (with its warmed pools and handoff channel)
-// can serve thousands of trials.
+// per-kernel free list and know their heap index, so a cancelled timer leaves
+// the heap at once and the heap holds only what can still fire; Sleep and
+// Wait schedule typed events instead of allocating closures; a waiter's
+// predicate is checked by the kernel, so a broadcast that does not concern a
+// process costs an event, not a switch; and Reset rewinds a kernel to time
+// zero so one kernel (with its warmed pools) can serve thousands of trials.
 package sim
 
 import (
+	"errors"
 	"fmt"
+	"iter"
 	"time"
 )
 
@@ -29,39 +34,55 @@ type Kernel struct {
 	now     time.Duration
 	events  eventHeap
 	seq     uint64
-	yielded chan struct{}
 	live    int // non-daemon processes that have not finished
 	failure error
+	procs   []*Proc // started and not finished: what unwind must stop
+	stats   KernelStats
 
 	freeEvents  []*event
 	freeWaiters []*svwaiter
 }
 
 // NewKernel returns an empty kernel at time zero.
-func NewKernel() *Kernel {
-	return &Kernel{yielded: make(chan struct{})}
+func NewKernel() *Kernel { return &Kernel{} }
+
+// KernelStats counts the scheduling work since the last Reset. The counts
+// are exact: for a given seed they repeat bit for bit on any host.
+type KernelStats struct {
+	Events          int64 // events fired
+	Switches        int64 // kernel-to-process resumes (two coroutine switches each)
+	TimersCancelled int64 // events removed from the heap before they fired
+	HeapPeak        int   // deepest the event heap got
 }
+
+// Stats returns the counts so far.
+func (k *Kernel) Stats() KernelStats { return k.stats }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() time.Duration { return k.now }
 
 // Reset rewinds the kernel to time zero with an empty event heap so it can
-// run another simulation, keeping its handoff channel and its event and
-// waiter pools warm. Pending events are discarded into the pool.
-//
-// The previous run must have quiesced: every spawned process has returned
-// (Run completed without daemons still blocked). A process left blocked at
-// Reset time is orphaned — its goroutine parks forever, since the events
-// that would resume it are discarded.
+// run another simulation, keeping its event and waiter pools warm. Processes
+// still blocked (a parked daemon, an abandoned run) are unwound first; then
+// pending events are discarded into the pool.
 func (k *Kernel) Reset() {
+	k.unwind()
 	for k.events.len() > 0 {
 		k.recycle(k.events.pop())
 	}
-	k.now = 0
-	k.seq = 0
-	k.live = 0
-	k.failure = nil
+	k.now, k.seq, k.live, k.failure, k.stats = 0, 0, 0, nil, KernelStats{}
 }
+
+// unwind stops every process that has started and not finished: each is
+// resumed once with a false yield, panics errUnwound out of its Sleep or Wait,
+// runs its deferred calls and takes itself off k.procs. No event fires.
+func (k *Kernel) unwind() {
+	for len(k.procs) > 0 {
+		k.procs[len(k.procs)-1].stop()
+	}
+}
+
+var errUnwound = errors.New("sim: process unwound by its kernel")
 
 // eventKind discriminates the typed events the kernel dispatches without a
 // closure allocation. evFunc remains the general case for cold paths.
@@ -70,8 +91,10 @@ type eventKind uint8
 const (
 	// evFunc runs an arbitrary callback.
 	evFunc eventKind = iota
-	// evResume hands control to a blocked process (Sleep, Broadcast).
+	// evResume hands control to a spawned or sleeping process.
 	evResume
+	// evWake is a broadcast reaching one waiter (whose predicate may decline).
+	evWake
 	// evWaitTimeout expires a Signal wait.
 	evWaitTimeout
 	// evTxDone marks a FIFO-medium transmission leaving the wire.
@@ -83,16 +106,16 @@ const (
 // event is a scheduled occurrence. Events are pooled: gen increments on
 // every recycle so stale Timer handles cannot cancel an unrelated reuse.
 type event struct {
-	at        time.Duration
-	seq       uint64
-	gen       uint32
-	kind      eventKind
-	cancelled bool
-	timedOut  bool
+	at   time.Duration
+	seq  uint64
+	k    *Kernel // owner, so a Timer can pull the event off its heap
+	idx  int     // position in the heap; -1 once popped or removed
+	gen  uint32
+	kind eventKind
 
 	fire   func()    // evFunc
 	proc   *Proc     // evResume
-	waiter *svwaiter // evWaitTimeout
+	waiter *svwaiter // evWake, evWaitTimeout
 	job    *txJob    // evTxDone, evDeliver
 }
 
@@ -103,11 +126,14 @@ type Timer struct {
 	gen uint32
 }
 
-// Cancel prevents the event from firing. Safe to call multiple times, after
-// the event has fired, and on the zero Timer.
+// Cancel prevents the event from firing by removing it from the heap and
+// recycling it. Safe to call multiple times, while or after the event fires,
+// and on the zero Timer.
 func (t Timer) Cancel() {
-	if t.ev != nil && t.ev.gen == t.gen {
-		t.ev.cancelled = true
+	if ev := t.ev; ev != nil && ev.gen == t.gen && ev.idx >= 0 {
+		ev.k.events.remove(ev.idx)
+		ev.k.stats.TimersCancelled++
+		ev.k.recycle(ev)
 	}
 }
 
@@ -118,10 +144,9 @@ func (k *Kernel) newEvent(at time.Duration, kind eventKind) *event {
 	var ev *event
 	if n := len(k.freeEvents); n > 0 {
 		ev = k.freeEvents[n-1]
-		k.freeEvents[n-1] = nil
 		k.freeEvents = k.freeEvents[:n-1]
 	} else {
-		ev = &event{}
+		ev = &event{k: k}
 	}
 	if at < k.now {
 		at = k.now
@@ -131,6 +156,9 @@ func (k *Kernel) newEvent(at time.Duration, kind eventKind) *event {
 	ev.kind = kind
 	k.seq++
 	k.events.push(ev)
+	if n := k.events.len(); n > k.stats.HeapPeak {
+		k.stats.HeapPeak = n
+	}
 	return ev
 }
 
@@ -138,8 +166,6 @@ func (k *Kernel) newEvent(at time.Duration, kind eventKind) *event {
 // invalidating outstanding Timer handles via the generation counter.
 func (k *Kernel) recycle(ev *event) {
 	ev.gen++
-	ev.cancelled = false
-	ev.timedOut = false
 	ev.fire = nil
 	ev.proc = nil
 	ev.waiter = nil
@@ -153,15 +179,17 @@ func (k *Kernel) dispatch(ev *event) {
 	case evFunc:
 		ev.fire()
 	case evResume:
-		k.handoff(ev.proc, wake{timedOut: ev.timedOut})
-	case evWaitTimeout:
-		w := ev.waiter
-		if w.woken {
-			return
+		k.resume(ev.proc, false)
+	case evWake:
+		if w := ev.waiter; w.pred == nil || w.pred() {
+			k.resume(w.p, false)
+		} else {
+			// Where the process's own re-check and re-Wait would have put it.
+			w.sig.waiters = append(w.sig.waiters, w)
 		}
-		w.woken = true
-		w.sig.remove(w)
-		k.handoff(w.p, wake{timedOut: true})
+	case evWaitTimeout:
+		ev.waiter.sig.remove(ev.waiter)
+		k.resume(ev.waiter.p, true)
 	case evTxDone:
 		ev.job.from.net.txDone(ev.job)
 	case evDeliver:
@@ -191,48 +219,46 @@ func (k *Kernel) After(d time.Duration, fire func()) Timer {
 
 // Run drives the simulation until no events remain, then reports an error
 // if non-daemon processes are still blocked (deadlock) or a process
-// panicked.
+// panicked. The kernel cannot resume after an error, so the processes still
+// blocked are unwound; daemons parked after a clean run are left for a later
+// Run (or Reset).
 func (k *Kernel) Run() error {
-	for k.events.len() > 0 && k.failure == nil {
-		ev := k.events.pop()
-		if ev.cancelled {
-			k.recycle(ev)
-			continue
-		}
-		k.now = ev.at
-		k.dispatch(ev)
-		k.recycle(ev)
+	for k.step() {
+	}
+	if k.failure == nil && k.live > 0 {
+		k.fail(fmt.Errorf("sim: deadlock: %d process(es) blocked with no pending events at t=%v", k.live, k.now))
 	}
 	if k.failure != nil {
-		return k.failure
+		k.unwind()
 	}
-	if k.live > 0 {
-		return fmt.Errorf("sim: deadlock: %d process(es) blocked with no pending events at t=%v", k.live, k.now)
-	}
-	return nil
+	return k.failure
 }
 
 // Step processes the next pending event. It reports whether an event was
-// processed (false means the heap is empty) and any recorded failure.
-// Callers use it to drive simulations containing unbounded background
-// activity — load generators never let the event heap drain, so Run would
-// never return.
+// processed (false means the heap is empty or a failure was already
+// recorded) and any recorded failure, unwinding like Run on one. Callers use
+// it to drive simulations containing unbounded background activity — load
+// generators never let the event heap drain, so Run would never return.
 func (k *Kernel) Step() (bool, error) {
-	for k.events.len() > 0 {
-		if k.failure != nil {
-			return false, k.failure
-		}
-		ev := k.events.pop()
-		if ev.cancelled {
-			k.recycle(ev)
-			continue
-		}
-		k.now = ev.at
-		k.dispatch(ev)
-		k.recycle(ev)
-		return true, k.failure
+	more := k.step()
+	if k.failure != nil {
+		k.unwind()
 	}
-	return false, k.failure
+	return more, k.failure
+}
+
+// step is the one event loop: fire the earliest event, unless the heap is
+// empty or the run has failed.
+func (k *Kernel) step() bool {
+	if k.failure != nil || k.events.len() == 0 {
+		return false
+	}
+	ev := k.events.pop()
+	k.now = ev.at
+	k.stats.Events++
+	k.dispatch(ev)
+	k.recycle(ev)
+	return true
 }
 
 // fail records a fatal simulation error; Run returns it after the current
@@ -243,16 +269,20 @@ func (k *Kernel) fail(err error) {
 	}
 }
 
-// wake carries the reason a process was resumed.
-type wake struct{ timedOut bool }
-
 // Proc is a simulated process. All Proc methods must be called from the
-// process's own goroutine (i.e. inside the function passed to Go).
+// process's own coroutine (i.e. inside the function passed to Go).
 type Proc struct {
-	k      *Kernel
-	name   string
-	resume chan wake
-	daemon bool
+	k        *Kernel
+	name     string
+	daemon   bool
+	timedOut bool // whether the resume in progress is a wait's timeout
+	idx      int  // position in k.procs
+	fn       func(*Proc)
+
+	// The coroutine, created at the first resume: next switches in, yield out.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 }
 
 // Name returns the process name given to Go.
@@ -266,24 +296,40 @@ func (p *Proc) Now() time.Duration { return p.k.now }
 
 // Go spawns a process that begins executing at the current virtual time.
 func (k *Kernel) Go(name string, fn func(*Proc)) *Proc {
-	p := &Proc{k: k, name: name, resume: make(chan wake)}
+	p := &Proc{k: k, name: name, fn: fn}
 	k.live++
-	k.Schedule(k.now, func() {
-		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					k.fail(fmt.Errorf("sim: process %q panicked: %v", name, r))
-				}
-				if !p.daemon {
-					k.live--
-				}
-				k.yielded <- struct{}{}
-			}()
-			fn(p)
-		}()
-		<-k.yielded
-	})
+	k.newEvent(k.now, evResume).proc = p
 	return p
+}
+
+// resume switches to p, in kernel context, until it blocks again or finishes.
+func (k *Kernel) resume(p *Proc, timedOut bool) {
+	if p.next == nil {
+		p.idx = len(k.procs)
+		k.procs = append(k.procs, p)
+		p.next, p.stop = iter.Pull(p.run)
+	}
+	p.timedOut = timedOut
+	k.stats.Switches++
+	p.next()
+}
+
+// run is the body of p's coroutine.
+func (p *Proc) run(yield func(struct{}) bool) {
+	k := p.k
+	p.yield = yield
+	defer func() {
+		if r := recover(); r != nil && r != errUnwound {
+			k.fail(fmt.Errorf("sim: process %q panicked: %v", p.name, r))
+		}
+		if !p.daemon {
+			k.live--
+		}
+		moved := k.procs[len(k.procs)-1]
+		k.procs[p.idx], moved.idx = moved, p.idx
+		k.procs = k.procs[:len(k.procs)-1]
+	}()
+	p.fn(p)
 }
 
 // Daemon marks the process as a background service: Run will not consider it
@@ -295,17 +341,13 @@ func (p *Proc) Daemon() {
 	}
 }
 
-// handoff transfers control to p and waits until it blocks or finishes.
-// Must only be called from kernel context (event callbacks).
-func (k *Kernel) handoff(p *Proc, w wake) {
-	p.resume <- w
-	<-k.yielded
-}
-
-// yield returns control to the kernel and blocks until resumed.
-func (p *Proc) yield() wake {
-	p.k.yielded <- struct{}{}
-	return <-p.resume
+// block returns control to the kernel — the one way a process blocks — and
+// reports, once resumed, whether a wait timed out. A false yield is an unwind.
+func (p *Proc) block() bool {
+	if !p.yield(struct{}{}) {
+		panic(errUnwound)
+	}
+	return p.timedOut
 }
 
 // Sleep advances the process by d of busy virtual time (modelling CPU work
@@ -315,10 +357,8 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	k := p.k
-	ev := k.newEvent(k.now+d, evResume)
-	ev.proc = p
-	p.yield()
+	p.k.newEvent(p.k.now+d, evResume).proc = p
+	p.block()
 }
 
 // Signal is a broadcast condition variable in virtual time. The zero value
@@ -328,10 +368,11 @@ type Signal struct {
 	waiters []*svwaiter
 }
 
+// svwaiter is one blocked Wait, on sig.waiters unless a wake-up is in flight.
 type svwaiter struct {
 	p     *Proc
 	sig   *Signal
-	woken bool
+	pred  func() bool // nil: any broadcast resumes p
 	timer Timer
 }
 
@@ -339,39 +380,36 @@ type svwaiter struct {
 func (k *Kernel) getWaiter() *svwaiter {
 	if n := len(k.freeWaiters); n > 0 {
 		w := k.freeWaiters[n-1]
-		k.freeWaiters[n-1] = nil
 		k.freeWaiters = k.freeWaiters[:n-1]
 		return w
 	}
 	return &svwaiter{}
 }
 
-// putWaiter clears a finished waiter and returns it to the pool. Safe once
-// the wait has resolved: by then its timeout event has fired or been
-// cancelled, so no live event references it (a cancelled event still in the
-// heap is discarded without touching its waiter).
+// putWaiter clears a finished waiter and returns it to the pool: its timeout
+// has fired or been cancelled out of the heap, so no event references it.
 func (k *Kernel) putWaiter(w *svwaiter) {
-	w.p = nil
-	w.sig = nil
-	w.woken = false
-	w.timer = Timer{}
+	*w = svwaiter{}
 	k.freeWaiters = append(k.freeWaiters, w)
 }
 
 // Wait blocks the process until the signal is broadcast or timeout elapses
 // (timeout < 0 waits forever). It reports whether the wait timed out.
 func (p *Proc) Wait(s *Signal, timeout time.Duration) (timedOut bool) {
+	return p.wait(s, timeout, nil)
+}
+
+func (p *Proc) wait(s *Signal, timeout time.Duration, pred func() bool) (timedOut bool) {
 	k := p.k
 	w := k.getWaiter()
-	w.p = p
-	w.sig = s
+	w.p, w.sig, w.pred = p, s, pred
 	s.waiters = append(s.waiters, w)
 	if timeout >= 0 {
 		ev := k.newEvent(k.now+timeout, evWaitTimeout)
 		ev.waiter = w
 		w.timer = Timer{ev: ev, gen: ev.gen}
 	}
-	timedOut = p.yield().timedOut
+	timedOut = p.block()
 	k.putWaiter(w)
 	return timedOut
 }
@@ -380,14 +418,24 @@ func (p *Proc) Wait(s *Signal, timeout time.Duration) (timedOut bool) {
 // deadline is an absolute virtual time; negative means no deadline. It
 // reports whether cond() held when it returned (false means the deadline
 // passed first).
+//
+// cond is a predicate: it must have no side effects and read only state
+// mutated in kernel or process context of this kernel. Without a deadline
+// the kernel itself evaluates it — when a broadcast's wake-up event fires,
+// not at Broadcast — and a false result puts the waiter back on s without
+// switching to the process at all. (A deadline wait re-arms a timeout per
+// re-check, which consumes a schedule slot, so it stays a process-side loop.)
 func (p *Proc) WaitCond(s *Signal, deadline time.Duration, cond func() bool) bool {
+	if deadline < 0 {
+		if !cond() {
+			p.wait(s, -1, cond)
+		}
+		return true
+	}
 	for !cond() {
-		timeout := time.Duration(-1)
-		if deadline >= 0 {
-			timeout = deadline - p.k.now
-			if timeout < 0 {
-				return false
-			}
+		timeout := deadline - p.k.now
+		if timeout < 0 {
+			return false
 		}
 		if p.Wait(s, timeout) {
 			return cond()
@@ -400,13 +448,8 @@ func (p *Proc) WaitCond(s *Signal, deadline time.Duration, cond func() bool) boo
 // are unaffected. Wakeups are scheduled at the current time in FIFO order.
 func (s *Signal) Broadcast(k *Kernel) {
 	for _, w := range s.waiters {
-		if w.woken {
-			continue
-		}
-		w.woken = true
 		w.timer.Cancel()
-		ev := k.newEvent(k.now, evResume)
-		ev.proc = w.p
+		k.newEvent(k.now, evWake).waiter = w
 	}
 	s.waiters = s.waiters[:0]
 }
@@ -420,52 +463,62 @@ func (s *Signal) remove(w *svwaiter) {
 	}
 }
 
-// eventHeap is a binary min-heap ordered by (at, seq).
+// eventHeap is a binary min-heap ordered by (at, seq) — a total order, so
+// the pop sequence does not depend on the heap's shape. Every event knows
+// its index, which is what lets remove take one out of the middle.
 type eventHeap struct{ xs []*event }
 
 func (h *eventHeap) len() int { return len(h.xs) }
 
 func (h *eventHeap) less(i, j int) bool {
-	if h.xs[i].at != h.xs[j].at {
-		return h.xs[i].at < h.xs[j].at
-	}
-	return h.xs[i].seq < h.xs[j].seq
+	a, b := h.xs[i], h.xs[j]
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+func (h *eventHeap) swap(i, j int) {
+	h.xs[i], h.xs[j] = h.xs[j], h.xs[i]
+	h.xs[i].idx, h.xs[j].idx = i, j
 }
 
 func (h *eventHeap) push(ev *event) {
+	ev.idx = len(h.xs)
 	h.xs = append(h.xs, ev)
-	i := len(h.xs) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h.xs[i], h.xs[parent] = h.xs[parent], h.xs[i]
-		i = parent
+	h.up(ev.idx)
+}
+
+func (h *eventHeap) pop() *event { return h.remove(0) }
+
+// remove takes the event at index i out of the heap.
+func (h *eventHeap) remove(i int) *event {
+	ev := h.xs[i]
+	last := len(h.xs) - 1
+	h.swap(i, last)
+	h.xs[last] = nil
+	h.xs = h.xs[:last]
+	if i < last {
+		h.down(i)
+		h.up(i)
+	}
+	ev.idx = -1
+	return ev
+}
+
+func (h *eventHeap) up(i int) {
+	for parent := (i - 1) / 2; i > 0 && h.less(i, parent); i, parent = parent, (parent-1)/2 {
+		h.swap(i, parent)
 	}
 }
 
-func (h *eventHeap) pop() *event {
-	top := h.xs[0]
-	last := len(h.xs) - 1
-	h.xs[0] = h.xs[last]
-	h.xs[last] = nil
-	h.xs = h.xs[:last]
-	i := 0
+func (h *eventHeap) down(i int) {
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(h.xs) && h.less(l, smallest) {
-			smallest = l
+		c := 2*i + 1 // the smaller child
+		if c+1 < len(h.xs) && h.less(c+1, c) {
+			c++
 		}
-		if r < len(h.xs) && h.less(r, smallest) {
-			smallest = r
+		if c >= len(h.xs) || !h.less(c, i) {
+			return
 		}
-		if smallest == i {
-			break
-		}
-		h.xs[i], h.xs[smallest] = h.xs[smallest], h.xs[i]
-		i = smallest
+		h.swap(i, c)
+		i = c
 	}
-	return top
 }

@@ -124,6 +124,9 @@ type Station struct {
 
 	txFree int
 	txSig  Signal
+	// txReady and txIdle are the wait predicates on txSig, bound once here so
+	// the kernel can check them without waking the waiter (Proc.WaitCond).
+	txReady, txIdle func() bool
 
 	sink   bool
 	closed bool
@@ -225,6 +228,8 @@ func (n *Network) AddStation(name string) *Station {
 		Addr:   ether.HostAddr(len(n.stations) + 1),
 		txFree: n.Cost.TxBuffers,
 	}
+	s.txReady = func() bool { return s.txFree > 0 }
+	s.txIdle = func() bool { return s.txFree == n.Cost.TxBuffers }
 	n.stations = append(n.stations, s)
 	return s
 }
@@ -269,9 +274,7 @@ func (s *Station) SendAsync(p *Proc, to *Station, pkt *wire.Packet) {
 // Drain blocks until all of the station's transmit buffers are idle,
 // ensuring previously issued SendAsync transmissions have left the wire.
 func (s *Station) Drain(p *Proc) {
-	for s.txFree != s.net.Cost.TxBuffers {
-		p.Wait(&s.txSig, -1)
-	}
+	p.WaitCond(&s.txSig, -1, s.txIdle)
 }
 
 func (s *Station) beginSend(p *Proc, to *Station, pkt *wire.Packet) *txJob {
@@ -298,10 +301,9 @@ func (s *Station) SendBroadcast(p *Proc, pkt *wire.Packet) {
 // beginSendJob is the shared transmit path; to == nil means broadcast.
 func (s *Station) beginSendJob(p *Proc, to *Station, pkt *wire.Packet) *txJob {
 	k := s.net.K
-	// Acquire a transmit buffer (inline wait loop: no closure per send).
-	for s.txFree <= 0 {
-		p.Wait(&s.txSig, -1)
-	}
+	// Acquire a transmit buffer. Every txDone broadcasts to all of the
+	// station's senders; the kernel resumes only one that finds a buffer.
+	p.WaitCond(&s.txSig, -1, s.txReady)
 	s.txFree--
 	// Copy the packet into the interface: CPU time on this station.
 	size := pkt.WireSize()

@@ -140,7 +140,7 @@ func (sc DiskLoadScenario) Run() (DiskLoadResult, error) {
 	}
 	serverSt := w.listen("server", srv)
 
-	want := core.TransferChecksum(core.SeededPayload(sc.Seed, sc.FileBytes, 1024))
+	want := core.SeededChecksum(sc.Seed, sc.FileBytes, 1024)
 	results := make([]DiskLoadClient, sc.N)
 	w.fan("diskload", serverSt, sc.N, nil, func(i int, c transport.Client) error {
 		r := &results[i]

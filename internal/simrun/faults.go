@@ -222,6 +222,7 @@ func (sc FaultScenario) Run() (FaultResult, error) {
 
 	blackhole := sc.Faults.BlackholeHook()
 	results := make([]FaultClientResult, sc.N)
+	want := seededSums{}
 	w.fan("faultload", serverSt, sc.N, func(i int, st *sim.Station) error {
 		if i != 0 || blackhole == nil {
 			return nil
@@ -264,8 +265,7 @@ func (sc FaultScenario) Run() (FaultResult, error) {
 			return err
 		}
 		r.Completed = res.Completed
-		r.ChecksumOK = res.Completed &&
-			res.Checksum == core.TransferChecksum(core.SeededPayload(int64(s.bytes), s.bytes, sc.Chunk))
+		r.ChecksumOK = res.Completed && res.Checksum == want.of(s.bytes, sc.Chunk)
 		return nil
 	})
 	if err := w.run(); err != nil {

@@ -136,6 +136,8 @@ type LoadResult struct {
 	// throughputs: 1.0 = perfectly even service, 1/n = one client hogged
 	// the server.
 	Fairness float64
+	// Kernel is the run's exact DES scheduling counts.
+	Kernel sim.KernelStats
 }
 
 // jain computes Jain's fairness index over xs (1 for empty input).
@@ -216,6 +218,7 @@ func (sc LoadScenario) Run() (LoadResult, error) {
 	serverSt := w.listen("server", srv)
 
 	results := make([]LoadClientResult, sc.N)
+	want := seededSums{}
 	w.fan("load", serverSt, sc.N, func(i int, st *sim.Station) error {
 		if !specs[i].adv.Active() {
 			return nil
@@ -247,8 +250,7 @@ func (sc LoadScenario) Run() (LoadResult, error) {
 			return err
 		}
 		r.Completed = res.Completed
-		r.ChecksumOK = res.Completed &&
-			res.Checksum == core.TransferChecksum(core.SeededPayload(int64(s.bytes), s.bytes, sc.Chunk))
+		r.ChecksumOK = res.Completed && res.Checksum == want.of(s.bytes, sc.Chunk)
 		r.Counts = recvCounts(res)
 		return nil
 	})
@@ -256,7 +258,7 @@ func (sc LoadScenario) Run() (LoadResult, error) {
 		return LoadResult{}, fmt.Errorf("simrun: load %s: %w", sc.Name, err)
 	}
 
-	out := LoadResult{Clients: results, Served: srv.Served()}
+	out := LoadResult{Clients: results, Served: srv.Served(), Kernel: w.k.Stats()}
 	var rates []float64
 	var span makespan
 	for i := range results {

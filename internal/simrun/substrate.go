@@ -154,3 +154,16 @@ func (m *makespan) add(start, end time.Duration) {
 }
 
 func (m makespan) span() time.Duration { return m.last - m.first }
+
+// seededSums memoises, for one run, the checksum a pull of a size-seeded
+// object (core.SeededReqSource) expects; clients run one at a time.
+type seededSums map[int]uint16
+
+func (m seededSums) of(bytes, chunk int) uint16 {
+	sum, ok := m[bytes]
+	if !ok {
+		sum = core.SeededChecksum(int64(bytes), bytes, chunk)
+		m[bytes] = sum
+	}
+	return sum
+}
