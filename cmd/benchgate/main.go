@@ -15,20 +15,15 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 )
 
-// snapshot mirrors the lanbench -benchjson schema (the fields the gate
-// needs).
+// snapshot mirrors the lanbench -benchjson schema: each row is a name plus
+// numeric fields (mbps, retransmits, allocs_per_op, the exact DES counts).
 type snapshot struct {
-	GoVersion  string `json:"go_version"`
-	Benchmarks []struct {
-		Name        string  `json:"name"`
-		MBps        float64 `json:"mbps"`
-		Retransmits int64   `json:"retransmits"`
-		AllocsPerOp int64   `json:"allocs_per_op"`
-	} `json:"benchmarks"`
+	Benchmarks []map[string]any `json:"benchmarks"`
 }
 
 // floorFile is the committed gate: a note documenting how the floors were
@@ -65,14 +60,24 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
 		os.Exit(2)
 	}
+	if !gate(os.Stdout, snap, floor) {
+		fmt.Fprintf(os.Stderr, "benchgate: throughput regression against %s (%s)\n", *floorPath, floor.Note)
+		os.Exit(1)
+	}
+	fmt.Println("benchgate: all gated benchmarks at or above their floors")
+}
 
-	measured := make(map[string]float64, len(snap.Benchmarks))
-	retransmits := make(map[string]int64, len(snap.Benchmarks))
-	allocs := make(map[string]int64, len(snap.Benchmarks))
-	for _, b := range snap.Benchmarks {
-		measured[b.Name] = b.MBps
-		retransmits[b.Name] = b.Retransmits
-		allocs[b.Name] = b.AllocsPerOp
+// gate checks snap against floor, printing one line per gated row to out,
+// and reports whether every gate held.
+func gate(out io.Writer, snap snapshot, floor floorFile) bool {
+	byName := make(map[string]map[string]any, len(snap.Benchmarks))
+	for _, row := range snap.Benchmarks {
+		byName[fmt.Sprint(row["name"])] = row
+	}
+	// field reads a numeric snapshot field; a missing row or field reads 0.
+	field := func(name, f string) float64 {
+		v, _ := byName[name][f].(float64)
+		return v
 	}
 
 	names := make([]string, 0, len(floor.MinMBps))
@@ -81,60 +86,48 @@ func main() {
 	}
 	sort.Strings(names)
 
-	failed := false
-	fmt.Printf("%-28s %10s %10s  verdict\n", "benchmark", "MB/s", "floor")
+	ok := true
+	fmt.Fprintf(out, "%-28s %10s %10s  verdict\n", "benchmark", "MB/s", "floor")
 	for _, name := range names {
-		min := floor.MinMBps[name]
-		mbps, ok := measured[name]
+		min, mbps := floor.MinMBps[name], field(name, "mbps")
 		switch {
-		case !ok:
-			failed = true
-			fmt.Printf("%-28s %10s %10.1f  MISSING from snapshot\n", name, "-", min)
+		case byName[name] == nil:
+			ok = false
+			fmt.Fprintf(out, "%-28s %10s %10.1f  MISSING from snapshot\n", name, "-", min)
 		case mbps < min:
-			failed = true
-			fmt.Printf("%-28s %10.1f %10.1f  REGRESSION %s\n", name, mbps, min, floor.Rationale[name])
+			ok = false
+			fmt.Fprintf(out, "%-28s %10.1f %10.1f  REGRESSION %s\n", name, mbps, min, floor.Rationale[name])
 		default:
-			fmt.Printf("%-28s %10.1f %10.1f  ok\n", name, mbps, min)
+			fmt.Fprintf(out, "%-28s %10.1f %10.1f  ok\n", name, mbps, min)
 		}
 	}
 	for _, name := range floor.ZeroRetransmits {
-		if _, ok := measured[name]; !ok {
-			failed = true
-			fmt.Printf("%-28s MISSING from snapshot (gated on zero retransmits)\n", name)
-		} else if n := retransmits[name]; n != 0 {
-			failed = true
-			fmt.Printf("%-28s %d packets retransmitted on a clean loopback  REGRESSION\n", name, n)
+		if byName[name] == nil {
+			ok = false
+			fmt.Fprintf(out, "%-28s MISSING from snapshot (gated on zero retransmits)\n", name)
+		} else if n := field(name, "retransmits"); n != 0 {
+			ok = false
+			fmt.Fprintf(out, "%-28s %v packets retransmitted on a clean loopback  REGRESSION\n", name, n)
 		}
 	}
 	for name, most := range floor.MaxAllocsPerOp {
-		if _, ok := measured[name]; !ok {
-			failed = true
-			fmt.Printf("%-28s MISSING from snapshot (gated on allocations)\n", name)
-		} else if n := allocs[name]; n > most {
-			failed = true
-			fmt.Printf("%-28s %d allocs/op, ceiling %d  REGRESSION\n", name, n, most)
+		if byName[name] == nil {
+			ok = false
+			fmt.Fprintf(out, "%-28s MISSING from snapshot (gated on allocations)\n", name)
+		} else if n := field(name, "allocs_per_op"); n > float64(most) {
+			ok = false
+			fmt.Fprintf(out, "%-28s %v allocs/op, ceiling %d  REGRESSION\n", name, n, most)
 		}
 	}
-	rows, _ := readJSON[struct {
-		Benchmarks []map[string]any `json:"benchmarks"`
-	}](*got)
-	byName := make(map[string]map[string]any, len(rows.Benchmarks))
-	for _, row := range rows.Benchmarks {
-		byName[fmt.Sprint(row["name"])] = row
-	}
 	for name, fields := range floor.Exact {
-		for field, want := range fields {
-			if v, ok := byName[name][field].(float64); !ok || v != want {
-				failed = true
-				fmt.Printf("%-28s %s = %v, committed %v  CHANGED\n", name, field, byName[name][field], want)
+		for f, want := range fields {
+			if v, present := byName[name][f].(float64); !present || v != want {
+				ok = false
+				fmt.Fprintf(out, "%-28s %s = %v, committed %v  CHANGED %s\n", name, f, byName[name][f], want, floor.Rationale[name])
 			}
 		}
 	}
-	if failed {
-		fmt.Fprintf(os.Stderr, "benchgate: throughput regression against %s (%s)\n", *floorPath, floor.Note)
-		os.Exit(1)
-	}
-	fmt.Println("benchgate: all gated benchmarks at or above their floors")
+	return ok
 }
 
 func readJSON[T any](path string) (T, error) {

@@ -17,7 +17,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -59,20 +58,16 @@ const udpSocketBuf = 4 << 20 // sized so a full window survives skb truesize acc
 // degrades to mmsg on kernels without UDP_SEGMENT; the snapshot records
 // which tier the number belongs to).
 func runUDPPull(c udpPullCase) (time.Duration, udplan.Tier, error) {
-	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
+	addr, stop, err := startServer(c.batch, func(s *udplan.Server) {
+		s.MaxTier = c.tier
+		s.Source = core.SeededReqSource
+	})
 	if err != nil {
 		return 0, 0, err
 	}
-	defer conn.Close()
-	setSocketBufs(conn)
-	srv := udplan.NewServer(conn)
-	srv.Concurrency = 2
-	srv.Batch = c.batch
-	srv.MaxTier = c.tier
-	srv.Source = core.SeededReqSource
-	go srv.Run()
+	defer stop()
 
-	e, err := udplan.Dial(conn.LocalAddr().String())
+	e, err := udplan.Dial(addr)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -112,9 +107,23 @@ func runUDPPull(c udpPullCase) (time.Duration, udplan.Tier, error) {
 	return elapsed, engaged, nil
 }
 
-// setSocketBufs raises the kernel socket buffers so a whole blast window
-// survives skb truesize accounting (see udplan.SetConnBuffers).
-func setSocketBufs(conn net.PacketConn) { udplan.SetConnBuffers(conn, udpSocketBuf) }
+// startServer serves on a fresh loopback socket — its buffers sized so a
+// whole blast window survives skb truesize accounting (see
+// udplan.SetConnBuffers), a session cap of 2 — at the given batch size,
+// with the handlers and limits setup installs. stop closes the socket.
+func startServer(batch int, setup func(*udplan.Server)) (addr string, stop func(), err error) {
+	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		return "", nil, err
+	}
+	udplan.SetConnBuffers(conn, udpSocketBuf)
+	srv := udplan.NewServer(conn)
+	srv.Concurrency = 2
+	srv.Batch = batch
+	setup(srv)
+	go srv.Run()
+	return conn.LocalAddr().String(), func() { conn.Close() }, nil
+}
 
 // udpPushCase is one loopback push measurement: the direction cli_put and
 // blastcp -push exercise — client Endpoint TX into the server's demux ring
@@ -131,23 +140,19 @@ type udpPushCase struct {
 // anything else means datagrams were dropped (a full session inbox, a full
 // socket buffer) and is what the bench gate fails the row on.
 func runUDPPush(c udpPushCase, tier udplan.Tier) (time.Duration, udplan.Tier, int, error) {
-	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
+	received := make(chan core.RecvResult, 1) // one push per server
+	addr, stop, err := startServer(32, func(s *udplan.Server) {
+		s.MaxTier = tier
+		s.SinkStream = func(wire.Req) (core.ChunkSink, func(core.RecvResult), bool) {
+			return func(int, []byte) {}, func(res core.RecvResult) { received <- res }, true
+		}
+	})
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	defer conn.Close()
-	setSocketBufs(conn)
-	srv := udplan.NewServer(conn)
-	srv.Concurrency = 2
-	srv.Batch = 32
-	srv.MaxTier = tier
-	received := make(chan core.RecvResult, 1) // one push per server
-	srv.SinkStream = func(wire.Req) (core.ChunkSink, func(core.RecvResult), bool) {
-		return func(int, []byte) {}, func(res core.RecvResult) { received <- res }, true
-	}
-	go srv.Run()
+	defer stop()
 
-	e, err := udplan.Dial(conn.LocalAddr().String())
+	e, err := udplan.Dial(addr)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -225,24 +230,20 @@ func runFilePull(c filePullCase, tier udplan.Tier) (time.Duration, udplan.Tier, 
 		return 0, 0, err
 	}
 
-	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
+	st := store.Open(dir, store.Options{})
+	defer st.Close()
+	addr, stop, err := startServer(32, func(s *udplan.Server) {
+		s.MaxTier = tier
+		s.SourceEnv = st.SourceReq
+		s.Stat = st.StatReq
+	})
 	if err != nil {
 		return 0, 0, err
 	}
-	defer conn.Close()
-	setSocketBufs(conn)
-	srv := udplan.NewServer(conn)
-	srv.Concurrency = 2
-	srv.Batch = 32
-	srv.MaxTier = tier
-	st := store.Open(dir, store.Options{})
-	defer st.Close()
-	srv.SourceEnv = st.SourceReq
-	srv.Stat = st.StatReq
-	go srv.Run()
+	defer stop()
 
 	pull := func() (time.Duration, udplan.Tier, error) {
-		e, err := udplan.Dial(conn.LocalAddr().String())
+		e, err := udplan.Dial(addr)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -311,197 +312,6 @@ func runFilePull(c filePullCase, tier udplan.Tier) (time.Duration, udplan.Tier, 
 	return pull()
 }
 
-// runResumePull measures the failure-recovery path end to end: the server
-// crashes (socket closed under its sessions) after serving half the chunks,
-// a fresh socket rebinds the same port after a short downtime, and the
-// client recovers through core.PullResume — frontier offset REQ, no
-// verified chunk re-fetched. The elapsed time therefore includes crash
-// detection (the dead session's idle bound), the downtime, and the resume
-// round trip; the bench floor pins the whole recovered pull at ≥70% of the
-// uninterrupted throughput floor. A small Tr keeps detection latency
-// proportionate on loopback (RTT is microseconds).
-func runResumePull(bytes int) (time.Duration, error) {
-	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		return 0, err
-	}
-	addr := conn.LocalAddr().String()
-	const chunk = 1000
-	crashAt := int64(bytes / chunk / 2)
-	trigger := params.Faults{CrashAfterChunks: []int64{crashAt}}.Trigger()
-
-	var (
-		mu      sync.Mutex
-		curConn net.PacketConn
-	)
-	srvDone := make(chan error, 2)
-	var crash func()
-	start := func(c net.PacketConn) {
-		setSocketBufs(c)
-		srv := udplan.NewServer(c)
-		srv.Concurrency = 2
-		srv.Batch = 32
-		srv.SessionIdle = 2 * time.Second
-		srv.Source = func(r wire.Req) (core.ChunkSource, bool) {
-			base, ok := core.SeededReqSource(r)
-			if !ok {
-				return nil, false
-			}
-			return func(seq int, dst []byte) []byte {
-				if trigger.OnChunk() {
-					crash()
-				}
-				return base(seq, dst)
-			}, true
-		}
-		mu.Lock()
-		curConn = c
-		mu.Unlock()
-		go func() { srvDone <- srv.Run() }()
-	}
-	restarted := make(chan struct{})
-	crash = func() {
-		mu.Lock()
-		dead := curConn
-		mu.Unlock()
-		dead.Close()
-		time.AfterFunc(10*time.Millisecond, func() {
-			defer close(restarted)
-			c2, err := net.ListenPacket("udp", addr)
-			if err != nil {
-				return // the client's resume budget reports the failure
-			}
-			start(c2)
-		})
-	}
-	start(conn)
-
-	e, err := udplan.Dial(addr)
-	if err != nil {
-		return 0, err
-	}
-	defer e.Close()
-	e.SetSocketBuffers(udpSocketBuf)
-	e.SetBatch(32)
-	cfg := core.Config{
-		TransferID:     1,
-		Bytes:          bytes,
-		ChunkSize:      chunk,
-		Protocol:       core.Blast,
-		Strategy:       core.GoBackN,
-		Window:         128,
-		RetransTimeout: 20 * time.Millisecond,
-		// One REQ round per session: crash detection belongs to the resume
-		// layer, whose offset REQ re-fetches only the unverified tail.
-		MaxAttempts: 1,
-		Sink:        func(int, []byte) {}, // stream: checksum and discard
-	}
-	t0 := time.Now()
-	res, rstats, err := core.PullResume(e, cfg, core.ResumeOptions{
-		MaxResumes: 16,
-		Backoff:    5 * time.Millisecond,
-		Seed:       1,
-	})
-	elapsed := time.Since(t0)
-	if err != nil {
-		return elapsed, err
-	}
-	if res.Bytes != bytes {
-		return elapsed, fmt.Errorf("resumed pull delivered %d of %d bytes", res.Bytes, bytes)
-	}
-	if rstats.Sessions < 2 {
-		return elapsed, fmt.Errorf("server never crashed (%d sessions)", rstats.Sessions)
-	}
-	<-restarted
-	mu.Lock()
-	curConn.Close()
-	mu.Unlock()
-	for i := 0; i < 2; i++ {
-		if err := <-srvDone; err != nil {
-			return elapsed, fmt.Errorf("server: %w", err)
-		}
-	}
-	return elapsed, nil
-}
-
-// runBusyBackoff measures admission-control shedding: `clients` concurrent
-// pulls against a server capped at 2 sessions with a short RETRY-AFTER
-// hint. Refused clients honor the hint through PullResume's jittered
-// backoff, so the makespan is the serialised transfer time plus the
-// admission queueing — the figure quantifies what BUSY-and-retry costs over
-// an uncontended pull, and the case fails outright if any client errors or
-// nobody was ever refused.
-func runBusyBackoff(bytes, clients int) (time.Duration, error) {
-	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		return 0, err
-	}
-	defer conn.Close()
-	setSocketBufs(conn)
-	srv := udplan.NewServer(conn)
-	srv.Concurrency = 2
-	srv.Batch = 32
-	srv.RetryAfter = 10 * time.Millisecond
-	srv.Source = core.SeededReqSource
-	go srv.Run()
-	defer srv.Close()
-
-	var (
-		wg        sync.WaitGroup
-		mu        sync.Mutex
-		busyWaits int
-		firstErr  error
-	)
-	t0 := time.Now()
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			e, err := udplan.Dial(conn.LocalAddr().String())
-			if err == nil {
-				defer e.Close()
-				e.SetSocketBuffers(udpSocketBuf)
-				e.SetBatch(32)
-				cfg := core.Config{
-					TransferID:     uint32(1 + i),
-					Bytes:          bytes,
-					ChunkSize:      1000,
-					Protocol:       core.Blast,
-					Strategy:       core.GoBackN,
-					Window:         128,
-					RetransTimeout: 20 * time.Millisecond,
-					Sink:           func(int, []byte) {},
-				}
-				var rstats core.ResumeStats
-				_, rstats, err = core.PullResume(e, cfg, core.ResumeOptions{
-					MaxBusyWaits: 1 << 20,
-					Backoff:      5 * time.Millisecond,
-					Seed:         int64(i),
-				})
-				mu.Lock()
-				busyWaits += rstats.BusyWaits
-				mu.Unlock()
-			}
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("client %d: %w", i, err)
-				}
-				mu.Unlock()
-			}
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(t0)
-	if firstErr != nil {
-		return elapsed, firstErr
-	}
-	if busyWaits == 0 {
-		return elapsed, fmt.Errorf("%d clients against a 2-session cap were never refused", clients)
-	}
-	return elapsed, nil
-}
-
 // runFanoutBench measures one-to-many distribution: a single source daemon
 // serving the seeded object, fanned out to 8 receivers either through the
 // depth-2 stripe-relay tree (relays=4: the source transmits each stripe
@@ -516,7 +326,7 @@ func runFanoutBench(objBytes, relays, lineRate int) (time.Duration, error) {
 		Chunk:  1000,
 		Window: 128,
 		Tr:     250 * time.Millisecond,
-	}.RunUDP(simrun.FanoutUDP{Batch: 32, SocketBuf: udpSocketBuf, LineRate: lineRate})
+	}.RunUDP(simrun.UDP{Batch: 32, SocketBuf: udpSocketBuf, LineRate: lineRate})
 	if err != nil {
 		return res.Makespan, err
 	}
@@ -543,17 +353,14 @@ type stripedCase struct {
 // runStripedPull executes one striped pull against a sharded batched server
 // and returns the elapsed wall time.
 func runStripedPull(c stripedCase) (time.Duration, error) {
-	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
+	addr, stop, err := startServer(32, func(s *udplan.Server) {
+		s.Concurrency = c.streams + 1
+		s.Source = core.SeededReqSource
+	})
 	if err != nil {
 		return 0, err
 	}
-	defer conn.Close()
-	setSocketBufs(conn)
-	srv := udplan.NewServer(conn)
-	srv.Concurrency = c.streams + 1
-	srv.Batch = 32
-	srv.Source = core.SeededReqSource
-	go srv.Run()
+	defer stop()
 
 	cfg := core.Config{
 		TransferID:     1,
@@ -578,7 +385,7 @@ func runStripedPull(c stripedCase) (time.Duration, error) {
 		opts.AdversarySeed = 1
 	}
 	t0 := time.Now()
-	res, err := udplan.PullStriped(conn.LocalAddr().String(), cfg, opts)
+	res, err := udplan.PullStriped(addr, cfg, opts)
 	elapsed := time.Since(t0)
 	if err != nil {
 		return elapsed, err
@@ -714,15 +521,34 @@ func runUDPBench(path string, quick bool, streams int, controller string, tierNa
 	}
 
 	if streams == 0 {
-		// The failure-recovery cases (PR 8): a resumed 64 MB pull through a
-		// mid-transfer server crash — gated by ci/bench_floor.json at ≥70% of
-		// the uninterrupted gso floor — and the BUSY admission-shedding
-		// makespan of 8 clients against a 2-session cap.
+		// The failure-recovery cases, each one simrun.FaultScenario
+		// over the batched datapath. udp_pull_resume: a 64 MB pull whose
+		// server crashes at the halfway chunk and rebinds after 10 ms,
+		// recovered through core.PullResume's frontier offset REQ — crash
+		// detection, downtime and resume round trip included; the floor is
+		// 70% of the uninterrupted gso floor. A small Tr keeps detection
+		// proportionate on loopback. udp_busy_backoff: the makespan of 8
+		// clients against a 2-session cap with a 10 ms RETRY-AFTER hint,
+		// failing if any client errors or nobody was ever refused.
+		udpRun := simrun.UDP{Batch: 32, SocketBuf: udpSocketBuf}
 		const resumeBytes = 64 << 20
 		if err := measurePull(&snap, "udp_pull_resume", resumeBytes, 3,
 			func() (time.Duration, string, error) {
-				el, err := runResumePull(resumeBytes)
-				return el, "", err
+				res, err := simrun.FaultScenario{
+					N: 1, Bytes: []int{resumeBytes}, Chunk: 1000, Window: 128, Tr: 20 * time.Millisecond,
+					Concurrency: 2,
+					Faults:      params.Faults{CrashAfterChunks: []int64{resumeBytes / 1000 / 2}, Downtime: 10 * time.Millisecond},
+					MaxResumes:  16, Backoff: 5 * time.Millisecond, Seed: 1,
+				}.RunUDP(udpRun)
+				switch {
+				case err != nil:
+					return 0, "", err
+				case res.Completed != 1:
+					err = fmt.Errorf("resumed pull incomplete: %s", res.Clients[0].Err)
+				case res.Sessions < 2:
+					err = fmt.Errorf("server never crashed (%d sessions)", res.Sessions)
+				}
+				return res.Clients[0].Elapsed, "", err
 			}); err != nil {
 			return err
 		}
@@ -732,8 +558,19 @@ func runUDPBench(path string, quick bool, streams int, controller string, tierNa
 		}
 		if err := measurePull(&snap, "udp_busy_backoff", busyBytes*busyClients, 3,
 			func() (time.Duration, string, error) {
-				el, err := runBusyBackoff(busyBytes, busyClients)
-				return el, "", err
+				res, err := simrun.FaultScenario{
+					N: busyClients, Bytes: []int{busyBytes}, Chunk: 1000, Window: 128, Tr: 20 * time.Millisecond,
+					Concurrency: 2, RetryAfter: 10 * time.Millisecond,
+					MaxBusyWaits: 1 << 20, Backoff: 5 * time.Millisecond,
+				}.RunUDP(udpRun)
+				switch {
+				case err != nil:
+				case res.Completed != busyClients:
+					err = fmt.Errorf("%d of %d clients completed", res.Completed, busyClients)
+				case res.BusyWaits == 0:
+					err = fmt.Errorf("%d clients against a 2-session cap were never refused", busyClients)
+				}
+				return res.Makespan, "", err
 			}); err != nil {
 			return err
 		}
@@ -755,9 +592,7 @@ func runUDPBench(path string, quick bool, streams int, controller string, tierNa
 		// loopback's CPU ceiling) is the binding constraint. The unpaced
 		// pair is kept for transparency: it reports the raw-CPU regime,
 		// where on a single-core host the tree's 2× per-byte work ties or
-		// loses. The tree's floor gates udp_fanout_8; the PR's acceptance
-		// ratio (tree >= 3x independent) reads straight off the first two
-		// rows.
+		// loses.
 		fanBytes, fanLine := 8<<20, 62_500_000
 		if quick {
 			fanBytes = 4 << 20

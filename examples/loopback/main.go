@@ -11,7 +11,6 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"log"
 	"math/rand"
@@ -19,6 +18,7 @@ import (
 	"time"
 
 	"blastlan"
+	"blastlan/internal/core"
 	"blastlan/internal/udplan"
 	"blastlan/internal/wire"
 )
@@ -34,9 +34,12 @@ func main() {
 	}
 	defer conn.Close()
 
-	received := make(chan []byte, 1)
+	// Pushes stream through a discarding sink: the running checksum is the evidence.
+	received := make(chan blastlan.RecvResult, 1)
 	srv := blastlan.NewUDPServer(conn)
-	srv.Sink = func(r wire.Req, data []byte) { received <- data }
+	srv.SinkStream = func(wire.Req) (core.ChunkSink, func(blastlan.RecvResult), bool) {
+		return func(int, []byte) {}, func(res blastlan.RecvResult) { received <- res }, true
+	}
 	go srv.Run()
 
 	push := func(label string, proto blastlan.Protocol, strat blastlan.Strategy, lossy bool) {
@@ -64,8 +67,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("%s: %v", label, err)
 		}
-		data := <-received
-		if !bytes.Equal(data, payload) || blastlan.TransferChecksum(data) != want {
+		if got := <-received; !got.Completed || got.Bytes != len(payload) || got.Checksum != want {
 			log.Fatalf("%s: payload corrupted", label)
 		}
 		fmt.Printf("%-28s %10v  %4d pkts (%3d retransmitted)  checksum %04x ok\n",

@@ -249,7 +249,9 @@ func runUDPLoopback(opt Options) (*Result, error) {
 	}
 	defer conn.Close()
 	srv := udplan.NewServer(conn)
-	srv.Sink = func(wire.Req, []byte) {}
+	srv.SinkStream = func(wire.Req) (core.ChunkSink, func(core.RecvResult), bool) {
+		return func(int, []byte) {}, func(core.RecvResult) {}, true
+	}
 	go srv.Run()
 
 	runs := 5

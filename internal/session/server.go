@@ -42,16 +42,12 @@ const drainPoll = 50 * time.Millisecond
 // default of one a transfer in progress owns the server (the paper's world
 // of two matched machines) and other clients are refused with BUSY.
 type Server struct {
-	// Data, when non-nil, satisfies pull requests (MoveFrom): it returns
-	// the bytes to blast back for an accepted request.
-	Data func(wire.Req) ([]byte, bool)
-
-	// Source, when non-nil, satisfies pull requests without materialising
-	// them: it returns a streaming chunk source (see core.ChunkSource).
-	// Preferred over Data when both are set — a 1 GB pull then never means
-	// a 1 GB allocation. Striped requests resolve their range through the
-	// REQ's stripe fields (wire.Req.OffsetChunks/Total) exactly as unstriped
-	// ones; the handler sees the narrowed request.
+	// Source, when non-nil, satisfies pull requests (MoveFrom) without
+	// materialising them: it returns a streaming chunk source (see
+	// core.ChunkSource), so a 1 GB pull never means a 1 GB allocation.
+	// Striped requests resolve their range through the REQ's stripe fields
+	// (wire.Req.OffsetChunks/Total) exactly as unstriped ones; the handler
+	// sees the narrowed request.
 	Source func(wire.Req) (core.ChunkSource, bool)
 
 	// SourceEnv is Source with the session's protocol environment passed
@@ -80,17 +76,13 @@ type Server struct {
 	// return is relayed verbatim as the copy's failure text.
 	Copy func(req wire.Req, env core.Env, progress func(int64)) (int64, error)
 
-	// Sink, when non-nil, accepts push requests (MoveTo) and receives the
-	// completed, fully assembled transfer.
-	Sink func(wire.Req, []byte)
-
-	// SinkStream, when non-nil, accepts push requests without buffering:
-	// it returns a per-transfer chunk sink plus a completion callback that
-	// receives the final result (byte count, incremental checksum).
-	// Preferred over Sink when both are set. done is called exactly once
-	// per accepted push, whether or not the transfer completed — check
-	// RecvResult.Completed before trusting the bytes — so implementations
-	// can release per-transfer resources (close files) on aborts too.
+	// SinkStream, when non-nil, accepts push requests (MoveTo) without
+	// buffering: it returns a per-transfer chunk sink plus a completion
+	// callback that receives the final result (byte count, incremental
+	// checksum). done is called exactly once per accepted push, whether or
+	// not the transfer completed — check RecvResult.Completed before
+	// trusting the bytes — so implementations can release per-transfer
+	// resources (close files) on aborts too.
 	SinkStream func(wire.Req) (sink core.ChunkSink, done func(core.RecvResult), ok bool)
 
 	// Idle bounds how long Run waits for the next request; zero waits
@@ -393,8 +385,7 @@ func (s *Server) runSession(env core.Env, peer transport.Peer) {
 }
 
 // serve accepts one request on env and completes the transfer, dispatching
-// to the server's streaming or buffering handlers: the whole per-session
-// protocol path.
+// to the server's streaming handlers: the whole per-session protocol path.
 func (s *Server) serve(env core.Env, idle time.Duration, peer transport.Peer) error {
 	var (
 		isPush   bool
@@ -455,17 +446,14 @@ func (s *Server) serve(env core.Env, idle time.Duration, peer transport.Peer) er
 		}
 		req, isPush = r, r.Push
 		if r.Push {
-			if s.SinkStream != nil {
-				sink, done, ok := s.SinkStream(r)
-				if !ok {
-					return core.Config{}, false
-				}
-				c.Sink, pushDone = sink, done
-				return c, true
-			}
-			if s.Sink == nil {
+			if s.SinkStream == nil {
 				return core.Config{}, false
 			}
+			sink, done, ok := s.SinkStream(r)
+			if !ok {
+				return core.Config{}, false
+			}
+			c.Sink, pushDone = sink, done
 			return c, true
 		}
 		if s.SourceEnv != nil {
@@ -476,22 +464,14 @@ func (s *Server) serve(env core.Env, idle time.Duration, peer transport.Peer) er
 			c.Source = src
 			return c, true
 		}
-		if s.Source != nil {
-			src, ok := s.Source(r)
-			if !ok {
-				return core.Config{}, false
-			}
-			c.Source = src
-			return c, true
-		}
-		if s.Data == nil {
+		if s.Source == nil {
 			return core.Config{}, false
 		}
-		payload, ok := s.Data(r)
-		if !ok || len(payload) != c.Bytes {
+		src, ok := s.Source(r)
+		if !ok {
 			return core.Config{}, false
 		}
-		c.Payload = payload
+		c.Source = src
 		return c, true
 	})
 	if err != nil {
@@ -525,7 +505,6 @@ func (s *Server) serve(env core.Env, idle time.Duration, peer transport.Peer) er
 		// disk). finish is idempotent and a deferred call backstops any
 		// path that misses it, delivering whatever result was reached
 		// (zero-valued, Completed=false, if AcceptPush never returned).
-		hadStream := pushDone != nil
 		finish := func(res core.RecvResult) {
 			if pushDone == nil {
 				return
@@ -545,9 +524,6 @@ func (s *Server) serve(env core.Env, idle time.Duration, peer transport.Peer) er
 			return fmt.Errorf("session: accepting push: %w", err)
 		}
 		finish(res)
-		if !hadStream && s.Sink != nil {
-			s.Sink(req, res.Data)
-		}
 		stats.Bytes, stats.Elapsed = res.Bytes, res.Elapsed
 		stats.Packets, stats.Checksum = res.DataPackets, res.Checksum
 	} else {

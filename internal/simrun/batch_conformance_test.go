@@ -1,7 +1,6 @@
 package simrun
 
 import (
-	"bytes"
 	"fmt"
 	"net"
 	"testing"
@@ -9,7 +8,6 @@ import (
 
 	"blastlan/internal/core"
 	"blastlan/internal/params"
-	"blastlan/internal/wire"
 )
 
 // udpAvailable reports whether loopback sockets work in this environment.
@@ -22,92 +20,13 @@ func udpAvailable() bool {
 	return true
 }
 
-// batchSizes is the grid the batched datapath is pinned at: 1 is the
-// single-syscall reference geometry, 4 forces multiple flushes per window,
-// 32 holds a whole 16-packet window in one flush.
-var batchSizes = []int{1, 4, 32}
-
-// TestBatchedPathConformance reruns the scripted hostile-network scenarios
-// of TestCrossSubstrateConformance over the batched UDP datapath and
-// asserts identical protocol counters and byte-identical payloads against
-// both the unbatched UDP reference run and the discrete-event simulator —
-// the contract that syscall batching is invisible to the protocol, even
-// while the adversary drops, corrupts, duplicates and reorders frames.
-func TestBatchedPathConformance(t *testing.T) {
-	if !udpAvailable() {
-		t.Skip("no UDP loopback")
-	}
-	payload := advPayload(16000, 9)
-	baseCfg := func(p core.Protocol, s core.Strategy) core.Config {
-		return core.Config{
-			TransferID:     1,
-			Bytes:          len(payload),
-			ChunkSize:      1000, // 16 packets
-			Protocol:       p,
-			Strategy:       s,
-			RetransTimeout: 500 * time.Millisecond,
-			MaxAttempts:    50,
-			Linger:         150 * time.Millisecond,
-			ReceiverIdle:   2 * time.Second,
-			Payload:        payload,
-		}
-	}
-	cases := []struct {
-		name   string
-		cfg    core.Config
-		script func(*wire.Packet) params.Mangle
-	}{
-		{"blast/full-nak", baseCfg(core.Blast, core.FullNak), hostileNakScript},
-		{"blast/go-back-n", baseCfg(core.Blast, core.GoBackN), hostileNakScript},
-		{"blast/selective", baseCfg(core.Blast, core.Selective), hostileNakScript},
-		{"blast/go-back-n-adjacent", baseCfg(core.Blast, core.GoBackN), hostileAdjacentScript},
-		{"blast/full-no-nak", baseCfg(core.Blast, core.FullNoNak), hostileLosslessScript},
-		{"saw", baseCfg(core.StopAndWait, core.GoBackN), sawDupScript},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			sc := Scenario{
-				Name:      c.name,
-				Adversary: params.Adversary{Script: c.script},
-				Config:    c.cfg,
-				Seed:      7,
-			}
-			simOut, err := sc.RunSim()
-			if err != nil {
-				t.Fatal(err)
-			}
-			refOut, err := sc.RunUDP() // Batch: 0 — the single-syscall path
-			if err != nil {
-				t.Fatal(err)
-			}
-			if refOut.Counts != simOut.Counts {
-				t.Fatalf("unbatched UDP reference diverges from sim:\nsim %+v\nudp %+v", simOut.Counts, refOut.Counts)
-			}
-			for _, b := range batchSizes {
-				bsc := sc
-				bsc.Batch = b
-				out, err := bsc.RunUDP()
-				if err != nil {
-					t.Fatalf("batch=%d: %v", b, err)
-				}
-				if !out.Completed || !out.IntactPayload(payload) {
-					t.Errorf("batch=%d: completed=%v intact=%v", b, out.Completed, out.IntactPayload(payload))
-				}
-				if out.Counts != refOut.Counts {
-					t.Errorf("batch=%d counters diverge from single-syscall path:\nref   %+v\nbatch %+v", b, refOut.Counts, out.Counts)
-				}
-			}
-		})
-	}
-}
-
 // TestBatchedPathPropertyGrid exercises {saw, sw, blast×4} × {reorder, dup,
 // corrupt, jitter} seeded adversaries over the batched UDP path at batch
-// sizes 1, 4 and 32: every grid point must complete with a byte-identical
+// sizes of batchRows: every grid point must complete with a byte-identical
 // payload hash at every batch size. (Counters are timing-dependent under
-// seeded adversaries on a wall clock, so — as in the cross-substrate seeded
-// test — payload integrity and completion are the pinned properties here;
-// the scripted conformance test above pins counters.)
+// seeded adversaries on a wall clock, so — as in seededConformance —
+// payload integrity and completion are the pinned properties here;
+// scriptedConformance pins counters.)
 func TestBatchedPathPropertyGrid(t *testing.T) {
 	if !udpAvailable() {
 		t.Skip("no UDP loopback")
@@ -156,7 +75,8 @@ func TestBatchedPathPropertyGrid(t *testing.T) {
 					ReceiverIdle: 2 * time.Second,
 					Payload:      payload,
 				}
-				for _, b := range batchSizes {
+				for _, row := range batchRows {
+					b := row.batch
 					sc := Scenario{
 						Name:      k.name + "/" + v.name,
 						Adversary: k.adv,
@@ -177,55 +97,5 @@ func TestBatchedPathPropertyGrid(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestBatchedSeededAdversaryIdenticalPayload is the acceptance scenario on
-// the batched path: one seeded adversary combining loss, reorder depth ≥ 2,
-// duplication, corruption and jitter must deliver byte-identical payloads
-// at every batch size, for all four blast strategies.
-func TestBatchedSeededAdversaryIdenticalPayload(t *testing.T) {
-	if !udpAvailable() {
-		t.Skip("no UDP loopback")
-	}
-	adv := params.Adversary{
-		Loss:          params.LossModel{PNet: 0.01},
-		ReorderProb:   0.05,
-		ReorderDepth:  2,
-		DuplicateProb: 0.04,
-		CorruptProb:   0.03,
-		JitterMax:     300 * time.Microsecond,
-	}
-	payload := advPayload(16000, 3)
-	for _, s := range []core.Strategy{core.FullNoNak, core.FullNak, core.GoBackN, core.Selective} {
-		t.Run(s.String(), func(t *testing.T) {
-			for _, b := range batchSizes {
-				sc := Scenario{
-					Name:      "batched-seeded-" + s.String(),
-					Adversary: adv,
-					Config: core.Config{
-						TransferID:     1,
-						Bytes:          len(payload),
-						ChunkSize:      1000,
-						Protocol:       core.Blast,
-						Strategy:       s,
-						RetransTimeout: 80 * time.Millisecond,
-						MaxAttempts:    200,
-						Linger:         120 * time.Millisecond,
-						ReceiverIdle:   3 * time.Second,
-						Payload:        payload,
-					},
-					Seed:  int64(s) + 11,
-					Batch: b,
-				}
-				out, err := sc.RunUDP()
-				if err != nil {
-					t.Fatalf("batch=%d: %v", b, err)
-				}
-				if !bytes.Equal(out.Data, payload) {
-					t.Errorf("batch=%d: payload corrupted", b)
-				}
-			}
-		})
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"blastlan/internal/core"
 	"blastlan/internal/params"
 	"blastlan/internal/stats"
+	"blastlan/internal/udplan"
 	"blastlan/internal/wire"
 )
 
@@ -180,20 +181,84 @@ func sawDupScript(p *wire.Packet) params.Mangle {
 	return params.Mangle{}
 }
 
-// TestCrossSubstrateConformance runs the same seeded drop+reorder scripts
-// over the discrete-event simulator, the V kernel and real UDP loopback
-// sockets, and asserts byte-identical delivered payloads and identical
-// protocol counters (packets, duplicates, retransmits, acks, naks) on all
-// three substrates. This is the contract that makes one Scenario definition
-// meaningful everywhere.
-func TestCrossSubstrateConformance(t *testing.T) {
-	udpOK := true
-	if c, err := net.ListenPacket("udp", "127.0.0.1:0"); err != nil {
-		udpOK = false
-	} else {
-		c.Close()
-	}
+// twoPartyRow is one substrate a two-party Scenario runs on: the simulator
+// (the reference), the V kernel, or UDP loopback at a syscall batch size and
+// a transmit-tier cap on both endpoints.
+type twoPartyRow struct {
+	name  string
+	batch int         // UDP rows: the batch size (> 0 marks a UDP row)
+	tier  udplan.Tier // UDP rows: the tier cap (TierAuto: probe)
+	run   func(Scenario) (Outcome, error)
+}
 
+// The two-party table, one group of rows per test: the virtual-time
+// substrates; the UDP datapath at batch 1 (the single-syscall geometry), 4
+// (several flushes per window) and 32 (a 16-packet window in one flush);
+// and each transmit tier at batch 32, where GSO really sends one
+// superbuffer per window.
+var (
+	virtualRows = []twoPartyRow{
+		{name: "sim", run: Scenario.RunSim},
+		{name: "vkernel", run: Scenario.RunVKernel},
+	}
+	batchRows = []twoPartyRow{
+		{"udp-batch1", 1, udplan.TierAuto, Scenario.RunUDP},
+		{"udp-batch4", 4, udplan.TierAuto, Scenario.RunUDP},
+		{"udp-batch32", 32, udplan.TierAuto, Scenario.RunUDP},
+	}
+	tierRows = []twoPartyRow{
+		{"udp-writeto", 32, udplan.TierWriteTo, Scenario.RunUDP},
+		{"udp-mmsg", 32, udplan.TierMmsg, Scenario.RunUDP},
+		{"udp-gso", 32, udplan.TierGSO, Scenario.RunUDP},
+	}
+)
+
+// gsoAvailable reports whether the GSO tier actually engages on this
+// kernel, by probing a scratch endpoint pair the same way RunUDP does.
+func gsoAvailable() bool {
+	cs, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		return false
+	}
+	defer cs.Close()
+	ss, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		return false
+	}
+	defer ss.Close()
+	e := udplan.NewEndpoint(cs, ss.LocalAddr())
+	e.SetBatch(32)
+	return e.Tier() == udplan.TierGSO
+}
+
+// outcome runs sc on the row. UDP rows skip without loopback, and the GSO
+// row where the tier does not engage (an old kernel, a forced-fallback run).
+func (row twoPartyRow) outcome(t *testing.T, sc Scenario) Outcome {
+	t.Helper()
+	if row.batch > 0 && !udpAvailable() {
+		t.Skip("no UDP loopback")
+	}
+	if row.tier == udplan.TierGSO && !gsoAvailable() {
+		t.Skip("GSO tier unavailable (needs Linux >= 4.18)")
+	}
+	sc.Batch, sc.Tier = row.batch, row.tier
+	out, err := row.run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// scriptedConformance runs the six scripted drop+corrupt+duplicate+reorder
+// cases on rows and holds every row to the simulator: byte-identical
+// delivered payloads and identical protocol counters (packets, duplicates,
+// retransmits, acks, naks). This is the contract that makes one Scenario
+// definition meaningful everywhere — and that syscall batching and
+// segmentation offload are invisible to the protocol: whether a window
+// leaves as one UDP_SEGMENT superbuffer, a sendmmsg batch or a WriteTo
+// loop, the adversary sees the same frames and the engines count the same
+// events.
+func scriptedConformance(t *testing.T, rows []twoPartyRow) {
 	payload := advPayload(16000, 9)
 	baseCfg := func(p core.Protocol, s core.Strategy) core.Config {
 		return core.Config{
@@ -213,7 +278,7 @@ func TestCrossSubstrateConformance(t *testing.T) {
 		name   string
 		cfg    core.Config
 		script func(*wire.Packet) params.Mangle
-		// wantRetransmits>0 asserts the script actually forced recovery.
+		// wantRetransmits asserts the script actually forced recovery.
 		wantRetransmits bool
 	}{
 		{"blast/full-nak", baseCfg(core.Blast, core.FullNak), hostileNakScript, true},
@@ -223,71 +288,47 @@ func TestCrossSubstrateConformance(t *testing.T) {
 		{"blast/full-no-nak", baseCfg(core.Blast, core.FullNoNak), hostileLosslessScript, false},
 		{"saw", baseCfg(core.StopAndWait, core.GoBackN), sawDupScript, false},
 	}
-
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			sc := Scenario{
-				Name:      c.name,
-				Adversary: params.Adversary{Script: c.script},
-				Config:    c.cfg,
-				Seed:      7,
-			}
-			simOut, err := sc.RunSim()
+			sc := Scenario{Name: c.name, Adversary: params.Adversary{Script: c.script}, Config: c.cfg, Seed: 7}
+			ref, err := sc.RunSim()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !simOut.Completed || !simOut.IntactPayload(payload) {
-				t.Fatalf("sim: completed=%v payload intact=%v", simOut.Completed, simOut.IntactPayload(payload))
-			}
-			if c.wantRetransmits && simOut.Retransmits == 0 {
+			if c.wantRetransmits && ref.Retransmits == 0 {
 				t.Error("script forced no retransmissions; scenario is vacuous")
 			}
-			if simOut.Duplicates == 0 {
+			if ref.Duplicates == 0 {
 				t.Error("script injected no observable duplicates; scenario is vacuous")
 			}
-
-			vkOut, err := sc.RunVKernel()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !vkOut.IntactPayload(payload) {
-				t.Error("vkernel: delivered payload differs")
-			}
-			if vkOut.Counts != simOut.Counts {
-				t.Errorf("vkernel counters diverge from sim:\nsim     %+v\nvkernel %+v", simOut.Counts, vkOut.Counts)
-			}
-
-			if !udpOK {
-				t.Skip("no UDP loopback: sim/vkernel conformance only")
-			}
-			udpOut, err := sc.RunUDP()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !udpOut.Completed || !udpOut.IntactPayload(payload) {
-				t.Errorf("udp: completed=%v payload intact=%v", udpOut.Completed, udpOut.IntactPayload(payload))
-			}
-			if udpOut.Counts != simOut.Counts {
-				t.Errorf("udp counters diverge from sim:\nsim %+v\nudp %+v", simOut.Counts, udpOut.Counts)
+			for _, row := range rows {
+				t.Run(row.name, func(t *testing.T) {
+					out := row.outcome(t, sc)
+					if !out.Completed || !out.IntactPayload(payload) {
+						t.Errorf("completed=%v payload intact=%v", out.Completed, out.IntactPayload(payload))
+					}
+					if out.Counts != ref.Counts {
+						t.Errorf("counters diverge from sim:\nsim %+v\n%s %+v", ref.Counts, row.name, out.Counts)
+					}
+				})
 			}
 		})
 	}
 }
 
-// TestScenarioSeededAllSubstrates is the acceptance scenario: one seeded
-// adversary with reorder depth ≥ 2, duplication > 0 and corruption > 0 must
-// complete for all four blast strategies on all three substrates with
-// byte-identical delivered payloads. (Counters legitimately differ here —
-// the substrates see different arrival orders, so the seeded draws land on
-// different packets; the scripted conformance test above is what pins
-// counters.)
-func TestScenarioSeededAllSubstrates(t *testing.T) {
-	udpOK := true
-	if c, err := net.ListenPacket("udp", "127.0.0.1:0"); err != nil {
-		udpOK = false
-	} else {
-		c.Close()
-	}
+func TestCrossSubstrateConformance(t *testing.T) { scriptedConformance(t, virtualRows) }
+
+func TestBatchedPathConformance(t *testing.T) { scriptedConformance(t, batchRows) }
+
+func TestGSOTierConformance(t *testing.T) { scriptedConformance(t, tierRows) }
+
+// seededConformance is the acceptance scenario on rows: one seeded
+// adversary with loss, reorder depth ≥ 2, duplication, corruption and
+// jitter must deliver byte-identical payloads for all four blast
+// strategies. (Counters legitimately differ here — the substrates see
+// different arrival orders, so the seeded draws land on different packets;
+// the scripted cases are what pin counters.)
+func seededConformance(t *testing.T, rows []twoPartyRow) {
 	adv := params.Adversary{
 		Loss:          params.LossModel{PNet: 0.01},
 		ReorderProb:   0.05,
@@ -316,33 +357,22 @@ func TestScenarioSeededAllSubstrates(t *testing.T) {
 				},
 				Seed: int64(s) + 11,
 			}
-			simOut, err := sc.RunSim()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !simOut.IntactPayload(payload) {
-				t.Error("sim payload corrupted")
-			}
-			vkOut, err := sc.RunVKernel()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !vkOut.IntactPayload(payload) {
-				t.Error("vkernel payload corrupted")
-			}
-			if !udpOK {
-				t.Skip("no UDP loopback")
-			}
-			udpOut, err := sc.RunUDP()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !udpOut.IntactPayload(payload) {
-				t.Error("udp payload corrupted")
+			for _, row := range rows {
+				t.Run(row.name, func(t *testing.T) {
+					if !row.outcome(t, sc).IntactPayload(payload) {
+						t.Error("payload corrupted")
+					}
+				})
 			}
 		})
 	}
 }
+
+func TestScenarioSeededAllSubstrates(t *testing.T) { seededConformance(t, virtualRows) }
+
+func TestBatchedSeededAdversaryIdenticalPayload(t *testing.T) { seededConformance(t, batchRows) }
+
+func TestGSOTierSeededAdversaryIdenticalPayload(t *testing.T) { seededConformance(t, tierRows) }
 
 // Property across random synthetic hardware: the four §2.1.3 formulas keep
 // their ordering T_dbl ≤ T_B ≤ T_SW ≤ T_SAW, and the simulator agrees with

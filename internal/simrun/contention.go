@@ -2,7 +2,6 @@ package simrun
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"blastlan/internal/core"
@@ -166,19 +165,4 @@ func (sw ContentionSweep) Run(workers int) ([]ContentionCell, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// Table renders the cells as the aligned markdown table EXPERIMENTS.md
-// archives.
-func ContentionTable(cells []ContentionCell) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "| %-8s | %-9s | %7s | %9s | %13s | %8s | %12s | %7s |\n",
-		"policy", "adversary", "clients", "completed", "goodput MB/s", "jain", "makespan", "retrans")
-	b.WriteString("|----------|-----------|---------|-----------|---------------|----------|--------------|---------|\n")
-	for _, c := range cells {
-		fmt.Fprintf(&b, "| %-8s | %-9s | %7d | %9d | %13.1f | %8.3f | %12s | %7d |\n",
-			c.PolicyName(), c.Adversary, c.Clients, c.Completed, c.Goodput, c.Fairness,
-			c.Makespan.Round(time.Microsecond), c.Retrans)
-	}
-	return b.String()
 }

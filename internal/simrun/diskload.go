@@ -9,7 +9,6 @@ import (
 	"blastlan/internal/params"
 	"blastlan/internal/session"
 	"blastlan/internal/store"
-	"blastlan/internal/transport"
 )
 
 // DiskLoadScenario is the disk-economy experiment on the DES: N clients pull
@@ -96,14 +95,6 @@ type DiskLoadClient struct {
 	Err        string
 }
 
-// MBps is the client's end-to-end virtual throughput.
-func (r DiskLoadClient) MBps() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.StatBytes) / r.Elapsed.Seconds() / 1e6
-}
-
 // DiskLoadResult reports one disk-load run.
 type DiskLoadResult struct {
 	Clients   []DiskLoadClient
@@ -118,7 +109,9 @@ type DiskLoadResult struct {
 	Store store.Stats
 }
 
-// Run executes the scenario once on a fresh kernel, server and store.
+// Run executes the scenario once on a fresh kernel, server and store. It
+// runs on the substrate seam's DES binding only: the store's Sim mode
+// charges its disk reads to the virtual clock.
 func (sc DiskLoadScenario) Run() (DiskLoadResult, error) {
 	sc = sc.withDefaults()
 	w, err := newDESWorld(sc.Cost, sc.Seed)
@@ -132,53 +125,55 @@ func (sc DiskLoadScenario) Run() (DiskLoadResult, error) {
 		Sim:        true,
 		CacheBytes: sc.CacheBytes,
 	})
-	srv := &session.Server{
-		Concurrency: sc.Concurrency,
-		Idle:        time.Duration(sc.N)*sc.Spacing + 5*time.Minute,
-		SourceEnv:   st.SourceReq,
-		Stat:        st.StatReq,
-	}
-	serverSt := w.listen("server", srv)
+	var log servedLog
+	srv, _ := w.serve("server", func(s *session.Server) { // a DES host always starts
+		s.Concurrency = sc.Concurrency
+		s.Idle = time.Duration(sc.N)*sc.Spacing + 5*time.Minute
+		s.SourceEnv = st.SourceReq
+		s.Stat = st.StatReq
+		s.Done = log.done
+	})
 
 	want := core.SeededChecksum(sc.Seed, sc.FileBytes, 1024)
 	results := make([]DiskLoadClient, sc.N)
-	w.fan("diskload", serverSt, sc.N, nil, func(i int, c transport.Client) error {
+	for i := range results {
 		r := &results[i]
 		r.Client = i
 		r.Arrival = time.Duration(i) * sc.Spacing
-		c.Compute(r.Arrival)
-		cfg := core.Config{
-			TransferID:     uint32(i + 1),
-			ChunkSize:      sc.Chunk,
-			Protocol:       core.Blast,
-			Strategy:       core.Selective,
-			Window:         sc.Window,
-			RetransTimeout: sc.Tr,
-		}
-		r.Start = c.Now()
-		size, err := core.Stat(c, cfg, diskLoadObject)
-		if err != nil {
-			r.Err = fmt.Sprintf("stat: %v", err)
-			return err
-		}
-		r.StatBytes = size
-		cfg.Name, cfg.Bytes = diskLoadObject, int(size)
-		res, err := core.Request(c, cfg)
-		r.End = c.Now()
-		r.Elapsed = r.End - r.Start
-		if err != nil {
-			r.Err = err.Error()
-			return err
-		}
-		r.Completed = res.Completed
-		r.ChecksumOK = res.Completed && res.Checksum == want
-		return nil
-	})
+		w.client(fmt.Sprintf("client%d", i), srv, r.Arrival, params.Adversary{}, 0, func(env core.Env, _ func() (core.Env, error)) {
+			cfg := core.Config{
+				TransferID:     uint32(i + 1),
+				ChunkSize:      sc.Chunk,
+				Protocol:       core.Blast,
+				Strategy:       core.Selective,
+				Window:         sc.Window,
+				RetransTimeout: sc.Tr,
+				Sink:           func(int, []byte) {}, // the checksum is the evidence
+			}
+			r.Start = w.now()
+			size, err := core.Stat(env, cfg, diskLoadObject)
+			if err != nil {
+				r.Err = fmt.Sprintf("stat: %v", err)
+				return
+			}
+			r.StatBytes = size
+			cfg.Name, cfg.Bytes = diskLoadObject, int(size)
+			res, err := core.Request(env, cfg)
+			r.End = w.now()
+			r.Elapsed = r.End - r.Start
+			if err != nil {
+				r.Err = err.Error()
+				return
+			}
+			r.Completed = res.Completed
+			r.ChecksumOK = res.Completed && res.Checksum == want
+		})
+	}
 	if err := w.run(); err != nil {
 		return DiskLoadResult{}, fmt.Errorf("simrun: diskload %s: %w", sc.Name, err)
 	}
 
-	out := DiskLoadResult{Clients: results, Served: srv.Served(), Store: st.Stats()}
+	out := DiskLoadResult{Clients: results, Served: log.n, Store: st.Stats()}
 	var span makespan
 	for i := range results {
 		r := &results[i]

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"blastlan/internal/core"
@@ -236,7 +235,7 @@ func (sc FanoutScenario) Run() (FanoutResult, error) {
 // RunUDP executes the scenario once over real UDP loopback sockets: an
 // in-process source daemon, relay daemons and receivers each on their own
 // socket. Times in the result are wall-clock.
-func (sc FanoutScenario) RunUDP(u FanoutUDP) (FanoutResult, error) {
+func (sc FanoutScenario) RunUDP(u UDP) (FanoutResult, error) {
 	return sc.withFanoutDefaults().run(newUDPWorld(u), u.KeepData)
 }
 
@@ -264,19 +263,14 @@ func (sc FanoutScenario) run(sub substrate, keep bool) (FanoutResult, error) {
 	for _, a := range sc.Arrivals {
 		idle += a
 	}
-	var mu sync.Mutex // UDP sessions finish on their own goroutines
-	served := make(map[uint32]session.TransferStats)
+	var log servedLog
 	var servers []*session.Server
 	serve := func(name string, handler func(*session.Server)) (host, error) {
 		h, err := sub.serve(name, func(s *session.Server) {
 			s.Concurrency = sc.Concurrency
 			s.Idle = idle
 			s.RetryAfter = sc.RetryAfter
-			s.Done = func(ts session.TransferStats) {
-				mu.Lock()
-				served[ts.TransferID] = ts
-				mu.Unlock()
-			}
+			s.Done = log.done
 			handler(s)
 			servers = append(servers, s)
 		})
@@ -286,7 +280,7 @@ func (sc FanoutScenario) run(sub substrate, keep bool) (FanoutResult, error) {
 		return h, err
 	}
 	spawn := func(h *fanoutHop) {
-		sub.client(h.name, h.at, h.delay, func(env core.Env, redial func() (core.Env, error)) {
+		sub.client(h.name, h.at, h.delay, params.Adversary{}, 0, func(env core.Env, redial func() (core.Env, error)) {
 			cfg := core.Config{
 				TransferID:     h.id,
 				Bytes:          h.st.Bytes,
@@ -374,7 +368,8 @@ func (sc FanoutScenario) run(sub substrate, keep bool) (FanoutResult, error) {
 		return FanoutResult{}, fmt.Errorf("simrun: fanout %s: %w", sc.Name, err)
 	}
 
-	// Every server has stopped: served is complete and no longer shared.
+	// Every server has stopped: the log is complete and no longer shared.
+	served := log.byID
 	expected := core.SeededPayload(int64(sc.Bytes), sc.Bytes, sc.Chunk)
 	want := core.TransferChecksum(expected)
 	out := FanoutResult{

@@ -49,7 +49,7 @@ func fanoutSubstrates(sc FanoutScenario) []fanoutSubstrate {
 			if !udpAvailable() {
 				t.Skip("no UDP loopback")
 			}
-			return sc.RunUDP(FanoutUDP{Batch: batch, KeepData: true})
+			return sc.RunUDP(UDP{Batch: batch, KeepData: true})
 		}
 	}
 	return []fanoutSubstrate{

@@ -1,238 +1,137 @@
 package simrun
 
 import (
-	"bytes"
+	"fmt"
 	"net"
-	"sync"
+	"strings"
 	"testing"
 	"time"
 
-	"blastlan/internal/core"
 	"blastlan/internal/params"
 	"blastlan/internal/session"
-	"blastlan/internal/sim"
-	"blastlan/internal/udplan"
-	"blastlan/internal/wire"
 )
 
-// Fault-injection conformance: a server that crashes after serving its 80th
-// chunk and restarts 200ms later, implemented with the substrate's own
-// crash mechanics — station close/reopen on the simulator, socket
-// close/rebind on UDP — must yield the same recovered transfer through
-// core.PullResume on both substrates: identical reassembled bytes, a resumed
-// session on both, and (pinned exactly on the deterministic substrate) not a
-// single verified chunk re-fetched.
+// Fault-injection conformance: one FaultScenario value runs through Run (the
+// DES: station close/reopen) and RunUDP (socket close/rebind) at batch 1
+// and 32 with the payload kept, and both recover the same transfer through
+// core.PullResume.
 
-const (
-	fcChunk    = 1000
-	fcChunks   = 200
-	fcBytes    = fcChunk * fcChunks
-	fcCrashAt  = 80
-	fcDowntime = 200 * time.Millisecond
-)
-
-func fcFaults() params.Faults {
-	return params.Faults{CrashAfterChunks: []int64{fcCrashAt}, Downtime: fcDowntime}
-}
-
-func fcConfig() core.Config {
-	return core.Config{
-		TransferID:     7,
-		Bytes:          fcBytes,
-		ChunkSize:      fcChunk,
-		Protocol:       core.Blast,
-		Strategy:       core.GoBackN,
-		RetransTimeout: 100 * time.Millisecond,
-		// One REQ round per session: recovery belongs to the resume layer's
-		// offset REQs (see FaultScenario).
-		MaxAttempts: 1,
-	}
-}
-
-// fcSource streams the seeded stream and fires crash on the trigger's
-// schedule — the serving side both substrates share.
-func fcSource(trigger *params.CrashTrigger, crash func()) func(wire.Req) (core.ChunkSource, bool) {
-	return func(r wire.Req) (core.ChunkSource, bool) {
-		base, ok := core.SeededReqSource(r)
-		if !ok {
-			return nil, false
-		}
-		return func(seq int, dst []byte) []byte {
-			if trigger.OnChunk() {
-				crash()
-			}
-			return base(seq, dst)
-		}, true
-	}
-}
-
-// runFaultConformanceSim recovers the transfer on the simulator: the crash
-// closes the serving station mid-blast; a kernel timer flushes, reopens and
-// re-serves it after the downtime.
-func runFaultConformanceSim(t *testing.T) ([]byte, core.ResumeStats) {
+// faultRows runs sc on the DES and over UDP at batch 1 and 32, data kept,
+// handing each result to check. The UDP rows skip without loopback.
+func faultRows(t *testing.T, sc FaultScenario, check func(t *testing.T, sub string, res FaultResult)) {
 	t.Helper()
-	k := sim.NewKernel()
-	n, err := sim.NewNetwork(k, params.ModernGigabit(), params.LossModel{}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serverSt := n.AddStation("server")
-	trigger := fcFaults().Trigger()
-
-	var srvErr error
-	srv := &session.Server{Concurrency: 2, Idle: 5 * time.Minute, SessionIdle: 2 * time.Second}
-	var crash func()
-	srv.Source = fcSource(trigger, func() { crash() })
-	var runServer func()
-	runServer = func() {
-		sim.Serve(n, serverSt, func(l *sim.Listener) {
-			if err := srv.Run(l); err != nil && srvErr == nil {
-				srvErr = err
+	for _, batch := range []int{0, 1, 32} {
+		sub := fmt.Sprintf("batch%d", batch)
+		if batch == 0 {
+			sub = "des"
+		}
+		t.Run(sub, func(t *testing.T) {
+			var res FaultResult
+			var err error
+			if batch == 0 {
+				res, err = sc.Run()
+			} else {
+				if !udpAvailable() {
+					t.Skip("no UDP loopback")
+				}
+				res, err = sc.RunUDP(UDP{Batch: batch, KeepData: true})
 			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Completed != sc.N {
+				t.Fatalf("completed %d/%d: %+v", res.Completed, sc.N, res.Clients)
+			}
+			check(t, sub, res)
 		})
 	}
-	crash = func() {
-		if serverSt.Closed() {
+}
+
+// TestFaultConformance pins crash-recovery identity across substrates: a
+// server that crashes after its 80th served chunk and restarts 200ms later
+// loses no client's transfer. On the DES recovery is exactly one resumed
+// session that re-requests a strict tail and re-fetches no verified chunk;
+// over UDP — with its own socket-level crash mechanics — the crash forces a
+// resume too, and the kept bytes are the seeded stream (ChecksumOK).
+func TestFaultConformance(t *testing.T) {
+	const chunks = 200
+	sc := FaultScenario{
+		Name:        "fault-conformance",
+		N:           1,
+		Bytes:       []int{chunks * 1000},
+		Chunk:       1000,
+		Concurrency: 2,
+		Faults:      params.Faults{CrashAfterChunks: []int64{80}, Downtime: 200 * time.Millisecond},
+		MaxResumes:  16,
+		Backoff:     50 * time.Millisecond,
+		Seed:        1,
+	}
+	faultRows(t, sc, func(t *testing.T, sub string, res FaultResult) {
+		st := res.Clients[0].Resume
+		if sub != "des" {
+			if st.Sessions < 2 {
+				t.Fatalf("sessions = %d; the crash did not force a resume", st.Sessions)
+			}
 			return
 		}
-		serverSt.Close()
-		k.After(fcDowntime, func() {
-			serverSt.FlushRx()
-			serverSt.Reopen()
-			runServer()
-		})
-	}
-	runServer()
-
-	var (
-		data   []byte
-		rstats core.ResumeStats
-		cliErr error
-	)
-	clientSt := n.AddStation("client")
-	k.Go("client", func(p *sim.Proc) {
-		c := sim.NewEndpoint(p, clientSt, serverSt)
-		var res core.RecvResult
-		res, rstats, cliErr = core.PullResume(c, fcConfig(), core.ResumeOptions{
-			Backoff: 50 * time.Millisecond,
-			Seed:    1,
-		})
-		data = res.Data
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if srvErr != nil {
-		t.Fatalf("sim server: %v", srvErr)
-	}
-	if cliErr != nil {
-		t.Fatalf("sim client: %v", cliErr)
-	}
-	return data, rstats
-}
-
-// runFaultConformanceUDP recovers the same transfer over real UDP loopback:
-// the crash closes the serving socket under its sessions; after the downtime
-// a fresh socket binds the same port and a new server incarnation takes
-// over.
-func runFaultConformanceUDP(t *testing.T) ([]byte, core.ResumeStats) {
-	t.Helper()
-	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("no UDP loopback: %v", err)
-	}
-	addr := conn.LocalAddr().String()
-	trigger := fcFaults().Trigger()
-
-	var (
-		mu      sync.Mutex
-		curConn net.PacketConn
-	)
-	srvDone := make(chan error, 2)
-	var crash func()
-	start := func(c net.PacketConn) {
-		srv := udplan.NewServer(c)
-		srv.Concurrency = 2
-		srv.SessionIdle = 2 * time.Second
-		srv.Source = fcSource(trigger, func() { crash() })
-		mu.Lock()
-		curConn = c
-		mu.Unlock()
-		go func() { srvDone <- srv.Run() }()
-	}
-	restarted := make(chan struct{})
-	crash = func() {
-		mu.Lock()
-		dead := curConn
-		mu.Unlock()
-		dead.Close()
-		time.AfterFunc(fcDowntime, func() {
-			defer close(restarted)
-			c2, err := net.ListenPacket("udp", addr)
-			if err != nil {
-				t.Errorf("rebind %s: %v", addr, err)
-				return
-			}
-			start(c2)
-		})
-	}
-	start(conn)
-
-	e, err := udplan.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	e.SetSocketBuffers(1 << 20)
-	res, rstats, cliErr := core.PullResume(e, fcConfig(), core.ResumeOptions{
-		Backoff:    50 * time.Millisecond,
-		MaxResumes: 16,
-		Seed:       1,
-	})
-	if cliErr != nil {
-		t.Fatalf("udp client: %v", cliErr)
-	}
-
-	<-restarted // both incarnations exist before teardown
-	mu.Lock()
-	curConn.Close()
-	mu.Unlock()
-	for i := 0; i < 2; i++ {
-		if err := <-srvDone; err != nil {
-			t.Fatalf("udp server: %v", err)
+		if st.Sessions != 2 || st.DupChunks != 0 {
+			t.Fatalf("sessions %d, dups %d; want exactly 2 (one crash, one resume) and no re-fetch", st.Sessions, st.DupChunks)
 		}
-	}
-	return res.Data, rstats
+		if st.ResumedChunks == 0 || st.ResumedChunks >= chunks {
+			t.Fatalf("resume re-requested %d of %d chunks; want a strict mid-transfer tail", st.ResumedChunks, chunks)
+		}
+	})
 }
 
-// TestFaultConformance pins crash-recovery identity across substrates: the
-// simulator's recovered bytes are the seeded stream, recovery goes through a
-// resumed session that re-fetches only unverified chunks, and real UDP —
-// with its own socket-level crash mechanics — reassembles byte-identical
-// data.
-func TestFaultConformance(t *testing.T) {
-	simData, simStats := runFaultConformanceSim(t)
+// TestFaultBlackholeConformance: client 0's receive path goes dark for 40
+// chunks; it recovers on every substrate without a duplicate sink delivery.
+func TestFaultBlackholeConformance(t *testing.T) {
+	sc := FaultScenario{Name: "blackhole", N: 2, Bytes: []int{96 << 10},
+		Faults: params.Faults{BlackholeAfter: 20, BlackholeCount: 40}, Seed: 5}
+	faultRows(t, sc, func(t *testing.T, _ string, res FaultResult) {
+		if res.Dups != 0 {
+			t.Fatalf("blackhole recovery delivered %d duplicate chunks", res.Dups)
+		}
+	})
+}
 
-	want := core.SeededPayload(int64(fcBytes), fcBytes, fcChunk)
-	if !bytes.Equal(simData, want) {
-		t.Fatal("sim recovered bytes differ from the seeded stream")
+// TestFaultOverloadUDP: 16 clients against a 2-session cap over real
+// sockets are shed with BUSY/RETRY-AFTER and all complete through backoff,
+// with no verified chunk re-fetched.
+func TestFaultOverloadUDP(t *testing.T) {
+	if !udpAvailable() {
+		t.Skip("no UDP loopback")
 	}
-	if simStats.Sessions != 2 {
-		t.Fatalf("sim sessions = %d, want exactly 2 (one crash, one resume)", simStats.Sessions)
+	res, err := FaultScenario{Name: "overload-udp", N: 16, Concurrency: 2,
+		RetryAfter: 10 * time.Millisecond, MaxBusyWaits: 1 << 20, Seed: 9}.RunUDP(UDP{Batch: 32})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if simStats.DupChunks != 0 {
-		t.Fatalf("sim resume re-fetched %d verified chunks", simStats.DupChunks)
+	if res.Completed != 16 || res.BusyWaits == 0 || res.Dups != 0 {
+		t.Fatalf("completed %d/16, %d BUSY waits, %d dups; want all, some, none", res.Completed, res.BusyWaits, res.Dups)
 	}
-	if simStats.ResumedChunks == 0 || simStats.ResumedChunks >= fcChunks {
-		t.Fatalf("sim resume re-requested %d of %d chunks; want a strict mid-transfer tail",
-			simStats.ResumedChunks, fcChunks)
-	}
+}
 
-	udpData, udpStats := runFaultConformanceUDP(t)
-	if !bytes.Equal(udpData, simData) {
-		t.Fatal("recovered bytes differ between sim and udp")
+// TestCrashRebindFailure: a restart that cannot rebind its address — taken
+// by another socket during the downtime — is run's error, not a hang.
+func TestCrashRebindFailure(t *testing.T) {
+	if !udpAvailable() {
+		t.Skip("no UDP loopback")
 	}
-	if udpStats.Sessions < 2 {
-		t.Fatalf("udp sessions = %d; the crash did not force a resume", udpStats.Sessions)
+	w := newUDPWorld(UDP{})
+	h, err := w.serve("server", func(*session.Server) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !w.crash(h, 50*time.Millisecond) || w.crash(h, 50*time.Millisecond) {
+		t.Fatal("want the first crash to take the server down and the second to find it down")
+	}
+	squatter, err := net.ListenPacket("udp", h.(*udpHost).addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer squatter.Close()
+	if err := w.run(); err == nil || !strings.Contains(err.Error(), "server restart") {
+		t.Fatalf("run = %v, want the failed rebind", err)
 	}
 }

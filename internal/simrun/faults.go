@@ -2,28 +2,28 @@ package simrun
 
 import (
 	"fmt"
-	"math/rand"
+	"sync"
 	"time"
 
 	"blastlan/internal/core"
 	"blastlan/internal/params"
 	"blastlan/internal/session"
-	"blastlan/internal/sim"
 	"blastlan/internal/stats"
-	"blastlan/internal/transport"
 	"blastlan/internal/wire"
 )
 
-// FaultScenario is a DES-backed failure-recovery experiment: N seeded
-// clients pull from one sharded simulated server while a params.Faults
-// schedule kills and restarts the server mid-transfer (and optionally
-// blackholes a client's receive path). Clients run the resumable-pull
-// engine (core.PullResume), so every client is expected to complete with an
-// intact checksum despite the crashes — and because crashes trigger on the
-// deterministic count of served chunks and everything runs under the
-// kernel's handoff scheduling, the entire recovery schedule (which sessions
-// die, at which chunk, how each client backs off and resumes) reproduces
-// bit for bit at any worker count.
+// FaultScenario is a failure-recovery experiment: N seeded clients pull
+// from one sharded server while a params.Faults schedule kills and restarts
+// the server mid-transfer (and optionally blackholes a client's receive
+// path). One orchestration runs it on the discrete-event simulator (Run)
+// and over UDP loopback (RunUDP), where a crash closes the socket and a
+// fresh server rebinds the address. Clients run the resumable-pull engine
+// (core.PullResume), so every client is expected to complete with an intact
+// checksum despite the crashes — and on the simulator, because crashes
+// trigger on the deterministic count of served chunks and everything runs
+// under the kernel's handoff scheduling, the entire recovery schedule
+// (which sessions die, at which chunk, how each client backs off and
+// resumes) reproduces bit for bit at any worker count.
 //
 // The same scenario shape doubles as the overload experiment: with no
 // crashes, a small Concurrency cap and a large N, refused clients observe
@@ -71,32 +71,18 @@ type FaultScenario struct {
 	Trials int
 }
 
-// withFaultDefaults fills the zero fields.
+// withFaultDefaults fills the zero fields: a load scenario's defaults,
+// except 4 clients, plus a 20ms backoff.
 func (sc FaultScenario) withFaultDefaults() FaultScenario {
 	if sc.N <= 0 {
 		sc.N = 4
 	}
-	if len(sc.Bytes) == 0 {
-		sc.Bytes = []int{64 << 10}
-	}
-	if len(sc.Strategies) == 0 {
-		sc.Strategies = []core.Strategy{core.GoBackN}
-	}
-	if sc.Chunk == 0 {
-		sc.Chunk = params.DataPacketSize
-	}
-	if sc.Tr == 0 {
-		sc.Tr = 100 * time.Millisecond
-	}
-	if sc.Concurrency <= 0 {
-		sc.Concurrency = 4
-	}
 	if sc.Backoff <= 0 {
 		sc.Backoff = 20 * time.Millisecond
 	}
-	if sc.Trials <= 0 {
-		sc.Trials = 1
-	}
+	d := LoadScenario{N: sc.N, Bytes: sc.Bytes, Strategies: sc.Strategies, Chunk: sc.Chunk, Tr: sc.Tr,
+		Concurrency: sc.Concurrency, Trials: sc.Trials}.withLoadDefaults()
+	sc.Bytes, sc.Strategies, sc.Chunk, sc.Tr, sc.Concurrency, sc.Trials = d.Bytes, d.Strategies, d.Chunk, d.Tr, d.Concurrency, d.Trials
 	return sc
 }
 
@@ -138,143 +124,134 @@ type FaultResult struct {
 	Makespan  time.Duration
 }
 
-// faultClientSpec is one client's pre-drawn workload.
-type faultClientSpec struct {
-	bytes    int
-	strategy core.Strategy
-	arrival  time.Duration
-}
-
-// specs draws every client's workload up front, in index order, so the
-// scenario is a pure function of its seed.
-func (sc FaultScenario) specs() []faultClientSpec {
-	rng := rand.New(rand.NewSource(sc.Seed*-8296271519245169997 + 3751637671895480951))
-	out := make([]faultClientSpec, sc.N)
-	for i := range out {
-		s := &out[i]
-		s.bytes = sc.Bytes[rng.Intn(len(sc.Bytes))]
-		s.strategy = sc.Strategies[rng.Intn(len(sc.Strategies))]
-		if sc.Arrival > 0 {
-			s.arrival = time.Duration(rng.Int63n(int64(sc.Arrival)))
-		}
-	}
-	return out
-}
-
-// Run executes the scenario once: one kernel, a restartable server process,
-// N resumable-client processes. Deterministic — same seed, same bits — at
-// any GOMAXPROCS.
+// Run executes the scenario once on the discrete-event simulator: one
+// kernel, a restartable server process, N resumable-client processes.
+// Deterministic — same seed, same bits — at any GOMAXPROCS.
 func (sc FaultScenario) Run() (FaultResult, error) {
 	sc = sc.withFaultDefaults()
-	if err := sc.Faults.Validate(); err != nil {
-		return FaultResult{}, err
-	}
 	w, err := newDESWorld(sc.Cost, sc.Seed)
 	if err != nil {
 		return FaultResult{}, err
 	}
-	specs := sc.specs()
-	trigger := sc.Faults.Trigger()
+	return sc.run(w, false)
+}
 
-	restarts := 0
-	srv := &session.Server{
-		Concurrency: sc.Concurrency,
-		RetryAfter:  sc.RetryAfter,
-		Idle:        sc.Arrival + 5*time.Minute,
+// RunUDP executes the scenario once over real UDP loopback sockets: a crash
+// closes the server's socket under its sessions and a fresh server rebinds
+// the address after the downtime; clients re-dial for every resume. Times
+// in the result are wall-clock; Cost is ignored.
+func (sc FaultScenario) RunUDP(u UDP) (FaultResult, error) {
+	return sc.withFaultDefaults().run(newUDPWorld(u), u.KeepData)
+}
+
+// run is the fault scenario, written once against the substrate seam. The
+// server streams seeded chunks (like blastd) and the crash trigger rides the
+// source, so "crash after the Nth served chunk" counts every chunk that
+// crosses any session — deterministically on the simulator. keep has every
+// client assemble its bytes and compare them with the seeded stream.
+func (sc FaultScenario) run(sub substrate, keep bool) (FaultResult, error) {
+	if err := sc.Faults.Validate(); err != nil {
+		return FaultResult{}, err
+	}
+	trigger := sc.Faults.Trigger()
+	var (
+		mu       sync.Mutex // UDP sessions crash the server on their own goroutines
+		srv      host
+		restarts int
+		log      servedLog
+	)
+	crash := func() {
+		mu.Lock()
+		defer mu.Unlock()
+		if sub.crash(srv, sc.Faults.RestartDelay()) {
+			restarts++
+		}
+	}
+	h, err := sub.serve("server", func(s *session.Server) {
+		s.Concurrency = sc.Concurrency
+		s.RetryAfter = sc.RetryAfter
+		s.Idle = sc.Arrival + 5*time.Minute
 		// Reap orphaned sessions fast: after a crash the old incarnation's
-		// session bodies must release their processes in bounded virtual
-		// time, not the 30s wall-clock default.
-		SessionIdle: 2 * time.Second,
-	}
-	// The server streams seeded chunks (like blastd); the crash trigger
-	// rides the source, so "crash after the Nth served chunk" counts every
-	// chunk that crosses any session, deterministically. The crash closes
-	// the serving station — the demux loop and every in-flight session die
-	// with net.ErrClosed — and a kernel timer restarts the server after the
-	// scheduled downtime on the same station, receive queue flushed (a real
-	// crash loses its socket buffers).
-	var crash func()
-	srv.Source = func(r wire.Req) (core.ChunkSource, bool) {
-		base, ok := core.SeededReqSource(r)
-		if !ok {
-			return nil, false
-		}
-		return func(seq int, dst []byte) []byte {
-			if trigger.OnChunk() {
-				crash()
+		// session bodies must release their threads in bounded time, not the
+		// 30s default.
+		s.SessionIdle = 2 * time.Second
+		s.Source = func(r wire.Req) (core.ChunkSource, bool) {
+			base, ok := core.SeededReqSource(r)
+			if !ok {
+				return nil, false
 			}
-			return base(seq, dst)
-		}, true
-	}
-	serverSt := w.listen("server", srv)
-	crash = func() {
-		if serverSt.Closed() {
-			return
+			return func(seq int, dst []byte) []byte {
+				if trigger.OnChunk() {
+					crash()
+				}
+				return base(seq, dst)
+			}, true
 		}
-		serverSt.Close()
-		restarts++
-		w.after(sc.Faults.RestartDelay(), func() {
-			serverSt.FlushRx()
-			serverSt.Reopen()
-			w.listenOn(serverSt, srv)
-		})
+		s.Done = log.done
+	})
+	if err != nil {
+		return FaultResult{}, fmt.Errorf("simrun: faults %s: %w", sc.Name, err)
 	}
+	mu.Lock()
+	srv = h
+	mu.Unlock()
 
 	blackhole := sc.Faults.BlackholeHook()
 	results := make([]FaultClientResult, sc.N)
-	want := seededSums{}
-	w.fan("faultload", serverSt, sc.N, func(i int, st *sim.Station) error {
-		if i != 0 || blackhole == nil {
-			return nil
-		}
-		// Client 0 goes dark for a stretch of its receive stream.
-		return st.SetAdversary(params.Adversary{Script: blackhole}, sc.Seed)
-	}, func(i int, c transport.Client) error {
-		s := specs[i]
+	want := seededSums(sc.Bytes, sc.Chunk)
+	draws := drawClients(sc.Seed*-8296271519245169997+3751637671895480951, sc.N, sc.Bytes, sc.Strategies, sc.Arrival)
+	for i, d := range draws {
 		r := &results[i]
-		r.Client, r.Bytes, r.Strategy, r.Arrival = i, s.bytes, s.strategy, s.arrival
+		r.Client, r.Bytes, r.Strategy, r.Arrival = i, d.bytes, d.strategy, d.arrival
 		r.TransferID = uint32(i + 1)
-		c.Compute(s.arrival)
-		cfg := core.Config{
-			TransferID:     r.TransferID,
-			Bytes:          s.bytes,
-			ChunkSize:      sc.Chunk,
-			Protocol:       core.Blast,
-			Strategy:       s.strategy,
-			Window:         sc.Window,
-			RetransTimeout: sc.Tr,
-			// One REQ round per session: a quiet server means the session
-			// is dead and recovery belongs to the resume layer's offset
-			// REQs — an in-session REQ retry would re-request the full
-			// range and re-receive verified chunks.
-			MaxAttempts: 1,
+		var adv params.Adversary
+		if i == 0 && blackhole != nil {
+			// Client 0 goes dark for a stretch of its receive stream.
+			adv = params.Adversary{Script: blackhole}
 		}
-		r.Start = c.Now()
-		res, rstats, err := core.PullResume(c, cfg, core.ResumeOptions{
-			MaxResumes:   sc.MaxResumes,
-			MaxBusyWaits: sc.MaxBusyWaits,
-			Backoff:      sc.Backoff,
-			Seed:         sc.Seed + int64(i),
+		sink, intact := seededPull(d.bytes, sc.Chunk, want[d.bytes], keep)
+		sub.client(fmt.Sprintf("client%d", i), h, d.arrival, adv, sc.Seed, func(env core.Env, redial func() (core.Env, error)) {
+			cfg := core.Config{
+				TransferID:     r.TransferID,
+				Bytes:          d.bytes,
+				ChunkSize:      sc.Chunk,
+				Protocol:       core.Blast,
+				Strategy:       d.strategy,
+				Window:         sc.Window,
+				RetransTimeout: sc.Tr,
+				// One REQ round per session: a quiet server means the session
+				// is dead and recovery belongs to the resume layer's offset
+				// REQs — an in-session REQ retry would re-request the full
+				// range and re-receive verified chunks.
+				MaxAttempts: 1,
+				Sink:        sink,
+			}
+			r.Start = sub.now()
+			res, rstats, err := core.PullResume(env, cfg, core.ResumeOptions{
+				MaxResumes:   sc.MaxResumes,
+				MaxBusyWaits: sc.MaxBusyWaits,
+				Backoff:      sc.Backoff,
+				Seed:         sc.Seed + int64(i),
+				Redial:       redial,
+			})
+			r.End = sub.now()
+			r.Elapsed = r.End - r.Start
+			r.Resume = rstats
+			r.DataRecv = res.DataPackets - res.Duplicates - res.LingerEvents
+			if err != nil {
+				r.Err = err.Error()
+				return
+			}
+			r.Completed, r.ChecksumOK = res.Completed, intact(res)
 		})
-		r.End = c.Now()
-		r.Elapsed = r.End - r.Start
-		r.Resume = rstats
-		r.DataRecv = res.DataPackets - res.Duplicates - res.LingerEvents
-		if err != nil {
-			r.Err = err.Error()
-			return err
-		}
-		r.Completed = res.Completed
-		r.ChecksumOK = res.Completed && res.Checksum == want.of(s.bytes, sc.Chunk)
-		return nil
-	})
-	if err := w.run(); err != nil {
+	}
+	if err := sub.run(); err != nil {
 		return FaultResult{}, fmt.Errorf("simrun: faults %s: %w", sc.Name, err)
 	}
 
 	out := FaultResult{
 		Clients:  results,
-		Served:   srv.Served(),
+		Served:   log.n,
 		Crashes:  trigger.Crashes(),
 		Restarts: restarts,
 	}

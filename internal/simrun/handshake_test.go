@@ -153,11 +153,17 @@ func TestPushHonorsBusyAgainstCapOfOne(t *testing.T) {
 			t.Fatal(err)
 		}
 		serverSt := n.AddStation("server")
-		var got [][]byte
+		var got []int // bytes of each completed push
 		srv := &session.Server{
 			Concurrency: 1,
 			Idle:        time.Minute,
-			Sink:        func(_ wire.Req, b []byte) { got = append(got, b) },
+			SinkStream: func(wire.Req) (core.ChunkSink, func(core.RecvResult), bool) {
+				return func(int, []byte) {}, func(res core.RecvResult) {
+					if res.Completed {
+						got = append(got, res.Bytes)
+					}
+				}, true
+			},
 		}
 		var srvErr error
 		sim.Serve(n, serverSt, func(l *sim.Listener) { srvErr = srv.Run(l) })
@@ -192,9 +198,9 @@ func TestPushHonorsBusyAgainstCapOfOne(t *testing.T) {
 		if srvErr != nil {
 			t.Fatal(srvErr)
 		}
-		for i, b := range got {
-			if len(b) != bytes {
-				t.Errorf("push %d delivered %d of %d bytes", i, len(b), bytes)
+		for i, n := range got {
+			if n != bytes {
+				t.Errorf("push %d delivered %d of %d bytes", i, n, bytes)
 			}
 		}
 		return elapsed, srv.Served()

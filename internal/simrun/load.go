@@ -2,7 +2,6 @@ package simrun
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"blastlan/internal/core"
@@ -10,17 +9,17 @@ import (
 	"blastlan/internal/session"
 	"blastlan/internal/sim"
 	"blastlan/internal/stats"
-	"blastlan/internal/transport"
 )
 
-// LoadScenario is a DES-backed many-client load experiment: N seeded
-// clients with staggered arrivals and a mixed size/strategy workload all
-// pull from one sharded simulated server running the shared session layer
-// (internal/session) — the same demux loop, session table and handlers
-// that serve real UDP traffic. Because the whole thing runs under the
-// kernel's handoff scheduling, scale behaviour that is unmeasurable on a
+// LoadScenario is a many-client load experiment: N seeded clients with
+// staggered arrivals and a mixed size/strategy workload all pull from one
+// sharded server running the shared session layer (internal/session). One
+// orchestration runs it on the discrete-event simulator (Run) and over UDP
+// loopback (RunUDP). On the simulator the whole thing runs under the
+// kernel's handoff scheduling, so scale behaviour that is unmeasurable on a
 // real network — session-cap REQ drops, shard contention, many-client
-// fairness — reproduces bit for bit at any worker count.
+// fairness — reproduces bit for bit at any worker count; with scripted
+// adversaries the UDP run must match it counter for counter.
 type LoadScenario struct {
 	// Name labels the scenario in test output and experiment tables.
 	Name string
@@ -156,114 +155,100 @@ func jain(xs []float64) float64 {
 	return sum * sum / (float64(len(xs)) * sq)
 }
 
-// loadClientSpec is one client's pre-drawn workload.
-type loadClientSpec struct {
-	bytes      int
-	strategy   core.Strategy
-	controller string
-	arrival    time.Duration
-	adv        params.Adversary
-	advSeed    int64
-}
-
-// specs draws every client's workload up front, in index order, so the
-// scenario is a pure function of its seed.
-func (sc LoadScenario) specs() []loadClientSpec {
-	rng := rand.New(rand.NewSource(sc.Seed*-3751637671895480951 + 7046029254386353131))
-	out := make([]loadClientSpec, sc.N)
-	for i := range out {
-		s := &out[i]
-		s.bytes = sc.Bytes[rng.Intn(len(sc.Bytes))]
-		s.strategy = sc.Strategies[rng.Intn(len(sc.Strategies))]
-		if sc.Arrival > 0 {
-			s.arrival = time.Duration(rng.Int63n(int64(sc.Arrival)))
-		}
-		s.controller = sc.Controller
-		if sc.ClientController != nil {
-			s.controller = sc.ClientController(i)
-		}
-		s.adv = sc.Adversary
-		if sc.ClientAdversary != nil {
-			s.adv = sc.ClientAdversary(i)
-		}
-		s.advSeed = sc.Seed + int64(i)
-	}
-	return out
-}
-
-// Run executes the scenario once: one kernel, one sharded server process,
-// N client processes. The result is deterministic — same seed, same bits —
-// regardless of GOMAXPROCS, because every process runs under the kernel's
-// handoff scheduling.
+// Run executes the scenario once on the discrete-event simulator: one
+// kernel, one sharded server process, N client processes. The result is
+// deterministic — same seed, same bits — regardless of GOMAXPROCS, because
+// every process runs under the kernel's handoff scheduling.
 func (sc LoadScenario) Run() (LoadResult, error) {
 	sc = sc.withLoadDefaults()
 	w, err := newDESWorld(sc.Cost, sc.Seed)
 	if err != nil {
 		return LoadResult{}, err
 	}
-	specs := sc.specs()
-
-	// The server streams seeded chunks, exactly like blastd: a pull of B
-	// bytes is generated from seed B, so the client can verify the payload
-	// without the server materialising it.
-	serverStats := make(map[uint32]session.TransferStats, sc.N)
-	srv := &session.Server{
-		Concurrency: sc.Concurrency,
-		// Virtual idle: generous enough to outlive the full arrival window
-		// plus service; it only delays the (free) virtual clock at the end.
-		Idle:   sc.Arrival + 5*time.Minute,
-		Source: core.SeededReqSource,
-		Done:   func(ts session.TransferStats) { serverStats[ts.TransferID] = ts },
+	res, err := sc.run(w, false)
+	if err == nil {
+		res.Kernel = w.k.Stats()
 	}
-	serverSt := w.listen("server", srv)
+	return res, err
+}
 
-	results := make([]LoadClientResult, sc.N)
-	want := seededSums{}
-	w.fan("load", serverSt, sc.N, func(i int, st *sim.Station) error {
-		if !specs[i].adv.Active() {
-			return nil
-		}
-		return st.SetAdversary(specs[i].adv, specs[i].advSeed)
-	}, func(i int, c transport.Client) error {
-		s := specs[i]
-		r := &results[i]
-		r.Client, r.Bytes, r.Strategy, r.Arrival = i, s.bytes, s.strategy, s.arrival
-		r.Controller = s.controller
-		r.TransferID = uint32(i + 1)
-		c.Compute(s.arrival) // staggered arrival
-		cfg := core.Config{
-			TransferID:     r.TransferID,
-			Bytes:          s.bytes,
-			ChunkSize:      sc.Chunk,
-			Protocol:       core.Blast,
-			Strategy:       s.strategy,
-			Window:         sc.Window,
-			Controller:     s.controller,
-			RetransTimeout: sc.Tr,
-		}
-		r.Start = c.Now()
-		res, err := core.Request(c, cfg)
-		r.End = c.Now()
-		r.Elapsed = r.End - r.Start
-		if err != nil {
-			r.Err = err.Error()
-			return err
-		}
-		r.Completed = res.Completed
-		r.ChecksumOK = res.Completed && res.Checksum == want.of(s.bytes, sc.Chunk)
-		r.Counts = recvCounts(res)
-		return nil
+// RunUDP executes the scenario once over real UDP loopback sockets: an
+// in-process server and N clients each on their own socket, adversaries on
+// the clients' endpoints. Times in the result are wall-clock; Cost is
+// ignored.
+func (sc LoadScenario) RunUDP(u UDP) (LoadResult, error) {
+	return sc.withLoadDefaults().run(newUDPWorld(u), u.KeepData)
+}
+
+// run is the load scenario, written once against the substrate seam. The
+// server streams seeded chunks, exactly like blastd: a pull of B bytes is
+// generated from seed B, so a client verifies its payload without the
+// server materialising it. keep has every client assemble its bytes and
+// compare them with the seeded stream.
+func (sc LoadScenario) run(sub substrate, keep bool) (LoadResult, error) {
+	var log servedLog
+	srv, err := sub.serve("server", func(s *session.Server) {
+		s.Concurrency = sc.Concurrency
+		// Generous enough to outlive the full arrival window plus service;
+		// virtual idle only delays the (free) clock at the end, and a UDP
+		// server is closed when the run is over.
+		s.Idle = sc.Arrival + 5*time.Minute
+		s.Source = core.SeededReqSource
+		s.Done = log.done
 	})
-	if err := w.run(); err != nil {
+	if err != nil {
 		return LoadResult{}, fmt.Errorf("simrun: load %s: %w", sc.Name, err)
 	}
 
-	out := LoadResult{Clients: results, Served: srv.Served(), Kernel: w.k.Stats()}
+	results := make([]LoadClientResult, sc.N)
+	want := seededSums(sc.Bytes, sc.Chunk)
+	draws := drawClients(sc.Seed*-3751637671895480951+7046029254386353131, sc.N, sc.Bytes, sc.Strategies, sc.Arrival)
+	for i, d := range draws {
+		r := &results[i]
+		r.Client, r.Bytes, r.Strategy, r.Arrival = i, d.bytes, d.strategy, d.arrival
+		r.Controller = sc.Controller
+		if sc.ClientController != nil {
+			r.Controller = sc.ClientController(i)
+		}
+		adv := sc.Adversary
+		if sc.ClientAdversary != nil {
+			adv = sc.ClientAdversary(i)
+		}
+		r.TransferID = uint32(i + 1)
+		sink, intact := seededPull(d.bytes, sc.Chunk, want[d.bytes], keep)
+		sub.client(fmt.Sprintf("client%d", i), srv, d.arrival, adv, sc.Seed+int64(i), func(env core.Env, _ func() (core.Env, error)) {
+			r.Start = sub.now()
+			res, err := core.Request(env, core.Config{
+				TransferID:     r.TransferID,
+				Bytes:          d.bytes,
+				ChunkSize:      sc.Chunk,
+				Protocol:       core.Blast,
+				Strategy:       d.strategy,
+				Window:         sc.Window,
+				Controller:     r.Controller,
+				RetransTimeout: sc.Tr,
+				Sink:           sink,
+			})
+			r.End = sub.now()
+			r.Elapsed = r.End - r.Start
+			if err != nil {
+				r.Err = err.Error()
+				return
+			}
+			r.Completed, r.ChecksumOK = res.Completed, intact(res)
+			r.Counts = recvCounts(res)
+		})
+	}
+	if err := sub.run(); err != nil {
+		return LoadResult{}, fmt.Errorf("simrun: load %s: %w", sc.Name, err)
+	}
+
+	out := LoadResult{Clients: results, Served: log.n}
 	var rates []float64
 	var span makespan
 	for i := range results {
 		r := &results[i]
-		if ts, ok := serverStats[r.TransferID]; ok {
+		if ts, ok := log.byID[r.TransferID]; ok {
 			r.Counts.DataSent = ts.Packets
 			r.Counts.Retransmits = ts.Retransmits
 		}

@@ -1,7 +1,10 @@
 package simrun
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
+	"sync"
 	"time"
 
 	"blastlan/internal/core"
@@ -11,32 +14,46 @@ import (
 	"blastlan/internal/transport"
 )
 
-// host names a server a substrate started: a simulated station on the DES,
-// a socket address over UDP. Only the substrate that issued it reads it.
+// host names a server a substrate started: a station and its server on the
+// DES (desHost), an address and its setup over UDP (udpHost). Only the
+// substrate that issued it reads it.
 type host any
 
 // substrate is the seam between the orchestration of a topology and the
-// medium it runs on: four operations and the two facts about time an
-// orchestration cannot know by itself. FanoutScenario.run is written once
-// against it; the DES binding (desWorld) and the UDP binding (udpWorld) are
-// substituted for one another by the fan-out conformance suite, which holds
-// the two to identical counters.
+// medium it runs on: five operations and the two facts about time an
+// orchestration cannot know by itself. Every scenario with servers and
+// clients is written once against it — FanoutScenario, LoadScenario and
+// FaultScenario run on the DES binding (desWorld) and the UDP binding
+// (udpWorld) alike, and DiskLoadScenario, whose store waits on the virtual
+// clock, on the DES binding alone. The conformance suites substitute one
+// binding for the other and hold the two to identical counters.
 type substrate interface {
 	// serve starts a session server on a fresh host. setup fills in the
 	// handlers and limits before the demux loop starts; the orchestration
-	// may keep the pointer (BeginDrain).
+	// may keep the pointer (BeginDrain). A restart after a crash runs setup
+	// again where the substrate builds a fresh server.
 	serve(name string, setup func(*session.Server)) (host, error)
 	// client spawns body in its own thread of control, delay from now, over
 	// a fresh conn dialed at the server `at`; a failed dial reaches body as
-	// transport.FailedClient. redial replaces the conn where conns die with
-	// their session (core.ResumeOptions.Redial) and is nil where they do
-	// not. The substrate releases whatever it dialed after body returns.
-	client(name string, at host, delay time.Duration, body func(env core.Env, redial func() (core.Env, error)))
+	// transport.FailedClient. An active adv is installed on the client's
+	// conn, seeded seed. redial replaces the conn where conns die with
+	// their session (core.ResumeOptions.Redial) — adversary included — and
+	// is nil where they do not. The substrate releases whatever it dialed
+	// after body returns.
+	client(name string, at host, delay time.Duration, adv params.Adversary, seed int64,
+		body func(env core.Env, redial func() (core.Env, error)))
+	// crash kills the server at h — its demux loop and every in-flight
+	// session die as a crashed process's would — and restarts it on the
+	// same address after downtime, with an empty receive queue. It reports
+	// false, doing nothing, when h is already down. A restart that fails is
+	// run's error.
+	crash(h host, downtime time.Duration) bool
 	// after runs fn once, d from now, off every client's thread.
 	after(d time.Duration, fn func())
 	// run lets every client run to completion, stops the servers, and
 	// reports the first failure of the substrate itself (a deadlocked
-	// kernel, a demux loop that died) — never a transfer's.
+	// kernel, a demux loop that died, a restart that could not rebind) —
+	// never a transfer's.
 	run() error
 
 	// now reads the one clock all of the substrate's clients share.
@@ -51,13 +68,18 @@ type substrate interface {
 // station with its own demux process, every client a station with its own
 // process, all under handoff scheduling — so whatever is orchestrated on it
 // is deterministic bit for bit. Stations and processes are created in the
-// order the orchestration asks for them. The single-server scenarios
-// (LoadScenario, FaultScenario, DiskLoadScenario) build their worlds from
-// the same pieces through listen and fan.
+// order the orchestration asks for them.
 type desWorld struct {
 	k      *sim.Kernel
 	n      *sim.Network
 	srvErr error // first error any demux loop returned
+}
+
+// desHost is a DES server: the station it serves on and the server a crash
+// restarts there.
+type desHost struct {
+	st  *sim.Station
+	srv *session.Server
 }
 
 // newDESWorld builds an empty world; a zero cost model means the
@@ -74,50 +96,55 @@ func newDESWorld(cost params.CostModel, seed int64) (*desWorld, error) {
 	return &desWorld{k: k, n: n}, nil
 }
 
-// listenOn runs srv's demux loop as a process on st — again, after a crash
-// closed and reopened the station.
-func (w *desWorld) listenOn(st *sim.Station, srv *session.Server) {
-	sim.Serve(w.n, st, func(l *sim.Listener) {
-		if err := srv.Run(l); err != nil && w.srvErr == nil {
+// demux runs h's server as a process on h's station.
+func (w *desWorld) demux(h *desHost) {
+	sim.Serve(w.n, h.st, func(l *sim.Listener) {
+		if err := h.srv.Run(l); err != nil && w.srvErr == nil {
 			w.srvErr = err
 		}
 	})
 }
 
-// listen starts srv on a fresh station.
-func (w *desWorld) listen(name string, srv *session.Server) *sim.Station {
-	st := w.n.AddStation(name)
-	w.listenOn(st, srv)
-	return st
-}
-
-// fan spawns the orchestrating process of a one-server scenario: n clients,
-// each on its own station (prepare, when non-nil, configures it first),
-// running body concurrently against server. Bodies record their own errors;
-// Fan's error slice would only duplicate them.
-func (w *desWorld) fan(name string, server *sim.Station, n int,
-	prepare func(i int, st *sim.Station) error, body func(i int, c transport.Client) error) {
-	w.k.Go(name, func(p *sim.Proc) {
-		f := &sim.Fabric{Net: w.n, Server: server, P: p, Prepare: prepare}
-		f.Fan(n, body)
-	})
-}
-
 func (w *desWorld) serve(name string, setup func(*session.Server)) (host, error) {
-	srv := &session.Server{}
-	setup(srv)
-	return w.listen(name, srv), nil
+	h := &desHost{st: w.n.AddStation(name), srv: &session.Server{}}
+	setup(h.srv)
+	w.demux(h)
+	return h, nil
 }
 
-func (w *desWorld) client(name string, at host, delay time.Duration, body func(core.Env, func() (core.Env, error))) {
+func (w *desWorld) client(name string, at host, delay time.Duration, adv params.Adversary, seed int64,
+	body func(core.Env, func() (core.Env, error))) {
 	st := w.n.AddStation(name)
+	err := st.SetAdversary(adv, seed)
 	w.k.Go(name, func(p *sim.Proc) {
-		ep := sim.NewEndpoint(p, st, at.(*sim.Station))
+		if err != nil {
+			body(transport.FailedClient(err), nil)
+			return
+		}
+		ep := sim.NewEndpoint(p, st, at.(*desHost).st)
 		if delay > 0 {
 			ep.SleepFor(delay)
 		}
 		body(ep, nil) // a simulated conn outlives its sessions
 	})
+}
+
+// crash closes the station — the demux loop and every in-flight session
+// die with net.ErrClosed — and a kernel timer restarts the same server on it
+// after the downtime, receive queue flushed (a real crash loses its socket
+// buffers).
+func (w *desWorld) crash(at host, downtime time.Duration) bool {
+	h := at.(*desHost)
+	if h.st.Closed() {
+		return false
+	}
+	h.st.Close()
+	w.k.After(downtime, func() {
+		h.st.FlushRx()
+		h.st.Reopen()
+		w.demux(h)
+	})
+	return true
 }
 
 func (w *desWorld) after(d time.Duration, fn func()) { w.k.After(d, fn) }
@@ -135,6 +162,25 @@ func (w *desWorld) run() error {
 func (w *desWorld) now() time.Duration { return w.k.Now() }
 
 func (w *desWorld) virtual() bool { return true }
+
+// servedLog is a scenario's servers' Done hook: every completed transfer's
+// stats by transfer ID, and how many there were. UDP sessions finish on
+// their own goroutines; read it after run.
+type servedLog struct {
+	mu   sync.Mutex
+	byID map[uint32]session.TransferStats
+	n    int
+}
+
+func (l *servedLog) done(ts session.TransferStats) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.byID == nil {
+		l.byID = make(map[uint32]session.TransferStats)
+	}
+	l.byID[ts.TransferID] = ts
+	l.n++
+}
 
 // makespan folds client intervals into the distance from the earliest start
 // to the latest end (zero when nothing was added).
@@ -155,15 +201,52 @@ func (m *makespan) add(start, end time.Duration) {
 
 func (m makespan) span() time.Duration { return m.last - m.first }
 
-// seededSums memoises, for one run, the checksum a pull of a size-seeded
-// object (core.SeededReqSource) expects; clients run one at a time.
-type seededSums map[int]uint16
-
-func (m seededSums) of(bytes, chunk int) uint16 {
-	sum, ok := m[bytes]
-	if !ok {
-		sum = core.SeededChecksum(int64(bytes), bytes, chunk)
-		m[bytes] = sum
+// seededSums maps each size in sizes to the checksum a pull of that
+// size-seeded object (core.SeededReqSource) must arrive with.
+func seededSums(sizes []int, chunk int) map[int]uint16 {
+	m := make(map[int]uint16, len(sizes))
+	for _, n := range sizes {
+		if _, ok := m[n]; !ok {
+			m[n] = core.SeededChecksum(int64(n), n, chunk)
+		}
 	}
-	return sum
+	return m
+}
+
+// seededPull is the sink a client pulling n bytes of a size-seeded object
+// streams through, and the verdict on what arrived: the checksum is want,
+// and with keep the bytes the sink assembled are the seeded stream.
+// Without keep the sink holds nothing.
+func seededPull(n, chunk int, want uint16, keep bool) (core.ChunkSink, func(core.RecvResult) bool) {
+	if !keep {
+		return func(int, []byte) {}, func(res core.RecvResult) bool { return res.Completed && res.Checksum == want }
+	}
+	buf := make([]byte, n)
+	return func(off int, b []byte) { copy(buf[off:], b) }, func(res core.RecvResult) bool {
+		return res.Completed && res.Checksum == want && bytes.Equal(buf, core.SeededPayload(int64(n), n, chunk))
+	}
+}
+
+// clientDraw is one client's seeded workload: transfer size, blast strategy
+// and arrival offset.
+type clientDraw struct {
+	bytes    int
+	strategy core.Strategy
+	arrival  time.Duration
+}
+
+// drawClients draws n clients' workloads up front, in index order, from an
+// rng seeded seed — so a scenario is a pure function of its seed. Arrivals
+// are uniform over [0, arrival).
+func drawClients(seed int64, n int, sizes []int, strategies []core.Strategy, arrival time.Duration) []clientDraw {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]clientDraw, n)
+	for i := range out {
+		out[i].bytes = sizes[rng.Intn(len(sizes))]
+		out[i].strategy = strategies[rng.Intn(len(strategies))]
+		if arrival > 0 {
+			out[i].arrival = time.Duration(rng.Int63n(int64(arrival)))
+		}
+	}
+	return out
 }

@@ -7,14 +7,15 @@ import (
 	"time"
 
 	"blastlan/internal/core"
+	"blastlan/internal/params"
 	"blastlan/internal/session"
 	"blastlan/internal/transport"
 	"blastlan/internal/udplan"
 )
 
-// FanoutUDP carries the inputs only real sockets have — everything else a
-// UDP fan-out run needs is the FanoutScenario the DES runs.
-type FanoutUDP struct {
+// UDP carries the inputs only real sockets have — everything else a
+// scenario's UDP run needs is the scenario the DES runs.
+type UDP struct {
 	// Batch is every socket's syscall batch size (<= 1: a syscall per
 	// packet).
 	Batch int
@@ -25,10 +26,10 @@ type FanoutUDP struct {
 	// (udplan.Server.LineRate), so a comparison of topologies measures which
 	// socket carries how many copies instead of loopback CPU.
 	LineRate int
-	// KeepData assembles each receiver's payload (FanoutReceiverResult.Data)
-	// and verifies it byte for byte; otherwise receivers verify by checksum
-	// alone and hold nothing — a bench row fanning 16 MB out to 8 receivers
-	// must not assemble 128 MB.
+	// KeepData has every client assemble its payload and verify it byte for
+	// byte; otherwise clients verify by checksum alone and hold nothing — a
+	// bench row fanning 16 MB out to 8 receivers must not assemble 128 MB.
+	// (A fan-out receiver's assembled bytes are FanoutReceiverResult.Data.)
 	KeepData bool
 }
 
@@ -36,20 +37,29 @@ type FanoutUDP struct {
 // loopback socket with its demux loop on a goroutine, every client a
 // goroutine over its own dialed socket, timers on the wall clock.
 type udpWorld struct {
-	opt     FanoutUDP
-	start   time.Time
-	servers []udpServer
-	clients sync.WaitGroup
-	timers  []*time.Timer
+	opt      UDP
+	start    time.Time
+	clients  sync.WaitGroup
+	restarts sync.WaitGroup
+	loops    sync.WaitGroup // every server incarnation's demux loop
+	timers   []*time.Timer
+
+	hosts   []*udpHost // in serve order; serve and run share the orchestration's goroutine
+	mu      sync.Mutex // crashes, restarts and loops end on their own goroutines
+	closing bool       // run has begun stopping the servers: no more crashes
+	failed  error      // the first restart that could not rebind or loop that died
 }
 
-type udpServer struct {
-	name string
-	srv  *udplan.Server
-	done chan error // srv.Run's result
+// udpHost is a UDP server: the address it owns, how to set a server up on
+// it, and the incarnation serving there.
+type udpHost struct {
+	name  string
+	addr  string
+	setup func(*session.Server)
+	cur   *udplan.Server // nil while crashed
 }
 
-func newUDPWorld(opt FanoutUDP) *udpWorld {
+func newUDPWorld(opt UDP) *udpWorld {
 	if opt.SocketBuf <= 0 {
 		opt.SocketBuf = 4 << 20
 	}
@@ -64,18 +74,42 @@ func (w *udpWorld) serve(name string, setup func(*session.Server)) (host, error)
 		w.run()
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
+	h := &udpHost{name: name, addr: conn.LocalAddr().String(), setup: setup}
+	w.hosts = append(w.hosts, h)
+	w.incarnate(h, conn)
+	return h, nil
+}
+
+// incarnate runs a fresh server, set up by h.setup, on conn.
+func (w *udpWorld) incarnate(h *udpHost, conn net.PacketConn) {
 	udplan.SetConnBuffers(conn, w.opt.SocketBuf)
 	srv := udplan.NewServer(conn)
 	srv.Batch = w.opt.Batch
 	srv.LineRate = w.opt.LineRate
-	setup(&srv.Server)
-	done := make(chan error, 1)
-	go func() { done <- srv.Run() }()
-	w.servers = append(w.servers, udpServer{name, srv, done})
-	return conn.LocalAddr().String(), nil
+	h.setup(&srv.Server)
+	w.mu.Lock()
+	h.cur = srv
+	w.mu.Unlock()
+	w.loops.Add(1)
+	go func() {
+		defer w.loops.Done()
+		if err := srv.Run(); err != nil {
+			w.fail(fmt.Errorf("%s server: %w", h.name, err))
+		}
+	}()
 }
 
-func (w *udpWorld) client(_ string, at host, delay time.Duration, body func(core.Env, func() (core.Env, error))) {
+// fail records the world's first failure.
+func (w *udpWorld) fail(err error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.failed == nil {
+		w.failed = err
+	}
+}
+
+func (w *udpWorld) client(_ string, at host, delay time.Duration, adv params.Adversary, seed int64,
+	body func(core.Env, func() (core.Env, error))) {
 	w.clients.Add(1)
 	go func() {
 		defer w.clients.Done()
@@ -91,15 +125,20 @@ func (w *udpWorld) client(_ string, at host, delay time.Duration, body func(core
 		defer hangup()
 		dial := func() (core.Env, error) {
 			hangup()
-			e, err := udplan.Dial(at.(string))
+			e, err := udplan.Dial(at.(*udpHost).addr)
 			if err != nil {
 				return nil, err
 			}
+			cur = e
 			e.SetSocketBuffers(w.opt.SocketBuf)
 			if w.opt.Batch > 1 {
 				e.SetBatch(w.opt.Batch)
 			}
-			cur = e
+			if adv.Active() {
+				if err := e.SetAdversary(adv, seed); err != nil {
+					return nil, err
+				}
+			}
 			return e, nil
 		}
 		env, err := dial()
@@ -110,27 +149,55 @@ func (w *udpWorld) client(_ string, at host, delay time.Duration, body func(core
 	}()
 }
 
+// crash closes the server's socket under its sessions; after the downtime a
+// fresh socket binds the same address and a fresh server from the same
+// setup takes over.
+func (w *udpWorld) crash(at host, downtime time.Duration) bool {
+	h := at.(*udpHost)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if h.cur == nil || w.closing {
+		return false
+	}
+	h.cur.Close()
+	h.cur = nil
+	w.restarts.Add(1)
+	time.AfterFunc(downtime, func() {
+		defer w.restarts.Done()
+		conn, err := net.ListenPacket("udp", h.addr)
+		if err != nil {
+			w.fail(fmt.Errorf("%s restart: %w", h.name, err))
+			return
+		}
+		w.incarnate(h, conn)
+	})
+	return true
+}
+
 func (w *udpWorld) after(d time.Duration, fn func()) {
 	w.timers = append(w.timers, time.AfterFunc(d, fn))
 }
 
-// run waits for the clients, then closes every server's socket — a clean
-// close ends its demux loop once the sessions have drained — and reports
-// the first loop that failed.
+// run waits for the clients and for any restart in flight, then closes
+// every server's socket — a clean close ends its demux loop once the
+// sessions have drained — and reports the first restart or loop that
+// failed.
 func (w *udpWorld) run() error {
 	w.clients.Wait()
+	w.mu.Lock()
+	w.closing = true
+	w.mu.Unlock()
+	w.restarts.Wait()
 	for _, t := range w.timers {
 		t.Stop()
 	}
-	var first error
-	for _, s := range w.servers {
-		s.srv.Close()
-		if err := <-s.done; err != nil && first == nil {
-			first = fmt.Errorf("%s server: %w", s.name, err)
+	for _, h := range w.hosts {
+		if h.cur != nil {
+			h.cur.Close()
 		}
 	}
-	w.servers = nil
-	return first
+	w.loops.Wait()
+	return w.failed
 }
 
 func (w *udpWorld) now() time.Duration { return time.Since(w.start) }

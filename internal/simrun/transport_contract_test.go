@@ -61,7 +61,7 @@ func TestTransportContract(t *testing.T) {
 			const n = 3
 			calls, stations := make([]int, n), make([]*sim.Station, n)
 			failing := -1
-			f := &sim.Fabric{Net: w.n, Server: h.(*sim.Station), P: p, Prepare: func(i int, st *sim.Station) error {
+			f := &sim.Fabric{Net: w.n, Server: h.(*desHost).st, P: p, Prepare: func(i int, st *sim.Station) error {
 				stations[i] = st
 				if i == failing {
 					return errPrepare
@@ -124,7 +124,7 @@ func TestTransportContract(t *testing.T) {
 		// receives; deadFirst hands stripe 0 an endpoint that is already
 		// closed. It reports the dials per stripe and stripe 0's endpoint.
 		pull := func(addr string, mute, blackhole, deadFirst bool, tr time.Duration) (udplan.StripedResult, error, []int, *udplan.Endpoint) {
-			w := newUDPWorld(FanoutUDP{})
+			w := newUDPWorld(UDP{})
 			defer w.run()
 			h, err := w.serve("server", contractServer(mute))
 			if err != nil {
@@ -132,7 +132,7 @@ func TestTransportContract(t *testing.T) {
 			}
 			var pre *udplan.Endpoint // handed to stripe 0 of a dialable server
 			if addr == "" {
-				addr = h.(string)
+				addr = h.(*udpHost).addr
 				if pre, err = udplan.Dial(addr); err != nil {
 					t.Fatal(err)
 				}

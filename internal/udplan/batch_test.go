@@ -19,7 +19,7 @@ func TestBatchedTransferAllProtocols(t *testing.T) {
 			srv, addr := newLoopbackServer(t)
 			srv.Batch = batch
 			got := make(chan []byte, 1)
-			srv.Sink = func(r wire.Req, data []byte) { got <- data }
+			srv.SinkStream = pushInto(got)
 			go srv.Run()
 
 			e, err := Dial(addr)

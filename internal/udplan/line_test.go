@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"blastlan/internal/core"
-	"blastlan/internal/wire"
 )
 
 // lineServer starts a sharded server whose socket is modeled as a lineRate
@@ -19,7 +18,7 @@ func lineServer(t *testing.T, payload []byte, lineRate int) string {
 	srv.Concurrency = 8
 	srv.Batch = 8
 	srv.LineRate = lineRate
-	srv.Data = func(r wire.Req) ([]byte, bool) { return payload, true }
+	srv.Source = serveBytes(payload)
 	go srv.Run()
 	return addr
 }

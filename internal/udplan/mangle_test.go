@@ -226,7 +226,7 @@ func TestPushUnderSeededAdversary(t *testing.T) {
 		payload := randomPayload(16*1024, int64(s)+700)
 		srv, addr := newLoopbackServer(t)
 		got := make(chan []byte, 1)
-		srv.Sink = func(r wire.Req, data []byte) { got <- data }
+		srv.SinkStream = pushInto(got)
 		go srv.Run()
 
 		e, err := Dial(addr)

@@ -430,7 +430,7 @@ func TestCapOneLineRate(t *testing.T) {
 	ideal := time.Duration(int64(len(payload)) * int64(time.Second) / rate)
 	srv, addr := newLoopbackServer(t)
 	srv.LineRate = rate
-	srv.Data = func(r wire.Req) ([]byte, bool) { return payload, true }
+	srv.Source = serveBytes(payload)
 	go srv.Run()
 	took, err := linePull(addr, 821, payload)
 	if err != nil {

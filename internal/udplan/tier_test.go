@@ -64,7 +64,7 @@ func TestForcedTierChain(t *testing.T) {
 			srv, addr := newLoopbackServer(t)
 			srv.Concurrency = 2
 			srv.Batch = 16
-			srv.Data = func(r wire.Req) ([]byte, bool) { return payload, true }
+			srv.Source = serveBytes(payload)
 			done := make(chan error, 1)
 			go func() { done <- srv.Run() }()
 			if got := srv.Tier(); got != want {
@@ -116,7 +116,7 @@ func TestGSOTierEngages(t *testing.T) {
 	srv, addr := newLoopbackServer(t)
 	srv.Concurrency = 2
 	srv.Batch = 32
-	srv.Data = func(r wire.Req) ([]byte, bool) { return payload, true }
+	srv.Source = serveBytes(payload)
 	if got := srv.Tier(); got != TierGSO {
 		t.Fatalf("server tier = %v, want gso", got)
 	}

@@ -30,6 +30,33 @@ func randomPayload(n int, seed int64) []byte {
 	return b
 }
 
+// serveBytes is a pull handler serving payload, whole, to every request
+// for exactly its length.
+func serveBytes(payload []byte) func(wire.Req) (core.ChunkSource, bool) {
+	return func(r wire.Req) (core.ChunkSource, bool) {
+		if int(r.Bytes) != len(payload) || r.Chunk == 0 {
+			return nil, false
+		}
+		chunk := int(r.Chunk)
+		return func(seq int, _ []byte) []byte {
+			return payload[seq*chunk : min((seq+1)*chunk, len(payload))]
+		}, true
+	}
+}
+
+// pushInto is a push handler that assembles each push and hands the bytes
+// of every completed one to got.
+func pushInto(got chan<- []byte) func(wire.Req) (core.ChunkSink, func(core.RecvResult), bool) {
+	return func(r wire.Req) (core.ChunkSink, func(core.RecvResult), bool) {
+		buf := make([]byte, r.Bytes)
+		return func(off int, b []byte) { copy(buf[off:], b) }, func(res core.RecvResult) {
+			if res.Completed {
+				got <- buf
+			}
+		}, true
+	}
+}
+
 // quick transfer config over loopback: tight timeouts, bounded attempts,
 // so failures surface fast.
 func loopCfg(id uint32, payload []byte, p core.Protocol, s core.Strategy) core.Config {
@@ -50,7 +77,7 @@ func loopCfg(id uint32, payload []byte, p core.Protocol, s core.Strategy) core.C
 func TestPullOverLoopback(t *testing.T) {
 	payload := randomPayload(64*1024, 1)
 	srv, addr := newLoopbackServer(t)
-	srv.Data = func(r wire.Req) ([]byte, bool) { return payload, true }
+	srv.Source = serveBytes(payload)
 	done := make(chan error, 1)
 	go func() { done <- srv.Run() }()
 
@@ -84,7 +111,7 @@ func TestPushOverLoopback(t *testing.T) {
 	payload := randomPayload(32*1024, 2)
 	srv, addr := newLoopbackServer(t)
 	got := make(chan []byte, 1)
-	srv.Sink = func(r wire.Req, data []byte) { got <- data }
+	srv.SinkStream = pushInto(got)
 	go srv.Run()
 
 	e, err := Dial(addr)
@@ -115,7 +142,7 @@ func TestAllProtocolsOverLoopback(t *testing.T) {
 		payload := randomPayload(8*1024, int64(p))
 		srv, addr := newLoopbackServer(t)
 		got := make(chan []byte, 1)
-		srv.Sink = func(r wire.Req, data []byte) { got <- data }
+		srv.SinkStream = pushInto(got)
 		go srv.Run()
 
 		e, err := Dial(addr)
@@ -143,7 +170,7 @@ func TestRecoveryUnderInjectedLoss(t *testing.T) {
 		payload := randomPayload(16*1024, int64(s))
 		srv, addr := newLoopbackServer(t)
 		got := make(chan []byte, 1)
-		srv.Sink = func(r wire.Req, data []byte) { got <- data }
+		srv.SinkStream = pushInto(got)
 		go srv.Run()
 
 		e, err := Dial(addr)
@@ -172,7 +199,7 @@ func TestRecoveryUnderInjectedLoss(t *testing.T) {
 func TestServerServesSequentially(t *testing.T) {
 	payload := randomPayload(4*1024, 5)
 	srv, addr := newLoopbackServer(t)
-	srv.Data = func(r wire.Req) ([]byte, bool) { return payload, true }
+	srv.Source = serveBytes(payload)
 	go srv.Run()
 
 	for i := 0; i < 3; i++ {
@@ -200,7 +227,7 @@ func TestServerServesSequentially(t *testing.T) {
 // gives up cleanly rather than hanging.
 func TestServerRejectsUnknown(t *testing.T) {
 	srv, addr := newLoopbackServer(t)
-	srv.Data = func(r wire.Req) ([]byte, bool) { return nil, false }
+	srv.Source = func(wire.Req) (core.ChunkSource, bool) { return nil, false }
 	srv.Idle = 2 * time.Second
 	go srv.Run()
 
@@ -304,7 +331,7 @@ func TestLargePacedPush(t *testing.T) {
 	payload := randomPayload(1<<20, 99)
 	srv, addr := newLoopbackServer(t)
 	got := make(chan []byte, 1)
-	srv.Sink = func(r wire.Req, data []byte) { got <- data }
+	srv.SinkStream = pushInto(got)
 	go srv.Run()
 
 	e, err := Dial(addr)
