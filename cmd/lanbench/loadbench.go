@@ -11,6 +11,7 @@ package main
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"blastlan/internal/core"
@@ -39,21 +40,28 @@ func loadScenarioFor(n int) simrun.LoadScenario {
 // appendLoadRows measures the sweep (N = 1, 8, 64) and appends one row per
 // N. Each row is the best of reps runs (wall-clock DES throughput jitters
 // with scheduler noise like any other wall-clock figure); the kernel counts
-// per simulated packet beside it repeat bit for bit, and CI gates them exactly.
+// per simulated packet beside it repeat bit for bit, and CI gates them exactly,
+// with the fewest heap allocations of any rep, as on the UDP rows.
 func appendLoadRows(snap *benchSnapshot, quick bool) error {
 	reps := 3
 	if quick {
 		reps = 2
 	}
+	var ms runtime.MemStats
 	for _, c := range []loadCase{{"sim_load1", 1}, {"sim_load8", 8}, {"sim_load64", 64}} {
 		sc := loadScenarioFor(c.n)
 		var best time.Duration
 		var res simrun.LoadResult
+		allocs, alloced := ^uint64(0), ^uint64(0)
 		for r := 0; r < reps; r++ {
+			runtime.ReadMemStats(&ms)
+			mallocs, total := ms.Mallocs, ms.TotalAlloc
 			t0 := time.Now()
 			var err error
 			res, err = sc.Run()
 			el := time.Since(t0)
+			runtime.ReadMemStats(&ms)
+			allocs, alloced = min(allocs, ms.Mallocs-mallocs), min(alloced, ms.TotalAlloc-total)
 			if err != nil {
 				return fmt.Errorf("%s: %w", c.name, err)
 			}
@@ -69,14 +77,15 @@ func appendLoadRows(snap *benchSnapshot, quick bool) error {
 		e := benchEntry{
 			Name:           c.name,
 			NsPerOp:        float64(best.Nanoseconds()),
+			AllocsPerOp:    int64(allocs),
 			BytesPerOp:     res.AggBytes,
 			MBps:           mbps,
 			EventsPerPkt:   float64(res.Kernel.Events) / pkts,
 			SwitchesPerPkt: float64(res.Kernel.Switches) / pkts,
 			HeapPeak:       res.Kernel.HeapPeak,
 		}
-		fmt.Printf("%-32s %10.1f %12v  %.3f events/pkt %.3f switches/pkt heap peak %d\n",
-			c.name, mbps, best.Round(time.Millisecond), e.EventsPerPkt, e.SwitchesPerPkt, e.HeapPeak)
+		fmt.Printf("%-32s %10.1f %12v  %.3f events/pkt %.3f switches/pkt heap peak %d  %d allocs %d B alloc'd\n",
+			c.name, mbps, best.Round(time.Millisecond), e.EventsPerPkt, e.SwitchesPerPkt, e.HeapPeak, allocs, alloced)
 		snap.Benchmarks = append(snap.Benchmarks, e)
 	}
 	return nil

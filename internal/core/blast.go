@@ -139,10 +139,9 @@ func batchLimitFor(ctrl RateController, unit, ring int) int {
 	return lim
 }
 
-// blastTx is what the windows of one blast transfer share. scratch, when
-// non-nil, is the transfer's reusable data packet (the substrate consumes
-// packets synchronously, see Datapath); stage is nil on a substrate that
-// cannot stage.
+// blastTx is what the windows of one blast transfer share. scratch is the
+// transfer's one data packet (every Env consumes a packet before Send
+// returns); stage is nil on a substrate that cannot stage.
 type blastTx struct {
 	env     Env
 	c       Config
@@ -156,8 +155,8 @@ type blastTx struct {
 }
 
 func newBlastTx(env Env, c Config, async bool) *blastTx {
-	b := &blastTx{env: env, c: c, est: newRTO(c), scratch: scratchPacket(env), total: c.NumPackets(), async: async}
-	if st, ok := env.(Stager); ok && b.scratch != nil {
+	b := &blastTx{env: env, c: c, est: newRTO(c), scratch: new(wire.Packet), total: c.NumPackets(), async: async}
+	if st, ok := env.(Stager); ok {
 		_ = st.ReleaseStaged(0) // sends nothing: only forgets what an abandoned transfer left staged
 		b.stage = st
 	}
@@ -297,15 +296,10 @@ func (b *blastTx) window(base, end, next int) error {
 	return fmt.Errorf("blast window [%d,%d): %w", base, end, ErrGiveUp)
 }
 
-// sendData transmits one data packet, choosing sync or async semantics.
-// scratch, when non-nil, is reused instead of allocating a fresh packet.
+// sendData fills scratch with one data packet and transmits it, choosing
+// sync or async semantics.
 func sendData(env Env, c Config, res *SendResult, scratch *wire.Packet, seq, total, attempt int, last, async bool) error {
-	var pkt *wire.Packet
-	if scratch != nil {
-		pkt = c.fillData(scratch, seq, total, attempt, last || seq == total-1)
-	} else {
-		pkt = c.dataPacket(seq, total, attempt, last || seq == total-1)
-	}
+	pkt := c.fillData(scratch, seq, total, attempt, last || seq == total-1)
 	if last {
 		pkt.Flags |= wire.FlagLast
 	}
@@ -401,6 +395,7 @@ func recvBlast(env Env, c Config) (RecvResult, error) {
 	high := 0 // high-water mark of FlagLast sequence numbers + 1
 	start := env.Now()
 	idle := c.receiverIdle()
+	ack := new(wire.Packet)
 
 	// respond builds the strategy's reply to a FlagLast packet; any other
 	// data packet (including duplicates arriving during linger) gets no
@@ -422,7 +417,7 @@ func recvBlast(env Env, c Config) (RecvResult, error) {
 			firstMissing++
 		}
 		if firstMissing >= windowEnd {
-			return c.ackPacket(windowEnd, n)
+			return c.fillAck(ack, windowEnd, n)
 		}
 		if c.Strategy == FullNoNak {
 			return nil // §3.2.1: no negative acknowledgements

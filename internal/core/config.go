@@ -291,15 +291,10 @@ func (c Config) NumPackets() int {
 	return (c.Bytes + chunk - 1) / chunk
 }
 
-// dataPacket builds the data packet for sequence number seq.
-func (c *Config) dataPacket(seq, total int, attempt int, last bool) *wire.Packet {
-	return c.fillData(new(wire.Packet), seq, total, attempt, last)
-}
-
 // fillData overwrites p with the data packet for sequence number seq and
-// returns it. Senders on substrates that consume packets synchronously
-// (core.Datapath) pass one scratch packet for the whole transfer, which
-// keeps the steady-state send loop allocation-free.
+// returns it. Every Env consumes a packet before Send returns, so senders
+// pass one scratch packet for the whole transfer and the steady-state send
+// loop allocates nothing.
 func (c *Config) fillData(p *wire.Packet, seq, total int, attempt int, last bool) *wire.Packet {
 	*p = wire.Packet{
 		Type:  wire.TypeData,
@@ -337,19 +332,20 @@ func (c *Config) fillData(p *wire.Packet, seq, total int, attempt int, last bool
 	return p
 }
 
-// ackPacket builds a cumulative acknowledgement: nextExpected == total
-// acknowledges the whole transfer.
-func (c *Config) ackPacket(nextExpected, total int) *wire.Packet {
-	p := &wire.Packet{
-		Type:  wire.TypeAck,
-		Trans: c.TransferID,
-		Seq:   uint32(nextExpected),
-		Total: uint32(total),
+// fillAck overwrites p with a cumulative acknowledgement and returns it:
+// nextExpected == total acknowledges the whole transfer. Receivers pass one
+// ack packet for the whole transfer, as senders do with fillData.
+func (c *Config) fillAck(p *wire.Packet, nextExpected, total int) *wire.Packet {
+	*p = wire.Packet{
+		Type:        wire.TypeAck,
+		Trans:       c.TransferID,
+		Seq:         uint32(nextExpected),
+		Total:       uint32(total),
+		VirtualSize: c.AckSize,
 	}
 	if nextExpected >= total {
 		p.Flags |= wire.FlagAllReceived
 	}
-	p.VirtualSize = c.AckSize
 	return p
 }
 

@@ -73,11 +73,11 @@ func TestNumPackets(t *testing.T) {
 
 func TestDataPacketSimulated(t *testing.T) {
 	c, _ := Config{Bytes: 2000, TransferID: 9}.withDefaults()
-	p := c.dataPacket(0, 2, 0, false)
+	p := c.fillData(new(wire.Packet), 0, 2, 0, false)
 	if p.VirtualSize != 1024 || p.Payload != nil {
 		t.Errorf("first packet: %+v", p)
 	}
-	last := c.dataPacket(1, 2, 3, true)
+	last := c.fillData(new(wire.Packet), 1, 2, 3, true)
 	if last.VirtualSize != 2000-1024 {
 		t.Errorf("ragged last packet size = %d", last.VirtualSize)
 	}
@@ -88,7 +88,7 @@ func TestDataPacketSimulated(t *testing.T) {
 		t.Errorf("metadata: %+v", last)
 	}
 	// Attempt saturates rather than wrapping.
-	big := c.dataPacket(0, 2, 1000, false)
+	big := c.fillData(new(wire.Packet), 0, 2, 1000, false)
 	if big.Attempt != 255 {
 		t.Errorf("attempt = %d, want 255", big.Attempt)
 	}
@@ -103,11 +103,11 @@ func TestDataPacketReal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p0 := c.dataPacket(0, 2, 0, false)
+	p0 := c.fillData(new(wire.Packet), 0, 2, 0, false)
 	if len(p0.Payload) != 1024 || p0.VirtualSize != 1024 {
 		t.Errorf("p0: len=%d virt=%d", len(p0.Payload), p0.VirtualSize)
 	}
-	p1 := c.dataPacket(1, 2, 0, true)
+	p1 := c.fillData(new(wire.Packet), 1, 2, 0, true)
 	if len(p1.Payload) != 2000-1024 {
 		t.Errorf("ragged payload len = %d", len(p1.Payload))
 	}
@@ -118,14 +118,14 @@ func TestDataPacketReal(t *testing.T) {
 
 func TestAckPacket(t *testing.T) {
 	c, _ := Config{Bytes: 64 * 1024}.withDefaults()
-	partial := c.ackPacket(32, 64)
+	partial := c.fillAck(new(wire.Packet), 32, 64)
 	if partial.Flags&wire.FlagAllReceived != 0 {
 		t.Error("partial ack must not claim completion")
 	}
 	if partial.VirtualSize != params.AckPacketSize {
 		t.Errorf("ack size = %d", partial.VirtualSize)
 	}
-	full := c.ackPacket(64, 64)
+	full := c.fillAck(new(wire.Packet), 64, 64)
 	if full.Flags&wire.FlagAllReceived == 0 {
 		t.Error("complete ack must set FlagAllReceived")
 	}

@@ -23,6 +23,11 @@ import (
 
 // Env is the substrate a protocol engine runs on. Implementations must be
 // used from a single goroutine (the paper's protocols are strictly serial).
+//
+// Every Env keeps one packet-ownership rule, as a real interface does: Send
+// and SendAsync consume the packet (encode it, or copy it into the medium)
+// before they return, so the engines reuse one data and one ack packet per
+// transfer; and the packet Recv returns stays valid until the next Recv.
 type Env interface {
 	// Now returns the current time (virtual or wall-clock) since an
 	// arbitrary epoch.
@@ -51,11 +56,9 @@ type Env interface {
 }
 
 // Datapath is the one optional capability of a substrate: a batching
-// transmit side whose Send and SendAsync fully consume the packet (encode or
-// copy it) before returning. The engines assert it once per transfer
-// (datapathOf); a substrate without it — the simulator, which delivers
-// payload-elided packets by reference and has no syscalls to amortise —
-// gets a fresh packet per send and no flush, batch or pacing actuation.
+// transmit side. The engines assert it once per transfer (datapathOf); a
+// substrate without it — the simulator, which has no syscalls to amortise —
+// gets no flush, batch or pacing actuation.
 //
 // FlushBatch writes every queued packet to the wire, in the order it was
 // queued. Substrates must also flush implicitly before blocking in Recv and
@@ -122,17 +125,6 @@ func datapathOf(env Env) Datapath {
 func FlushBatch(env Env) error {
 	if dp := datapathOf(env); dp != nil {
 		return dp.FlushBatch()
-	}
-	return nil
-}
-
-// scratchPacket returns a reusable packet for env's data sends (a Datapath
-// consumes each packet before Send returns, so one value serves the whole
-// transfer and the steady-state loop allocates nothing), or nil when the
-// substrate retains references and every send needs a fresh packet.
-func scratchPacket(env Env) *wire.Packet {
-	if datapathOf(env) != nil {
-		return new(wire.Packet)
 	}
 	return nil
 }

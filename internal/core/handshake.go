@@ -275,7 +275,7 @@ func Stat(env Env, cfg Config, name string) (int64, error) {
 // goAhead builds the handshake acknowledgement for a push request: a
 // cumulative ack with Seq 0, which data senders ignore as stale, so it can
 // never be confused with transfer progress.
-func goAhead(c Config) *wire.Packet { return c.ackPacket(0, c.NumPackets()) }
+func goAhead(c Config) *wire.Packet { return c.fillAck(new(wire.Packet), 0, c.NumPackets()) }
 
 // isGoAhead recognises the handshake acknowledgement.
 func isGoAhead(p *wire.Packet, trans uint32) bool {

@@ -131,7 +131,7 @@ func TestPushHonorsBusy(t *testing.T) {
 	}
 	// The one-packet transfer that follows an accepted announcement: the
 	// go-ahead earns the data packet, which earns the final ack.
-	goAheadPkt, doneAck := goAhead(c), c.ackPacket(1, 1)
+	goAheadPkt, doneAck := goAhead(c), c.fillAck(new(wire.Packet), 1, 1)
 	for _, tc := range []struct {
 		name     string
 		replies  []*wire.Packet

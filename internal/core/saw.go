@@ -16,10 +16,11 @@ func sendStopAndWait(env Env, c Config) (SendResult, error) {
 	start := env.Now()
 	n := c.NumPackets()
 	est := newRTO(c)
+	scratch := new(wire.Packet)
 	for seq := 0; seq < n; seq++ {
 		acked := false
 		for attempt := 0; attempt < c.MaxAttempts && !acked; attempt++ {
-			if err := env.Send(c.dataPacket(seq, n, attempt, seq == n-1)); err != nil {
+			if err := env.Send(c.fillData(scratch, seq, n, attempt, seq == n-1)); err != nil {
 				return res, err
 			}
 			res.DataPackets++
@@ -82,6 +83,7 @@ func recvInOrder(env Env, c Config) (RecvResult, error) {
 	next := 0
 	start := env.Now()
 	idle := c.receiverIdle()
+	ack := new(wire.Packet)
 	for next < n {
 		pkt, err := env.Recv(idle)
 		if err != nil {
@@ -119,7 +121,7 @@ func recvInOrder(env Env, c Config) (RecvResult, error) {
 		} else {
 			res.Duplicates++
 		}
-		if err := env.Send(c.ackPacket(next, n)); err != nil {
+		if err := env.Send(c.fillAck(ack, next, n)); err != nil {
 			return res, err
 		}
 		res.AcksSent++
@@ -128,7 +130,7 @@ func recvInOrder(env Env, c Config) (RecvResult, error) {
 	res.Elapsed = env.Now() - start
 	finishData(&res)
 	lingerReAck(env, c, &res, func(pkt *wire.Packet) *wire.Packet {
-		return c.ackPacket(n, n)
+		return c.fillAck(ack, n, n)
 	})
 	return res, nil
 }

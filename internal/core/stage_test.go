@@ -68,7 +68,7 @@ func (e *stageEnv) arrive(p *wire.Packet) {
 	}
 	c := Config{TransferID: p.Trans, AckSize: 64}
 	if first >= e.high {
-		e.reply = c.ackPacket(e.high, e.total)
+		e.reply = c.fillAck(new(wire.Packet), e.high, e.total)
 		return
 	}
 	var missing []uint32

@@ -22,17 +22,13 @@ func sendSlidingWindow(env Env, c Config) (SendResult, error) {
 	start := env.Now()
 	n := c.NumPackets()
 	base := 0 // lowest unacknowledged sequence number (cumulative)
-	scratch := scratchPacket(env)
+	scratch := new(wire.Packet)
 	for round := 0; round < c.MaxAttempts; round++ {
 		res.Rounds++
 		// Transmission phase: send from the retransmission point to the
 		// end, draining at most one arrived ack per cycle.
 		for seq := base; seq < n; seq++ {
-			pkt := scratch
-			if pkt == nil {
-				pkt = new(wire.Packet)
-			}
-			if err := env.Send(c.fillData(pkt, seq, n, round, seq == n-1)); err != nil {
+			if err := env.Send(c.fillData(scratch, seq, n, round, seq == n-1)); err != nil {
 				return res, err
 			}
 			res.DataPackets++

@@ -63,7 +63,7 @@ func (n *Network) csmaTransmit(job *txJob) {
 	wireTime := n.Cost.WireTime(size)
 	start := k.Now()
 	k.After(wireTime, func() {
-		n.span("net", LaneWire, typeLabel(job.pkt), start, k.Now())
+		n.span("net", LaneWire, typeLabel(&job.pkt.Packet), start, k.Now())
 		pkt := job.pkt
 		from, to := job.from, job.to
 		k.After(n.Cost.Propagation, func() { n.deliver(from, to, pkt) })
@@ -106,6 +106,7 @@ func (n *Network) csmaResolve() {
 				job.to.Counters.WireDrops++
 				n.ExcessiveCollisions++
 				n.finishTx(job)
+				n.putPkt(job.pkt)
 				continue
 			}
 			exp := job.attempts
@@ -161,7 +162,7 @@ func (n *Network) AddLoadGenerator(src, dst *Station, offeredLoad float64, frame
 			src.Counters.TxPackets++
 			src.Counters.TxBytes += int64(frameBytes)
 			job := n.getJob(src, dst,
-				&wire.Packet{Type: wire.TypeData, Trans: backgroundTransferID, Seq: seq, VirtualSize: frameBytes})
+				n.copyPkt(&wire.Packet{Type: wire.TypeData, Trans: backgroundTransferID, Seq: seq, VirtualSize: frameBytes}))
 			job.detached = true
 			n.enqueueTx(job)
 			next()

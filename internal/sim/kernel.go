@@ -17,8 +17,9 @@
 // the heap at once and the heap holds only what can still fire; Sleep and
 // Wait schedule typed events instead of allocating closures; a waiter's
 // predicate is checked by the kernel, so a broadcast that does not concern a
-// process costs an event, not a switch; and Reset rewinds a kernel to time
-// zero so one kernel (with its warmed pools) can serve thousands of trials.
+// process costs an event, not a switch, and so does an interface copy it
+// would only sleep through; and Reset rewinds a kernel to time zero so one
+// kernel (with its warmed pools) can serve thousands of trials.
 package sim
 
 import (
@@ -101,6 +102,8 @@ const (
 	evTxDone
 	// evDeliver delivers a transmitted packet after propagation.
 	evDeliver
+	// evCopied ends a synchronous send's copy into the interface.
+	evCopied
 )
 
 // event is a scheduled occurrence. Events are pooled: gen increments on
@@ -116,7 +119,7 @@ type event struct {
 	fire   func()    // evFunc
 	proc   *Proc     // evResume
 	waiter *svwaiter // evWake, evWaitTimeout
-	job    *txJob    // evTxDone, evDeliver
+	job    *txJob    // evTxDone, evDeliver, evCopied
 }
 
 // Timer is a handle for a scheduled event that may be cancelled. The zero
@@ -181,11 +184,14 @@ func (k *Kernel) dispatch(ev *event) {
 	case evResume:
 		k.resume(ev.proc, false)
 	case evWake:
-		if w := ev.waiter; w.pred == nil || w.pred() {
-			k.resume(w.p, false)
-		} else {
+		w := ev.waiter
+		if w.pred != nil && !w.pred() {
 			// Where the process's own re-check and re-Wait would have put it.
 			w.sig.waiters = append(w.sig.waiters, w)
+		} else if d := w.sleep(); d >= 0 {
+			k.newEvent(k.now+d, evResume).proc = w.p
+		} else {
+			k.resume(w.p, false)
 		}
 	case evWaitTimeout:
 		ev.waiter.sig.remove(ev.waiter)
@@ -201,6 +207,8 @@ func (k *Kernel) dispatch(ev *event) {
 			n.deliver(job.from, job.to, job.pkt)
 		}
 		n.putJob(job)
+	case evCopied:
+		ev.job.from.copied(ev.job)
 	}
 }
 
@@ -370,10 +378,22 @@ type Signal struct {
 
 // svwaiter is one blocked Wait, on sig.waiters unless a wake-up is in flight.
 type svwaiter struct {
-	p     *Proc
-	sig   *Signal
-	pred  func() bool // nil: any broadcast resumes p
+	p    *Proc
+	sig  *Signal
+	pred func() bool // nil: any broadcast resumes p
+	// then, when non-nil, runs when a wake-up would resume p: a result d >= 0
+	// is a Sleep p would begin on resuming, which the kernel begins instead,
+	// so p is switched to once, at its end.
+	then  func() time.Duration
 	timer Timer
+}
+
+// sleep is the Sleep the waiter's then hook asks for, or -1.
+func (w *svwaiter) sleep() time.Duration {
+	if w.then == nil {
+		return -1
+	}
+	return w.then()
 }
 
 // getWaiter takes a waiter record from the pool.
@@ -396,13 +416,13 @@ func (k *Kernel) putWaiter(w *svwaiter) {
 // Wait blocks the process until the signal is broadcast or timeout elapses
 // (timeout < 0 waits forever). It reports whether the wait timed out.
 func (p *Proc) Wait(s *Signal, timeout time.Duration) (timedOut bool) {
-	return p.wait(s, timeout, nil)
+	return p.wait(s, timeout, nil, nil)
 }
 
-func (p *Proc) wait(s *Signal, timeout time.Duration, pred func() bool) (timedOut bool) {
+func (p *Proc) wait(s *Signal, timeout time.Duration, pred func() bool, then func() time.Duration) (timedOut bool) {
 	k := p.k
 	w := k.getWaiter()
-	w.p, w.sig, w.pred = p, s, pred
+	w.p, w.sig, w.pred, w.then = p, s, pred, then
 	s.waiters = append(s.waiters, w)
 	if timeout >= 0 {
 		ev := k.newEvent(k.now+timeout, evWaitTimeout)
@@ -428,7 +448,7 @@ func (p *Proc) wait(s *Signal, timeout time.Duration, pred func() bool) (timedOu
 func (p *Proc) WaitCond(s *Signal, deadline time.Duration, cond func() bool) bool {
 	if deadline < 0 {
 		if !cond() {
-			p.wait(s, -1, cond)
+			p.wait(s, -1, cond, nil)
 		}
 		return true
 	}

@@ -71,6 +71,10 @@ type Network struct {
 	// freeJobs pools txJob records recycled after FIFO-medium delivery.
 	freeJobs []*txJob
 
+	// freePkts pools the medium's packet copies; pkts counts those ever made.
+	freePkts []*medPkt
+	pkts     int
+
 	geBad bool // Gilbert–Elliott loss-process state
 }
 
@@ -121,6 +125,10 @@ type Station struct {
 
 	rxq   []rxItem
 	rxSig Signal
+	// lent is the packet the last Recv returned, pooled at the next. rxCopy
+	// is a waiting Recv's then hook (Proc.wait), bound once like txReady.
+	lent   *medPkt
+	rxCopy func() time.Duration
 
 	txFree int
 	txSig  Signal
@@ -147,7 +155,7 @@ type Station struct {
 // the station that transmitted it so a serving demux loop (sim.Listener)
 // can route arrivals by source.
 type rxItem struct {
-	pkt  *wire.Packet
+	pkt  *medPkt
 	from *Station
 }
 
@@ -162,15 +170,14 @@ func (s *Station) String() string { return s.Name }
 func (s *Station) SetSink() { s.sink = true }
 
 // txJob tracks one packet through the transmit path. Jobs recycle through
-// Network.freeJobs; getJob clears stale fields so a sender still reading
-// done at delivery time (same-timestamp resume) observes the final value.
+// Network.freeJobs; getJob clears stale fields.
 type txJob struct {
 	from    *Station
 	to      *Station
-	pkt     *wire.Packet
+	pkt     *medPkt
 	done    bool
 	sig     Signal
-	txStart time.Duration
+	txStart time.Duration // start of the copy into the interface, then of the frame on the wire
 	// attempts counts CSMA/CD collisions suffered by this frame.
 	attempts int
 	// detached jobs (background traffic) own no transmit buffer and no
@@ -180,7 +187,7 @@ type txJob struct {
 
 // getJob takes a job record from the pool (or allocates one) and binds it to
 // a transmission.
-func (n *Network) getJob(from, to *Station, pkt *wire.Packet) *txJob {
+func (n *Network) getJob(from, to *Station, pkt *medPkt) *txJob {
 	var job *txJob
 	if l := len(n.freeJobs); l > 0 {
 		job = n.freeJobs[l-1]
@@ -198,27 +205,56 @@ func (n *Network) getJob(from, to *Station, pkt *wire.Packet) *txJob {
 	return job
 }
 
-// putJob returns a delivered job to the pool. Stale fields are cleared in
-// getJob, not here: the sender's resume can fire at the same timestamp as
-// the delivery, and it must still read done == true.
+// putJob returns a delivered job to the pool; its packet has moved on to
+// the receiver. Stale fields are cleared in getJob.
 func (n *Network) putJob(job *txJob) {
 	job.pkt = nil
 	n.freeJobs = append(n.freeJobs, job)
 }
 
-// cloneForWire returns the packet object handed to the medium. Packets
-// carrying real payload bytes are deep-copied, mirroring a real interface's
-// copy semantics (a retransmitting sender may reuse its buffers).
-// Payload-elided simulated packets are immutable by construction — protocol
-// engines build a fresh Packet per transmission and never mutate one after
-// handing it to Send — so they are delivered by reference, sharing the
-// read-only SimMissing list instead of deep-cloning every packet.
-func cloneForWire(p *wire.Packet) *wire.Packet {
-	if p.VirtualSize > 0 && len(p.Payload) == 0 {
-		return p
-	}
-	return p.Clone()
+// medPkt is the medium's own copy of a sent packet, as a real interface
+// makes one, so the sender may overwrite its packet once Send returns. Copies
+// are pooled per Network and own their buffers across reuse; one goes back to
+// the pool wherever it is dropped, and at the next Recv of whoever it was lent
+// to.
+type medPkt struct {
+	wire.Packet
+	payload []byte
+	missing []uint32
 }
+
+// copyPkt returns a pooled copy of p.
+func (n *Network) copyPkt(p *wire.Packet) *medPkt {
+	var q *medPkt
+	if l := len(n.freePkts); l > 0 {
+		q, n.freePkts = n.freePkts[l-1], n.freePkts[:l-1]
+	} else {
+		q = &medPkt{}
+		n.pkts++
+	}
+	q.set(p)
+	return q
+}
+
+// set overwrites q with p, copying p's slices into q's own buffers.
+func (q *medPkt) set(p *wire.Packet) {
+	q.Packet = *p
+	q.Payload = own(&q.payload, p.Payload)
+	q.SimMissing = own(&q.missing, p.SimMissing)
+}
+
+// own copies src into the reusable *buf and returns the copy; nil stays nil,
+// as an elided packet's nil Payload is what marks it simulated.
+func own[T byte | uint32](buf *[]T, src []T) []T {
+	if src == nil {
+		return nil
+	}
+	*buf = append((*buf)[:0], src...)
+	return *buf
+}
+
+// putPkt returns a copy nobody holds any more to the pool.
+func (n *Network) putPkt(q *medPkt) { n.freePkts = append(n.freePkts, q) }
 
 // AddStation attaches a new station to the network.
 func (n *Network) AddStation(name string) *Station {
@@ -230,6 +266,12 @@ func (n *Network) AddStation(name string) *Station {
 	}
 	s.txReady = func() bool { return s.txFree > 0 }
 	s.txIdle = func() bool { return s.txFree == n.Cost.TxBuffers }
+	s.rxCopy = func() time.Duration {
+		if len(s.rxq) == 0 {
+			return -1
+		}
+		return n.Cost.CopyTime(s.rxq[0].pkt.WireSize())
+	}
 	n.stations = append(n.stations, s)
 	return s
 }
@@ -257,10 +299,7 @@ func typeLabel(p *wire.Packet) string {
 // to complete (the paper's single-buffered busy-wait semantics). It must be
 // called from process context.
 func (s *Station) Send(p *Proc, to *Station, pkt *wire.Packet) {
-	job := s.beginSend(p, to, pkt)
-	for !job.done {
-		p.Wait(&job.sig, -1)
-	}
+	s.sendSync(p, s.unicast(to), pkt)
 }
 
 // SendAsync copies the packet into a free interface buffer and returns as
@@ -268,7 +307,9 @@ func (s *Station) Send(p *Proc, to *Station, pkt *wire.Packet) {
 // (the double-buffered semantics of §2.1.3/Figure 3.d). If all transmit
 // buffers are busy the call waits for one to free.
 func (s *Station) SendAsync(p *Proc, to *Station, pkt *wire.Packet) {
-	s.beginSend(p, to, pkt)
+	job := s.take(p, s.unicast(to), pkt)
+	p.Sleep(s.net.Cost.CopyTime(job.pkt.WireSize()))
+	s.copied(job)
 }
 
 // Drain blocks until all of the station's transmit buffers are idle,
@@ -277,11 +318,11 @@ func (s *Station) Drain(p *Proc) {
 	p.WaitCond(&s.txSig, -1, s.txIdle)
 }
 
-func (s *Station) beginSend(p *Proc, to *Station, pkt *wire.Packet) *txJob {
+func (s *Station) unicast(to *Station) *Station {
 	if to == nil || to == s {
 		panic(fmt.Sprintf("sim: station %s: invalid send destination", s.Name))
 	}
-	return s.beginSendJob(p, to, pkt)
+	return to
 }
 
 // SendBroadcast transmits one frame heard by every other attached station
@@ -292,31 +333,41 @@ func (s *Station) beginSend(p *Proc, to *Station, pkt *wire.Packet) *txJob {
 // a broadcast is unreliable per receiver just as on a real cable. Blocks
 // until the transmission completes, like Send.
 func (s *Station) SendBroadcast(p *Proc, pkt *wire.Packet) {
-	job := s.beginSendJob(p, nil, pkt)
-	for !job.done {
-		p.Wait(&job.sig, -1)
-	}
+	s.sendSync(p, nil, pkt)
 }
 
-// beginSendJob is the shared transmit path; to == nil means broadcast.
-func (s *Station) beginSendJob(p *Proc, to *Station, pkt *wire.Packet) *txJob {
-	k := s.net.K
-	// Acquire a transmit buffer. Every txDone broadcasts to all of the
-	// station's senders; the kernel resumes only one that finds a buffer.
+// take acquires a transmit buffer (every txDone broadcasts to all of the
+// station's senders; the kernel resumes only one that finds a buffer) and
+// starts copying pkt into a job bound for to, nil meaning broadcast.
+func (s *Station) take(p *Proc, to *Station, pkt *wire.Packet) *txJob {
 	p.WaitCond(&s.txSig, -1, s.txReady)
 	s.txFree--
-	// Copy the packet into the interface: CPU time on this station.
-	size := pkt.WireSize()
-	start := k.Now()
-	p.Sleep(s.net.Cost.CopyTime(size))
-	if s.net.Trace != nil {
-		s.net.span(s.Name, LaneCPU, "in:"+typeLabel(pkt), start, k.Now())
+	job := s.net.getJob(s, to, s.net.copyPkt(pkt))
+	job.txStart = s.net.K.now
+	return job
+}
+
+// sendSync is Send and SendBroadcast. The process would only sleep through
+// the copy, so the copy ends in a kernel event (evCopied) and a send into a
+// free buffer switches to its process once, when the frame has left the wire.
+func (s *Station) sendSync(p *Proc, to *Station, pkt *wire.Packet) {
+	job := s.take(p, to, pkt)
+	k := s.net.K
+	k.newEvent(k.now+s.net.Cost.CopyTime(job.pkt.WireSize()), evCopied).job = job
+	p.Wait(&job.sig, -1)
+}
+
+// copied ends a job's copy into the interface — CPU time on this station —
+// and hands the frame to the medium.
+func (s *Station) copied(job *txJob) {
+	n := s.net
+	size := job.pkt.WireSize()
+	if n.Trace != nil {
+		n.span(s.Name, LaneCPU, "in:"+typeLabel(&job.pkt.Packet), job.txStart, n.K.now)
 	}
 	s.Counters.TxPackets++
 	s.Counters.TxBytes += int64(size)
-	job := s.net.getJob(s, to, cloneForWire(pkt))
-	s.net.enqueueTx(job)
-	return job
+	n.enqueueTx(job)
 }
 
 // enqueueTx starts the transmission if the medium is idle, else queues it
@@ -349,7 +400,7 @@ func (n *Network) startTx(job *txJob) {
 func (n *Network) txDone(job *txJob) {
 	k := n.K
 	if n.Trace != nil {
-		n.span("net", LaneWire, fmt.Sprintf("%s %d", typeLabel(job.pkt), job.pkt.Seq), job.txStart, k.Now())
+		n.span("net", LaneWire, fmt.Sprintf("%s %d", typeLabel(&job.pkt.Packet), job.pkt.Seq), job.txStart, k.Now())
 	}
 	n.mediumBusy = false
 	// Propagation: the frame is fully received τ after the last bit
@@ -376,7 +427,7 @@ type netAdversary struct {
 
 // heldPkt is one reordered packet waiting in a receiver's hold queue.
 type heldPkt struct {
-	pkt       *wire.Packet
+	pkt       *medPkt
 	from      *Station      // transmitting station (for source-tagged delivery)
 	by        *netAdversary // the adversary that held it (overtaking is scoped to it)
 	remaining int           // overtaking deliveries still needed
@@ -435,26 +486,24 @@ func (n *Network) advFor(from, to *Station) *netAdversary {
 
 // deliverBroadcast fans one transmitted frame out to every attached
 // station except the transmitter. Each receiver gets its own delivery —
-// its own drop-filter, adversary and loss draws, and its own payload copy
-// when the frame carries real bytes — so per-receiver outcomes are
-// independent, exactly as for stations tapping a shared cable.
-func (n *Network) deliverBroadcast(from *Station, pkt *wire.Packet) {
+// its own drop-filter, adversary and loss draws, and its own copy — so
+// per-receiver outcomes are independent, exactly as for stations tapping a
+// shared cable.
+func (n *Network) deliverBroadcast(from *Station, pkt *medPkt) {
 	for _, to := range n.stations {
-		if to == from {
-			continue
+		if to != from {
+			n.deliver(from, to, n.copyPkt(&pkt.Packet))
 		}
-		p := pkt
-		if len(pkt.Payload) > 0 {
-			p = pkt.Clone()
-		}
-		n.deliver(from, to, p)
 	}
+	n.putPkt(pkt)
 }
 
 // deliver applies the drop filter and the adversary, then the loss model.
-func (n *Network) deliver(from, to *Station, pkt *wire.Packet) {
-	if n.DropFilter != nil && n.DropFilter(pkt, to) {
+// From here on the delivery owns pkt: every path that drops it pools it.
+func (n *Network) deliver(from, to *Station, pkt *medPkt) {
+	if n.DropFilter != nil && n.DropFilter(&pkt.Packet, to) {
 		to.Counters.WireDrops++
+		n.putPkt(pkt)
 		return
 	}
 	adv := n.advFor(from, to)
@@ -471,19 +520,27 @@ func (n *Network) deliver(from, to *Station, pkt *wire.Packet) {
 // hold, delay — and finally releases any holds the arrival matured.
 // Replayed deliveries (matured holds, duplicates, delayed packets) bypass
 // the adversary so a packet is judged exactly once.
-func (n *Network) deliverAdversarial(adv *netAdversary, from, to *Station, pkt *wire.Packet) {
+func (n *Network) deliverAdversarial(adv *netAdversary, from, to *Station, pkt *medPkt) {
 	ready := to.advPass(adv)
-	m := adv.st.Judge(pkt)
+	m := adv.st.Judge(&pkt.Packet)
 	switch {
 	case m.Drop:
 		to.Counters.WireDrops++
 		n.Adv.Drops++
+		n.putPkt(pkt)
 	case m.IfaceDrop:
 		to.Counters.IfaceDrops++
 		n.Adv.IfaceDrops++
-	case m.Corrupt && n.corrupt(adv, to, &pkt, m.CorruptBit):
+		n.putPkt(pkt)
+	case m.Corrupt && n.corrupt(adv, to, pkt, m.CorruptBit):
 		// rejected by the wire codec; counted in corrupt
+		n.putPkt(pkt)
 	default:
+		// The duplicate is copied first: delivering pkt may pool it.
+		var dup *medPkt
+		if m.Duplicate {
+			dup = n.copyPkt(&pkt.Packet)
+		}
 		if m.Hold > 0 {
 			n.Adv.Holds++
 			held := pkt
@@ -496,14 +553,10 @@ func (n *Network) deliverAdversarial(adv *netAdversary, from, to *Station, pkt *
 		} else {
 			n.deliverNow(from, to, pkt)
 		}
-		if m.Duplicate {
+		if dup != nil {
 			n.Adv.Dups++
-			if pkt.Type == wire.TypeData {
+			if dup.Type == wire.TypeData {
 				n.Adv.DataDups++
-			}
-			dup := pkt
-			if len(pkt.Payload) > 0 {
-				dup = pkt.Clone()
 			}
 			n.deliverNow(from, to, dup)
 		}
@@ -542,7 +595,7 @@ func (s *Station) advPass(adv *netAdversary) []heldPkt {
 
 // flushHeld releases a held packet whose flush bound expired before enough
 // traffic overtook it.
-func (n *Network) flushHeld(to *Station, pkt *wire.Packet) {
+func (n *Network) flushHeld(to *Station, pkt *medPkt) {
 	for i := range to.advHeld {
 		if to.advHeld[i].pkt == pkt {
 			from := to.advHeld[i].from
@@ -559,11 +612,10 @@ func (n *Network) flushHeld(to *Station, pkt *wire.Packet) {
 // are encoded, mangled and re-decoded, so the Internet checksum (and the
 // codec's structural checks) genuinely fire. Payload-elided simulated packets
 // have no frame to mangle; the checksum rejecting the flip is modelled
-// directly. It reports whether the packet was consumed (rejected); on the
-// (codec-evading) false path *pkt is replaced with what actually decoded.
-func (n *Network) corrupt(adv *netAdversary, to *Station, pkt **wire.Packet, bit int64) bool {
+// directly. It reports whether the packet was rejected; on the
+// (codec-evading) false path p is overwritten with what actually decoded.
+func (n *Network) corrupt(adv *netAdversary, to *Station, p *medPkt, bit int64) bool {
 	n.Adv.Corrupts++
-	p := *pkt
 	if len(p.Payload) == 0 && p.VirtualSize > 0 {
 		to.Counters.CorruptDrops++
 		return true
@@ -580,35 +632,32 @@ func (n *Network) corrupt(adv *netAdversary, to *Station, pkt **wire.Packet, bit
 		to.Counters.CorruptDrops++
 		return true
 	}
-	// The flip evaded the checksum: deliver what the receiver would decode.
+	// The flip evaded the checksum: deliver what the receiver would decode,
+	// copied out of the scratch frame it aliases.
 	n.Adv.Passed++
-	q := dec.Clone()
-	q.VirtualSize = p.VirtualSize
-	*pkt = q
+	dec.VirtualSize = p.VirtualSize
+	p.set(&dec)
 	return false
 }
 
 // deliverNow applies the loss model and enqueues the packet in the receiver.
-func (n *Network) deliverNow(from, to *Station, pkt *wire.Packet) {
-	if n.wireLost() {
+func (n *Network) deliverNow(from, to *Station, pkt *medPkt) {
+	switch {
+	case n.wireLost():
 		to.Counters.WireDrops++
-		return
-	}
-	if n.Loss.PIface > 0 && n.rng.Float64() < n.Loss.PIface {
+	case n.Loss.PIface > 0 && n.rng.Float64() < n.Loss.PIface:
 		to.Counters.IfaceDrops++
-		return
-	}
-	if to.sink {
+	case to.sink:
 		to.Counters.RxPackets++
 		to.Counters.RxBytes += int64(pkt.WireSize())
-		return
-	}
-	if len(to.rxq) >= n.Cost.RxBuffers {
+	case len(to.rxq) >= n.Cost.RxBuffers:
 		to.Counters.Overruns++
+	default:
+		to.rxq = append(to.rxq, rxItem{pkt: pkt, from: from})
+		to.rxSig.Broadcast(n.K)
 		return
 	}
-	to.rxq = append(to.rxq, rxItem{pkt: pkt, from: from})
-	to.rxSig.Broadcast(n.K)
+	n.putPkt(pkt)
 }
 
 // wireLost draws from the configured wire-loss process.
@@ -620,7 +669,8 @@ func (n *Network) wireLost() bool {
 // returns it. timeout < 0 waits forever; on expiry Recv returns
 // os.ErrDeadlineExceeded (matching net.Conn deadline semantics, so protocol
 // code is substrate-agnostic). The copy out of the interface is charged to
-// this station's CPU. Single consumer per station.
+// this station's CPU. Single consumer per station; the packet stays valid
+// until its next Recv, as on every core.Env.
 func (s *Station) Recv(p *Proc, timeout time.Duration) (*wire.Packet, error) {
 	pkt, _, err := s.RecvFrom(p, timeout)
 	return pkt, err
@@ -631,11 +681,27 @@ func (s *Station) Recv(p *Proc, timeout time.Duration) (*wire.Packet, error) {
 // client conversations (see sim.Listener). A closed station reports
 // net.ErrClosed, mirroring a closed socket.
 func (s *Station) RecvFrom(p *Proc, timeout time.Duration) (*wire.Packet, *Station, error) {
+	q, from, err := s.recv(p, timeout)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &q.Packet, from, nil
+}
+
+// recv is RecvFrom lending out the medium's copy itself. A receiver that has
+// to wait is resumed once, at the end of its copy out of the interface: the
+// wake-up that finds a packet queued starts the copy in the kernel (rxCopy).
+func (s *Station) recv(p *Proc, timeout time.Duration) (*medPkt, *Station, error) {
 	k := s.net.K
+	if s.lent != nil {
+		s.net.putPkt(s.lent)
+		s.lent = nil
+	}
 	deadline := time.Duration(-1)
 	if timeout >= 0 {
 		deadline = k.Now() + timeout
 	}
+	copied := false // a wake-up found the head packet and copied it
 	for len(s.rxq) == 0 {
 		if s.closed {
 			return nil, nil, net.ErrClosed
@@ -647,24 +713,29 @@ func (s *Station) RecvFrom(p *Proc, timeout time.Duration) (*wire.Packet, *Stati
 				return nil, nil, os.ErrDeadlineExceeded
 			}
 		}
-		if p.Wait(&s.rxSig, wait) && len(s.rxq) == 0 {
+		timedOut := p.wait(&s.rxSig, wait, nil, s.rxCopy)
+		if timedOut && len(s.rxq) == 0 {
 			if s.closed {
 				return nil, nil, net.ErrClosed
 			}
 			return nil, nil, os.ErrDeadlineExceeded
 		}
+		copied = !timedOut
 	}
 	it := s.rxq[0]
 	size := it.pkt.WireSize()
-	start := k.Now()
-	p.Sleep(s.net.Cost.CopyTime(size))
+	copyTime := s.net.Cost.CopyTime(size)
+	if !copied {
+		p.Sleep(copyTime)
+	}
 	if s.net.Trace != nil {
-		s.net.span(s.Name, LaneCPU, "out:"+typeLabel(it.pkt), start, k.Now())
+		s.net.span(s.Name, LaneCPU, "out:"+typeLabel(&it.pkt.Packet), k.now-copyTime, k.now)
 	}
 	// The buffer is occupied until the copy completes.
 	s.rxq = append(s.rxq[:0], s.rxq[1:]...)
 	s.Counters.RxPackets++
 	s.Counters.RxBytes += int64(size)
+	s.lent = it.pkt
 	return it.pkt, it.from, nil
 }
 
@@ -694,12 +765,16 @@ func (s *Station) Reopen() { s.closed = false }
 // restart, and by tests).
 func (s *Station) FlushRx() int {
 	n := len(s.rxq)
+	for _, it := range s.rxq {
+		s.net.putPkt(it.pkt)
+	}
 	s.rxq = s.rxq[:0]
 	return n
 }
 
 // Endpoint adapts a (process, station, peer) triple to the Env interface the
-// protocol engines in internal/core are written against.
+// protocol engines in internal/core are written against, keeping the Env
+// packet-ownership rule through its station.
 type Endpoint struct {
 	P    *Proc
 	St   *Station

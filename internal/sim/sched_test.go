@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"net"
+	"os"
 	"reflect"
 	"runtime"
 	"strings"
@@ -29,7 +31,212 @@ func sendAsyncProcessSide(p *Proc, s, to *Station, pkt *wire.Packet) {
 	p.Sleep(s.net.Cost.CopyTime(pkt.WireSize()))
 	s.Counters.TxPackets++
 	s.Counters.TxBytes += int64(pkt.WireSize())
-	s.net.enqueueTx(s.net.getJob(s, to, cloneForWire(pkt)))
+	s.net.enqueueTx(s.net.getJob(s, to, s.net.copyPkt(pkt)))
+}
+
+// sendProcessSide is Station.Send as it was before the copy's end moved into
+// the kernel: the sender sleeps through its copy into the interface, enqueues
+// the frame itself, then waits for it to leave the wire — two switches per
+// send into a free buffer.
+func sendProcessSide(p *Proc, s, to *Station, pkt *wire.Packet) {
+	p.WaitCond(&s.txSig, -1, s.txReady)
+	s.txFree--
+	start := p.Now()
+	p.Sleep(s.net.Cost.CopyTime(pkt.WireSize()))
+	s.net.span(s.Name, LaneCPU, "in:"+typeLabel(pkt), start, p.Now())
+	s.Counters.TxPackets++
+	s.Counters.TxBytes += int64(pkt.WireSize())
+	job := s.net.getJob(s, to, s.net.copyPkt(pkt))
+	s.net.enqueueTx(job)
+	for !job.done {
+		p.Wait(&job.sig, -1)
+	}
+}
+
+// recvProcessSide is Station.Recv as it was before a waiting receiver's
+// wake-up began its copy: the receiver is switched to once to find the
+// packet, and again when the copy it then sleeps through ends.
+func recvProcessSide(p *Proc, s *Station, timeout time.Duration) (*wire.Packet, error) {
+	k := s.net.K
+	deadline := time.Duration(-1)
+	if timeout >= 0 {
+		deadline = k.Now() + timeout
+	}
+	for len(s.rxq) == 0 {
+		if s.closed {
+			return nil, net.ErrClosed
+		}
+		wait := time.Duration(-1)
+		if deadline >= 0 {
+			wait = deadline - k.Now()
+			if wait < 0 {
+				return nil, os.ErrDeadlineExceeded
+			}
+		}
+		if p.Wait(&s.rxSig, wait) && len(s.rxq) == 0 {
+			if s.closed {
+				return nil, net.ErrClosed
+			}
+			return nil, os.ErrDeadlineExceeded
+		}
+	}
+	it := s.rxq[0]
+	start := k.Now()
+	p.Sleep(s.net.Cost.CopyTime(it.pkt.WireSize()))
+	s.net.span(s.Name, LaneCPU, "out:"+typeLabel(&it.pkt.Packet), start, k.Now())
+	s.rxq = append(s.rxq[:0], s.rxq[1:]...)
+	s.Counters.RxPackets++
+	s.Counters.RxBytes += int64(it.pkt.WireSize())
+	return &it.pkt.Packet, nil
+}
+
+func TestSyncSendSwitchesOnce(t *testing.T) {
+	const sends = 50
+	for _, kernelSide := range []bool{true, false} {
+		k, _, src, dst := newTestNet(t, params.Standalone3Com(), params.NoLoss(), 1)
+		dst.SetSink()
+		k.Go("sender", func(p *Proc) {
+			for i := 0; i < sends; i++ {
+				if kernelSide {
+					src.Send(p, dst, dataPkt(uint32(i)))
+				} else {
+					sendProcessSide(p, src, dst, dataPkt(uint32(i)))
+				}
+			}
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		// The spawn, then per send one switch — two for the reference.
+		want := int64(1 + sends)
+		if !kernelSide {
+			want = 1 + 2*sends
+		}
+		if st := k.Stats(); st.Switches != want {
+			t.Errorf("kernel-side %v: %d switches for %d sends into a free buffer, want %d", kernelSide, st.Switches, sends, want)
+		}
+	}
+}
+
+func TestWaitingRecvSwitchesOnce(t *testing.T) {
+	const arrivals = 50
+	for _, kernelSide := range []bool{true, false} {
+		k, n, src, dst := newTestNet(t, params.Standalone3Com(), params.NoLoss(), 1)
+		// Arrivals land from kernel context, far enough apart that the
+		// receiver has always finished its copy and is waiting again.
+		for i := 0; i < arrivals; i++ {
+			k.Schedule(time.Duration(i+1)*time.Millisecond*10, func() {
+				n.deliverNow(src, dst, n.copyPkt(dataPkt(uint32(i))))
+			})
+		}
+		got := 0
+		k.Go("receiver", func(p *Proc) {
+			for i := 0; i < arrivals; i++ {
+				var err error
+				if kernelSide {
+					_, err = dst.Recv(p, -1)
+				} else {
+					_, err = recvProcessSide(p, dst, -1)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got++
+			}
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		want := int64(1 + arrivals)
+		if !kernelSide {
+			want = 1 + 2*arrivals
+		}
+		if st := k.Stats(); got != arrivals || st.Switches != want {
+			t.Errorf("kernel-side %v: %d switches for %d waiting receives, want %d", kernelSide, st.Switches, got, want)
+		}
+	}
+}
+
+// exchange runs pingPong's lossy stop-and-wait exchange with the copies in the
+// kernel or in the processes (the references above), one event per Step, and
+// returns the schedule's fingerprint after every event — clock, events
+// scheduled so far, heap depth — the receipts both sides logged, and the
+// kernel's counts. The sender's acks time out under the loss, and the
+// receiver's last Recv is woken by Close.
+func exchange(t *testing.T, kernelSide bool) (schedule, receipts []string, st KernelStats) {
+	t.Helper()
+	k := NewKernel()
+	n, err := NewNetwork(k, params.Standalone3Com(), params.LossModel{PNet: 0.2}, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Trace = func(sp Span) { receipts = append(receipts, fmt.Sprint(sp)) }
+	src, dst := n.AddStation("src"), n.AddStation("dst")
+	send := func(p *Proc, s, to *Station, pkt *wire.Packet) { s.Send(p, to, pkt) }
+	recv := func(p *Proc, s *Station, timeout time.Duration) (*wire.Packet, error) { return s.Recv(p, timeout) }
+	if !kernelSide {
+		send, recv = sendProcessSide, recvProcessSide
+	}
+	k.Go("sender", func(p *Proc) {
+		for seq := uint32(0); seq < 20; seq++ {
+			for {
+				send(p, src, dst, dataPkt(seq))
+				_, err := recv(p, src, 20*time.Millisecond)
+				receipts = append(receipts, fmt.Sprint("sender ", err, " ", p.Now()))
+				if err == nil {
+					break
+				}
+			}
+		}
+		dst.Close()
+	})
+	k.Go("receiver", func(p *Proc) {
+		for {
+			_, err := recv(p, dst, -1)
+			receipts = append(receipts, fmt.Sprint("receiver ", err, " ", p.Now()))
+			if err != nil {
+				return
+			}
+			send(p, dst, src, ackPkt())
+		}
+	})
+	for {
+		more, err := k.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !more {
+			break
+		}
+		schedule = append(schedule, fmt.Sprint(k.now, " ", k.seq, " ", k.events.len()))
+	}
+	return schedule, receipts, k.Stats()
+}
+
+func TestKernelCopiesMatchProcessSide(t *testing.T) {
+	sched, receipts, st := exchange(t, true)
+	refSched, refReceipts, refSt := exchange(t, false)
+	if !reflect.DeepEqual(sched, refSched) {
+		t.Errorf("event schedules diverge: %d events vs the reference's %d", len(sched), len(refSched))
+	}
+	if !reflect.DeepEqual(receipts, refReceipts) {
+		t.Errorf("receipts and spans diverge from the reference")
+	}
+	timeouts, closed := 0, 0
+	for _, r := range receipts {
+		timeouts += strings.Count(r, os.ErrDeadlineExceeded.Error())
+		closed += strings.Count(r, net.ErrClosed.Error())
+	}
+	if timeouts == 0 || closed != 1 {
+		t.Errorf("%d timed-out and %d closed receives: the exchange must take both wake paths", timeouts, closed)
+	}
+	if st.Events != refSt.Events || st.HeapPeak != refSt.HeapPeak || st.TimersCancelled != refSt.TimersCancelled {
+		t.Errorf("stats %+v, reference %+v", st, refSt)
+	}
+	if st.Switches >= refSt.Switches {
+		t.Errorf("%d switches, reference %d: the kernel-side copies must save some", st.Switches, refSt.Switches)
+	}
 }
 
 // contend has eight processes push `each` frames apiece through one station

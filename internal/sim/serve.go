@@ -61,7 +61,7 @@ func (l *Listener) Accept(idle time.Duration) (transport.Inbound, error) {
 	if idle > 0 {
 		timeout = idle
 	}
-	pkt, from, err := l.st.RecvFrom(l.p, timeout)
+	pkt, from, err := l.st.recv(l.p, timeout)
 	if err != nil {
 		return transport.Inbound{}, err
 	}
@@ -72,7 +72,7 @@ func (l *Listener) Accept(idle time.Duration) (transport.Inbound, error) {
 
 // ReqOf decodes a simulated arrival as a session-opening request.
 func (l *Listener) ReqOf(msg transport.Message) (wire.Req, bool) {
-	pkt, ok := msg.(*wire.Packet)
+	pkt, ok := msg.(*medPkt)
 	if !ok || pkt.Type != wire.TypeReq {
 		return wire.Req{}, false
 	}
@@ -94,7 +94,7 @@ func (l *Listener) Open() (transport.Conn, transport.Peer, error) {
 // ReplyBusy sends a best-effort BUSY/RETRY-AFTER refusal to the source of
 // the most recent Accept (transport.BusyReplier).
 func (l *Listener) ReplyBusy(msg transport.Message, retryAfter time.Duration) error {
-	pkt, ok := msg.(*wire.Packet)
+	pkt, ok := msg.(*medPkt)
 	if !ok || l.last == nil {
 		return fmt.Errorf("sim: no refused arrival to reply BUSY to")
 	}
@@ -114,23 +114,21 @@ type serverConn struct {
 	l    *Listener
 	peer *Station
 
-	inbox  []*wire.Packet
+	inbox  []*medPkt
 	head   int
 	sig    Signal
 	closed bool
 }
 
-// Deliver appends a routed arrival to the session inbox. Simulated packets
-// popped from the station's interface are exclusively owned, so delivery is
-// by reference.
+// Deliver appends a routed arrival to the session inbox. The arrival is the
+// packet the serving station lent the demux loop's last Accept; the inbox
+// takes it over by reference, and the session's Recv lends it on.
 func (c *serverConn) Deliver(msg transport.Message) {
-	if c.closed {
+	pkt, ok := msg.(*medPkt)
+	if c.closed || !ok || pkt != c.l.st.lent {
 		return
 	}
-	pkt, ok := msg.(*wire.Packet)
-	if !ok {
-		return
-	}
+	c.l.st.lent = nil
 	c.inbox = append(c.inbox, pkt)
 	c.sig.Broadcast(c.l.n.K)
 }
@@ -148,7 +146,9 @@ func (c *serverConn) Hangup() {
 func (c *serverConn) Spawn(name string, body func(env core.Env)) {
 	c.l.spawned++
 	c.l.n.K.Go(name+":"+c.peer.Name, func(p *Proc) {
-		body(&serverEnv{c: c, p: p})
+		e := &serverEnv{c: c, p: p}
+		body(e)
+		e.giveBack()
 		c.l.finished++
 		c.l.done.Broadcast(c.l.n.K)
 	})
@@ -159,8 +159,17 @@ func (c *serverConn) Spawn(name string, body func(env core.Env)) {
 // inbox consumption itself is free — the interface is paid for exactly once
 // per packet, as on the direct path.
 type serverEnv struct {
-	c *serverConn
-	p *Proc
+	c    *serverConn
+	p    *Proc
+	lent *medPkt // the packet the last Recv returned
+}
+
+// giveBack pools the packet the last Recv lent.
+func (e *serverEnv) giveBack() {
+	if e.lent != nil {
+		e.c.l.n.putPkt(e.lent)
+		e.lent = nil
+	}
 }
 
 // Now returns the current virtual time.
@@ -192,11 +201,13 @@ func (e *serverEnv) SendAsync(pkt *wire.Packet) error {
 }
 
 // Recv returns the session's next routed packet, with core.Env timeout
-// semantics. Packets already routed are delivered even after a Hangup, like
-// a socket's buffered datagrams.
+// semantics and ownership: the packet is valid until the next Recv. Packets
+// already routed are delivered even after a Hangup, like a socket's buffered
+// datagrams.
 func (e *serverEnv) Recv(timeout time.Duration) (*wire.Packet, error) {
 	c := e.c
 	k := c.l.n.K
+	e.giveBack()
 	deadline := time.Duration(-1)
 	if timeout >= 0 {
 		deadline = k.Now() + timeout
@@ -226,7 +237,8 @@ func (e *serverEnv) Recv(timeout time.Duration) (*wire.Packet, error) {
 		c.inbox = c.inbox[:0]
 		c.head = 0
 	}
-	return pkt, nil
+	e.lent = pkt
+	return &pkt.Packet, nil
 }
 
 // ClientConn is a dialed client-side conn (transport.Client): a fresh
