@@ -26,17 +26,17 @@ type snapshot struct {
 	Benchmarks []map[string]any `json:"benchmarks"`
 }
 
-// floorFile is the committed gate: a note documenting how the floors were
-// derived, the minimum MB/s per gated benchmark, and the gated benchmarks
-// that must not have retransmitted a single packet, and the most heap
-// allocations a gated benchmark may make per operation (counts, so unlike a
-// wall-clock floor they do not drift with the host).
+// floorFile is the committed gate: a note stating the margin policy, the
+// minimum MB/s per gated benchmark, and the gated benchmarks that must not
+// have retransmitted a single packet, and the most heap allocations a gated
+// benchmark may make per operation (counts, so unlike a wall-clock floor
+// they do not drift with the host).
 type floorFile struct {
 	Note            string             `json:"note"`
 	MinMBps         map[string]float64 `json:"min_mbps"`
 	ZeroRetransmits []string           `json:"zero_retransmits"`
 	MaxAllocsPerOp  map[string]int64   `json:"max_allocs_per_op"`
-	// Rationale derives floors row by row (Note covers the rows it lacks);
+	// Rationale derives every gated row's floors, row by row;
 	// Exact maps benchmark → snapshot field → the only value that passes.
 	Rationale map[string]string             `json:"rationale"`
 	Exact     map[string]map[string]float64 `json:"exact"`

@@ -14,8 +14,8 @@ import "time"
 // the same for the blast engine with the classic AIMD discipline:
 //
 //   - a clean window (no retransmissions, NAKs or timeouts) grows the next
-//     window: doubled while in the initial slow-start, by Increment packets
-//     afterwards, up to MaxWindow;
+//     window: doubled while in the initial slow-start, by windowIncrement
+//     packets afterwards, up to MaxWindow;
 //   - a window that needed NAK-driven recovery is wire loss the strategy
 //     already repaired cheaply — one prompt response round, bounded resend
 //     — so the decrease is the gentle multiplicative cut to 3/4 (enough to
@@ -40,6 +40,14 @@ import "time"
 // into a quarter-second stall; the estimator converges to the real response
 // time and makes those stalls proportionate.
 
+const (
+	// windowIncrement is the additive increase per clean window once
+	// slow-start has ended.
+	windowIncrement = 16
+	// gapStep is the pacing increment added on a timeout window.
+	gapStep = 5 * time.Microsecond
+)
+
 // ControllerConfig parameterises the AIMD controller. The zero value takes
 // the defaults documented per field.
 type ControllerConfig struct {
@@ -51,16 +59,10 @@ type ControllerConfig struct {
 	MinWindow int
 	// MaxWindow caps growth (default 512).
 	MaxWindow int
-	// Increment is the additive increase per clean window once slow-start
-	// has ended (default 16).
-	Increment int
 	// MaxBatch caps the syscall-batch recommendation (default 32). The
 	// recommendation follows the window down so a shrunken window is not
 	// burst out of an oversized ring.
 	MaxBatch int
-	// GapStep is the pacing increment added on a timeout window
-	// (default 5µs).
-	GapStep time.Duration
 	// MaxGap caps the inter-packet pacing gap (default 100µs).
 	MaxGap time.Duration
 	// MinGap floors the pacing gap (default 0: clean paths run at line
@@ -86,14 +88,8 @@ func (c ControllerConfig) withDefaults() ControllerConfig {
 	if c.MaxWindow <= 0 {
 		c.MaxWindow = 512
 	}
-	if c.Increment <= 0 {
-		c.Increment = 16
-	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
-	}
-	if c.GapStep <= 0 {
-		c.GapStep = 5 * time.Microsecond
 	}
 	if c.MaxGap <= 0 {
 		c.MaxGap = 100 * time.Microsecond
@@ -194,7 +190,7 @@ func (c *Controller) Observe(o WindowObs) {
 		if c.slowStart {
 			c.win *= 2
 		} else {
-			c.win += c.cfg.Increment
+			c.win += windowIncrement
 		}
 		if c.win > c.cfg.MaxWindow {
 			c.win = c.cfg.MaxWindow
@@ -209,7 +205,7 @@ func (c *Controller) Observe(o WindowObs) {
 	} else {
 		if o.Timeouts > 0 {
 			c.win /= 4
-			c.gap = c.gap*2 + c.cfg.GapStep
+			c.gap = c.gap*2 + gapStep
 			if c.gap > c.cfg.MaxGap {
 				c.gap = c.cfg.MaxGap
 			}

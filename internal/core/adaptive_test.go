@@ -49,7 +49,7 @@ func TestControllerTimeoutQuartersAndPaces(t *testing.T) {
 		t.Fatalf("after timeout: window %d, want 64 (quartered)", c.Window())
 	}
 	if c.Gap() != 5*time.Microsecond {
-		t.Fatalf("after timeout: gap %v, want one GapStep", c.Gap())
+		t.Fatalf("after timeout: gap %v, want one gapStep", c.Gap())
 	}
 	c.Observe(timeout(64))
 	if c.Gap() != 15*time.Microsecond {

@@ -160,12 +160,12 @@ func (c *autotuneController) perturb(dim uint64, up bool) (trial tuning, tie boo
 		}
 	default: // pacing gap
 		if up {
-			trial.gap += c.cfg.GapStep
+			trial.gap += gapStep
 			if trial.gap > c.cfg.MaxGap {
 				trial.gap = c.cfg.MaxGap
 			}
 		} else {
-			trial.gap -= c.cfg.GapStep
+			trial.gap -= gapStep
 			if trial.gap < c.cfg.MinGap {
 				trial.gap = c.cfg.MinGap
 			}
@@ -275,7 +275,7 @@ func (c *autotuneController) Observe(o WindowObs) {
 		if c.win < c.cfg.MinWindow {
 			c.win = c.cfg.MinWindow
 		}
-		c.gap = c.gap*2 + c.cfg.GapStep
+		c.gap = c.gap*2 + gapStep
 		if c.gap > c.cfg.MaxGap {
 			c.gap = c.cfg.MaxGap
 		}

@@ -189,7 +189,7 @@ func (c *bbrController) Observe(o WindowObs) {
 		if c.win < c.cfg.MinWindow {
 			c.win = c.cfg.MinWindow
 		}
-		c.gap = c.gap*2 + c.cfg.GapStep
+		c.gap = c.gap*2 + gapStep
 		if c.gap > c.cfg.MaxGap {
 			c.gap = c.cfg.MaxGap
 		}
@@ -226,7 +226,7 @@ func (c *bbrController) Observe(o WindowObs) {
 			c.cycleIdx = (c.cycleIdx + 1) % bbrCycleLen
 			if c.cycleIdx == 0 && c.win < c.cfg.MaxWindow {
 				// Probe-up phase: additive window probe for freed bandwidth.
-				c.win += c.cfg.Increment
+				c.win += windowIncrement
 				if c.win > c.cfg.MaxWindow {
 					c.win = c.cfg.MaxWindow
 				}

@@ -68,7 +68,7 @@ func TestBBRTimeoutHalvesAndPaces(t *testing.T) {
 		t.Fatalf("after timeout: window %d, want 128 (halved)", c.Window())
 	}
 	if c.Gap() != 5*time.Microsecond {
-		t.Fatalf("after timeout: gap %v, want one GapStep", c.Gap())
+		t.Fatalf("after timeout: gap %v, want one gapStep", c.Gap())
 	}
 	st := c.Stats()
 	if st.Cuts != 1 || st.TimeoutCuts != 1 {

@@ -102,8 +102,11 @@ func validCopyTarget(target string) bool {
 // Copy asks the serving side to push the named object to target and waits
 // for the outcome, reporting intermediate progress through onProgress
 // (which may be nil). cfg supplies the transfer id, retransmit timeout and
-// attempt bound, exactly as for Stat; Bytes may be zero. The returned
-// count is the server's byte total for the completed copy.
+// attempt bound, exactly as for Stat; Bytes may be zero. A BUSY refusal is
+// honored as Stat honors it: sleep the server's retry-after hint, then ask
+// again. When every attempt was refused the error is both ErrGiveUp and the
+// last *BusyError. The returned count is the server's byte total for the
+// completed copy.
 func Copy(env Env, cfg Config, name, target string, onProgress func(int64)) (int64, error) {
 	if !wire.ValidReqName(name) {
 		return 0, fmt.Errorf("%w: object name %q does not fit the request encoding", ErrBadConfig, name)
@@ -143,6 +146,8 @@ func Copy(env Env, cfg Config, name, target string, onProgress func(int64)) (int
 		VirtualSize: size,
 	}
 	accepted := false
+	var busy *BusyError // the last refusal
+	refusals := 0
 	for attempt := 0; attempt < attempts; attempt++ {
 		if !accepted {
 			if err := env.Send(req); err != nil {
@@ -163,10 +168,16 @@ func Copy(env Env, cfg Config, name, target string, onProgress func(int64)) (int
 				return 0, err
 			}
 			remaining -= env.Now() - t0
-			switch {
-			case resp.Type == wire.TypeBusy && resp.Trans == cfg.TransferID:
-				return 0, busyErrorOf(resp)
-			case resp.Type == wire.TypeNak && resp.Trans == cfg.TransferID:
+			if resp.Type == wire.TypeBusy && resp.Trans == cfg.TransferID {
+				// Refused at admission: honor the server's hint and ask
+				// again, exactly as Stat does, instead of giving up on a
+				// server that only said not yet.
+				busy = busyErrorOf(resp)
+				refusals++
+				sleepOn(env, busy.wait(tr))
+				break // re-request
+			}
+			if resp.Type == wire.TypeNak && resp.Trans == cfg.TransferID {
 				return 0, &RemoteCopyError{Msg: string(resp.Payload)}
 			}
 			if n, ok := statSize(resp, cfg.TransferID); ok {
@@ -186,6 +197,9 @@ func Copy(env Env, cfg Config, name, target string, onProgress func(int64)) (int
 			// abandoned copy rather than spinning the attempt budget.
 			return 0, fmt.Errorf("copy %q to %s: lost contact mid-copy: %w", name, target, ErrGiveUp)
 		}
+	}
+	if refusals == attempts {
+		return 0, fmt.Errorf("copy %q to %s: refused %d times: %w: %w", name, target, refusals, ErrGiveUp, busy)
 	}
 	return 0, fmt.Errorf("copy %q to %s: %w", name, target, ErrGiveUp)
 }

@@ -114,6 +114,77 @@ func TestStatHonorsBusy(t *testing.T) {
 	}
 }
 
+// Copy honors a BUSY refusal the way Stat does — the same four cases — and
+// a copy refused on every attempt fails as both a give-up and a BUSY, so
+// blastcp -copy still exits with the BUSY code.
+func TestCopyHonorsBusy(t *testing.T) {
+	const tr = 100 * time.Millisecond
+	cfg := Config{TransferID: 7, RetransTimeout: tr, MaxAttempts: 3}
+	for _, tc := range []struct {
+		name     string
+		replies  []*wire.Packet
+		wantSize int64
+		wantErr  error
+		wantBusy bool
+		wantSent int
+		wantNaps []time.Duration
+		wantNow  time.Duration
+	}{
+		{
+			name:     "busy then reply",
+			replies:  []*wire.Packet{Busy(7, 40*time.Millisecond), StatReply(7, 12345)},
+			wantSize: 12345, wantSent: 2,
+			wantNaps: []time.Duration{40 * time.Millisecond}, wantNow: 40 * time.Millisecond,
+		},
+		{
+			name:     "empty hint sleeps Tr",
+			replies:  []*wire.Packet{Busy(7, 0), StatReply(7, 9)},
+			wantSize: 9, wantSent: 2,
+			wantNaps: []time.Duration{tr}, wantNow: tr,
+		},
+		{
+			name:     "another transfer's busy is ignored",
+			replies:  []*wire.Packet{Busy(8, 40*time.Millisecond), StatReply(7, 5)},
+			wantSize: 5, wantSent: 2,
+			wantNow: 4 * tr, // silence as far as transfer 7 is concerned
+		},
+		{
+			name:     "always busy gives up after MaxAttempts",
+			replies:  []*wire.Packet{Busy(7, time.Millisecond), Busy(7, time.Millisecond), Busy(7, time.Millisecond), StatReply(7, 1)},
+			wantErr:  ErrGiveUp,
+			wantBusy: true,
+			wantSent: 3,
+			wantNaps: []time.Duration{time.Millisecond, time.Millisecond, time.Millisecond}, wantNow: 3 * time.Millisecond,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := &scriptEnv{replies: tc.replies}
+			size, err := Copy(env, cfg, "obj", "127.0.0.1:9", nil)
+			if !errors.Is(err, tc.wantErr) || size != tc.wantSize {
+				t.Fatalf("Copy = %d, %v; want %d, %v", size, err, tc.wantSize, tc.wantErr)
+			}
+			var busy *BusyError
+			if errors.As(err, &busy) != tc.wantBusy {
+				t.Errorf("Copy error %v: is a BUSY refusal %v, want %v", err, !tc.wantBusy, tc.wantBusy)
+			}
+			if env.sent != tc.wantSent {
+				t.Errorf("sent %d copy REQs, want %d", env.sent, tc.wantSent)
+			}
+			if len(env.slept) != len(tc.wantNaps) {
+				t.Fatalf("slept %v, want %v", env.slept, tc.wantNaps)
+			}
+			for i := range tc.wantNaps {
+				if env.slept[i] != tc.wantNaps[i] {
+					t.Errorf("slept %v, want %v", env.slept, tc.wantNaps)
+				}
+			}
+			if env.now != tc.wantNow {
+				t.Errorf("took %v of virtual time, want %v", env.now, tc.wantNow)
+			}
+		})
+	}
+}
+
 // Push honors a BUSY refusal of its announcement the way Request and Stat
 // do: it sleeps the server's retry-after hint (Tr when the hint is empty)
 // and announces again at once, instead of dropping the reply and waiting out

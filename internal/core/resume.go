@@ -28,7 +28,9 @@ import (
 
 // ResumeOptions configures PullResume's recovery behaviour. The zero value
 // gives a bounded, jittered exponential backoff suitable for real networks;
-// deterministic simulations set Seed and Sleep.
+// deterministic simulations set Seed. Backoff waits sleep on the env's own
+// clock when it has one (a SleepFor method: the simulator's virtual clock),
+// wall time otherwise.
 type ResumeOptions struct {
 	// MaxResumes bounds how many resumed sessions may follow a session
 	// failure (default 8). BUSY refusals do not consume this budget.
@@ -40,19 +42,13 @@ type ResumeOptions struct {
 
 	// Backoff is the initial retry delay (default 50ms). It doubles per
 	// consecutive failed session, resets when a session makes progress, and
-	// is capped by MaxBackoff (default 5s). A BUSY reply's retry-after hint
-	// overrides the step when larger.
-	Backoff    time.Duration
-	MaxBackoff time.Duration
+	// is capped at 5s. A BUSY reply's retry-after hint overrides the step
+	// when larger.
+	Backoff time.Duration
 
 	// Seed drives the backoff jitter (a deterministic rng, so a simulated
 	// client's recovery schedule is reproducible).
 	Seed int64
-
-	// Sleep, when non-nil, performs the backoff waits. Defaults to the
-	// env's own SleepFor method when it has one (the simulator's virtual
-	// clock) and time.Sleep otherwise.
-	Sleep func(time.Duration)
 
 	// Redial, when non-nil, is called before each resume to replace the
 	// env — a fresh socket to the same server, for substrates whose conns
@@ -63,11 +59,6 @@ type ResumeOptions struct {
 	// abandons recovery and surfaces the last error (the striped repair
 	// path cancels a stripe when a sibling fails fatally).
 	Cancel func() bool
-
-	// OnResume, when non-nil, observes each resume: its ordinal, the
-	// logical-stream chunk offset being re-requested, and the error that
-	// killed the previous session.
-	OnResume func(resume int, offsetChunks int, cause error)
 }
 
 // ResumeStats reports how a resumable pull recovered.
@@ -82,30 +73,17 @@ const (
 	defaultMaxResumes   = 8
 	defaultMaxBusyWaits = 64
 	defaultBackoff      = 50 * time.Millisecond
-	defaultMaxBackoff   = 5 * time.Second
+	maxBackoff          = 5 * time.Second
 )
 
-// sleeperOf resolves the backoff sleep function for env.
-func sleeperOf(env Env, opts ResumeOptions) func(time.Duration) {
-	if opts.Sleep != nil {
-		return opts.Sleep
-	}
-	if s, ok := env.(interface{ SleepFor(time.Duration) }); ok {
-		return s.SleepFor
-	}
-	return time.Sleep
-}
-
-// backoffStep is the capped exponential delay after `consecutive` failures.
-func backoffStep(base time.Duration, consecutive int, limit time.Duration) time.Duration {
+// backoffStep is the exponential delay after `consecutive` failures, capped
+// at maxBackoff.
+func backoffStep(base time.Duration, consecutive int) time.Duration {
 	d := base
-	for i := 0; i < consecutive && d < limit; i++ {
+	for i := 0; i < consecutive && d < maxBackoff; i++ {
 		d *= 2
 	}
-	if d > limit {
-		d = limit
-	}
-	return d
+	return min(d, maxBackoff)
 }
 
 // jittered widens d by 0..50% so a crowd of refused clients does not
@@ -179,11 +157,6 @@ func PullResume(env Env, cfg Config, opts ResumeOptions) (RecvResult, ResumeStat
 	if backoff <= 0 {
 		backoff = defaultBackoff
 	}
-	maxBackoff := opts.MaxBackoff
-	if maxBackoff <= 0 {
-		maxBackoff = defaultMaxBackoff
-	}
-	sleep := sleeperOf(env, opts)
 	rng := rand.New(rand.NewSource(opts.Seed*-7046029254386353131 + -1442695040888963407))
 
 	var agg RecvResult
@@ -247,11 +220,11 @@ func PullResume(env Env, cfg Config, opts ResumeOptions) (RecvResult, ResumeStat
 			if stats.BusyWaits > maxBusy {
 				return agg, stats, fmt.Errorf("refused %d times: %w", stats.BusyWaits, err)
 			}
-			wait := backoffStep(backoff, consecutive, maxBackoff)
+			wait := backoffStep(backoff, consecutive)
 			if busy.RetryAfter > wait {
 				wait = busy.RetryAfter
 			}
-			sleep(jittered(rng, wait))
+			sleepOn(env, jittered(rng, wait))
 			consecutive++
 			continue
 		}
@@ -260,10 +233,7 @@ func PullResume(env Env, cfg Config, opts ResumeOptions) (RecvResult, ResumeStat
 			return agg, stats, fmt.Errorf("resume budget (%d) exhausted after %d sessions: %w",
 				maxResumes, stats.Sessions, err)
 		}
-		if opts.OnResume != nil {
-			opts.OnResume(resumes, c.StripeOffset/chunk+frontier, err)
-		}
-		sleep(jittered(rng, backoffStep(backoff, consecutive, maxBackoff)))
+		sleepOn(env, jittered(rng, backoffStep(backoff, consecutive)))
 		consecutive++
 		if opts.Redial != nil {
 			ne, rerr := opts.Redial()
@@ -271,7 +241,6 @@ func PullResume(env Env, cfg Config, opts ResumeOptions) (RecvResult, ResumeStat
 				return agg, stats, fmt.Errorf("resume redial: %w", rerr)
 			}
 			env = ne
-			sleep = sleeperOf(env, opts)
 		}
 	}
 

@@ -53,13 +53,10 @@ type CostModel struct {
 	CopyAckPkt  time.Duration
 
 	// BandwidthBitsPerSec is the raw network data rate (10 Mb/s Ethernet in
-	// the paper).
+	// the paper). Wire time counts the packet bytes alone: the paper's
+	// "computed at the 10 megabit data rate" arithmetic folds framing into
+	// the quoted sizes.
 	BandwidthBitsPerSec int64
-	// WireOverheadBytes is counted on the wire per packet in addition to the
-	// packet bytes themselves (preamble + FCS when Ethernet framing is
-	// modelled; 0 reproduces the paper's "computed at the 10 megabit data
-	// rate" arithmetic, which folds framing into the quoted sizes).
-	WireOverheadBytes int
 
 	// Propagation is the one-way network latency τ.
 	Propagation time.Duration
@@ -187,7 +184,7 @@ func (m CostModel) WireTime(bytes int) time.Duration {
 	if bytes < 0 {
 		bytes = 0
 	}
-	bits := 8 * int64(bytes+m.WireOverheadBytes)
+	bits := 8 * int64(bytes)
 	return time.Duration(bits * int64(time.Second) / m.BandwidthBitsPerSec)
 }
 

@@ -38,18 +38,13 @@ type StripeOptions struct {
 	// corrupt configuration (core.ErrBadConfig) names a transfer that can
 	// never complete, so the siblings stop immediately.
 	Repair bool
-	// MaxResumes, Backoff, Seed and Sleep tune the per-stripe resume
-	// engine when Repair is set; zero values take core.ResumeOptions
-	// defaults. On the simulator Sleep must be the client process's own
-	// virtual clock (sim clients provide it via SleepFor automatically).
+	// MaxResumes, Backoff and Seed tune the per-stripe resume engine when
+	// Repair is set; zero values take core.ResumeOptions defaults. Backoff
+	// waits sleep on the stripe client's own clock (a sim client's
+	// SleepFor, virtual time).
 	MaxResumes int
 	Backoff    time.Duration
 	Seed       int64
-	Sleep      func(time.Duration)
-	// OnResume, when non-nil, observes stripe repairs: which stripe, its
-	// resume ordinal, the logical chunk offset re-requested, and the error
-	// that killed the previous session.
-	OnResume func(stripe, resume, offsetChunks int, cause error)
 }
 
 // StripeOutcome is one stripe session's result.
@@ -239,7 +234,6 @@ func pullStripeRepair(f transport.Fabric, c transport.Client, scfg core.Config,
 		MaxResumes: opts.MaxResumes,
 		Backoff:    opts.Backoff,
 		Seed:       opts.Seed + int64(i)*1000003,
-		Sleep:      opts.Sleep,
 		Cancel: func() bool {
 			_, err := cancel.first()
 			return err != nil
@@ -260,11 +254,6 @@ func pullStripeRepair(f transport.Fabric, c transport.Client, scfg core.Config,
 			}
 			cur = nc
 			return nc, nil
-		}
-	}
-	if opts.OnResume != nil {
-		ropts.OnResume = func(resume, offsetChunks int, cause error) {
-			opts.OnResume(i, resume, offsetChunks, cause)
 		}
 	}
 	return core.PullResume(cur, scfg, ropts)

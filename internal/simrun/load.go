@@ -51,10 +51,6 @@ type LoadScenario struct {
 	// server to drive its blast with (core.Config.Controller → the policy
 	// byte of the handshake). Empty means the fixed schedule.
 	Controller string
-	// ClientController, when non-nil, returns client i's policy name and
-	// overrides Controller — a mixed-policy contention experiment (empty:
-	// fixed schedule).
-	ClientController func(i int) string
 	// Adversary, when active, is installed per client (station-scoped, so
 	// one client's traffic cannot perturb another's decision stream),
 	// client i seeded Seed+i. ClientAdversary overrides it per client.
@@ -207,9 +203,6 @@ func (sc LoadScenario) run(sub substrate, keep bool) (LoadResult, error) {
 		r := &results[i]
 		r.Client, r.Bytes, r.Strategy, r.Arrival = i, d.bytes, d.strategy, d.arrival
 		r.Controller = sc.Controller
-		if sc.ClientController != nil {
-			r.Controller = sc.ClientController(i)
-		}
 		adv := sc.Adversary
 		if sc.ClientAdversary != nil {
 			adv = sc.ClientAdversary(i)
@@ -286,7 +279,7 @@ type LoadStats struct {
 // convention as SampleWorkers), merging in index order.
 func (sc LoadScenario) Sample(workers int) (LoadStats, error) {
 	sc = sc.withLoadDefaults()
-	if sc.ClientAdversary != nil || sc.ClientController != nil || sc.Adversary.Script != nil {
+	if sc.ClientAdversary != nil || sc.Adversary.Script != nil {
 		workers = 1 // callback hooks are not goroutine-safe
 	}
 	results := make([]LoadResult, sc.Trials)

@@ -54,11 +54,10 @@ type Options struct {
 	// sim.MediumCSMACD for the contention extension).
 	Medium sim.MediumMode
 	// BackgroundLoad, when positive, attaches a third-party traffic
-	// generator offering this fraction of the link bandwidth (the paper's
-	// excluded high-load regime). Requires MediumCSMACD to be meaningful.
+	// generator offering this fraction of the link bandwidth in
+	// DataPacketSize frames (the paper's excluded high-load regime).
+	// Requires MediumCSMACD to be meaningful.
 	BackgroundLoad float64
-	// BackgroundFrame is the background frame size (default 1024 bytes).
-	BackgroundFrame int
 
 	// DropFilter injects precisely targeted losses (see sim.Network).
 	DropFilter func(pkt *wire.Packet, to *sim.Station) bool
@@ -106,14 +105,10 @@ func TransferOn(k *sim.Kernel, cfg core.Config, opt Options) (Result, error) {
 	})
 
 	if opt.BackgroundLoad > 0 {
-		frame := opt.BackgroundFrame
-		if frame == 0 {
-			frame = params.DataPacketSize
-		}
 		bg := n.AddStation("bg")
 		sink := n.AddStation("sink")
 		sink.SetSink()
-		n.AddLoadGenerator(bg, sink, opt.BackgroundLoad, frame)
+		n.AddLoadGenerator(bg, sink, opt.BackgroundLoad, params.DataPacketSize)
 		// The generator never lets the event heap drain: drive the kernel
 		// step by step until both protocol sides have finished.
 		for !(senderDone && recvDone) {

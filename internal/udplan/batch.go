@@ -10,9 +10,10 @@ import (
 // This file holds the platform-independent half of the batched datapath:
 // the reusable frame rings that amortise one syscall across a whole blast
 // window. The platform-specific sendmmsg/recvmmsg wrappers live in
-// mmsg_linux.go (with a no-op fallback in mmsg_fallback.go); when they are
-// unavailable the rings still form and flush as plain WriteTo loops, so
-// behaviour is identical everywhere and only the syscall count differs.
+// mmsg_linux.go (with fallbacks in mmsg_fallback.go); when they are
+// unavailable the rings still form and flush as plain WriteTo loops and fill
+// with one ReadFrom, so behaviour is identical everywhere and only the
+// syscall count differs.
 
 // txBatch is a frame ring of pre-allocated MTU-sized slots. The sender
 // encodes each outbound packet directly into the next slot
@@ -108,13 +109,13 @@ const (
 	groRingMsgs  = 4     // messages per fill; each can carry ~a window of frames
 )
 
-// rxBatch is the receive ring recvmmsg drains into: raw messages plus the
-// raw source sockaddr of each, consumed FIFO. A GRO ring additionally
-// carries per-message control buffers, so a coalesced superbuffer arrives
-// with its gso_size and splits back into frames (splitSeg). A client
-// Endpoint pops the ring one datagram at a time; the server's demux loop
-// takes whole messages and hands their buffers — pooled slabs — on to the
-// sessions.
+// rxBatch is the receive ring every read of a socket fills: raw messages
+// plus the raw source sockaddr of each, taken FIFO one whole message at a
+// time (take). A GRO ring additionally carries per-message control buffers,
+// so a coalesced superbuffer arrives with its gso_size and splits back into
+// frames (splitSeg). A client Endpoint walks each message in place; the
+// server's demux loop hands its buffer — a pooled slab — on to a session,
+// which walks it there.
 type rxBatch struct {
 	bufs        [][]byte
 	slabs       []*[]byte // pooled ring only: bufs[i] is *slabs[i], swapped out by replace
@@ -124,7 +125,6 @@ type rxBatch struct {
 	lens        []int
 	segs        []int // per-message gso_size (0 = one plain datagram)
 	count, next int
-	segOff      int // byte cursor inside the current coalesced message
 	recv        mmsgReceiver
 }
 
@@ -163,7 +163,7 @@ func rxBufSize(mtu int, gro bool) int {
 }
 
 // newRxBatch builds a ring over one backing array: the buffers never leave
-// it (a client Endpoint consumes each datagram before the next drain).
+// it (a client Endpoint consumes each message before the next fill).
 func newRxBatch(n, mtu int, gro bool) *rxBatch {
 	r := newRxRing(n, gro)
 	size := rxBufSize(mtu, gro)
@@ -193,7 +193,7 @@ func (r *rxBatch) replace(i int) {
 	r.bufs[i] = *r.slabs[i]
 }
 
-// pending reports whether drained messages are waiting.
+// pending reports whether received messages are waiting to be taken.
 func (r *rxBatch) pending() bool { return r.next < r.count }
 
 // splitSeg returns the datagram of a received message that starts at *off
@@ -211,23 +211,35 @@ func splitSeg(msg []byte, seg int, off *int) []byte {
 	return data
 }
 
-// pop returns the next drained datagram and its raw source sockaddr. Both
-// slices are valid until the ring's next drain (which only happens after
-// every pending datagram has been popped). A message delivered coalesced
-// pops one segment at a time.
-func (r *rxBatch) pop() (data, name []byte) {
-	i := r.next
-	data = splitSeg(r.bufs[i][:r.lens[i]], r.segs[i], &r.segOff)
-	if r.segOff >= r.lens[i] {
+// take returns the ring slot of the next received message and writes the
+// canonical key of its source into key, reading the socket (fill) only once
+// every message already in the ring has been taken; a message whose source
+// sockaddr does not parse is skipped. The message stays valid until take
+// next has to fill the ring.
+func (r *rxBatch) take(conn net.PacketConn, raw syscall.RawConn, key *[addrKeyLen]byte) (int, error) {
+	for {
+		if !r.pending() {
+			if err := r.fill(conn, raw); err != nil {
+				return 0, err
+			}
+			continue
+		}
+		i := r.next
 		r.next++
-		r.segOff = 0
+		if keyFromRaw(key, r.names[i]) {
+			return i, nil
+		}
 	}
-	return data, r.names[i]
 }
+
+// msg returns the bytes of the message in slot i and the gso_size it was
+// coalesced at (0: one datagram), the arguments splitSeg walks it with.
+func (r *rxBatch) msg(i int) ([]byte, int) { return r.bufs[i][:r.lens[i]], r.segs[i] }
 
 // fill blocks (honouring the socket's read deadline) until at least one
 // message is in the ring: one cmsg-aware recvmmsg where the platform has it,
-// one ReadFrom into the first slot where it does not.
+// one ReadFrom into the first slot where it does not. It is the one read of
+// every socket in this package.
 func (r *rxBatch) fill(conn net.PacketConn, raw syscall.RawConn) error {
 	if mmsgSupported && raw != nil {
 		return fillBatch(raw, r)
@@ -236,22 +248,11 @@ func (r *rxBatch) fill(conn net.PacketConn, raw syscall.RawConn) error {
 	if err != nil {
 		return err
 	}
-	r.count, r.next, r.segOff = 0, 0, 0
+	r.count, r.next = 0, 0
 	if ua, ok := addr.(*net.UDPAddr); ok && putRawName(r.names[0], ua) {
 		r.lens[0], r.segs[0], r.count = n, 0, 1
 	}
 	return nil
-}
-
-// drain performs one non-blocking recvmmsg, filling the ring with whatever
-// the kernel already queued. A no-op when the platform lacks recvmmsg.
-func (r *rxBatch) drain(raw syscall.RawConn) {
-	if raw == nil {
-		return
-	}
-	if n, ok := recvBatch(raw, r); ok {
-		r.count, r.next, r.segOff = n, 0, 0
-	}
 }
 
 // rawConnOf extracts the raw connection for batched syscalls, when the
@@ -272,12 +273,13 @@ func rawConnOf(conn net.PacketConn) syscall.RawConn {
 // into IPv6 form) plus a big-endian port.
 const addrKeyLen = 18
 
-// addrKey returns the canonical comparison key for a peer address. Non-UDP
-// addresses fall back to their string form.
+// addrKey returns the canonical comparison key for a peer address, the key
+// take writes for every datagram that address sends. Only a UDP address has
+// one: any other matches no arrival.
 func addrKey(a net.Addr) string {
 	ua, ok := a.(*net.UDPAddr)
 	if !ok {
-		return a.String()
+		return ""
 	}
 	var k [addrKeyLen]byte
 	keyFromUDP(&k, ua)

@@ -25,7 +25,3 @@ func setGRO(syscall.RawConn, bool) bool { return false }
 func sendGSO(syscall.RawConn, *gsoSender, net.Addr, [][]byte, []int, int) (bool, error) {
 	return false, nil
 }
-
-// fillBatch is unreachable here (GRO never enables without the probe), but
-// fails loudly rather than pretending a read happened.
-func fillBatch(syscall.RawConn, *rxBatch) error { return syscall.EINVAL }

@@ -208,66 +208,6 @@ func (g *gsoSender) sendmsg(fd uintptr) bool {
 	return true
 }
 
-// fillBatch blocks (honouring the socket's read deadline) until at least
-// one message is drained into the ring — the blocking receive of a GRO
-// Endpoint and of every server demux socket. On a GRO ring messages carry
-// their gso_size control data, so a coalesced superbuffer splits back into
-// frames as the ring is consumed.
-func fillBatch(raw syscall.RawConn, r *rxBatch) error {
-	if raw == nil {
-		return syscall.EINVAL
-	}
-	if err := r.rawRead(raw, true); err != nil {
-		return err // deadline expired or socket closed
-	}
-	if r.recv.errno != 0 {
-		return r.recv.errno
-	}
-	r.count, r.next, r.segOff = r.recv.got, 0, 0
-	return nil
-}
-
-// recvmmsgInto performs one non-blocking recvmmsg into the ring's buffers,
-// recording per-message lengths, raw source sockaddrs and (when the ring
-// carries control buffers) GRO segment sizes.
-func recvmmsgInto(fd uintptr, r *rxBatch) (got int, errno syscall.Errno) {
-	n := len(r.bufs)
-	rv := &r.recv
-	if cap(rv.hdrs) < n {
-		rv.hdrs = make([]mmsgHdr, n)
-		rv.iovs = make([]syscall.Iovec, n)
-	}
-	hdrs, iovs := rv.hdrs[:n], rv.iovs[:n]
-	for i := 0; i < n; i++ {
-		iovs[i].Base = &r.bufs[i][0]
-		iovs[i].SetLen(len(r.bufs[i]))
-		hdrs[i] = mmsgHdr{}
-		hdrs[i].hdr.Name = &r.names[i][0]
-		hdrs[i].hdr.Namelen = rawNameLen
-		hdrs[i].hdr.Iov = &iovs[i]
-		hdrs[i].hdr.Iovlen = 1
-		if r.ctrls != nil {
-			hdrs[i].hdr.Control = &r.ctrls[i][0]
-			hdrs[i].hdr.SetControllen(len(r.ctrls[i]))
-		}
-	}
-	r0, _, e := syscall.Syscall6(sysRECVMMSG, fd,
-		uintptr(unsafe.Pointer(&hdrs[0])), uintptr(n),
-		uintptr(syscall.MSG_DONTWAIT), 0, 0)
-	if e != 0 {
-		return 0, e
-	}
-	got = int(r0)
-	for i := 0; i < got; i++ {
-		r.lens[i] = int(hdrs[i].n)
-		r.segs[i] = 0
-		if r.ctrls != nil {
-			r.segs[i] = parseGROSize(r.ctrls[i][:hdrs[i].hdr.Controllen])
-		}
-	}
-	return got, 0
-}
-
 // parseGROSize extracts the gso_size from a received control buffer: the
 // kernel attaches a SOL_UDP/UDP_GRO cmsg (an int) to every message it
 // delivered coalesced. Returns 0 when absent (the message is one datagram).

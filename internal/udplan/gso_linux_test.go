@@ -63,9 +63,9 @@ func TestSendGSORunSplitting(t *testing.T) {
 }
 
 // A GRO-coalesced receive must split back into the original frames: the
-// transmit side sends one GSO superbuffer, fillBatch drains it with its
-// gso_size cmsg, and pop returns segment-sized frames with the final
-// shorter segment intact.
+// transmit side sends one GSO superbuffer, take returns it as one message
+// with its gso_size cmsg and its sender's key, and splitSeg walks it in
+// segment-sized frames with the final shorter segment intact.
 func TestGRODeliverySplitsSegments(t *testing.T) {
 	tx, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
@@ -99,18 +99,24 @@ func TestGRODeliverySplitsSegments(t *testing.T) {
 
 	ring := newRxBatch(4, MaxDatagram, true)
 	rx.(*net.UDPConn).SetReadDeadline(time.Now().Add(2 * time.Second))
+	var key, want [addrKeyLen]byte
+	keyFromUDP(&want, tx.LocalAddr().(*net.UDPAddr))
+	var msg []byte
+	var seg, off int
 	for i := range frames {
-		for !ring.pending() {
-			if err := fillBatch(rxRaw, ring); err != nil {
-				t.Fatalf("frame %d: fillBatch: %v", i, err)
+		if off >= len(msg) {
+			slot, err := ring.take(rx, rxRaw, &key)
+			if err != nil {
+				t.Fatalf("frame %d: take: %v", i, err)
 			}
+			if key != want {
+				t.Fatalf("frame %d: source key %x, want %x", i, key, want)
+			}
+			msg, seg = ring.msg(slot)
+			off = 0
 		}
-		data, name := ring.pop()
-		if !bytes.Equal(data, frames[i]) {
+		if data := splitSeg(msg, seg, &off); !bytes.Equal(data, frames[i]) {
 			t.Fatalf("frame %d: got %d bytes, want %d of %q", i, len(data), lens[i], frames[i][0])
-		}
-		if ua := rawToUDPAddr(name); ua == nil || ua.Port != tx.LocalAddr().(*net.UDPAddr).Port {
-			t.Fatalf("frame %d: wrong source %v", i, ua)
 		}
 	}
 }

@@ -131,21 +131,12 @@ func (l *serverListener) Accept(idle time.Duration) (transport.Inbound, error) {
 	if err := l.conn.SetReadDeadline(deadline); err != nil {
 		return transport.Inbound{}, err
 	}
-	for {
-		if !l.rx.pending() {
-			if err := l.rx.fill(l.conn, l.raw); err != nil {
-				return transport.Inbound{}, err
-			}
-			continue
-		}
-		i := l.rx.next
-		l.rx.next++
-		if !keyFromRaw(&l.keybuf, l.rx.names[i]) {
-			continue
-		}
-		l.slot, l.cur = i, dgram{b: l.rx.slabs[i], n: int32(l.rx.lens[i]), seg: int32(l.rx.segs[i])}
-		return transport.Inbound{Key: l.keybuf[:], Msg: &l.cur}, nil
+	i, err := l.rx.take(l.conn, l.raw, &l.keybuf)
+	if err != nil {
+		return transport.Inbound{}, err
 	}
+	l.slot, l.cur = i, dgram{b: l.rx.slabs[i], n: int32(l.rx.lens[i]), seg: int32(l.rx.segs[i])}
+	return transport.Inbound{Key: l.keybuf[:], Msg: &l.cur}, nil
 }
 
 // ReqOf decodes a burst as a session-opening request: only one led by a

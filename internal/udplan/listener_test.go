@@ -73,6 +73,13 @@ func (h *demuxHarness) stop() {
 	h.l.Drain()
 }
 
+// seededChunk is data packet seq of a 100-packet transfer trans, n bytes of
+// payload seeded by both: the receive parity scripts' unit of traffic.
+func seededChunk(trans, seq uint32, n int) *wire.Packet {
+	return &wire.Packet{Type: wire.TypeData, Trans: trans, Seq: seq, Total: 100,
+		Payload: core.SeededPayload(int64(trans)<<16|int64(seq), n, n)}
+}
+
 func listenUDP(t *testing.T, sockbuf int) net.PacketConn {
 	t.Helper()
 	c, err := net.ListenPacket("udp", "127.0.0.1:0")
@@ -140,10 +147,7 @@ func TestRxParityAcrossTiers(t *testing.T) {
 					key := e.LocalAddr().String()
 					want[key] = append(want[key], p.Clone())
 				}
-				chunk := func(trans, seq uint32, n int) *wire.Packet {
-					return &wire.Packet{Type: wire.TypeData, Trans: trans, Seq: seq, Total: 100,
-						Payload: core.SeededPayload(int64(trans)<<16|int64(seq), n, n)}
-				}
+				chunk := seededChunk
 				req := func(trans uint32) *wire.Packet {
 					return &wire.Packet{Type: wire.TypeReq, Trans: trans,
 						Payload: wire.EncodeReq(wire.Req{Bytes: 100_000, Chunk: 1000, Push: true})}

@@ -4,8 +4,8 @@ package udplan
 
 // Portable no-op stand-ins for the Linux sendmmsg/recvmmsg fast path: the
 // batch rings still form and flush, but as plain WriteTo loops, and the
-// receive drain never fills — behaviour is identical, only the syscall
-// count differs.
+// receive ring fills with one ReadFrom (rxBatch.fill) — behaviour is
+// identical, only the syscall count differs.
 
 import (
 	"net"
@@ -27,9 +27,9 @@ func sendBatch(syscall.RawConn, *mmsgSender, net.Addr, [][]byte, []int, int) (bo
 	return false, nil
 }
 
-func recvBatch(syscall.RawConn, *rxBatch) (int, bool) {
-	return 0, false
-}
+// fillBatch is unreachable here (fill takes its ReadFrom branch without
+// recvmmsg), but fails loudly rather than pretending a read happened.
+func fillBatch(syscall.RawConn, *rxBatch) error { return syscall.EINVAL }
 
 // Without recvmmsg there are no kernel sockaddrs to carry: a ring's raw
 // source-address slot holds the canonical address key itself (16-byte IP,

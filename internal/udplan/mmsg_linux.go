@@ -3,7 +3,7 @@
 package udplan
 
 // Batched datagram syscalls for Linux: one sendmmsg flushes a whole frame
-// ring, one recvmmsg drains everything the kernel has queued. The stdlib
+// ring, one recvmmsg fills a whole receive ring. The stdlib
 // syscall package stops short of these (they are wrapped only in
 // golang.org/x/net), so the mmsghdr layout and syscall numbers are defined
 // here for the 64-bit architectures this project targets; every other
@@ -91,25 +91,75 @@ type mmsgReceiver struct {
 
 	got   int
 	errno syscall.Errno
-	block bool                  // wait for a message (fillBatch) or take what is there (recvBatch)
 	read  func(fd uintptr) bool // r.recvmmsg
 }
 
-// rawRead runs one recvmmsg into the ring under raw.Read, waiting for the
-// socket to turn readable when block is set; got and errno hold its outcome.
-func (r *rxBatch) rawRead(raw syscall.RawConn, block bool) error {
+// fillBatch is rxBatch.fill on this platform: one recvmmsg into the whole
+// ring under raw.Read, which parks on the poller (honouring the socket's
+// read deadline) until the socket turns readable. On a GRO ring messages
+// carry their gso_size control data, so a coalesced superbuffer splits back
+// into frames as it is walked.
+func fillBatch(raw syscall.RawConn, r *rxBatch) error {
 	rv := &r.recv
 	if rv.read == nil {
 		rv.read = r.recvmmsg
 	}
-	rv.block = block
-	return raw.Read(rv.read)
+	if err := raw.Read(rv.read); err != nil {
+		return err // deadline expired or socket closed
+	}
+	if rv.errno != 0 {
+		return rv.errno
+	}
+	r.count, r.next = rv.got, 0
+	return nil
 }
 
-// recvmmsg is rawRead's RawConn.Read callback.
+// recvmmsg is fillBatch's RawConn.Read callback: an empty socket (EAGAIN)
+// asks to be called again once it is readable.
 func (r *rxBatch) recvmmsg(fd uintptr) bool {
 	r.recv.got, r.recv.errno = recvmmsgInto(fd, r)
-	return !r.recv.block || r.recv.errno != syscall.EAGAIN
+	return r.recv.errno != syscall.EAGAIN
+}
+
+// recvmmsgInto performs one non-blocking recvmmsg into the ring's buffers,
+// recording per-message lengths, raw source sockaddrs and (when the ring
+// carries control buffers) GRO segment sizes.
+func recvmmsgInto(fd uintptr, r *rxBatch) (got int, errno syscall.Errno) {
+	n := len(r.bufs)
+	rv := &r.recv
+	if cap(rv.hdrs) < n {
+		rv.hdrs = make([]mmsgHdr, n)
+		rv.iovs = make([]syscall.Iovec, n)
+	}
+	hdrs, iovs := rv.hdrs[:n], rv.iovs[:n]
+	for i := 0; i < n; i++ {
+		iovs[i].Base = &r.bufs[i][0]
+		iovs[i].SetLen(len(r.bufs[i]))
+		hdrs[i] = mmsgHdr{}
+		hdrs[i].hdr.Name = &r.names[i][0]
+		hdrs[i].hdr.Namelen = rawNameLen
+		hdrs[i].hdr.Iov = &iovs[i]
+		hdrs[i].hdr.Iovlen = 1
+		if r.ctrls != nil {
+			hdrs[i].hdr.Control = &r.ctrls[i][0]
+			hdrs[i].hdr.SetControllen(len(r.ctrls[i]))
+		}
+	}
+	r0, _, e := syscall.Syscall6(sysRECVMMSG, fd,
+		uintptr(unsafe.Pointer(&hdrs[0])), uintptr(n),
+		uintptr(syscall.MSG_DONTWAIT), 0, 0)
+	if e != 0 {
+		return 0, e
+	}
+	got = int(r0)
+	for i := 0; i < got; i++ {
+		r.lens[i] = int(hdrs[i].n)
+		r.segs[i] = 0
+		if r.ctrls != nil {
+			r.segs[i] = parseGROSize(r.ctrls[i][:hdrs[i].hdr.Controllen])
+		}
+	}
+	return got, 0
 }
 
 // sendBatch transmits frames[0:n] to peer with as few sendmmsg calls as the
@@ -165,21 +215,8 @@ func (s *mmsgSender) sendmmsg(fd uintptr) bool {
 	return true
 }
 
-// recvBatch performs one non-blocking recvmmsg into the ring, recording
-// each datagram's length, raw source sockaddr and (on GRO rings) segment
-// size. It never waits: an empty socket returns (0, true). ok is false when
-// the platform path failed and the caller should not trust the ring. The
-// blocking variant is gso_linux.go's fillBatch; both go through rawRead.
-func recvBatch(raw syscall.RawConn, r *rxBatch) (got int, ok bool) {
-	// Opportunistic: EAGAIN (socket empty) or a transient error drains nothing.
-	if raw == nil || r.rawRead(raw, false) != nil {
-		return 0, false
-	}
-	return r.recv.got, true
-}
-
 // putRawName writes ua into a ring's raw source-address slot, for arrivals
-// read without recvmmsg (a socket with no raw access).
+// read without recvmmsg (fill on a socket with no raw access).
 func putRawName(dst []byte, ua *net.UDPAddr) bool {
 	var n uint32
 	return encodeUDPName((*[rawNameLen]byte)(dst), &n, ua)

@@ -3,15 +3,18 @@
 package udplan
 
 import (
+	"bytes"
 	"net"
 	"testing"
+	"time"
 )
 
 // The raw fast path must actually take effect on this platform: sendBatch
-// reports handled (no silent WriteTo fallback), recvBatch drains queued
-// datagrams, and the raw-sockaddr demux key matches the net.UDPAddr key for
-// the same source — the invariant that keeps one client from becoming two
-// sessions.
+// reports handled (no silent WriteTo fallback), one fill takes every queued
+// datagram in one recvmmsg, take hands them out in order, and the
+// raw-sockaddr key matches the net.UDPAddr key for the same source — the
+// invariant that keeps one client from becoming two sessions, and an
+// Endpoint from skipping its own peer.
 func TestMmsgFastPath(t *testing.T) {
 	a, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
@@ -49,31 +52,32 @@ func TestMmsgFastPath(t *testing.T) {
 		}
 	}
 
-	// recvmmsg drain + raw-name demux key equivalence.
-	eb := NewEndpoint(b, a.LocalAddr())
+	// One recvmmsg takes every queued datagram + raw-name key equivalence.
 	for i := 0; i < 3; i++ {
 		if _, err := a.WriteTo([]byte{byte(i), 9, 9}, b.LocalAddr()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := b.ReadFrom(buf); err != nil { // blocking read consumes one
-		t.Fatal(err)
-	}
+	b.SetReadDeadline(time.Now().Add(2 * time.Second))
 	rx := newRxBatch(4, 128, false)
-	rx.drain(eb.raw)
-	if rx.count != 2 {
-		t.Fatalf("drained %d datagrams, want 2", rx.count)
-	}
-	_, name := rx.pop()
 	var fromRaw, fromUDP [addrKeyLen]byte
-	if !keyFromRaw(&fromRaw, name) {
-		t.Fatal("keyFromRaw rejected a real sockaddr")
-	}
 	keyFromUDP(&fromUDP, a.LocalAddr().(*net.UDPAddr))
-	if fromRaw != fromUDP {
-		t.Fatalf("demux keys diverge:\nraw %x\nudp %x", fromRaw, fromUDP)
-	}
-	if ua := rawToUDPAddr(name); ua == nil || ua.Port != a.LocalAddr().(*net.UDPAddr).Port {
-		t.Fatalf("rawToUDPAddr = %v", ua)
+	for i := 0; i < 3; i++ {
+		slot, err := rx.take(b, rawConnOf(b), &fromRaw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 && rx.count != 3 {
+			t.Fatalf("one fill took %d datagrams, want all 3", rx.count)
+		}
+		if msg, seg := rx.msg(slot); seg != 0 || !bytes.Equal(msg, []byte{byte(i), 9, 9}) {
+			t.Fatalf("message %d: %v (gso_size %d)", i, msg, seg)
+		}
+		if fromRaw != fromUDP {
+			t.Fatalf("demux keys diverge:\nraw %x\nudp %x", fromRaw, fromUDP)
+		}
+		if ua := rawToUDPAddr(rx.names[slot]); ua == nil || ua.Port != a.LocalAddr().(*net.UDPAddr).Port {
+			t.Fatalf("rawToUDPAddr = %v", ua)
+		}
 	}
 }

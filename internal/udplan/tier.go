@@ -19,10 +19,13 @@ import (
 //	            (on the receive side) UDP_GRO delivers coalesced
 //	            superbuffers split back into frames by the gso_size cmsg.
 //	            Linux ≥ 4.18 (≥ 5.0 for GRO), probed at socket setup.
-//	TierMmsg    one sendmmsg per flush, one opportunistic recvmmsg drain
-//	            per blocking receive. Linux.
-//	TierWriteTo portable WriteTo/ReadFrom loops: the rings still form and
-//	            flush, only the syscall count differs. Everywhere.
+//	TierMmsg    one sendmmsg per flush. Linux.
+//	TierWriteTo a portable WriteTo loop: the ring still forms and flushes,
+//	            only the syscall count differs. Everywhere.
+//
+// The tier is a transmit ladder. Every tier receives the same way: one
+// recvmmsg into the receive ring (one ReadFrom where the platform has no
+// recvmmsg), coalesced by UDP_GRO on the GSO tier.
 //
 // The zero value means "auto": pick the best supported tier.
 type Tier uint8

@@ -11,23 +11,25 @@
 // (MangleTx/MangleRx, or SetAdversary for a seeded params.Adversary) for
 // testing recovery paths on a lossless loopback.
 //
-// There is one transmit path and one serving path. Every sender — a client
-// Endpoint, a server session — embeds the same txPath: packets are encoded
-// into a reusable frame ring (wire.EncodeInto, no allocation) and flushed
-// through the best datapath tier the socket supports (one GSO superbuffer,
-// one sendmmsg, or a WriteTo loop; see Tier), cutting syscalls per blast
-// window from W to roughly ⌈W/batch⌉; with batching off the ring has one
-// slot and the same code runs a syscall per packet. Every Server — whatever
-// its session cap and socket count — is the demux loop of internal/session
-// over this package's transport.Listener, whose receive side moves bursts:
-// one recvmmsg fills a ring of pooled slabs, each received message (on the
-// GSO tier a whole UDP_GRO-coalesced superbuffer) is routed with one lookup
-// and handed to its session uncopied, and the session splits it into packets
-// in place; a session's inbox is bounded by the receive buffer the kernel
-// granted the socket, and what overflows it is counted (Server.InboxDrops).
-// Each blocking client receive opportunistically drains the socket with
-// recvmmsg. Adversary semantics are preserved bit-for-bit at every batch
-// size: every packet is judged before it enters the ring, in send order.
+// There is one transmit path, one receive path and one serving path. Every
+// sender — a client Endpoint, a server session — embeds the same txPath:
+// packets are encoded into a reusable frame ring (wire.EncodeInto, no
+// allocation) and flushed through the best datapath tier the socket supports
+// (one GSO superbuffer, one sendmmsg, or a WriteTo loop; see Tier), cutting
+// syscalls per blast window from W to roughly ⌈W/batch⌉; with batching off
+// the ring has one slot and the same code runs a syscall per packet. Every
+// socket is read one way: one recvmmsg (one ReadFrom where the platform has
+// none) fills a receive ring, whose messages — on the GSO tier whole
+// UDP_GRO-coalesced superbuffers — are taken whole, checked against their
+// source once, and split into packets in place. Every Server — whatever its
+// session cap and socket count — is the demux loop of internal/session over
+// this package's transport.Listener, whose ring holds pooled slabs: each
+// message is routed with one lookup and handed to its session uncopied; a
+// session's inbox is bounded by the receive buffer the kernel granted the
+// socket, and what overflows it is counted (Server.InboxDrops). A client
+// Endpoint walks its own ring. Adversary semantics are preserved bit-for-bit
+// at every batch size: every packet is judged before it enters the ring, in
+// send order.
 package udplan
 
 import (
@@ -60,14 +62,19 @@ var ErrMTU = errors.New("udplan: packet exceeds endpoint MTU")
 // from a single goroutine, like every Env.
 type Endpoint struct {
 	txPath
-	peerKey string // canonical comparison key of txPath.peer: arrivals from anyone else are skipped
+	peerKey string // canonical comparison key of txPath.peer: messages from anyone else are skipped
 	start   time.Time
 	mtu     int
-	rbuf    []byte
 	keybuf  [addrKeyLen]byte
 
-	rx  *rxBatch // recvmmsg drain ring (nil when batching is off, the default)
-	gro bool     // receive side is UDP_GRO-coalesced (GSO tier only)
+	// rx is the receive ring every read of the socket fills: one MTU slot
+	// with batching off, Batch slots (superbuffer-sized when gro) with it
+	// on. cur is the peer's message being walked, off the byte cursor in it.
+	rx  *rxBatch
+	gro bool // receive side is UDP_GRO-coalesced (GSO tier only)
+	cur []byte
+	seg int // cur's gso_size (0: one datagram)
+	off int
 
 	// MaxTier, when non-zero, caps the datapath tier SetBatch may probe up
 	// to (the -tier flags of blastd/blastcp/lanbench land here). Set it
@@ -97,8 +104,9 @@ type Endpoint struct {
 	MangleRx func(*wire.Packet) params.Mangle
 
 	txHeld      []heldFrame
+	txDue       []heldFrame // scratch: the transmissions one overtake releases
 	rxHeld      []heldFrame
-	rxReady     []*wire.Packet
+	rxReady     []heldFrame // matured holds and injected duplicates, delivered first
 	rxReadyHead int         // index-advancing ring head: pops are O(1), not a slice delete
 	rxPkt       wire.Packet // reusable decode target: one live packet per Env, per the Recv contract
 }
@@ -112,17 +120,34 @@ type heldFrame struct {
 	remaining int
 }
 
+// overtake counts one packet overtaking every hold: each hold whose reorder
+// depth that satisfies is appended to due, in hold order, and the holds
+// still waiting are returned beside it. One linear pass with an in-place
+// filter, no per-element slice deletes.
+func overtake(held, due []heldFrame) ([]heldFrame, []heldFrame) {
+	waiting := held[:0]
+	for _, h := range held {
+		h.remaining--
+		if h.remaining > 0 {
+			waiting = append(waiting, h)
+		} else {
+			due = append(due, h)
+		}
+	}
+	return waiting, due
+}
+
 // NewEndpoint wraps an open socket talking to peer, which must be non-nil:
 // an endpoint sends to, and accepts datagrams from, exactly that address.
+// Batching starts off (see SetBatch).
 func NewEndpoint(conn net.PacketConn, peer net.Addr) *Endpoint {
 	e := &Endpoint{
 		txPath:  txPath{conn: conn, raw: rawConnOf(conn), peer: peer},
 		peerKey: addrKey(peer),
 		start:   time.Now(),
 		mtu:     MaxDatagram,
-		rbuf:    make([]byte, MaxDatagram),
 	}
-	e.setRing(TierWriteTo, 1, e.mtu)
+	e.SetBatch(1)
 	return e
 }
 
@@ -157,7 +182,6 @@ func (e *Endpoint) SetMTU(n int) error {
 		return err
 	}
 	e.mtu = n
-	e.rbuf = make([]byte, n)
 	e.SetBatch(e.Batch()) // re-size the rings to the new MTU
 	return nil
 }
@@ -193,18 +217,19 @@ func (e *Endpoint) ReadBuffer() int { return connReadBuffer(e.raw) }
 // the socket supports (GSO superbuffers → sendmmsg → WriteTo loop; see
 // Tier): up to n outbound frames are queued in a frame ring and flushed
 // with a single sendmsg+UDP_SEGMENT or sendmmsg (FlushBatch, a full ring, a
-// blocking Recv, a non-data or FlagLast packet, or Close), and each
-// blocking receive drains already-arrived datagrams in one recvmmsg — on
-// the GSO tier with UDP_GRO enabled, so a whole window can arrive as one
-// coalesced superbuffer split back into frames in user space. n <= 1
-// restores a syscall per packet (a one-slot ring). On platforms without the
-// fast paths the queue still forms and flushes as a WriteTo loop, preserving
-// semantics.
+// blocking Recv, a non-data or FlagLast packet, or Close), and the receive
+// ring grows to n messages, so one recvmmsg takes up to n already-arrived
+// messages — on the GSO tier with UDP_GRO enabled and superbuffer-sized
+// slots, so a whole window can arrive as one coalesced message split back
+// into frames in user space. n <= 1 restores one datagram per syscall each
+// way (one-slot rings). On platforms without the fast paths the queue still
+// forms and flushes as a WriteTo loop and the ring fills with one ReadFrom,
+// preserving semantics.
 //
 // SetBatch is a configuration call: make it before the transfer starts
 // (queued outbound frames are flushed first — a failure is kept and
 // returned by the next Send, FlushBatch or Recv — but rebuilding the
-// receive ring discards any drained-but-undelivered datagrams; between
+// receive ring discards any received-but-undelivered datagrams; between
 // transfers that is nothing). Mid-transfer batch adaptation goes through
 // SetBatchLimit, which moves only the flush threshold.
 func (e *Endpoint) SetBatch(n int) {
@@ -218,15 +243,13 @@ func (e *Endpoint) SetBatch(n int) {
 		// sockets.
 		e.gro = setGRO(e.raw, true)
 	case !wantGRO && e.gro:
-		// GRO is sticky on the socket: left on, a later plain ReadFrom
-		// would misread a coalesced superbuffer as one giant datagram.
+		// GRO is sticky on the socket: left on, MTU-sized slots would
+		// truncate a coalesced superbuffer.
 		setGRO(e.raw, false)
 		e.gro = false
 	}
-	e.rx = nil
-	if n > 1 {
-		e.rx = newRxBatch(n, e.mtu, e.gro)
-	}
+	e.rx = newRxBatch(n, e.mtu, e.gro)
+	e.cur, e.off = nil, 0
 }
 
 // GRO reports whether the receive side is UDP_GRO-coalesced.
@@ -274,23 +297,6 @@ func (e *Endpoint) LocalAddr() net.Addr { return e.conn.LocalAddr() }
 
 // Peer returns the address the endpoint talks to.
 func (e *Endpoint) Peer() net.Addr { return e.peer }
-
-// fromPeer reports whether an arrival came from the peer. name, when
-// non-nil, is the raw sockaddr of a batch-drained datagram; it is compared
-// without constructing a net.Addr (no allocation on the hot receive path).
-func (e *Endpoint) fromPeer(addr net.Addr, name []byte) bool {
-	if name != nil {
-		if !keyFromRaw(&e.keybuf, name) {
-			return false
-		}
-		return string(e.keybuf[:]) == e.peerKey
-	}
-	if ua, ok := addr.(*net.UDPAddr); ok {
-		keyFromUDP(&e.keybuf, ua)
-		return string(e.keybuf[:]) == e.peerKey
-	}
-	return addr.String() == e.peerKey
-}
 
 // Now returns the wall-clock time since the endpoint was created.
 func (e *Endpoint) Now() time.Duration { return time.Since(e.start) }
@@ -386,41 +392,35 @@ func (e *Endpoint) sendMangled(p *wire.Packet) error {
 	return e.flushControl(p)
 }
 
-// passTx records one datagram overtaking the held transmissions and writes
-// out any whose reorder depth is now satisfied. The in-place filter is a
-// single linear pass per overtake — no per-element slice deletes.
+// passTx records one datagram overtaking the held transmissions and queues
+// any whose reorder depth is now satisfied behind it in the frame ring.
 func (e *Endpoint) passTx() error {
-	if len(e.txHeld) == 0 {
-		return nil
-	}
-	keep := e.txHeld[:0]
-	var firstErr error
-	for i := range e.txHeld {
-		h := e.txHeld[i]
-		h.remaining--
-		if h.remaining <= 0 {
-			if err := e.ring.enqueueCopy(h.data); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		} else {
-			keep = append(keep, h)
-		}
-	}
-	e.txHeld = keep
-	return firstErr
+	e.txHeld, e.txDue = overtake(e.txHeld, e.txDue[:0])
+	return e.enqueueHeld(e.txDue)
 }
 
-// flushTx releases every held transmission, in hold order: the sender has
-// stopped transmitting (it is turning to listen, or closing), so a real
-// interface's queue would drain now.
+// flushTx releases every held transmission, in hold order, through the
+// frame ring and flushes it: the sender has stopped transmitting (it is
+// turning to listen, or closing), so a real interface's queue would drain
+// now.
 func (e *Endpoint) flushTx() error {
+	err := e.enqueueHeld(e.txHeld)
+	e.txHeld = e.txHeld[:0]
+	if ferr := e.ring.Flush(); err == nil {
+		err = ferr
+	}
+	return err
+}
+
+// enqueueHeld queues released transmissions behind whatever the frame ring
+// holds, in order, and returns the first failure.
+func (e *Endpoint) enqueueHeld(hs []heldFrame) error {
 	var firstErr error
-	for _, h := range e.txHeld {
-		if _, err := e.conn.WriteTo(h.data, e.peer); err != nil && firstErr == nil {
+	for _, h := range hs {
+		if err := e.ring.enqueueCopy(h.data); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	e.txHeld = e.txHeld[:0]
 	return firstErr
 }
 
@@ -451,39 +451,44 @@ func (e *Endpoint) Recv(timeout time.Duration) (*wire.Packet, error) {
 		if e.readyCount() > 0 {
 			return e.popReady(), nil
 		}
-		// The deadline is armed once, and only when the socket has to be
-		// read: a datagram already drained into the ring costs no clock
-		// read and no deadline change.
-		if !armed && (e.rx == nil || !e.rx.pending()) {
-			var deadline time.Time
-			if timeout >= 0 {
-				deadline = time.Now().Add(timeout)
+		if e.off >= len(e.cur) {
+			// The deadline is armed once, and only when the socket has to
+			// be read: a message already in the ring costs no clock read
+			// and no deadline change.
+			if !armed && !e.rx.pending() {
+				var deadline time.Time
+				if timeout >= 0 {
+					deadline = time.Now().Add(timeout)
+				}
+				if err := e.conn.SetReadDeadline(deadline); err != nil {
+					return nil, err
+				}
+				armed = true
 			}
-			if err := e.conn.SetReadDeadline(deadline); err != nil {
+			i, err := e.rx.take(e.conn, e.raw, &e.keybuf)
+			if err != nil {
+				if timeout != 0 && len(e.rxHeld) > 0 && core.IsTimeout(err) {
+					// A blocking listen went quiet with packets still held:
+					// they arrive late instead of never (holds delay, they
+					// do not lose). Zero-timeout polls do not release holds.
+					e.rxReady = append(e.rxReady, e.rxHeld...)
+					e.rxHeld = e.rxHeld[:0]
+					return e.popReady(), nil
+				}
 				return nil, err
 			}
-			armed = true
-		}
-		data, addr, name, err := e.readDatagram()
-		if err != nil {
-			if timeout != 0 && len(e.rxHeld) > 0 && core.IsTimeout(err) {
-				// A blocking listen went quiet with packets still held:
-				// they arrive late instead of never (holds delay, they do
-				// not lose). Zero-timeout polls do not release holds.
-				for _, h := range e.rxHeld {
-					e.rxReady = append(e.rxReady, h.pkt)
-				}
-				e.rxHeld = e.rxHeld[:0]
-				return e.popReady(), nil
+			// One message has one source, however many datagrams the
+			// kernel coalesced into it: checked once, skipped whole.
+			if string(e.keybuf[:]) != e.peerKey {
+				continue
 			}
-			return nil, err
+			e.cur, e.seg = e.rx.msg(i)
+			e.off = 0
 		}
+		data := splitSeg(e.cur, e.seg, &e.off)
 		pkt := &e.rxPkt
 		if derr := wire.DecodeInto(pkt, data); derr != nil {
 			continue // not ours / corrupted: the checksum did its job
-		}
-		if !e.fromPeer(addr, name) {
-			continue
 		}
 		var m params.Mangle
 		if e.MangleRx != nil {
@@ -511,7 +516,7 @@ func (e *Endpoint) Recv(timeout time.Duration) (*wire.Packet, error) {
 			// Queued across Recv calls: detach from the reused buffers.
 			out := pkt.Clone()
 			if m.Duplicate {
-				e.rxReady = append(e.rxReady, out.Clone())
+				e.rxReady = append(e.rxReady, heldFrame{pkt: out.Clone()})
 			}
 			if m.Hold > 0 {
 				// Existing holds are overtaken first; the new hold must not
@@ -531,41 +536,6 @@ func (e *Endpoint) Recv(timeout time.Duration) (*wire.Packet, error) {
 	}
 }
 
-// readDatagram returns the next raw datagram: a batch-drained one if
-// pending, otherwise one blocking socket read followed (when batching) by
-// an opportunistic recvmmsg drain of everything else already queued in the
-// kernel. Drained datagrams carry their raw source sockaddr in name; the
-// blocking read carries a net.Addr instead.
-func (e *Endpoint) readDatagram() (data []byte, addr net.Addr, name []byte, err error) {
-	if e.rx != nil && e.rx.pending() {
-		data, name = e.rx.pop()
-		return data, nil, name, nil
-	}
-	if e.gro && e.rx != nil {
-		// GRO tier: the blocking read itself is a recvmmsg-with-control, so
-		// a coalesced superbuffer arrives with its gso_size attached and pop
-		// splits it back into frames. Deadline and close semantics come from
-		// the raw read's wait, same as ReadFrom.
-		for {
-			if err := fillBatch(e.raw, e.rx); err != nil {
-				return nil, nil, nil, err
-			}
-			if e.rx.pending() {
-				data, name = e.rx.pop()
-				return data, nil, name, nil
-			}
-		}
-	}
-	n, a, err := e.conn.ReadFrom(e.rbuf)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if e.rx != nil {
-		e.rx.drain(e.raw)
-	}
-	return e.rbuf[:n], a, nil, nil
-}
-
 // readyCount reports how many packets are queued for delivery.
 func (e *Endpoint) readyCount() int { return len(e.rxReady) - e.rxReadyHead }
 
@@ -574,8 +544,8 @@ func (e *Endpoint) readyCount() int { return len(e.rxReady) - e.rxReadyHead }
 // queue, so draining n queued packets is O(n), not O(n²) — deep reorder
 // holds used to pay a full copy per pop.
 func (e *Endpoint) popReady() *wire.Packet {
-	pkt := e.rxReady[e.rxReadyHead]
-	e.rxReady[e.rxReadyHead] = nil
+	pkt := e.rxReady[e.rxReadyHead].pkt
+	e.rxReady[e.rxReadyHead] = heldFrame{}
 	e.rxReadyHead++
 	if e.rxReadyHead == len(e.rxReady) {
 		e.rxReady = e.rxReady[:0]
@@ -585,24 +555,8 @@ func (e *Endpoint) popReady() *wire.Packet {
 }
 
 // passRx records one arrival overtaking the held receptions; matured holds
-// queue for delivery on the next Recv calls. Like passTx, a single linear
-// pass with an in-place filter.
-func (e *Endpoint) passRx() {
-	if len(e.rxHeld) == 0 {
-		return
-	}
-	keep := e.rxHeld[:0]
-	for i := range e.rxHeld {
-		h := e.rxHeld[i]
-		h.remaining--
-		if h.remaining <= 0 {
-			e.rxReady = append(e.rxReady, h.pkt)
-		} else {
-			keep = append(keep, h)
-		}
-	}
-	e.rxHeld = keep
-}
+// queue for delivery on the next Recv calls.
+func (e *Endpoint) passRx() { e.rxHeld, e.rxReady = overtake(e.rxHeld, e.rxReady) }
 
 // SeededDrop returns a deterministic mangle hook losing packets with
 // probability p. Each returned function owns its generator, so install

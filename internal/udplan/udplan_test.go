@@ -2,12 +2,14 @@ package udplan
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"net"
 	"testing"
 	"time"
 
 	"blastlan/internal/core"
+	"blastlan/internal/params"
 	"blastlan/internal/wire"
 )
 
@@ -251,36 +253,126 @@ func TestServerRejectsUnknown(t *testing.T) {
 }
 
 // An endpoint talks to exactly one peer: it reports it, times out on a
-// silent socket, and skips valid datagrams from any other source.
+// silent socket, and skips valid datagrams from any other source — with
+// batching off and on.
 func TestEndpointFiltersOnPeer(t *testing.T) {
-	listen := func() net.PacketConn {
-		c, err := net.ListenPacket("udp", "127.0.0.1:0")
-		if err != nil {
-			t.Skipf("no loopback: %v", err)
-		}
-		t.Cleanup(func() { c.Close() })
-		return c
-	}
-	conn, peer, stranger := listen(), listen(), listen()
+	for _, batch := range []int{1, 32} {
+		t.Run(fmt.Sprintf("batch%d", batch), func(t *testing.T) {
+			conn, peer, stranger := listenUDP(t, 0), listenUDP(t, 0), listenUDP(t, 0)
 
-	e := NewEndpoint(conn, peer.LocalAddr())
-	if e.LocalAddr() == nil {
-		t.Error("no local addr")
+			e := NewEndpoint(conn, peer.LocalAddr())
+			e.SetBatch(batch)
+			if e.LocalAddr() == nil {
+				t.Error("no local addr")
+			}
+			if e.Peer().String() != peer.LocalAddr().String() {
+				t.Errorf("peer = %v, want %v", e.Peer(), peer.LocalAddr())
+			}
+			if _, err := e.Recv(10 * time.Millisecond); !core.IsTimeout(err) {
+				t.Errorf("recv on silent socket: %v", err)
+			}
+			buf, _ := (&wire.Packet{Type: wire.TypeAck, Trans: 1, Seq: 9}).Encode(nil)
+			stranger.WriteTo(buf, conn.LocalAddr())
+			if pkt, err := e.Recv(50 * time.Millisecond); !core.IsTimeout(err) {
+				t.Errorf("a stranger's datagram was delivered: %v, %v", pkt, err)
+			}
+			peer.WriteTo(buf, conn.LocalAddr())
+			if pkt, err := e.Recv(2 * time.Second); err != nil || pkt.Seq != 9 {
+				t.Errorf("the peer's datagram: %v, %v", pkt, err)
+			}
+		})
 	}
-	if e.Peer().String() != peer.LocalAddr().String() {
-		t.Errorf("peer = %v, want %v", e.Peer(), peer.LocalAddr())
-	}
-	if _, err := e.Recv(10 * time.Millisecond); !core.IsTimeout(err) {
-		t.Errorf("recv on silent socket: %v", err)
-	}
-	buf, _ := (&wire.Packet{Type: wire.TypeAck, Trans: 1, Seq: 9}).Encode(nil)
-	stranger.WriteTo(buf, conn.LocalAddr())
-	if pkt, err := e.Recv(50 * time.Millisecond); !core.IsTimeout(err) {
-		t.Errorf("a stranger's datagram was delivered: %v, %v", pkt, err)
-	}
-	peer.WriteTo(buf, conn.LocalAddr())
-	if pkt, err := e.Recv(2 * time.Second); err != nil || pkt.Seq != 9 {
-		t.Errorf("the peer's datagram: %v, %v", pkt, err)
+}
+
+// The client mirror of TestRxParityAcrossTiers: one seeded script — GSO
+// superbuffers of equal frames, a control datagram riding a burst's short
+// tail and one on its own, one bit-flipped segment mid-burst, a short
+// FlagLast tail, and a stranger's bursts interleaved — received by an
+// Endpoint at every tier of the ladder, batched and not. Whatever shape the
+// messages take on the way in (one coalesced superbuffer, or one datagram
+// each), every row must see the identical packet sequence: the peer's
+// script, in order, minus exactly the flipped segment, and nothing from the
+// stranger.
+func TestEndpointRxParityAcrossTiers(t *testing.T) {
+	for _, tier := range []Tier{TierGSO, TierMmsg, TierWriteTo} {
+		for _, batch := range []int{1, 32} {
+			t.Run(fmt.Sprintf("%s/batch%d", tier, batch), func(t *testing.T) {
+				conn := listenUDP(t, 4<<20)
+				peerConn, strangerConn := listenUDP(t, 0), listenUDP(t, 0)
+				e := NewEndpoint(conn, peerConn.LocalAddr())
+				e.MaxTier = tier
+				e.SetBatch(batch)
+				// Both senders ride the best tier the socket has, so the
+				// script leaves as superbuffers whatever the receiver is.
+				peer, stranger := NewEndpoint(peerConn, conn.LocalAddr()), NewEndpoint(strangerConn, conn.LocalAddr())
+				peer.SetBatch(32)
+				stranger.SetBatch(32)
+
+				const flipped = 17
+				peer.MangleTx = func(p *wire.Packet) params.Mangle {
+					if p.Type == wire.TypeData && p.Seq == flipped {
+						return params.Mangle{Corrupt: true, CorruptBit: 999}
+					}
+					return params.Mangle{}
+				}
+				var want []*wire.Packet
+				send := func(s *Endpoint, p *wire.Packet) {
+					t.Helper()
+					if err := s.Send(p); err != nil {
+						t.Fatal(err)
+					}
+					if s == peer && !(p.Type == wire.TypeData && p.Seq == flipped) {
+						want = append(want, p.Clone())
+					}
+				}
+				chunk := seededChunk
+				strangerBurst := func(from uint32) {
+					t.Helper()
+					for seq := from; seq < from+12; seq++ {
+						send(stranger, chunk(1, seq, 1000)) // the peer's own transfer id: only the source tells them apart
+					}
+					if err := stranger.FlushBatch(); err != nil {
+						t.Fatal(err)
+					}
+				}
+
+				for seq := uint32(0); seq < 40; seq++ { // a full ring, then 8 frames left queued
+					send(peer, chunk(1, seq, 1000))
+				}
+				send(peer, &wire.Packet{Type: wire.TypeAck, Trans: 1, Seq: 40}) // flushes behind the 8 queued frames: a short tail
+				strangerBurst(0)
+				send(peer, &wire.Packet{Type: wire.TypeAck, Trans: 1, Seq: 41}) // on its own: a one-datagram message
+				for seq := uint32(40); seq < 99; seq++ {
+					send(peer, chunk(1, seq, 1000))
+					if seq == 70 {
+						strangerBurst(40)
+					}
+				}
+				last := chunk(1, 99, 500)
+				last.Flags = wire.FlagLast
+				send(peer, last)
+
+				coalesced := false
+				for i := range want {
+					g, err := e.Recv(2 * time.Second)
+					if err != nil {
+						t.Fatalf("packet %d of %d: %v", i, len(want), err)
+					}
+					coalesced = coalesced || e.seg > 0
+					w := want[i]
+					if g.Type != w.Type || g.Seq != w.Seq || g.Trans != w.Trans ||
+						g.Flags != w.Flags || !bytes.Equal(g.Payload, w.Payload) {
+						t.Fatalf("packet %d: got type %d seq %d, want type %d seq %d", i, g.Type, g.Seq, w.Type, w.Seq)
+					}
+				}
+				if pkt, err := e.Recv(50 * time.Millisecond); !core.IsTimeout(err) {
+					t.Errorf("after the script: %v, %v; want silence", pkt, err)
+				}
+				if e.GRO() != coalesced {
+					t.Errorf("GRO %v, but a coalesced message arrived: %v", e.GRO(), coalesced)
+				}
+			})
+		}
 	}
 }
 
