@@ -35,9 +35,10 @@
 // machines is never throttled by the orchestrator's own link.
 //
 // Failures exit with a distinct code per class — 2 usage, 3 give-up (peer
-// silent), 4 busy (admission refused past the retry budget), 5 refused
-// range, 6 checksum mismatch — each announced by a one-line taxonomy tag on
-// stderr, so wrapping scripts can branch without parsing prose.
+// silent), 4 busy (admission refused past the retry budget, in every mode:
+// -pull, -get, -push and -copy alike), 5 refused range, 6 checksum mismatch
+// — each announced by a one-line taxonomy tag on stderr, so wrapping scripts
+// can branch without parsing prose.
 package main
 
 import (
@@ -64,7 +65,7 @@ import (
 const (
 	exitUsage    = 2 // bad flags or flag combinations
 	exitGiveUp   = 3 // peer silent: transfer abandoned after max attempts/resumes
-	exitBusy     = 4 // server refused admission (BUSY) past the retry budget
+	exitBusy     = 4 // server refused admission (BUSY) past the retry budget, any mode
 	exitRefused  = 5 // request shape refused: bad range, stripe or name
 	exitChecksum = 6 // transfer completed but its checksum differs from -sum
 )

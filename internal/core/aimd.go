@@ -3,7 +3,7 @@ package core
 import "time"
 
 // AIMD blast rate control — the "aimd" policy of the RateController
-// registry (ratecontrol.go).
+// table (ratecontrol.go).
 //
 // The paper fixes every transfer parameter — window, batch, retransmission
 // interval — at connection setup, which is exactly right for its matched
@@ -135,7 +135,7 @@ func (o WindowObs) lossy() bool {
 // ControllerStats summarises one transfer's controller trajectory — the
 // per-stripe stats feed surfaced in SendResult.
 type ControllerStats struct {
-	Policy      string        // registered policy name ("aimd", "bbr", ...)
+	Policy      string        // built-in policy name ("aimd", "bbr", ...)
 	Windows     int           // windows driven
 	Growths     int           // windows after which the window grew
 	Cuts        int           // windows after which the window shrank
@@ -145,7 +145,7 @@ type ControllerStats struct {
 }
 
 // Controller is the AIMD state machine — the "aimd" entry of the
-// RateController registry (ratecontrol.go). It is used from the sender's
+// RateController table (ratecontrol.go). It is used from the sender's
 // goroutine only, like everything else in a protocol engine.
 type Controller struct {
 	cfg       ControllerConfig

@@ -3,7 +3,7 @@ package core
 import "time"
 
 // Probing auto-tuner — the "autotune" policy of the RateController
-// registry, after Arslan & Kosar's heuristic protocol tuning: instead of a
+// table, after Arslan & Kosar's heuristic protocol tuning: instead of a
 // fixed control law, the controller searches the window × batch × pacing
 // space online. Time is divided into epochs of autotuneEpoch windows; each
 // epoch either measures the incumbent parameter set or trials a seeded

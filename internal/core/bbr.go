@@ -3,7 +3,7 @@ package core
 import "time"
 
 // Rate-based BBR-flavoured blast control — the "bbr" policy of the
-// RateController registry.
+// RateController table.
 //
 // AIMD reads loss as a congestion verdict and cuts the window every time,
 // which on a path with steady ~1% random loss (a radio hop, a cheap switch)

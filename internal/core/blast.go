@@ -69,7 +69,7 @@ func sendBlastControlled(env Env, c Config, async bool) (SendResult, error) {
 		return SendResult{}, err
 	}
 	// A controlled transfer subsumes AdaptiveTr: the fixed Tr only seeds
-	// the estimator (see adaptive.go).
+	// the estimator (see aimd.go).
 	c.AdaptiveTr = true
 	b := newBlastTx(env, c, async)
 	res := &b.res
@@ -300,9 +300,6 @@ func (b *blastTx) window(base, end, next int) error {
 // sync or async semantics.
 func sendData(env Env, c Config, res *SendResult, scratch *wire.Packet, seq, total, attempt int, last, async bool) error {
 	pkt := c.fillData(scratch, seq, total, attempt, last || seq == total-1)
-	if last {
-		pkt.Flags |= wire.FlagLast
-	}
 	var err error
 	if async {
 		err = env.SendAsync(pkt)
@@ -324,35 +321,28 @@ func sendData(env Env, c Config, res *SendResult, scratch *wire.Packet, seq, tot
 // covering the window arrived, (nak, false) when a NAK arrived, and
 // (nil, false) on timeout.
 func awaitBlastResponse(env Env, c Config, res *SendResult, end int, timeout time.Duration) (nak *wire.Packet, done bool) {
-	remaining := timeout
-	for remaining > 0 {
-		t0 := env.Now()
-		resp, err := env.Recv(remaining)
-		if err != nil {
-			res.Timeouts++
-			return nil, false
+	resp, err := awaitReply(env, timeout, func(p *wire.Packet) bool {
+		if p.Trans != c.TransferID {
+			return false
 		}
-		remaining -= env.Now() - t0
-		if resp.Trans != c.TransferID {
-			continue
-		}
-		switch resp.Type {
+		switch p.Type {
 		case wire.TypeAck:
 			res.AcksReceived++
-			if int(resp.Seq) >= end {
-				return nil, true
-			}
-			// Stale ack from an earlier window: keep waiting.
+			return int(p.Seq) >= end // else a stale ack from an earlier window
 		case wire.TypeNak:
 			res.NaksReceived++
-			if int(resp.Seq) >= end {
-				continue // nonsensical; ignore
-			}
-			return resp, false
+			return int(p.Seq) < end // else nonsensical
 		}
+		return false
+	})
+	if err != nil {
+		res.Timeouts++
+		return nil, false
 	}
-	res.Timeouts++
-	return nil, false
+	if resp.Type == wire.TypeNak {
+		return resp, false
+	}
+	return nil, true
 }
 
 // nakMissing extracts the selective missing set from a NAK, decoding the
@@ -447,25 +437,11 @@ func recvBlast(env Env, c Config) (RecvResult, error) {
 		if pkt.Trans != c.TransferID {
 			continue
 		}
-		if pkt.Type == wire.TypeBusy {
-			// Admission refusal: the server will not serve this session.
-			// Not a timeout, so Request surfaces it to the caller at once.
-			// Ignored once data has flowed — by then we were admitted, and
-			// the BUSY is a straggler from an earlier refused REQ.
-			if res.DataPackets == 0 {
+		if pkt.Type != wire.TypeData {
+			if err := receiverControl(env, c, pkt, res.DataPackets > 0); err != nil {
 				res.Elapsed = env.Now() - start
-				return res, busyErrorOf(pkt)
-			}
-			continue
-		}
-		if pkt.Type == wire.TypeReq {
-			// Retransmitted push announcement: our go-ahead was lost.
-			if err := env.Send(goAhead(c)); err != nil {
 				return res, err
 			}
-			continue
-		}
-		if pkt.Type != wire.TypeData {
 			continue
 		}
 		res.DataPackets++
@@ -477,16 +453,14 @@ func recvBlast(env Env, c Config) (RecvResult, error) {
 		} else {
 			res.Duplicates++
 		}
-		if pkt.IsLast() {
-			if reply := respond(pkt); reply != nil {
-				if err := env.Send(reply); err != nil {
-					return res, err
-				}
-				if reply.Type == wire.TypeAck {
-					res.AcksSent++
-				} else {
-					res.NaksSent++
-				}
+		if reply := respond(pkt); reply != nil {
+			if err := env.Send(reply); err != nil {
+				return res, err
+			}
+			if reply.Type == wire.TypeAck {
+				res.AcksSent++
+			} else {
+				res.NaksSent++
 			}
 		}
 	}

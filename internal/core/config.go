@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"blastlan/internal/params"
@@ -135,11 +134,11 @@ type Config struct {
 	Window int
 
 	// Controller names the rate-control policy that drives a blast transfer
-	// instead of the fixed Window: a registered RateController factory
-	// ("aimd", "bbr", "autotune"; see ratecontrol.go) whose window size,
-	// syscall batch and pacing react to observed NAKs, retransmissions and
-	// timeouts, with the retransmission interval learned online (AdaptiveTr
-	// is implied). Window, when set, seeds the controller's initial window.
+	// instead of the fixed Window: one of the built-in RateController
+	// policies ("aimd", "bbr", "autotune"; see ratecontrol.go) whose window
+	// size, syscall batch and pacing react to observed NAKs, retransmissions
+	// and timeouts, with the retransmission interval learned online
+	// (AdaptiveTr is implied). Window, when set, seeds the controller's initial window.
 	// Empty runs the fixed schedule. Unknown names are rejected by
 	// ValidateConfig. Ignored by StopAndWait and SlidingWindow.
 	Controller string
@@ -199,8 +198,8 @@ type Config struct {
 
 	// surfaceBusy makes Request return a server's BUSY refusal to the
 	// caller immediately instead of honoring the retry-after hint inside
-	// its own attempt loop. Set by PullResume, which owns the backoff
-	// policy (jitter, budgets, stats) and must observe every refusal.
+	// the ask loop. Set by PullResume, which owns the backoff policy
+	// (jitter, budgets, stats) and must observe every refusal.
 	surfaceBusy bool
 }
 
@@ -263,11 +262,8 @@ func (c Config) withDefaults() (Config, error) {
 	if err := c.validateStripe(); err != nil {
 		return c, err
 	}
-	if c.Controller != "" {
-		if _, ok := controllerRegistry[c.Controller]; !ok {
-			return c, fmt.Errorf("%w: unknown controller %q (registered: %s)",
-				ErrBadConfig, c.Controller, strings.Join(ControllerNames(), ", "))
-		}
+	if c.Controller != "" && controllerIndex(c.Controller) < 0 {
+		return c, unknownController(c.Controller)
 	}
 	if c.Name != "" && !wire.ValidReqName(c.Name) {
 		return c, fmt.Errorf("%w: Name %q does not fit the request encoding", ErrBadConfig, c.Name)

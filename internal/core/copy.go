@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -36,28 +35,21 @@ const copyProgressQuantum = 1 << 20
 // maxCopyErrLen bounds the error text a failure NAK carries.
 const maxCopyErrLen = 200
 
-// copyProgressPacket reports bytes moved so far. It is distinguishable
-// from every other session packet: transfer acks carry no payload, stat
-// and copy replies set FlagDone.
+// copyProgressPacket reports bytes moved so far: a stat reply without
+// FlagDone. It is distinguishable from every other session packet: transfer
+// acks carry no payload, stat and copy replies set FlagDone.
 func copyProgressPacket(trans uint32, seq uint32, bytes int64) *wire.Packet {
-	payload := make([]byte, 8)
-	binary.BigEndian.PutUint64(payload, uint64(bytes))
-	return &wire.Packet{
-		Type:        wire.TypeAck,
-		Trans:       trans,
-		Seq:         seq,
-		Payload:     payload,
-		VirtualSize: params.AckPacketSize,
-	}
+	p := StatReply(trans, bytes)
+	p.Seq, p.Flags = seq, 0
+	return p
 }
 
 // copyProgress recognises a progress ack for the given transfer id.
 func copyProgress(p *wire.Packet, trans uint32) (int64, bool) {
-	if p.Type != wire.TypeAck || p.Trans != trans ||
-		p.Flags&wire.FlagDone != 0 || len(p.Payload) != 8 {
+	if p.Flags&wire.FlagDone != 0 {
 		return 0, false
 	}
-	return int64(binary.BigEndian.Uint64(p.Payload)), true
+	return countAck(p, trans)
 }
 
 // copyFailPacket reports a failed copy with its error text. A NAK on a
@@ -99,14 +91,19 @@ func validCopyTarget(target string) bool {
 	return true
 }
 
+// copyAnswer recognises A's answer to a copy REQ for the given transfer id:
+// a progress ack, the final reply or the failure NAK.
+func copyAnswer(p *wire.Packet, trans uint32) bool {
+	_, progress := copyProgress(p, trans)
+	_, final := statSize(p, trans)
+	return progress || final || p.Type == wire.TypeNak && p.Trans == trans
+}
+
 // Copy asks the serving side to push the named object to target and waits
 // for the outcome, reporting intermediate progress through onProgress
 // (which may be nil). cfg supplies the transfer id, retransmit timeout and
-// attempt bound, exactly as for Stat; Bytes may be zero. A BUSY refusal is
-// honored as Stat honors it: sleep the server's retry-after hint, then ask
-// again. When every attempt was refused the error is both ErrGiveUp and the
-// last *BusyError. The returned count is the server's byte total for the
-// completed copy.
+// attempt bound, as for Stat; Bytes may be zero. The returned count is the
+// server's byte total for the completed copy.
 func Copy(env Env, cfg Config, name, target string, onProgress func(int64)) (int64, error) {
 	if !wire.ValidReqName(name) {
 		return 0, fmt.Errorf("%w: object name %q does not fit the request encoding", ErrBadConfig, name)
@@ -114,94 +111,39 @@ func Copy(env Env, cfg Config, name, target string, onProgress func(int64)) (int
 	if !validCopyTarget(target) {
 		return 0, fmt.Errorf("%w: copy target %q does not fit the request encoding", ErrBadConfig, target)
 	}
-	tr := cfg.RetransTimeout
-	if tr <= 0 {
-		tr = 100 * time.Millisecond
+	c := cfg.controlDefaults()
+	answer := func(p *wire.Packet) bool { return copyAnswer(p, c.TransferID) }
+	req := c.reqPacket(wire.Req{Copy: true, Name: name, Target: target, TrMicros: uint64(c.RetransTimeout / time.Microsecond)})
+	resp, err := askFor(env, &c, req, 4*c.RetransTimeout, answer)
+	if err != nil {
+		return 0, fmt.Errorf("copy %q to %s: %w", name, target, err)
 	}
-	attempts := cfg.MaxAttempts
-	if attempts <= 0 {
-		attempts = 10
-	}
-	size := cfg.AckSize
-	if size <= 0 {
-		size = params.AckPacketSize
-	}
-	// Once A has acknowledged the ask, patience stretches to the receiver's
-	// idle bound: the copy itself can be long, and silence only means A is
-	// between progress quanta (retransmitting to B, say) — the same reason
-	// a data receiver waits ReceiverIdle for an incomplete transfer.
-	patience := cfg.ReceiverIdle
-	if patience <= 0 {
-		patience = 64*tr + 10*time.Second
-	}
-	req := &wire.Packet{
-		Type:  wire.TypeReq,
-		Trans: cfg.TransferID,
-		Payload: wire.EncodeReq(wire.Req{
-			Copy:     true,
-			Name:     name,
-			Target:   target,
-			TrMicros: uint64(tr / time.Microsecond),
-		}),
-		VirtualSize: size,
-	}
-	accepted := false
-	var busy *BusyError // the last refusal
-	refusals := 0
-	for attempt := 0; attempt < attempts; attempt++ {
-		if !accepted {
-			if err := env.Send(req); err != nil {
+	for {
+		if resp.Type == wire.TypeNak {
+			return 0, &RemoteCopyError{Msg: string(resp.Payload)}
+		}
+		if n, ok := statSize(resp, c.TransferID); ok {
+			return n, nil
+		}
+		if onProgress != nil {
+			n, _ := copyProgress(resp, c.TransferID)
+			onProgress(n)
+		}
+		// Once A has acknowledged the ask, patience stretches to the
+		// receiver's idle bound: the copy itself can be long, and silence
+		// only means A is between progress quanta (retransmitting to B, say)
+		// — the same reason a data receiver waits ReceiverIdle for an
+		// incomplete transfer.
+		if resp, err = awaitReply(env, c.receiverIdle(), answer); err != nil {
+			if !IsTimeout(err) {
 				return 0, err
 			}
-		}
-		remaining := 4 * tr
-		if accepted {
-			remaining = patience
-		}
-		for remaining > 0 {
-			t0 := env.Now()
-			resp, err := env.Recv(remaining)
-			if err != nil {
-				if IsTimeout(err) {
-					break // re-request (or, once accepted, give up below)
-				}
-				return 0, err
-			}
-			remaining -= env.Now() - t0
-			if resp.Type == wire.TypeBusy && resp.Trans == cfg.TransferID {
-				// Refused at admission: honor the server's hint and ask
-				// again, exactly as Stat does, instead of giving up on a
-				// server that only said not yet.
-				busy = busyErrorOf(resp)
-				refusals++
-				sleepOn(env, busy.wait(tr))
-				break // re-request
-			}
-			if resp.Type == wire.TypeNak && resp.Trans == cfg.TransferID {
-				return 0, &RemoteCopyError{Msg: string(resp.Payload)}
-			}
-			if n, ok := statSize(resp, cfg.TransferID); ok {
-				return n, nil
-			}
-			if n, ok := copyProgress(resp, cfg.TransferID); ok {
-				accepted = true
-				remaining = patience
-				if onProgress != nil {
-					onProgress(n)
-				}
-			}
-		}
-		if accepted {
 			// A went quiet for a whole patience window after accepting:
 			// re-asking cannot help (the session is gone), so report the
 			// abandoned copy rather than spinning the attempt budget.
 			return 0, fmt.Errorf("copy %q to %s: lost contact mid-copy: %w", name, target, ErrGiveUp)
 		}
 	}
-	if refusals == attempts {
-		return 0, fmt.Errorf("copy %q to %s: refused %d times: %w: %w", name, target, refusals, ErrGiveUp, busy)
-	}
-	return 0, fmt.Errorf("copy %q to %s: %w", name, target, ErrGiveUp)
 }
 
 // ServeCopy runs the serving side of a third-party copy session: it emits
@@ -211,13 +153,9 @@ func Copy(env Env, cfg Config, name, target string, onProgress func(int64)) (int
 // duplicate REQs idempotently. The returned count and error mirror run's.
 func ServeCopy(env Env, cfg Config, run func(progress func(int64)) (int64, error)) (int64, error) {
 	trans := cfg.TransferID
-	tr := cfg.RetransTimeout
-	if tr <= 0 {
-		tr = 100 * time.Millisecond
-	}
 	linger := cfg.Linger
 	if linger <= 0 {
-		linger = 2*tr + 100*time.Millisecond
+		linger = 2*cfg.controlDefaults().RetransTimeout + 100*time.Millisecond
 	}
 	// The accepting ack: progress 0. Stops the orchestrator's REQ loop.
 	seq := uint32(1)
@@ -245,17 +183,11 @@ func ServeCopy(env Env, cfg Config, run func(progress func(int64)) (int64, error
 	}
 	// Idempotent linger: a duplicate REQ (the final reply was lost) earns
 	// the same reply again.
-	remaining := linger
-	for remaining > 0 {
-		t0 := env.Now()
-		pkt, rerr := env.Recv(remaining)
-		if rerr != nil {
-			break
-		}
-		remaining -= env.Now() - t0
+	awaitReply(env, linger, func(pkt *wire.Packet) bool {
 		if pkt.Type == wire.TypeReq {
 			_ = env.Send(final)
 		}
-	}
+		return false
+	})
 	return bytes, err
 }

@@ -4,22 +4,34 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"os"
 	"time"
 
 	"blastlan/internal/params"
 	"blastlan/internal/wire"
 )
 
-// This file implements the request handshake that precedes a pulled
-// transfer: the paper's MoveFrom, where the destination machine asks the
-// data's owner to blast it over (§2). The REQ packet carries every
-// parameter both sides must agree on — it is the stand-in for the V IPC
-// message exchange that guarantees "the recipient has sufficient buffers
-// allocated to receive the data prior to the transfer".
+// This file holds the one conversation every transfer opens with: a REQ,
+// re-sent on silence until its answer comes, the way the paper sends a
+// window's last packet "reliably" (§3.2.3). The REQ is the paper's
+// MoveFrom/MoveTo request (§2) and carries every parameter both sides must
+// agree on — the stand-in for the V IPC message exchange that guarantees
+// "the recipient has sufficient buffers allocated to receive the data prior
+// to the transfer". Four requests share the one ask loop and differ only in
+// the answer they wait for and how long each attempt waits:
+//
+//	Request   the transfer's data, taken by the receiver   4·Tr
+//	Stat      a stat reply (StatReply)                      4·Tr
+//	Push      the go-ahead (goAhead)                        Tr
+//	Copy      a copy progress ack, final reply or NAK       4·Tr
+//
+// A BUSY for the transfer is the server's admission refusal: the loop
+// sleeps its retry-after hint and asks again, and a request refused on every
+// attempt fails as both ErrGiveUp and the last *BusyError.
 
 // ReqOf encodes a transfer configuration as a request payload. The
-// rate-control policy rides as its registered wire id; a policy registered
-// without an id encodes as the AIMD id.
+// rate-control policy rides as its wire id; an unknown policy name encodes
+// as the AIMD id.
 func ReqOf(c Config, push bool) wire.Req {
 	chunk := c.ChunkSize
 	if chunk == 0 {
@@ -48,9 +60,9 @@ func ReqOf(c Config, push bool) wire.Req {
 
 // ConfigOf reconstructs a transfer configuration from a request. The
 // returned config has no payload; the serving side attaches its data. The
-// policy byte resolves through the controller registry — an id this build
-// does not know degrades to AIMD (see ControllerNameOf), so a newer
-// client's request is served rather than refused.
+// policy byte resolves through the policy table — an id this build does not
+// know degrades to AIMD (see ControllerNameOf), so a newer client's request
+// is served rather than refused.
 func ConfigOf(transferID uint32, r wire.Req) Config {
 	return Config{
 		TransferID:     transferID,
@@ -67,67 +79,124 @@ func ConfigOf(transferID uint32, r wire.Req) Config {
 	}
 }
 
-// reqPacket builds the REQ packet for cfg. Like all control packets it
+// reqPacket wraps request r for c's transfer. Like all control packets it
 // occupies AckSize bytes on a simulated wire.
-func reqPacket(c Config, push bool) *wire.Packet {
-	size := c.AckSize
-	if size == 0 {
-		size = params.AckPacketSize
-	}
+func (c *Config) reqPacket(r wire.Req) *wire.Packet {
 	return &wire.Packet{
 		Type:        wire.TypeReq,
 		Trans:       c.TransferID,
-		Payload:     wire.EncodeReq(ReqOf(c, push)),
-		VirtualSize: size,
+		Payload:     wire.EncodeReq(r),
+		VirtualSize: c.AckSize,
 	}
 }
 
+// ask holds one request exchange: it sends req, then lets wait spend up to
+// patience on the answer, up to c.MaxAttempts times. wait returns nil once
+// answered, a timeout error on silence (req is re-sent) and a *BusyError on a
+// refusal, which ask honours by sleeping the server's hint before asking
+// again — unless c.surfaceBusy hands the refusal to the caller. Any other
+// error ends the exchange.
+func ask(env Env, c *Config, req *wire.Packet, patience time.Duration, wait func(patience time.Duration) error) error {
+	var last *BusyError
+	refusals := 0
+	for attempt := 0; attempt < c.MaxAttempts; attempt++ {
+		if err := env.Send(req); err != nil {
+			return err
+		}
+		err := wait(patience)
+		if err == nil {
+			return nil
+		}
+		var busy *BusyError
+		switch {
+		case errors.As(err, &busy):
+			if c.surfaceBusy {
+				return err
+			}
+			last = busy
+			refusals++
+			sleepOn(env, busy.wait(c.RetransTimeout))
+		case !IsTimeout(err):
+			return err
+		}
+	}
+	if refusals == c.MaxAttempts {
+		return fmt.Errorf("refused %d times: %w: %w", refusals, ErrGiveUp, last)
+	}
+	return ErrGiveUp
+}
+
+// askFor holds an exchange whose answer is one packet: the first that answer
+// accepts, returned valid until the next Recv. A BUSY for c's transfer is the
+// refusal ask honours.
+func askFor(env Env, c *Config, req *wire.Packet, patience time.Duration, answer func(*wire.Packet) bool) (*wire.Packet, error) {
+	var got *wire.Packet
+	err := ask(env, c, req, patience, func(patience time.Duration) error {
+		pkt, err := awaitReply(env, patience, func(p *wire.Packet) bool {
+			return p.Type == wire.TypeBusy && p.Trans == c.TransferID || answer(p)
+		})
+		if err != nil {
+			return err
+		}
+		if pkt.Type == wire.TypeBusy {
+			return busyErrorOf(pkt)
+		}
+		got = pkt
+		return nil
+	})
+	return got, err
+}
+
+// awaitReply is the engines' one bounded wait: it receives until answer
+// accepts a packet, charging each Recv's elapsed time against budget. It
+// returns the accepted packet (valid until the next Recv), or the error that
+// ended the wait — the Recv's own, or os.ErrDeadlineExceeded once the budget
+// is spent on packets answer passed over.
+func awaitReply(env Env, budget time.Duration, answer func(*wire.Packet) bool) (*wire.Packet, error) {
+	remaining := budget
+	for remaining > 0 {
+		t0 := env.Now()
+		pkt, err := env.Recv(remaining)
+		if err != nil {
+			return nil, err
+		}
+		remaining -= env.Now() - t0
+		if answer(pkt) {
+			return pkt, nil
+		}
+	}
+	return nil, os.ErrDeadlineExceeded
+}
+
 // Request asks the peer to blast the configured transfer to us and receives
-// it. The REQ is retransmitted on silence (it, too, can be lost) up to
-// Config.MaxAttempts times.
+// it. Each attempt's receiver gives up after 4·Tr of silence, so a lost REQ
+// is re-sent promptly (up to Config.MaxAttempts times): the first data
+// packet should arrive within a round trip once the REQ lands.
 func Request(env Env, cfg Config) (RecvResult, error) {
 	c, err := cfg.withDefaults()
 	if err != nil {
 		return RecvResult{}, err
 	}
-	// Bound each receive attempt so a lost REQ retries promptly: the first
-	// data packet should arrive within a round trip once the REQ lands.
-	attemptIdle := 4 * c.RetransTimeout
 	// Counters accumulate across attempts, so even a failed request reports
 	// every packet that actually crossed the wire — the resume layer's
 	// recovery accounting depends on partial sessions not vanishing.
-	var acc RecvResult
-	for attempt := 0; attempt < c.MaxAttempts; attempt++ {
-		req := reqPacket(c, false)
-		if err := env.Send(req); err != nil {
-			return acc, err
-		}
+	var acc, res RecvResult
+	err = ask(env, &c, c.reqPacket(ReqOf(c, false)), 4*c.RetransTimeout, func(patience time.Duration) error {
 		probe := c
-		probe.ReceiverIdle = attemptIdle
-		res, err := RunReceiver(env, probe)
+		probe.ReceiverIdle = patience
+		var err error
+		res, err = RunReceiver(env, probe)
 		addRecv(&acc, res)
-		if err == nil {
-			res.DataPackets, res.Duplicates = acc.DataPackets, acc.Duplicates
-			res.AcksSent, res.NaksSent = acc.AcksSent, acc.NaksSent
-			res.LingerEvents = acc.LingerEvents
-			res.LingerAcks, res.LingerNaks = acc.LingerAcks, acc.LingerNaks
-			return res, nil
-		}
-		var busy *BusyError
-		if errors.As(err, &busy) && !c.surfaceBusy {
-			// Refused at admission. Honor the server's hint and ask again —
-			// the attempt-loop equivalent of the old silent-drop recovery,
-			// but without burning REQ rounds against a server that already
-			// said no. Callers that manage their own backoff (PullResume)
-			// set surfaceBusy and see the refusal instead.
-			sleepOn(env, busy.wait(c.RetransTimeout))
-			continue
-		}
-		if !IsTimeout(err) {
-			return acc, err
-		}
+		return err
+	})
+	if err != nil {
+		return acc, fmt.Errorf("request for transfer %d: %w", c.TransferID, err)
 	}
-	return acc, fmt.Errorf("request for transfer %d: %w", cfg.TransferID, ErrGiveUp)
+	res.DataPackets, res.Duplicates = acc.DataPackets, acc.Duplicates
+	res.AcksSent, res.NaksSent = acc.AcksSent, acc.NaksSent
+	res.LingerEvents = acc.LingerEvents
+	res.LingerAcks, res.LingerNaks = acc.LingerAcks, acc.LingerNaks
+	return res, nil
 }
 
 // sleepOn idles between request attempts on the env's own clock when it has
@@ -158,10 +227,9 @@ func Busy(trans uint32, retryAfter time.Duration) *wire.Packet {
 }
 
 // BusyError reports that the server refused a request with a BUSY reply.
-// RetryAfter is the server's back-off hint; Request surfaces the error
-// immediately (it is not a timeout), so callers — PullResume, the striped
-// repair path — can honor the hint instead of burning REQ retransmissions
-// against a server that has already said no.
+// RetryAfter is the server's back-off hint. The ask loop honours it; a
+// request refused on every attempt fails with the last refusal, and
+// PullResume, which owns its own back-off, sees every refusal at once.
 type BusyError struct {
 	RetryAfter time.Duration
 }
@@ -203,73 +271,56 @@ func StatReply(trans uint32, size int64) *wire.Packet {
 
 // statSize recognises a stat reply for the given transfer id.
 func statSize(p *wire.Packet, trans uint32) (int64, bool) {
-	if p.Type != wire.TypeAck || p.Trans != trans ||
-		p.Flags&wire.FlagDone == 0 || len(p.Payload) != 8 {
+	if p.Flags&wire.FlagDone == 0 {
+		return 0, false
+	}
+	return countAck(p, trans)
+}
+
+// countAck decodes the 8-byte count an ack for trans carries: a stat
+// reply's size, or a copy's progress.
+func countAck(p *wire.Packet, trans uint32) (int64, bool) {
+	if p.Type != wire.TypeAck || p.Trans != trans || len(p.Payload) != 8 {
 		return 0, false
 	}
 	return int64(binary.BigEndian.Uint64(p.Payload)), true
 }
 
+// controlDefaults fills in what a control exchange (Stat, Copy) needs of
+// cfg when the caller left it unset: Tr 100 ms, 10 attempts and the ack
+// size. Unlike withDefaults it checks no transfer: Bytes may be zero.
+func (c Config) controlDefaults() Config {
+	if c.RetransTimeout <= 0 {
+		c.RetransTimeout = 100 * time.Millisecond
+	}
+	if c.MaxAttempts <= 0 {
+		c.MaxAttempts = 10
+	}
+	if c.AckSize <= 0 {
+		c.AckSize = params.AckPacketSize
+	}
+	return c
+}
+
 // Stat asks the serving side for the size of the named object, so a pull —
-// striped or not — can size its REQ exactly. Like any request the stat REQ
-// is retransmitted on silence, and after the server's retry-after hint when
-// it answers BUSY; cfg supplies the transfer id, retransmit timeout, attempt
-// bound and ack size (Bytes may be zero — no transfer starts, and the
-// session stays open for the pull that follows).
+// striped or not — can size its REQ exactly. cfg supplies the transfer id,
+// retransmit timeout, attempt bound and ack size (Bytes may be zero — no
+// transfer starts, and the session stays open for the pull that follows).
 func Stat(env Env, cfg Config, name string) (int64, error) {
 	if !wire.ValidReqName(name) {
 		return 0, fmt.Errorf("%w: object name %q does not fit the request encoding", ErrBadConfig, name)
 	}
-	tr := cfg.RetransTimeout
-	if tr <= 0 {
-		tr = 100 * time.Millisecond
+	c := cfg.controlDefaults()
+	req := c.reqPacket(wire.Req{Stat: true, Name: name, TrMicros: uint64(c.RetransTimeout / time.Microsecond)})
+	reply, err := askFor(env, &c, req, 4*c.RetransTimeout, func(p *wire.Packet) bool {
+		_, ok := statSize(p, c.TransferID)
+		return ok
+	})
+	if err != nil {
+		return 0, fmt.Errorf("stat %q: %w", name, err)
 	}
-	attempts := cfg.MaxAttempts
-	if attempts <= 0 {
-		attempts = 10
-	}
-	size := cfg.AckSize
-	if size <= 0 {
-		size = params.AckPacketSize
-	}
-	req := &wire.Packet{
-		Type:  wire.TypeReq,
-		Trans: cfg.TransferID,
-		Payload: wire.EncodeReq(wire.Req{
-			Stat:     true,
-			Name:     name,
-			TrMicros: uint64(tr / time.Microsecond),
-		}),
-		VirtualSize: size,
-	}
-	for attempt := 0; attempt < attempts; attempt++ {
-		if err := env.Send(req); err != nil {
-			return 0, err
-		}
-		remaining := 4 * tr
-		for remaining > 0 {
-			t0 := env.Now()
-			resp, err := env.Recv(remaining)
-			if err != nil {
-				if IsTimeout(err) {
-					break // re-request
-				}
-				return 0, err
-			}
-			remaining -= env.Now() - t0
-			if n, ok := statSize(resp, cfg.TransferID); ok {
-				return n, nil
-			}
-			if resp.Type == wire.TypeBusy && resp.Trans == cfg.TransferID {
-				// Refused at admission: honor the server's hint and ask
-				// again, exactly as Request does, instead of waiting out
-				// the rest of 4*Tr against a server that already said no.
-				sleepOn(env, busyErrorOf(resp).wait(tr))
-				break // re-request
-			}
-		}
-	}
-	return 0, fmt.Errorf("stat %q: %w", name, ErrGiveUp)
+	size, _ := statSize(reply, c.TransferID)
+	return size, nil
 }
 
 // goAhead builds the handshake acknowledgement for a push request: a
@@ -284,42 +335,19 @@ func isGoAhead(p *wire.Packet, trans uint32) bool {
 
 // Push announces a sender-initiated transfer (the paper's MoveTo over a
 // shared medium where the peer must first set up the pre-allocated buffer),
-// waits for the receiver's go-ahead, and then runs the sender. The REQ is
-// retransmitted on silence, and after the server's retry-after hint when it
-// answers BUSY, up to Config.MaxAttempts times.
+// waits up to Tr per attempt for the receiver's go-ahead, and then runs the
+// sender.
 func Push(env Env, cfg Config) (SendResult, error) {
 	c, err := cfg.withDefaults()
 	if err != nil {
 		return SendResult{}, err
 	}
-	for attempt := 0; attempt < c.MaxAttempts; attempt++ {
-		if err := env.Send(reqPacket(c, true)); err != nil {
-			return SendResult{}, err
-		}
-		remaining := c.RetransTimeout
-		for remaining > 0 {
-			t0 := env.Now()
-			resp, err := env.Recv(remaining)
-			if err != nil {
-				if IsTimeout(err) {
-					break // re-announce
-				}
-				return SendResult{}, err
-			}
-			remaining -= env.Now() - t0
-			if isGoAhead(resp, c.TransferID) {
-				return RunSender(env, c)
-			}
-			if resp.Type == wire.TypeBusy && resp.Trans == c.TransferID {
-				// Refused at admission: honor the server's hint and announce
-				// again, exactly as Request and Stat do, instead of waiting
-				// out the rest of Tr against a server that already said no.
-				sleepOn(env, busyErrorOf(resp).wait(c.RetransTimeout))
-				break // re-announce
-			}
-		}
+	if _, err := askFor(env, &c, c.reqPacket(ReqOf(c, true)), c.RetransTimeout, func(p *wire.Packet) bool {
+		return isGoAhead(p, c.TransferID)
+	}); err != nil {
+		return SendResult{}, fmt.Errorf("push announce for transfer %d: %w", c.TransferID, err)
 	}
-	return SendResult{}, fmt.Errorf("push announce for transfer %d: %w", cfg.TransferID, ErrGiveUp)
+	return RunSender(env, c)
 }
 
 // AcceptPush answers an accepted push request with the go-ahead and runs
@@ -336,18 +364,13 @@ func AcceptPush(env Env, cfg Config) (RecvResult, error) {
 	return RunReceiver(env, c)
 }
 
-// ServeOnce waits up to idle (negative = forever) for a REQ packet, asks
+// ServeOnceID waits up to idle (negative = forever) for a REQ packet, asks
 // accept for the matching transfer configuration, and returns it so the
-// caller can run the sender side. accept returning false rejects the
-// request and keeps waiting; malformed requests are ignored.
-func ServeOnce(env Env, idle time.Duration, accept func(wire.Req) (Config, bool)) (Config, error) {
-	return ServeOnceID(env, idle, func(r wire.Req, _ uint32) (Config, bool) { return accept(r) })
-}
-
-// ServeOnceID is ServeOnce with the REQ packet's transfer id passed to
-// accept, so handlers that answer control exchanges from inside the accept
-// hook (a stat reply, say) can address the reply to the requesting
-// transfer before rejecting the REQ to keep the session open.
+// caller can run its side of the transfer. accept sees the REQ packet's
+// transfer id, so a handler that answers a control exchange from inside the
+// hook (a stat reply, say) can address the reply to the requesting transfer
+// before rejecting the REQ to keep the session open. accept returning false
+// rejects the request and keeps waiting; malformed requests are ignored.
 func ServeOnceID(env Env, idle time.Duration, accept func(r wire.Req, trans uint32) (Config, bool)) (Config, error) {
 	for {
 		pkt, err := env.Recv(idle)

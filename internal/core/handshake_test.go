@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"os"
+	"slices"
 	"testing"
 	"time"
 
@@ -47,219 +49,145 @@ func (e *scriptEnv) SleepFor(d time.Duration) {
 	e.now += d
 }
 
-// Stat honors a BUSY refusal the way Request does: it sleeps the server's
-// retry-after hint (Tr when the hint is empty) and asks again at once,
-// instead of waiting out the rest of 4*Tr; a BUSY for some other transfer
-// is not a refusal; and a server that only ever says BUSY costs exactly
-// MaxAttempts requests.
-func TestStatHonorsBusy(t *testing.T) {
-	const tr = 100 * time.Millisecond
-	cfg := Config{TransferID: 7, RetransTimeout: tr, MaxAttempts: 3}
-	for _, tc := range []struct {
-		name     string
-		replies  []*wire.Packet
-		wantSize int64
-		wantErr  error
-		wantSent int
-		wantNaps []time.Duration
-		wantNow  time.Duration
-	}{
-		{
-			name:     "busy then reply",
-			replies:  []*wire.Packet{Busy(7, 40*time.Millisecond), StatReply(7, 12345)},
-			wantSize: 12345, wantSent: 2,
-			wantNaps: []time.Duration{40 * time.Millisecond}, wantNow: 40 * time.Millisecond,
-		},
-		{
-			name:     "empty hint sleeps Tr",
-			replies:  []*wire.Packet{Busy(7, 0), StatReply(7, 9)},
-			wantSize: 9, wantSent: 2,
-			wantNaps: []time.Duration{tr}, wantNow: tr,
-		},
-		{
-			name:     "another transfer's busy is ignored",
-			replies:  []*wire.Packet{Busy(8, 40*time.Millisecond), StatReply(7, 5)},
-			wantSize: 5, wantSent: 2,
-			wantNow: 4 * tr, // silence as far as transfer 7 is concerned
-		},
-		{
-			name:     "always busy gives up after MaxAttempts",
-			replies:  []*wire.Packet{Busy(7, time.Millisecond), Busy(7, time.Millisecond), Busy(7, time.Millisecond), StatReply(7, 1)},
-			wantErr:  ErrGiveUp,
-			wantSent: 3,
-			wantNaps: []time.Duration{time.Millisecond, time.Millisecond, time.Millisecond}, wantNow: 3 * time.Millisecond,
-		},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			env := &scriptEnv{replies: tc.replies}
-			size, err := Stat(env, cfg, "obj")
-			if !errors.Is(err, tc.wantErr) || size != tc.wantSize {
-				t.Fatalf("Stat = %d, %v; want %d, %v", size, err, tc.wantSize, tc.wantErr)
-			}
-			if env.sent != tc.wantSent {
-				t.Errorf("sent %d stat REQs, want %d", env.sent, tc.wantSent)
-			}
-			if len(env.slept) != len(tc.wantNaps) {
-				t.Fatalf("slept %v, want %v", env.slept, tc.wantNaps)
-			}
-			for i := range tc.wantNaps {
-				if env.slept[i] != tc.wantNaps[i] {
-					t.Errorf("slept %v, want %v", env.slept, tc.wantNaps)
-				}
-			}
-			if env.now != tc.wantNow {
-				t.Errorf("took %v of virtual time, want %v", env.now, tc.wantNow)
-			}
-		})
-	}
+// busyExchange is one REQ exchange run under the shared BUSY table: answer
+// is the script that follows its accepted REQ, named answerName in the
+// first case's title; patience is how long one attempt waits; run performs
+// the exchange and checks what an accepted one returns.
+type busyExchange struct {
+	answerName string
+	answer     []*wire.Packet
+	patience   time.Duration
+	run        func(Env) error
 }
 
-// Copy honors a BUSY refusal the way Stat does — the same four cases — and
-// a copy refused on every attempt fails as both a give-up and a BUSY, so
-// blastcp -copy still exits with the BUSY code.
-func TestCopyHonorsBusy(t *testing.T) {
-	const tr = 100 * time.Millisecond
-	cfg := Config{TransferID: 7, RetransTimeout: tr, MaxAttempts: 3}
-	for _, tc := range []struct {
-		name     string
-		replies  []*wire.Packet
-		wantSize int64
-		wantErr  error
-		wantBusy bool
-		wantSent int
-		wantNaps []time.Duration
-		wantNow  time.Duration
-	}{
-		{
-			name:     "busy then reply",
-			replies:  []*wire.Packet{Busy(7, 40*time.Millisecond), StatReply(7, 12345)},
-			wantSize: 12345, wantSent: 2,
-			wantNaps: []time.Duration{40 * time.Millisecond}, wantNow: 40 * time.Millisecond,
-		},
-		{
-			name:     "empty hint sleeps Tr",
-			replies:  []*wire.Packet{Busy(7, 0), StatReply(7, 9)},
-			wantSize: 9, wantSent: 2,
-			wantNaps: []time.Duration{tr}, wantNow: tr,
-		},
-		{
-			name:     "another transfer's busy is ignored",
-			replies:  []*wire.Packet{Busy(8, 40*time.Millisecond), StatReply(7, 5)},
-			wantSize: 5, wantSent: 2,
-			wantNow: 4 * tr, // silence as far as transfer 7 is concerned
-		},
-		{
-			name:     "always busy gives up after MaxAttempts",
-			replies:  []*wire.Packet{Busy(7, time.Millisecond), Busy(7, time.Millisecond), Busy(7, time.Millisecond), StatReply(7, 1)},
-			wantErr:  ErrGiveUp,
-			wantBusy: true,
-			wantSent: 3,
-			wantNaps: []time.Duration{time.Millisecond, time.Millisecond, time.Millisecond}, wantNow: 3 * time.Millisecond,
-		},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			env := &scriptEnv{replies: tc.replies}
-			size, err := Copy(env, cfg, "obj", "127.0.0.1:9", nil)
-			if !errors.Is(err, tc.wantErr) || size != tc.wantSize {
-				t.Fatalf("Copy = %d, %v; want %d, %v", size, err, tc.wantSize, tc.wantErr)
-			}
-			var busy *BusyError
-			if errors.As(err, &busy) != tc.wantBusy {
-				t.Errorf("Copy error %v: is a BUSY refusal %v, want %v", err, !tc.wantBusy, tc.wantBusy)
-			}
-			if env.sent != tc.wantSent {
-				t.Errorf("sent %d copy REQs, want %d", env.sent, tc.wantSent)
-			}
-			if len(env.slept) != len(tc.wantNaps) {
-				t.Fatalf("slept %v, want %v", env.slept, tc.wantNaps)
-			}
-			for i := range tc.wantNaps {
-				if env.slept[i] != tc.wantNaps[i] {
-					t.Errorf("slept %v, want %v", env.slept, tc.wantNaps)
-				}
-			}
-			if env.now != tc.wantNow {
-				t.Errorf("took %v of virtual time, want %v", env.now, tc.wantNow)
-			}
-		})
-	}
-}
+const busyTr = 100 * time.Millisecond
 
-// Push honors a BUSY refusal of its announcement the way Request and Stat
-// do: it sleeps the server's retry-after hint (Tr when the hint is empty)
-// and announces again at once, instead of dropping the reply and waiting out
-// Tr; a BUSY for some other transfer is not a refusal; and a server that
-// only ever says BUSY costs exactly MaxAttempts announcements.
-func TestPushHonorsBusy(t *testing.T) {
-	const tr = 100 * time.Millisecond
-	cfg := Config{
-		TransferID: 7, Bytes: 10, Payload: make([]byte, 10),
-		Protocol: Blast, Strategy: GoBackN, RetransTimeout: tr, MaxAttempts: 3,
-	}
-	c, err := cfg.withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The one-packet transfer that follows an accepted announcement: the
-	// go-ahead earns the data packet, which earns the final ack.
-	goAheadPkt, doneAck := goAhead(c), c.fillAck(new(wire.Packet), 1, 1)
+// testHonorsBusy runs the four BUSY cases every exchange shares on
+// transfer 7: the server's retry-after hint (Tr when the hint is empty) is
+// slept and the REQ sent again at once, instead of waiting out the rest of
+// the exchange's patience; a BUSY for some other transfer is not a refusal;
+// and a server that only ever says BUSY costs exactly MaxAttempts requests
+// and fails as both a give-up and a BUSY, so blastcp exits with the BUSY
+// code.
+func testHonorsBusy(t *testing.T, x busyExchange) {
+	const hint = 40 * time.Millisecond
+	then := func(first ...*wire.Packet) []*wire.Packet { return append(first, x.answer...) }
+	ms := time.Millisecond
 	for _, tc := range []struct {
 		name     string
 		replies  []*wire.Packet
-		wantErr  error
+		refused  bool
 		wantReqs int
 		wantNaps []time.Duration
 		wantNow  time.Duration
 	}{
 		{
-			name:     "busy then go-ahead",
-			replies:  []*wire.Packet{Busy(7, 40*time.Millisecond), goAheadPkt, doneAck},
-			wantReqs: 2,
-			wantNaps: []time.Duration{40 * time.Millisecond}, wantNow: 40 * time.Millisecond,
+			name:     "busy then " + x.answerName,
+			replies:  then(Busy(7, hint)),
+			wantReqs: 2, wantNaps: []time.Duration{hint}, wantNow: hint,
 		},
 		{
 			name:     "empty hint sleeps Tr",
-			replies:  []*wire.Packet{Busy(7, 0), goAheadPkt, doneAck},
-			wantReqs: 2,
-			wantNaps: []time.Duration{tr}, wantNow: tr,
+			replies:  then(Busy(7, 0)),
+			wantReqs: 2, wantNaps: []time.Duration{busyTr}, wantNow: busyTr,
 		},
 		{
 			name:     "another transfer's busy is ignored",
-			replies:  []*wire.Packet{Busy(8, 40*time.Millisecond), goAheadPkt, doneAck},
-			wantReqs: 2,
-			wantNow:  tr, // silence as far as transfer 7 is concerned
+			replies:  then(Busy(8, hint)),
+			wantReqs: 2, wantNow: x.patience, // silence as far as transfer 7 is concerned
 		},
 		{
 			name:     "always busy gives up after MaxAttempts",
-			replies:  []*wire.Packet{Busy(7, time.Millisecond), Busy(7, time.Millisecond), Busy(7, time.Millisecond), goAheadPkt},
-			wantErr:  ErrGiveUp,
-			wantReqs: 3,
-			wantNaps: []time.Duration{time.Millisecond, time.Millisecond, time.Millisecond}, wantNow: 3 * time.Millisecond,
+			replies:  then(Busy(7, ms), Busy(7, ms), Busy(7, ms)),
+			refused:  true,
+			wantReqs: 3, wantNaps: []time.Duration{ms, ms, ms}, wantNow: 3 * ms,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			env := &scriptEnv{replies: tc.replies}
-			res, err := Push(env, cfg)
-			if !errors.Is(err, tc.wantErr) {
-				t.Fatalf("Push = %v; want %v", err, tc.wantErr)
-			}
-			if err == nil && res.DataPackets != 1 {
-				t.Errorf("accepted push sent %d data packets, want 1", res.DataPackets)
+			err := x.run(env)
+			var busy *BusyError
+			refused := errors.Is(err, ErrGiveUp) && errors.As(err, &busy)
+			if refused != tc.refused || !refused && err != nil {
+				t.Fatalf("err = %v; want refused %v", err, tc.refused)
 			}
 			if env.reqs != tc.wantReqs {
-				t.Errorf("announced %d times, want %d", env.reqs, tc.wantReqs)
+				t.Errorf("sent %d REQs, want %d", env.reqs, tc.wantReqs)
 			}
-			if len(env.slept) != len(tc.wantNaps) {
-				t.Fatalf("slept %v, want %v", env.slept, tc.wantNaps)
-			}
-			for i := range tc.wantNaps {
-				if env.slept[i] != tc.wantNaps[i] {
-					t.Errorf("slept %v, want %v", env.slept, tc.wantNaps)
-				}
+			if !slices.Equal(env.slept, tc.wantNaps) {
+				t.Errorf("slept %v, want %v", env.slept, tc.wantNaps)
 			}
 			if env.now != tc.wantNow {
 				t.Errorf("took %v of virtual time, want %v", env.now, tc.wantNow)
 			}
 		})
 	}
+}
+
+// statAnswer is the size in the answer Stat and Copy accept: a stat reply,
+// which is also a copy's final reply.
+const statAnswer = 12345
+
+// checkSize checks what an accepted Stat or Copy returned.
+func checkSize(size int64, err error) error {
+	if err == nil && size != statAnswer {
+		return fmt.Errorf("size %d, want %d", size, statAnswer)
+	}
+	return err
+}
+
+func TestStatHonorsBusy(t *testing.T) {
+	cfg := Config{TransferID: 7, RetransTimeout: busyTr, MaxAttempts: 3}
+	testHonorsBusy(t, busyExchange{"reply", []*wire.Packet{StatReply(7, statAnswer)}, 4 * busyTr, func(env Env) error {
+		return checkSize(Stat(env, cfg, "obj"))
+	}})
+}
+
+func TestCopyHonorsBusy(t *testing.T) {
+	cfg := Config{TransferID: 7, RetransTimeout: busyTr, MaxAttempts: 3}
+	testHonorsBusy(t, busyExchange{"reply", []*wire.Packet{StatReply(7, statAnswer)}, 4 * busyTr, func(env Env) error {
+		return checkSize(Copy(env, cfg, "obj", "127.0.0.1:9", nil))
+	}})
+}
+
+// onePacket is the transfer Push and Request run under the BUSY table.
+var onePacket = Config{
+	TransferID: 7, Bytes: 10, Protocol: Blast, Strategy: GoBackN,
+	RetransTimeout: busyTr, MaxAttempts: 3,
+}
+
+// An accepted push's go-ahead earns its data packet, which earns the final
+// ack.
+func TestPushHonorsBusy(t *testing.T) {
+	cfg := onePacket
+	cfg.Payload = make([]byte, cfg.Bytes)
+	c, err := cfg.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer := []*wire.Packet{goAhead(c), c.fillAck(new(wire.Packet), 1, 1)}
+	testHonorsBusy(t, busyExchange{"go-ahead", answer, busyTr, func(env Env) error {
+		res, err := Push(env, cfg)
+		if err == nil && res.DataPackets != 1 {
+			return fmt.Errorf("accepted push sent %d data packets, want 1", res.DataPackets)
+		}
+		return err
+	}})
+}
+
+// An accepted request's data packet completes the transfer, and the
+// sender's FIN answers the receiver's ack, releasing it from its linger.
+func TestRequestHonorsBusy(t *testing.T) {
+	c, err := onePacket.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer := []*wire.Packet{c.fillData(new(wire.Packet), 0, 1, 0, true), c.finPacket()}
+	testHonorsBusy(t, busyExchange{"data", answer, 4 * busyTr, func(env Env) error {
+		res, err := Request(env, onePacket)
+		if err == nil && (!res.Completed || res.Bytes != onePacket.Bytes) {
+			return fmt.Errorf("accepted request: %+v", res)
+		}
+		return err
+	}})
 }

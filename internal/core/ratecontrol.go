@@ -2,17 +2,16 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 )
 
 // Pluggable blast rate control (Config.Controller).
 //
-// RateController is the interface the blast sender drives, and a registry
-// of named factories turns a policy name (carried end to end: CLI flag →
-// Config.Controller → REQ policy byte → serving side) into a controller
-// instance. "aimd" is the AIMD state machine of adaptive.go.
+// RateController is the interface the blast sender drives, and a fixed
+// table of the built-in policies turns a policy name (carried end to end:
+// CLI flag → Config.Controller → REQ policy byte → serving side) into a
+// controller instance. "aimd" is the AIMD state machine of aimd.go.
 //
 // Contract: a controller's *window and batch decisions* must be a pure
 // function of its observation sequence's recovery counters — never of
@@ -40,13 +39,10 @@ type RateController interface {
 	Stats() ControllerStats
 }
 
-// ControllerFactory builds a fresh controller for one transfer.
-type ControllerFactory func(ControllerConfig) RateController
-
 // Built-in policy names.
 const (
 	// ControllerAIMD is the PR-4 additive-increase/multiplicative-decrease
-	// discipline (adaptive.go): NAK-repaired loss cuts the window to 3/4, a
+	// discipline (aimd.go): NAK-repaired loss cuts the window to 3/4, a
 	// silent timeout quarters it and backs pacing off.
 	ControllerAIMD = "aimd"
 	// ControllerBBR is the rate-based BBR-flavoured policy (bbr.go):
@@ -59,62 +55,64 @@ const (
 	ControllerAutotune = "autotune"
 )
 
-// controllerEntry pairs a factory with its stable wire id (the REQ policy
-// byte; 0 for local-only policies that cannot ride a handshake).
-type controllerEntry struct {
-	id      uint8
-	factory ControllerFactory
+// controllers is the fixed policy table, in ControllerNames order: each
+// built-in policy's name, its stable wire id (the REQ policy byte) and the
+// constructor of a fresh controller for one transfer.
+var controllers = [...]struct {
+	name  string
+	id    uint8
+	build func(ControllerConfig) RateController
+}{
+	{ControllerAIMD, 1, func(cfg ControllerConfig) RateController { return NewController(cfg) }},
+	{ControllerAutotune, 3, func(cfg ControllerConfig) RateController { return newAutotuneController(cfg) }},
+	{ControllerBBR, 2, func(cfg ControllerConfig) RateController { return newBBRController(cfg) }},
 }
 
-var controllerRegistry = map[string]controllerEntry{}
-
-// RegisterController adds a named policy to the registry. id is the stable
-// wire policy byte for the REQ handshake (pass 0 for a local-only policy a
-// server cannot be asked for). Registration happens at init time; duplicate
-// names or wire ids panic — they are programming errors, not runtime
-// conditions.
-func RegisterController(name string, id uint8, f ControllerFactory) {
-	if name == "" || f == nil {
-		panic("core: RegisterController needs a name and a factory")
-	}
-	if _, dup := controllerRegistry[name]; dup {
-		panic(fmt.Sprintf("core: controller %q registered twice", name))
-	}
-	if id != 0 {
-		for other, e := range controllerRegistry {
-			if e.id == id {
-				panic(fmt.Sprintf("core: controller wire id %d claimed by both %q and %q", id, other, name))
-			}
+// controllerIndex returns name's row of the policy table, or -1.
+func controllerIndex(name string) int {
+	for i := range controllers {
+		if controllers[i].name == name {
+			return i
 		}
 	}
-	controllerRegistry[name] = controllerEntry{id: id, factory: f}
+	return -1
 }
 
-// ControllerNames returns the registered policy names in deterministic
+// unknownController is the ErrBadConfig for a policy name outside the table,
+// naming the built-in alternatives.
+func unknownController(name string) error {
+	return fmt.Errorf("%w: unknown controller %q (registered: %s)",
+		ErrBadConfig, name, strings.Join(ControllerNames(), ", "))
+}
+
+// ControllerNames returns the built-in policy names in deterministic
 // (sorted) order — the iteration order CLIs and error messages present.
 func ControllerNames() []string {
-	names := make([]string, 0, len(controllerRegistry))
-	for name := range controllerRegistry {
-		names = append(names, name)
+	names := make([]string, len(controllers))
+	for i, p := range controllers {
+		names[i] = p.name
 	}
-	sort.Strings(names)
 	return names
 }
 
-// NewRateController instantiates a registered policy. Unknown names return
-// ErrBadConfig naming the registered alternatives.
+// NewRateController instantiates a built-in policy. Unknown names return
+// ErrBadConfig naming the built-in alternatives.
 func NewRateController(name string, cfg ControllerConfig) (RateController, error) {
-	e, ok := controllerRegistry[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: unknown controller %q (registered: %s)",
-			ErrBadConfig, name, strings.Join(ControllerNames(), ", "))
+	i := controllerIndex(name)
+	if i < 0 {
+		return nil, unknownController(name)
 	}
-	return e.factory(cfg), nil
+	return controllers[i].build(cfg), nil
 }
 
 // ControllerID returns the wire policy byte of a named controller (0 when
-// the name is unknown or the policy is local-only).
-func ControllerID(name string) uint8 { return controllerRegistry[name].id }
+// the name is unknown).
+func ControllerID(name string) uint8 {
+	if i := controllerIndex(name); i >= 0 {
+		return controllers[i].id
+	}
+	return 0
+}
 
 // ControllerNameOf maps a wire policy byte back to its name. Unknown
 // non-zero bytes degrade to "aimd": a newer client's policy request is
@@ -124,9 +122,9 @@ func ControllerNameOf(id uint8) string {
 	if id == 0 {
 		return ""
 	}
-	for name, e := range controllerRegistry {
-		if e.id == id {
-			return name
+	for _, p := range controllers {
+		if p.id == id {
+			return p.name
 		}
 	}
 	return ControllerAIMD
@@ -138,16 +136,4 @@ func ControllerNameOf(id uint8) string {
 func ValidateConfig(cfg Config) error {
 	_, err := cfg.withDefaults()
 	return err
-}
-
-func init() {
-	RegisterController(ControllerAIMD, 1, func(cfg ControllerConfig) RateController {
-		return NewController(cfg)
-	})
-	RegisterController(ControllerBBR, 2, func(cfg ControllerConfig) RateController {
-		return newBBRController(cfg)
-	})
-	RegisterController(ControllerAutotune, 3, func(cfg ControllerConfig) RateController {
-		return newAutotuneController(cfg)
-	})
 }

@@ -10,7 +10,7 @@ import (
 	"blastlan/internal/wire"
 )
 
-// The registry's iteration order is deterministic (sorted), repeatable, and
+// The policy table's order is deterministic (sorted), repeatable, and
 // contains exactly the built-in policies.
 func TestControllerRegistryDeterministicOrder(t *testing.T) {
 	want := []string{ControllerAIMD, ControllerAutotune, ControllerBBR}

@@ -47,29 +47,34 @@ func sendStopAndWait(env Env, c Config) (SendResult, error) {
 // Seq >= want, ignoring stale acks and foreign packets. It reports whether
 // the ack arrived before the timeout.
 func awaitCumulativeAck(env Env, c Config, res *SendResult, want int, timeout time.Duration) bool {
-	remaining := timeout
-	for remaining > 0 {
-		t0 := env.Now()
-		resp, err := env.Recv(remaining)
-		if err != nil {
-			if IsTimeout(err) {
-				res.Timeouts++
-				return false
-			}
+	_, err := awaitReply(env, timeout, func(p *wire.Packet) bool {
+		if p.Trans != c.TransferID || p.Type != wire.TypeAck {
 			return false
 		}
-		remaining -= env.Now() - t0
-		if resp.Trans != c.TransferID || resp.Type != wire.TypeAck {
-			continue
-		}
 		res.AcksReceived++
-		if int(resp.Seq) >= want {
-			return true
-		}
-		// Stale (duplicate) ack: keep waiting out the remaining budget.
+		return int(p.Seq) >= want // else a stale (duplicate) ack
+	})
+	if IsTimeout(err) {
+		res.Timeouts++
 	}
-	res.Timeouts++
-	return false
+	return err == nil
+}
+
+// receiverControl handles a non-data packet of the receiver's transfer. A
+// BUSY before any data is the server's admission refusal, returned at once
+// (it is not a timeout, so Request sees it); once data has flowed we were
+// admitted, and a BUSY is a straggler from an earlier refused REQ. A REQ is a
+// retransmitted push announcement whose go-ahead was lost: it earns another.
+func receiverControl(env Env, c Config, pkt *wire.Packet, admitted bool) error {
+	switch pkt.Type {
+	case wire.TypeBusy:
+		if !admitted {
+			return busyErrorOf(pkt)
+		}
+	case wire.TypeReq:
+		return env.Send(goAhead(c))
+	}
+	return nil
 }
 
 // recvInOrder is the shared receiver for stop-and-wait and sliding-window:
@@ -93,25 +98,11 @@ func recvInOrder(env Env, c Config) (RecvResult, error) {
 		if pkt.Trans != c.TransferID {
 			continue
 		}
-		if pkt.Type == wire.TypeBusy {
-			// Admission refusal: the server will not serve this session.
-			// Not a timeout, so Request surfaces it to the caller at once.
-			// Ignored once data has flowed — by then we were admitted, and
-			// the BUSY is a straggler from an earlier refused REQ.
-			if res.DataPackets == 0 {
+		if pkt.Type != wire.TypeData {
+			if err := receiverControl(env, c, pkt, res.DataPackets > 0); err != nil {
 				res.Elapsed = env.Now() - start
-				return res, busyErrorOf(pkt)
-			}
-			continue
-		}
-		if pkt.Type == wire.TypeReq {
-			// Retransmitted push announcement: our go-ahead was lost.
-			if err := env.Send(goAhead(c)); err != nil {
 				return res, err
 			}
-			continue
-		}
-		if pkt.Type != wire.TypeData {
 			continue
 		}
 		res.DataPackets++

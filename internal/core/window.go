@@ -73,24 +73,16 @@ func pollAcks(env Env, c Config, res *SendResult, base int) int {
 // collectAck blocks up to Tr for an acknowledgement advancing the window.
 // It returns the new base and whether the wait succeeded.
 func collectAck(env Env, c Config, res *SendResult, base int) (int, bool) {
-	remaining := c.RetransTimeout
-	for remaining > 0 {
-		t0 := env.Now()
-		resp, err := env.Recv(remaining)
-		if err != nil {
-			res.Timeouts++
-			return base, false
-		}
-		remaining -= env.Now() - t0
-		if resp.Trans != c.TransferID || resp.Type != wire.TypeAck {
-			continue
+	resp, err := awaitReply(env, c.RetransTimeout, func(p *wire.Packet) bool {
+		if p.Trans != c.TransferID || p.Type != wire.TypeAck {
+			return false
 		}
 		res.AcksReceived++
-		if int(resp.Seq) > base {
-			return int(resp.Seq), true
-		}
-		// Duplicate ack: window did not advance; keep waiting.
+		return int(p.Seq) > base // else a duplicate ack: the window did not advance
+	})
+	if err != nil {
+		res.Timeouts++
+		return base, false
 	}
-	res.Timeouts++
-	return base, false
+	return int(resp.Seq), true
 }

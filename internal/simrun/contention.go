@@ -19,7 +19,7 @@ import (
 // determinism regression pins for Sample.
 type ContentionSweep struct {
 	// Policies are the rate-control policy names to judge (default: every
-	// registered policy, in registry order). "" is the fixed schedule.
+	// built-in policy, in core.ControllerNames order). "" is the fixed schedule.
 	Policies []string
 	// Adversaries are the hostile-network columns (default: DefaultAdversaries).
 	Adversaries []NamedAdversary

@@ -48,7 +48,7 @@ func runHandshake(t *testing.T, push bool, loss params.LossModel, seed int64) (c
 		})
 		k.Go("accepter", func(p *sim.Proc) {
 			env := sim.NewEndpoint(p, dst, src)
-			acc, err := core.ServeOnce(env, -1, func(r wire.Req) (core.Config, bool) {
+			acc, err := core.ServeOnceID(env, -1, func(r wire.Req, _ uint32) (core.Config, bool) {
 				if !r.Push {
 					return core.Config{}, false
 				}
@@ -63,7 +63,7 @@ func runHandshake(t *testing.T, push bool, loss params.LossModel, seed int64) (c
 	} else {
 		k.Go("server", func(p *sim.Proc) {
 			env := sim.NewEndpoint(p, src, dst)
-			acc, err := core.ServeOnce(env, -1, func(r wire.Req) (core.Config, bool) {
+			acc, err := core.ServeOnceID(env, -1, func(r wire.Req, _ uint32) (core.Config, bool) {
 				c := core.ConfigOf(0, r)
 				c.Payload = payload
 				return c, true

@@ -274,7 +274,7 @@ func (c *Cluster) MoveFrom(src *Process, srcOff int, dst *Process, dstOff, n int
 	// The data owner serves requests (V kernels always listen).
 	c.Sim.Go("movefrom-serve", func(p *sim.Proc) {
 		env := sim.NewEndpoint(p, src.kernel.Station, dst.kernel.Station)
-		_, srvErr = core.ServeOnce(env, -1, func(req wire.Req) (core.Config, bool) {
+		_, srvErr = core.ServeOnceID(env, -1, func(req wire.Req, _ uint32) (core.Config, bool) {
 			if req.Bytes != uint64(n) {
 				return core.Config{}, false
 			}

@@ -131,9 +131,9 @@ type Req struct {
 
 	// Adaptive carries the rate-control policy byte: zero asks for the
 	// fixed schedule of the REQ parameters, a non-zero id asks the data's
-	// sender to drive the transfer with that registered rate controller
+	// sender to drive the transfer with that built-in rate controller
 	// (the REQ parameters then only seed it; ids map to names through the
-	// core registry, 1 = the classic AIMD controller).
+	// core policy table, 1 = the classic AIMD controller).
 	Adaptive uint8
 
 	// OffsetChunks is this stripe's byte offset within the logical stream,
