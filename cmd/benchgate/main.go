@@ -2,8 +2,9 @@
 // measured lanbench -benchjson snapshot against a committed throughput
 // floor and fails (exit 1) when any gated benchmark falls below its
 // minimum, when a benchmark the floor file lists under zero_retransmits sent
-// any packet twice, when one listed under max_allocs_per_op allocated more
-// than its ceiling, or when a count listed under exact (the DES kernel's,
+// any packet twice, when one listed under max_allocs_per_op or
+// max_alloc_bytes_per_op allocated more (times, or bytes) than its ceiling,
+// or when a count listed under exact (the DES kernel's,
 // which repeat bit for bit on any host) differs at all. The floor file lists
 // only the benchmarks worth gating; a gated name missing from the snapshot is
 // itself a failure, so a renamed or dropped benchmark cannot sneak past.
@@ -21,21 +22,23 @@ import (
 )
 
 // snapshot mirrors the lanbench -benchjson schema: each row is a name plus
-// numeric fields (mbps, retransmits, allocs_per_op, the exact DES counts).
+// numeric fields (mbps, retransmits, allocs_per_op, alloc_bytes_per_op, the
+// exact DES counts).
 type snapshot struct {
 	Benchmarks []map[string]any `json:"benchmarks"`
 }
 
 // floorFile is the committed gate: a note stating the margin policy, the
 // minimum MB/s per gated benchmark, and the gated benchmarks that must not
-// have retransmitted a single packet, and the most heap allocations a gated
-// benchmark may make per operation (counts, so unlike a wall-clock floor
-// they do not drift with the host).
+// have retransmitted a single packet, and the most heap allocations and heap
+// bytes a gated benchmark may allocate per operation (counts, so unlike a
+// wall-clock floor they do not drift with the host).
 type floorFile struct {
-	Note            string             `json:"note"`
-	MinMBps         map[string]float64 `json:"min_mbps"`
-	ZeroRetransmits []string           `json:"zero_retransmits"`
-	MaxAllocsPerOp  map[string]int64   `json:"max_allocs_per_op"`
+	Note               string             `json:"note"`
+	MinMBps            map[string]float64 `json:"min_mbps"`
+	ZeroRetransmits    []string           `json:"zero_retransmits"`
+	MaxAllocsPerOp     map[string]int64   `json:"max_allocs_per_op"`
+	MaxAllocBytesPerOp map[string]int64   `json:"max_alloc_bytes_per_op"`
 	// Rationale derives every gated row's floors, row by row;
 	// Exact maps benchmark → snapshot field → the only value that passes.
 	Rationale map[string]string             `json:"rationale"`
@@ -110,13 +113,21 @@ func gate(out io.Writer, snap snapshot, floor floorFile) bool {
 			fmt.Fprintf(out, "%-28s %v packets retransmitted on a clean loopback  REGRESSION\n", name, n)
 		}
 	}
-	for name, most := range floor.MaxAllocsPerOp {
-		if byName[name] == nil {
-			ok = false
-			fmt.Fprintf(out, "%-28s MISSING from snapshot (gated on allocations)\n", name)
-		} else if n := field(name, "allocs_per_op"); n > float64(most) {
-			ok = false
-			fmt.Fprintf(out, "%-28s %v allocs/op, ceiling %d  REGRESSION\n", name, n, most)
+	for _, ceil := range []struct {
+		most        map[string]int64
+		field, unit string
+	}{
+		{floor.MaxAllocsPerOp, "allocs_per_op", "allocs/op"},
+		{floor.MaxAllocBytesPerOp, "alloc_bytes_per_op", "alloc'd bytes/op"},
+	} {
+		for name, most := range ceil.most {
+			if n, present := byName[name][ceil.field].(float64); !present {
+				ok = false
+				fmt.Fprintf(out, "%-28s %s MISSING from snapshot\n", name, ceil.field)
+			} else if n > float64(most) {
+				ok = false
+				fmt.Fprintf(out, "%-28s %.0f %s, ceiling %d  REGRESSION\n", name, n, ceil.unit, most)
+			}
 		}
 	}
 	for name, fields := range floor.Exact {

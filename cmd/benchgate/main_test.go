@@ -13,9 +13,11 @@ func TestGate(t *testing.T) {
 		MinMBps:         map[string]float64{"pull": 100},
 		ZeroRetransmits: []string{"push"},
 		MaxAllocsPerOp:  map[string]int64{"pull": 200},
-		Exact:           map[string]map[string]float64{"sim": {"events_per_pkt": 9.5, "heap_peak": 70}},
+		// a pull that builds its rings afresh allocates ~700 KB
+		MaxAllocBytesPerOp: map[string]int64{"pull": 1 << 20},
+		Exact:              map[string]map[string]float64{"sim": {"events_per_pkt": 9.5, "heap_peak": 70}},
 	}
-	const clean = `{"name": "pull", "mbps": 150, "allocs_per_op": 180},
+	const clean = `{"name": "pull", "mbps": 150, "allocs_per_op": 180, "alloc_bytes_per_op": 900000},
 		{"name": "push", "mbps": 90, "retransmits": 0},
 		{"name": "sim", "mbps": 300, "events_per_pkt": 9.5, "heap_peak": 70}`
 	for _, c := range []struct {
@@ -29,6 +31,8 @@ func TestGate(t *testing.T) {
 		{"exact field absent", strings.Replace(clean, `, "heap_peak": 70`, ``, 1), "heap_peak = <nil>, committed 70  CHANGED"},
 		{"zero_retransmits hit", strings.Replace(clean, `"retransmits": 0`, `"retransmits": 3`, 1), "3 packets retransmitted"},
 		{"allocation ceiling exceeded", strings.Replace(clean, `"allocs_per_op": 180`, `"allocs_per_op": 201`, 1), "201 allocs/op, ceiling 200  REGRESSION"},
+		{"allocated-bytes ceiling exceeded", strings.Replace(clean, `"alloc_bytes_per_op": 900000`, `"alloc_bytes_per_op": 3100000`, 1), "3100000 alloc'd bytes/op, ceiling 1048576  REGRESSION"},
+		{"allocated bytes absent", strings.Replace(clean, `, "alloc_bytes_per_op": 900000`, ``, 1), "alloc_bytes_per_op MISSING from snapshot"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var snap snapshot

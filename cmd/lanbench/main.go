@@ -131,6 +131,9 @@ type benchEntry struct {
 	EventsPerPkt   float64 `json:"events_per_pkt,omitempty"`
 	SwitchesPerPkt float64 `json:"switches_per_pkt,omitempty"`
 	HeapPeak       int     `json:"heap_peak,omitempty"`
+	// UDP pull and push rows: heap bytes allocated, the fewest of the reps
+	// (BytesPerOp is the payload they moved).
+	AllocBytesPerOp int64 `json:"alloc_bytes_per_op,omitempty"`
 }
 
 // benchSnapshot is the machine-readable perf record CI archives as

@@ -400,22 +400,23 @@ func runStripedPull(c stripedCase) (time.Duration, error) {
 // (minimum) elapsed time: wall-clock loopback runs jitter with scheduler
 // noise, and the minimum is the repeatable hardware-bound figure. The fewest
 // heap allocations any rep made — set-up, both ends, everything the process
-// did meanwhile — ride along as allocs_per_op: a count, which does not drift
+// did meanwhile — ride along as allocs_per_op, and the fewest bytes allocated
+// (MemStats.TotalAlloc) as alloc_bytes_per_op: counts, which do not drift
 // with the host. The row is printed and appended to the snapshot.
 func measurePull(snap *benchSnapshot, name string, bytes, reps int, run func() (time.Duration, string, error)) error {
 	best := time.Duration(0)
-	allocs := ^uint64(0)
+	allocs, alloced := ^uint64(0), ^uint64(0)
 	tier := ""
 	var ms runtime.MemStats
 	for i := 0; i < reps; i++ {
 		runtime.ReadMemStats(&ms)
-		before := ms.Mallocs
+		mallocs, total := ms.Mallocs, ms.TotalAlloc
 		el, tr, err := run()
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
 		runtime.ReadMemStats(&ms)
-		allocs = min(allocs, ms.Mallocs-before)
+		allocs, alloced = min(allocs, ms.Mallocs-mallocs), min(alloced, ms.TotalAlloc-total)
 		tier = tr
 		if best == 0 || el < best {
 			best = el
@@ -428,12 +429,13 @@ func measurePull(snap *benchSnapshot, name string, bytes, reps int, run func() (
 	}
 	fmt.Printf("%-32s %10.1f %12v\n", label, mbps, best.Round(time.Millisecond))
 	snap.Benchmarks = append(snap.Benchmarks, benchEntry{
-		Name:        name,
-		NsPerOp:     float64(best.Nanoseconds()),
-		AllocsPerOp: int64(allocs),
-		BytesPerOp:  int64(bytes),
-		MBps:        mbps,
-		Tier:        tier,
+		Name:            name,
+		NsPerOp:         float64(best.Nanoseconds()),
+		AllocsPerOp:     int64(allocs),
+		AllocBytesPerOp: int64(alloced),
+		BytesPerOp:      int64(bytes),
+		MBps:            mbps,
+		Tier:            tier,
 	})
 	return nil
 }

@@ -27,7 +27,8 @@ import (
 // Every Env keeps one packet-ownership rule, as a real interface does: Send
 // and SendAsync consume the packet (encode it, or copy it into the medium)
 // before they return, so the engines reuse one data and one ack packet per
-// transfer; and the packet Recv returns stays valid until the next Recv.
+// transfer; and the packet Recv returns stays valid until the next Recv or
+// Close (a closed UDP endpoint's receive buffers go back to a shared pool).
 type Env interface {
 	// Now returns the current time (virtual or wall-clock) since an
 	// arbitrary epoch.

@@ -9,18 +9,58 @@ import (
 
 // This file holds the platform-independent half of the batched datapath:
 // the reusable frame rings that amortise one syscall across a whole blast
-// window. The platform-specific sendmmsg/recvmmsg wrappers live in
-// mmsg_linux.go (with fallbacks in mmsg_fallback.go); when they are
-// unavailable the rings still form and flush as plain WriteTo loops and fill
-// with one ReadFrom, so behaviour is identical everywhere and only the
-// syscall count differs.
+// window, and the slab pool their buffers come from. The platform-specific
+// sendmmsg/recvmmsg wrappers live in mmsg_linux.go (with fallbacks in
+// mmsg_fallback.go); when they are unavailable the rings still form and
+// flush as plain WriteTo loops and fill with one ReadFrom, so behaviour is
+// identical everywhere and only the syscall count differs.
 
-// txBatch is a frame ring of pre-allocated MTU-sized slots. The sender
-// encodes each outbound packet directly into the next slot
+// slab is one buffer of the datapath's slab pool: the backing array of a
+// frame ring or a stage, or one message buffer of a receive ring. It
+// remembers the pool it goes back to, and holds whatever its last owner
+// left: every ring writes a slot before it reads it. A demux ring's slab,
+// handed to a session, also carries the burst it holds (see burst).
+type slab struct {
+	buf    []byte
+	pool   *sync.Pool
+	n, seg int32 // demux bursts only: bytes received, gso_size they were coalesced at
+}
+
+// slabPools is the one pool every byte buffer of the datapath is drawn from:
+// a sync.Pool per slab size in use. A small transfer then costs its packets,
+// not a fresh, zeroed set of rings per dial and per session. The rule is the
+// same for every slab: its owner draws it when a ring is built and frees it
+// when the ring is rebuilt or its endpoint, session or listener ends, and
+// never touches it afterwards.
+var slabPools = struct {
+	sync.Mutex
+	bySize map[int]*sync.Pool
+}{bySize: map[int]*sync.Pool{}}
+
+// slabPool returns the pool of size-byte slabs. Rings look it up once, when
+// they are built; per-burst draws go through the pool they kept.
+func slabPool(size int) *sync.Pool {
+	slabPools.Lock()
+	defer slabPools.Unlock()
+	p := slabPools.bySize[size]
+	if p == nil {
+		p = new(sync.Pool)
+		p.New = func() any { return &slab{buf: make([]byte, size), pool: p} }
+		slabPools.bySize[size] = p
+	}
+	return p
+}
+
+// free returns the slab to its pool.
+func (s *slab) free() { s.pool.Put(s) }
+
+// txBatch is a frame ring of MTU-sized slots over one pooled slab. The
+// sender encodes each outbound packet directly into the next slot
 // (wire.EncodeInto — no allocation), and the ring flushes as one vectored
 // write when full or on demand. A one-slot ring is the unbatched datapath:
 // every commit flushes.
 type txBatch struct {
+	slab   *slab
 	frames [][]byte // fixed slots, each cap = MTU
 	lens   []int
 	queued int
@@ -53,14 +93,24 @@ func (t *txBatch) setLimit(n int) error {
 	return nil
 }
 
-// newTxBatch builds a ring of n MTU-sized slots over one backing array.
+// newTxBatch builds a ring of n MTU-sized slots over one pooled slab.
 func newTxBatch(n, mtu int, flush func([][]byte, []int, int) error) *txBatch {
-	backing := make([]byte, n*mtu)
-	t := &txBatch{frames: make([][]byte, n), lens: make([]int, n), flush: flush}
+	t := &txBatch{slab: slabPool(n * mtu).Get().(*slab), frames: make([][]byte, n), lens: make([]int, n), flush: flush}
 	for i := range t.frames {
-		t.frames[i] = backing[i*mtu : (i+1)*mtu]
+		t.frames[i] = t.slab.buf[i*mtu : (i+1)*mtu]
 	}
 	return t
+}
+
+// release returns the ring's slab to the pool and leaves a ring of no slots,
+// which nothing may encode into; queued frames are dropped, so flush first.
+// A nil or already released ring releases nothing.
+func (t *txBatch) release() {
+	if t == nil || t.slab == nil {
+		return
+	}
+	t.slab.free()
+	t.slab, t.frames, t.lens, t.queued = nil, nil, nil, 0
 }
 
 // slot returns the current free frame slot to encode into.
@@ -113,12 +163,13 @@ const (
 // plus the raw source sockaddr of each, taken FIFO one whole message at a
 // time (take). A GRO ring additionally carries per-message control buffers,
 // so a coalesced superbuffer arrives with its gso_size and splits back into
-// frames (splitSeg). A client Endpoint walks each message in place; the
-// server's demux loop hands its buffer — a pooled slab — on to a session,
-// which walks it there.
+// frames (splitSeg). Every buffer is a pooled slab. A client Endpoint walks
+// each message in place and frees the slabs with the ring (release); the
+// server's demux loop hands a filled slab on to a session, which walks it
+// there and frees it, and the ring slot draws a fresh one (replace).
 type rxBatch struct {
 	bufs        [][]byte
-	slabs       []*[]byte // pooled ring only: bufs[i] is *slabs[i], swapped out by replace
+	slabs       []*slab // bufs[i] is slabs[i].buf
 	pool        *sync.Pool
 	names       [][]byte
 	ctrls       [][]byte // GRO mode only: per-message cmsg space (gso_size)
@@ -126,31 +177,6 @@ type rxBatch struct {
 	segs        []int // per-message gso_size (0 = one plain datagram)
 	count, next int
 	recv        mmsgReceiver
-}
-
-// newRxRing builds the bookkeeping of an n-message ring; the caller attaches
-// the buffers. A GRO ring is capped at groRingMsgs superbuffer-sized
-// messages.
-func newRxRing(n int, gro bool) *rxBatch {
-	if n < 1 {
-		n = 1
-	}
-	if gro && n > groRingMsgs {
-		n = groRingMsgs
-	}
-	names := make([]byte, n*rawNameLen)
-	r := &rxBatch{bufs: make([][]byte, n), names: make([][]byte, n), lens: make([]int, n), segs: make([]int, n)}
-	for i := 0; i < n; i++ {
-		r.names[i] = names[i*rawNameLen : (i+1)*rawNameLen]
-	}
-	if gro {
-		ctrls := make([]byte, n*groCtrlBytes)
-		r.ctrls = make([][]byte, n)
-		for i := 0; i < n; i++ {
-			r.ctrls[i] = ctrls[i*groCtrlBytes : (i+1)*groCtrlBytes]
-		}
-	}
-	return r
 }
 
 // rxBufSize is the size of one ring buffer: a whole superbuffer on a GRO
@@ -162,26 +188,28 @@ func rxBufSize(mtu int, gro bool) int {
 	return mtu
 }
 
-// newRxBatch builds a ring over one backing array: the buffers never leave
-// it (a client Endpoint consumes each message before the next fill).
+// newRxBatch builds an n-message ring of rxBufSize(mtu, gro)-byte slabs. A
+// GRO ring is capped at groRingMsgs superbuffer-sized messages.
 func newRxBatch(n, mtu int, gro bool) *rxBatch {
-	r := newRxRing(n, gro)
-	size := rxBufSize(mtu, gro)
-	backing := make([]byte, len(r.bufs)*size)
-	for i := range r.bufs {
-		r.bufs[i] = backing[i*size : (i+1)*size]
+	if n < 1 {
+		n = 1
 	}
-	return r
-}
-
-// newPooledRxBatch builds a ring whose buffers are slabs drawn from pool, so
-// a filled one can be handed off whole (replace) instead of copied out.
-func newPooledRxBatch(n int, gro bool, pool *sync.Pool) *rxBatch {
-	r := newRxRing(n, gro)
-	r.pool = pool
-	r.slabs = make([]*[]byte, len(r.bufs))
-	for i := range r.bufs {
+	if gro && n > groRingMsgs {
+		n = groRingMsgs
+	}
+	names := make([]byte, n*rawNameLen)
+	r := &rxBatch{bufs: make([][]byte, n), slabs: make([]*slab, n), pool: slabPool(rxBufSize(mtu, gro)),
+		names: make([][]byte, n), lens: make([]int, n), segs: make([]int, n)}
+	for i := 0; i < n; i++ {
+		r.names[i] = names[i*rawNameLen : (i+1)*rawNameLen]
 		r.replace(i)
+	}
+	if gro {
+		ctrls := make([]byte, n*groCtrlBytes)
+		r.ctrls = make([][]byte, n)
+		for i := 0; i < n; i++ {
+			r.ctrls[i] = ctrls[i*groCtrlBytes : (i+1)*groCtrlBytes]
+		}
 	}
 	return r
 }
@@ -189,8 +217,20 @@ func newPooledRxBatch(n int, gro bool, pool *sync.Pool) *rxBatch {
 // replace gives ring slot i a fresh slab from the pool; the slab it held now
 // belongs to whoever took it.
 func (r *rxBatch) replace(i int) {
-	r.slabs[i] = r.pool.Get().(*[]byte)
-	r.bufs[i] = *r.slabs[i]
+	r.slabs[i] = r.pool.Get().(*slab)
+	r.bufs[i] = r.slabs[i].buf
+}
+
+// release frees every slab the ring holds and empties it. A nil ring
+// releases nothing.
+func (r *rxBatch) release() {
+	if r == nil {
+		return
+	}
+	for _, s := range r.slabs {
+		s.free()
+	}
+	r.bufs, r.slabs, r.count, r.next = nil, nil, 0, 0
 }
 
 // pending reports whether received messages are waiting to be taken.

@@ -23,27 +23,27 @@ import (
 // dispatch) lives in internal/session and is shared with the simulator
 // substrate.
 
-// dgram is one burst in flight from the demux loop to a session: what one
-// received message held — n bytes from one source in a pooled slab,
-// coalesced by UDP_GRO into seg-byte datagrams (seg 0: a single datagram).
-// It is the transport.Message of this substrate.
-type dgram struct {
-	b      *[]byte
-	n, seg int32 // a message is at most 64 KiB; a small entry keeps a deep inbox cheap to make
-}
+// A burst in flight from the demux loop to a session is the demux ring's
+// slab itself, carrying what one received message held: n bytes from one
+// source, coalesced by UDP_GRO into seg-byte datagrams (seg 0: a single
+// datagram). It is the transport.Message of this substrate, and an inbox
+// entry is one pointer, which keeps a deep inbox cheap to make.
+
+// burst returns the received message the slab holds.
+func (s *slab) burst() []byte { return s.buf[:s.n] }
 
 // first returns the burst's first datagram.
-func (d *dgram) first() []byte {
+func (s *slab) first() []byte {
 	off := 0
-	return splitSeg((*d.b)[:d.n], int(d.seg), &off)
+	return splitSeg(s.burst(), int(s.seg), &off)
 }
 
 // datagrams counts the datagrams the burst carries.
-func (d *dgram) datagrams() int {
-	if d.seg <= 0 || d.n <= d.seg {
+func (s *slab) datagrams() int {
+	if s.seg <= 0 || s.n <= s.seg {
 		return 1
 	}
-	return int((d.n + d.seg - 1) / d.seg)
+	return int((s.n + s.seg - 1) / s.seg)
 }
 
 const (
@@ -65,7 +65,6 @@ type serverListener struct {
 	line  *linePacer // modeled egress line rate shared by all sessions (nil: unlimited)
 	gro   bool       // the socket receives coalesced (UDP_GRO): bursts can hold many datagrams
 	rx    *rxBatch   // the demux ring: every read of the socket fills it
-	pool  *sync.Pool // the ring's slabs, and where sessions return them
 
 	// inboxCap is how many bursts one session's inbox queues. Every slab has
 	// the same capacity, so the bound is one in bytes: queued slab capacity
@@ -76,8 +75,7 @@ type serverListener struct {
 	drops    *atomic.Int64 // datagrams dropped on full inboxes (Server.InboxDrops)
 
 	keybuf [addrKeyLen]byte
-	cur    dgram // the burst of the most recent Accept, aliasing ring slot slot
-	slot   int
+	slot   int // the ring slot of the most recent Accept
 
 	wg   sync.WaitGroup
 	logf func(format string, args ...any) // the server's Logf (nil: silent)
@@ -103,10 +101,8 @@ func newServerListener(conn net.PacketConn, batch, mtu int, maxTier Tier) *serve
 	// superbuffers itself and every burst is one datagram in an MTU slab,
 	// as on the lower tiers.
 	l.gro = l.tier >= TierGSO && budget/groBufBytes >= minGROInbox && setGRO(l.raw, true)
-	slab := rxBufSize(mtu, l.gro)
-	l.pool = &sync.Pool{New: func() any { b := make([]byte, slab); return &b }}
-	l.rx = newPooledRxBatch(batch, l.gro, l.pool)
-	l.inboxCap = max(1, budget/slab)
+	l.rx = newRxBatch(batch, mtu, l.gro)
+	l.inboxCap = max(1, budget/rxBufSize(mtu, l.gro))
 	return l
 }
 
@@ -135,19 +131,20 @@ func (l *serverListener) Accept(idle time.Duration) (transport.Inbound, error) {
 	if err != nil {
 		return transport.Inbound{}, err
 	}
-	l.slot, l.cur = i, dgram{b: l.rx.slabs[i], n: int32(l.rx.lens[i]), seg: int32(l.rx.segs[i])}
-	return transport.Inbound{Key: l.keybuf[:], Msg: &l.cur}, nil
+	b := l.rx.slabs[i]
+	l.slot, b.n, b.seg = i, int32(l.rx.lens[i]), int32(l.rx.segs[i])
+	return transport.Inbound{Key: l.keybuf[:], Msg: b}, nil
 }
 
 // ReqOf decodes a burst as a session-opening request: only one led by a
 // checksum-valid REQ qualifies.
 func (l *serverListener) ReqOf(msg transport.Message) (wire.Req, bool) {
-	d, ok := msg.(*dgram)
+	b, ok := msg.(*slab)
 	if !ok {
 		return wire.Req{}, false
 	}
 	var pkt wire.Packet
-	if wire.DecodeInto(&pkt, d.first()) != nil || pkt.Type != wire.TypeReq {
+	if wire.DecodeInto(&pkt, b.first()) != nil || pkt.Type != wire.TypeReq {
 		return wire.Req{}, false
 	}
 	req, err := wire.DecodeReq(pkt.Payload)
@@ -174,7 +171,7 @@ func (l *serverListener) Open() (transport.Conn, transport.Peer, error) {
 	}
 	// Sized to the inbox's byte budget (see inboxCap), not to a number of
 	// sends: the demux loop never blocks on it, a full inbox drops.
-	return &serverConn{l: l, peer: peer, inbox: make(chan dgram, l.inboxCap)}, peer, nil
+	return &serverConn{l: l, peer: peer, inbox: make(chan *slab, l.inboxCap)}, peer, nil
 }
 
 // ReplyBusy sends a best-effort BUSY/RETRY-AFTER refusal to the source of
@@ -182,12 +179,12 @@ func (l *serverListener) Open() (transport.Conn, transport.Peer, error) {
 // unbatched write: refusals are rare by construction (one per refused REQ
 // round trip) and must not sit in a frame ring.
 func (l *serverListener) ReplyBusy(msg transport.Message, retryAfter time.Duration) error {
-	d, ok := msg.(*dgram)
+	b, ok := msg.(*slab)
 	if !ok {
 		return fmt.Errorf("udplan: refused arrival is not a datagram")
 	}
 	var pkt wire.Packet
-	if err := wire.DecodeInto(&pkt, d.first()); err != nil {
+	if err := wire.DecodeInto(&pkt, b.first()); err != nil {
 		return err
 	}
 	peer, err := l.lastPeer()
@@ -202,8 +199,12 @@ func (l *serverListener) ReplyBusy(msg transport.Message, retryAfter time.Durati
 	return err
 }
 
-// Drain blocks until every session goroutine has returned.
-func (l *serverListener) Drain() { l.wg.Wait() }
+// Drain blocks until every session goroutine has returned, then returns the
+// demux ring's slabs to the pool: the loop has stopped accepting.
+func (l *serverListener) Drain() {
+	l.wg.Wait()
+	l.rx.release()
+}
 
 // AcceptPoll bounds an otherwise-unbounded Accept so the demux loop can
 // notice server state changes (BeginDrain) while the socket is idle; a
@@ -215,29 +216,29 @@ func (l *serverListener) AcceptPoll() time.Duration { return 250 * time.Millisec
 type serverConn struct {
 	l       *serverListener
 	peer    net.Addr
-	inbox   chan dgram
+	inbox   chan *slab
 	dropLog time.Time // when this peer's inbox overflow was last logged (demux loop only)
 }
 
 // Deliver hands the burst's slab itself to the session and gives the ring
 // slot a fresh one: no copy, one channel operation per burst. A full inbox
 // drops the burst — an interface drop the protocol recovers from — and the
-// slab simply stays in the ring.
+// slab simply stays in the ring. A slab the ring no longer holds has been
+// handed off already.
 func (c *serverConn) Deliver(msg transport.Message) {
-	d, ok := msg.(*dgram)
-	if !ok || d.b == nil {
+	b, ok := msg.(*slab)
+	if !ok || c.l.rx.slabs[c.l.slot] != b {
 		return
 	}
 	select {
-	case c.inbox <- *d:
-		d.b = nil // the session owns the slab now
+	case c.inbox <- b:
 		c.l.rx.replace(c.l.slot)
 	default:
-		c.l.drops.Add(int64(d.datagrams()))
+		c.l.drops.Add(int64(b.datagrams()))
 		if now := time.Now(); c.l.logf != nil && now.Sub(c.dropLog) >= time.Second {
 			c.dropLog = now
 			c.l.logf("udplan: session %v: inbox full (%d bursts queued); dropped a burst of %d datagram(s), %d dropped on this server so far",
-				c.peer, len(c.inbox), d.datagrams(), c.l.drops.Load())
+				c.peer, len(c.inbox), b.datagrams(), c.l.drops.Load())
 		}
 	}
 }
@@ -246,8 +247,9 @@ func (c *serverConn) Deliver(msg transport.Message) {
 func (c *serverConn) Hangup() { close(c.inbox) }
 
 // Spawn runs the session body in its own goroutine over a channel-fed Env
-// with its own transmit path, and puts whatever the body left queued on the
-// wire once it returns.
+// with its own transmit path, puts whatever the body left queued on the wire
+// once it returns, and then returns the session's slabs to the pool: the
+// burst it was walking, its frame ring and its stage.
 func (c *serverConn) Spawn(name string, body func(env core.Env)) {
 	c.l.wg.Add(1)
 	go func() {
@@ -258,6 +260,7 @@ func (c *serverConn) Spawn(name string, body func(env core.Env)) {
 			c.l.logf("udplan: session %v: flushing after the session ended: %v", c.peer, err)
 		}
 		env.recycle()
+		env.release()
 	}()
 }
 
@@ -267,16 +270,15 @@ func (c *serverConn) Spawn(name string, body func(env core.Env)) {
 // demux loop owns the receive side; only transmit state is per-session.
 type sessionEnv struct {
 	txPath
-	inbox chan dgram
-	pool  *sync.Pool
+	inbox chan *slab
 	start time.Time
 	timer *time.Timer
-	cur   dgram // the burst being consumed; its slab is recycled once exhausted
+	cur   *slab // the burst being consumed (nil: none); recycled once exhausted
 	off   int   // byte cursor inside cur
 	pkt   wire.Packet
 }
 
-func newSessionEnv(l *serverListener, peer net.Addr, inbox chan dgram) *sessionEnv {
+func newSessionEnv(l *serverListener, peer net.Addr, inbox chan *slab) *sessionEnv {
 	t := time.NewTimer(time.Hour)
 	if !t.Stop() {
 		<-t.C
@@ -284,7 +286,6 @@ func newSessionEnv(l *serverListener, peer net.Addr, inbox chan dgram) *sessionE
 	se := &sessionEnv{
 		txPath: txPath{conn: l.conn, raw: l.raw, peer: peer, line: l.line},
 		inbox:  inbox,
-		pool:   l.pool,
 		start:  time.Now(),
 		timer:  t,
 	}
@@ -306,15 +307,15 @@ func (se *sessionEnv) Recv(timeout time.Duration) (*wire.Packet, error) {
 		return nil, err
 	}
 	for {
-		if se.off >= int(se.cur.n) {
+		if se.cur == nil || se.off >= int(se.cur.n) {
 			se.recycle()
-			d, err := se.nextDgram(timeout)
+			b, err := se.nextBurst(timeout)
 			if err != nil {
 				return nil, err
 			}
-			se.cur, se.off = d, 0
+			se.cur = b
 		}
-		data := splitSeg((*se.cur.b)[:se.cur.n], int(se.cur.seg), &se.off)
+		data := splitSeg(se.cur.burst(), int(se.cur.seg), &se.off)
 		if derr := wire.DecodeInto(&se.pkt, data); derr != nil {
 			continue // corrupted in flight: the checksum did its job
 		}
@@ -324,36 +325,36 @@ func (se *sessionEnv) Recv(timeout time.Duration) (*wire.Packet, error) {
 
 // recycle returns the current burst's slab to the pool.
 func (se *sessionEnv) recycle() {
-	if se.cur.b != nil {
-		se.pool.Put(se.cur.b)
+	if se.cur != nil {
+		se.cur.free()
 	}
-	se.cur, se.off = dgram{}, 0
+	se.cur, se.off = nil, 0
 }
 
-// nextDgram waits for the demux loop's next datagram with core.Env timeout
+// nextBurst waits for the demux loop's next burst with core.Env timeout
 // semantics.
-func (se *sessionEnv) nextDgram(timeout time.Duration) (dgram, error) {
+func (se *sessionEnv) nextBurst(timeout time.Duration) (*slab, error) {
 	if timeout < 0 {
-		d, ok := <-se.inbox
+		b, ok := <-se.inbox
 		if !ok {
-			return dgram{}, net.ErrClosed
+			return nil, net.ErrClosed
 		}
-		return d, nil
+		return b, nil
 	}
 	if timeout == 0 {
 		select {
-		case d, ok := <-se.inbox:
+		case b, ok := <-se.inbox:
 			if !ok {
-				return dgram{}, net.ErrClosed
+				return nil, net.ErrClosed
 			}
-			return d, nil
+			return b, nil
 		default:
-			return dgram{}, os.ErrDeadlineExceeded
+			return nil, os.ErrDeadlineExceeded
 		}
 	}
 	se.timer.Reset(timeout)
 	select {
-	case d, ok := <-se.inbox:
+	case b, ok := <-se.inbox:
 		if !se.timer.Stop() {
 			select {
 			case <-se.timer.C:
@@ -361,10 +362,10 @@ func (se *sessionEnv) nextDgram(timeout time.Duration) (dgram, error) {
 			}
 		}
 		if !ok {
-			return dgram{}, net.ErrClosed
+			return nil, net.ErrClosed
 		}
-		return d, nil
+		return b, nil
 	case <-se.timer.C:
-		return dgram{}, os.ErrDeadlineExceeded
+		return nil, os.ErrDeadlineExceeded
 	}
 }

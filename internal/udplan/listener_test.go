@@ -38,7 +38,7 @@ func startDemux(l *serverListener, body func(peer net.Addr, env core.Env)) *demu
 			}
 			h.mu.Lock()
 			c := h.conns[string(inb.Key)]
-			if inb.Msg.(*dgram).datagrams() > 1 {
+			if inb.Msg.(*slab).datagrams() > 1 {
 				h.coalesced++
 			}
 			h.mu.Unlock()
@@ -318,15 +318,21 @@ func TestSessionInboxHoldsAtMostTheByteBudget(t *testing.T) {
 			l := newServerListener(conn, 32, MaxDatagram, TierAuto)
 			budget := inboxBudget(l.raw, MaxDatagram)
 			slab := rxBufSize(MaxDatagram, l.gro)
-			var slabs int // slabs the pool ever had to make
+			// The client's rings are drawn before counting starts: it may
+			// share a slab size with the demux ring.
+			e := NewEndpoint(listenUDP(t, 0), conn.LocalAddr())
+			e.SetBatch(32)
+			var slabs int // slabs the pool had to make during the flood
 			var pmu sync.Mutex
-			inner := l.pool.New
-			l.pool.New = func() any {
+			pool := l.rx.pool
+			inner := pool.New
+			pool.New = func() any {
 				pmu.Lock()
 				slabs++
 				pmu.Unlock()
 				return inner()
 			}
+			defer func() { pool.New = inner }()
 			release := make(chan struct{})
 			h := startDemux(l, func(_ net.Addr, env core.Env) {
 				if _, err := env.Recv(-1); err != nil { // the REQ
@@ -340,8 +346,6 @@ func TestSessionInboxHoldsAtMostTheByteBudget(t *testing.T) {
 				}
 			})
 
-			e := NewEndpoint(listenUDP(t, 0), conn.LocalAddr())
-			e.SetBatch(32)
 			if err := e.Send(&wire.Packet{Type: wire.TypeReq, Trans: 1,
 				Payload: wire.EncodeReq(wire.Req{Bytes: 1 << 30, Chunk: 1000, Push: true})}); err != nil {
 				t.Fatal(err)

@@ -175,12 +175,13 @@ func TestStagedBlastParity(t *testing.T) {
 				check("endpoint", eGot, *eFlushes, &e.txPath)
 
 				l := newServerListener(listen(), batch, MaxDatagram, tier)
-				inbox := make(chan dgram, 1)
+				inbox := make(chan *slab, 1)
 				se := newSessionEnv(l, sink.LocalAddr(), inbox)
 				sFlushes := countFlushes(&se.txPath)
 				sGot := blastToSink(t, se, cfg, sink, func(ack []byte) {
-					slab := l.pool.Get().(*[]byte)
-					inbox <- dgram{b: slab, n: int32(copy(*slab, ack))}
+					b := l.rx.pool.Get().(*slab)
+					b.n, b.seg = int32(copy(b.buf, ack)), 0
+					inbox <- b
 				})
 				check("session", sGot, *sFlushes, &se.txPath)
 			})

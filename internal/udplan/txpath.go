@@ -32,27 +32,45 @@ type txPath struct {
 
 	// stage is the second frame ring (core.Stager): the next window's frames,
 	// encoded while this window's response is in flight and released through
-	// flushFrames when their turn comes. Allocated on first use.
+	// flushFrames when their turn comes. Drawn on first use.
 	stage *txBatch
 
 	// err holds a flush failure from a call that cannot return one (SetBatch,
 	// SetBatchLimit) until the next Send, FlushBatch or Recv reports it.
 	err error
+
+	// closed is set once release has returned the rings to the slab pool.
+	closed bool
 }
 
 // setRing (re)builds the frame ring: n slots of mtu bytes, flushed through
 // tier. Frames still queued were encoded against the old geometry and go out
-// first, through the old tier.
+// first, through the old tier; then the old ring and the stage go back to the
+// slab pool (staged frames were encoded against the old geometry too).
 func (t *txPath) setRing(tier Tier, n, mtu int) {
 	if t.ring != nil {
 		t.keep(t.ring.Flush())
 	}
+	t.dropRings()
 	if n < 1 {
 		n = 1
 	}
 	t.tier = tier
 	t.ring = newTxBatch(n, mtu, t.flushFrames)
-	t.stage = nil // staged frames were encoded against the old geometry too
+}
+
+// dropRings returns the frame ring and the stage to the slab pool.
+func (t *txPath) dropRings() {
+	t.ring.release()
+	t.stage.release()
+	t.stage = nil
+}
+
+// release ends the path once its owner has flushed it: the rings go back to
+// the slab pool, and FlushBatch reports net.ErrClosed from then on.
+func (t *txPath) release() {
+	t.dropRings()
+	t.closed = true
 }
 
 func (t *txPath) keep(err error) {
@@ -162,7 +180,7 @@ const stageFactor = 4
 // Stage implements core.Stager. A paced path does not stage: the gap is
 // spent packet by packet as frames are sent.
 func (t *txPath) Stage(p *wire.Packet) bool {
-	if t.gap > 0 {
+	if t.gap > 0 || t.closed {
 		return false
 	}
 	if t.stage == nil {
@@ -216,6 +234,9 @@ func (t *txPath) ReleaseStaged(n int) error {
 // FlushBatch implements core.Datapath: every queued frame goes on the wire,
 // in queue order.
 func (t *txPath) FlushBatch() error {
+	if t.closed {
+		return net.ErrClosed
+	}
 	t.keep(t.ring.Flush())
 	return t.takeErr()
 }

@@ -119,7 +119,7 @@ func TestTxParityEndpointVsSession(t *testing.T) {
 				eGot := collect(len(want))
 
 				l := newServerListener(listen(), batch, MaxDatagram, tier)
-				se := newSessionEnv(l, sink.LocalAddr(), make(chan dgram))
+				se := newSessionEnv(l, sink.LocalAddr(), make(chan *slab))
 				sFlushes := countFlushes(&se.txPath)
 				txScript(t, se)
 				sGot := collect(len(want))
@@ -220,7 +220,7 @@ func TestSpawnLogsFlushError(t *testing.T) {
 		lines = append(lines, fmt.Sprintf(format, args...))
 		mu.Unlock()
 	}
-	c := &serverConn{l: l, peer: conn.LocalAddr(), inbox: make(chan dgram)}
+	c := &serverConn{l: l, peer: conn.LocalAddr(), inbox: make(chan *slab)}
 	c.Spawn("session", func(env core.Env) {
 		failFlush(&env.(*sessionEnv).txPath, errors.New("boom"))
 		if err := env.Send(data(0, "left in the ring")); err != nil {

@@ -27,9 +27,12 @@
 // message is routed with one lookup and handed to its session uncopied; a
 // session's inbox is bounded by the receive buffer the kernel granted the
 // socket, and what overflows it is counted (Server.InboxDrops). A client
-// Endpoint walks its own ring. Adversary semantics are preserved bit-for-bit
-// at every batch size: every packet is judged before it enters the ring, in
-// send order.
+// Endpoint walks its own ring. Every ring's buffers — frame rings, stages,
+// receive rings — are slabs of one pool, which go back when their endpoint,
+// session or listener ends, so a short transfer pays for its packets, not
+// for freshly zeroed rings.
+// Adversary semantics are preserved bit-for-bit at every batch size: every
+// packet is judged before it enters the ring, in send order.
 package udplan
 
 import (
@@ -182,8 +185,7 @@ func (e *Endpoint) SetMTU(n int) error {
 		return err
 	}
 	e.mtu = n
-	e.SetBatch(e.Batch()) // re-size the rings to the new MTU
-	return nil
+	return e.SetBatch(e.Batch()) // re-size the rings to the new MTU
 }
 
 // MTU returns the endpoint's maximum datagram size.
@@ -231,8 +233,12 @@ func (e *Endpoint) ReadBuffer() int { return connReadBuffer(e.raw) }
 // returned by the next Send, FlushBatch or Recv — but rebuilding the
 // receive ring discards any received-but-undelivered datagrams; between
 // transfers that is nothing). Mid-transfer batch adaptation goes through
-// SetBatchLimit, which moves only the flush threshold.
-func (e *Endpoint) SetBatch(n int) {
+// SetBatchLimit, which moves only the flush threshold. The old rings go back
+// to the slab pool. On a closed endpoint SetBatch returns net.ErrClosed.
+func (e *Endpoint) SetBatch(n int) error {
+	if e.closed {
+		return net.ErrClosed
+	}
 	e.setRing(pickTxTier(e.raw, n, e.MaxTier), n, e.mtu)
 	wantGRO := e.tier >= TierGSO
 	switch {
@@ -248,8 +254,10 @@ func (e *Endpoint) SetBatch(n int) {
 		setGRO(e.raw, false)
 		e.gro = false
 	}
+	e.rx.release()
 	e.rx = newRxBatch(n, e.mtu, e.gro)
 	e.cur, e.off = nil, 0
+	return nil
 }
 
 // GRO reports whether the receive side is UDP_GRO-coalesced.
@@ -280,8 +288,14 @@ func Dial(remote string) (*Endpoint, error) {
 }
 
 // Close flushes the batch queue and any held transmissions, then releases
-// the underlying socket. It returns the first error of the three.
+// the underlying socket and returns the endpoint's rings to the slab pool. It
+// returns the first error of the three. Close is idempotent: a closed
+// endpoint releases nothing again, and Close, Send, SendAsync, FlushBatch,
+// Recv, SetBatch and SetMTU on it return net.ErrClosed (Stage refuses).
 func (e *Endpoint) Close() error {
+	if e.closed {
+		return net.ErrClosed
+	}
 	err := e.FlushBatch()
 	if herr := e.flushTx(); err == nil {
 		err = herr
@@ -289,6 +303,10 @@ func (e *Endpoint) Close() error {
 	if cerr := e.conn.Close(); err == nil {
 		err = cerr
 	}
+	// The socket is closed, so no read can fill the receive ring any more.
+	e.release()
+	e.rx.release()
+	e.cur, e.off = nil, 0
 	return err
 }
 
@@ -310,6 +328,9 @@ func (e *Endpoint) Compute(time.Duration) {}
 // packet regardless of the verdict — the sender spends the slot whether or
 // not the adversary lets the frame through.
 func (e *Endpoint) Send(p *wire.Packet) error {
+	if e.closed {
+		return net.ErrClosed
+	}
 	if !e.mangling() {
 		return e.txPath.Send(p)
 	}
@@ -530,8 +551,9 @@ func (e *Endpoint) Recv(timeout time.Duration) (*wire.Packet, error) {
 		}
 		e.passRx()
 		// The packet aliases this endpoint's receive buffers (and the one
-		// decode value), all stable until the next Recv — the same contract
-		// every Env in this repository provides. No per-packet allocation.
+		// decode value), all stable until the next Recv or Close — the same
+		// contract every Env in this repository provides. No per-packet
+		// allocation.
 		return pkt, nil
 	}
 }
