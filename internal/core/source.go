@@ -25,7 +25,7 @@ func SeededSource(seed int64, bytes, chunk int) ChunkSource {
 			dst = make([]byte, n)
 		}
 		dst = dst[:n]
-		fillChunk(uint64(seed)+0x9e3779b97f4a7c15*uint64(seq+1), dst)
+		fillChunk(uint64(seed)+splitmixGamma*uint64(seq+1), dst)
 		return dst
 	}
 }
@@ -72,22 +72,50 @@ func SeededChecksum(seed int64, bytes, chunk int) uint16 {
 	return acc.Sum16()
 }
 
-// fillChunk fills dst from a splitmix64 stream starting at state.
+// splitmix64's state increment and output multipliers.
+const (
+	splitmixGamma = 0x9e3779b97f4a7c15
+	splitmixMul1  = 0xbf58476d1ce4e5b9
+	splitmixMul2  = 0x94d049bb133111eb
+)
+
+// fillChunk fills dst from a splitmix64 stream starting at state: word i
+// (from 0) is splitmix(state + (i+1)·γ).
+//
+// A word depends on its index alone, not on the word before it, so the main
+// loop computes four at once, stage by stage. Their multiply chains are
+// independent and overlap in the pipeline, where a one-word loop waits on
+// each chain in turn; the bytes are the same (TestSeededGolden pins them).
 func fillChunk(state uint64, dst []byte) {
-	var word [8]byte
-	for len(dst) > 0 {
-		state += 0x9e3779b97f4a7c15
-		z := state
-		z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
-		z = (z ^ z>>27) * 0x94d049bb133111eb
-		z ^= z >> 31
-		if len(dst) >= 8 {
-			binary.LittleEndian.PutUint64(dst, z)
-			dst = dst[8:]
-			continue
-		}
-		binary.LittleEndian.PutUint64(word[:], z)
-		copy(dst, word[:])
-		return
+	for len(dst) >= 32 {
+		a := state + splitmixGamma
+		b := a + splitmixGamma
+		c := b + splitmixGamma
+		d := c + splitmixGamma
+		state = d
+		a, b, c, d = (a^a>>30)*splitmixMul1, (b^b>>30)*splitmixMul1, (c^c>>30)*splitmixMul1, (d^d>>30)*splitmixMul1
+		a, b, c, d = (a^a>>27)*splitmixMul2, (b^b>>27)*splitmixMul2, (c^c>>27)*splitmixMul2, (d^d>>27)*splitmixMul2
+		binary.LittleEndian.PutUint64(dst[0:8], a^a>>31)
+		binary.LittleEndian.PutUint64(dst[8:16], b^b>>31)
+		binary.LittleEndian.PutUint64(dst[16:24], c^c>>31)
+		binary.LittleEndian.PutUint64(dst[24:32], d^d>>31)
+		dst = dst[32:]
 	}
+	for len(dst) >= 8 {
+		state += splitmixGamma
+		binary.LittleEndian.PutUint64(dst, splitmix(state))
+		dst = dst[8:]
+	}
+	if len(dst) > 0 {
+		var word [8]byte
+		binary.LittleEndian.PutUint64(word[:], splitmix(state+splitmixGamma))
+		copy(dst, word[:])
+	}
+}
+
+// splitmix is splitmix64's output function.
+func splitmix(z uint64) uint64 {
+	z = (z ^ z>>30) * splitmixMul1
+	z = (z ^ z>>27) * splitmixMul2
+	return z ^ z>>31
 }

@@ -12,14 +12,16 @@
 // in Sleep or Wait, so a given seed always produces an identical execution.
 // Events at equal times fire in schedule order.
 //
-// The kernel is built for cheap mass replay: event records live on a
-// per-kernel free list and know their heap index, so a cancelled timer leaves
-// the heap at once and the heap holds only what can still fire; Sleep and
-// Wait schedule typed events instead of allocating closures; a waiter's
-// predicate is checked by the kernel, so a broadcast that does not concern a
-// process costs an event, not a switch, and so does an interface copy it
-// would only sleep through; and Reset rewinds a kernel to time zero so one
-// kernel (with its warmed pools) can serve thousands of trials.
+// The kernel is built for cheap mass replay: an event due at the current
+// instant — half of all events, mostly broadcast wake-ups — goes on a FIFO
+// lane instead of the heap; event records live on a per-kernel free list and
+// know their heap index, so a cancelled timer leaves the pending set at once
+// and it holds only what can still fire; Sleep and Wait schedule typed events
+// instead of allocating closures; a waiter's predicate is checked by the
+// kernel, so a broadcast that does not concern a process costs an event, not
+// a switch, and so does an interface copy it would only sleep through; and
+// Reset rewinds a kernel to time zero so one kernel (with its warmed pools)
+// can serve thousands of trials.
 package sim
 
 import (
@@ -32,8 +34,14 @@ import (
 // Kernel is the event loop and virtual clock. Create one with NewKernel,
 // spawn processes with Go, then call Run.
 type Kernel struct {
-	now     time.Duration
-	events  eventHeap
+	now time.Duration
+	// The pending set, in (at, seq) order: later holds the events that were
+	// scheduled for a time after the clock of their scheduling, lane[head:]
+	// those scheduled for the clock itself, in schedule order. Every lane
+	// entry is due now, and the clock does not move while one is pending.
+	later   eventHeap
+	lane    []entry
+	head    int
 	seq     uint64
 	live    int // non-daemon processes that have not finished
 	failure error
@@ -52,8 +60,8 @@ func NewKernel() *Kernel { return &Kernel{} }
 type KernelStats struct {
 	Events          int64 // events fired
 	Switches        int64 // kernel-to-process resumes (two coroutine switches each)
-	TimersCancelled int64 // events removed from the heap before they fired
-	HeapPeak        int   // deepest the event heap got
+	TimersCancelled int64 // events removed from the pending set before they fired
+	HeapPeak        int   // the most events pending at once, heap and lane together
 }
 
 // Stats returns the counts so far.
@@ -62,17 +70,25 @@ func (k *Kernel) Stats() KernelStats { return k.stats }
 // Now returns the current virtual time.
 func (k *Kernel) Now() time.Duration { return k.now }
 
-// Reset rewinds the kernel to time zero with an empty event heap so it can
+// Reset rewinds the kernel to time zero with an empty pending set so it can
 // run another simulation, keeping its event and waiter pools warm. Processes
 // still blocked (a parked daemon, an abandoned run) are unwound first; then
 // pending events are discarded into the pool.
 func (k *Kernel) Reset() {
 	k.unwind()
-	for k.events.len() > 0 {
-		k.recycle(k.events.pop())
+	for k.later.len() > 0 {
+		k.recycle(k.later.pop().ev)
+	}
+	for k.head < len(k.lane) {
+		if e := k.popLane(); e.ev != nil {
+			k.recycle(e.ev)
+		}
 	}
 	k.now, k.seq, k.live, k.failure, k.stats = 0, 0, 0, nil, KernelStats{}
 }
+
+// pending is the number of events that can still fire.
+func (k *Kernel) pending() int { return k.later.len() + len(k.lane) - k.head }
 
 // unwind stops every process that has started and not finished: each is
 // resumed once with a false yield, panics errUnwound out of its Sleep or Wait,
@@ -95,6 +111,8 @@ const (
 	// evResume hands control to a spawned or sleeping process.
 	evResume
 	// evWake is a broadcast reaching one waiter (whose predicate may decline).
+	// It is never an event record: no Timer can name a wake-up, so it rides
+	// the lane by value, as an entry with a waiter and no event.
 	evWake
 	// evWaitTimeout expires a Signal wait.
 	evWaitTimeout
@@ -109,17 +127,29 @@ const (
 // event is a scheduled occurrence. Events are pooled: gen increments on
 // every recycle so stale Timer handles cannot cancel an unrelated reuse.
 type event struct {
-	at   time.Duration
-	seq  uint64
-	k    *Kernel // owner, so a Timer can pull the event off its heap
-	idx  int     // position in the heap; -1 once popped or removed
+	k    *Kernel // owner, so a Timer can pull the event out of its pending set
+	idx  int     // position in the heap, onLane, or notPending
 	gen  uint32
 	kind eventKind
 
 	fire   func()    // evFunc
 	proc   *Proc     // evResume
-	waiter *svwaiter // evWake, evWaitTimeout
+	waiter *svwaiter // evWaitTimeout
 	job    *txJob    // evTxDone, evDeliver, evCopied
+}
+
+// Where an event is when it is not in the heap.
+const (
+	notPending = -1 // popped, removed or free
+	onLane     = -2
+)
+
+// entry is one pending occurrence on the lane or popped from the pending set:
+// an event record, or (ev nil) a broadcast's wake-up of w, carried by value.
+type entry struct {
+	seq uint64
+	ev  *event
+	w   *svwaiter
 }
 
 // Timer is a handle for a scheduled event that may be cancelled. The zero
@@ -129,20 +159,27 @@ type Timer struct {
 	gen uint32
 }
 
-// Cancel prevents the event from firing by removing it from the heap and
-// recycling it. Safe to call multiple times, while or after the event fires,
-// and on the zero Timer.
+// Cancel prevents the event from firing by removing it from the pending set
+// and recycling it. Safe to call multiple times, while or after the event
+// fires, and on the zero Timer.
 func (t Timer) Cancel() {
-	if ev := t.ev; ev != nil && ev.gen == t.gen && ev.idx >= 0 {
-		ev.k.events.remove(ev.idx)
-		ev.k.stats.TimersCancelled++
-		ev.k.recycle(ev)
+	ev := t.ev
+	if ev == nil || ev.gen != t.gen || ev.idx == notPending {
+		return
 	}
+	k := ev.k
+	if ev.idx == onLane {
+		k.removeFromLane(ev)
+	} else {
+		k.later.remove(ev.idx)
+	}
+	k.stats.TimersCancelled++
+	k.recycle(ev)
 }
 
 // newEvent takes an event record from the pool (or allocates one), stamps it
-// with the schedule ordering keys and pushes it on the heap. at is clamped
-// to now.
+// with the next schedule slot and adds it to the pending set: on the lane if
+// it is due now (at is clamped to now), else on the heap.
 func (k *Kernel) newEvent(at time.Duration, kind eventKind) *event {
 	var ev *event
 	if n := len(k.freeEvents); n > 0 {
@@ -151,18 +188,73 @@ func (k *Kernel) newEvent(at time.Duration, kind eventKind) *event {
 	} else {
 		ev = &event{k: k}
 	}
-	if at < k.now {
-		at = k.now
-	}
-	ev.at = at
-	ev.seq = k.seq
 	ev.kind = kind
+	if at <= k.now {
+		ev.idx = onLane
+		k.lane = append(k.lane, entry{seq: k.seq, ev: ev})
+	} else {
+		k.later.push(heapKey{at: at, seq: k.seq, ev: ev})
+	}
 	k.seq++
-	k.events.push(ev)
-	if n := k.events.len(); n > k.stats.HeapPeak {
+	k.notePeak()
+	return ev
+}
+
+// notePeak records the pending set's size after an addition.
+func (k *Kernel) notePeak() {
+	if n := k.pending(); n > k.stats.HeapPeak {
 		k.stats.HeapPeak = n
 	}
-	return ev
+}
+
+// popLane takes the lane's head entry. An emptied lane restarts at the front
+// of its array, so it stays as short as the longest burst at one instant.
+func (k *Kernel) popLane() entry {
+	e := k.lane[k.head]
+	k.lane[k.head] = entry{}
+	if k.head++; k.head == len(k.lane) {
+		k.lane, k.head = k.lane[:0], 0
+	}
+	if e.ev != nil {
+		e.ev.idx = notPending
+	}
+	return e
+}
+
+// removeFromLane takes a cancelled event off the lane. Only a zero-delay
+// timer or wait timeout cancelled within its own instant gets here, so the
+// scan is rare.
+func (k *Kernel) removeFromLane(ev *event) {
+	for i := k.head; i < len(k.lane); i++ {
+		if k.lane[i].ev == ev {
+			last := len(k.lane) - 1
+			copy(k.lane[i:], k.lane[i+1:])
+			k.lane[last] = entry{}
+			k.lane = k.lane[:last]
+			break
+		}
+	}
+	if k.head == len(k.lane) {
+		k.lane, k.head = k.lane[:0], 0
+	}
+	ev.idx = notPending
+}
+
+// next takes the first pending entry in (at, seq) order and moves the clock
+// to it; false means nothing is pending. A heap event due now goes first:
+// it was scheduled before the clock reached now, so its seq is below every
+// lane entry's. Otherwise the lane, whose entries are all due now, comes
+// before any later heap event.
+func (k *Kernel) next() (entry, bool) {
+	if k.later.len() > 0 && (k.later.top() == k.now || k.head == len(k.lane)) {
+		key := k.later.pop()
+		k.now = key.at
+		return entry{seq: key.seq, ev: key.ev}, true
+	}
+	if k.head < len(k.lane) {
+		return k.popLane(), true
+	}
+	return entry{}, false
 }
 
 // recycle clears a fired or discarded event and returns it to the pool,
@@ -176,23 +268,35 @@ func (k *Kernel) recycle(ev *event) {
 	k.freeEvents = append(k.freeEvents, ev)
 }
 
-// dispatch fires one event in kernel context.
+// fire runs one popped entry in kernel context and recycles its event.
+func (k *Kernel) fire(e entry) {
+	if e.ev == nil {
+		k.wake(e.w)
+		return
+	}
+	k.dispatch(e.ev)
+	k.recycle(e.ev)
+}
+
+// wake delivers a broadcast to one waiter.
+func (k *Kernel) wake(w *svwaiter) {
+	if w.pred != nil && !w.pred() {
+		// Where the process's own re-check and re-Wait would have put it.
+		w.sig.waiters = append(w.sig.waiters, w)
+	} else if d := w.sleep(); d >= 0 {
+		k.newEvent(k.now+d, evResume).proc = w.p
+	} else {
+		k.resume(w.p, false)
+	}
+}
+
+// dispatch fires one event record in kernel context.
 func (k *Kernel) dispatch(ev *event) {
 	switch ev.kind {
 	case evFunc:
 		ev.fire()
 	case evResume:
 		k.resume(ev.proc, false)
-	case evWake:
-		w := ev.waiter
-		if w.pred != nil && !w.pred() {
-			// Where the process's own re-check and re-Wait would have put it.
-			w.sig.waiters = append(w.sig.waiters, w)
-		} else if d := w.sleep(); d >= 0 {
-			k.newEvent(k.now+d, evResume).proc = w.p
-		} else {
-			k.resume(w.p, false)
-		}
 	case evWaitTimeout:
 		ev.waiter.sig.remove(ev.waiter)
 		k.resume(ev.waiter.p, true)
@@ -243,10 +347,10 @@ func (k *Kernel) Run() error {
 }
 
 // Step processes the next pending event. It reports whether an event was
-// processed (false means the heap is empty or a failure was already
+// processed (false means nothing is pending or a failure was already
 // recorded) and any recorded failure, unwinding like Run on one. Callers use
 // it to drive simulations containing unbounded background activity — load
-// generators never let the event heap drain, so Run would never return.
+// generators never let the pending set drain, so Run would never return.
 func (k *Kernel) Step() (bool, error) {
 	more := k.step()
 	if k.failure != nil {
@@ -255,17 +359,18 @@ func (k *Kernel) Step() (bool, error) {
 	return more, k.failure
 }
 
-// step is the one event loop: fire the earliest event, unless the heap is
-// empty or the run has failed.
+// step is the one event loop: fire the earliest event, unless nothing is
+// pending or the run has failed.
 func (k *Kernel) step() bool {
-	if k.failure != nil || k.events.len() == 0 {
+	if k.failure != nil {
 		return false
 	}
-	ev := k.events.pop()
-	k.now = ev.at
+	e, ok := k.next()
+	if !ok {
+		return false
+	}
 	k.stats.Events++
-	k.dispatch(ev)
-	k.recycle(ev)
+	k.fire(e)
 	return true
 }
 
@@ -407,7 +512,7 @@ func (k *Kernel) getWaiter() *svwaiter {
 }
 
 // putWaiter clears a finished waiter and returns it to the pool: its timeout
-// has fired or been cancelled out of the heap, so no event references it.
+// has fired or been cancelled, so no event references it.
 func (k *Kernel) putWaiter(w *svwaiter) {
 	*w = svwaiter{}
 	k.freeWaiters = append(k.freeWaiters, w)
@@ -465,11 +570,14 @@ func (p *Proc) WaitCond(s *Signal, deadline time.Duration, cond func() bool) boo
 }
 
 // Broadcast wakes every current waiter. New waiters arriving after the call
-// are unaffected. Wakeups are scheduled at the current time in FIFO order.
+// are unaffected. Wakeups are scheduled at the current time in FIFO order;
+// each takes a schedule slot and counts as an event, but needs no record.
 func (s *Signal) Broadcast(k *Kernel) {
 	for _, w := range s.waiters {
 		w.timer.Cancel()
-		k.newEvent(k.now, evWake).waiter = w
+		k.lane = append(k.lane, entry{seq: k.seq, w: w})
+		k.seq++
+		k.notePeak()
 	}
 	s.waiters = s.waiters[:0]
 }
@@ -483,62 +591,87 @@ func (s *Signal) remove(w *svwaiter) {
 	}
 }
 
-// eventHeap is a binary min-heap ordered by (at, seq) — a total order, so
-// the pop sequence does not depend on the heap's shape. Every event knows
-// its index, which is what lets remove take one out of the middle.
-type eventHeap struct{ xs []*event }
+// heapKey is one heap slot: the ordering key by value beside the event, so
+// a comparison never loads through the event pointer.
+type heapKey struct {
+	at  time.Duration
+	seq uint64
+	ev  *event
+}
 
-func (h *eventHeap) len() int { return len(h.xs) }
-
-func (h *eventHeap) less(i, j int) bool {
-	a, b := h.xs[i], h.xs[j]
+func (a heapKey) before(b heapKey) bool {
 	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
 
-func (h *eventHeap) swap(i, j int) {
-	h.xs[i], h.xs[j] = h.xs[j], h.xs[i]
-	h.xs[i].idx, h.xs[j].idx = i, j
+// eventHeap is a binary min-heap ordered by (at, seq) — a total order, so
+// the pop sequence does not depend on the heap's shape. Every event knows
+// its index, which is what lets remove take one out of the middle. Sifts
+// move a hole and write each displaced key once.
+type eventHeap struct{ xs []heapKey }
+
+func (h *eventHeap) len() int { return len(h.xs) }
+
+// top is the earliest pending time; the heap must not be empty.
+func (h *eventHeap) top() time.Duration { return h.xs[0].at }
+
+func (h *eventHeap) push(key heapKey) {
+	h.xs = append(h.xs, key)
+	h.up(len(h.xs)-1, key)
 }
 
-func (h *eventHeap) push(ev *event) {
-	ev.idx = len(h.xs)
-	h.xs = append(h.xs, ev)
-	h.up(ev.idx)
-}
+func (h *eventHeap) pop() heapKey { return h.remove(0) }
 
-func (h *eventHeap) pop() *event { return h.remove(0) }
-
-// remove takes the event at index i out of the heap.
-func (h *eventHeap) remove(i int) *event {
-	ev := h.xs[i]
+// remove takes the key at index i out of the heap.
+func (h *eventHeap) remove(i int) heapKey {
+	key := h.xs[i]
 	last := len(h.xs) - 1
-	h.swap(i, last)
-	h.xs[last] = nil
+	moved := h.xs[last]
+	h.xs[last] = heapKey{}
 	h.xs = h.xs[:last]
 	if i < last {
-		h.down(i)
-		h.up(i)
+		if i > 0 && moved.before(h.xs[(i-1)/2]) {
+			h.up(i, moved)
+		} else {
+			h.down(i, moved)
+		}
 	}
-	ev.idx = -1
-	return ev
+	key.ev.idx = notPending
+	return key
 }
 
-func (h *eventHeap) up(i int) {
-	for parent := (i - 1) / 2; i > 0 && h.less(i, parent); i, parent = parent, (parent-1)/2 {
-		h.swap(i, parent)
+// up places key, bound for the hole at i, at or above i.
+func (h *eventHeap) up(i int, key heapKey) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !key.before(h.xs[parent]) {
+			break
+		}
+		h.xs[i] = h.xs[parent]
+		h.xs[i].ev.idx = i
+		i = parent
 	}
+	h.xs[i] = key
+	key.ev.idx = i
 }
 
-func (h *eventHeap) down(i int) {
+// down places key, bound for the hole at i, at or below i.
+func (h *eventHeap) down(i int, key heapKey) {
+	n := len(h.xs)
 	for {
-		c := 2*i + 1 // the smaller child
-		if c+1 < len(h.xs) && h.less(c+1, c) {
+		c := 2*i + 1 // the earlier child
+		if c >= n {
+			break
+		}
+		if c+1 < n && h.xs[c+1].before(h.xs[c]) {
 			c++
 		}
-		if c >= len(h.xs) || !h.less(c, i) {
-			return
+		if !h.xs[c].before(key) {
+			break
 		}
-		h.swap(i, c)
+		h.xs[i] = h.xs[c]
+		h.xs[i].ev.idx = i
 		i = c
 	}
+	h.xs[i] = key
+	key.ev.idx = i
 }

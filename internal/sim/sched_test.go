@@ -209,7 +209,10 @@ func exchange(t *testing.T, kernelSide bool) (schedule, receipts []string, st Ke
 		if !more {
 			break
 		}
-		schedule = append(schedule, fmt.Sprint(k.now, " ", k.seq, " ", k.events.len()))
+		schedule = append(schedule, fmt.Sprint(k.now, " ", k.seq, " ", k.pending()))
+	}
+	if n := k.pending(); n != 0 || k.later.len() != 0 || len(k.lane) != 0 {
+		t.Errorf("%d events pending (heap %d, lane %d) after the last step", n, k.later.len(), len(k.lane))
 	}
 	return schedule, receipts, k.Stats()
 }

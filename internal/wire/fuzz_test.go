@@ -94,6 +94,45 @@ func FuzzCorrupt(f *testing.F) {
 	})
 }
 
+// FuzzDecodeReq: arbitrary REQ payloads, trailing extensions included, must
+// never panic DecodeReq, and every request it accepts whose name and target
+// fit the encoding must re-encode to a fixed point: the encoding decodes to
+// the same request and encodes back to the same bytes.
+func FuzzDecodeReq(f *testing.F) {
+	plain := EncodeReq(Req{Bytes: 1 << 20, Chunk: 1400, Window: 64, TrMicros: 100_000})
+	named := EncodeReq(Req{Bytes: 4096, Chunk: 1000, Name: "dir/file.bin", Adaptive: 1})
+	copyReq := EncodeReq(Req{Bytes: 8192, Chunk: 1400, Name: "obj", Target: "10.0.0.2:7000", Copy: true})
+	f.Add(plain)
+	f.Add(named)
+	f.Add(copyReq)
+	f.Add(EncodeReq(Req{Copy: true}))
+	// Extension lengths that run past the payload.
+	f.Add(append(append([]byte(nil), plain...), 9, 'a'))
+	f.Add(copyReq[:len(copyReq)-3])
+	f.Add(append(append([]byte(nil), named...), 200, 1))
+	f.Add(plain[:reqLen-1])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := DecodeReq(data)
+		if err != nil {
+			return
+		}
+		if r.Name != "" && !ValidReqName(r.Name) || len(r.Target) > MaxReqTarget {
+			return
+		}
+		enc := EncodeReq(r)
+		back, err := DecodeReq(enc)
+		if err != nil {
+			t.Fatalf("re-encoded request %+v does not decode: %v", r, err)
+		}
+		if back != r {
+			t.Fatalf("decode/encode/decode not a fixed point:\n%+v\n%+v", r, back)
+		}
+		if again := EncodeReq(back); !bytes.Equal(again, enc) {
+			t.Fatalf("encoding not a fixed point: % x, then % x", enc, again)
+		}
+	})
+}
+
 // FuzzDecodeMissing: the selective-NAK bitmap decoder must never panic and
 // must round-trip whatever it accepts.
 func FuzzDecodeMissing(f *testing.F) {
