@@ -55,6 +55,12 @@ func startDaemon(t *testing.T, bin string, args ...string) *daemon {
 	}
 	addr := probe.LocalAddr().String()
 	probe.Close()
+	return startDaemonAt(t, bin, addr, args...)
+}
+
+// startDaemonAt starts blastd listening on addr and waits until it serves.
+func startDaemonAt(t *testing.T, bin, addr string, args ...string) *daemon {
+	t.Helper()
 	d := &daemon{addr: addr, done: make(chan struct{})}
 	d.cmd = exec.Command(bin, append([]string{"-listen", addr}, args...)...)
 	stderr, err := d.cmd.StderrPipe()
@@ -231,5 +237,89 @@ func TestGetToAnUnwritablePath(t *testing.T) {
 	}
 	if !strings.Contains(strings.Join(d.lines(), "\n"), "(cache 64 MiB, read-ahead 8 extents, memory limit 96 MiB)") {
 		t.Errorf("daemon did not log its memory limit:\n%s", strings.Join(d.lines(), "\n"))
+	}
+}
+
+// A -resume get whose stat reply is lost still delivers the file: the stat
+// keeps the full retry bound and only the pull's sessions ask once each.
+// The inbound drop script (seed 2 at 20 %) loses the first datagram blastcp
+// receives — the stat reply — and a fifth of the data after it.
+func TestResumeGetSurvivesALostStat(t *testing.T) {
+	blastd, blastcp := buildBinaries(t)
+	dir := t.TempDir()
+	want := core.SeededPayload(13, 200_000, 1000)
+	if err := os.WriteFile(filepath.Join(dir, "obj.bin"), want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d := startDaemon(t, blastd, "-serve", dir)
+	local := filepath.Join(t.TempDir(), "obj.bin")
+	out, err := exec.Command(blastcp, "-to", d.addr, "-get", "obj.bin", "-o", local, "-resume",
+		"-drop-rx", "0.2", "-strategy", "selective", "-tr", "50ms").CombinedOutput()
+	if err != nil {
+		t.Fatalf("lossy -resume get: %v\n%s", err, out)
+	}
+	if got, _ := os.ReadFile(local); !bytes.Equal(got, want) {
+		t.Errorf("%s holds %d bytes that differ from the %d served", local, len(got), len(want))
+	}
+}
+
+var resumedRE = regexp.MustCompile(`(?m)^  stripe \d .*, [1-9]\d* resumed sessions$`)
+
+// A striped get with -resume survives a kill -9 of the daemon: blastd dies
+// as the first bytes reach the output file and comes back on the same
+// address about 200 ms later. The dead stripes resume as new transfers on
+// their own sockets; the file arrives byte for byte, blastcp exits 0 and
+// says which stripes it resumed.
+func TestGetResumesAcrossKill9(t *testing.T) {
+	blastd, blastcp := buildBinaries(t)
+	dir := t.TempDir()
+	const size = 32 << 20
+	want := core.SeededPayload(11, size, 1000)
+	if err := os.WriteFile(filepath.Join(dir, "big.bin"), want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d := startDaemon(t, blastd, "-serve", dir)
+
+	local := filepath.Join(t.TempDir(), "big.bin")
+	var stdout, stderr bytes.Buffer
+	cmd := exec.Command(blastcp, "-to", d.addr, "-get", "big.bin", "-o", local, "-streams", "4", "-resume")
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	t.Cleanup(func() { cmd.Process.Kill() })
+	for {
+		if st, err := os.Stat(local); err == nil && st.Size() > 0 {
+			break
+		}
+		select {
+		case err := <-exited:
+			t.Fatalf("blastcp finished before the daemon was killed: %v\n%s%s", err, &stdout, &stderr)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	if err := d.cmd.Process.Signal(syscall.SIGKILL); err != nil {
+		t.Fatal(err)
+	}
+	<-d.done
+	d.cmd.Wait()
+	time.Sleep(200 * time.Millisecond)
+	startDaemonAt(t, blastd, d.addr, "-serve", dir)
+
+	select {
+	case err := <-exited:
+		if err != nil {
+			t.Fatalf("blastcp: %v\n%s%s", err, &stdout, &stderr)
+		}
+	case <-time.After(time.Minute):
+		t.Fatalf("blastcp still running a minute after the restart\n%s%s", &stdout, &stderr)
+	}
+	if got, _ := os.ReadFile(local); !bytes.Equal(got, want) {
+		t.Errorf("%s holds %d bytes that differ from the %d served", local, len(got), len(want))
+	}
+	if !resumedRE.Match(stdout.Bytes()) {
+		t.Errorf("blastcp reported no resumed stripe:\n%s", &stdout)
 	}
 }

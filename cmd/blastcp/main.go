@@ -268,6 +268,14 @@ func main() {
 			cfg.Name, cfg.Bytes = *getName, int(size)
 			statEp = ep
 		}
+		if *resume {
+			// One REQ round per session, now that the stat has had cfg's
+			// full retry bound: a quiet server means the session is dead,
+			// and the resume layer asks again from the verified frontier,
+			// where a re-ask inside the session would request the whole
+			// range again.
+			cfg.MaxAttempts = 1
+		}
 		var out *store.ChunkFile
 		opts := udplan.StripeOptions{
 			Endpoint:  statEp,
@@ -418,6 +426,7 @@ func main() {
 		// unverified tail (offset REQs from the frontier), and BUSY refusals
 		// are honored with backoff instead of burning REQ rounds.
 		var rstats core.ResumeStats
+		cfg.MaxAttempts = 1 // one REQ round per session, as for stripes
 		res, rstats, err = core.PullResume(e, cfg, core.ResumeOptions{})
 		if rstats.Sessions > 1 || rstats.BusyWaits > 0 {
 			log.Printf("blastcp: recovered over %d sessions (%d chunks re-requested, %d busy waits)",

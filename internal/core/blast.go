@@ -429,13 +429,10 @@ func recvBlast(env Env, c Config) (RecvResult, error) {
 	}
 
 	for count < n {
-		pkt, err := env.Recv(idle)
+		pkt, err := recvOwn(env, c.TransferID, idle)
 		if err != nil {
 			res.Elapsed = env.Now() - start
 			return res, fmt.Errorf("blast receiver idle with %d/%d packets: %w", count, n, err)
-		}
-		if pkt.Trans != c.TransferID {
-			continue
 		}
 		if pkt.Type != wire.TypeData {
 			if err := receiverControl(env, c, pkt, res.DataPackets > 0); err != nil {

@@ -164,7 +164,7 @@ type Config struct {
 
 	// Linger is how long the receiver stays alive after completing the
 	// transfer to re-acknowledge retransmissions whose acks were lost. The
-	// timer restarts on every received packet. Defaults to
+	// timer restarts on every received packet of the transfer. Defaults to
 	// 4*RetransTimeout + 1 s.
 	Linger time.Duration
 

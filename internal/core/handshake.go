@@ -168,6 +168,19 @@ func awaitReply(env Env, budget time.Duration, answer func(*wire.Packet) bool) (
 	return nil, os.ErrDeadlineExceeded
 }
 
+// recvOwn is the receivers' wait for the next packet of transfer trans,
+// idle at most. Packets of another transfer on the conn — stragglers of a
+// session the client has moved on from — are passed over but do not restart
+// the wait: from the first of them on, the rest of it is awaitReply's budget.
+// The common case, an own packet, costs one Recv and no clock reads.
+func recvOwn(env Env, trans uint32, idle time.Duration) (*wire.Packet, error) {
+	pkt, err := env.Recv(idle)
+	if err != nil || pkt.Trans == trans {
+		return pkt, err
+	}
+	return awaitReply(env, idle, func(p *wire.Packet) bool { return p.Trans == trans })
+}
+
 // Request asks the peer to blast the configured transfer to us and receives
 // it. Each attempt's receiver gives up after 4·Tr of silence, so a lost REQ
 // is re-sent promptly (up to Config.MaxAttempts times): the first data
@@ -366,11 +379,14 @@ func AcceptPush(env Env, cfg Config) (RecvResult, error) {
 
 // ServeOnceID waits up to idle (negative = forever) for a REQ packet, asks
 // accept for the matching transfer configuration, and returns it so the
-// caller can run its side of the transfer. accept sees the REQ packet's
-// transfer id, so a handler that answers a control exchange from inside the
-// hook (a stat reply, say) can address the reply to the requesting transfer
-// before rejecting the REQ to keep the session open. accept returning false
-// rejects the request and keeps waiting; malformed requests are ignored.
+// caller can run its side of the transfer. accept returning false rejects
+// the request and keeps waiting; malformed requests are ignored. accept sees
+// the REQ packet's transfer id, so a handler that answers a control
+// exchange from inside the hook (a stat reply, say) can address the reply
+// to the requesting transfer, then either reject the REQ to keep waiting
+// under the same idle bound, or accept it with a zero Config to hand the
+// next wait back to the caller (the session server waits for a stat's pull
+// only as long as a finished transfer lingers).
 func ServeOnceID(env Env, idle time.Duration, accept func(r wire.Req, trans uint32) (Config, bool)) (Config, error) {
 	for {
 		pkt, err := env.Recv(idle)

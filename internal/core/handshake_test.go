@@ -19,7 +19,8 @@ type scriptEnv struct {
 	replies []*wire.Packet
 	pending *wire.Packet
 	sent    int
-	reqs    int // how many of the sent packets were REQs
+	reqs    int      // how many of the sent packets were REQs
+	ids     []uint32 // the transfer id of each REQ
 	slept   []time.Duration
 }
 
@@ -28,6 +29,7 @@ func (e *scriptEnv) Compute(time.Duration) {}
 func (e *scriptEnv) Send(p *wire.Packet) error {
 	if p.Type == wire.TypeReq {
 		e.reqs++
+		e.ids = append(e.ids, p.Trans)
 	}
 	if e.sent < len(e.replies) {
 		e.pending = e.replies[e.sent]
@@ -190,4 +192,72 @@ func TestRequestHonorsBusy(t *testing.T) {
 		}
 		return err
 	}})
+}
+
+// A resume after a failed session asks as a new transfer, id + k<<24 for the
+// k-th, so the server opens a fresh session on the same conn; a re-ask after
+// BUSY keeps its id; and the ids and naps are the same run to run. Here two
+// sessions die in silence, the third is refused once and then served.
+func TestResumeAsksAsNewTransfer(t *testing.T) {
+	c, err := onePacket.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed := func(k uint32) uint32 { return c.TransferID + k<<24 }
+	served := c
+	served.TransferID = resumed(2)
+	replies := []*wire.Packet{nil, nil, Busy(resumed(2), time.Millisecond),
+		served.fillData(new(wire.Packet), 0, 1, 0, true), served.finPacket()}
+	run := func() ([]uint32, []time.Duration) {
+		env := &scriptEnv{replies: replies}
+		cfg := onePacket
+		cfg.MaxAttempts = 1
+		res, st, err := PullResume(env, cfg, ResumeOptions{Seed: 3})
+		if err != nil || !res.Completed || st.Sessions != 4 || st.BusyWaits != 1 {
+			t.Fatalf("err %v, completed %v, %d sessions, %d BUSY waits; want nil, true, 4, 1",
+				err, res.Completed, st.Sessions, st.BusyWaits)
+		}
+		return env.ids, env.slept
+	}
+	ids, naps := run()
+	if want := []uint32{c.TransferID, resumed(1), resumed(2), resumed(2)}; !slices.Equal(ids, want) {
+		t.Errorf("REQ transfer ids %v, want %v", ids, want)
+	}
+	if ids2, naps2 := run(); !slices.Equal(ids, ids2) || !slices.Equal(naps, naps2) {
+		t.Errorf("second run asked %v after naps %v; first %v after %v", ids2, naps2, ids, naps)
+	}
+}
+
+// strayEnv is what a client hears while a session it moved on from still
+// talks: every gap, a data packet of transfer stray, left times; then, like
+// scriptEnv, silence.
+type strayEnv struct {
+	scriptEnv
+	stray uint32
+	gap   time.Duration
+	left  int
+}
+
+func (e *strayEnv) Recv(timeout time.Duration) (*wire.Packet, error) {
+	if e.left == 0 || timeout < e.gap {
+		return e.scriptEnv.Recv(timeout)
+	}
+	e.left--
+	e.now += e.gap
+	return &wire.Packet{Type: wire.TypeData, Trans: e.stray}, nil
+}
+
+// Stragglers of another transfer do not keep a receiver waiting: a pull
+// whose REQ goes unanswered while a dead session's packets keep arriving
+// gives up after its own patience of 4·Tr, not when the stragglers stop.
+func TestStragglersDoNotFeedTheIdleWait(t *testing.T) {
+	env := &strayEnv{stray: onePacket.TransferID + 1, gap: busyTr / 3, left: 100}
+	cfg := onePacket
+	cfg.MaxAttempts = 1
+	if _, err := Request(env, cfg); !errors.Is(err, ErrGiveUp) {
+		t.Fatalf("Request: %v, want a give-up", err)
+	}
+	if limit := 4*busyTr + env.gap; env.now > limit {
+		t.Errorf("gave up after %v (%d stragglers heard), want at most %v", env.now, 100-env.left, limit)
+	}
 }

@@ -50,11 +50,6 @@ type ResumeOptions struct {
 	// client's recovery schedule is reproducible).
 	Seed int64
 
-	// Redial, when non-nil, is called before each resume to replace the
-	// env — a fresh socket to the same server, for substrates whose conns
-	// die with the session. BUSY waits keep the current env.
-	Redial func() (Env, error)
-
 	// Cancel, when non-nil, is polled between sessions; returning true
 	// abandons recovery and surfaces the last error (the striped repair
 	// path cancels a stripe when a sibling fails fatally).
@@ -118,6 +113,11 @@ func addRecv(agg *RecvResult, r RecvResult) {
 // re-request the unverified tail of that stripe. With cfg.Sink set, each
 // distinct chunk is delivered to it exactly once, at its offset within
 // cfg's own byte range, regardless of how many sessions it took.
+//
+// Every session runs on env. The k-th resume after a failure asks as a new
+// transfer, id cfg.TransferID + k<<24, so the server opens a fresh session
+// for it beside whatever is left of the dead one, and stragglers of the old
+// session are told apart by their id. A re-ask after BUSY keeps its id.
 func PullResume(env Env, cfg Config, opts ResumeOptions) (RecvResult, ResumeStats, error) {
 	var stats ResumeStats
 	if cfg.MaxAttempts == 0 {
@@ -165,6 +165,7 @@ func PullResume(env Env, cfg Config, opts ResumeOptions) (RecvResult, ResumeStat
 	for {
 		base := frontier
 		acfg := c
+		acfg.TransferID = c.TransferID + uint32(resumes)<<24
 		acfg.surfaceBusy = true // this layer owns the busy-wait policy
 		acfg.Bytes = c.Bytes - base*chunk
 		acfg.StripeOffset = c.StripeOffset + base*chunk
@@ -235,13 +236,6 @@ func PullResume(env Env, cfg Config, opts ResumeOptions) (RecvResult, ResumeStat
 		}
 		sleepOn(env, jittered(rng, backoffStep(backoff, consecutive)))
 		consecutive++
-		if opts.Redial != nil {
-			ne, rerr := opts.Redial()
-			if rerr != nil {
-				return agg, stats, fmt.Errorf("resume redial: %w", rerr)
-			}
-			env = ne
-		}
 	}
 
 	var acc wire.SumAcc

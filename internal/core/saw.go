@@ -90,13 +90,10 @@ func recvInOrder(env Env, c Config) (RecvResult, error) {
 	idle := c.receiverIdle()
 	ack := new(wire.Packet)
 	for next < n {
-		pkt, err := env.Recv(idle)
+		pkt, err := recvOwn(env, c.TransferID, idle)
 		if err != nil {
 			res.Elapsed = env.Now() - start
 			return res, fmt.Errorf("receiver idle with %d/%d packets: %w", next, n, err)
-		}
-		if pkt.Trans != c.TransferID {
-			continue
 		}
 		if pkt.Type != wire.TypeData {
 			if err := receiverControl(env, c, pkt, res.DataPackets > 0); err != nil {
@@ -174,16 +171,14 @@ func finishData(res *RecvResult) {
 // lingerReAck keeps the receiver alive for Config.Linger after completion,
 // re-answering retransmitted data whose acknowledgements were evidently
 // lost. respond builds the reply for a retransmitted packet; returning nil
-// suppresses the reply. The linger timer restarts on every received packet.
+// suppresses the reply. The linger timer restarts on every received packet
+// of the transfer.
 // A FlagDone FIN from the sender ends the linger immediately.
 func lingerReAck(env Env, c Config, res *RecvResult, respond func(*wire.Packet) *wire.Packet) {
 	for {
-		pkt, err := env.Recv(c.Linger)
+		pkt, err := recvOwn(env, c.TransferID, c.Linger)
 		if err != nil {
 			return // silence: the sender is satisfied (or gone)
-		}
-		if pkt.Trans != c.TransferID {
-			continue
 		}
 		if pkt.Type == wire.TypeAck && pkt.Flags&wire.FlagDone != 0 {
 			return // the sender has its ack: release the receiver

@@ -35,12 +35,14 @@ import (
 const drainPoll = 50 * time.Millisecond
 
 // Server answers transfer requests on one listener (Run) or several
-// (RunAll): one demux loop routes arrivals by source into per-session
-// bodies, each running the unmodified core protocol engines over its own
-// channel-fed Env — the fan-out a daemon needs to serve many clients at
-// once, on any substrate. Concurrency caps the sessions in flight; at the
-// default of one a transfer in progress owns the server (the paper's world
-// of two matched machines) and other clients are refused with BUSY.
+// (RunAll): one demux loop routes arrivals by (source, transfer) into
+// per-session bodies, each running the unmodified core protocol engines
+// over its own channel-fed Env — the fan-out a daemon needs to serve many
+// clients at once, on any substrate. One client conn may hold several
+// sessions, one per transfer id it asks for. Concurrency caps the sessions
+// in flight; at the default of one a transfer in progress owns the server
+// (the paper's world of two matched machines) and other clients are
+// refused with BUSY.
 type Server struct {
 	// Source, when non-nil, satisfies pull requests (MoveFrom) without
 	// materialising them: it returns a streaming chunk source (see
@@ -60,10 +62,11 @@ type Server struct {
 	// Stat, when non-nil, answers stat requests (wire.Req.Stat): it
 	// returns the named object's size. The session replies with an
 	// ack-sized FIN carrying the size and stays open for the pull that
-	// usually follows; rejected or unresolvable names are dropped (the
-	// client's retry gives up on its own schedule). Stat REQs are answered
-	// from the accept hook, so a retransmitted stat earns an idempotent
-	// re-reply.
+	// usually follows — as long as a finished transfer lingers, 2·Tr +
+	// 100 ms with the stat's Tr; a later pull opens a session of its own.
+	// Rejected or unresolvable names are dropped (the client's retry gives
+	// up on its own schedule). Stat REQs are answered from the accept hook,
+	// so a retransmitted stat earns an idempotent re-reply.
 	Stat func(wire.Req) (int64, bool)
 
 	// Copy, when non-nil, serves third-party copy requests (wire.Req.Copy):
@@ -384,6 +387,11 @@ func (s *Server) runSession(env core.Env, peer transport.Peer) {
 	}
 }
 
+// linger is how long a session outlives its last exchange with a client
+// whose retransmission timeout is tr: a finished transfer's re-ack window,
+// and a stat's wait for the pull that follows it.
+func linger(tr time.Duration) time.Duration { return 2*tr + 100*time.Millisecond }
+
 // serve accepts one request on env and completes the transfer, dispatching
 // to the server's streaming handlers: the whole per-session protocol path.
 func (s *Server) serve(env core.Env, idle time.Duration, peer transport.Peer) error {
@@ -392,8 +400,9 @@ func (s *Server) serve(env core.Env, idle time.Duration, peer transport.Peer) er
 		isCopy   bool
 		req      wire.Req
 		pushDone func(core.RecvResult)
+		statted  bool // the last REQ was a stat, answered from the hook
 	)
-	cfg, err := core.ServeOnceID(env, idle, func(r wire.Req, trans uint32) (core.Config, bool) {
+	accept := func(r wire.Req, trans uint32) (core.Config, bool) {
 		if r.Copy {
 			// A copy ask opens a control session, not a transfer: the
 			// session relays progress while the Copy hook moves the bytes
@@ -413,9 +422,10 @@ func (s *Server) serve(env core.Env, idle time.Duration, peer transport.Peer) er
 		if r.Stat {
 			// A stat is a control exchange, not a transfer: answer it from
 			// the accept hook and keep the session waiting for the pull
-			// that usually follows. Retransmitted stats earn idempotent
-			// re-replies; unresolvable names are dropped silently on the
-			// wire (the client's retry gives up on its own schedule).
+			// that usually follows, but only as long as a transfer
+			// lingers. Retransmitted stats earn idempotent re-replies;
+			// unresolvable names are dropped silently on the wire (the
+			// client's retry gives up on its own schedule).
 			if s.Stat == nil {
 				return core.Config{}, false
 			}
@@ -427,14 +437,15 @@ func (s *Server) serve(env core.Env, idle time.Duration, peer transport.Peer) er
 			if serr := env.Send(core.StatReply(trans, size)); serr != nil {
 				s.logf("session: stat reply to %v: %v", peer, serr)
 			}
-			return core.Config{}, false
+			statted, idle = true, linger(time.Duration(r.TrMicros)*time.Microsecond)
+			return core.Config{}, true
 		}
 		c := core.ConfigOf(0, r)
 		// Bounded linger/idle: the simulation defaults are sized for free
 		// virtual time and would stall the server between clients. The same
 		// bounds apply on every substrate — on the simulator they are cheap
 		// virtual waits — so one scenario behaves identically everywhere.
-		c.Linger = 2*c.RetransTimeout + 100*time.Millisecond
+		c.Linger = linger(c.RetransTimeout)
 		c.ReceiverIdle = 8*c.RetransTimeout + 2*time.Second
 		if s.Validate != nil {
 			if verr := s.Validate(c); verr != nil {
@@ -473,9 +484,19 @@ func (s *Server) serve(env core.Env, idle time.Duration, peer transport.Peer) er
 		}
 		c.Source = src
 		return c, true
-	})
-	if err != nil {
-		return err
+	}
+	// A stat ends the wait it was answered in; the wait for the pull
+	// starts over, bounded by the stat's linger.
+	var cfg core.Config
+	for {
+		var err error
+		if cfg, err = core.ServeOnceID(env, idle, accept); err != nil {
+			return err
+		}
+		if !statted {
+			break
+		}
+		statted = false
 	}
 	stats := TransferStats{Peer: peer, Req: req, TransferID: cfg.TransferID, Push: isPush}
 	if isCopy {

@@ -11,13 +11,14 @@ import (
 )
 
 // Striped transfers: one logical pull split into contiguous chunk-aligned
-// byte ranges (core.PlanStripes), each moved by its own client session — a
-// separate conn, so a sharded Server demultiplexes each stripe into its own
-// session — running concurrently. Per-stripe ack round trips overlap, which
-// is what lets a single large transfer saturate a link the way GridFTP-style
-// parallel streams do. The fan-out itself is substrate-free: the same
-// orchestrator runs over UDP sockets (udplan.PullStriped) and simulator
-// processes (sim.Fabric), so striped behaviour is testable deterministically.
+// byte ranges (core.PlanStripes), each moved by its own transfer — its own
+// transfer id on its own conn, so a sharded Server demultiplexes each
+// stripe into its own session — running concurrently. Per-stripe ack round
+// trips overlap, which is what lets a single large transfer saturate a link
+// the way GridFTP-style parallel streams do. The fan-out itself is
+// substrate-free: the same orchestrator runs over UDP sockets
+// (udplan.PullStriped) and simulator processes (sim.Fabric), so striped
+// behaviour is testable deterministically.
 
 // StripeOptions configures the substrate-independent part of a striped
 // pull; everything wire-specific (batch sizes, MTUs, adversaries) is
@@ -32,11 +33,11 @@ type StripeOptions struct {
 
 	// Repair enables per-stripe failure recovery: instead of the first
 	// error aborting every sibling, the failed stripe is resumed from its
-	// verified frontier with an offset REQ (core.PullResume), re-dialing a
-	// fresh conn when the fabric supports it (transport.Redialer). Abort-
-	// all remains the behaviour for non-retryable failures — a refused or
-	// corrupt configuration (core.ErrBadConfig) names a transfer that can
-	// never complete, so the siblings stop immediately.
+	// verified frontier with an offset REQ (core.PullResume), a new
+	// transfer on the stripe's own conn. Abort-all remains the behaviour
+	// for non-retryable failures — a refused or corrupt configuration
+	// (core.ErrBadConfig) names a transfer that can never complete, so the
+	// siblings stop immediately.
 	Repair bool
 	// MaxResumes, Backoff and Seed tune the per-stripe resume engine when
 	// Repair is set; zero values take core.ResumeOptions defaults. Backoff
@@ -184,7 +185,18 @@ func PullStriped(f transport.Fabric, cfg core.Config, opts StripeOptions) (Strip
 		var res core.RecvResult
 		var err error
 		if opts.Repair {
-			res, outs[i].Resume, err = pullStripeRepair(f, c, scfg, opts, cancel, i)
+			// A dead session is resumed from the stripe's verified frontier
+			// rather than aborting every sibling; a sibling's fatal failure
+			// still stops it between sessions.
+			res, outs[i].Resume, err = core.PullResume(c, scfg, core.ResumeOptions{
+				MaxResumes: opts.MaxResumes,
+				Backoff:    opts.Backoff,
+				Seed:       opts.Seed + int64(i)*1000003,
+				Cancel: func() bool {
+					_, err := cancel.first()
+					return err != nil
+				},
+			})
 		} else {
 			res, err = core.Request(c, scfg)
 		}
@@ -214,47 +226,4 @@ func PullStriped(f transport.Fabric, cfg core.Config, opts StripeOptions) (Strip
 		}
 	}
 	return res, nil
-}
-
-// pullStripeRepair runs stripe i through the resume engine instead of a
-// single Request: a dead session is re-planned from the stripe's verified
-// frontier rather than aborting every sibling. When the fabric can re-dial
-// (transport.Redialer) each resume gets a fresh conn, registered with the
-// cancel set so a sibling's fatal failure still aborts it promptly; the
-// replaced conn is closed here (the fabric only closes the original).
-func pullStripeRepair(f transport.Fabric, c transport.Client, scfg core.Config,
-	opts StripeOptions, cancel *stripeCancel, i int) (core.RecvResult, core.ResumeStats, error) {
-	cur := c
-	defer func() {
-		if cur != c {
-			cur.Close()
-		}
-	}()
-	ropts := core.ResumeOptions{
-		MaxResumes: opts.MaxResumes,
-		Backoff:    opts.Backoff,
-		Seed:       opts.Seed + int64(i)*1000003,
-		Cancel: func() bool {
-			_, err := cancel.first()
-			return err != nil
-		},
-	}
-	if rd, ok := f.(transport.Redialer); ok {
-		ropts.Redial = func() (core.Env, error) {
-			nc, err := rd.Redial(i)
-			if err != nil {
-				return nil, err
-			}
-			if cancel.register(i, nc) {
-				nc.Close()
-				return nil, fmt.Errorf("stripe %d cancelled by sibling", i)
-			}
-			if cur != c {
-				cur.Close()
-			}
-			cur = nc
-			return nc, nil
-		}
-	}
-	return core.PullResume(cur, scfg, ropts)
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net"
 	"os"
@@ -24,14 +25,15 @@ import (
 
 // Listener implements transport.Listener over one serving station: Accept
 // is a source-tagged receive on the station's interface, demux keys are the
-// transmitting stations' interface addresses, and session bodies run as
-// kernel processes. Create it inside the demux process (see Serve).
+// transmitting station's interface address followed by the packet's
+// transfer id, and session bodies run as kernel processes. Create it inside
+// the demux process (see Serve).
 type Listener struct {
 	n  *Network
 	st *Station
 	p  *Proc
 
-	keybuf ether.Addr
+	keybuf [ether.AddrLen + 4]byte // source address, then transfer id
 	last   *Station
 
 	spawned  int
@@ -66,7 +68,8 @@ func (l *Listener) Accept(idle time.Duration) (transport.Inbound, error) {
 		return transport.Inbound{}, err
 	}
 	l.last = from
-	l.keybuf = from.Addr
+	copy(l.keybuf[:], from.Addr[:])
+	binary.BigEndian.PutUint32(l.keybuf[ether.AddrLen:], pkt.Trans)
 	return transport.Inbound{Key: l.keybuf[:], Msg: pkt}, nil
 }
 

@@ -140,7 +140,7 @@ func (sc DiskLoadScenario) Run() (DiskLoadResult, error) {
 		r := &results[i]
 		r.Client = i
 		r.Arrival = time.Duration(i) * sc.Spacing
-		w.client(fmt.Sprintf("client%d", i), srv, r.Arrival, params.Adversary{}, 0, func(env core.Env, _ func() (core.Env, error)) {
+		w.client(fmt.Sprintf("client%d", i), srv, r.Arrival, params.Adversary{}, 0, func(env core.Env) {
 			cfg := core.Config{
 				TransferID:     uint32(i + 1),
 				ChunkSize:      sc.Chunk,

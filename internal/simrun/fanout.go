@@ -280,7 +280,7 @@ func (sc FanoutScenario) run(sub substrate, keep bool) (FanoutResult, error) {
 		return h, err
 	}
 	spawn := func(h *fanoutHop) {
-		sub.client(h.name, h.at, h.delay, params.Adversary{}, 0, func(env core.Env, redial func() (core.Env, error)) {
+		sub.client(h.name, h.at, h.delay, params.Adversary{}, 0, func(env core.Env) {
 			cfg := core.Config{
 				TransferID:     h.id,
 				Bytes:          h.st.Bytes,
@@ -301,7 +301,6 @@ func (sc FanoutScenario) run(sub substrate, keep bool) (FanoutResult, error) {
 				MaxBusyWaits: sc.MaxBusyWaits,
 				Backoff:      sc.Backoff,
 				Seed:         h.seed,
-				Redial:       redial,
 			})
 			h.end = sub.now()
 			if h.err != nil && h.fail != nil {

@@ -138,8 +138,8 @@ func (sc FaultScenario) Run() (FaultResult, error) {
 
 // RunUDP executes the scenario once over real UDP loopback sockets: a crash
 // closes the server's socket under its sessions and a fresh server rebinds
-// the address after the downtime; clients re-dial for every resume. Times
-// in the result are wall-clock; Cost is ignored.
+// the address after the downtime; clients resume on the socket they have.
+// Times in the result are wall-clock; Cost is ignored.
 func (sc FaultScenario) RunUDP(u UDP) (FaultResult, error) {
 	return sc.withFaultDefaults().run(newUDPWorld(u), u.KeepData)
 }
@@ -210,7 +210,7 @@ func (sc FaultScenario) run(sub substrate, keep bool) (FaultResult, error) {
 			adv = params.Adversary{Script: blackhole}
 		}
 		sink, intact := seededPull(d.bytes, sc.Chunk, want[d.bytes], keep)
-		sub.client(fmt.Sprintf("client%d", i), h, d.arrival, adv, sc.Seed, func(env core.Env, redial func() (core.Env, error)) {
+		sub.client(fmt.Sprintf("client%d", i), h, d.arrival, adv, sc.Seed, func(env core.Env) {
 			cfg := core.Config{
 				TransferID:     r.TransferID,
 				Bytes:          d.bytes,
@@ -232,7 +232,6 @@ func (sc FaultScenario) run(sub substrate, keep bool) (FaultResult, error) {
 				MaxBusyWaits: sc.MaxBusyWaits,
 				Backoff:      sc.Backoff,
 				Seed:         sc.Seed + int64(i),
-				Redial:       redial,
 			})
 			r.End = sub.now()
 			r.Elapsed = r.End - r.Start

@@ -209,7 +209,7 @@ func (sc LoadScenario) run(sub substrate, keep bool) (LoadResult, error) {
 		}
 		r.TransferID = uint32(i + 1)
 		sink, intact := seededPull(d.bytes, sc.Chunk, want[d.bytes], keep)
-		sub.client(fmt.Sprintf("client%d", i), srv, d.arrival, adv, sc.Seed+int64(i), func(env core.Env, _ func() (core.Env, error)) {
+		sub.client(fmt.Sprintf("client%d", i), srv, d.arrival, adv, sc.Seed+int64(i), func(env core.Env) {
 			r.Start = sub.now()
 			res, err := core.Request(env, core.Config{
 				TransferID:     r.TransferID,

@@ -36,12 +36,11 @@ type substrate interface {
 	// client spawns body in its own thread of control, delay from now, over
 	// a fresh conn dialed at the server `at`; a failed dial reaches body as
 	// transport.FailedClient. An active adv is installed on the client's
-	// conn, seeded seed. redial replaces the conn where conns die with
-	// their session (core.ResumeOptions.Redial) — adversary included — and
-	// is nil where they do not. The substrate releases whatever it dialed
-	// after body returns.
+	// conn, seeded seed. The conn outlives the body's sessions: a resume is
+	// a new transfer on it. The substrate releases whatever it dialed after
+	// body returns.
 	client(name string, at host, delay time.Duration, adv params.Adversary, seed int64,
-		body func(env core.Env, redial func() (core.Env, error)))
+		body func(env core.Env))
 	// crash kills the server at h — its demux loop and every in-flight
 	// session die as a crashed process's would — and restarts it on the
 	// same address after downtime, with an empty receive queue. It reports
@@ -113,19 +112,19 @@ func (w *desWorld) serve(name string, setup func(*session.Server)) (host, error)
 }
 
 func (w *desWorld) client(name string, at host, delay time.Duration, adv params.Adversary, seed int64,
-	body func(core.Env, func() (core.Env, error))) {
+	body func(core.Env)) {
 	st := w.n.AddStation(name)
 	err := st.SetAdversary(adv, seed)
 	w.k.Go(name, func(p *sim.Proc) {
 		if err != nil {
-			body(transport.FailedClient(err), nil)
+			body(transport.FailedClient(err))
 			return
 		}
 		ep := sim.NewEndpoint(p, st, at.(*desHost).st)
 		if delay > 0 {
 			ep.SleepFor(delay)
 		}
-		body(ep, nil) // a simulated conn outlives its sessions
+		body(ep)
 	})
 }
 

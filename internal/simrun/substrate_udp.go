@@ -109,43 +109,28 @@ func (w *udpWorld) fail(err error) {
 }
 
 func (w *udpWorld) client(_ string, at host, delay time.Duration, adv params.Adversary, seed int64,
-	body func(core.Env, func() (core.Env, error))) {
+	body func(core.Env)) {
 	w.clients.Add(1)
 	go func() {
 		defer w.clients.Done()
 		time.Sleep(delay)
-		// A conn dies with its session: every dial closes the one before.
-		var cur *udplan.Endpoint
-		hangup := func() {
-			if cur != nil {
-				cur.Close()
-				cur = nil
-			}
-		}
-		defer hangup()
-		dial := func() (core.Env, error) {
-			hangup()
-			e, err := udplan.Dial(at.(*udpHost).addr)
-			if err != nil {
-				return nil, err
-			}
-			cur = e
-			e.SetSocketBuffers(w.opt.SocketBuf)
-			if w.opt.Batch > 1 {
-				e.SetBatch(w.opt.Batch)
-			}
-			if adv.Active() {
-				if err := e.SetAdversary(adv, seed); err != nil {
-					return nil, err
-				}
-			}
-			return e, nil
-		}
-		env, err := dial()
+		e, err := udplan.Dial(at.(*udpHost).addr)
 		if err != nil {
-			env = transport.FailedClient(err)
+			body(transport.FailedClient(err))
+			return
 		}
-		body(env, dial)
+		defer e.Close()
+		e.SetSocketBuffers(w.opt.SocketBuf)
+		if w.opt.Batch > 1 {
+			e.SetBatch(w.opt.Batch)
+		}
+		if adv.Active() {
+			if err := e.SetAdversary(adv, seed); err != nil {
+				body(transport.FailedClient(err))
+				return
+			}
+		}
+		body(e)
 	}()
 }
 

@@ -19,12 +19,13 @@ import (
 // The internal/transport contract — Fan invokes every body exactly once; a
 // dial/Prepare failure reaches the body as transport.FailedClient and lands
 // in errs[i]; clients are closed after their body returns; Abort from a
-// sibling unblocks a pending Recv with an error; Redial, where implemented,
-// yields a client that completes a pull — held against both substrates'
-// fabrics here, where both are importable. sim.Fabric is driven directly.
-// udplan's stripe fabric is unexported, so it is driven through its one
-// entry point, udplan.PullStriped, and observed through the hooks the fabric
-// itself runs per dial (StripeOptions.MangleRx, the pre-dialed Endpoint).
+// sibling unblocks a pending Recv with an error; a conn outlives its
+// session, so a stripe whose first transfer dies resumes as a new transfer
+// on the conn it was dialed — held against both substrates' fabrics here,
+// where both are importable. sim.Fabric is driven directly. udplan's stripe
+// fabric is unexported, so it is driven through its one entry point,
+// udplan.PullStriped, and observed through the hooks the fabric itself runs
+// per dial (StripeOptions.MangleRx, the pre-dialed Endpoint).
 
 const contractBytes = 24000
 
@@ -46,6 +47,24 @@ func contractServer(mute bool) func(*session.Server) {
 			}
 			return core.SeededReqSource(r)
 		}
+	}
+}
+
+// deafToFirst drops every packet of stripe 0's first transfer, in either
+// direction: that transfer's session hears nothing and dies.
+func deafToFirst(p *wire.Packet) params.Mangle {
+	return params.Mangle{Drop: p.Trans == contractConfig(0).TransferID}
+}
+
+// checkResumeOnSameConn holds a striped pull whose stripe 0 was deaf to its
+// first transfer: the stripe resumed as a new transfer on the one conn it
+// was dialed, re-fetched nothing it had verified, and the pull is intact.
+func checkResumeOnSameConn(t *testing.T, res session.StripedResult, err error, dials []int) {
+	t.Helper()
+	s0 := res.Stripes[0].Resume
+	if err != nil || res.Checksum != contractSum || dials[0] != 1 || s0.Sessions < 2 || s0.DupChunks != 0 {
+		t.Errorf("resume on the same conn: err %v, checksum %04x, stripe 0 dialed %d times over %d sessions with %d dup chunks; want once, >= 2 sessions, none",
+			err, res.Checksum, dials[0], s0.Sessions, s0.DupChunks)
 	}
 }
 
@@ -108,6 +127,17 @@ func TestTransportContract(t *testing.T) {
 				}
 				return nil
 			})
+
+			dials := make([]int, n)
+			deaf := &sim.Fabric{Net: w.n, Server: h.(*desHost).st, P: p, Name: "deaf", Prepare: func(i int, st *sim.Station) error {
+				if dials[i]++; i > 0 {
+					return nil
+				}
+				return st.SetAdversary(params.Adversary{Script: deafToFirst}, 1)
+			}}
+			res, err := session.PullStriped(deaf, contractConfig(10*time.Millisecond),
+				session.StripeOptions{Streams: n, Repair: true, Backoff: time.Millisecond})
+			checkResumeOnSameConn(t, res, err, dials)
 		})
 		if err := w.run(); err != nil {
 			t.Fatal(err)
@@ -120,10 +150,11 @@ func TestTransportContract(t *testing.T) {
 		}
 		const n = 3
 		// pull runs one striped pull through the stripe fabric against a
-		// fresh server. blackhole drops everything stripe 0's first conn
-		// receives; deadFirst hands stripe 0 an endpoint that is already
-		// closed. It reports the dials per stripe and stripe 0's endpoint.
-		pull := func(addr string, mute, blackhole, deadFirst bool, tr time.Duration) (udplan.StripedResult, error, []int, *udplan.Endpoint) {
+		// fresh server. deaf makes stripe 0 deaf to its first transfer (and
+		// repairs the stripe); deadFirst hands stripe 0 an endpoint that is
+		// already closed. It reports the dials per stripe and stripe 0's
+		// endpoint.
+		pull := func(addr string, mute, deaf, deadFirst bool, tr time.Duration) (udplan.StripedResult, error, []int, *udplan.Endpoint) {
 			w := newUDPWorld(UDP{})
 			defer w.run()
 			h, err := w.serve("server", contractServer(mute))
@@ -143,12 +174,12 @@ func TestTransportContract(t *testing.T) {
 			var mu sync.Mutex
 			dials := make([]int, n)
 			res, err := udplan.PullStriped(addr, contractConfig(tr), udplan.StripeOptions{
-				Streams: n, Endpoint: pre, Repair: blackhole, Backoff: time.Millisecond,
+				Streams: n, Endpoint: pre, Repair: deaf, Backoff: time.Millisecond,
 				MangleRx: func(i int) func(*wire.Packet) params.Mangle {
 					mu.Lock()
 					defer mu.Unlock()
-					if dials[i]++; blackhole && i == 0 && dials[i] == 1 {
-						return func(*wire.Packet) params.Mangle { return params.Mangle{Drop: true} }
+					if dials[i]++; deaf && i == 0 {
+						return deafToFirst
 					}
 					return nil
 				}})
@@ -189,10 +220,7 @@ func TestTransportContract(t *testing.T) {
 			t.Errorf("dead sibling: pull err %v after %v; want a prompt abort", err, time.Since(t0))
 		}
 
-		// Stripe 0's first conn hears nothing; the re-dialed one completes.
 		res, err, dials, _ = pull("", false, true, false, 10*time.Millisecond)
-		if err != nil || res.Checksum != contractSum || dials[0] != 2 || res.Stripes[0].Resume.Sessions < 2 {
-			t.Errorf("redial: err %v, stripe 0 dialed %d times over %d sessions", err, dials[0], res.Stripes[0].Resume.Sessions)
-		}
+		checkResumeOnSameConn(t, res, err, dials)
 	})
 }

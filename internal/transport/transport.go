@@ -16,6 +16,11 @@
 // adds only what a daemon needs beyond a single two-party conversation:
 // demultiplexed arrivals (Listener), per-session delivery and concurrency
 // (Conn), and client-side fan-out (Fabric, Client).
+//
+// A session is one transfer, not one conn: listeners key arrivals by source
+// and transfer id (wire.Packet.Trans), so a client conn outlives its
+// sessions on every substrate. A resumed pull asks for a fresh transfer on
+// the conn it already has.
 package transport
 
 import (
@@ -38,8 +43,9 @@ type Peer interface{ String() string }
 type Message = any
 
 // Inbound is one demultiplexed arrival: the canonical identity of its
-// source plus the substrate freight. Key aliases listener-owned storage and
-// is valid only until the next Accept; callers that retain it must copy.
+// source and transfer, plus the substrate freight. Key aliases
+// listener-owned storage and is valid only until the next Accept; callers
+// that retain it must copy.
 type Inbound struct {
 	Key []byte
 	Msg Message
@@ -80,14 +86,6 @@ type Listener interface {
 // datagram the reply may be lost; the client's next REQ re-elicits it.
 type BusyReplier interface {
 	ReplyBusy(msg Message, retryAfter time.Duration) error
-}
-
-// Redialer is an optional Fabric extension: Redial opens a fresh client
-// conn to the same server for body i, replacing one whose session died —
-// the striped repair path re-dials a stripe before resuming it on
-// substrates whose conns do not outlive their session.
-type Redialer interface {
-	Redial(i int) (Client, error)
 }
 
 // Conn is one admitted session's server-side channel. The demux loop feeds

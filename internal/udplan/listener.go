@@ -17,11 +17,11 @@ import (
 
 // This file is the UDP substrate's implementation of transport.Listener:
 // everything socket- and syscall-specific about serving many clients on one
-// socket — recvmmsg demux reads into pooled slabs, raw-sockaddr keys, whole
-// bursts handed to per-session goroutines each with its own txPath. The
-// serving logic itself (session table, REQ-only admission, handler
-// dispatch) lives in internal/session and is shared with the simulator
-// substrate.
+// socket — recvmmsg demux reads into pooled slabs, (raw sockaddr, transfer
+// id) keys, whole bursts handed to per-session goroutines each with its own
+// txPath. The serving logic itself (session table, REQ-only admission,
+// handler dispatch) lives in internal/session and is shared with the
+// simulator substrate.
 
 // A burst in flight from the demux loop to a session is the demux ring's
 // slab itself, carrying what one received message held: n bytes from one
@@ -74,8 +74,8 @@ type serverListener struct {
 	inboxCap int
 	drops    *atomic.Int64 // datagrams dropped on full inboxes (Server.InboxDrops)
 
-	keybuf [addrKeyLen]byte
-	slot   int // the ring slot of the most recent Accept
+	keybuf [addrKeyLen + 4]byte // source address, then transfer id
+	slot   int                  // the ring slot of the most recent Accept
 
 	wg   sync.WaitGroup
 	logf func(format string, args ...any) // the server's Logf (nil: silent)
@@ -115,10 +115,20 @@ func inboxBudget(raw syscall.RawConn, mtu int) int {
 	return inboxFallbackDatagrams * mtu
 }
 
+// transOff is where the wire header carries wire.Packet.Trans (4 bytes,
+// big-endian); TestDemuxKeyIsTheWireTransferID holds it to wire's encoding.
+const transOff = 6
+
 // Accept returns the next burst on the socket — one received message: a
 // pending one from the ring if any, otherwise whatever one blocking
 // recvmmsg finds queued in the kernel. The demux key is canonical and
-// allocation-free.
+// allocation-free: the source's address key, then the transfer id of the
+// burst's first datagram, read from its header at transOff without a
+// decode. A GRO burst is one source's datagrams coalesced in the kernel, and
+// a client socket carries one transfer at a time, so its first datagram
+// speaks for all of it. An id corrupted in flight opens no session (only a
+// checksum-valid REQ opens one), and any session it reaches drops it at
+// decode.
 func (l *serverListener) Accept(idle time.Duration) (transport.Inbound, error) {
 	var deadline time.Time
 	if idle > 0 {
@@ -127,12 +137,17 @@ func (l *serverListener) Accept(idle time.Duration) (transport.Inbound, error) {
 	if err := l.conn.SetReadDeadline(deadline); err != nil {
 		return transport.Inbound{}, err
 	}
-	i, err := l.rx.take(l.conn, l.raw, &l.keybuf)
+	i, err := l.rx.take(l.conn, l.raw, (*[addrKeyLen]byte)(l.keybuf[:addrKeyLen]))
 	if err != nil {
 		return transport.Inbound{}, err
 	}
 	b := l.rx.slabs[i]
 	l.slot, b.n, b.seg = i, int32(l.rx.lens[i]), int32(l.rx.segs[i])
+	trans := l.keybuf[addrKeyLen:]
+	clear(trans)
+	if first := b.first(); len(first) >= wire.HeaderSize {
+		copy(trans, first[transOff:])
+	}
 	return transport.Inbound{Key: l.keybuf[:], Msg: b}, nil
 }
 

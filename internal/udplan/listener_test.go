@@ -2,6 +2,7 @@ package udplan
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -402,6 +403,20 @@ func TestSessionInboxHoldsAtMostTheByteBudget(t *testing.T) {
 			close(release)
 			h.stop()
 		})
+	}
+}
+
+// The listener keys by the four bytes at transOff, which must be the
+// transfer id exactly as wire encodes it.
+func TestDemuxKeyIsTheWireTransferID(t *testing.T) {
+	const trans = 0x01020304
+	b, err := (&wire.Packet{Type: wire.TypeAck, Trans: trans, Seq: 0x0a0b0c0d, Total: 0x11121314,
+		Attempt: 0x21, Payload: []byte{0x31, 0x32}}).Encode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := binary.BigEndian.Uint32(b[transOff:]); got != trans {
+		t.Errorf("header bytes at %d hold %#x, want the transfer id %#x", transOff, got, trans)
 	}
 }
 

@@ -2,7 +2,6 @@ package udplan
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"blastlan/internal/core"
@@ -13,7 +12,7 @@ import (
 )
 
 // Striped transfers: one logical pull split into contiguous chunk-aligned
-// byte ranges, each moved by its own endpoint — its own socket, so the
+// byte ranges, each moved by its own transfer on its own endpoint — the
 // sharded server demultiplexes each stripe into its own session — running
 // concurrently. The orchestration (planning, merging, partial-failure
 // cancellation) is the substrate-agnostic session.PullStriped; this file
@@ -59,8 +58,9 @@ type StripeOptions struct {
 	MangleTx func(stripe int) func(*wire.Packet) params.Mangle
 	MangleRx func(stripe int) func(*wire.Packet) params.Mangle
 	// Repair enables per-stripe failure recovery (see
-	// session.StripeOptions.Repair): a dead stripe session is re-dialed and
-	// resumed from its verified frontier instead of aborting the whole pull.
+	// session.StripeOptions.Repair): a dead stripe session is resumed from
+	// its verified frontier, on the stripe's own endpoint, instead of
+	// aborting the whole pull.
 	// MaxResumes, Backoff and Seed tune the resume engine; zero values take
 	// core.ResumeOptions defaults.
 	Repair     bool
@@ -98,13 +98,10 @@ func PullStriped(addr string, cfg core.Config, opts StripeOptions) (StripedResul
 }
 
 // stripeFabric implements transport.Fabric over dialed UDP endpoints: one
-// fresh socket per stripe body, configured from StripeOptions.
+// socket per stripe body, configured from StripeOptions.
 type stripeFabric struct {
 	addr string
 	opts StripeOptions
-	// handed marks the pre-dialed opts.Endpoint as consumed, so stripe 0's
-	// first dial reuses it but a repair Redial opens a fresh socket.
-	handed atomic.Bool
 }
 
 // Fan runs each stripe body in its own goroutine with its own endpoint.
@@ -131,13 +128,11 @@ func (f *stripeFabric) Fan(n int, body func(i int, c transport.Client) error) []
 	return errs
 }
 
-// dial opens and configures stripe i's endpoint. Stripe 0's first dial
-// reuses a pre-dialed StripeOptions.Endpoint when one was supplied.
+// dial opens and configures stripe i's endpoint. Stripe 0 reuses a
+// pre-dialed StripeOptions.Endpoint when one was supplied.
 func (f *stripeFabric) dial(i int) (transport.Client, error) {
-	var e *Endpoint
-	if i == 0 && f.opts.Endpoint != nil && f.handed.CompareAndSwap(false, true) {
-		e = f.opts.Endpoint
-	} else {
+	e := f.opts.Endpoint
+	if i > 0 || e == nil {
 		var err error
 		if e, err = Dial(f.addr); err != nil {
 			return nil, err
@@ -172,11 +167,6 @@ func (f *stripeFabric) dial(i int) (transport.Client, error) {
 	}
 	return &clientConn{e}, nil
 }
-
-// Redial opens a fresh, identically-configured endpoint to the same server
-// for stripe i (transport.Redialer) — the striped repair path's socket
-// replacement after a stripe session dies with its conn.
-func (f *stripeFabric) Redial(i int) (transport.Client, error) { return f.dial(i) }
 
 // clientConn adapts a dialed endpoint to transport.Client.
 type clientConn struct{ *Endpoint }
