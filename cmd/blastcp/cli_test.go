@@ -196,7 +196,8 @@ func TestPushThroughTheBinaries(t *testing.T) {
 // taxonomy line, not a fatal log indistinguishable from an internal failure,
 // and it stops before the transfer: the daemon serves nothing. The same get
 // to a writable path delivers the file, and the daemon says at start-up what
-// memory limit it derived from -cache-mb.
+// memory limit it derived from -cache-mb and, per pull under a rate-control
+// policy, what the policy did.
 func TestGetToAnUnwritablePath(t *testing.T) {
 	blastd, blastcp := buildBinaries(t)
 	dir := t.TempDir()
@@ -238,7 +239,36 @@ func TestGetToAnUnwritablePath(t *testing.T) {
 	if !strings.Contains(strings.Join(d.lines(), "\n"), "(cache 64 MiB, read-ahead 8 extents, memory limit 96 MiB)") {
 		t.Errorf("daemon did not log its memory limit:\n%s", strings.Join(d.lines(), "\n"))
 	}
+
+	// A pull under a rate-control policy appends the policy's trajectory to
+	// its served line, after the fields log scrapers read; a pull without
+	// one appends nothing.
+	if out, err := exec.Command(blastcp, "-to", d.addr, "-get", "obj.bin", "-o", local, "-controller", "aimd").CombinedOutput(); err != nil {
+		t.Fatalf("get under aimd: %v\n%s", err, out)
+	}
+	for deadline := time.Now().Add(5 * time.Second); served() < 2 && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	var lines []string
+	for _, line := range d.lines() {
+		if strings.Contains(line, "served pull to") {
+			lines = append(lines, line)
+		}
+	}
+	if len(lines) != 2 {
+		t.Fatalf("%d served lines for two pulls:\n%s", len(lines), strings.Join(d.lines(), "\n"))
+	}
+	if strings.Contains(lines[0], "policy") {
+		t.Errorf("a pull without a policy logged one: %q", lines[0])
+	}
+	if !servedPolicyRE.MatchString(lines[1]) {
+		t.Errorf("served line under aimd %q does not match %v", lines[1], servedPolicyRE)
+	}
 }
+
+// servedPolicyRE is blastd's served line for a pull under a policy: the
+// fields every served line carries, then the policy's trajectory.
+var servedPolicyRE = regexp.MustCompile(`blastd: served pull to \S+ \d+ bytes in \S+ \([0-9.]+ MB/s\), \d+ packets \(\d+ retransmitted\), policy aimd: \d+ windows, \d+ cuts \(\d+ on timeout\), \d+ holds, final window \d+$`)
 
 // A -resume get whose stat reply is lost still delivers the file: the stat
 // keeps the full retry bound and only the pull's sessions ask once each.

@@ -37,7 +37,9 @@
 // policy id in the REQ flags (blastcp -controller aimd|bbr|autotune) are
 // served with that controller reacting to observed drops and NAKs instead
 // of the fixed REQ parameters; an id this build does not know degrades to
-// AIMD.
+// AIMD. Each served pull's log line then ends with what the policy did:
+// windows driven, cuts (and how many a timeout caused), holds and the
+// final window.
 //
 // SIGINT/SIGTERM drains gracefully: new sessions are refused (clients
 // retry elsewhere), active transfers get up to -drain to finish — a second
@@ -115,8 +117,13 @@ func main() {
 		if ts.Push {
 			verb = "received push from"
 		}
-		log.Printf("blastd: %s %v: %d bytes in %v (%.2f MB/s), %d packets (%d retransmitted)",
-			verb, ts.Peer, ts.Bytes, ts.Elapsed, ts.MBps(), ts.Packets, ts.Retransmits)
+		policy := ""
+		if st := ts.Controller; st != nil {
+			policy = fmt.Sprintf(", policy %s: %d windows, %d cuts (%d on timeout), %d holds, final window %d",
+				st.Policy, st.Windows, st.Cuts, st.TimeoutCuts, st.Holds, st.FinalWindow)
+		}
+		log.Printf("blastd: %s %v: %d bytes in %v (%.2f MB/s), %d packets (%d retransmitted)%s",
+			verb, ts.Peer, ts.Bytes, ts.Elapsed, ts.MBps(), ts.Packets, ts.Retransmits, policy)
 		summary.add(ts)
 	}
 

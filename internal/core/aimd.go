@@ -11,20 +11,27 @@ import "time"
 // whose loss and latency the sender cannot know in advance. Heuristic
 // protocol tuning for high-throughput transfers (Arslan & Kosar) adjusts
 // the winning parameters from observed loss instead; this controller does
-// the same for the blast engine with the classic AIMD discipline:
+// the same for the blast engine with the classic AIMD discipline, judging
+// each window by what its recovery cost rather than by whether it needed
+// any:
 //
-//   - a clean window (no retransmissions, NAKs or timeouts) grows the next
-//     window: doubled while in the initial slow-start, by windowIncrement
-//     packets afterwards, up to MaxWindow;
-//   - a window that needed NAK-driven recovery is wire loss the strategy
-//     already repaired cheaply — one prompt response round, bounded resend
-//     — so the decrease is the gentle multiplicative cut to 3/4 (enough to
-//     bound go-back-n waste per future loss without starving the pipe on a
-//     path with steady random loss);
-//   - a window that needed a silent-timeout retransmission is the expensive
-//     signal — the receiver (or the return path) went dark — so the window
-//     quarters AND the inter-packet pacing gap backs off multiplicatively,
-//     spacing future frames out in time as well as in number.
+//   - a clean window (nothing re-sent, no timeout) grows the next window:
+//     doubled while in the initial slow-start, by windowIncrement packets
+//     afterwards, up to MaxWindow;
+//   - a sparse window — one that re-sent at most 1/sparseShare of its
+//     packets and timed out at most once — holds its size. Selective
+//     retransmission (§3.2.3) prices a stray drop, or a single lost
+//     FlagLast or ack, at that packet plus one response round; cutting
+//     for it only multiplies the rounds a randomly lossy path pays. The
+//     pacing gap decays as on a clean window;
+//   - a heavy window that timed out is the expensive signal — the receiver
+//     (or the return path) went dark and then NAKed much of the window —
+//     so the window quarters AND the inter-packet pacing gap backs off
+//     multiplicatively, spacing future frames out in time as well as in
+//     number;
+//   - any other heavy window (a go-back-n tail re-send, a burst of drops)
+//     cuts to 3/4: enough to bound the waste per future loss without
+//     starving the pipe.
 //
 // The controller is a pure, substrate-independent function of its
 // observation sequence: the same NAK/retransmit/timeout events produce the
@@ -44,6 +51,9 @@ const (
 	// windowIncrement is the additive increase per clean window once
 	// slow-start has ended.
 	windowIncrement = 16
+	// sparseShare bounds a sparse window's repair: at most 1/sparseShare of
+	// its packets re-sent (with at most one timeout) holds the window.
+	sparseShare = 8
 	// gapStep is the pacing increment added on a timeout window.
 	gapStep = 5 * time.Microsecond
 )
@@ -132,6 +142,12 @@ func (o WindowObs) lossy() bool {
 	return o.Retransmits > 0 || o.Naks > 0 || o.Timeouts > 0
 }
 
+// sparse reports whether the window's recovery was cheap enough to hold
+// the window rather than cut it.
+func (o WindowObs) sparse() bool {
+	return o.Retransmits*sparseShare <= o.Packets && o.Timeouts <= 1
+}
+
 // ControllerStats summarises one transfer's controller trajectory — the
 // per-stripe stats feed surfaced in SendResult.
 type ControllerStats struct {
@@ -139,6 +155,7 @@ type ControllerStats struct {
 	Windows     int           // windows driven
 	Growths     int           // windows after which the window grew
 	Cuts        int           // windows after which the window shrank
+	Holds       int           // lossy windows after which the window held its size
 	TimeoutCuts int           // of Cuts, those triggered by a silent timeout
 	FinalWindow int           // window size after the last observation
 	FinalGap    time.Duration // pacing gap after the last observation
@@ -186,7 +203,8 @@ func (c *Controller) Batch() int {
 // pacing gap and the batch recommendation per the AIMD rules.
 func (c *Controller) Observe(o WindowObs) {
 	c.stats.Windows++
-	if !o.lossy() {
+	switch {
+	case o.Retransmits == 0 && o.Timeouts == 0:
 		if c.slowStart {
 			c.win *= 2
 		} else {
@@ -195,14 +213,12 @@ func (c *Controller) Observe(o WindowObs) {
 		if c.win > c.cfg.MaxWindow {
 			c.win = c.cfg.MaxWindow
 		}
-		// Decay pacing back toward the configured floor (line rate when
-		// none was set).
-		c.gap /= 2
-		if c.gap < c.cfg.MinGap {
-			c.gap = c.cfg.MinGap
-		}
+		c.decayGap()
 		c.stats.Growths++
-	} else {
+	case o.sparse():
+		c.decayGap()
+		c.stats.Holds++
+	default:
 		if o.Timeouts > 0 {
 			c.win /= 4
 			c.gap = c.gap*2 + gapStep
@@ -221,6 +237,15 @@ func (c *Controller) Observe(o WindowObs) {
 	}
 	c.stats.FinalWindow = c.win
 	c.stats.FinalGap = c.gap
+}
+
+// decayGap halves the pacing gap back toward the configured floor (line
+// rate when none was set).
+func (c *Controller) decayGap() {
+	c.gap /= 2
+	if c.gap < c.cfg.MinGap {
+		c.gap = c.cfg.MinGap
+	}
 }
 
 // Stats returns the trajectory summary so far.

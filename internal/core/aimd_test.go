@@ -137,3 +137,60 @@ func TestControllerDeterministic(t *testing.T) {
 		t.Errorf("stats diverged: %+v vs %+v", a.Stats(), b.Stats())
 	}
 }
+
+// The controller reacts to what a window's recovery cost: a repair that
+// re-sent at most 1/8 of the window with at most one timeout holds it, a
+// heavier one cuts (to 3/4 on NAKs alone, to 1/4 with pacing backed off
+// when a timeout was part of it).
+func TestControllerRecoveryCost(t *testing.T) {
+	const us = time.Microsecond
+	for _, tc := range []struct {
+		name                              string
+		obs                               []WindowObs
+		win                               int
+		gap                               time.Duration
+		growths, holds, cuts, timeoutCuts int
+	}{
+		{name: "sparse NAK holds",
+			obs: []WindowObs{{Packets: 256, Retransmits: 3, Naks: 1}},
+			win: 256, holds: 1},
+		{name: "one eighth re-sent still holds",
+			obs: []WindowObs{{Packets: 256, Retransmits: 32, Naks: 2}},
+			win: 256, holds: 1},
+		{name: "heavy NAK cuts to 3/4",
+			obs: []WindowObs{{Packets: 256, Retransmits: 33, Naks: 2}},
+			win: 192, cuts: 1},
+		{name: "lone timeout with a 1-packet repair holds unpaced",
+			obs: []WindowObs{{Packets: 256, Retransmits: 1, Timeouts: 1}},
+			win: 256, holds: 1},
+		{name: "two timeouts quarter and pace",
+			obs: []WindowObs{{Packets: 256, Retransmits: 2, Timeouts: 2}},
+			win: 64, gap: 5 * us, cuts: 1, timeoutCuts: 1},
+		{name: "gap decays across holds",
+			obs: []WindowObs{timeout(256), {Packets: 64, Retransmits: 1, Naks: 1}, {Packets: 64, Retransmits: 1, Timeouts: 1}},
+			win: 64, gap: 5 * us / 4, holds: 2, cuts: 1, timeoutCuts: 1},
+		{name: "go-back-n tail re-send cuts",
+			obs: []WindowObs{{Packets: 256, Retransmits: 200, Naks: 1}},
+			win: 192, cuts: 1},
+		{name: "a hold keeps slow-start",
+			obs: []WindowObs{{Packets: 256, Retransmits: 2, Naks: 1}, clean(256)},
+			win: 512, growths: 1, holds: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewController(ControllerConfig{InitWindow: 256})
+			for _, o := range tc.obs {
+				c.Observe(o)
+			}
+			st := c.Stats()
+			if c.Window() != tc.win || c.Gap() != tc.gap {
+				t.Errorf("window %d gap %v, want %d and %v", c.Window(), c.Gap(), tc.win, tc.gap)
+			}
+			if st.Growths != tc.growths || st.Holds != tc.holds || st.Cuts != tc.cuts || st.TimeoutCuts != tc.timeoutCuts {
+				t.Errorf("stats %+v, want %d growths, %d holds, %d cuts (%d on timeout)", st, tc.growths, tc.holds, tc.cuts, tc.timeoutCuts)
+			}
+			if st.Windows != len(tc.obs) || st.FinalWindow != tc.win || st.FinalGap != tc.gap {
+				t.Errorf("stats %+v after %d windows", st, len(tc.obs))
+			}
+		})
+	}
+}

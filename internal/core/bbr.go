@@ -5,13 +5,15 @@ import "time"
 // Rate-based BBR-flavoured blast control — the "bbr" policy of the
 // RateController table.
 //
-// AIMD reads loss as a congestion verdict and cuts the window every time,
-// which on a path with steady ~1% random loss (a radio hop, a cheap switch)
-// never lets the pipe fill: the window saws between cuts and additive
-// recovery while the bottleneck sits idle. BBR's insight (Cardwell et al.,
-// and the delivery-rate framing Arslan & Kosar's tuner shares) is to build
-// an explicit model of the path — maximum delivery rate, minimum round
-// time — and pace to the model, treating isolated loss as noise:
+// A loss-driven controller reads loss as a congestion verdict; one that
+// cuts the window on every repair never lets a path with steady ~1% random
+// loss (a radio hop, a cheap switch) fill: the window saws between cuts and
+// additive recovery while the bottleneck sits idle. AIMD (aimd.go) holds
+// through sparse repairs instead, judging loss by its count. BBR's insight
+// (Cardwell et al., and the delivery-rate framing Arslan & Kosar's tuner
+// shares) is to build an explicit model of the path — maximum delivery
+// rate, minimum round time — and pace to the model, treating isolated loss
+// as noise:
 //
 //   - Startup mirrors slow-start: each clean window doubles the next until
 //     the first loss or MaxWindow, finding the pipe's order of magnitude in
@@ -210,6 +212,8 @@ func (c *bbrController) Observe(o WindowObs) {
 				c.win = c.cfg.MinWindow
 				c.stats.Cuts++
 			}
+		} else {
+			c.stats.Holds++
 		}
 		c.cycleIdx = (c.cycleIdx + 1) % bbrCycleLen
 		c.gap = c.paceGap()

@@ -59,6 +59,9 @@ func TestBBRNoCollapseAtModestLoss(t *testing.T) {
 	if c2.Window() != 256-256/8 {
 		t.Errorf("after a full loss epoch: window %d, want %d", c2.Window(), 256-256/8)
 	}
+	if st := c2.Stats(); st.Holds != 2 || st.Cuts != 1 {
+		t.Errorf("stats %+v, want the two tolerated windows as holds and the drain as a cut", st)
+	}
 }
 
 func TestBBRTimeoutHalvesAndPaces(t *testing.T) {

@@ -234,7 +234,7 @@ func (b *blastTx) window(base, end, next int) error {
 			if attempts == 1 && b.stage != nil {
 				b.stageWindow(end, next)
 			}
-			nak, done := awaitBlastResponse(env, c, res, end, b.est.timeout())
+			nak, done := awaitBlastResponse(env, c, res, base, end, b.est.timeout())
 			if (done || nak != nil) && lastTries == 1 {
 				// Karn's rule: the response unambiguously answers this
 				// round's single transmission of the reliable last.
@@ -252,14 +252,7 @@ func (b *blastTx) window(base, end, next int) error {
 						pending = append(pending, seq)
 					}
 				case GoBackN:
-					from := int(nak.Seq)
-					if from < base {
-						from = base
-					}
-					if from >= end {
-						from = end - 1 // defensive: stale NAK beyond window
-					}
-					for seq := from; seq < end; seq++ {
+					for seq := int(nak.Seq); seq < end; seq++ {
 						pending = append(pending, seq)
 					}
 				case Selective:
@@ -317,10 +310,10 @@ func sendData(env Env, c Config, res *SendResult, scratch *wire.Packet, seq, tot
 }
 
 // awaitBlastResponse waits up to timeout for the receiver's verdict on the
-// window ending at end. It returns (nil, true) when a cumulative ack
-// covering the window arrived, (nak, false) when a NAK arrived, and
-// (nil, false) on timeout.
-func awaitBlastResponse(env Env, c Config, res *SendResult, end int, timeout time.Duration) (nak *wire.Packet, done bool) {
+// window [base, end). It returns (nil, true) when a cumulative ack
+// covering the window arrived, (nak, false) when a NAK for the window
+// arrived, and (nil, false) on timeout.
+func awaitBlastResponse(env Env, c Config, res *SendResult, base, end int, timeout time.Duration) (nak *wire.Packet, done bool) {
 	resp, err := awaitReply(env, timeout, func(p *wire.Packet) bool {
 		if p.Trans != c.TransferID {
 			return false
@@ -331,7 +324,10 @@ func awaitBlastResponse(env Env, c Config, res *SendResult, end int, timeout tim
 			return int(p.Seq) >= end // else a stale ack from an earlier window
 		case wire.TypeNak:
 			res.NaksReceived++
-			return int(p.Seq) < end // else nonsensical
+			// A NAK names the window's first missing packet, which no
+			// answer to this window can put below base: a lower one is a
+			// straggler answering an earlier window.
+			return int(p.Seq) >= base && int(p.Seq) < end
 		}
 		return false
 	})

@@ -41,9 +41,10 @@ type RateController interface {
 
 // Built-in policy names.
 const (
-	// ControllerAIMD is the PR-4 additive-increase/multiplicative-decrease
-	// discipline (aimd.go): NAK-repaired loss cuts the window to 3/4, a
-	// silent timeout quarters it and backs pacing off.
+	// ControllerAIMD is the additive-increase/multiplicative-decrease
+	// discipline (aimd.go): a sparse repair holds the window, heavy
+	// NAK-repaired loss cuts it to 3/4, and heavy loss with a silent
+	// timeout quarters it and backs pacing off.
 	ControllerAIMD = "aimd"
 	// ControllerBBR is the rate-based BBR-flavoured policy (bbr.go):
 	// delivery-rate and min-interval estimation drive pacing-gain cycling,

@@ -180,6 +180,9 @@ type TransferStats struct {
 	Packets     int // data packets (received for pushes, sent for pulls)
 	Retransmits int // pulls only
 	Checksum    uint16
+	// Controller is the pull sender's rate-control trajectory; nil when no
+	// policy ran.
+	Controller *core.ControllerStats
 }
 
 // MBps returns the transfer's application-level throughput in MB/s.
@@ -554,6 +557,7 @@ func (s *Server) serve(env core.Env, idle time.Duration, peer transport.Peer) er
 		}
 		stats.Bytes, stats.Elapsed = cfg.Bytes, res.Elapsed
 		stats.Packets, stats.Retransmits = res.DataPackets, res.Retransmits
+		stats.Controller = res.Controller
 	}
 	s.mu.Lock()
 	s.served++

@@ -49,10 +49,11 @@ func cellOf(t *testing.T, cells []ContentionCell, policy, adv string, clients in
 	return ContentionCell{}
 }
 
-// The point of the BBR-flavored policy: under 1% random loss it sustains
-// materially higher goodput than AIMD, whose multiplicative backoff treats
-// every stray drop as congestion. And every policy still delivers every
-// payload intact in every cell.
+// The point of the BBR-flavored policy: under 1% random loss its rate
+// model sustains at least AIMD's goodput, which holds its window through
+// sparse repairs but still cuts when one re-sends more than an eighth of a
+// window. And every policy still delivers every payload intact in every
+// cell.
 func TestContentionSweepJudgesPolicies(t *testing.T) {
 	cells, err := testSweep().Run(0)
 	if err != nil {

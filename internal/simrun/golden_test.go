@@ -130,7 +130,9 @@ func TestGoldenVirtualTime(t *testing.T) {
 		if res.Completed != 8 || res.Agg.Retransmits == 0 {
 			t.Fatalf("completed %d/8 with %d retransmits: the adversary did not bite", res.Completed, res.Agg.Retransmits)
 		}
-		check(t, loadDigest(res), "ed0c1d1f9ceb09a9")
+		// Re-pinned when aimd began holding its window on sparse loss
+		// instead of cutting on every repair (ed0c1d1f9ceb09a9 before).
+		check(t, loadDigest(res), "db2a4738a0507ba8")
 	})
 
 	t.Run("fanout/tree", func(t *testing.T) {

@@ -123,6 +123,9 @@ type Outcome struct {
 	Completed bool
 	// Data is the payload the receiver reassembled.
 	Data []byte
+	// Controller is the sender's rate-control trajectory; nil when no
+	// policy ran.
+	Controller *core.ControllerStats
 }
 
 // IntactPayload reports whether the delivered bytes match the scenario's.
@@ -162,7 +165,7 @@ func outcomeOf(s core.SendResult, r core.RecvResult) Outcome {
 	c.Timeouts = s.Timeouts
 	c.AcksIn = s.AcksReceived
 	c.NaksIn = s.NaksReceived
-	return Outcome{Counts: c, Completed: r.Completed, Data: r.Data}
+	return Outcome{Counts: c, Completed: r.Completed, Data: r.Data, Controller: s.Controller}
 }
 
 // RunSim executes the scenario once on the discrete-event simulator.

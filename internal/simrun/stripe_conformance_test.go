@@ -238,3 +238,98 @@ func simElapsed(t *testing.T, sc Scenario) time.Duration {
 	}
 	return res.Send.Elapsed
 }
+
+// sparseDataLoss drops about one data transmission in a hundred, chosen by
+// a seeded hash of the packet's identity (transfer, sequence, attempt), so
+// every substrate loses the same packets and a retransmission draws afresh.
+// Control packets pass: a lost ack's re-ack would share its identity.
+func sparseDataLoss(seed uint64) func(*wire.Packet) params.Mangle {
+	return func(p *wire.Packet) params.Mangle {
+		if p.Type != wire.TypeData {
+			return params.Mangle{}
+		}
+		h := seed ^ uint64(p.Trans)<<40 ^ uint64(p.Seq)<<8 ^ uint64(p.Attempt)
+		h ^= h >> 33
+		h *= 0xff51afd7ed558ccd
+		h ^= h >> 33
+		return params.Mangle{Drop: h%100 == 0}
+	}
+}
+
+// A selective aimd striped transfer under 1 % random loss takes the same
+// controller trajectory on the simulator and over real UDP: sparse windows
+// (stray drops, and a lost reliable last that timed out) hold the window,
+// and every stripe's counters and ControllerStats are identical on both
+// substrates, pinned here for one seed. Stripes of 112 packets keep every
+// window at or under 64 packets, which the default socket buffers carry
+// without a real drop.
+func TestStripedAIMDSparseLossConformance(t *testing.T) {
+	payload := advPayload(896_000, 17) // 896 chunks -> 8 stripes of 112
+	sc := Scenario{
+		Name:      "striped-aimd-loss1",
+		Adversary: params.Adversary{Script: sparseDataLoss(23)},
+		Config: core.Config{
+			TransferID:     1,
+			Bytes:          len(payload),
+			ChunkSize:      1000,
+			Protocol:       core.Blast,
+			Strategy:       core.Selective,
+			Controller:     core.ControllerAIMD,
+			Window:         16,
+			RetransTimeout: 500 * time.Millisecond,
+			// As in TestStripedConformance: only a lost reliable last may
+			// time out, on every substrate.
+			MinRTO:       500 * time.Millisecond,
+			MaxAttempts:  50,
+			Linger:       150 * time.Millisecond,
+			ReceiverIdle: 3 * time.Second,
+			Payload:      payload,
+		},
+	}
+	stat := func(windows, growths, holds, final int) core.ControllerStats {
+		return core.ControllerStats{Policy: core.ControllerAIMD, Windows: windows, Growths: growths, Holds: holds, FinalWindow: final}
+	}
+	// Seed 23 times out once each on stripes 0 and 2 (a lost reliable
+	// last re-sent alone) and drops a stray packet or few everywhere.
+	want := []core.ControllerStats{stat(5, 1, 4, 32), stat(3, 2, 1, 64), stat(3, 2, 1, 64), stat(3, 2, 1, 64),
+		stat(4, 2, 2, 64), stat(3, 2, 1, 64), stat(3, 2, 1, 64), stat(4, 3, 1, 128)}
+
+	stripes := sc.Stripes(8)
+	run := func(name string, runner func(Scenario) (Outcome, error)) []Outcome {
+		outs := make([]Outcome, len(stripes))
+		for i, ssc := range stripes {
+			out, err := runner(ssc)
+			if err != nil {
+				t.Fatalf("%s stripe %d: %v", name, i, err)
+			}
+			if !out.Completed || !out.IntactPayload(ssc.Config.Payload) || out.Controller == nil {
+				t.Fatalf("%s stripe %d: completed %v, intact %v, controller %v", name, i,
+					out.Completed, out.IntactPayload(ssc.Config.Payload), out.Controller)
+			}
+			outs[i] = out
+		}
+		return outs
+	}
+	sim := run("sim", Scenario.RunSim)
+	for i, out := range sim {
+		if *out.Controller != want[i] {
+			t.Errorf("sim stripe %d: controller %+v, pinned %+v", i, *out.Controller, want[i])
+		}
+	}
+	if sim[0].Timeouts != 1 || sim[2].Timeouts != 1 {
+		t.Errorf("sim stripes 0 and 2 timed out %d and %d times, want the one each the seed pins", sim[0].Timeouts, sim[2].Timeouts)
+	}
+	if c, err := net.ListenPacket("udp", "127.0.0.1:0"); err != nil {
+		t.Skip("no UDP loopback: sim-only conformance")
+	} else {
+		c.Close()
+	}
+	for i, out := range run("udp", Scenario.RunUDP) {
+		if out.Counts != sim[i].Counts {
+			t.Errorf("stripe %d counters diverge:\nsim %+v\nudp %+v", i, sim[i].Counts, out.Counts)
+		}
+		if *out.Controller != *sim[i].Controller {
+			t.Errorf("stripe %d controller diverges:\nsim %+v\nudp %+v", i, *sim[i].Controller, *out.Controller)
+		}
+	}
+}
