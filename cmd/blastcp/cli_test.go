@@ -242,7 +242,8 @@ func TestGetToAnUnwritablePath(t *testing.T) {
 
 	// A pull under a rate-control policy appends the policy's trajectory to
 	// its served line, after the fields log scrapers read; a pull without
-	// one appends nothing.
+	// one appends none. Every served pull's line ends with its sender's
+	// timeouts.
 	if out, err := exec.Command(blastcp, "-to", d.addr, "-get", "obj.bin", "-o", local, "-controller", "aimd").CombinedOutput(); err != nil {
 		t.Fatalf("get under aimd: %v\n%s", err, out)
 	}
@@ -258,8 +259,8 @@ func TestGetToAnUnwritablePath(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("%d served lines for two pulls:\n%s", len(lines), strings.Join(d.lines(), "\n"))
 	}
-	if strings.Contains(lines[0], "policy") {
-		t.Errorf("a pull without a policy logged one: %q", lines[0])
+	if strings.Contains(lines[0], "policy") || !timeoutsRE.MatchString(lines[0]) {
+		t.Errorf("a pull without a policy logged one, or no timeouts: %q", lines[0])
 	}
 	if !servedPolicyRE.MatchString(lines[1]) {
 		t.Errorf("served line under aimd %q does not match %v", lines[1], servedPolicyRE)
@@ -267,8 +268,12 @@ func TestGetToAnUnwritablePath(t *testing.T) {
 }
 
 // servedPolicyRE is blastd's served line for a pull under a policy: the
-// fields every served line carries, then the policy's trajectory.
-var servedPolicyRE = regexp.MustCompile(`blastd: served pull to \S+ \d+ bytes in \S+ \([0-9.]+ MB/s\), \d+ packets \(\d+ retransmitted\), policy aimd: \d+ windows, \d+ cuts \(\d+ on timeout\), \d+ holds, final window \d+$`)
+// fields every served line carries, then the policy's trajectory, then the
+// sender's timeouts (timeoutsRE), which end every served pull's line.
+var (
+	servedPolicyRE = regexp.MustCompile(`blastd: served pull to \S+ \d+ bytes in \S+ \([0-9.]+ MB/s\), \d+ packets \(\d+ retransmitted\), policy aimd: \d+ windows, \d+ cuts \(\d+ on timeout\), \d+ holds, final window \d+, \d+ timeouts$`)
+	timeoutsRE     = regexp.MustCompile(`\), \d+ packets \(\d+ retransmitted\)(, .*)?, \d+ timeouts$`)
+)
 
 // A -resume get whose stat reply is lost still delivers the file: the stat
 // keeps the full retry bound and only the pull's sessions ask once each.

@@ -216,9 +216,13 @@ func main() {
 		Window:         *window,
 		Controller:     *ctrlName,
 		RetransTimeout: *tr,
-		MaxAttempts:    100,
-		Linger:         2**tr + 100*time.Millisecond,
-		ReceiverIdle:   10 * time.Second,
+		// A stat, pull or push REQ is asked again after Tr of silence, so a
+		// server that never answers is given up after MaxAttempts·Tr (20 s
+		// at the default -tr); with -resume every session asks once, and
+		// a silent one is dead after Tr.
+		MaxAttempts:  100,
+		Linger:       2**tr + 100*time.Millisecond,
+		ReceiverIdle: 10 * time.Second,
 	}
 
 	if *copyName != "" {
@@ -270,10 +274,11 @@ func main() {
 		}
 		if *resume {
 			// One REQ round per session, now that the stat has had cfg's
-			// full retry bound: a quiet server means the session is dead,
-			// and the resume layer asks again from the verified frontier,
-			// where a re-ask inside the session would request the whole
-			// range again.
+			// full retry bound: a quiet server means the session is dead —
+			// Tr of silence before its first packet, 4·Tr once data has
+			// flowed — and the resume layer asks again from the verified
+			// frontier, where a re-ask inside the session would request
+			// the whole range again.
 			cfg.MaxAttempts = 1
 		}
 		var out *store.ChunkFile
@@ -318,6 +323,11 @@ func main() {
 			}
 			failErr("striped pull", err)
 		}
+		reqs := 0
+		for _, s := range res.Stripes {
+			reqs += s.Recv.Reqs - max(s.Resume.Sessions, 1)
+		}
+		logReasks(reqs)
 		for _, s := range res.Stripes {
 			repaired := ""
 			if s.Resume.Sessions > 1 {
@@ -421,11 +431,13 @@ func main() {
 		cfg.Sink = out.Sink
 	}
 	var res core.RecvResult
+	var rstats core.ResumeStats
 	if *resume {
 		// Resumable pull: a server crash/restart mid-transfer costs only the
 		// unverified tail (offset REQs from the frontier), and BUSY refusals
-		// are honored with backoff instead of burning REQ rounds.
-		var rstats core.ResumeStats
+		// are honored with backoff instead of burning REQ rounds. A session
+		// counts as dead after Tr of silence before its first packet (4·Tr
+		// once data has flowed) and is resumed as a new transfer.
 		cfg.MaxAttempts = 1 // one REQ round per session, as for stripes
 		res, rstats, err = core.PullResume(e, cfg, core.ResumeOptions{})
 		if rstats.Sessions > 1 || rstats.BusyWaits > 0 {
@@ -438,6 +450,7 @@ func main() {
 	if err != nil {
 		failErr("pull", err)
 	}
+	logReasks(res.Reqs - max(rstats.Sessions, 1))
 	fmt.Printf("pulled %d bytes in %v (%.2f MB/s), %d packets (%d dups), checksum %04x\n",
 		res.Bytes, res.Elapsed.Round(time.Microsecond),
 		float64(res.Bytes)/res.Elapsed.Seconds()/1e6,
@@ -445,6 +458,15 @@ func main() {
 	closeOut(out, *outFile)
 	if *wantSum != "" && res.Checksum != expectSum {
 		fail(exitChecksum, "pulled checksum %04x, expected %04x", res.Checksum, expectSum)
+	}
+}
+
+// logReasks notes on stderr how many pull REQs went unanswered for Tr and
+// were sent again (a resumed session's first REQ is not a re-send); stdout's
+// result line stays as it is.
+func logReasks(n int) {
+	if n > 0 {
+		log.Printf("blastcp: re-sent the pull REQ %d time(s)", n)
 	}
 }
 

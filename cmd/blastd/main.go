@@ -39,7 +39,8 @@
 // of the fixed REQ parameters; an id this build does not know degrades to
 // AIMD. Each served pull's log line then ends with what the policy did:
 // windows driven, cuts (and how many a timeout caused), holds and the
-// final window.
+// final window. Every served pull's line closes with how many of the
+// sender's response waits timed out.
 //
 // SIGINT/SIGTERM drains gracefully: new sessions are refused (clients
 // retry elsewhere), active transfers get up to -drain to finish — a second
@@ -122,8 +123,12 @@ func main() {
 			policy = fmt.Sprintf(", policy %s: %d windows, %d cuts (%d on timeout), %d holds, final window %d",
 				st.Policy, st.Windows, st.Cuts, st.TimeoutCuts, st.Holds, st.FinalWindow)
 		}
-		log.Printf("blastd: %s %v: %d bytes in %v (%.2f MB/s), %d packets (%d retransmitted)%s",
-			verb, ts.Peer, ts.Bytes, ts.Elapsed, ts.MBps(), ts.Packets, ts.Retransmits, policy)
+		timeouts := ""
+		if !ts.Push {
+			timeouts = fmt.Sprintf(", %d timeouts", ts.Timeouts)
+		}
+		log.Printf("blastd: %s %v: %d bytes in %v (%.2f MB/s), %d packets (%d retransmitted)%s%s",
+			verb, ts.Peer, ts.Bytes, ts.Elapsed, ts.MBps(), ts.Packets, ts.Retransmits, policy, timeouts)
 		summary.add(ts)
 	}
 

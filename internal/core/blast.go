@@ -32,6 +32,7 @@ func sendBlast(env Env, c Config, async bool) (SendResult, error) {
 		err = b.window(base, min(base+w, n), min(base+2*w, n))
 	}
 	b.res.Elapsed = env.Now() - start
+	b.res.SRTT = b.est.smoothed()
 	return b.res, err
 }
 
@@ -75,6 +76,7 @@ func sendBlastControlled(env Env, c Config, async bool) (SendResult, error) {
 	res := &b.res
 	finish := func() {
 		res.Elapsed = env.Now() - start
+		res.SRTT = b.est.smoothed()
 		st := ctrl.Stats()
 		res.Controller = &st
 		// The controller's actuations are scoped to this transfer: the
@@ -380,7 +382,7 @@ func recvBlast(env Env, c Config) (RecvResult, error) {
 	firstMissing := 0
 	high := 0 // high-water mark of FlagLast sequence numbers + 1
 	start := env.Now()
-	idle := c.receiverIdle()
+	idle, wait := c.receiverIdle(), c.firstWait()
 	ack := new(wire.Packet)
 
 	// respond builds the strategy's reply to a FlagLast packet; any other
@@ -425,11 +427,12 @@ func recvBlast(env Env, c Config) (RecvResult, error) {
 	}
 
 	for count < n {
-		pkt, err := recvOwn(env, c.TransferID, idle)
+		pkt, err := recvOwn(env, c.TransferID, wait)
 		if err != nil {
 			res.Elapsed = env.Now() - start
 			return res, fmt.Errorf("blast receiver idle with %d/%d packets: %w", count, n, err)
 		}
+		wait = idle
 		if pkt.Type != wire.TypeData {
 			if err := receiverControl(env, c, pkt, res.DataPackets > 0); err != nil {
 				res.Elapsed = env.Now() - start

@@ -119,6 +119,15 @@ type Config struct {
 	// of the transfer time. Applies to stop-and-wait and blast.
 	AdaptiveTr bool
 
+	// PathRTT, when positive, is the smoothed round-trip time an earlier
+	// adaptive sender measured to the same peer host. An adaptive sender's
+	// estimator takes it as its first sample (see rto.go) instead of
+	// starting from the fixed Tr, so a lost reliable last in the first
+	// window costs about a round trip, not a Tr. It does not ride the REQ:
+	// the serving side's session layer remembers it per host and sets it.
+	// Ignored unless the estimator is active (AdaptiveTr or Controller).
+	PathRTT time.Duration
+
 	// MinRTO bounds the adaptive timeout from below. Zero means the
 	// built-in 1 ms floor, which suits a quiet LAN; hosts with coarse
 	// timers or heavy scheduling noise (virtualized runners, the race
@@ -195,6 +204,12 @@ type Config struct {
 	// srcBuf is the reusable chunk scratch handed to Source; sized once in
 	// withDefaults so the steady-state send loop allocates nothing.
 	srcBuf []byte
+
+	// firstIdle, when positive and shorter than the idle bound, bounds the
+	// receiver's wait for the transfer's first own packet: Request sets it
+	// to Tr, so a lost REQ is asked again after Tr, not after the 4·Tr of
+	// silence a transfer under way may sit through.
+	firstIdle time.Duration
 
 	// surfaceBusy makes Request return a server's BUSY refusal to the
 	// caller immediately instead of honoring the retry-after hint inside
@@ -389,6 +404,12 @@ type SendResult struct {
 	AcksReceived int
 	NaksReceived int
 
+	// SRTT is the retransmission estimator's smoothed round-trip time when
+	// the sender finished: what a later transfer to the same host may start
+	// from as its Config.PathRTT. Zero when the estimator is off or never
+	// sampled.
+	SRTT time.Duration
+
 	// Controller summarises the rate-control trajectory of a controlled
 	// transfer (nil when no Config.Controller policy drove it) — the
 	// per-stripe stats feed. Stats.Policy names the policy that ran.
@@ -409,6 +430,7 @@ type RecvResult struct {
 	LingerEvents int    // retransmissions handled after completion
 	LingerAcks   int    // of AcksSent, those sent during the linger
 	LingerNaks   int    // of NaksSent, those sent during the linger
+	Reqs         int    // REQs Request sent: 1 when the first was answered
 
 	// sinkSum incrementally accumulates Checksum for Sink-mode transfers,
 	// where no contiguous Data buffer ever exists; usedSink records that

@@ -20,10 +20,15 @@ import (
 // to the transfer". Four requests share the one ask loop and differ only in
 // the answer they wait for and how long each attempt waits:
 //
-//	Request   the transfer's data, taken by the receiver   4·Tr
-//	Stat      a stat reply (StatReply)                      4·Tr
+//	Request   the transfer's data, taken by the receiver   Tr to its first packet, then 4·Tr idle
+//	Stat      a stat reply (StatReply)                      Tr
 //	Push      the go-ahead (goAhead)                        Tr
 //	Copy      a copy progress ack, final reply or NAK       4·Tr
+//
+// A server answers a REQ for data, a stat or a push at once, from the
+// session that REQ opens, so a round trip is all a live one needs and Tr of
+// silence means the REQ or its answer was lost. A copy's first answer may
+// wait on the server dialing the copy's target, so it keeps 4·Tr.
 //
 // A BUSY for the transfer is the server's admission refusal: the loop
 // sleeps its retry-after hint and asks again, and a request refused on every
@@ -182,9 +187,12 @@ func recvOwn(env Env, trans uint32, idle time.Duration) (*wire.Packet, error) {
 }
 
 // Request asks the peer to blast the configured transfer to us and receives
-// it. Each attempt's receiver gives up after 4·Tr of silence, so a lost REQ
-// is re-sent promptly (up to Config.MaxAttempts times): the first data
-// packet should arrive within a round trip once the REQ lands.
+// it. The first data packet should arrive a round trip after the REQ lands,
+// so each attempt's receiver waits Tr for it and the REQ is asked again on
+// silence: a lost REQ costs Tr, and a server that never answers costs
+// Config.MaxAttempts·Tr. Once a packet of the transfer has arrived the
+// transfer is under way, and the attempt gives up only after 4·Tr of
+// silence. RecvResult.Reqs counts the REQs sent.
 func Request(env Env, cfg Config) (RecvResult, error) {
 	c, err := cfg.withDefaults()
 	if err != nil {
@@ -196,9 +204,10 @@ func Request(env Env, cfg Config) (RecvResult, error) {
 	var acc, res RecvResult
 	err = ask(env, &c, c.reqPacket(ReqOf(c, false)), 4*c.RetransTimeout, func(patience time.Duration) error {
 		probe := c
-		probe.ReceiverIdle = patience
+		probe.ReceiverIdle, probe.firstIdle = patience, c.RetransTimeout
 		var err error
 		res, err = RunReceiver(env, probe)
+		res.Reqs = 1 // this attempt's
 		addRecv(&acc, res)
 		return err
 	})
@@ -209,6 +218,7 @@ func Request(env Env, cfg Config) (RecvResult, error) {
 	res.AcksSent, res.NaksSent = acc.AcksSent, acc.NaksSent
 	res.LingerEvents = acc.LingerEvents
 	res.LingerAcks, res.LingerNaks = acc.LingerAcks, acc.LingerNaks
+	res.Reqs = acc.Reqs
 	return res, nil
 }
 
@@ -316,16 +326,19 @@ func (c Config) controlDefaults() Config {
 }
 
 // Stat asks the serving side for the size of the named object, so a pull —
-// striped or not — can size its REQ exactly. cfg supplies the transfer id,
-// retransmit timeout, attempt bound and ack size (Bytes may be zero — no
-// transfer starts, and the session stays open for the pull that follows).
+// striped or not — can size its REQ exactly. The server answers from the
+// hook that accepts the REQ, so each attempt waits Tr, as Push's does for
+// its go-ahead: a lost stat REQ or reply costs Tr. cfg supplies the
+// transfer id, retransmit timeout, attempt bound and ack size (Bytes may be
+// zero — no transfer starts, and the session stays open for the pull that
+// follows).
 func Stat(env Env, cfg Config, name string) (int64, error) {
 	if !wire.ValidReqName(name) {
 		return 0, fmt.Errorf("%w: object name %q does not fit the request encoding", ErrBadConfig, name)
 	}
 	c := cfg.controlDefaults()
 	req := c.reqPacket(wire.Req{Stat: true, Name: name, TrMicros: uint64(c.RetransTimeout / time.Microsecond)})
-	reply, err := askFor(env, &c, req, 4*c.RetransTimeout, func(p *wire.Packet) bool {
+	reply, err := askFor(env, &c, req, c.RetransTimeout, func(p *wire.Packet) bool {
 		_, ok := statSize(p, c.TransferID)
 		return ok
 	})

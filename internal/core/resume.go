@@ -99,6 +99,7 @@ func addRecv(agg *RecvResult, r RecvResult) {
 	agg.LingerEvents += r.LingerEvents
 	agg.LingerAcks += r.LingerAcks
 	agg.LingerNaks += r.LingerNaks
+	agg.Reqs += r.Reqs
 }
 
 // PullResume performs the pull cfg describes with transfer-level failure

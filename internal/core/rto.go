@@ -20,6 +20,14 @@ import "time"
 // estimator applies to stop-and-wait (one sample per packet) and to blast
 // (one sample per reliable-last response); sliding window keeps its fixed
 // Tr (its cumulative acks do not pair one-to-one with sends).
+//
+// Until its first sample the estimator's timeout is the fixed Tr (RFC 6298
+// §2.1). A sender given Config.PathRTT — the smoothed RTT an earlier
+// transfer to the same host ended with — takes it as that first sample
+// (§2.2: srtt = R, rttvar = R/2, so the first timeout is 3R, floored), the
+// "temporal sharing" of RFC 9040: a host's round trip measured a moment ago
+// is a better first guess than a Tr picked for the worst case. Its own
+// samples then refine it as usual.
 type rto struct {
 	srtt    time.Duration
 	rttvar  time.Duration
@@ -38,7 +46,18 @@ func newRTO(c Config) rto {
 	if floor <= 0 {
 		floor = rtoFloor
 	}
-	return rto{fixed: c.RetransTimeout, floor: floor, enabled: c.AdaptiveTr}
+	r := rto{fixed: c.RetransTimeout, floor: floor, enabled: c.AdaptiveTr}
+	r.sample(c.PathRTT)
+	return r
+}
+
+// smoothed returns the smoothed round-trip time, or zero when the
+// estimator is off or has no sample.
+func (r *rto) smoothed() time.Duration {
+	if !r.enabled || !r.primed {
+		return 0
+	}
+	return r.srtt
 }
 
 // timeout returns the current retransmission interval.

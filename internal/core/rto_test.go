@@ -82,3 +82,24 @@ func TestRTOMinRTORaisesFloor(t *testing.T) {
 		t.Errorf("RTO %v, want the 50ms MinRTO floor", got)
 	}
 }
+
+// A sender given the path's last smoothed RTT starts as if that were its
+// first sample: srtt = R, rttvar = R/2, so its first timeout is 3R, not the
+// fixed Tr. A disabled estimator ignores it.
+func TestRTOStartsFromPathRTT(t *testing.T) {
+	r := newRTO(Config{RetransTimeout: 200 * time.Millisecond, AdaptiveTr: true, PathRTT: 4 * time.Millisecond})
+	if got, want := r.timeout(), 12*time.Millisecond; got != want {
+		t.Errorf("first RTO = %v, want %v", got, want)
+	}
+	if got := r.smoothed(); got != 4*time.Millisecond {
+		t.Errorf("smoothed = %v, want the path's 4ms", got)
+	}
+	r.sample(8 * time.Millisecond) // the sender's own first sample refines it
+	if got, want := r.smoothed(), (7*4*time.Millisecond+8*time.Millisecond)/8; got != want {
+		t.Errorf("smoothed after a sample = %v, want %v", got, want)
+	}
+	off := newRTO(Config{RetransTimeout: 200 * time.Millisecond, PathRTT: 4 * time.Millisecond})
+	if off.timeout() != 200*time.Millisecond || off.smoothed() != 0 {
+		t.Errorf("disabled estimator took the path RTT: timeout %v, smoothed %v", off.timeout(), off.smoothed())
+	}
+}

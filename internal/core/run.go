@@ -25,8 +25,16 @@ func RunSender(env Env, cfg Config) (SendResult, error) {
 	}
 	if err == nil {
 		// Best-effort FIN after the measurement closes: releases the
-		// receiver's linger promptly; the linger timeout covers its loss.
-		_ = env.Send(c.finPacket())
+		// receiver's linger promptly. It is the one packet of the exchange
+		// nobody answers, so a transfer that has seen loss — it re-sent
+		// data or timed out — sends it twice: a lost FIN would otherwise
+		// cost the receiver its whole linger. A loss-free transfer sends
+		// one, and the linger timeout covers its loss.
+		fin := c.finPacket()
+		_ = env.Send(fin)
+		if res.Retransmits > 0 || res.Timeouts > 0 {
+			_ = env.Send(fin)
+		}
 	}
 	return res, err
 }

@@ -40,6 +40,7 @@ func sendStopAndWait(env Env, c Config) (SendResult, error) {
 		}
 	}
 	res.Elapsed = env.Now() - start
+	res.SRTT = est.smoothed()
 	return res, nil
 }
 
@@ -87,14 +88,15 @@ func recvInOrder(env Env, c Config) (RecvResult, error) {
 	n := c.NumPackets()
 	next := 0
 	start := env.Now()
-	idle := c.receiverIdle()
+	idle, wait := c.receiverIdle(), c.firstWait()
 	ack := new(wire.Packet)
 	for next < n {
-		pkt, err := recvOwn(env, c.TransferID, idle)
+		pkt, err := recvOwn(env, c.TransferID, wait)
 		if err != nil {
 			res.Elapsed = env.Now() - start
 			return res, fmt.Errorf("receiver idle with %d/%d packets: %w", next, n, err)
 		}
+		wait = idle
 		if pkt.Type != wire.TypeData {
 			if err := receiverControl(env, c, pkt, res.DataPackets > 0); err != nil {
 				res.Elapsed = env.Now() - start
@@ -214,4 +216,14 @@ func (c Config) receiverIdle() time.Duration {
 	// callers set an explicit bound. Must comfortably exceed any legitimate
 	// inter-packet gap (a full window retransmission plus several Tr).
 	return 64*c.RetransTimeout + 10*time.Second
+}
+
+// firstWait bounds the receiver's wait for its transfer's first own packet:
+// Config.firstIdle when Request set one shorter than the idle bound, the
+// idle bound otherwise.
+func (c Config) firstWait() time.Duration {
+	if idle := c.receiverIdle(); c.firstIdle <= 0 || c.firstIdle > idle {
+		return idle
+	}
+	return c.firstIdle
 }

@@ -125,6 +125,50 @@ type Server struct {
 	active   atomic.Int32 // sessions admitted by the demux loops
 	draining atomic.Bool
 	limiter  logLimiter
+	paths    pathTable
+}
+
+// pathCap bounds the path table: a server that has heard from more hosts
+// than this starts the table over, so a stream of new sources cannot grow
+// it without bound.
+const pathCap = 1024
+
+// pathTable remembers, per peer host, the smoothed round-trip time the last
+// adaptive sender to that host ended with — RFC 9040's "temporal sharing".
+// A new adaptive sender to the same host starts its retransmission
+// estimator from it (core.Config.PathRTT), so a lost reliable last in its
+// first window costs about a round trip instead of the fixed Tr. Only
+// adaptive pull senders read or write it; nothing on the data path does.
+type pathTable struct {
+	mu  sync.Mutex
+	rtt map[string]time.Duration
+}
+
+func (t *pathTable) get(host string) time.Duration {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.rtt[host]
+}
+
+func (t *pathTable) put(host string, rtt time.Duration) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.rtt == nil {
+		t.rtt = make(map[string]time.Duration)
+	}
+	if _, ok := t.rtt[host]; !ok && len(t.rtt) >= pathCap {
+		clear(t.rtt)
+	}
+	t.rtt[host] = rtt
+}
+
+// hostOf names the host a peer is on: its IP on sockets (every port of a
+// host shares the path), a simulated station's name on the DES.
+func hostOf(p transport.Peer) string {
+	if a, ok := p.(*net.UDPAddr); ok {
+		return a.IP.String()
+	}
+	return p.String()
 }
 
 // logLimiter rate-limits per-peer operational log lines to one per second,
@@ -179,6 +223,10 @@ type TransferStats struct {
 	Elapsed     time.Duration
 	Packets     int // data packets (received for pushes, sent for pulls)
 	Retransmits int // pulls only
+	Timeouts    int // pulls only: the sender's response waits that expired
+	// RTOFromPath reports that the pull sender's retransmission estimator
+	// started from the last smoothed RTT to the peer's host, not from Tr.
+	RTOFromPath bool
 	Checksum    uint16
 	// Controller is the pull sender's rate-control trajectory; nil when no
 	// policy ran.
@@ -551,12 +599,23 @@ func (s *Server) serve(env core.Env, idle time.Duration, peer transport.Peer) er
 		stats.Bytes, stats.Elapsed = res.Bytes, res.Elapsed
 		stats.Packets, stats.Checksum = res.DataPackets, res.Checksum
 	} else {
+		// An adaptive sender starts from, and leaves behind, the path's
+		// smoothed RTT; a fixed-Tr sender neither reads nor writes it.
+		host := ""
+		if cfg.Controller != "" {
+			host = hostOf(peer)
+			cfg.PathRTT = s.paths.get(host)
+		}
 		res, err := core.RunSender(env, cfg)
+		if host != "" && res.SRTT > 0 {
+			s.paths.put(host, res.SRTT)
+		}
 		if err != nil {
 			return fmt.Errorf("session: serving pull: %w", err)
 		}
 		stats.Bytes, stats.Elapsed = cfg.Bytes, res.Elapsed
 		stats.Packets, stats.Retransmits = res.DataPackets, res.Retransmits
+		stats.Timeouts, stats.RTOFromPath = res.Timeouts, cfg.PathRTT > 0
 		stats.Controller = res.Controller
 	}
 	s.mu.Lock()

@@ -96,7 +96,7 @@ func TestPullStripedCancelsSiblings(t *testing.T) {
 		ChunkSize:      1000,
 		RetransTimeout: 100 * time.Millisecond,
 		// Without cancellation the blocked siblings would retry their REQs
-		// for MaxAttempts * 4*Tr = 400 s each; the 2 s bound below is only
+		// for MaxAttempts·Tr = 100 s each; the 2 s bound below is only
 		// passable because the failure aborts them.
 		MaxAttempts: 1000,
 	}

@@ -48,7 +48,7 @@ func TestPullStripedPartialFailure(t *testing.T) {
 		ChunkSize:  chunk,
 		Protocol:   core.Blast,
 		Strategy:   core.GoBackN,
-		// A refused stripe retries its REQ MaxAttempts times, 4*Tr apart,
+		// A refused stripe retries its REQ MaxAttempts times, Tr apart,
 		// before giving up; keep that budget small so the failure is fast.
 		RetransTimeout: 50 * time.Millisecond,
 		MaxAttempts:    3,
