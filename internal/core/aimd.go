@@ -5,7 +5,7 @@ import "time"
 // AIMD blast rate control — the "aimd" policy of the RateController
 // table (ratecontrol.go).
 //
-// The paper fixes every transfer parameter — window, batch, retransmission
+// The paper fixes every transfer parameter — window, retransmission
 // interval — at connection setup, which is exactly right for its matched
 // pair of otherwise-idle machines and exactly wrong for a shared network
 // whose loss and latency the sender cannot know in advance. Heuristic
@@ -37,9 +37,9 @@ import "time"
 // observation sequence: the same NAK/retransmit/timeout events produce the
 // same window trajectory on the simulator, the V kernel and real UDP, which
 // is what lets the cross-substrate conformance suite pin adaptive transfers
-// too. Substrate-specific actuation (pacing sleeps, syscall batch rings) is
-// applied through the optional Datapath interface; substrates without it
-// simply get the window adjustments.
+// too. The pacing gap is actuated through the optional Datapath interface
+// (the substrate's pacing sleeps); substrates without it simply get the
+// window adjustments.
 //
 // A controlled transfer also subsumes Config.AdaptiveTr: response timing is learned
 // online with the Jacobson/Karn estimator (rto.go), seeded by
@@ -58,8 +58,9 @@ const (
 	gapStep = 5 * time.Microsecond
 )
 
-// ControllerConfig parameterises the AIMD controller. The zero value takes
-// the defaults documented per field.
+// ControllerConfig parameterises every built-in policy (aimd, bbr,
+// autotune): the window and gap bounds they search within, and the seed of
+// those that draw. The zero value takes the defaults documented per field.
 type ControllerConfig struct {
 	// InitWindow is the first window size in packets (default 32).
 	InitWindow int
@@ -69,10 +70,6 @@ type ControllerConfig struct {
 	MinWindow int
 	// MaxWindow caps growth (default 512).
 	MaxWindow int
-	// MaxBatch caps the syscall-batch recommendation (default 32). The
-	// recommendation follows the window down so a shrunken window is not
-	// burst out of an oversized ring.
-	MaxBatch int
 	// MaxGap caps the inter-packet pacing gap (default 100µs).
 	MaxGap time.Duration
 	// MinGap floors the pacing gap (default 0: clean paths run at line
@@ -98,9 +95,6 @@ func (c ControllerConfig) withDefaults() ControllerConfig {
 	if c.MaxWindow <= 0 {
 		c.MaxWindow = 512
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 32
-	}
 	if c.MaxGap <= 0 {
 		c.MaxGap = 100 * time.Microsecond
 	}
@@ -123,9 +117,8 @@ func (c ControllerConfig) withDefaults() ControllerConfig {
 }
 
 // WindowObs is what the sender observed driving one blast window to
-// completion. Window and batch decision rules read only the recovery
-// counters — that is what keeps controller trajectories identical across
-// substrates (see ratecontrol.go). Elapsed is the substrate clock's measure
+// completion. Window decision rules read only the recovery counters — that
+// is what keeps controller trajectories identical across substrates (see ratecontrol.go). Elapsed is the substrate clock's measure
 // of the window (virtual time on the simulator, wall time on UDP): policies
 // may use it for pacing only, and it is zero on substrates or paths that do
 // not measure it.
@@ -189,18 +182,8 @@ func (c *Controller) Window() int { return c.win }
 // Gap returns the current inter-packet pacing gap (zero on a clean path).
 func (c *Controller) Gap() time.Duration { return c.gap }
 
-// Batch returns the recommended syscall batch size: the window itself,
-// capped at MaxBatch — a shrunken window should not be burst onto the wire
-// through a ring sized for the clean-path window.
-func (c *Controller) Batch() int {
-	if c.win < c.cfg.MaxBatch {
-		return c.win
-	}
-	return c.cfg.MaxBatch
-}
-
-// Observe folds in one completed window and adjusts the next window, the
-// pacing gap and the batch recommendation per the AIMD rules.
+// Observe folds in one completed window and adjusts the next window and the
+// pacing gap per the AIMD rules.
 func (c *Controller) Observe(o WindowObs) {
 	c.stats.Windows++
 	switch {

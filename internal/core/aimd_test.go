@@ -99,17 +99,6 @@ func TestControllerGapFloor(t *testing.T) {
 	}
 }
 
-func TestControllerBatchFollowsWindow(t *testing.T) {
-	c := NewController(ControllerConfig{InitWindow: 64, MaxBatch: 32})
-	if c.Batch() != 32 {
-		t.Fatalf("batch %d, want MaxBatch while the window is large", c.Batch())
-	}
-	c.Observe(timeout(64)) // window -> 16
-	if c.Window() != 16 || c.Batch() != 16 {
-		t.Fatalf("window %d batch %d, want both 16", c.Window(), c.Batch())
-	}
-}
-
 func TestControllerDefaultsClamped(t *testing.T) {
 	c := NewController(ControllerConfig{InitWindow: 1, MinWindow: 16, MaxWindow: 8})
 	// MinWindow collapses onto MaxWindow, and InitWindow is clamped into
@@ -129,7 +118,7 @@ func TestControllerDeterministic(t *testing.T) {
 	for i, o := range obs {
 		a.Observe(o)
 		b.Observe(o)
-		if a.Window() != b.Window() || a.Gap() != b.Gap() || a.Batch() != b.Batch() {
+		if a.Window() != b.Window() || a.Gap() != b.Gap() {
 			t.Fatalf("diverged at observation %d", i)
 		}
 	}

@@ -4,8 +4,8 @@ import "time"
 
 // Probing auto-tuner — the "autotune" policy of the RateController
 // table, after Arslan & Kosar's heuristic protocol tuning: instead of a
-// fixed control law, the controller searches the window × batch × pacing
-// space online. Time is divided into epochs of autotuneEpoch windows; each
+// fixed control law, the controller searches the window × pacing space
+// online. Time is divided into epochs of autotuneEpoch windows; each
 // epoch either measures the incumbent parameter set or trials a seeded
 // perturbation of one dimension, and the epoch's efficiency score decides
 // accept or revert. Consecutive reverts mean the climb sits on a local
@@ -18,17 +18,16 @@ import "time"
 // the recovery counters, which keeps the whole search deterministic and
 // substrate-independent (see the contract in ratecontrol.go). On a clean
 // path every parameter set scores 1.0, so ties are broken by preference:
-// upward window and batch trials and downward gap trials accept on a tie
-// (more pipelining, fewer syscalls, line rate), their opposites revert.
-// That drives the clean-path climb to (MaxWindow, MaxBatch, MinGap) and
-// holds there; under loss the go-back-n waste of an oversized window drops
-// its score and the climb settles where efficiency peaks.
+// upward window trials and downward gap trials accept on a tie (more
+// pipelining, line rate), their opposites revert. That drives the
+// clean-path climb to (MaxWindow, MinGap) and holds there; under loss the
+// go-back-n waste of an oversized window drops its score and the climb
+// settles where efficiency peaks.
 type autotuneController struct {
-	cfg   ControllerConfig
-	win   int
-	batch int
-	gap   time.Duration
-	rng   uint64
+	cfg ControllerConfig
+	win int
+	gap time.Duration
+	rng uint64
 
 	// Epoch accumulators.
 	winIdx   int
@@ -61,9 +60,8 @@ type autotuneController struct {
 
 // tuning is one point in the search space.
 type tuning struct {
-	win   int
-	batch int
-	gap   time.Duration
+	win int
+	gap time.Duration
 }
 
 const (
@@ -90,13 +88,7 @@ func newAutotuneController(cfg ControllerConfig) *autotuneController {
 	if seed == 0 {
 		seed = autotuneSeed
 	}
-	c := &autotuneController{
-		cfg:   cfg,
-		win:   cfg.InitWindow,
-		batch: cfg.MaxBatch,
-		gap:   cfg.MinGap,
-		rng:   seed,
-	}
+	c := &autotuneController{cfg: cfg, win: cfg.InitWindow, gap: cfg.MinGap, rng: seed}
 	c.stats.Policy = ControllerAutotune
 	c.stats.FinalWindow = c.win
 	c.stats.FinalGap = c.gap
@@ -105,7 +97,6 @@ func newAutotuneController(cfg ControllerConfig) *autotuneController {
 
 func (c *autotuneController) Window() int        { return c.win }
 func (c *autotuneController) Gap() time.Duration { return c.gap }
-func (c *autotuneController) Batch() int         { return c.batch }
 
 // next is splitmix64: a tiny, allocation-free seeded generator so the
 // perturbation order is deterministic for a given seed on every substrate.
@@ -128,7 +119,7 @@ func (c *autotuneController) score() float64 {
 
 // perturb applies one step of dimension dim in direction up to the
 // incumbent and reports whether the trial should accept on a tied score
-// (the preference ordering: more window, more batch, less gap).
+// (the preference ordering: more window, less gap).
 func (c *autotuneController) perturb(dim uint64, up bool) (trial tuning, tie bool) {
 	trial = c.saved
 	switch dim {
@@ -143,19 +134,6 @@ func (c *autotuneController) perturb(dim uint64, up bool) (trial tuning, tie boo
 			trial.win = trial.win * 2 / 3
 			if trial.win < c.cfg.MinWindow {
 				trial.win = c.cfg.MinWindow
-			}
-		}
-	case 1: // batch
-		if up {
-			trial.batch *= 2
-			if trial.batch > c.cfg.MaxBatch {
-				trial.batch = c.cfg.MaxBatch
-			}
-			tie = true
-		} else {
-			trial.batch /= 2
-			if trial.batch < 1 {
-				trial.batch = 1
 			}
 		}
 	default: // pacing gap
@@ -181,10 +159,10 @@ func (c *autotuneController) perturb(dim uint64, up bool) (trial tuning, tie boo
 // sits on its bound) are redrawn a few times; if everything is pinned the
 // epoch just re-measures the incumbent.
 func (c *autotuneController) propose() {
-	c.saved = tuning{win: c.win, batch: c.batch, gap: c.gap}
-	// A non-preferred trial (window down, batch down, gap up) accepts only
-	// on a strict score improvement, and no epoch can score above 1.0: when
-	// the incumbent already sits at perfect delivery the trial is provably
+	c.saved = tuning{win: c.win, gap: c.gap}
+	// A non-preferred trial (window down, gap up) accepts only on a strict
+	// score improvement, and no epoch can score above 1.0: when the
+	// incumbent already sits at perfect delivery the trial is provably
 	// futile. Skipping it is exact, not heuristic — and on real substrates
 	// it is far from free to run anyway, because actuating any pacing gap
 	// forces per-packet flushes for the whole trial epoch (the same
@@ -193,7 +171,7 @@ func (c *autotuneController) propose() {
 	futile := c.haveScore && c.incumbent >= 1-autotuneMargin
 	if c.momentum {
 		if trial, tie := c.perturb(c.lastDim, c.lastUp); trial != c.saved {
-			c.win, c.batch, c.gap = trial.win, trial.batch, trial.gap
+			c.win, c.gap = trial.win, trial.gap
 			c.trial, c.tieAccept, c.trialWin = true, tie, c.lastDim == 0
 			return
 		}
@@ -201,12 +179,12 @@ func (c *autotuneController) propose() {
 	}
 	for try := 0; try < 4; try++ {
 		r := c.next()
-		dim, up := r%3, r&(1<<32) != 0
+		dim, up := r%2, r&(1<<32) != 0 // dim 0: window, 1: gap
 		trial, tie := c.perturb(dim, up)
 		if trial == c.saved || (futile && !tie) {
 			continue // pinned at a bound, or provably unacceptable; redraw
 		}
-		c.win, c.batch, c.gap = trial.win, trial.batch, trial.gap
+		c.win, c.gap = trial.win, trial.gap
 		c.trial, c.tieAccept, c.trialWin = true, tie, dim == 0
 		c.lastDim, c.lastUp = dim, up
 		return
@@ -250,7 +228,7 @@ func (c *autotuneController) endEpoch() {
 		// Revert to the incumbent. Once the climb has declared convergence,
 		// a single failed probe is enough to re-enter the hold — the
 		// incumbent stays in place for all but one epoch per probe cycle.
-		c.win, c.batch, c.gap = c.saved.win, c.saved.batch, c.saved.gap
+		c.win, c.gap = c.saved.win, c.saved.gap
 		c.reverts++
 		c.trial = false
 		c.momentum = false

@@ -17,7 +17,7 @@ func drive(c *autotuneController, n int, model func(win int) WindowObs) []int {
 }
 
 // On a clean path the hill-climb converges to the preference-ordered
-// optimum — maximum window and batch, minimum gap — and then holds it: the
+// optimum — maximum window, minimum gap — and then holds it: the
 // tuner's parameters are stable across whole epochs, not still wandering.
 func TestAutotuneCleanPathConvergesAndHolds(t *testing.T) {
 	c := newAutotuneController(ControllerConfig{})
@@ -44,9 +44,6 @@ func TestAutotuneCleanPathConvergesAndHolds(t *testing.T) {
 	}
 	if at512 < len(tail)*3/4 {
 		t.Errorf("spent only %d/%d of the tail at MaxWindow", at512, len(tail))
-	}
-	if c.Batch() != 32 {
-		t.Errorf("batch converged to %d, want MaxBatch 32", c.Batch())
 	}
 	if c.Gap() != 0 {
 		t.Errorf("gap converged to %v, want line rate", c.Gap())
@@ -105,7 +102,7 @@ func TestAutotuneDeterministic(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		a.Observe(model(a.Window()))
 		b.Observe(model(b.Window()))
-		if a.Window() != b.Window() || a.Batch() != b.Batch() || a.Gap() != b.Gap() {
+		if a.Window() != b.Window() || a.Gap() != b.Gap() {
 			t.Fatalf("same-seed trajectories diverged at window %d", i)
 		}
 	}

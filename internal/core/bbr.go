@@ -91,15 +91,6 @@ func newBBRController(cfg ControllerConfig) *bbrController {
 func (c *bbrController) Window() int        { return c.win }
 func (c *bbrController) Gap() time.Duration { return c.gap }
 
-// Batch follows the window like AIMD's recommendation: a shrunken window
-// should not burst through a ring sized for the clean-path window.
-func (c *bbrController) Batch() int {
-	if c.win < c.cfg.MaxBatch {
-		return c.win
-	}
-	return c.cfg.MaxBatch
-}
-
 // minInterval returns the per-packet delivery-interval estimate: the
 // minimum over the sample ring, or zero before any sample exists.
 func (c *bbrController) minInterval() time.Duration {

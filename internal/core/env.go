@@ -59,36 +59,29 @@ type Env interface {
 // Datapath is the one optional capability of a substrate: a batching
 // transmit side. The engines assert it once per transfer (datapathOf); a
 // substrate without it — the simulator, which has no syscalls to amortise —
-// gets no flush, batch or pacing actuation.
+// gets no flush or pacing actuation.
 //
 // FlushBatch writes every queued packet to the wire, in the order it was
-// queued. Substrates must also flush implicitly before blocking in Recv and
-// on close, so the explicit call is a latency optimisation, never a
-// correctness requirement. The engines guarantee a useful geometry: every
-// mid-window data frame of a transfer is the same size (ChunkSize), and the
-// one shorter data frame — the transfer's tail chunk — always carries
-// FlagLast (fillData marks seq == total-1 as last even mid-window), which
-// substrates flush separately along with all control traffic. A flush
-// therefore carries equal-sized frames with at most one shorter trailing
-// frame, exactly the segment layout a GSO superbuffer may carry — see
-// wire.FrameBytes and TestFlushGeometryGSOCompatible.
+// queued. Substrates must also flush implicitly when their queue is full,
+// before blocking in Recv and on close, so the explicit call is a latency
+// optimisation, never a correctness requirement. The engines guarantee a
+// useful geometry: every mid-window data frame of a transfer is the same
+// size (ChunkSize), and the one shorter data frame — the transfer's tail
+// chunk — always carries FlagLast (fillData marks seq == total-1 as last
+// even mid-window), which substrates flush separately along with all
+// control traffic. A flush therefore carries equal-sized frames with at
+// most one shorter trailing frame, exactly the segment layout a GSO
+// superbuffer may carry — see wire.FrameBytes and
+// TestFlushGeometryGSOCompatible.
 //
-// BatchLimit/SetBatchLimit move the queued-frames flush threshold without
-// reallocating (n <= 1 flushes every frame; anything queued beyond a lowered
-// threshold goes out at once). FlushUnit is how many frames one flush
-// syscall puts on the wire as a single unit — a GSO superbuffer's segment
-// capacity, 1 when every frame is its own datagram — and the controlled
-// sender quantizes its batch actuation to whole units, because the kernel
-// bursts a superbuffer back-to-back regardless. Gap/SetPacketGap space data
-// packets on the wire. The controlled sender owns limit and gap while it
-// runs and restores what it found when the transfer finishes, so one lossy
-// transfer never ratchets an endpoint down for its successors and a
-// user-configured gap survives.
+// Gap/SetPacketGap space data packets on the wire. The controlled sender
+// owns the gap while it runs and restores what it found when the transfer
+// finishes, so one lossy transfer never paces an endpoint down for its
+// successors and a user-configured gap survives. Where a window's frames
+// flush is the substrate's business: the sender flushes once per window,
+// and no policy splits a window into more syscalls.
 type Datapath interface {
 	FlushBatch() error
-	BatchLimit() int
-	SetBatchLimit(n int)
-	FlushUnit() int
 	Gap() time.Duration
 	SetPacketGap(d time.Duration)
 }

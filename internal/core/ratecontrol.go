@@ -13,7 +13,7 @@ import (
 // CLI flag → Config.Controller → REQ policy byte → serving side) into a
 // controller instance. "aimd" is the AIMD state machine of aimd.go.
 //
-// Contract: a controller's *window and batch decisions* must be a pure
+// Contract: a controller's *window decisions* must be a pure
 // function of its observation sequence's recovery counters — never of
 // WindowObs.Elapsed, the wall clock, or unseeded randomness. The same
 // NAK/retransmit/timeout events must produce the same window trajectory on
@@ -25,16 +25,14 @@ import (
 // pacing keeps the counter trajectories conformant.
 
 // RateController is the pluggable policy the controlled blast sender drives:
-// before each window it asks Window (size in packets), Gap (inter-packet
-// pacing) and Batch (syscall batch recommendation), both actuated on
-// substrates implementing Datapath; after each window it
-// feeds back one WindowObs. Stats summarises the trajectory for
+// before each window it asks Window (size in packets) and Gap (inter-packet
+// pacing, actuated on substrates implementing Datapath); after each window
+// it feeds back one WindowObs. Stats summarises the trajectory for
 // SendResult.Controller. Controllers are used from the sender's goroutine
 // only, like everything else in a protocol engine.
 type RateController interface {
 	Window() int
 	Gap() time.Duration
-	Batch() int
 	Observe(WindowObs)
 	Stats() ControllerStats
 }
@@ -51,7 +49,7 @@ const (
 	// and modest random loss does not collapse the window.
 	ControllerBBR = "bbr"
 	// ControllerAutotune is the probing auto-tuner (autotune.go): a seeded
-	// hill-climb perturbs window, batch and pacing online with accept/revert
+	// hill-climb perturbs window and pacing online with accept/revert
 	// epochs, after Arslan & Kosar's heuristic protocol tuning.
 	ControllerAutotune = "autotune"
 )

@@ -35,9 +35,6 @@ func (e *loopEnv) SendAsync(p *wire.Packet) error { return e.Send(p) }
 // slept. Fakes that model a batching substrate embed it and override the
 // methods they care about.
 func (e *loopEnv) FlushBatch() error            { return nil }
-func (e *loopEnv) BatchLimit() int              { return 1 }
-func (e *loopEnv) SetBatchLimit(int)            {}
-func (e *loopEnv) FlushUnit() int               { return 1 }
 func (e *loopEnv) Gap() time.Duration           { return e.gap }
 func (e *loopEnv) SetPacketGap(d time.Duration) { e.gap = d }
 

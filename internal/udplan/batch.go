@@ -64,33 +64,7 @@ type txBatch struct {
 	frames [][]byte // fixed slots, each cap = MTU
 	lens   []int
 	queued int
-	// limit caps how many frames queue before an automatic flush; 0 (or
-	// anything ≥ len(frames)) means the full ring. The adaptive
-	// controller throttles batching through this instead of resizing the
-	// ring, so mid-transfer adjustments allocate nothing.
-	limit int
-	flush func(frames [][]byte, lens []int, n int) error
-}
-
-// flushAt returns the effective queue depth that triggers a flush.
-func (t *txBatch) flushAt() int {
-	if t.limit > 0 && t.limit < len(t.frames) {
-		return t.limit
-	}
-	return len(t.frames)
-}
-
-// setLimit adjusts the flush threshold; anything already queued beyond the
-// new threshold goes on the wire immediately (order preserved).
-func (t *txBatch) setLimit(n int) error {
-	if n < 1 {
-		n = 1
-	}
-	t.limit = n
-	if t.queued >= t.flushAt() {
-		return t.Flush()
-	}
-	return nil
+	flush  func(frames [][]byte, lens []int, n int) error
 }
 
 // newTxBatch builds a ring of n MTU-sized slots over one pooled slab.
@@ -116,12 +90,12 @@ func (t *txBatch) release() {
 // slot returns the current free frame slot to encode into.
 func (t *txBatch) slot() []byte { return t.frames[t.queued] }
 
-// commit finalises the current slot with n encoded bytes; a ring at its
-// flush threshold flushes immediately.
+// commit finalises the current slot with n encoded bytes; a full ring
+// flushes immediately.
 func (t *txBatch) commit(n int) error {
 	t.lens[t.queued] = n
 	t.queued++
-	if t.queued >= t.flushAt() {
+	if t.queued == len(t.frames) {
 		return t.Flush()
 	}
 	return nil

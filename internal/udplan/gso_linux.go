@@ -55,13 +55,6 @@ const (
 	maxGSOBytes = 65507
 )
 
-// maxGSOSegs must stay in lock-step with the portable gsoSegLimit that
-// flush-unit geometry (tier.go) reports to the rate controllers.
-var (
-	_ [maxGSOSegs - gsoSegLimit]struct{}
-	_ [gsoSegLimit - maxGSOSegs]struct{}
-)
-
 // gsoSupported reports whether this build can attempt the GSO tier at all;
 // the runtime probe still has the final say.
 const gsoSupported = true

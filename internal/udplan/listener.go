@@ -304,7 +304,7 @@ func newSessionEnv(l *serverListener, peer net.Addr, inbox chan *slab) *sessionE
 		start:  time.Now(),
 		timer:  t,
 	}
-	se.setRing(l.tier, l.batch, l.mtu)
+	_ = se.setRing(l.tier, l.batch, l.mtu) // a new session has nothing queued to flush
 	return se
 }
 

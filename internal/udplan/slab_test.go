@@ -186,8 +186,7 @@ func pokeClosed(a *Endpoint) error {
 	if err := a.ReleaseStaged(8); err != nil {
 		return fmt.Errorf("ReleaseStaged on a closed endpoint: %v", err)
 	}
-	a.SetBatchLimit(4)
 	a.SetPacketGap(0)
-	_, _, _ = a.Batch(), a.BatchLimit(), a.FlushUnit()
+	_, _ = a.Batch(), a.Gap()
 	return nil
 }

@@ -2,6 +2,8 @@ package udplan
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -163,8 +165,8 @@ func TestStripedPullAdaptive(t *testing.T) {
 }
 
 // The adaptive sender over a real endpoint pair: scripted first-transmission
-// drops must engage the controller (window cuts), actuate batching, and
-// still deliver the payload intact.
+// drops must engage the controller (window cuts), and still deliver the
+// payload intact.
 func TestAdaptiveSenderControllerOverUDP(t *testing.T) {
 	ea, eb := pipe(t)
 	ea.SetBatch(16)
@@ -214,12 +216,9 @@ func TestAdaptiveSenderControllerOverUDP(t *testing.T) {
 	if st.FinalWindow < 16 {
 		t.Errorf("final window %d below MinWindow", st.FinalWindow)
 	}
-	// The controller's actuations are scoped to the transfer: the
-	// endpoint's configured batching and pacing must come back, so a lossy
-	// adaptive transfer cannot ratchet the endpoint down for later ones.
-	if got := ea.BatchLimit(); got != 16 {
-		t.Errorf("batch limit after adaptive transfer = %d, want the configured 16", got)
-	}
+	// The controller's pacing is scoped to the transfer: the endpoint's
+	// configured gap must come back, so a lossy adaptive transfer cannot pace
+	// the endpoint down for later ones.
 	if ea.Gap() != 5*time.Microsecond {
 		t.Errorf("pacing gap %v after the transfer, want the configured 5µs restored", ea.Gap())
 	}
@@ -227,7 +226,7 @@ func TestAdaptiveSenderControllerOverUDP(t *testing.T) {
 
 // Every registered policy drives a transfer over real endpoints: scripted
 // first-transmission drops, intact payload, the policy's own stats on the
-// SendResult, and the endpoint's configured batching restored afterwards.
+// SendResult.
 func TestControllerPoliciesOverUDP(t *testing.T) {
 	for _, name := range core.ControllerNames() {
 		t.Run(name, func(t *testing.T) {
@@ -275,49 +274,94 @@ func TestControllerPoliciesOverUDP(t *testing.T) {
 			if st.Windows == 0 {
 				t.Errorf("policy %s never observed a window: %+v", name, *st)
 			}
-			if got := ea.BatchLimit(); got != 16 {
-				t.Errorf("batch limit after %s transfer = %d, want the configured 16", name, got)
-			}
 		})
 	}
 }
 
-// The batch-limit actuation must throttle flushes without reallocating the
-// ring: a ring of 16 with limit 4 flushes every 4 commits, and raising the
-// limit back restores full-ring batching.
-func TestBatchLimitThrottlesWithoutRealloc(t *testing.T) {
-	flushes := 0
-	var sizes []int
-	tb := newTxBatch(16, 2048, func(_ [][]byte, _ []int, n int) error {
-		flushes++
-		sizes = append(sizes, n)
-		return nil
-	})
-	commit := func(k int) {
-		for i := 0; i < k; i++ {
-			copy(tb.slot(), []byte("frame"))
-			if err := tb.commit(5); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	tb.setLimit(4)
-	commit(8)
-	if flushes != 2 || sizes[0] != 4 || sizes[1] != 4 {
-		t.Fatalf("limit 4: %d flushes of %v, want 2×4", flushes, sizes)
-	}
-	// Lowering the limit below the queue depth flushes immediately.
-	commit(3)
-	if err := tb.setLimit(2); err != nil {
+// controlledFlushes runs one 1 MB selective transfer under policy from a
+// client endpoint capped at tier and returns the frame count of every ring
+// flush it made while unpaced, or nil when the socket will not run tier. A
+// paced window flushes wherever the pacer's clock falls due, so it is left
+// out; the gap only changes between windows, when the ring is empty. The
+// receiver drops a fixed set of first transmissions, so windows go lossy and
+// the sender still stages; Tr and the RTO floor sit far above any loopback
+// response, so no timeout fires.
+func controlledFlushes(t *testing.T, policy string, tier Tier, batch, window int) []int {
+	t.Helper()
+	ea, eb := pipe(t)
+	ea.SetSocketBuffers(8 << 20)
+	eb.SetSocketBuffers(8 << 20)
+	ea.MaxTier = tier
+	if err := ea.SetBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	if flushes != 3 || sizes[2] != 3 {
-		t.Fatalf("shrink under queued frames: %d flushes of %v", flushes, sizes)
+	if ea.Tier() != tier {
+		return nil
 	}
-	// Restoring a large limit goes back to full-ring batching.
-	tb.setLimit(64)
-	commit(16)
-	if flushes != 4 || sizes[3] != 16 {
-		t.Fatalf("restored limit: %d flushes of %v, want one full ring", flushes, sizes)
+	flushes := []int{}
+	inner := ea.ring.flush
+	ea.ring.flush = func(frames [][]byte, lens []int, k int) error {
+		if ea.Gap() == 0 {
+			flushes = append(flushes, k)
+		}
+		return inner(frames, lens, k)
+	}
+	eb.MangleRx = func(p *wire.Packet) params.Mangle {
+		if p.Type == wire.TypeData && p.Attempt == 0 && p.Seq%97 == 3 && !p.IsLast() {
+			return params.Mangle{Drop: true}
+		}
+		return params.Mangle{}
+	}
+	payload := randomPayload(1<<20, 17)
+	cfg := loopCfg(21, payload, core.Blast, core.Selective)
+	cfg.Controller = policy
+	cfg.Window = window
+	cfg.RetransTimeout = 300 * time.Millisecond
+	cfg.MinRTO = 300 * time.Millisecond
+	rcfg := cfg
+	rcfg.Payload = nil
+	done := make(chan error, 1)
+	go func() {
+		_, err := core.RunReceiver(eb, rcfg)
+		done <- err
+	}()
+	res, err := core.RunSender(ea, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if res.Timeouts != 0 {
+		t.Fatalf("%d timeouts: the flush sequence now depends on the clock", res.Timeouts)
+	}
+	return flushes
+}
+
+// A controller decides the window and the gap, never where a window's frames
+// flush: the same transfer puts the same flush sequence through a GSO ring
+// as through a sendmmsg ring. (bbr is left out: its pacing reads wall-clock
+// window durations, so even which windows it paces varies between repeat
+// runs on one tier.)
+func TestControlledFlushesIgnoreTier(t *testing.T) {
+	for _, policy := range []string{core.ControllerAIMD, core.ControllerAutotune} {
+		for _, batch := range []int{16, 32} {
+			for _, window := range []int{16, 32} {
+				t.Run(fmt.Sprintf("%s/batch%d/window%d", policy, batch, window), func(t *testing.T) {
+					gso := controlledFlushes(t, policy, TierGSO, batch, window)
+					if gso == nil {
+						t.Skip("the GSO tier is not available on this socket")
+					}
+					if len(gso) == 0 {
+						t.Fatal("no unpaced flush to compare")
+					}
+					mmsg := controlledFlushes(t, policy, TierMmsg, batch, window)
+					if !slices.Equal(mmsg, gso) {
+						t.Errorf("flushes differ by tier: mmsg %d, gso %d\nmmsg %v\ngso  %v",
+							len(mmsg), len(gso), mmsg, gso)
+					}
+				})
+			}
+		}
 	}
 }

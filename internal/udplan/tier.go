@@ -23,6 +23,10 @@ import (
 //	TierWriteTo a portable WriteTo loop: the ring still forms and flushes,
 //	            only the syscall count differs. Everywhere.
 //
+// A tier decides how a flush reaches the wire, never where flushes fall:
+// the same sends flush the same runs of frames at every tier, rate-controlled
+// transfers included (TestControlledFlushesIgnoreTier).
+//
 // The tier is a transmit ladder. Every tier receives the same way: one
 // recvmmsg into the receive ring (one ReadFrom where the platform has no
 // recvmmsg), coalesced by UDP_GRO on the GSO tier.
@@ -69,28 +73,6 @@ func ParseTier(s string) (Tier, error) {
 		return TierGSO, nil
 	}
 	return TierAuto, fmt.Errorf("udplan: unknown tier %q (want gso, mmsg, writeto or auto)", s)
-}
-
-// gsoSegLimit mirrors the kernel's UDP_MAX_SEGMENTS bound on superbuffer
-// segments. It lives here (not the Linux-only GSO files) so flush-unit
-// geometry compiles on every platform; gso_linux.go pins its maxGSOSegs to
-// this value with a compile-time assertion.
-const gsoSegLimit = 64
-
-// flushUnitOf returns how many frames one flush syscall puts on the wire as
-// a single unit: a superbuffer's segment capacity at TierGSO (bounded by
-// the ring size), 1 everywhere else — sendmmsg and the WriteTo loop
-// transmit each frame as its own datagram unit. This is what txPath reports
-// as core.Datapath's FlushUnit, so the controlled sender quantizes batch
-// actuation to whole superbuffers at the GSO tier.
-func flushUnitOf(tier Tier, ring int) int {
-	if tier >= TierGSO && ring > 1 {
-		if ring < gsoSegLimit {
-			return ring
-		}
-		return gsoSegLimit
-	}
-	return 1
 }
 
 // TierEnv is the environment knob capping the datapath tier for a whole

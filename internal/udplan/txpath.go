@@ -35,10 +35,6 @@ type txPath struct {
 	// flushFrames when their turn comes. Drawn on first use.
 	stage *txBatch
 
-	// err holds a flush failure from a call that cannot return one (SetBatch,
-	// SetBatchLimit) until the next Send, FlushBatch or Recv reports it.
-	err error
-
 	// closed is set once release has returned the rings to the slab pool.
 	closed bool
 }
@@ -46,10 +42,12 @@ type txPath struct {
 // setRing (re)builds the frame ring: n slots of mtu bytes, flushed through
 // tier. Frames still queued were encoded against the old geometry and go out
 // first, through the old tier; then the old ring and the stage go back to the
-// slab pool (staged frames were encoded against the old geometry too).
-func (t *txPath) setRing(tier Tier, n, mtu int) {
+// slab pool (staged frames were encoded against the old geometry too). The
+// ring is rebuilt even when that flush fails; setRing returns the failure.
+func (t *txPath) setRing(tier Tier, n, mtu int) error {
+	var err error
 	if t.ring != nil {
-		t.keep(t.ring.Flush())
+		err = t.ring.Flush()
 	}
 	t.dropRings()
 	if n < 1 {
@@ -57,6 +55,7 @@ func (t *txPath) setRing(tier Tier, n, mtu int) {
 	}
 	t.tier = tier
 	t.ring = newTxBatch(n, mtu, t.flushFrames)
+	return err
 }
 
 // dropRings returns the frame ring and the stage to the slab pool.
@@ -73,21 +72,9 @@ func (t *txPath) release() {
 	t.closed = true
 }
 
-func (t *txPath) keep(err error) {
-	if err != nil && t.err == nil {
-		t.err = err
-	}
-}
-
-func (t *txPath) takeErr() error {
-	err := t.err
-	t.err = nil
-	return err
-}
-
 // Send is the one transmit sequence: encode into the next ring slot, commit
-// it (a ring at its threshold flushes), flush at once behind control traffic
-// and the reliable last packet of a window, then pace.
+// it (a full ring flushes), flush at once behind control traffic and the
+// reliable last packet of a window, then pace.
 func (t *txPath) Send(p *wire.Packet) error {
 	buf, err := t.encode(p)
 	if err != nil {
@@ -108,9 +95,6 @@ func (t *txPath) SendAsync(p *wire.Packet) error { return t.Send(p) }
 // encode writes p into the current free ring slot and returns the encoded
 // frame, still uncommitted.
 func (t *txPath) encode(p *wire.Packet) ([]byte, error) {
-	if t.err != nil {
-		return nil, t.takeErr()
-	}
 	slot := t.ring.slot()
 	n, err := p.EncodeInto(slot)
 	if err != nil {
@@ -223,7 +207,7 @@ func (t *txPath) ReleaseStaged(n int) error {
 	if err := t.FlushBatch(); err != nil {
 		return err
 	}
-	for off, unit := 0, t.ring.flushAt(); off < n; off += unit {
+	for off, unit := 0, len(t.ring.frames); off < n; off += unit {
 		if err := t.ring.flush(st.frames[off:], st.lens[off:], min(unit, n-off)); err != nil {
 			return err
 		}
@@ -237,26 +221,11 @@ func (t *txPath) FlushBatch() error {
 	if t.closed {
 		return net.ErrClosed
 	}
-	t.keep(t.ring.Flush())
-	return t.takeErr()
+	return t.ring.Flush()
 }
 
 // Batch reports the configured ring size (1 when batching is off).
 func (t *txPath) Batch() int { return len(t.ring.frames) }
-
-// BatchLimit implements core.Datapath: the effective queued-frames flush
-// threshold.
-func (t *txPath) BatchLimit() int { return t.ring.flushAt() }
-
-// SetBatchLimit implements core.Datapath: the rate controller's batch
-// actuation. The ring keeps its configured size — only the flush threshold
-// moves, so mid-transfer adjustments allocate nothing — and frames already
-// queued beyond the new threshold flush immediately.
-func (t *txPath) SetBatchLimit(n int) { t.keep(t.ring.setLimit(n)) }
-
-// FlushUnit implements core.Datapath: a superbuffer's segment capacity at
-// the GSO tier, 1 on the frame-at-a-time tiers (see flushUnitOf).
-func (t *txPath) FlushUnit() int { return flushUnitOf(t.tier, len(t.ring.frames)) }
 
 // Tier reports the active transmit tier (TierWriteTo when batching is off).
 func (t *txPath) Tier() Tier { return t.tier }

@@ -22,9 +22,8 @@ type sender interface {
 
 // txScript drives one seeded packet script through s and returns the frames
 // it must put on the wire, in order: mid-window data, a control packet
-// interleaved behind queued data, a batch-limit shrink under queued frames,
-// a paced stretch (the pacer flushes before it sleeps), and the short
-// FlagLast tail.
+// interleaved behind queued data, a paced stretch (the pacer flushes before
+// it sleeps), and the short FlagLast tail.
 func txScript(t *testing.T, s sender) [][]byte {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
@@ -50,8 +49,6 @@ func txScript(t *testing.T, s sender) [][]byte {
 		switch seq {
 		case 10:
 			send(&wire.Packet{Type: wire.TypeAck, Trans: 3, Seq: 10})
-		case 20:
-			s.SetBatchLimit(4)
 		case 30:
 			// Above twice the pacer's quantum every packet is due a sleep
 			// whatever credit the last overshoot left, so the flush count
@@ -158,10 +155,9 @@ func failFlush(tx *txPath, err error) {
 	tx.ring.flush = func([][]byte, []int, int) error { return err }
 }
 
-// A flush failure inside a call that cannot return it — SetBatch rebuilding
-// the ring, SetBatchLimit shrinking under queued frames — is kept and
-// reported exactly once, by the next Send or Recv.
-func TestConfigFlushErrorResurfaces(t *testing.T) {
+// SetBatch flushes the frames queued in the old ring and returns that
+// flush's failure itself; the rebuilt ring sends cleanly afterwards.
+func TestSetBatchReturnsFlushError(t *testing.T) {
 	boom := errors.New("boom")
 	ea, _ := pipe(t)
 	ea.SetBatch(8)
@@ -171,18 +167,17 @@ func TestConfigFlushErrorResurfaces(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ea.SetBatch(4) // flushes the two queued frames through the failing ring
-	if err := ea.Send(data(2, "next")); !errors.Is(err, boom) {
-		t.Fatalf("Send after a failed SetBatch flush = %v, want the kept error", err)
+	if err := ea.SetBatch(4); !errors.Is(err, boom) {
+		t.Fatalf("SetBatch over a failing flush = %v, want the flush error", err)
 	}
-	if err := ea.Send(data(3, "after")); err != nil {
-		t.Fatalf("kept error reported twice: %v", err)
+	if ea.Batch() != 4 {
+		t.Fatalf("ring not rebuilt after the failed flush: batch %d, want 4", ea.Batch())
 	}
-
-	failFlush(&ea.txPath, boom)
-	ea.SetBatchLimit(1) // one frame is queued: the shrink flushes it
-	if _, err := ea.Recv(0); !errors.Is(err, boom) {
-		t.Fatalf("Recv after a failed SetBatchLimit flush = %v, want the kept error", err)
+	if err := ea.Send(data(2, "next")); err != nil {
+		t.Fatalf("Send on the rebuilt ring: %v", err)
+	}
+	if err := ea.FlushBatch(); err != nil {
+		t.Fatalf("flush error reported twice: %v", err)
 	}
 }
 

@@ -229,17 +229,16 @@ func (e *Endpoint) ReadBuffer() int { return connReadBuffer(e.raw) }
 // preserving semantics.
 //
 // SetBatch is a configuration call: make it before the transfer starts
-// (queued outbound frames are flushed first — a failure is kept and
-// returned by the next Send, FlushBatch or Recv — but rebuilding the
-// receive ring discards any received-but-undelivered datagrams; between
-// transfers that is nothing). Mid-transfer batch adaptation goes through
-// SetBatchLimit, which moves only the flush threshold. The old rings go back
-// to the slab pool. On a closed endpoint SetBatch returns net.ErrClosed.
+// (queued outbound frames are flushed first, and SetBatch returns that
+// flush's failure once the rings are rebuilt; rebuilding the receive ring
+// discards any received-but-undelivered datagrams, which between transfers
+// is nothing). The old rings go back to the slab pool. On a closed endpoint
+// SetBatch returns net.ErrClosed.
 func (e *Endpoint) SetBatch(n int) error {
 	if e.closed {
 		return net.ErrClosed
 	}
-	e.setRing(pickTxTier(e.raw, n, e.MaxTier), n, e.mtu)
+	err := e.setRing(pickTxTier(e.raw, n, e.MaxTier), n, e.mtu)
 	wantGRO := e.tier >= TierGSO
 	switch {
 	case wantGRO && !e.gro:
@@ -257,7 +256,7 @@ func (e *Endpoint) SetBatch(n int) error {
 	e.rx.release()
 	e.rx = newRxBatch(n, e.mtu, e.gro)
 	e.cur, e.off = nil, 0
-	return nil
+	return err
 }
 
 // GRO reports whether the receive side is UDP_GRO-coalesced.

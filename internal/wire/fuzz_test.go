@@ -111,6 +111,11 @@ func FuzzDecodeReq(f *testing.F) {
 	f.Add(copyReq[:len(copyReq)-3])
 	f.Add(append(append([]byte(nil), named...), 200, 1))
 	f.Add(plain[:reqLen-1])
+	// One stray byte past the last extension (plain gets two empty
+	// extensions first, named an empty second one).
+	f.Add(append(append([]byte(nil), plain...), 0, 0, 0xAA))
+	f.Add(append(append([]byte(nil), named...), 0, 0xAA))
+	f.Add(append(append([]byte(nil), copyReq...), 0xAA))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := DecodeReq(data)
 		if err != nil {

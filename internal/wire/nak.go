@@ -150,7 +150,7 @@ type Req struct {
 	// served by name from a store. Empty for anonymous (seeded or pushed)
 	// transfers. Encoded as a trailing extension (one length byte plus the
 	// bytes) so nameless requests keep the original 39-byte, ack-sized
-	// encoding and old decoders simply ignore the extension.
+	// encoding.
 	Name string
 
 	// Stat asks the serving side only for the named object's size (the
@@ -265,9 +265,9 @@ func ValidReqName(name string) bool {
 
 // DecodeReq parses request parameters. A payload longer than the fixed
 // encoding carries the name extension, optionally followed by the second
-// (xflags + copy-target) extension; bytes beyond a complete extension are
-// ignored (room for future additions, mirroring how the fixed part itself
-// grew in place).
+// (xflags + copy-target) extension, and ends where its last extension ends:
+// any byte past it is malformed. New features take xflags bits, which an
+// older decoder reads as "feature absent" (see features.go).
 func DecodeReq(payload []byte) (Req, error) {
 	if len(payload) < reqLen {
 		return Req{}, fmt.Errorf("%w: %d bytes", ErrReqEncoding, len(payload))
@@ -287,25 +287,30 @@ func DecodeReq(payload []byte) (Req, error) {
 	if payload[14]&reqFlagAdaptive != 0 {
 		r.Adaptive = (payload[14] >> reqPolicyShift) & reqPolicyMask
 	}
-	if len(payload) > reqLen {
-		n := int(payload[reqLen])
-		if len(payload) < reqLen+1+n {
+	end := reqLen
+	if len(payload) > end {
+		n := int(payload[end])
+		if len(payload) < end+1+n {
 			return Req{}, fmt.Errorf("%w: name extension truncated (%d of %d bytes)",
-				ErrReqEncoding, len(payload)-reqLen-1, n)
+				ErrReqEncoding, len(payload)-end-1, n)
 		}
-		r.Name = string(payload[reqLen+1 : reqLen+1+n])
-		off := reqLen + 1 + n
-		if len(payload) > off {
-			n2 := int(payload[off])
-			if n2 > 0 {
-				if len(payload) < off+1+n2 {
-					return Req{}, fmt.Errorf("%w: xflags extension truncated (%d of %d bytes)",
-						ErrReqEncoding, len(payload)-off-1, n2)
-				}
-				r.Copy = payload[off+1]&reqXflagCopy != 0
-				r.Target = string(payload[off+2 : off+1+n2])
-			}
+		r.Name = string(payload[end+1 : end+1+n])
+		end += 1 + n
+	}
+	if len(payload) > end {
+		n2 := int(payload[end])
+		if len(payload) < end+1+n2 {
+			return Req{}, fmt.Errorf("%w: xflags extension truncated (%d of %d bytes)",
+				ErrReqEncoding, len(payload)-end-1, n2)
 		}
+		if n2 > 0 {
+			r.Copy = payload[end+1]&reqXflagCopy != 0
+			r.Target = string(payload[end+2 : end+1+n2])
+		}
+		end += 1 + n2
+	}
+	if len(payload) > end {
+		return Req{}, fmt.Errorf("%w: %d bytes past the last extension", ErrReqEncoding, len(payload)-end)
 	}
 	return r, nil
 }

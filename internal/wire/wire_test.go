@@ -385,7 +385,7 @@ func TestReqNameExtension(t *testing.T) {
 		t.Errorf("named round trip %+v -> %+v", r, got)
 	}
 	// Old decoders only read the fixed 39 bytes; the extension must leave
-	// them intact, and a new decoder must ignore bytes past the extension.
+	// them intact.
 	enc := EncodeReq(r)
 	fixed, err := DecodeReq(enc[:39])
 	if err != nil {
@@ -394,16 +394,15 @@ func TestReqNameExtension(t *testing.T) {
 	if fixed.Bytes != r.Bytes || fixed.Name != "" {
 		t.Errorf("fixed prefix decode = %+v", fixed)
 	}
-	// Bytes past the last complete extension are future room: a decoder
-	// must ignore them. (Bytes directly after the name extension are the
-	// second extension — see TestReqCopyExtension — so the future room now
-	// sits behind that.)
+	// A REQ ends where its last extension ends: no encoder emits bytes past
+	// the second extension, so a decoder refuses them rather than guess at
+	// their meaning. (Bytes directly after the name extension are the
+	// second extension — see TestReqCopyExtension.)
 	withExt2 := r
 	withExt2.Copy, withExt2.Target = true, "peer:7025"
 	enc2 := EncodeReq(withExt2)
-	future, err := DecodeReq(append(append([]byte{}, enc2...), 0xAA, 0xBB))
-	if err != nil || future != withExt2 {
-		t.Errorf("trailing future bytes: %+v, %v", future, err)
+	if got, err := DecodeReq(append(append([]byte{}, enc2...), 0xAA, 0xBB)); !errors.Is(err, ErrReqEncoding) {
+		t.Errorf("trailing bytes past the last extension: %+v, %v, want ErrReqEncoding", got, err)
 	}
 	// A truncated name extension is malformed, not silently shortened.
 	if _, err := DecodeReq(enc[:len(enc)-3]); err == nil {
