@@ -1,9 +1,6 @@
 package core
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func clean(n int) WindowObs   { return WindowObs{Packets: n} }
 func nakked(n int) WindowObs  { return WindowObs{Packets: n, Retransmits: n / 2, Naks: 1} }
@@ -37,9 +34,6 @@ func TestControllerNakCutsAndAdditiveGrowth(t *testing.T) {
 	if c.Window() != 96+16 {
 		t.Fatalf("post-loss clean growth: window %d, want 112", c.Window())
 	}
-	if c.Gap() != 0 {
-		t.Errorf("NAK loss should not start pacing, gap %v", c.Gap())
-	}
 }
 
 func TestControllerTimeoutQuartersAndPaces(t *testing.T) {
@@ -48,29 +42,16 @@ func TestControllerTimeoutQuartersAndPaces(t *testing.T) {
 	if c.Window() != 64 {
 		t.Fatalf("after timeout: window %d, want 64 (quartered)", c.Window())
 	}
-	if c.Gap() != 5*time.Microsecond {
-		t.Fatalf("after timeout: gap %v, want one gapStep", c.Gap())
-	}
 	c.Observe(timeout(64))
-	if c.Gap() != 15*time.Microsecond {
-		t.Fatalf("second timeout: gap %v, want 2*5+5 µs", c.Gap())
+	if c.Window() != 16 {
+		t.Fatalf("second timeout: window %d, want 16", c.Window())
 	}
-	// Repeated timeouts floor the window and cap the gap.
+	// Repeated timeouts floor the window.
 	for i := 0; i < 10; i++ {
 		c.Observe(timeout(c.Window()))
 	}
-	if c.Window() != 16 {
-		t.Errorf("window floor: %d, want MinWindow 16", c.Window())
-	}
-	if c.Gap() != 100*time.Microsecond {
-		t.Errorf("gap cap: %v, want MaxGap", c.Gap())
-	}
-	// Clean windows decay the gap back toward line rate.
-	for i := 0; i < 20 && c.Gap() > 0; i++ {
-		c.Observe(clean(c.Window()))
-	}
-	if c.Gap() != 0 {
-		t.Errorf("gap did not decay to zero: %v", c.Gap())
+	if c.Window() != minWindow {
+		t.Errorf("window floor: %d, want minWindow %d", c.Window(), minWindow)
 	}
 	st := c.Stats()
 	if st.TimeoutCuts != 12 || st.Cuts != 12 {
@@ -78,33 +59,12 @@ func TestControllerTimeoutQuartersAndPaces(t *testing.T) {
 	}
 }
 
-// A pre-configured pacing gap is a floor: the controller backs off above
-// it under timeouts and decays back down to it — never below — so an
-// operator-paced endpoint never runs faster than configured.
-func TestControllerGapFloor(t *testing.T) {
-	const floor = 50 * time.Microsecond
-	c := NewController(ControllerConfig{MinGap: floor})
-	if c.Gap() != floor {
-		t.Fatalf("initial gap %v, want the %v floor", c.Gap(), floor)
-	}
-	c.Observe(timeout(32))
-	if c.Gap() <= floor {
-		t.Fatalf("timeout did not raise the gap above the floor: %v", c.Gap())
-	}
-	for i := 0; i < 10; i++ {
-		c.Observe(clean(c.Window()))
-	}
-	if c.Gap() != floor {
-		t.Errorf("gap decayed to %v, want clamped at the %v floor", c.Gap(), floor)
-	}
-}
-
-func TestControllerDefaultsClamped(t *testing.T) {
-	c := NewController(ControllerConfig{InitWindow: 1, MinWindow: 16, MaxWindow: 8})
-	// MinWindow collapses onto MaxWindow, and InitWindow is clamped into
-	// the [min, max] range.
-	if c.Window() != 8 {
-		t.Errorf("window %d, want clamped to 8", c.Window())
+// InitWindow is clamped into [minWindow, maxWindow].
+func TestControllerInitWindowClamped(t *testing.T) {
+	for _, tc := range []struct{ init, want int }{{1, 16}, {4096, 512}} {
+		if c := NewController(ControllerConfig{InitWindow: tc.init}); c.Window() != tc.want {
+			t.Errorf("InitWindow %d: window %d, want %d", tc.init, c.Window(), tc.want)
+		}
 	}
 }
 
@@ -118,7 +78,7 @@ func TestControllerDeterministic(t *testing.T) {
 	for i, o := range obs {
 		a.Observe(o)
 		b.Observe(o)
-		if a.Window() != b.Window() || a.Gap() != b.Gap() {
+		if a.Window() != b.Window() {
 			t.Fatalf("diverged at observation %d", i)
 		}
 	}
@@ -129,15 +89,13 @@ func TestControllerDeterministic(t *testing.T) {
 
 // The controller reacts to what a window's recovery cost: a repair that
 // re-sent at most 1/8 of the window with at most one timeout holds it, a
-// heavier one cuts (to 3/4 on NAKs alone, to 1/4 with pacing backed off
-// when a timeout was part of it).
+// heavier one cuts (to 3/4 on NAKs alone, to 1/4 when a timeout was part of
+// it).
 func TestControllerRecoveryCost(t *testing.T) {
-	const us = time.Microsecond
 	for _, tc := range []struct {
 		name                              string
 		obs                               []WindowObs
 		win                               int
-		gap                               time.Duration
 		growths, holds, cuts, timeoutCuts int
 	}{
 		{name: "sparse NAK holds",
@@ -154,10 +112,10 @@ func TestControllerRecoveryCost(t *testing.T) {
 			win: 256, holds: 1},
 		{name: "two timeouts quarter and pace",
 			obs: []WindowObs{{Packets: 256, Retransmits: 2, Timeouts: 2}},
-			win: 64, gap: 5 * us, cuts: 1, timeoutCuts: 1},
+			win: 64, cuts: 1, timeoutCuts: 1},
 		{name: "gap decays across holds",
 			obs: []WindowObs{timeout(256), {Packets: 64, Retransmits: 1, Naks: 1}, {Packets: 64, Retransmits: 1, Timeouts: 1}},
-			win: 64, gap: 5 * us / 4, holds: 2, cuts: 1, timeoutCuts: 1},
+			win: 64, holds: 2, cuts: 1, timeoutCuts: 1},
 		{name: "go-back-n tail re-send cuts",
 			obs: []WindowObs{{Packets: 256, Retransmits: 200, Naks: 1}},
 			win: 192, cuts: 1},
@@ -171,13 +129,13 @@ func TestControllerRecoveryCost(t *testing.T) {
 				c.Observe(o)
 			}
 			st := c.Stats()
-			if c.Window() != tc.win || c.Gap() != tc.gap {
-				t.Errorf("window %d gap %v, want %d and %v", c.Window(), c.Gap(), tc.win, tc.gap)
+			if c.Window() != tc.win {
+				t.Errorf("window %d, want %d", c.Window(), tc.win)
 			}
 			if st.Growths != tc.growths || st.Holds != tc.holds || st.Cuts != tc.cuts || st.TimeoutCuts != tc.timeoutCuts {
 				t.Errorf("stats %+v, want %d growths, %d holds, %d cuts (%d on timeout)", st, tc.growths, tc.holds, tc.cuts, tc.timeoutCuts)
 			}
-			if st.Windows != len(tc.obs) || st.FinalWindow != tc.win || st.FinalGap != tc.gap {
+			if st.Windows != len(tc.obs) || st.FinalWindow != tc.win {
 				t.Errorf("stats %+v after %d windows", st, len(tc.obs))
 			}
 		})

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // drive feeds the tuner n windows through a deterministic path model and
 // returns the window-size history.
@@ -17,13 +14,13 @@ func drive(c *autotuneController, n int, model func(win int) WindowObs) []int {
 }
 
 // On a clean path the hill-climb converges to the preference-ordered
-// optimum — maximum window, minimum gap — and then holds it: the
-// tuner's parameters are stable across whole epochs, not still wandering.
+// optimum — maximum window — and then holds it: the tuner's window is
+// stable across whole epochs, not still wandering.
 func TestAutotuneCleanPathConvergesAndHolds(t *testing.T) {
 	c := newAutotuneController(ControllerConfig{})
 	hist := drive(c, 200, func(win int) WindowObs { return clean(win) })
 	// The second half of the run holds the preference optimum: at least one
-	// full hold period of consecutive MaxWindow epochs (residual probing may
+	// full hold period of consecutive maxWindow epochs (residual probing may
 	// dip off-optimum for a single trial epoch between holds, by design).
 	tail := hist[len(hist)/2:]
 	run, best, at512 := 0, 0, 0
@@ -39,19 +36,16 @@ func TestAutotuneCleanPathConvergesAndHolds(t *testing.T) {
 		}
 	}
 	if best < autotuneHold*autotuneEpoch {
-		t.Fatalf("no stable hold at MaxWindow: longest 512-run %d windows, want >= %d (tail %v)",
+		t.Fatalf("no stable hold at maxWindow: longest 512-run %d windows, want >= %d (tail %v)",
 			best, autotuneHold*autotuneEpoch, tail[len(tail)-20:])
 	}
 	if at512 < len(tail)*3/4 {
-		t.Errorf("spent only %d/%d of the tail at MaxWindow", at512, len(tail))
-	}
-	if c.Gap() != 0 {
-		t.Errorf("gap converged to %v, want line rate", c.Gap())
+		t.Errorf("spent only %d/%d of the tail at maxWindow", at512, len(tail))
 	}
 }
 
 // A path whose go-back-n waste grows with the window pushes the climb back:
-// the tuner settles below the lossy knee instead of pinning MaxWindow.
+// the tuner settles below the lossy knee instead of pinning maxWindow.
 func TestAutotuneBacksOffWhereEfficiencyDrops(t *testing.T) {
 	const knee = 128
 	c := newAutotuneController(ControllerConfig{})
@@ -71,15 +65,12 @@ func TestAutotuneBacksOffWhereEfficiencyDrops(t *testing.T) {
 }
 
 // A silent timeout bypasses the epoch machinery entirely: the window halves
-// and pacing backs off on the very next decision.
+// on the very next decision.
 func TestAutotuneTimeoutSafetyValve(t *testing.T) {
 	c := newAutotuneController(ControllerConfig{InitWindow: 256})
 	c.Observe(timeout(256))
 	if c.Window() != 128 {
 		t.Fatalf("after timeout: window %d, want 128", c.Window())
-	}
-	if c.Gap() != 5*time.Microsecond {
-		t.Fatalf("after timeout: gap %v, want one gapStep", c.Gap())
 	}
 	st := c.Stats()
 	if st.Cuts != 1 || st.TimeoutCuts != 1 {
@@ -102,7 +93,7 @@ func TestAutotuneDeterministic(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		a.Observe(model(a.Window()))
 		b.Observe(model(b.Window()))
-		if a.Window() != b.Window() || a.Gap() != b.Gap() {
+		if a.Window() != b.Window() {
 			t.Fatalf("same-seed trajectories diverged at window %d", i)
 		}
 	}

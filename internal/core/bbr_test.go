@@ -1,22 +1,6 @@
 package core
 
-import (
-	"testing"
-	"time"
-)
-
-// paced builds a clean observation with a measured duration, as a slow path
-// would report it.
-func paced(n int, perPacket time.Duration) WindowObs {
-	return WindowObs{Packets: n, Elapsed: time.Duration(n) * perPacket}
-}
-
-// pacedOn is paced as the send side of a paced transfer actually measures
-// it: the controller's in-effect gap is slept per packet on top of the
-// path's own service time, and Observe nets that sleep back out.
-func pacedOn(c *bbrController, n int, perPacket time.Duration) WindowObs {
-	return WindowObs{Packets: n, Elapsed: time.Duration(n) * (perPacket + c.Gap())}
-}
+import "testing"
 
 func TestBBRStartupDoublesLikeSlowStart(t *testing.T) {
 	c := newBBRController(ControllerConfig{})
@@ -70,92 +54,42 @@ func TestBBRTimeoutHalvesAndPaces(t *testing.T) {
 	if c.Window() != 128 {
 		t.Fatalf("after timeout: window %d, want 128 (halved)", c.Window())
 	}
-	if c.Gap() != 5*time.Microsecond {
-		t.Fatalf("after timeout: gap %v, want one gapStep", c.Gap())
-	}
 	st := c.Stats()
 	if st.Cuts != 1 || st.TimeoutCuts != 1 {
 		t.Errorf("stats %+v", st)
 	}
 }
 
-// Pacing cycles a gain over the estimated delivery interval on genuinely
-// slow paths (interval ≥ bbrPaceFloor), probing faster one phase and
-// draining slower another, and never actuates on loopback-grade paths
-// where a sleep costs more than it spaces.
-func TestBBRPacingGainCycle(t *testing.T) {
-	c := newBBRController(ControllerConfig{InitWindow: 512, MaxWindow: 512, MaxGap: time.Millisecond})
-	const interval = 40 * time.Microsecond
-	c.Observe(pacedOn(c, 512, interval)) // leaves startup at MaxWindow
-	seen := map[time.Duration]bool{}
-	for i := 0; i < bbrCycleLen; i++ {
-		c.Observe(pacedOn(c, 512, interval))
-		seen[c.Gap()] = true
-	}
-	if !seen[interval*4/5] {
-		t.Errorf("probe-up gap %v never seen (gaps: %v)", interval*4/5, seen)
-	}
-	if !seen[interval*5/4] {
-		t.Errorf("drain gap %v never seen (gaps: %v)", interval*5/4, seen)
-	}
-	if !seen[interval] {
-		t.Errorf("cruise gap %v never seen (gaps: %v)", interval, seen)
-	}
-	// Loopback-grade interval: no pacing at all.
-	fast := newBBRController(ControllerConfig{InitWindow: 512})
-	for i := 0; i < 10; i++ {
-		fast.Observe(pacedOn(fast, 512, time.Microsecond))
-		if fast.Gap() != 0 {
-			t.Fatalf("paced a %v-per-packet path with gap %v", time.Microsecond, fast.Gap())
-		}
-	}
-}
-
-// One RTO-dominated window must not poison the delivery model: its Elapsed
-// (the estimator's patience, ~1 ms/packet over a big window) is excluded
-// from the rate ring, and the in-effect gap is netted out of later samples,
-// so pacing releases as soon as clean windows flow again. Before these
-// exclusions, a single early timeout on the real UDP path locked the sender
-// into a self-confirming ~1 ms/packet stall (gap inflates Elapsed, Elapsed
-// confirms the gap) and udp_pull_bbr_loss1 collapsed to ~4 MB/s.
-func TestBBRTimeoutDoesNotPoisonDeliveryModel(t *testing.T) {
+// Out of startup, a steady window probes additively once per cycle: the
+// cycle advances on every window but a timeout, lossy ones included, and
+// the clean window that closes it grows the next by windowIncrement.
+func TestBBRProbesOncePerCycle(t *testing.T) {
 	c := newBBRController(ControllerConfig{InitWindow: 256})
-	c.Observe(clean(256)) // startup exit path irrelevant; seed one sample
-	c.Observe(WindowObs{Packets: 256, Timeouts: 1, Elapsed: 250 * time.Millisecond})
-	// Clean loopback-grade windows resume: the stale 250 ms must not pace.
-	for i := 0; i < bbrRateWindow; i++ {
-		c.Observe(pacedOn(c, c.Window(), 2*time.Microsecond))
-	}
-	if g := c.Gap(); g != 0 {
-		t.Fatalf("timeout-tainted model still pacing: gap %v", g)
-	}
-}
-func TestBBRWindowTrajectoryTimingFree(t *testing.T) {
-	a := newBBRController(ControllerConfig{})
-	b := newBBRController(ControllerConfig{})
-	obs := []WindowObs{clean(32), nakked(64), clean(64), timeout(80), clean(40), nakked(56), nakked(56), nakked(56), clean(49)}
-	for i, o := range obs {
-		oa, ob := o, o
-		oa.Elapsed = time.Duration(i+1) * 3 * time.Millisecond
-		ob.Elapsed = time.Duration(i+1) * 17 * time.Microsecond
-		a.Observe(oa)
-		b.Observe(ob)
-		if a.Window() != b.Window() {
-			t.Fatalf("window trajectory diverged on timing at observation %d: %d vs %d",
-				i, a.Window(), b.Window())
+	c.Observe(nakked(256)) // leaves startup; the cycle moves to phase 1
+	for i := 2; i < bbrCycleLen; i++ {
+		c.Observe(clean(c.Window()))
+		if c.Window() != 256 {
+			t.Fatalf("phase %d grew the window to %d", i, c.Window())
 		}
+	}
+	c.Observe(clean(256)) // back to phase 0: the probe
+	if c.Window() != 256+windowIncrement {
+		t.Fatalf("probe phase: window %d, want %d", c.Window(), 256+windowIncrement)
+	}
+	if st := c.Stats(); st.Growths != 1 || st.Holds != 1 {
+		t.Errorf("stats %+v, want one probe growth and the tolerated window as a hold", st)
 	}
 }
 
 func TestBBRDeterministic(t *testing.T) {
-	obs := []WindowObs{clean(32), clean(64), nakked(128), paced(128, 20*time.Microsecond),
+	obs := []WindowObs{clean(32), clean(64), nakked(128), clean(128),
 		timeout(72), clean(18), nakked(26), nakked(26), nakked(26), clean(20)}
 	a := newBBRController(ControllerConfig{})
 	b := newBBRController(ControllerConfig{})
 	for i, o := range obs {
 		a.Observe(o)
 		b.Observe(o)
-		if a.Window() != b.Window() || a.Gap() != b.Gap() {
+		if a.Window() != b.Window() {
 			t.Fatalf("diverged at observation %d", i)
 		}
 	}

@@ -37,28 +37,17 @@ func sendBlast(env Env, c Config, async bool) (SendResult, error) {
 }
 
 // sendBlastControlled is the blast sender under pluggable rate control
-// (Config.Controller): each window's size comes from the policy, each
-// completed window's recovery cost (and measured duration) feeds back into
-// it, and the policy's pacing gap is actuated on substrates with a
-// Datapath. The receiver needs no changes — it judges windows by the
-// high-water FlagLast sequence, whatever their sizes.
+// (Config.Controller): each window's size comes from the policy and each
+// completed window's recovery cost feeds back into it. The receiver needs
+// no changes — it judges windows by the high-water FlagLast sequence,
+// whatever their sizes.
 func sendBlastControlled(env Env, c Config, async bool) (SendResult, error) {
 	start := env.Now()
 	n := c.NumPackets()
 	// The hill-climbing policy draws its perturbation order from the seed;
 	// both substrates of a conformance pair share the transfer id, so they
 	// share the search trajectory too.
-	cc := ControllerConfig{InitWindow: c.Window, Seed: int64(c.TransferID)}
-	dp := datapathOf(env)
-	var origGap time.Duration
-	if dp != nil {
-		// A pre-configured gap becomes the controller's pacing floor: the
-		// transfer never runs faster than its operator deliberately paced
-		// it, and the gap is restored verbatim afterwards.
-		origGap = dp.Gap()
-		cc.MinGap = origGap
-	}
-	ctrl, err := NewRateController(c.Controller, cc)
+	ctrl, err := NewRateController(c.Controller, ControllerConfig{InitWindow: c.Window, Seed: int64(c.TransferID)})
 	if err != nil {
 		return SendResult{}, err
 	}
@@ -67,43 +56,28 @@ func sendBlastControlled(env Env, c Config, async bool) (SendResult, error) {
 	c.AdaptiveTr = true
 	b := newBlastTx(env, c, async)
 	res := &b.res
-	finish := func() {
-		res.Elapsed = env.Now() - start
-		res.SRTT = b.est.smoothed()
-		st := ctrl.Stats()
-		res.Controller = &st
-		// The controller's pacing is scoped to this transfer: the
-		// substrate's configured gap comes back, so a lossy transfer never
-		// paces the endpoint down for its successors.
-		if dp != nil {
-			dp.SetPacketGap(origGap)
-		}
-	}
 	for base := 0; base < n; {
 		end := min(base+ctrl.Window(), n)
 		before := *res
-		t0 := env.Now()
 		// The next window is staged at the size the policy would pick now;
 		// should this window's outcome change it, window releases what still
 		// fits and sends or drops the difference.
-		if err := b.window(base, end, min(end+ctrl.Window(), n)); err != nil {
-			finish()
-			return *res, err
+		if err = b.window(base, end, min(end+ctrl.Window(), n)); err != nil {
+			break
 		}
 		ctrl.Observe(WindowObs{
 			Packets:     end - base,
 			Retransmits: res.Retransmits - before.Retransmits,
 			Naks:        res.NaksReceived - before.NaksReceived,
 			Timeouts:    res.Timeouts - before.Timeouts,
-			Elapsed:     env.Now() - t0,
 		})
-		if dp != nil {
-			dp.SetPacketGap(ctrl.Gap())
-		}
 		base = end
 	}
-	finish()
-	return *res, nil
+	res.Elapsed = env.Now() - start
+	res.SRTT = b.est.smoothed()
+	st := ctrl.Stats()
+	res.Controller = &st
+	return *res, err
 }
 
 // blastTx is what the windows of one blast transfer share. scratch is the

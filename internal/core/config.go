@@ -145,9 +145,9 @@ type Config struct {
 	// Controller names the rate-control policy that drives a blast transfer
 	// instead of the fixed Window: one of the built-in RateController
 	// policies ("aimd", "bbr", "autotune"; see ratecontrol.go) whose window
-	// size, syscall batch and pacing react to observed NAKs, retransmissions
-	// and timeouts, with the retransmission interval learned online
-	// (AdaptiveTr is implied). Window, when set, seeds the controller's initial window.
+	// size reacts to observed NAKs, retransmissions and timeouts, with the
+	// retransmission interval learned online (AdaptiveTr is implied).
+	// Window, when set, seeds the controller's initial window.
 	// Empty runs the fixed schedule. Unknown names are rejected by
 	// ValidateConfig. Ignored by StopAndWait and SlidingWindow.
 	Controller string

@@ -57,9 +57,8 @@ type Env interface {
 }
 
 // Datapath is the one optional capability of a substrate: a batching
-// transmit side. The engines assert it once per transfer (datapathOf); a
-// substrate without it — the simulator, which has no syscalls to amortise —
-// gets no flush or pacing actuation.
+// transmit side. A substrate without it — the simulator, which has no
+// syscalls to amortise — sends every packet as it is handed over.
 //
 // FlushBatch writes every queued packet to the wire, in the order it was
 // queued. Substrates must also flush implicitly when their queue is full,
@@ -74,16 +73,11 @@ type Env interface {
 // superbuffer may carry — see wire.FrameBytes and
 // TestFlushGeometryGSOCompatible.
 //
-// Gap/SetPacketGap space data packets on the wire. The controlled sender
-// owns the gap while it runs and restores what it found when the transfer
-// finishes, so one lossy transfer never paces an endpoint down for its
-// successors and a user-configured gap survives. Where a window's frames
-// flush is the substrate's business: the sender flushes once per window,
-// and no policy splits a window into more syscalls.
+// Where a window's frames flush is the substrate's business: the sender
+// flushes once per window, and no policy splits a window into more
+// syscalls or spaces its packets in time.
 type Datapath interface {
 	FlushBatch() error
-	Gap() time.Duration
-	SetPacketGap(d time.Duration)
 }
 
 // Stager is the second optional capability, beside Datapath: a substrate
@@ -106,18 +100,12 @@ type Stager interface {
 	ReleaseStaged(n int) error
 }
 
-// datapathOf returns env's Datapath, or nil on substrates without one.
-func datapathOf(env Env) Datapath {
-	dp, _ := env.(Datapath)
-	return dp
-}
-
 // FlushBatch flushes env's outbound batch queue if the substrate batches;
 // on all other substrates it is a no-op. The blast sender calls it once per
 // window, between the unreliable packets and the reliable last, so the
 // window is on the wire before the response timer starts.
 func FlushBatch(env Env) error {
-	if dp := datapathOf(env); dp != nil {
+	if dp, ok := env.(Datapath); ok {
 		return dp.FlushBatch()
 	}
 	return nil

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-	"time"
 )
 
 // Pluggable blast rate control (Config.Controller).
@@ -13,26 +12,22 @@ import (
 // CLI flag → Config.Controller → REQ policy byte → serving side) into a
 // controller instance. "aimd" is the AIMD state machine of aimd.go.
 //
-// Contract: a controller's *window decisions* must be a pure
-// function of its observation sequence's recovery counters — never of
-// WindowObs.Elapsed, the wall clock, or unseeded randomness. The same
-// NAK/retransmit/timeout events must produce the same window trajectory on
-// the simulator, the V kernel and real UDP; the cross-substrate conformance
-// suite pins that for every built-in policy, and the DES contention sweep's
-// bit-identical parallelism depends on it. Elapsed (virtual time on the
-// simulator, wall time on UDP) may inform *pacing* only: the gap spaces
-// packets in time without changing which packets are sent, so timing-aware
-// pacing keeps the counter trajectories conformant.
+// Contract: a controller decides the window size and nothing else, as a
+// pure function of its observation sequence's recovery counters — never of
+// the wall clock or unseeded randomness. The same NAK/retransmit/timeout
+// events must produce the same window trajectory on the simulator, the V
+// kernel and real UDP; the cross-substrate conformance suite pins that for
+// every built-in policy, and the DES contention sweep's bit-identical
+// parallelism depends on it. Spacing packets in time is the operator's
+// (a substrate's configured packet gap), never a policy's.
 
 // RateController is the pluggable policy the controlled blast sender drives:
-// before each window it asks Window (size in packets) and Gap (inter-packet
-// pacing, actuated on substrates implementing Datapath); after each window
-// it feeds back one WindowObs. Stats summarises the trajectory for
+// before each window it asks Window (size in packets); after each window it
+// feeds back one WindowObs. Stats summarises the trajectory for
 // SendResult.Controller. Controllers are used from the sender's goroutine
 // only, like everything else in a protocol engine.
 type RateController interface {
 	Window() int
-	Gap() time.Duration
 	Observe(WindowObs)
 	Stats() ControllerStats
 }
@@ -42,15 +37,16 @@ const (
 	// ControllerAIMD is the additive-increase/multiplicative-decrease
 	// discipline (aimd.go): a sparse repair holds the window, heavy
 	// NAK-repaired loss cuts it to 3/4, and heavy loss with a silent
-	// timeout quarters it and backs pacing off.
+	// timeout quarters it.
 	ControllerAIMD = "aimd"
-	// ControllerBBR is the rate-based BBR-flavoured policy (bbr.go):
-	// delivery-rate and min-interval estimation drive pacing-gain cycling,
-	// and modest random loss does not collapse the window.
+	// ControllerBBR is the loss-tolerant, probing BBR-flavoured policy
+	// (bbr.go): modest random loss does not collapse the window, only a run
+	// of lossy windows drains it, and a steady window probes additively for
+	// freed capacity once per eight-window cycle.
 	ControllerBBR = "bbr"
 	// ControllerAutotune is the probing auto-tuner (autotune.go): a seeded
-	// hill-climb perturbs window and pacing online with accept/revert
-	// epochs, after Arslan & Kosar's heuristic protocol tuning.
+	// hill-climb perturbs the window online with accept/revert epochs,
+	// after Arslan & Kosar's heuristic protocol tuning.
 	ControllerAutotune = "autotune"
 )
 

@@ -15,7 +15,6 @@ type loopEnv struct {
 	in    chan *wire.Packet
 	out   chan *wire.Packet
 	start time.Time
-	gap   time.Duration
 }
 
 func newLoopEnvPair() (*loopEnv, *loopEnv) {
@@ -31,12 +30,9 @@ func (e *loopEnv) Send(p *wire.Packet) error      { e.out <- p.Clone(); return n
 func (e *loopEnv) SendAsync(p *wire.Packet) error { return e.Send(p) }
 
 // loopEnv is a Datapath with nothing to batch: Send clones (so packet reuse
-// is safe), every frame is its own flush, and pacing is recorded but not
-// slept. Fakes that model a batching substrate embed it and override the
-// methods they care about.
-func (e *loopEnv) FlushBatch() error            { return nil }
-func (e *loopEnv) Gap() time.Duration           { return e.gap }
-func (e *loopEnv) SetPacketGap(d time.Duration) { e.gap = d }
+// is safe) and every frame is its own flush. Fakes that model a batching
+// substrate embed it and override FlushBatch.
+func (e *loopEnv) FlushBatch() error { return nil }
 
 func (e *loopEnv) Recv(timeout time.Duration) (*wire.Packet, error) {
 	if timeout < 0 {

@@ -39,7 +39,7 @@ func stripeHostileScript(p *wire.Packet) params.Mangle {
 // drop/duplicate/reorder adversary — with the fixed window and with each
 // registered rate-control policy in the loop. This is the enforcement of
 // the RateController determinism contract (ratecontrol.go): a policy whose
-// window or batch decisions read the clock would diverge here.
+// window decisions read the clock would diverge here.
 func TestStripedConformance(t *testing.T) {
 	udpOK := true
 	if c, err := net.ListenPacket("udp", "127.0.0.1:0"); err != nil {
@@ -256,17 +256,16 @@ func sparseDataLoss(seed uint64) func(*wire.Packet) params.Mangle {
 	}
 }
 
-// A selective aimd striped transfer under 1 % random loss takes the same
-// controller trajectory on the simulator and over real UDP: sparse windows
-// (stray drops, and a lost reliable last that timed out) hold the window,
-// and every stripe's counters and ControllerStats are identical on both
-// substrates, pinned here for one seed. Stripes of 112 packets keep every
-// window at or under 64 packets, which the default socket buffers carry
-// without a real drop.
-func TestStripedAIMDSparseLossConformance(t *testing.T) {
+// A selective striped transfer under 1 % random loss takes the same
+// controller trajectory on the simulator and over real UDP under every
+// policy: every stripe's counters and its whole ControllerStats are
+// identical on both substrates. aimd's are pinned here for one seed: sparse
+// windows (stray drops, and a lost reliable last that timed out) hold the
+// window. Stripes of 112 packets keep every window at or under 64 packets,
+// which the default socket buffers carry without a real drop.
+func TestStripedSparseLossConformance(t *testing.T) {
 	payload := advPayload(896_000, 17) // 896 chunks -> 8 stripes of 112
-	sc := Scenario{
-		Name:      "striped-aimd-loss1",
+	base := Scenario{
 		Adversary: params.Adversary{Script: sparseDataLoss(23)},
 		Config: core.Config{
 			TransferID:     1,
@@ -274,7 +273,6 @@ func TestStripedAIMDSparseLossConformance(t *testing.T) {
 			ChunkSize:      1000,
 			Protocol:       core.Blast,
 			Strategy:       core.Selective,
-			Controller:     core.ControllerAIMD,
 			Window:         16,
 			RetransTimeout: 500 * time.Millisecond,
 			// As in TestStripedConformance: only a lost reliable last may
@@ -291,45 +289,58 @@ func TestStripedAIMDSparseLossConformance(t *testing.T) {
 	}
 	// Seed 23 times out once each on stripes 0 and 2 (a lost reliable
 	// last re-sent alone) and drops a stray packet or few everywhere.
-	want := []core.ControllerStats{stat(5, 1, 4, 32), stat(3, 2, 1, 64), stat(3, 2, 1, 64), stat(3, 2, 1, 64),
+	aimd := []core.ControllerStats{stat(5, 1, 4, 32), stat(3, 2, 1, 64), stat(3, 2, 1, 64), stat(3, 2, 1, 64),
 		stat(4, 2, 2, 64), stat(3, 2, 1, 64), stat(3, 2, 1, 64), stat(4, 3, 1, 128)}
-
-	stripes := sc.Stripes(8)
-	run := func(name string, runner func(Scenario) (Outcome, error)) []Outcome {
-		outs := make([]Outcome, len(stripes))
-		for i, ssc := range stripes {
-			out, err := runner(ssc)
-			if err != nil {
-				t.Fatalf("%s stripe %d: %v", name, i, err)
-			}
-			if !out.Completed || !out.IntactPayload(ssc.Config.Payload) || out.Controller == nil {
-				t.Fatalf("%s stripe %d: completed %v, intact %v, controller %v", name, i,
-					out.Completed, out.IntactPayload(ssc.Config.Payload), out.Controller)
-			}
-			outs[i] = out
-		}
-		return outs
-	}
-	sim := run("sim", Scenario.RunSim)
-	for i, out := range sim {
-		if *out.Controller != want[i] {
-			t.Errorf("sim stripe %d: controller %+v, pinned %+v", i, *out.Controller, want[i])
-		}
-	}
-	if sim[0].Timeouts != 1 || sim[2].Timeouts != 1 {
-		t.Errorf("sim stripes 0 and 2 timed out %d and %d times, want the one each the seed pins", sim[0].Timeouts, sim[2].Timeouts)
-	}
+	udpOK := true
 	if c, err := net.ListenPacket("udp", "127.0.0.1:0"); err != nil {
-		t.Skip("no UDP loopback: sim-only conformance")
+		udpOK = false
 	} else {
 		c.Close()
 	}
-	for i, out := range run("udp", Scenario.RunUDP) {
-		if out.Counts != sim[i].Counts {
-			t.Errorf("stripe %d counters diverge:\nsim %+v\nudp %+v", i, sim[i].Counts, out.Counts)
-		}
-		if *out.Controller != *sim[i].Controller {
-			t.Errorf("stripe %d controller diverges:\nsim %+v\nudp %+v", i, *sim[i].Controller, *out.Controller)
-		}
+
+	for _, policy := range core.ControllerNames() {
+		t.Run(policy, func(t *testing.T) {
+			sc := base
+			sc.Name = "striped-" + policy + "-loss1"
+			sc.Config.Controller = policy
+			stripes := sc.Stripes(8)
+			run := func(name string, runner func(Scenario) (Outcome, error)) []Outcome {
+				outs := make([]Outcome, len(stripes))
+				for i, ssc := range stripes {
+					out, err := runner(ssc)
+					if err != nil {
+						t.Fatalf("%s stripe %d: %v", name, i, err)
+					}
+					if !out.Completed || !out.IntactPayload(ssc.Config.Payload) || out.Controller == nil {
+						t.Fatalf("%s stripe %d: completed %v, intact %v, controller %v", name, i,
+							out.Completed, out.IntactPayload(ssc.Config.Payload), out.Controller)
+					}
+					outs[i] = out
+				}
+				return outs
+			}
+			sim := run("sim", Scenario.RunSim)
+			if policy == core.ControllerAIMD {
+				for i, out := range sim {
+					if *out.Controller != aimd[i] {
+						t.Errorf("sim stripe %d: controller %+v, pinned %+v", i, *out.Controller, aimd[i])
+					}
+				}
+				if sim[0].Timeouts != 1 || sim[2].Timeouts != 1 {
+					t.Errorf("sim stripes 0 and 2 timed out %d and %d times, want the one each the seed pins", sim[0].Timeouts, sim[2].Timeouts)
+				}
+			}
+			if !udpOK {
+				t.Skip("no UDP loopback: sim-only conformance")
+			}
+			for i, out := range run("udp", Scenario.RunUDP) {
+				if out.Counts != sim[i].Counts {
+					t.Errorf("stripe %d counters diverge:\nsim %+v\nudp %+v", i, sim[i].Counts, out.Counts)
+				}
+				if *out.Controller != *sim[i].Controller {
+					t.Errorf("stripe %d controller diverges:\nsim %+v\nudp %+v", i, *sim[i].Controller, *out.Controller)
+				}
+			}
+		})
 	}
 }

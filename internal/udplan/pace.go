@@ -5,9 +5,8 @@ import "time"
 // pacer amortizes pacing sleeps over a quantum of accumulated gap. The
 // naive actuation — flush + time.Sleep after every data packet — charges a
 // flush syscall plus the scheduler's sleep granularity per packet, which
-// for a µs-grade gap overshoots the nominal rate by 10-100×: the
-// controller believes it is pacing gently while the substrate crawls (the
-// same distortion the bbr delivery model refuses to measure). Instead each
+// for a µs-grade gap overshoots the nominal rate by 10-100×: the operator
+// asks for gentle pacing while the substrate crawls. Instead each
 // data packet accrues its nominal gap as debt and the sender sleeps only
 // once the debt reaches paceQuantum, crediting the *measured* sleep
 // against the debt so timer overshoot pays for future packets instead of

@@ -187,6 +187,6 @@ func pokeClosed(a *Endpoint) error {
 		return fmt.Errorf("ReleaseStaged on a closed endpoint: %v", err)
 	}
 	a.SetPacketGap(0)
-	_, _ = a.Batch(), a.Gap()
+	_ = a.Batch()
 	return nil
 }

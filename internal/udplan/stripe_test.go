@@ -170,7 +170,7 @@ func TestStripedPullAdaptive(t *testing.T) {
 func TestAdaptiveSenderControllerOverUDP(t *testing.T) {
 	ea, eb := pipe(t)
 	ea.SetBatch(16)
-	ea.SetPacketGap(5 * time.Microsecond) // user-configured pacing: must survive
+	ea.SetPacketGap(5 * time.Microsecond) // operator pacing: no policy touches it
 	payload := randomPayload(256<<10, 5)
 	cfg := loopCfg(9, payload, core.Blast, core.GoBackN)
 	cfg.Controller = core.ControllerAIMD
@@ -214,13 +214,12 @@ func TestAdaptiveSenderControllerOverUDP(t *testing.T) {
 		t.Errorf("controller never engaged: %+v", *st)
 	}
 	if st.FinalWindow < 16 {
-		t.Errorf("final window %d below MinWindow", st.FinalWindow)
+		t.Errorf("final window %d below the window floor of 16", st.FinalWindow)
 	}
-	// The controller's pacing is scoped to the transfer: the endpoint's
-	// configured gap must come back, so a lossy adaptive transfer cannot pace
-	// the endpoint down for later ones.
-	if ea.Gap() != 5*time.Microsecond {
-		t.Errorf("pacing gap %v after the transfer, want the configured 5µs restored", ea.Gap())
+	// A policy decides the window only: the operator's gap is in force
+	// throughout and still set afterwards.
+	if ea.gap != 5*time.Microsecond {
+		t.Errorf("pacing gap %v after the transfer, want the operator's 5µs untouched", ea.gap)
 	}
 }
 
@@ -278,11 +277,9 @@ func TestControllerPoliciesOverUDP(t *testing.T) {
 	}
 }
 
-// controlledFlushes runs one 1 MB selective transfer under policy from a
-// client endpoint capped at tier and returns the frame count of every ring
-// flush it made while unpaced, or nil when the socket will not run tier. A
-// paced window flushes wherever the pacer's clock falls due, so it is left
-// out; the gap only changes between windows, when the ring is empty. The
+// controlledFlushes runs one 1 MB selective transfer under policy from an
+// unpaced client endpoint capped at tier and returns the frame count of
+// every ring flush it made, or nil when the socket will not run tier. The
 // receiver drops a fixed set of first transmissions, so windows go lossy and
 // the sender still stages; Tr and the RTO floor sit far above any loopback
 // response, so no timeout fires.
@@ -301,9 +298,7 @@ func controlledFlushes(t *testing.T, policy string, tier Tier, batch, window int
 	flushes := []int{}
 	inner := ea.ring.flush
 	ea.ring.flush = func(frames [][]byte, lens []int, k int) error {
-		if ea.Gap() == 0 {
-			flushes = append(flushes, k)
-		}
+		flushes = append(flushes, k)
 		return inner(frames, lens, k)
 	}
 	eb.MangleRx = func(p *wire.Packet) params.Mangle {
@@ -338,13 +333,11 @@ func controlledFlushes(t *testing.T, policy string, tier Tier, batch, window int
 	return flushes
 }
 
-// A controller decides the window and the gap, never where a window's frames
-// flush: the same transfer puts the same flush sequence through a GSO ring
-// as through a sendmmsg ring. (bbr is left out: its pacing reads wall-clock
-// window durations, so even which windows it paces varies between repeat
-// runs on one tier.)
+// A controller decides the window, never where a window's frames flush: the
+// same transfer puts the same flush sequence through a GSO ring as through a
+// sendmmsg ring, under every policy.
 func TestControlledFlushesIgnoreTier(t *testing.T) {
-	for _, policy := range []string{core.ControllerAIMD, core.ControllerAutotune} {
+	for _, policy := range core.ControllerNames() {
 		for _, batch := range []int{16, 32} {
 			for _, window := range []int{16, 32} {
 				t.Run(fmt.Sprintf("%s/batch%d/window%d", policy, batch, window), func(t *testing.T) {
@@ -353,7 +346,7 @@ func TestControlledFlushesIgnoreTier(t *testing.T) {
 						t.Skip("the GSO tier is not available on this socket")
 					}
 					if len(gso) == 0 {
-						t.Fatal("no unpaced flush to compare")
+						t.Fatal("no flush to compare")
 					}
 					mmsg := controlledFlushes(t, policy, TierMmsg, batch, window)
 					if !slices.Equal(mmsg, gso) {

@@ -27,7 +27,7 @@ type txPath struct {
 	gs   gsoSender
 	tier Tier
 	line *linePacer    // modeled link shared with the socket's other writers (nil: unlimited)
-	gap  time.Duration // spacing between data packets (core.Datapath)
+	gap  time.Duration // spacing between data packets (SetPacketGap)
 	pace pacer         // amortized sleep state for gap actuation
 
 	// stage is the second frame ring (core.Stager): the next window's frames,
@@ -230,12 +230,10 @@ func (t *txPath) Batch() int { return len(t.ring.frames) }
 // Tier reports the active transmit tier (TierWriteTo when batching is off).
 func (t *txPath) Tier() Tier { return t.tier }
 
-// Gap implements core.Datapath: the current pacing gap.
-func (t *txPath) Gap() time.Duration { return t.gap }
-
-// SetPacketGap implements core.Datapath: d of spacing after every data
-// packet. The paper assumes "source and destination machine are more or
-// less matched in speed" (§1); on a modern loopback the sender can outrun
-// kernel socket buffers by orders of magnitude, and pacing restores the
-// matched-speed premise for large blasts.
+// SetPacketGap sets the operator's pacing: d of spacing after every data
+// packet, in force under any rate-control policy. The paper assumes "source
+// and destination machine are more or less matched in speed" (§1); on a
+// modern loopback the sender can outrun kernel socket buffers by orders of
+// magnitude, and pacing restores the matched-speed premise for large
+// blasts.
 func (t *txPath) SetPacketGap(d time.Duration) { t.gap = d }

@@ -14,10 +14,12 @@ import (
 	"blastlan/internal/wire"
 )
 
-// sender is what the parity script drives: an Env with the one Datapath.
+// sender is what the parity script drives: an Env with the one Datapath,
+// paced by the operator's setter.
 type sender interface {
 	core.Env
 	core.Datapath
+	SetPacketGap(time.Duration)
 }
 
 // txScript drives one seeded packet script through s and returns the frames
