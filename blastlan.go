@@ -229,7 +229,7 @@ func PullUDP(e *UDPEndpoint, cfg Config) (RecvResult, error) { return udplan.Pul
 
 // Striped transfers: one logical pull fanned out across parallel stripe
 // sessions, reassembled by offset (set cfg.Controller to a registered
-// rate-control policy — "aimd", "bbr", "autotune" — for per-stripe rate
+// rate-control policy — "aimd", "autotune" — for per-stripe rate
 // control).
 type (
 	// StripeOptions configures the fan-out of a striped pull.

@@ -9,7 +9,7 @@
 //	blastcp -to 127.0.0.1:7025 -pull 1048576 -chunk 8000 -mtu 9000   # jumbo frames
 //	blastcp -to 127.0.0.1:7025 -pull 268435456 -streams 4            # striped parallel pull
 //	blastcp -to 127.0.0.1:7025 -pull 67108864 -controller aimd       # AIMD rate control
-//	blastcp -to 127.0.0.1:7025 -pull 67108864 -controller bbr        # rate-based control
+//	blastcp -to 127.0.0.1:7025 -pull 67108864 -controller autotune   # hill-climbing window
 //	blastcp -to 127.0.0.1:7025 -get data.bin -o local.bin            # named pull from -serve
 //	blastcp -to 127.0.0.1:7025 -get data.bin -streams 4              # striped named pull
 //	blastcp -to 127.0.0.1:7025 -pull 67108864 -resume                # survive a server restart

@@ -34,7 +34,7 @@
 // requesting a byte range of one logical stream; the daemon resolves each
 // range against the same generator, so the client's reassembly is
 // byte-identical to an unstriped pull. Requests carrying a rate-control
-// policy id in the REQ flags (blastcp -controller aimd|bbr|autotune) are
+// policy id in the REQ flags (blastcp -controller aimd|autotune) are
 // served with that controller reacting to observed drops and NAKs instead
 // of the fixed REQ parameters; an id this build does not know degrades to
 // AIMD. Each served pull's log line then ends with what the policy did:

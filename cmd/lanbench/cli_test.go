@@ -60,7 +60,7 @@ func TestCLI(t *testing.T) {
 	}{
 		{[]string{"-format", "xml"}, 2, "", "xml"},
 		{[]string{"-experiment", "nosuch"}, 2, "", "nosuch"},
-		{[]string{"-controller", "nosuch"}, 2, "", "aimd, autotune, bbr"},
+		{[]string{"-controller", "nosuch"}, 2, "", "aimd, autotune"},
 		{[]string{"-quick", "-format", "csv", "-experiment", "table2"}, 0, "# table2", ""},
 	} {
 		out, stderr, code := run(c.args...)

@@ -4,13 +4,12 @@ package main
 // The classic suite compares the syscall-per-packet path (batch=1, the
 // one-slot frame ring), the sendmmsg/recvmmsg batched path (batch=32) and
 // the GSO tier — guarded by CI's perf-regression gate (cmd/benchgate). The
-// striped sweep measures streams ∈ {1,2,4,8} × {fixed, aimd, bbr} pulls
+// striped sweep measures streams ∈ {1,2,4,8} × {fixed, aimd} pulls
 // against the server, on a clean loopback and under a 1% seeded drop
 // adversary — archived as BENCH_4.json and the EXPERIMENTS.md
 // streams×policy table (-controller restricts the sweep to one rate-control
-// policy). The gated udp_pull_bbr_loss1 and udp_pull_aimd_loss1 cases pin
-// the BBR and AIMD policies' 16 MB striped pulls under 1% loss against their
-// ci/bench_floor.json floors.
+// policy). The gated udp_pull_aimd_loss1 case pins the AIMD policy's 16 MB
+// striped pull under 1% loss against its ci/bench_floor.json floor.
 
 import (
 	"fmt"
@@ -630,7 +629,7 @@ func runUDPBench(path string, quick bool, streams int, controller string, tierNa
 	if streams > 0 {
 		streamCounts = []int{streams}
 	}
-	modes := []string{"", core.ControllerAIMD, core.ControllerBBR}
+	modes := []string{"", core.ControllerAIMD}
 	if controller != "" {
 		modes = []string{controller}
 	}
@@ -667,30 +666,27 @@ func runUDPBench(path string, quick bool, streams int, controller string, tierNa
 		}
 	}
 
-	// The gated controller-under-loss cases: the 321 MB/s configuration of
+	// The gated controller-under-loss case: the 321 MB/s configuration of
 	// BENCH_4.json's adaptive-under-loss row (streams=4, selective repeat,
-	// 16 MB, 1% seeded drop on every stripe endpoint) driven by each policy
-	// that holds its window through stray drops — BBR by its rate model,
-	// AIMD because a sparse repair holds rather than cuts.
-	// ci/bench_floor.json floors both, so a policy regression that collapses
-	// under loss fails the bench gate. Runs at full size even in -quick: the
-	// floor needs a stable figure.
+	// 16 MB, 1% seeded drop on every stripe endpoint) driven by aimd, which
+	// holds its window through stray drops because a sparse repair holds
+	// rather than cuts. ci/bench_floor.json floors it, so a policy
+	// regression that collapses under loss fails the bench gate. Runs at
+	// full size even in -quick: the floor needs a stable figure.
 	if streams == 0 && controller == "" {
-		for _, policy := range []string{core.ControllerBBR, core.ControllerAIMD} {
-			c := stripedCase{
-				name:       "udp_pull_" + policy + "_loss1",
-				bytes:      16 << 20,
-				streams:    4,
-				controller: policy,
-				drop:       0.01,
-			}
-			if err := measurePull(&snap, c.name, c.bytes, 3,
-				func() (time.Duration, string, error) {
-					el, err := runStripedPull(c)
-					return el, "", err
-				}); err != nil {
-				return err
-			}
+		c := stripedCase{
+			name:       "udp_pull_aimd_loss1",
+			bytes:      16 << 20,
+			streams:    4,
+			controller: core.ControllerAIMD,
+			drop:       0.01,
+		}
+		if err := measurePull(&snap, c.name, c.bytes, 3,
+			func() (time.Duration, string, error) {
+				el, err := runStripedPull(c)
+				return el, "", err
+			}); err != nil {
+			return err
 		}
 	}
 

@@ -55,7 +55,7 @@ const (
 	maxWindow = 512
 )
 
-// ControllerConfig parameterises every built-in policy (aimd, bbr,
+// ControllerConfig parameterises every built-in policy (aimd,
 // autotune). The zero value takes the defaults documented per field.
 type ControllerConfig struct {
 	// InitWindow is the first window size in packets (default 32), clamped
@@ -87,11 +87,6 @@ type WindowObs struct {
 	Timeouts    int // silent Tr expiries
 }
 
-// lossy reports whether the window needed any recovery at all.
-func (o WindowObs) lossy() bool {
-	return o.Retransmits > 0 || o.Naks > 0 || o.Timeouts > 0
-}
-
 // sparse reports whether the window's recovery was cheap enough to hold
 // the window rather than cut it.
 func (o WindowObs) sparse() bool {
@@ -101,7 +96,7 @@ func (o WindowObs) sparse() bool {
 // ControllerStats summarises one transfer's controller trajectory — the
 // per-stripe stats feed surfaced in SendResult.
 type ControllerStats struct {
-	Policy      string // built-in policy name ("aimd", "bbr", ...)
+	Policy      string // built-in policy name ("aimd", "autotune")
 	Windows     int    // windows driven
 	Growths     int    // windows after which the window grew
 	Cuts        int    // windows after which the window shrank

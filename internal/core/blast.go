@@ -313,6 +313,16 @@ func filterWindow(missing []uint32, base, end int) []int {
 // packets are accepted in any order into the pre-allocated transfer buffer
 // (the MoveTo contract guarantees it exists); a FlagLast arrival triggers
 // the strategy's response (§3.2).
+//
+// A gap below a FlagLast meant a loss on the paper's Ethernet, which never
+// reordered. A path that does reorder teaches the receiver a reorder window
+// reo, after RACK (RFC 8985): once reo is open, a gapped FlagLast's verdict
+// is held until reo has passed since it arrived — an ACK at once if the gaps
+// fill first, the strategy's NAK if they do not. reo opens when a first
+// transmission arrives for a packet a NAK reported missing (the DSACK signal
+// of RFC 3708): it becomes the longest such lateness, measured from the
+// FlagLast the NAK answered, and at least rtoFloor. It starts at 0, so a
+// path that never reorders is answered at once, as the paper's receiver was.
 func recvBlast(env Env, c Config) (RecvResult, error) {
 	var res RecvResult
 	n := c.NumPackets()
@@ -323,50 +333,112 @@ func recvBlast(env Env, c Config) (RecvResult, error) {
 	start := env.Now()
 	idle, wait := c.receiverIdle(), c.firstWait()
 	ack := new(wire.Packet)
+	// While held, a gapped FlagLast's verdict waits out reo from heldAt.
+	// Every gap below nakEnd was reported by the NAK that answered the
+	// FlagLast arriving at nakAt: a gap still open was open then, too.
+	var (
+		reo, heldAt, nakAt time.Duration
+		held               bool
+		nakEnd             int
+	)
 
-	// respond builds the strategy's reply to a FlagLast packet; any other
-	// data packet (including duplicates arriving during linger) gets no
-	// reply — the paper's receiver speaks only when "it receives the last
-	// packet" (§3.2.2). The window being judged ends at the highest
-	// FlagLast sequence seen so far: in every window's first round the true
-	// final packet carries FlagLast, and later rounds may flag an earlier
-	// packet (the reliable last of a partial or selective retransmission,
-	// §3.2.3) without shrinking the window under judgement.
-	respond := func(pkt *wire.Packet) *wire.Packet {
-		if !pkt.IsLast() {
-			return nil
-		}
-		if e := int(pkt.Seq) + 1; e > high {
-			high = e
-		}
-		windowEnd := high
+	// filled reports whether the window being judged has no gap left. That
+	// window ends at the highest FlagLast sequence seen so far: in every
+	// window's first round the true final packet carries FlagLast, and later
+	// rounds may flag an earlier packet (the reliable last of a partial or
+	// selective retransmission, §3.2.3) without shrinking the window under
+	// judgement.
+	filled := func() bool {
 		for firstMissing < n && got[firstMissing] {
 			firstMissing++
 		}
-		if firstMissing >= windowEnd {
-			return c.fillAck(ack, windowEnd, n)
-		}
-		if c.Strategy == FullNoNak {
-			return nil // §3.2.1: no negative acknowledgements
-		}
+		return firstMissing >= high
+	}
+	// nak builds the strategy's NAK for the gaps below high, answering the
+	// FlagLast that arrived at flagAt.
+	nak := func(flagAt time.Duration) *wire.Packet {
 		var missing []uint32
 		if c.Strategy == Selective {
-			for seq := firstMissing; seq < windowEnd; seq++ {
+			for seq := firstMissing; seq < high; seq++ {
 				if !got[seq] {
 					missing = append(missing, uint32(seq))
 				}
 			}
 		}
-		nak, err := c.nakPacket(firstMissing, n, missing)
+		p, err := c.nakPacket(firstMissing, n, missing)
 		if err != nil {
 			// Bitmap too wide for one NAK: degrade to go-back-n.
-			nak, _ = c.nakPacket(firstMissing, n, nil)
+			p, _ = c.nakPacket(firstMissing, n, nil)
 		}
-		return nak
+		nakEnd, nakAt = high, flagAt
+		return p
+	}
+	// respond builds the strategy's reply to a data packet, or nil. The
+	// paper's receiver speaks only when "it receives the last packet"
+	// (§3.2.2); the one other packet answered is the one that fills a held
+	// window's last gap. FullNoNak never NAKs (§3.2.1), so it never holds.
+	// A FlagLast during a hold is the sender's retry: its timer has run out,
+	// so the held verdict goes at once.
+	respond := func(pkt *wire.Packet) *wire.Packet {
+		if !pkt.IsLast() {
+			if held && filled() {
+				held = false
+				return c.fillAck(ack, high, n)
+			}
+			return nil
+		}
+		if e := int(pkt.Seq) + 1; e > high {
+			high = e
+		}
+		if filled() {
+			held = false
+			return c.fillAck(ack, high, n)
+		}
+		if c.Strategy == FullNoNak {
+			return nil
+		}
+		if held {
+			held = false
+			return nak(heldAt)
+		}
+		if reo > 0 {
+			held, heldAt = true, env.Now()
+			return nil
+		}
+		return nak(env.Now())
+	}
+	answer := func(reply *wire.Packet) error {
+		if reply == nil {
+			return nil
+		}
+		if err := env.Send(reply); err != nil {
+			return err
+		}
+		if reply.Type == wire.TypeAck {
+			res.AcksSent++
+		} else {
+			res.NaksSent++
+		}
+		return nil
 	}
 
 	for count < n {
-		pkt, err := recvOwn(env, c.TransferID, wait)
+		w := wait
+		if held {
+			if w = heldAt + reo - env.Now(); w <= 0 {
+				// The reorder window has passed with gaps still open:
+				// they are lost.
+				held = false
+				if err := answer(nak(heldAt)); err != nil {
+					return res, err
+				}
+				continue
+			}
+		}
+		pkt, err := recvOwn(env, c.TransferID, w)
+		if held && IsTimeout(err) {
+			continue // the hold has run out: its NAK goes above
+		}
 		if err != nil {
 			res.Elapsed = env.Now() - start
 			return res, fmt.Errorf("blast receiver idle with %d/%d packets: %w", count, n, err)
@@ -382,21 +454,19 @@ func recvBlast(env Env, c Config) (RecvResult, error) {
 		res.DataPackets++
 		seq := int(pkt.Seq)
 		if seq >= 0 && seq < n && !got[seq] {
+			if seq < nakEnd && pkt.Attempt == 0 {
+				// A NAK reported this packet missing, yet its first
+				// transmission came: it was late, not lost.
+				reo = max(reo, env.Now()-nakAt, rtoFloor)
+			}
 			got[seq] = true
 			count++
 			deliverChunk(&res, c, pkt)
 		} else {
 			res.Duplicates++
 		}
-		if reply := respond(pkt); reply != nil {
-			if err := env.Send(reply); err != nil {
-				return res, err
-			}
-			if reply.Type == wire.TypeAck {
-				res.AcksSent++
-			} else {
-				res.NaksSent++
-			}
+		if err := answer(respond(pkt)); err != nil {
+			return res, err
 		}
 	}
 	res.Completed = true

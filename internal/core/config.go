@@ -144,7 +144,7 @@ type Config struct {
 
 	// Controller names the rate-control policy that drives a blast transfer
 	// instead of the fixed Window: one of the built-in RateController
-	// policies ("aimd", "bbr", "autotune"; see ratecontrol.go) whose window
+	// policies ("aimd", "autotune"; see ratecontrol.go) whose window
 	// size reacts to observed NAKs, retransmissions and timeouts, with the
 	// retransmission interval learned online (AdaptiveTr is implied).
 	// Window, when set, seeds the controller's initial window.

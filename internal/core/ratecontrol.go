@@ -39,11 +39,6 @@ const (
 	// NAK-repaired loss cuts it to 3/4, and heavy loss with a silent
 	// timeout quarters it.
 	ControllerAIMD = "aimd"
-	// ControllerBBR is the loss-tolerant, probing BBR-flavoured policy
-	// (bbr.go): modest random loss does not collapse the window, only a run
-	// of lossy windows drains it, and a steady window probes additively for
-	// freed capacity once per eight-window cycle.
-	ControllerBBR = "bbr"
 	// ControllerAutotune is the probing auto-tuner (autotune.go): a seeded
 	// hill-climb perturbs the window online with accept/revert epochs,
 	// after Arslan & Kosar's heuristic protocol tuning.
@@ -52,7 +47,9 @@ const (
 
 // controllers is the fixed policy table, in ControllerNames order: each
 // built-in policy's name, its stable wire id (the REQ policy byte) and the
-// constructor of a fresh controller for one transfer.
+// constructor of a fresh controller for one transfer. Id 2 is retired, never
+// reused: it named a policy since deleted, and like any unknown id it now
+// degrades to aimd.
 var controllers = [...]struct {
 	name  string
 	id    uint8
@@ -60,7 +57,6 @@ var controllers = [...]struct {
 }{
 	{ControllerAIMD, 1, func(cfg ControllerConfig) RateController { return NewController(cfg) }},
 	{ControllerAutotune, 3, func(cfg ControllerConfig) RateController { return newAutotuneController(cfg) }},
-	{ControllerBBR, 2, func(cfg ControllerConfig) RateController { return newBBRController(cfg) }},
 }
 
 // controllerIndex returns name's row of the policy table, or -1.

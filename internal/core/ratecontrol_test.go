@@ -13,7 +13,7 @@ import (
 // The policy table's order is deterministic (sorted), repeatable, and
 // contains exactly the built-in policies.
 func TestControllerRegistryDeterministicOrder(t *testing.T) {
-	want := []string{ControllerAIMD, ControllerAutotune, ControllerBBR}
+	want := []string{ControllerAIMD, ControllerAutotune}
 	first := ControllerNames()
 	if !reflect.DeepEqual(first, want) {
 		t.Fatalf("ControllerNames() = %v, want %v", first, want)
@@ -32,7 +32,7 @@ func TestUnknownControllerRejected(t *testing.T) {
 	if !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("unknown controller: err = %v, want ErrBadConfig", err)
 	}
-	if !strings.Contains(err.Error(), `"warp"`) || !strings.Contains(err.Error(), ControllerBBR) {
+	if !strings.Contains(err.Error(), `"warp"`) || !strings.Contains(err.Error(), ControllerAutotune) {
 		t.Errorf("error should name the offender and the registered policies: %v", err)
 	}
 	for _, name := range ControllerNames() {
@@ -62,6 +62,10 @@ func TestControllerPolicyHandshakeRoundTrip(t *testing.T) {
 	// A policy id this build does not know degrades to aimd, never a refusal.
 	if got := ConfigOf(7, wire.Req{Bytes: 1 << 20, Adaptive: 29}); got.Controller != ControllerAIMD {
 		t.Errorf("unknown policy id resolved to %q, want aimd", got.Controller)
+	}
+	// Id 2 is retired: it is served as any unknown id is.
+	if got := ControllerNameOf(2); got != ControllerAIMD {
+		t.Errorf("retired policy id 2 resolved to %q, want aimd", got)
 	}
 	if got := ConfigOf(7, wire.Req{Bytes: 1 << 20}); got.Controller != "" {
 		t.Errorf("policy 0 resolved to %q, want fixed schedule", got.Controller)
