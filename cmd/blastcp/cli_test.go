@@ -102,7 +102,7 @@ var pushedRE = regexp.MustCompile(`(?m)^pushed (\d+) bytes in \S+ \([0-9.]+ MB/s
 // the file source, a window derived from the socket buffer) — to a blastd
 // -out, which must hold the identical bytes; blastcp prints the file's
 // checksum and exits 0. A file that is not there is a usage error with its
-// taxonomy line, not a fatal log, and so is a policy that was retired. And
+// taxonomy line, not a fatal log, and so is a retired policy or flag. And
 // the daemon's exit summary is keyed by host (six runs from six ephemeral
 // ports are one peer), reports the inbox drop count, and arrives within a
 // second of SIGTERM.
@@ -162,12 +162,17 @@ func TestPushThroughTheBinaries(t *testing.T) {
 	if !strings.HasPrefix(stderr.String(), "blastcp: "+exitLabel(exitUsage)+": ") {
 		t.Errorf("pushing a missing file printed %q, want the %q taxonomy line", stderr.String(), exitLabel(exitUsage))
 	}
-	stderr.Reset()
-	cmd = exec.Command(blastcp, "-to", d.addr, "-pull", "1000", "-controller", "bbr")
-	cmd.Stderr = &stderr
-	err = cmd.Run()
-	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != exitUsage || !strings.Contains(stderr.String(), "unknown controller") {
-		t.Errorf("pulling under the retired bbr policy: %v, %q; want exit code %d naming an unknown controller", err, stderr.String(), exitUsage)
+	// Retired options are usage errors: the bbr policy, -repair (-resume is
+	// the one recovery switch) and -gap (the window is the only rate control).
+	for _, retired := range [][]string{{"-controller", "bbr", "unknown controller"}, {"-repair", "-repair"}, {"-gap", "1ms", "-gap"}} {
+		stderr.Reset()
+		args, want := retired[:len(retired)-1], retired[len(retired)-1]
+		cmd = exec.Command(blastcp, append([]string{"-to", d.addr, "-pull", "1000"}, args...)...)
+		cmd.Stderr = &stderr
+		err = cmd.Run()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != exitUsage || !strings.Contains(stderr.String(), want) {
+			t.Errorf("pulling with %v: %v, %q; want exit code %d naming %q", args, err, stderr.String(), exitUsage, want)
+		}
 	}
 
 	t0 := time.Now()

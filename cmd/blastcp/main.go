@@ -13,7 +13,7 @@
 //	blastcp -to 127.0.0.1:7025 -get data.bin -o local.bin            # named pull from -serve
 //	blastcp -to 127.0.0.1:7025 -get data.bin -streams 4              # striped named pull
 //	blastcp -to 127.0.0.1:7025 -pull 67108864 -resume                # survive a server restart
-//	blastcp -to 127.0.0.1:7025 -pull 268435456 -streams 4 -repair    # per-stripe repair
+//	blastcp -to 127.0.0.1:7025 -pull 268435456 -streams 4 -resume    # per-stripe repair
 //	blastcp -to 127.0.0.1:7025 -pull 65536 -sum 1a2b                 # verify the checksum
 //	blastcp -to A:7025 -copy data.bin -dest B:7025                   # third-party copy A→B
 //
@@ -142,7 +142,6 @@ func main() {
 		window    = flag.Int("window", 0, "multiblast window in packets (0: a pull is one blast; a push derives it, window x chunk <= 1/4 of the granted socket receive buffer)")
 		tr        = flag.Duration("tr", 200*time.Millisecond, "retransmission timeout")
 		id        = flag.Uint("id", 1, "transfer id")
-		gap       = flag.Duration("gap", 0, "pace data packets with this inter-packet gap")
 		batch     = flag.Int("batch", 32, "syscall batch size (sendmmsg/recvmmsg frame rings; 1 = single-syscall)")
 		tierName  = flag.String("tier", "auto", "cap the batched datapath tier: gso, mmsg, writeto, auto")
 		mtu       = flag.Int("mtu", 0, "max datagram size for jumbo chunks (0: default 2048)")
@@ -151,8 +150,7 @@ func main() {
 		ctrlName  = flag.String("controller", "", "rate-control policy: "+strings.Join(core.ControllerNames(), ", ")+" (empty: fixed schedule)")
 		lossTx    = flag.Float64("drop-tx", 0, "inject outbound loss (testing)")
 		lossRx    = flag.Float64("drop-rx", 0, "inject inbound loss (testing)")
-		resume    = flag.Bool("resume", false, "resume a pull across server crashes/restarts (offset REQs from the verified frontier)")
-		repair    = flag.Bool("repair", false, "striped pulls: resume a failed stripe instead of aborting its siblings")
+		resume    = flag.Bool("resume", false, "resume a pull across server crashes/restarts (offset REQs from the verified frontier; striped: a failed stripe resumes instead of aborting its siblings)")
 		wantSum   = flag.String("sum", "", "expected transfer checksum (4 hex digits); mismatch exits 6")
 	)
 	flag.Parse()
@@ -180,8 +178,8 @@ func main() {
 	if *copyName == "" && *destAddr != "" {
 		fail(exitUsage, "-dest applies to -copy only")
 	}
-	if *copyName != "" && (*streams > 1 || *outFile != "" || *resume || *repair) {
-		fail(exitUsage, "-streams, -o, -resume and -repair do not apply to -copy")
+	if *copyName != "" && (*streams > 1 || *outFile != "" || *resume) {
+		fail(exitUsage, "-streams, -o and -resume do not apply to -copy")
 	}
 	if *streams > 1 && *pushFile != "" {
 		fail(exitUsage, "-streams applies to pulls only")
@@ -189,8 +187,8 @@ func main() {
 	if *outFile != "" && *pushFile != "" {
 		fail(exitUsage, "-o applies to pulls only")
 	}
-	if (*resume || *repair) && *pushFile != "" {
-		fail(exitUsage, "-resume and -repair apply to pulls only")
+	if *resume && *pushFile != "" {
+		fail(exitUsage, "-resume applies to pulls only")
 	}
 	var expectSum uint16
 	if *wantSum != "" {
@@ -289,8 +287,7 @@ func main() {
 			Tier:      tier,
 			MTU:       *mtu,
 			SocketBuf: *sockbuf,
-			PacketGap: *gap,
-			Repair:    *repair || *resume,
+			Repair:    *resume,
 		}
 		if *lossTx > 0 {
 			opts.MangleTx = func(i int) func(*wire.Packet) params.Mangle {
@@ -369,7 +366,6 @@ func main() {
 		failErr("dial", err)
 	}
 	defer e.Close()
-	e.SetPacketGap(*gap)
 	if *mtu > 0 {
 		if err := e.SetMTU(*mtu); err != nil {
 			fail(exitUsage, "-mtu: %v", err)

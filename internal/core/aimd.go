@@ -63,8 +63,8 @@ type ControllerConfig struct {
 	InitWindow int
 	// Seed parameterises policies that draw pseudo-random decisions (the
 	// autotune hill-climb's perturbation order). Zero selects a fixed
-	// default, so an unseeded controller is still deterministic. The
-	// controlled sender seeds it from the transfer id: both substrates of a
+	// default, so an unseeded controller is still deterministic. The blast
+	// sender seeds it from the transfer id: both substrates of a
 	// conformance pair see the same id, hence the same decision sequence.
 	Seed int64
 }

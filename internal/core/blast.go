@@ -10,73 +10,68 @@ import (
 // sendBlast implements the paper's blast sender: all data packets are
 // transmitted in sequence with a single acknowledgement for the entire
 // sequence (Figure 1, Figure 3.b), under one of the four retransmission
-// strategies of §3.2. When Config.Window is set, the transfer is broken
-// into multiple blasts (§3.1.3), each completed before the next begins.
+// strategies of §3.2. The transfer is broken into multiple blasts (§3.1.3),
+// each completed before the next begins. Under pluggable rate control
+// (Config.Controller) each window's size comes from the policy and each
+// completed window's recovery cost feeds back into it; with no policy every
+// window is Config.Window packets, or the whole transfer when that is 0. The
+// receiver needs no changes — it judges windows by the high-water FlagLast
+// sequence, whatever their sizes.
 //
 // async selects Figure 3.d semantics: unreliable packets are handed to the
 // interface with SendAsync so that a double-buffered interface overlaps the
 // copy of packet k+1 with the transmission of packet k.
 func sendBlast(env Env, c Config, async bool) (SendResult, error) {
-	if c.Controller != "" {
-		return sendBlastControlled(env, c, async)
-	}
 	start := env.Now()
 	n := c.NumPackets()
+	// A nil policy is a fixed window of w packets.
+	var ctrl RateController
+	var err error
 	w := c.Window
 	if w <= 0 || w > n {
 		w = n
 	}
-	b := newBlastTx(env, c, async)
-	var err error
-	for base := 0; base < n && err == nil; base += w {
-		err = b.window(base, min(base+w, n), min(base+2*w, n))
+	if c.Controller != "" {
+		// The hill-climbing policy draws its perturbation order from the
+		// seed; both substrates of a conformance pair share the transfer id,
+		// so they share the search trajectory too.
+		if ctrl, err = NewRateController(c.Controller, ControllerConfig{InitWindow: c.Window, Seed: int64(c.TransferID)}); err != nil {
+			return SendResult{}, err
+		}
+		// A controlled transfer subsumes AdaptiveTr: the fixed Tr only
+		// seeds the estimator (see aimd.go).
+		c.AdaptiveTr = true
 	}
-	b.res.Elapsed = env.Now() - start
-	b.res.SRTT = b.est.smoothed()
-	return b.res, err
-}
-
-// sendBlastControlled is the blast sender under pluggable rate control
-// (Config.Controller): each window's size comes from the policy and each
-// completed window's recovery cost feeds back into it. The receiver needs
-// no changes — it judges windows by the high-water FlagLast sequence,
-// whatever their sizes.
-func sendBlastControlled(env Env, c Config, async bool) (SendResult, error) {
-	start := env.Now()
-	n := c.NumPackets()
-	// The hill-climbing policy draws its perturbation order from the seed;
-	// both substrates of a conformance pair share the transfer id, so they
-	// share the search trajectory too.
-	ctrl, err := NewRateController(c.Controller, ControllerConfig{InitWindow: c.Window, Seed: int64(c.TransferID)})
-	if err != nil {
-		return SendResult{}, err
-	}
-	// A controlled transfer subsumes AdaptiveTr: the fixed Tr only seeds
-	// the estimator (see aimd.go).
-	c.AdaptiveTr = true
 	b := newBlastTx(env, c, async)
 	res := &b.res
 	for base := 0; base < n; {
-		end := min(base+ctrl.Window(), n)
+		if ctrl != nil {
+			w = ctrl.Window()
+		}
+		end := min(base+w, n)
 		before := *res
-		// The next window is staged at the size the policy would pick now;
-		// should this window's outcome change it, window releases what still
-		// fits and sends or drops the difference.
-		if err = b.window(base, end, min(end+ctrl.Window(), n)); err != nil {
+		// The next window is staged at the size the policy picks now; should
+		// this window's outcome change it, window releases what still fits
+		// and sends or drops the difference.
+		if err = b.window(base, end, min(end+w, n)); err != nil {
 			break
 		}
-		ctrl.Observe(WindowObs{
-			Packets:     end - base,
-			Retransmits: res.Retransmits - before.Retransmits,
-			Naks:        res.NaksReceived - before.NaksReceived,
-			Timeouts:    res.Timeouts - before.Timeouts,
-		})
+		if ctrl != nil {
+			ctrl.Observe(WindowObs{
+				Packets:     end - base,
+				Retransmits: res.Retransmits - before.Retransmits,
+				Naks:        res.NaksReceived - before.NaksReceived,
+				Timeouts:    res.Timeouts - before.Timeouts,
+			})
+		}
 		base = end
 	}
 	res.Elapsed = env.Now() - start
 	res.SRTT = b.est.smoothed()
-	st := ctrl.Stats()
-	res.Controller = &st
+	if ctrl != nil {
+		st := ctrl.Stats()
+		res.Controller = &st
+	}
 	return *res, err
 }
 

@@ -65,6 +65,9 @@ func TestStaleNakIsNotTheWindowsAnswer(t *testing.T) {
 				if got := strings.Join(env.log, " "); strings.Contains(got, "/1") {
 					t.Errorf("wire log re-sends after the straggler: %s", got)
 				}
+				if (controller == "") != (res.Controller == nil) {
+					t.Errorf("policy %q reported controller stats %v", controller, res.Controller)
+				}
 				if st := res.Controller; st != nil && (st.Growths != st.Windows || st.Holds+st.Cuts != 0) {
 					t.Errorf("controller saw a lossy window: %+v", *st)
 				}

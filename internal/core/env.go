@@ -74,8 +74,8 @@ type Env interface {
 // TestFlushGeometryGSOCompatible.
 //
 // Where a window's frames flush is the substrate's business: the sender
-// flushes once per window, and no policy splits a window into more
-// syscalls or spaces its packets in time.
+// flushes once per window, no policy splits a window into more syscalls,
+// and nothing spaces its packets in time.
 type Datapath interface {
 	FlushBatch() error
 }
@@ -90,7 +90,7 @@ type Datapath interface {
 // stage, so virtual-time results do not depend on it.
 //
 // Stage reports false when the substrate will not stage (the stage is full,
-// or packets are being paced or mangled one by one). Staged is how many
+// or packets are being mangled one by one). Staged is how many
 // frames a release may put on the wire now — zero whenever Stage would
 // refuse. ReleaseStaged sends the first n staged frames, in staging order and
 // in the flush units of ordinary sends, and forgets the rest.

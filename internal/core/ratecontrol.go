@@ -18,10 +18,10 @@ import (
 // events must produce the same window trajectory on the simulator, the V
 // kernel and real UDP; the cross-substrate conformance suite pins that for
 // every built-in policy, and the DES contention sweep's bit-identical
-// parallelism depends on it. Spacing packets in time is the operator's
-// (a substrate's configured packet gap), never a policy's.
+// parallelism depends on it. The window is the only rate control: nothing
+// spaces packets in time.
 
-// RateController is the pluggable policy the controlled blast sender drives:
+// RateController is the pluggable policy the blast sender drives:
 // before each window it asks Window (size in packets); after each window it
 // feeds back one WindowObs. Stats summarises the trajectory for
 // SendResult.Controller. Controllers are used from the sender's goroutine

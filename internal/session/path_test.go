@@ -52,3 +52,19 @@ func TestPathTable(t *testing.T) {
 		t.Errorf("host h: %v, want the last RTT put, 2ms", got)
 	}
 }
+
+// The demux loop looks up every burst's session by its raw key bytes: a hit
+// or a miss costs no allocation, even past the 32 bytes a conversion may
+// borrow from the stack.
+func TestSessionTableGetAllocatesNothing(t *testing.T) {
+	const key = "[fd00:1234:5678:9abc:def0:1234:5678:9abc]:40000/"
+	table := &sessionTable{m: map[string]*session{key + "1": {key: key + "1"}}}
+	hit, miss := []byte(key+"1"), []byte(key+"2")
+	if allocs := testing.AllocsPerRun(100, func() {
+		if table.get(hit) == nil || table.get(miss) != nil {
+			t.Fatal("lookup returned the wrong session")
+		}
+	}); allocs != 0 {
+		t.Errorf("get allocated %v times per hit and miss, want 0", allocs)
+	}
+}

@@ -1,26 +1,24 @@
 // Package session is the substrate-agnostic transport/session layer: the
 // serving machinery that used to live inside internal/udplan — one demux
-// loop, a GOMAXPROCS-sharded session table, per-session bodies running the
+// loop with its own session table, per-session bodies running the
 // unmodified core protocol engines, REQ-only session opening, streaming
 // Source/SinkStream handlers and stripe-range resolution — lifted above the
-// wire so the same sharded server runs over real UDP sockets, the
-// discrete-event simulator and the V kernel's simulated cluster. Substrates
-// plug in through the small interfaces of internal/transport; everything
-// here is wire-agnostic.
+// wire so the same server runs over real UDP sockets, the discrete-event
+// simulator and the V kernel's simulated cluster. Substrates plug in through
+// the small interfaces of internal/transport; everything here is
+// wire-agnostic.
 //
 // This mirrors how large-scale transfer services separate the transfer
 // orchestrator from the substrate (Globus and XRootD both serve many
 // concurrent movers above a pluggable data channel), and it is what makes
-// scale behaviour — session capacity, shard contention, many-client
-// fairness — reproducible deterministically on the simulator (see
-// simrun.LoadScenario).
+// scale behaviour — session capacity, many-client fairness — reproducible
+// deterministically on the simulator (see simrun.LoadScenario).
 package session
 
 import (
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -315,7 +313,7 @@ type session struct {
 // (listener closed, idle bound reached with nothing in flight, or drain
 // completed) and blocks until every session body has returned.
 func (s *Server) Run(l transport.Listener) error {
-	table := newSessionTable()
+	table := &sessionTable{m: make(map[string]*session)}
 	defer func() {
 		table.hangupAll()
 		l.Drain()
@@ -627,83 +625,41 @@ func (s *Server) serve(env core.Env, idle time.Duration, peer transport.Peer) er
 	return nil
 }
 
-// sessionTable is the sharded session map: one shard per GOMAXPROCS so
-// concurrent completions and lookups do not serialise on a single lock.
-// (On the simulator everything runs under handoff scheduling, so the locks
-// never contend and shard count cannot affect results.)
+// sessionTable is one demux loop's session map. The loop alone looks
+// sessions up and puts them in; a finished session removes itself from its
+// own goroutine, so one mutex guards the map.
 type sessionTable struct {
-	shards []tableShard
-}
-
-type tableShard struct {
 	mu sync.Mutex
 	m  map[string]*session
 }
 
-func newSessionTable() *sessionTable {
-	n := runtime.GOMAXPROCS(0)
-	if n < 1 {
-		n = 1
-	}
-	t := &sessionTable{shards: make([]tableShard, n)}
-	for i := range t.shards {
-		t.shards[i].m = make(map[string]*session)
-	}
-	return t
-}
-
-// fnv-1a over the two key forms; identical results so lookups never copy.
-func hashKeyBytes(k []byte) uint32 {
-	h := uint32(2166136261)
-	for _, b := range k {
-		h ^= uint32(b)
-		h *= 16777619
-	}
-	return h
-}
-
-func hashKeyString(k string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(k); i++ {
-		h ^= uint32(k[i])
-		h *= 16777619
-	}
-	return h
-}
-
 // get looks a session up by raw key bytes without allocating.
 func (t *sessionTable) get(k []byte) *session {
-	sh := &t.shards[hashKeyBytes(k)%uint32(len(t.shards))]
-	sh.mu.Lock()
-	s := sh.m[string(k)]
-	sh.mu.Unlock()
+	t.mu.Lock()
+	s := t.m[string(k)]
+	t.mu.Unlock()
 	return s
 }
 
 func (t *sessionTable) put(s *session) {
-	sh := &t.shards[hashKeyString(s.key)%uint32(len(t.shards))]
-	sh.mu.Lock()
-	sh.m[s.key] = s
-	sh.mu.Unlock()
+	t.mu.Lock()
+	t.m[s.key] = s
+	t.mu.Unlock()
 }
 
 func (t *sessionTable) remove(key string) {
-	sh := &t.shards[hashKeyString(key)%uint32(len(t.shards))]
-	sh.mu.Lock()
-	delete(sh.m, key)
-	sh.mu.Unlock()
+	t.mu.Lock()
+	delete(t.m, key)
+	t.mu.Unlock()
 }
 
 // hangupAll closes every live session's inbox (the demux loop has stopped;
 // sessions drain and exit).
 func (t *sessionTable) hangupAll() {
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for k, s := range sh.m {
-			s.conn.Hangup()
-			delete(sh.m, k)
-		}
-		sh.mu.Unlock()
+	t.mu.Lock()
+	for k, s := range t.m {
+		s.conn.Hangup()
+		delete(t.m, k)
 	}
+	t.mu.Unlock()
 }

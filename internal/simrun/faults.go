@@ -8,7 +8,6 @@ import (
 	"blastlan/internal/core"
 	"blastlan/internal/params"
 	"blastlan/internal/session"
-	"blastlan/internal/stats"
 	"blastlan/internal/wire"
 )
 
@@ -65,10 +64,8 @@ type FaultScenario struct {
 	MaxBusyWaits int
 	Backoff      time.Duration
 	// Seed drives every stochastic choice (sizes, strategies, arrivals,
-	// backoff jitter). Trial t of Sample uses Seed+t.
+	// backoff jitter).
 	Seed int64
-	// Trials is the Sample batch size (default 1).
-	Trials int
 }
 
 // withFaultDefaults fills the zero fields: a load scenario's defaults,
@@ -81,8 +78,8 @@ func (sc FaultScenario) withFaultDefaults() FaultScenario {
 		sc.Backoff = 20 * time.Millisecond
 	}
 	d := LoadScenario{N: sc.N, Bytes: sc.Bytes, Strategies: sc.Strategies, Chunk: sc.Chunk, Tr: sc.Tr,
-		Concurrency: sc.Concurrency, Trials: sc.Trials}.withLoadDefaults()
-	sc.Bytes, sc.Strategies, sc.Chunk, sc.Tr, sc.Concurrency, sc.Trials = d.Bytes, d.Strategies, d.Chunk, d.Tr, d.Concurrency, d.Trials
+		Concurrency: sc.Concurrency}.withLoadDefaults()
+	sc.Bytes, sc.Strategies, sc.Chunk, sc.Tr, sc.Concurrency = d.Bytes, d.Strategies, d.Chunk, d.Tr, d.Concurrency
 	return sc
 }
 
@@ -269,46 +266,4 @@ func (sc FaultScenario) run(sub substrate, keep bool) (FaultResult, error) {
 	}
 	out.Makespan = span.span()
 	return out, nil
-}
-
-// FaultStats merges a batch of independent seeded fault trials, folded in
-// trial-index order so the result is bit-identical at any worker count.
-type FaultStats struct {
-	Trials    int
-	Makespan  stats.Durations
-	Completed int64
-	Crashes   int64
-	Sessions  int64
-	BusyWaits int64
-	Resumed   int64
-	Dups      int64
-}
-
-// Sample runs the scenario's Trials independent instances (trial t seeded
-// Seed+t) fanned across workers (0 or negative: GOMAXPROCS), merging in
-// index order.
-func (sc FaultScenario) Sample(workers int) (FaultStats, error) {
-	sc = sc.withFaultDefaults()
-	results := make([]FaultResult, sc.Trials)
-	err := Pool(sc.Trials, workers, func(_, t int) (err error) {
-		s := sc
-		s.Seed = sc.Seed + int64(t)
-		results[t], err = s.Run()
-		return err
-	})
-	var agg FaultStats
-	if err != nil {
-		return agg, err
-	}
-	for _, r := range results {
-		agg.Trials++
-		agg.Makespan.Add(r.Makespan)
-		agg.Completed += int64(r.Completed)
-		agg.Crashes += int64(r.Crashes)
-		agg.Sessions += int64(r.Sessions)
-		agg.BusyWaits += int64(r.BusyWaits)
-		agg.Resumed += int64(r.Resumed)
-		agg.Dups += int64(r.Dups)
-	}
-	return agg, nil
 }

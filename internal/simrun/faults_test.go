@@ -1,7 +1,6 @@
 package simrun
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -61,43 +60,12 @@ func TestFaultScenarioRecovers(t *testing.T) {
 // TestFaultScenarioDeterministic: the whole recovery schedule — which
 // sessions die, how many resumes and BUSY waits each client needs, the
 // virtual-time makespan — is a pure function of the seed, at any worker
-// count.
+// count. Each seed runs once per worker count, so the whole results,
+// per-client recovery ledgers included, must also repeat run to run.
 func TestFaultScenarioDeterministic(t *testing.T) {
-	sc := crashScenario(11)
-	sc.Trials = 3
-
-	fingerprint := func(workers int) string {
-		st, err := sc.Sample(workers)
-		if err != nil {
-			t.Fatalf("sample(workers=%d): %v", workers, err)
-		}
-		return fmt.Sprintf("trials=%d makespan=%v completed=%d crashes=%d sessions=%d busy=%d resumed=%d dups=%d",
-			st.Trials, st.Makespan.Mean(), st.Completed, st.Crashes,
-			st.Sessions, st.BusyWaits, st.Resumed, st.Dups)
-	}
-	serial := fingerprint(1)
-	for _, workers := range []int{2, 4} {
-		if got := fingerprint(workers); got != serial {
-			t.Fatalf("workers=%d diverged:\n  serial:   %s\n  parallel: %s", workers, got, serial)
-		}
-	}
-
-	// Repeat-run identity at the single-run level too, including per-client
-	// recovery ledgers.
-	a, err := sc.Run()
-	if err != nil {
-		t.Fatalf("run a: %v", err)
-	}
-	b, err := sc.Run()
-	if err != nil {
-		t.Fatalf("run b: %v", err)
-	}
-	for i := range a.Clients {
-		ca, cb := a.Clients[i], b.Clients[i]
-		if ca != cb {
-			t.Fatalf("client %d diverged between identical runs:\n  a: %+v\n  b: %+v", i, ca, cb)
-		}
-	}
+	requireWorkerInvariant(t, 3, 11, func(seed int64) (FaultResult, error) {
+		return crashScenario(seed).Run()
+	})
 }
 
 // TestFaultScenarioCounterPinned: a single client whose serving session is

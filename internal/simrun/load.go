@@ -8,7 +8,6 @@ import (
 	"blastlan/internal/params"
 	"blastlan/internal/session"
 	"blastlan/internal/sim"
-	"blastlan/internal/stats"
 )
 
 // LoadScenario is a many-client load experiment: N seeded clients with
@@ -59,10 +58,8 @@ type LoadScenario struct {
 	// inactive adversary leaves the client clean).
 	ClientAdversary func(i int) params.Adversary
 	// Seed drives every stochastic choice (sizes, strategies, arrivals,
-	// adversaries). Trial t of Sample uses Seed+t.
+	// adversaries).
 	Seed int64
-	// Trials is the Sample batch size (default 1).
-	Trials int
 }
 
 // withLoadDefaults fills the zero fields.
@@ -84,9 +81,6 @@ func (sc LoadScenario) withLoadDefaults() LoadScenario {
 	}
 	if sc.Concurrency <= 0 {
 		sc.Concurrency = 4
-	}
-	if sc.Trials <= 0 {
-		sc.Trials = 1
 	}
 	return sc
 }
@@ -258,53 +252,4 @@ func (sc LoadScenario) run(sub substrate, keep bool) (LoadResult, error) {
 	out.Makespan = span.span()
 	out.Fairness = jain(rates)
 	return out, nil
-}
-
-// LoadStats merges a batch of independent seeded load trials, folded
-// strictly in trial-index order so the result is bit-identical at any
-// worker count.
-type LoadStats struct {
-	Trials    int
-	Makespan  stats.Durations
-	Served    int64
-	Completed int64
-	DataSent  int64
-	Retrans   int64
-	// FairnessMean averages Jain's index across trials.
-	FairnessMean float64
-}
-
-// Sample runs the scenario's Trials independent instances (trial t seeded
-// Seed+t) fanned across workers (0 or negative: GOMAXPROCS via the same
-// convention as SampleWorkers), merging in index order.
-func (sc LoadScenario) Sample(workers int) (LoadStats, error) {
-	sc = sc.withLoadDefaults()
-	if sc.ClientAdversary != nil || sc.Adversary.Script != nil {
-		workers = 1 // callback hooks are not goroutine-safe
-	}
-	results := make([]LoadResult, sc.Trials)
-	err := Pool(sc.Trials, workers, func(_, t int) (err error) {
-		s := sc
-		s.Seed = sc.Seed + int64(t)
-		results[t], err = s.Run()
-		return err
-	})
-	var agg LoadStats
-	if err != nil {
-		return agg, err
-	}
-	var fairSum float64
-	for _, r := range results {
-		agg.Trials++
-		agg.Makespan.Add(r.Makespan)
-		agg.Served += int64(r.Served)
-		agg.Completed += int64(r.Completed)
-		agg.DataSent += int64(r.Agg.DataSent)
-		agg.Retrans += int64(r.Agg.Retransmits)
-		fairSum += r.Fairness
-	}
-	if agg.Trials > 0 {
-		agg.FairnessMean = fairSum / float64(agg.Trials)
-	}
-	return agg, nil
 }

@@ -21,7 +21,28 @@ func loadScenario64() LoadScenario {
 		Arrival:     200 * time.Millisecond,
 		Concurrency: 8,
 		Seed:        7,
-		Trials:      3,
+	}
+}
+
+// requireWorkerInvariant runs n trials of run through Pool, trial t seeded
+// seed+t, at 1, 2, 4 and 8 workers, and fails unless every worker count
+// yields the results of 1 worker.
+func requireWorkerInvariant[R any](t *testing.T, n int, seed int64, run func(seed int64) (R, error)) {
+	t.Helper()
+	var serial []R
+	for _, workers := range []int{1, 2, 4, 8} {
+		got := make([]R, n)
+		if err := Pool(n, workers, func(_, i int) (err error) {
+			got[i], err = run(seed + int64(i))
+			return err
+		}); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if serial == nil {
+			serial = got
+		} else if !reflect.DeepEqual(got, serial) {
+			t.Fatalf("workers=%d diverged from 1 worker:\n  1: %+v\n  %d: %+v", workers, serial, workers, got)
+		}
 	}
 }
 
@@ -110,8 +131,8 @@ func TestLoadScenarioAdversarial(t *testing.T) {
 
 // TestLoadScenarioDeterministic is the acceptance regression: the 64-client
 // scenario is bit-identical run to run (the DES handoff schedule admits no
-// nondeterminism at any GOMAXPROCS), and the trial sampler merges to
-// bit-identical aggregates at any worker count.
+// nondeterminism at any GOMAXPROCS), and a batch of seeded trials yields
+// bit-identical results at any worker count.
 func TestLoadScenarioDeterministic(t *testing.T) {
 	sc := loadScenario64()
 	a, err := sc.Run()
@@ -129,15 +150,9 @@ func TestLoadScenarioDeterministic(t *testing.T) {
 		t.Fatalf("completed %d of %d", a.Completed, sc.N)
 	}
 
-	seq, err := sc.Sample(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := sc.Sample(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("load sampler diverges across worker counts:\nseq %+v\npar %+v", seq, par)
-	}
+	requireWorkerInvariant(t, 3, sc.Seed, func(seed int64) (LoadResult, error) {
+		s := sc
+		s.Seed = seed
+		return s.Run()
+	})
 }

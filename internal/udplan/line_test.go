@@ -62,7 +62,7 @@ func TestLineRateBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The line is the floor (minus the 64 KiB burst allowance); CPU noise
-	// only adds. A generous 60% of ideal catches a pacer that stopped
+	// only adds. A generous 60% of ideal catches a line model that stopped
 	// engaging without flaking on scheduler jitter.
 	if single < ideal*6/10 {
 		t.Fatalf("single pull took %v, faster than the %v line permits (ideal %v)", single, ideal*6/10, ideal)

@@ -173,10 +173,14 @@ func TestPushForceCloseDiscardsPartialFile(t *testing.T) {
 		t.Skipf("dial: %v", err)
 	}
 	defer e.Close()
-	// Pace the client so the server can be killed mid-transfer.
-	e.SetPacketGap(2 * time.Millisecond)
 	cfg := loopCfg(4243, randomPayload(256*1024, 99), core.Blast, core.Selective)
 	cfg.MaxAttempts = 3
+	// A slow source keeps the push under way while the server is killed.
+	payload := cfg.Payload
+	cfg.Payload, cfg.Source = nil, func(seq int, _ []byte) []byte {
+		time.Sleep(2 * time.Millisecond)
+		return payload[seq*1000 : min(seq*1000+1000, len(payload))]
+	}
 	pushErr := make(chan error, 1)
 	go func() {
 		_, err := Push(e, cfg)

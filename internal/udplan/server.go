@@ -24,9 +24,9 @@ import (
 // (NewMultiServer over ListenReuseport), Run drives one independent demux
 // loop per socket with kernel-hashed flow steering — the single-demux
 // bottleneck removed once per-packet cost is amortised. All the serving
-// machinery (sharded session table, REQ-only admission, streaming handlers,
-// stripe-range resolution, graceful drain) is shared with the simulator
-// substrate; only the socket/syscall specifics live here.
+// machinery (a session table per demux loop, REQ-only admission, streaming
+// handlers, stripe-range resolution, graceful drain) is shared with the
+// simulator substrate; only the socket/syscall specifics live here.
 type Server struct {
 	// The shared serving machinery — handler hooks, limits, drain and
 	// accounting are session.Server's, documented there.

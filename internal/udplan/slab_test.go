@@ -186,7 +186,6 @@ func pokeClosed(a *Endpoint) error {
 	if err := a.ReleaseStaged(8); err != nil {
 		return fmt.Errorf("ReleaseStaged on a closed endpoint: %v", err)
 	}
-	a.SetPacketGap(0)
 	_ = a.Batch()
 	return nil
 }

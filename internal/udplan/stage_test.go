@@ -189,10 +189,10 @@ func TestStagedBlastParity(t *testing.T) {
 	}
 }
 
-// Staging is for frames that go out back to back, untouched: a paced path
-// and an Endpoint whose sends pass an adversary refuse to stage, a stage
-// already filled becomes unreleasable the moment either is installed, and a
-// rebuilt ring forgets it.
+// Staging is for frames that go out back to back, untouched: an Endpoint
+// whose sends pass an adversary refuses to stage, a stage already filled
+// becomes unreleasable the moment one is installed, and a rebuilt ring
+// forgets it.
 func TestStageRefusals(t *testing.T) {
 	ea, _ := pipe(t)
 	ea.SetBatch(8)
@@ -207,11 +207,6 @@ func TestStageRefusals(t *testing.T) {
 	if got := stage(40); got != stageFactor*8 || ea.Staged() != got {
 		t.Fatalf("staged %d frames (Staged %d) into a stage of %d", got, ea.Staged(), stageFactor*8)
 	}
-	ea.SetPacketGap(time.Microsecond)
-	if ea.Stage(data(0, "paced")) || ea.Staged() != 0 {
-		t.Errorf("a paced path staged, or offers %d frames for release", ea.Staged())
-	}
-	ea.SetPacketGap(0)
 	ea.MangleTx = func(*wire.Packet) params.Mangle { return params.Mangle{} }
 	if ea.Stage(data(0, "mangled")) || ea.Staged() != 0 {
 		t.Errorf("an endpoint with MangleTx staged, or offers %d frames for release", ea.Staged())

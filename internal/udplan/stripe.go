@@ -38,8 +38,6 @@ type StripeOptions struct {
 	MTU int
 	// SocketBuf, when positive, raises each endpoint's kernel buffers.
 	SocketBuf int
-	// PacketGap paces each stripe's data packets (see Endpoint.SetPacketGap).
-	PacketGap time.Duration
 	// Sink, when non-nil, receives every distinct chunk at its
 	// logical-stream offset. Stripes deliver concurrently; calls are
 	// serialised. When nil the transfer is checksummed and discarded.
@@ -152,7 +150,6 @@ func (f *stripeFabric) dial(i int) (transport.Client, error) {
 	if opts.Batch > 1 {
 		e.SetBatch(opts.Batch)
 	}
-	e.SetPacketGap(opts.PacketGap)
 	if opts.Adversary.Active() {
 		if err := e.SetAdversary(opts.Adversary, opts.AdversarySeed+int64(i)); err != nil {
 			e.Close()

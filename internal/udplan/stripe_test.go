@@ -164,26 +164,24 @@ func TestStripedPullAdaptive(t *testing.T) {
 	}
 }
 
-// The adaptive sender over a real endpoint pair: scripted first-transmission
-// drops must engage the controller (window cuts), and still deliver the
-// payload intact.
-func TestAdaptiveSenderControllerOverUDP(t *testing.T) {
+// policyOverUDP runs a 256 KiB go-back-n transfer in 32-packet windows under
+// policy over a real endpoint pair, dropping a handful of identified first
+// transmissions (NAK-driven recovery, deterministic on any substrate), and
+// returns the policy's stats once the payload has arrived intact.
+func policyOverUDP(t *testing.T, policy string, id uint32, seed int64) core.ControllerStats {
+	t.Helper()
 	ea, eb := pipe(t)
 	ea.SetBatch(16)
-	ea.SetPacketGap(5 * time.Microsecond) // operator pacing: no policy touches it
-	payload := randomPayload(256<<10, 5)
-	cfg := loopCfg(9, payload, core.Blast, core.GoBackN)
-	cfg.Controller = core.ControllerAIMD
+	payload := randomPayload(256<<10, seed)
+	cfg := loopCfg(id, payload, core.Blast, core.GoBackN)
+	cfg.Controller = policy
 	cfg.Window = 32
-	// Drop a handful of identified first transmissions: NAK-driven
-	// recovery, deterministic on any substrate.
 	ea.MangleTx = func(p *wire.Packet) params.Mangle {
 		if p.Type == wire.TypeData && p.Attempt == 0 && p.Seq%50 == 3 && !p.IsLast() {
 			return params.Mangle{Drop: true}
 		}
 		return params.Mangle{}
 	}
-
 	rcfg := cfg
 	rcfg.Payload = nil
 	type out struct {
@@ -204,22 +202,23 @@ func TestAdaptiveSenderControllerOverUDP(t *testing.T) {
 		t.Fatal(ro.err)
 	}
 	if !bytes.Equal(ro.res.Data, payload) {
-		t.Fatal("adaptive transfer corrupted")
+		t.Fatalf("policy %s corrupted the transfer", policy)
 	}
-	st := res.Controller
-	if st == nil {
-		t.Fatal("adaptive sender reported no controller stats")
+	if res.Controller == nil {
+		t.Fatalf("policy %s reported no controller stats", policy)
 	}
+	return *res.Controller
+}
+
+// The adaptive sender over a real endpoint pair: the scripted drops must
+// engage aimd (window cuts) without cutting below its floor.
+func TestAdaptiveSenderControllerOverUDP(t *testing.T) {
+	st := policyOverUDP(t, core.ControllerAIMD, 9, 5)
 	if st.Windows == 0 || st.Cuts == 0 {
-		t.Errorf("controller never engaged: %+v", *st)
+		t.Errorf("controller never engaged: %+v", st)
 	}
 	if st.FinalWindow < 16 {
 		t.Errorf("final window %d below the window floor of 16", st.FinalWindow)
-	}
-	// A policy decides the window only: the operator's gap is in force
-	// throughout and still set afterwards.
-	if ea.gap != 5*time.Microsecond {
-		t.Errorf("pacing gap %v after the transfer, want the operator's 5µs untouched", ea.gap)
 	}
 }
 
@@ -229,56 +228,19 @@ func TestAdaptiveSenderControllerOverUDP(t *testing.T) {
 func TestControllerPoliciesOverUDP(t *testing.T) {
 	for _, name := range core.ControllerNames() {
 		t.Run(name, func(t *testing.T) {
-			ea, eb := pipe(t)
-			ea.SetBatch(16)
-			payload := randomPayload(256<<10, 11)
-			cfg := loopCfg(13, payload, core.Blast, core.GoBackN)
-			cfg.Controller = name
-			cfg.Window = 32
-			ea.MangleTx = func(p *wire.Packet) params.Mangle {
-				if p.Type == wire.TypeData && p.Attempt == 0 && p.Seq%50 == 3 && !p.IsLast() {
-					return params.Mangle{Drop: true}
-				}
-				return params.Mangle{}
-			}
-			rcfg := cfg
-			rcfg.Payload = nil
-			type out struct {
-				res core.RecvResult
-				err error
-			}
-			done := make(chan out, 1)
-			go func() {
-				r, err := core.RunReceiver(eb, rcfg)
-				done <- out{r, err}
-			}()
-			res, err := core.RunSender(ea, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ro := <-done
-			if ro.err != nil {
-				t.Fatal(ro.err)
-			}
-			if !bytes.Equal(ro.res.Data, payload) {
-				t.Fatalf("policy %s corrupted the transfer", name)
-			}
-			st := res.Controller
-			if st == nil {
-				t.Fatalf("policy %s reported no controller stats", name)
-			}
+			st := policyOverUDP(t, name, 13, 11)
 			if st.Policy != name {
 				t.Errorf("stats policy %q, want %q", st.Policy, name)
 			}
 			if st.Windows == 0 {
-				t.Errorf("policy %s never observed a window: %+v", name, *st)
+				t.Errorf("policy %s never observed a window: %+v", name, st)
 			}
 		})
 	}
 }
 
-// controlledFlushes runs one 1 MB selective transfer under policy from an
-// unpaced client endpoint capped at tier and returns the frame count of
+// controlledFlushes runs one 1 MB selective transfer under policy from a
+// client endpoint capped at tier and returns the frame count of
 // every ring flush it made, or nil when the socket will not run tier. The
 // receiver drops a fixed set of first transmissions, so windows go lossy and
 // the sender still stages; Tr and the RTO floor sit far above any loopback

@@ -3,14 +3,13 @@ package udplan
 import (
 	"net"
 	"syscall"
-	"time"
 
 	"blastlan/internal/wire"
 )
 
 // txPath is the transmit side of every UDP Env — a client Endpoint and a
 // server session embed the same one, so there is exactly one encode → commit
-// → flush → pace sequence and one implementation of core.Datapath to reason
+// → flush sequence and one implementation of core.Datapath to reason
 // about and to measure. A packet is encoded straight into the next slot of a
 // frame ring (no allocation) and the ring flushes through the datapath tier
 // the socket was probed to: one GSO superbuffer, one sendmmsg, or a WriteTo
@@ -26,9 +25,7 @@ type txPath struct {
 	ms   mmsgSender
 	gs   gsoSender
 	tier Tier
-	line *linePacer    // modeled link shared with the socket's other writers (nil: unlimited)
-	gap  time.Duration // spacing between data packets (SetPacketGap)
-	pace pacer         // amortized sleep state for gap actuation
+	line *linePacer // modeled link shared with the socket's other writers (nil: unlimited)
 
 	// stage is the second frame ring (core.Stager): the next window's frames,
 	// encoded while this window's response is in flight and released through
@@ -74,7 +71,7 @@ func (t *txPath) release() {
 
 // Send is the one transmit sequence: encode into the next ring slot, commit
 // it (a full ring flushes), flush at once behind control traffic and the
-// reliable last packet of a window, then pace.
+// reliable last packet of a window.
 func (t *txPath) Send(p *wire.Packet) error {
 	buf, err := t.encode(p)
 	if err != nil {
@@ -83,10 +80,7 @@ func (t *txPath) Send(p *wire.Packet) error {
 	if err := t.ring.commit(len(buf)); err != nil {
 		return err
 	}
-	if err := t.flushControl(p); err != nil {
-		return err
-	}
-	return t.paceData(p)
+	return t.flushControl(p)
 }
 
 // SendAsync is Send: UDP writes do not wait for transmission anyway.
@@ -108,17 +102,6 @@ func (t *txPath) encode(p *wire.Packet) ([]byte, error) {
 func (t *txPath) flushControl(p *wire.Packet) error {
 	if p.Type != wire.TypeData || p.Flags&wire.FlagLast != 0 {
 		return t.ring.Flush()
-	}
-	return nil
-}
-
-// paceData spends one data packet's share of a non-zero gap. Pacing means
-// spacing on the wire: the pacer flushes the ring before it sleeps, and
-// amortizes sub-quantum gaps so the actuation cost tracks the nominal rate
-// (see pace.go).
-func (t *txPath) paceData(p *wire.Packet) error {
-	if t.gap > 0 && p.Type == wire.TypeData {
-		return t.pace.owe(t.gap, t.ring.Flush)
 	}
 	return nil
 }
@@ -161,10 +144,9 @@ func (t *txPath) flushFrames(frames [][]byte, lens []int, n int) error {
 // window to stage.
 const stageFactor = 4
 
-// Stage implements core.Stager. A paced path does not stage: the gap is
-// spent packet by packet as frames are sent.
+// Stage implements core.Stager.
 func (t *txPath) Stage(p *wire.Packet) bool {
-	if t.gap > 0 || t.closed {
+	if t.closed {
 		return false
 	}
 	if t.stage == nil {
@@ -185,7 +167,7 @@ func (t *txPath) Stage(p *wire.Packet) bool {
 
 // Staged implements core.Stager.
 func (t *txPath) Staged() int {
-	if t.stage == nil || t.gap > 0 {
+	if t.stage == nil {
 		return 0
 	}
 	return t.stage.queued
@@ -229,11 +211,3 @@ func (t *txPath) Batch() int { return len(t.ring.frames) }
 
 // Tier reports the active transmit tier (TierWriteTo when batching is off).
 func (t *txPath) Tier() Tier { return t.tier }
-
-// SetPacketGap sets the operator's pacing: d of spacing after every data
-// packet, in force under any rate-control policy. The paper assumes "source
-// and destination machine are more or less matched in speed" (§1); on a
-// modern loopback the sender can outrun kernel socket buffers by orders of
-// magnitude, and pacing restores the matched-speed premise for large
-// blasts.
-func (t *txPath) SetPacketGap(d time.Duration) { t.gap = d }

@@ -14,18 +14,15 @@ import (
 	"blastlan/internal/wire"
 )
 
-// sender is what the parity script drives: an Env with the one Datapath,
-// paced by the operator's setter.
+// sender is what the parity script drives: an Env with the one Datapath.
 type sender interface {
 	core.Env
 	core.Datapath
-	SetPacketGap(time.Duration)
 }
 
 // txScript drives one seeded packet script through s and returns the frames
 // it must put on the wire, in order: mid-window data, a control packet
-// interleaved behind queued data, a paced stretch (the pacer flushes before
-// it sleeps), and the short FlagLast tail.
+// interleaved behind queued data, and the short FlagLast tail.
 func txScript(t *testing.T, s sender) [][]byte {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
@@ -48,14 +45,8 @@ func txScript(t *testing.T, s sender) [][]byte {
 	}
 	const total = 41
 	for seq := uint32(0); seq < total-1; seq++ {
-		switch seq {
-		case 10:
+		if seq == 10 {
 			send(&wire.Packet{Type: wire.TypeAck, Trans: 3, Seq: 10})
-		case 30:
-			// Above twice the pacer's quantum every packet is due a sleep
-			// whatever credit the last overshoot left, so the flush count
-			// does not depend on the scheduler.
-			s.SetPacketGap(2*paceQuantum + 100*time.Microsecond)
 		}
 		send(&wire.Packet{Type: wire.TypeData, Trans: 3, Seq: seq, Total: total, Payload: chunk(1000)})
 	}

@@ -323,9 +323,7 @@ func (e *Endpoint) Compute(time.Duration) {}
 
 // Send encodes and transmits one packet to the peer. With no adversary
 // installed that is the shared transmit sequence, txPath.Send; otherwise the
-// MangleTx verdict is applied on the way out. Pacing applies to every data
-// packet regardless of the verdict — the sender spends the slot whether or
-// not the adversary lets the frame through.
+// MangleTx verdict is applied on the way out.
 func (e *Endpoint) Send(p *wire.Packet) error {
 	if e.closed {
 		return net.ErrClosed
@@ -333,10 +331,7 @@ func (e *Endpoint) Send(p *wire.Packet) error {
 	if !e.mangling() {
 		return e.txPath.Send(p)
 	}
-	if err := e.sendMangled(p); err != nil {
-		return err
-	}
-	return e.paceData(p)
+	return e.sendMangled(p)
 }
 
 // SendAsync is Send: UDP writes do not wait for transmission anyway.

@@ -410,46 +410,3 @@ func TestDialBadAddress(t *testing.T) {
 		t.Error("expected resolve error")
 	}
 }
-
-// A large paced blast must complete over loopback: an unpaced 1 MB burst
-// would swamp the kernel socket buffer and rely entirely on go-back-n,
-// while pacing restores the paper's matched-speed premise. The test only
-// asserts correctness (completion + integrity); pacing efficiency is
-// machine-dependent.
-func TestLargePacedPush(t *testing.T) {
-	if testing.Short() {
-		t.Skip("large transfer")
-	}
-	payload := randomPayload(1<<20, 99)
-	srv, addr := newLoopbackServer(t)
-	got := make(chan []byte, 1)
-	srv.SinkStream = pushInto(got)
-	go srv.Run()
-
-	e, err := Dial(addr)
-	if err != nil {
-		t.Skipf("dial: %v", err)
-	}
-	defer e.Close()
-	e.SetPacketGap(10 * time.Microsecond)
-	cfg := loopCfg(500, payload, core.Blast, core.GoBackN)
-	cfg.RetransTimeout = 300 * time.Millisecond
-	cfg.ReceiverIdle = 5 * time.Second
-	res, err := Push(e, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case data := <-got:
-		if !bytes.Equal(data, payload) {
-			t.Fatal("paced push corrupted data")
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("paced push timed out")
-	}
-	if res.DataPackets < 1049 { // ceil(1 MiB / 1000)
-		t.Errorf("sent %d packets", res.DataPackets)
-	}
-	t.Logf("1 MiB paced push: %v elapsed, %d packets, %d retransmitted",
-		res.Elapsed, res.DataPackets, res.Retransmits)
-}
