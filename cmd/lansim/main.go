@@ -132,6 +132,7 @@ func main() {
 		Strategy:       strat,
 		Window:         *window,
 		RetransTimeout: timeout,
+		MinRTO:         timeout, // the paper's fixed Tr
 	}
 
 	var rec trace.Recorder
@@ -212,6 +213,7 @@ func adversarySweep(cost params.CostModel, bytesN, chunk, trials int, seed int64
 					Protocol:       core.Blast,
 					Strategy:       s,
 					RetransTimeout: tr,
+					MinRTO:         tr,
 				},
 				Trials: trials,
 				Seed:   seed + int64(i)*1000,

@@ -34,11 +34,10 @@ package core
 // is what lets the cross-substrate conformance suite pin adaptive transfers
 // too.
 //
-// A controlled transfer also subsumes Config.AdaptiveTr: response timing is learned
-// online with the Jacobson/Karn estimator (rto.go), seeded by
-// RetransTimeout. A fixed 250 ms Tr turns every lost last-packet or ack
-// into a quarter-second stall; the estimator converges to the real response
-// time and makes those stalls proportionate.
+// Response timing is not a policy's business: every blast sender, with a
+// policy or without, learns its retransmission timeout from the responses
+// it sees (rto.go), so a lost last packet or ack costs about a round trip,
+// not the quarter-second a fixed 250 ms Tr would stall.
 
 const (
 	// windowIncrement is the additive increase per clean window once

@@ -38,9 +38,6 @@ func sendBlast(env Env, c Config, async bool) (SendResult, error) {
 		if ctrl, err = NewRateController(c.Controller, ControllerConfig{InitWindow: c.Window, Seed: int64(c.TransferID)}); err != nil {
 			return SendResult{}, err
 		}
-		// A controlled transfer subsumes AdaptiveTr: the fixed Tr only
-		// seeds the estimator (see aimd.go).
-		c.AdaptiveTr = true
 	}
 	b := newBlastTx(env, c, async)
 	res := &b.res
@@ -67,7 +64,7 @@ func sendBlast(env Env, c Config, async bool) (SendResult, error) {
 		base = end
 	}
 	res.Elapsed = env.Now() - start
-	res.SRTT = b.est.smoothed()
+	res.SRTT = b.est.srtt
 	if ctrl != nil {
 		st := ctrl.Stats()
 		res.Controller = &st
@@ -170,7 +167,7 @@ func (b *blastTx) window(base, end, next int) error {
 			if attempts == 1 && b.stage != nil {
 				b.stageWindow(end, next)
 			}
-			nak, done := awaitBlastResponse(env, c, res, base, end, b.est.timeout())
+			nak, done := awaitBlastResponse(env, c, res, base, end, &b.est)
 			if (done || nak != nil) && lastTries == 1 {
 				// Karn's rule: the response unambiguously answers this
 				// round's single transmission of the reliable last.
@@ -245,12 +242,12 @@ func sendData(env Env, c Config, res *SendResult, scratch *wire.Packet, seq, tot
 	return nil
 }
 
-// awaitBlastResponse waits up to timeout for the receiver's verdict on the
-// window [base, end). It returns (nil, true) when a cumulative ack
+// awaitBlastResponse waits up to est's timeout for the receiver's verdict on
+// the window [base, end). It returns (nil, true) when a cumulative ack
 // covering the window arrived, (nak, false) when a NAK for the window
-// arrived, and (nil, false) on timeout.
-func awaitBlastResponse(env Env, c Config, res *SendResult, base, end int, timeout time.Duration) (nak *wire.Packet, done bool) {
-	resp, err := awaitReply(env, timeout, func(p *wire.Packet) bool {
+// arrived, and (nil, false) on timeout, after backing est off.
+func awaitBlastResponse(env Env, c Config, res *SendResult, base, end int, est *rto) (nak *wire.Packet, done bool) {
+	resp, err := awaitReply(env, est.cur, func(p *wire.Packet) bool {
 		if p.Trans != c.TransferID {
 			return false
 		}
@@ -269,6 +266,7 @@ func awaitBlastResponse(env Env, c Config, res *SendResult, base, end int, timeo
 	})
 	if err != nil {
 		res.Timeouts++
+		est.backoff()
 		return nil, false
 	}
 	if resp.Type == wire.TypeNak {

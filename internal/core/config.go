@@ -109,32 +109,25 @@ type Config struct {
 	// StopAndWait and SlidingWindow.
 	Strategy Strategy
 
-	// RetransTimeout is the paper's Tr: how long a sender waits for a
-	// response before retransmitting. Defaults to 100 ms.
+	// RetransTimeout is the paper's Tr: the first and the largest interval a
+	// sender waits for a response before retransmitting. Stop-and-wait and
+	// blast senders learn a shorter one from the responses they see (see
+	// rto.go); sliding window waits Tr itself. Defaults to 100 ms.
 	RetransTimeout time.Duration
 
-	// AdaptiveTr, when set, replaces the fixed Tr with a Jacobson/Karn
-	// estimator seeded by RetransTimeout (see rto.go): the sender learns
-	// the response time online instead of requiring a hand-picked multiple
-	// of the transfer time. Applies to stop-and-wait and blast.
-	AdaptiveTr bool
-
 	// PathRTT, when positive, is the smoothed round-trip time an earlier
-	// adaptive sender measured to the same peer host. An adaptive sender's
-	// estimator takes it as its first sample (see rto.go) instead of
-	// starting from the fixed Tr, so a lost reliable last in the first
-	// window costs about a round trip, not a Tr. It does not ride the REQ:
-	// the serving side's session layer remembers it per host and sets it.
-	// Ignored unless the estimator is active (AdaptiveTr or Controller).
+	// sender measured to the same peer host. The sender's estimator takes
+	// it as its first sample (see rto.go) instead of starting from Tr, so a
+	// lost reliable last in the first window costs about a round trip, not
+	// a Tr. It does not ride the REQ: the serving side's session layer
+	// remembers it per host and sets it.
 	PathRTT time.Duration
 
-	// MinRTO bounds the adaptive timeout from below. Zero means the
-	// built-in 1 ms floor, which suits a quiet LAN; hosts with coarse
-	// timers or heavy scheduling noise (virtualized runners, the race
-	// detector) can raise it so a delayed-but-coming response is never
-	// mistaken for a loss. The cross-substrate conformance suites pin
-	// timing-independent counters by raising it to the fixed Tr. Ignored
-	// unless the estimator is active (AdaptiveTr or Controller).
+	// MinRTO floors the learned timeout; zero means Tr/64, at least 1 ms.
+	// A host with heavy scheduling noise can raise it so a late response is
+	// not taken for a loss. At or above RetransTimeout it pins every timeout
+	// to Tr: the paper's fixed timer, as its experiments and the
+	// cross-substrate conformance suites use it.
 	MinRTO time.Duration
 
 	// Window, when non-zero, splits a blast transfer into multiple blasts
@@ -145,8 +138,7 @@ type Config struct {
 	// Controller names the rate-control policy that drives a blast transfer
 	// instead of the fixed Window: one of the built-in RateController
 	// policies ("aimd", "autotune"; see ratecontrol.go) whose window
-	// size reacts to observed NAKs, retransmissions and timeouts, with the
-	// retransmission interval learned online (AdaptiveTr is implied).
+	// size reacts to observed NAKs, retransmissions and timeouts.
 	// Window, when set, seeds the controller's initial window.
 	// Empty runs the fixed schedule. Unknown names are rejected by
 	// ValidateConfig. Ignored by StopAndWait and SlidingWindow.
@@ -406,8 +398,8 @@ type SendResult struct {
 
 	// SRTT is the retransmission estimator's smoothed round-trip time when
 	// the sender finished: what a later transfer to the same host may start
-	// from as its Config.PathRTT. Zero when the estimator is off or never
-	// sampled.
+	// from as its Config.PathRTT. Zero when it never sampled (and for
+	// sliding window, which keeps no estimator).
 	SRTT time.Duration
 
 	// Controller summarises the rate-control trajectory of a controlled

@@ -2,7 +2,7 @@ package core
 
 import "time"
 
-// Adaptive retransmission timeout (Config.AdaptiveTr).
+// Retransmission timeout: the one timer of stop-and-wait and blast senders.
 //
 // The paper's Figures 5 and 6 show that the elapsed-time variance of the
 // simpler retransmission strategies is driven by the retransmission
@@ -14,80 +14,63 @@ import "time"
 //	first sample R:  srtt = R, rttvar = R/2
 //	thereafter:      rttvar = 3/4·rttvar + 1/4·|srtt − R|
 //	                 srtt   = 7/8·srtt   + 1/8·R
-//	timeout          = srtt + 4·rttvar   (floored)
+//	timeout          = clamp(srtt + 4·rttvar, floor, Tr)
 //
-// with Karn's rule: never sample an exchange that was retransmitted. The
-// estimator applies to stop-and-wait (one sample per packet) and to blast
-// (one sample per reliable-last response); sliding window keeps its fixed
-// Tr (its cumulative acks do not pair one-to-one with sends).
+// with Karn's rule: never sample an exchange that was retransmitted. Each
+// timeout doubles the timeout, up to Tr, until the next clean sample (RFC
+// 6298 §5.5). Until its first sample the timeout is Tr (§2.1), so Tr is the
+// first and the largest timeout a sender waits. The floor is Config.MinRTO;
+// at or above Tr it pins every timeout to Tr, and the paper's fixed timer
+// is this estimator pinned. Sliding window keeps Tr as it is (its
+// cumulative acks do not pair one-to-one with sends).
 //
-// Until its first sample the estimator's timeout is the fixed Tr (RFC 6298
-// §2.1). A sender given Config.PathRTT — the smoothed RTT an earlier
-// transfer to the same host ended with — takes it as that first sample
-// (§2.2: srtt = R, rttvar = R/2, so the first timeout is 3R, floored), the
+// A sender given Config.PathRTT — the smoothed RTT an earlier transfer to
+// the same host ended with — takes it as that first sample (§2.2), the
 // "temporal sharing" of RFC 9040: a host's round trip measured a moment ago
-// is a better first guess than a Tr picked for the worst case. Its own
-// samples then refine it as usual.
+// is a better first guess than a Tr picked for the worst case.
 type rto struct {
-	srtt    time.Duration
-	rttvar  time.Duration
-	primed  bool
-	fixed   time.Duration // Config.RetransTimeout: initial and non-adaptive value
-	floor   time.Duration // Config.MinRTO, defaulted to rtoFloor
-	enabled bool
+	srtt   time.Duration // zero until the first sample
+	rttvar time.Duration
+	cur    time.Duration // the timeout in force: doubled per expiry since the last sample
+	ceil   time.Duration // Tr
+	floor  time.Duration
 }
 
-// rtoFloor bounds the adaptive timeout from below: a timeout under the
-// response latency would retransmit before any reply can arrive.
-const rtoFloor = time.Millisecond
+// With no MinRTO the floor is Tr/rtoSpan, and never under rtoFloor: under
+// the response latency a timer retransmits before any reply can come, and
+// under a host's scheduling stalls it re-sends what was never lost (at a
+// flat 1 ms, 3 of 7 lanbench -udp -quick runs on a 2-vCPU host re-sent in
+// the 64 MB push, whose windows answered in up to 1.6 ms). Six doublings
+// span floor to Tr: a 250 ms Tr floors at 3.9 ms, a 50 ms one at 1 ms.
+const (
+	rtoFloor = time.Millisecond
+	rtoSpan  = 64
+)
 
 func newRTO(c Config) rto {
 	floor := c.MinRTO
 	if floor <= 0 {
-		floor = rtoFloor
+		floor = max(c.RetransTimeout/rtoSpan, rtoFloor)
 	}
-	r := rto{fixed: c.RetransTimeout, floor: floor, enabled: c.AdaptiveTr}
+	r := rto{cur: c.RetransTimeout, ceil: c.RetransTimeout, floor: floor}
 	r.sample(c.PathRTT)
 	return r
 }
 
-// smoothed returns the smoothed round-trip time, or zero when the
-// estimator is off or has no sample.
-func (r *rto) smoothed() time.Duration {
-	if !r.enabled || !r.primed {
-		return 0
-	}
-	return r.srtt
-}
+// backoff doubles the timeout after one expired, up to Tr.
+func (r *rto) backoff() { r.cur = min(2*r.cur, r.ceil) }
 
-// timeout returns the current retransmission interval.
-func (r *rto) timeout() time.Duration {
-	if !r.enabled || !r.primed {
-		return r.fixed
-	}
-	t := r.srtt + 4*r.rttvar
-	if t < r.floor {
-		t = r.floor
-	}
-	return t
-}
-
-// sample folds one response-time measurement into the estimator. Callers
-// enforce Karn's rule (no samples from retransmitted exchanges).
+// sample folds one response time into the estimator and resets the timeout
+// to the rule's value. Callers enforce Karn's rule.
 func (r *rto) sample(d time.Duration) {
-	if !r.enabled || d <= 0 {
+	if d <= 0 {
 		return
 	}
-	if !r.primed {
-		r.srtt = d
-		r.rttvar = d / 2
-		r.primed = true
-		return
+	if r.srtt == 0 {
+		r.srtt, r.rttvar = d, d/2
+	} else {
+		r.rttvar = (3*r.rttvar + (r.srtt - d).Abs()) / 4
+		r.srtt = (7*r.srtt + d) / 8
 	}
-	diff := r.srtt - d
-	if diff < 0 {
-		diff = -diff
-	}
-	r.rttvar = (3*r.rttvar + diff) / 4
-	r.srtt = (7*r.srtt + d) / 8
+	r.cur = min(max(r.srtt+4*r.rttvar, r.floor), r.ceil)
 }

@@ -29,7 +29,7 @@ func sendStopAndWait(env Env, c Config) (SendResult, error) {
 			}
 			res.Rounds++
 			sent := env.Now()
-			acked = awaitCumulativeAck(env, c, &res, seq+1, est.timeout())
+			acked = awaitCumulativeAck(env, c, &res, seq+1, &est)
 			if acked && attempt == 0 {
 				// Karn's rule: sample only unambiguous exchanges.
 				est.sample(env.Now() - sent)
@@ -40,15 +40,15 @@ func sendStopAndWait(env Env, c Config) (SendResult, error) {
 		}
 	}
 	res.Elapsed = env.Now() - start
-	res.SRTT = est.smoothed()
+	res.SRTT = est.srtt
 	return res, nil
 }
 
-// awaitCumulativeAck waits up to timeout for an acknowledgement with
-// Seq >= want, ignoring stale acks and foreign packets. It reports whether
-// the ack arrived before the timeout.
-func awaitCumulativeAck(env Env, c Config, res *SendResult, want int, timeout time.Duration) bool {
-	_, err := awaitReply(env, timeout, func(p *wire.Packet) bool {
+// awaitCumulativeAck waits up to est's timeout for an acknowledgement with
+// Seq >= want, ignoring stale acks and foreign packets, and backs est off
+// if none comes. It reports whether the ack arrived before the timeout.
+func awaitCumulativeAck(env Env, c Config, res *SendResult, want int, est *rto) bool {
+	_, err := awaitReply(env, est.cur, func(p *wire.Packet) bool {
 		if p.Trans != c.TransferID || p.Type != wire.TypeAck {
 			return false
 		}
@@ -57,6 +57,7 @@ func awaitCumulativeAck(env Env, c Config, res *SendResult, want int, timeout ti
 	})
 	if IsTimeout(err) {
 		res.Timeouts++
+		est.backoff()
 	}
 	return err == nil
 }

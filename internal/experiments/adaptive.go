@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"time"
 
 	"blastlan/internal/analytic"
 	"blastlan/internal/core"
@@ -18,11 +19,13 @@ func init() {
 	})
 }
 
-// adaptiveVariant is one (protocol, timeout policy) column pair.
+// adaptiveVariant is one (protocol, timeout) column pair: a fixed column
+// pins the estimator with MinRTO = Tr, an adaptive one floors it at 1 ms,
+// under the ≈3 ms response it must find (Tr/64 would floor the multiblast
+// at 27 ms).
 type adaptiveVariant struct {
-	label    string
-	cfg      core.Config
-	adaptive bool
+	label string
+	cfg   core.Config
 }
 
 func runAdaptive(opt Options) (*Result, error) {
@@ -42,14 +45,14 @@ func runAdaptive(opt Options) (*Result, error) {
 			"MB8 Tr=10·T0(D)", "σ", "MB8 adaptive", "σ"},
 	}
 	base := []adaptiveVariant{
-		{"saw-fixed", core.Config{Protocol: core.StopAndWait, RetransTimeout: 10 * t01}, false},
-		{"saw-adaptive", core.Config{Protocol: core.StopAndWait, RetransTimeout: 10 * t01}, true},
+		{"saw-fixed", core.Config{Protocol: core.StopAndWait, RetransTimeout: 10 * t01, MinRTO: 10 * t01}},
+		{"saw-adaptive", core.Config{Protocol: core.StopAndWait, RetransTimeout: 10 * t01, MinRTO: time.Millisecond}},
 		// Multiblast with 8-packet windows: the first window's response
 		// seeds the estimator for the remaining seven.
 		{"mb-fixed", core.Config{Protocol: core.Blast, Strategy: core.FullNoNak,
-			Window: 8, RetransTimeout: 10 * t0d}, false},
+			Window: 8, RetransTimeout: 10 * t0d, MinRTO: 10 * t0d}},
 		{"mb-adaptive", core.Config{Protocol: core.Blast, Strategy: core.FullNoNak,
-			Window: 8, RetransTimeout: 10 * t0d}, true},
+			Window: 8, RetransTimeout: 10 * t0d, MinRTO: time.Millisecond}},
 	}
 	for _, pn := range []float64{1e-4, 1e-3, 1e-2} {
 		row := []string{fmt.Sprintf("%.0e", pn)}
@@ -57,7 +60,6 @@ func runAdaptive(opt Options) (*Result, error) {
 			cfg := v.cfg
 			cfg.TransferID = 1
 			cfg.Bytes = 64 * 1024
-			cfg.AdaptiveTr = v.adaptive
 			acc, failures, err := desSample(cfg, simrun.Options{Cost: m,
 				Loss: params.LossModel{PNet: pn}, Seed: opt.Seed}, trials, opt.Workers)
 			if err != nil {

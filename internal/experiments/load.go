@@ -37,6 +37,7 @@ func runLoad(opt Options) (*Result, error) {
 				Protocol:       proto,
 				Strategy:       core.GoBackN,
 				RetransTimeout: 2 * time.Second,
+				MinRTO:         2 * time.Second, // the paper's fixed Tr
 			}
 			r, err := simrun.Transfer(cfg, simrun.Options{
 				Cost:           m,

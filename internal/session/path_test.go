@@ -12,15 +12,20 @@ type stationName string
 
 func (s stationName) String() string { return string(s) }
 
-// Every port of a host shares its path; a simulated station is its name.
+// Every port of a host shares its path, over IPv4 in either form; a
+// simulated station is its name.
 func TestHostOf(t *testing.T) {
 	a := &net.UDPAddr{IP: net.IPv4(10, 0, 0, 7), Port: 4000}
-	b := &net.UDPAddr{IP: net.IPv4(10, 0, 0, 7), Port: 5000}
-	if hostOf(a) != hostOf(b) || hostOf(a) != "10.0.0.7" {
-		t.Errorf("hosts %q and %q, want both 10.0.0.7", hostOf(a), hostOf(b))
+	b := &net.UDPAddr{IP: net.IP{10, 0, 0, 7}, Port: 5000}
+	c := &net.UDPAddr{IP: net.IPv4(10, 0, 0, 8), Port: 4000}
+	if hostOf(a) != hostOf(b) || hostOf(a).ip.String() != "10.0.0.7" {
+		t.Errorf("hosts %v and %v, want both 10.0.0.7", hostOf(a), hostOf(b))
 	}
-	if got := hostOf(stationName("client3")); got != "client3" {
-		t.Errorf("station host %q, want client3", got)
+	if hostOf(a) == hostOf(c) {
+		t.Errorf("10.0.0.7 and 10.0.0.8 share key %v", hostOf(a))
+	}
+	if got := hostOf(stationName("client3")); got.name != "client3" {
+		t.Errorf("station host %v, want client3", got)
 	}
 }
 
@@ -34,7 +39,7 @@ func TestPathTable(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 2*pathCap; i++ {
-				host := fmt.Sprintf("h%d-%d", g, i)
+				host := stationName(fmt.Sprintf("h%d-%d", g, i))
 				pt.put(host, time.Duration(i+1))
 				if got := pt.get(host); got != 0 && got != time.Duration(i+1) {
 					t.Errorf("%s: %v, want %v", host, got, time.Duration(i+1))
@@ -46,10 +51,28 @@ func TestPathTable(t *testing.T) {
 	if n := len(pt.rtt); n > pathCap {
 		t.Errorf("%d hosts held, cap %d", n, pathCap)
 	}
-	pt.put("h", time.Millisecond)
-	pt.put("h", 2*time.Millisecond)
-	if got := pt.get("h"); got != 2*time.Millisecond {
+	h := stationName("h")
+	pt.put(h, time.Millisecond)
+	pt.put(h, 2*time.Millisecond)
+	if got := pt.get(h); got != 2*time.Millisecond {
 		t.Errorf("host h: %v, want the last RTT put, 2ms", got)
+	}
+}
+
+// Every pull reads and writes the path table once: on a socket peer,
+// neither costs an allocation, for an IPv4 or an IPv6 host.
+func TestPathTableAllocatesNothing(t *testing.T) {
+	var pt pathTable
+	v4 := &net.UDPAddr{IP: net.IPv4(10, 0, 0, 7), Port: 4000}
+	v6 := &net.UDPAddr{IP: net.ParseIP("fd00:1234:5678:9abc:def0:1234:5678:9abc"), Port: 4000}
+	pt.put(v4, time.Millisecond)
+	pt.put(v6, time.Millisecond)
+	if allocs := testing.AllocsPerRun(100, func() {
+		for _, p := range []*net.UDPAddr{v4, v6} {
+			pt.put(p, pt.get(p)+1)
+		}
+	}); allocs != 0 {
+		t.Errorf("get and put allocated %v times per pair of pulls, want 0", allocs)
 	}
 }
 

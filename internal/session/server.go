@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -132,41 +133,50 @@ type Server struct {
 const pathCap = 1024
 
 // pathTable remembers, per peer host, the smoothed round-trip time the last
-// adaptive sender to that host ended with — RFC 9040's "temporal sharing".
-// A new adaptive sender to the same host starts its retransmission
-// estimator from it (core.Config.PathRTT), so a lost reliable last in its
-// first window costs about a round trip instead of the fixed Tr. Only
-// adaptive pull senders read or write it; nothing on the data path does.
+// pull sender to that host ended with — RFC 9040's "temporal sharing". The
+// next pull sender to the same host starts its retransmission estimator
+// from it (core.Config.PathRTT), so a lost reliable last in its first
+// window costs about a round trip instead of the REQ's Tr. Every pull
+// sender reads it once and writes it once; nothing on the data path does.
 type pathTable struct {
 	mu  sync.Mutex
-	rtt map[string]time.Duration
+	rtt map[pathKey]time.Duration
 }
 
-func (t *pathTable) get(host string) time.Duration {
+// pathKey names the host a peer is on: its IP on sockets (every port of a
+// host shares the path), a simulated station's name on the DES.
+type pathKey struct {
+	ip   netip.Addr
+	name string
+}
+
+// hostOf keys a peer's host. A socket peer's key is built from its address
+// bytes, with no allocation.
+func hostOf(p transport.Peer) pathKey {
+	if a, ok := p.(*net.UDPAddr); ok {
+		ip, _ := netip.AddrFromSlice(a.IP)
+		return pathKey{ip: ip.Unmap()}
+	}
+	return pathKey{name: p.String()}
+}
+
+func (t *pathTable) get(p transport.Peer) time.Duration {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.rtt[host]
+	return t.rtt[hostOf(p)]
 }
 
-func (t *pathTable) put(host string, rtt time.Duration) {
+func (t *pathTable) put(p transport.Peer, rtt time.Duration) {
+	k := hostOf(p)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.rtt == nil {
-		t.rtt = make(map[string]time.Duration)
+		t.rtt = make(map[pathKey]time.Duration)
 	}
-	if _, ok := t.rtt[host]; !ok && len(t.rtt) >= pathCap {
+	if _, ok := t.rtt[k]; !ok && len(t.rtt) >= pathCap {
 		clear(t.rtt)
 	}
-	t.rtt[host] = rtt
-}
-
-// hostOf names the host a peer is on: its IP on sockets (every port of a
-// host shares the path), a simulated station's name on the DES.
-func hostOf(p transport.Peer) string {
-	if a, ok := p.(*net.UDPAddr); ok {
-		return a.IP.String()
-	}
-	return p.String()
+	t.rtt[k] = rtt
 }
 
 // logLimiter rate-limits per-peer operational log lines to one per second,
@@ -597,16 +607,12 @@ func (s *Server) serve(env core.Env, idle time.Duration, peer transport.Peer) er
 		stats.Bytes, stats.Elapsed = res.Bytes, res.Elapsed
 		stats.Packets, stats.Checksum = res.DataPackets, res.Checksum
 	} else {
-		// An adaptive sender starts from, and leaves behind, the path's
-		// smoothed RTT; a fixed-Tr sender neither reads nor writes it.
-		host := ""
-		if cfg.Controller != "" {
-			host = hostOf(peer)
-			cfg.PathRTT = s.paths.get(host)
-		}
+		// The sender starts from, and leaves behind, the path's smoothed
+		// RTT; the REQ's Tr is its ceiling.
+		cfg.PathRTT = s.paths.get(peer)
 		res, err := core.RunSender(env, cfg)
-		if host != "" && res.SRTT > 0 {
-			s.paths.put(host, res.SRTT)
+		if res.SRTT > 0 {
+			s.paths.put(peer, res.SRTT)
 		}
 		if err != nil {
 			return fmt.Errorf("session: serving pull: %w", err)

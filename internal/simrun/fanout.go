@@ -212,6 +212,7 @@ func (h *fanoutHop) counts(served map[uint32]session.TransferStats) Counts {
 	if ts, ok := served[h.id]; ok {
 		c.DataSent += ts.Packets
 		c.Retransmits += ts.Retransmits
+		c.Timeouts += ts.Timeouts
 	}
 	return c
 }

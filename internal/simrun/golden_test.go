@@ -144,8 +144,14 @@ func TestGoldenVirtualTime(t *testing.T) {
 		// a late packet proved wrong (4d8aad50c296d594 before): the only
 		// pinned cell that reorders, its receivers sent 22 NAKs instead of
 		// 51 and its senders re-sent 433 packets instead of 622, and the
-		// makespan fell from 26.8 to 25.4 ms.
-		check(t, loadDigest(res), "26935bce80eb85f5")
+		// makespan fell from 26.8 to 25.4 ms (26935bce80eb85f5 before), and
+		// again when every sender's RTO became one rule, capped at Tr,
+		// doubled per timeout and floored at Tr/64 (here 1.56 ms, not 1 ms):
+		// its senders re-sent 408 packets instead of 433, the receivers
+		// held 387 duplicates instead of 381 and sent 52 ACKs instead of 51,
+		// and the makespan rose from 25.4 to 26.0 ms; the digest also took
+		// in the senders' 4 timeouts, which load counts now carry.
+		check(t, loadDigest(res), "756cd89fa489e41b")
 	})
 
 	t.Run("fanout/tree", func(t *testing.T) {

@@ -99,8 +99,8 @@ type LoadClientResult struct {
 	Completed  bool
 	ChecksumOK bool
 	// Counts combines the client's receiver-side counters with the server
-	// session's sender-side ones (DataSent/Retransmits, from the Done
-	// hook), so one struct captures the whole conversation.
+	// session's sender-side ones (DataSent/Retransmits/Timeouts, from the
+	// Done hook), so one struct captures the whole conversation.
 	Counts Counts
 	Err    string
 }
@@ -238,6 +238,7 @@ func (sc LoadScenario) run(sub substrate, keep bool) (LoadResult, error) {
 		if ts, ok := log.byID[r.TransferID]; ok {
 			r.Counts.DataSent = ts.Packets
 			r.Counts.Retransmits = ts.Retransmits
+			r.Counts.Timeouts = ts.Timeouts
 		}
 		span.add(r.Arrival, r.End)
 		out.Agg.Add(r.Counts)

@@ -50,6 +50,9 @@ func TestStripedPullReusesStatEndpoint(t *testing.T) {
 		t.Fatalf("pulled %d of %d bytes", res.Bytes, total)
 	}
 
+	// The Done hook runs after a session's sender returns, which can be
+	// after the client has its last ack: wait for all four stripes.
+	settle(func() bool { mu.Lock(); defer mu.Unlock(); return len(peers) >= 4 })
 	mu.Lock()
 	reused := peers[local]
 	mu.Unlock()

@@ -220,6 +220,7 @@ func TestServerServesSequentially(t *testing.T) {
 		}
 		e.Close()
 	}
+	settle(func() bool { return srv.Served() >= 3 })
 	if srv.Served() != 3 {
 		t.Errorf("served = %d, want 3", srv.Served())
 	}
