@@ -40,8 +40,10 @@ type rto struct {
 // the response latency a timer retransmits before any reply can come, and
 // under a host's scheduling stalls it re-sends what was never lost (at a
 // flat 1 ms, 3 of 7 lanbench -udp -quick runs on a 2-vCPU host re-sent in
-// the 64 MB push, whose windows answered in up to 1.6 ms). Six doublings
-// span floor to Tr: a 250 ms Tr floors at 3.9 ms, a 50 ms one at 1 ms.
+// the 64 MB push, whose 2 097-packet windows answer in under a millisecond
+// but in several when the host is busy; EXPERIMENTS.md, "One timer"). Six
+// doublings span floor to Tr: a 250 ms Tr floors at 3.9 ms, a 50 ms one at
+// 1 ms.
 const (
 	rtoFloor = time.Millisecond
 	rtoSpan  = 64
