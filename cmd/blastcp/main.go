@@ -140,7 +140,7 @@ func main() {
 		stratName = flag.String("strategy", "go-back-n", "blast strategy")
 		chunk     = flag.Int("chunk", 1000, "payload bytes per packet")
 		window    = flag.Int("window", 0, "multiblast window in packets (0: a pull is one blast; a push derives it, window x chunk <= 1/4 of the granted socket receive buffer)")
-		tr        = flag.Duration("tr", 200*time.Millisecond, "first and largest retransmission timeout: the sender learns a shorter one from the responses it sees, down to tr/64 (at least 1ms)")
+		tr        = flag.Duration("tr", 200*time.Millisecond, "retransmission timeout: fixed on the fixed schedule; under -controller the first and largest, the sender learning a shorter one from the responses it sees, down to 1ms")
 		id        = flag.Uint("id", 1, "transfer id")
 		batch     = flag.Int("batch", 32, "syscall batch size (sendmmsg/recvmmsg frame rings; 1 = single-syscall)")
 		tierName  = flag.String("tier", "auto", "cap the batched datapath tier: gso, mmsg, writeto, auto")

@@ -153,7 +153,6 @@ func writeBenchSnapshot(path string) error {
 		Protocol:       core.Blast,
 		Strategy:       core.GoBackN,
 		RetransTimeout: 500 * time.Millisecond,
-		MinRTO:         500 * time.Millisecond,
 	}
 	m := params.Standalone3Com()
 	mv := params.VKernel()

@@ -132,7 +132,6 @@ func main() {
 		Strategy:       strat,
 		Window:         *window,
 		RetransTimeout: timeout,
-		MinRTO:         timeout, // the paper's fixed Tr
 	}
 
 	var rec trace.Recorder
@@ -213,7 +212,6 @@ func adversarySweep(cost params.CostModel, bytesN, chunk, trials int, seed int64
 					Protocol:       core.Blast,
 					Strategy:       s,
 					RetransTimeout: tr,
-					MinRTO:         tr,
 				},
 				Trials: trials,
 				Seed:   seed + int64(i)*1000,

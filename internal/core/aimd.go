@@ -34,10 +34,10 @@ package core
 // is what lets the cross-substrate conformance suite pin adaptive transfers
 // too.
 //
-// Response timing is not a policy's business: every blast sender, with a
-// policy or without, learns its retransmission timeout from the responses
-// it sees (rto.go), so a lost last packet or ack costs about a round trip,
-// not the quarter-second a fixed 250 ms Tr would stall.
+// A controlled transfer also learns its retransmission timeout from the
+// responses it sees, down to a 1 ms floor (rto.go), so a lost last packet
+// or ack costs about a round trip, not the quarter-second a fixed 250 ms Tr
+// would stall.
 
 const (
 	// windowIncrement is the additive increase per clean window once

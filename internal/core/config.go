@@ -110,24 +110,24 @@ type Config struct {
 	Strategy Strategy
 
 	// RetransTimeout is the paper's Tr: the first and the largest interval a
-	// sender waits for a response before retransmitting. Stop-and-wait and
-	// blast senders learn a shorter one from the responses they see (see
-	// rto.go); sliding window waits Tr itself. Defaults to 100 ms.
+	// sender waits for a response before retransmitting, and its only one
+	// on the fixed schedule with no MinRTO and under sliding window (see
+	// rto.go). Defaults to 100 ms.
 	RetransTimeout time.Duration
 
 	// PathRTT, when positive, is the smoothed round-trip time an earlier
 	// sender measured to the same peer host. The sender's estimator takes
 	// it as its first sample (see rto.go) instead of starting from Tr, so a
-	// lost reliable last in the first window costs about a round trip, not
-	// a Tr. It does not ride the REQ: the serving side's session layer
+	// learning sender's lost reliable last in the first window costs about
+	// a round trip, not a Tr. It does not ride the REQ: the serving side's session layer
 	// remembers it per host and sets it.
 	PathRTT time.Duration
 
-	// MinRTO floors the learned timeout; zero means Tr/64, at least 1 ms.
-	// A host with heavy scheduling noise can raise it so a late response is
-	// not taken for a loss. At or above RetransTimeout it pins every timeout
-	// to Tr: the paper's fixed timer, as its experiments and the
-	// cross-substrate conformance suites use it.
+	// MinRTO floors the learned timeout. Zero means 1 ms for a transfer a
+	// rate-control policy drives and RetransTimeout on the fixed schedule,
+	// whose timer is then the paper's fixed Tr. At or above RetransTimeout
+	// it pins every timeout to Tr. A host with heavy scheduling noise can
+	// raise it so a late response is not taken for a loss.
 	MinRTO time.Duration
 
 	// Window, when non-zero, splits a blast transfer into multiple blasts
@@ -138,7 +138,8 @@ type Config struct {
 	// Controller names the rate-control policy that drives a blast transfer
 	// instead of the fixed Window: one of the built-in RateController
 	// policies ("aimd", "autotune"; see ratecontrol.go) whose window
-	// size reacts to observed NAKs, retransmissions and timeouts.
+	// size reacts to observed NAKs, retransmissions and timeouts, and whose
+	// retransmission timeout is learned down to 1 ms (see MinRTO).
 	// Window, when set, seeds the controller's initial window.
 	// Empty runs the fixed schedule. Unknown names are rejected by
 	// ValidateConfig. Ignored by StopAndWait and SlidingWindow.

@@ -19,10 +19,16 @@ import "time"
 // with Karn's rule: never sample an exchange that was retransmitted. Each
 // timeout doubles the timeout, up to Tr, until the next clean sample (RFC
 // 6298 §5.5). Until its first sample the timeout is Tr (§2.1), so Tr is the
-// first and the largest timeout a sender waits. The floor is Config.MinRTO;
-// at or above Tr it pins every timeout to Tr, and the paper's fixed timer
-// is this estimator pinned. Sliding window keeps Tr as it is (its
-// cumulative acks do not pair one-to-one with sends).
+// first and the largest timeout a sender waits. Sliding window keeps Tr as
+// it is (its cumulative acks do not pair one-to-one with sends).
+//
+// The floor is Config.MinRTO. At or above Tr it pins every timeout to Tr:
+// the paper's fixed timer is this estimator pinned. A zero MinRTO floors a
+// transfer that a rate-control policy drives at rtoFloor, and pins the
+// fixed schedule at the Tr its operator chose: on a busy host loopback
+// responses stall past any floor that keeps a lost control packet cheap,
+// and a fixed schedule that learned by default re-sent what was never lost
+// (DESIGN.md, "One timer").
 //
 // A sender given Config.PathRTT — the smoothed RTT an earlier transfer to
 // the same host ended with — takes it as that first sample (§2.2), the
@@ -36,23 +42,18 @@ type rto struct {
 	floor  time.Duration
 }
 
-// With no MinRTO the floor is Tr/rtoSpan, and never under rtoFloor: under
-// the response latency a timer retransmits before any reply can come, and
-// under a host's scheduling stalls it re-sends what was never lost (at a
-// flat 1 ms, 3 of 7 lanbench -udp -quick runs on a 2-vCPU host re-sent in
-// the 64 MB push, whose 2 097-packet windows answer in under a millisecond
-// but in several when the host is busy; EXPERIMENTS.md, "One timer"). Six
-// doublings span floor to Tr: a 250 ms Tr floors at 3.9 ms, a 50 ms one at
-// 1 ms.
-const (
-	rtoFloor = time.Millisecond
-	rtoSpan  = 64
-)
+// rtoFloor is the floor of a policy-driven transfer with no MinRTO: under
+// the response latency a timer would retransmit before any reply can come.
+const rtoFloor = time.Millisecond
 
 func newRTO(c Config) rto {
 	floor := c.MinRTO
-	if floor <= 0 {
-		floor = max(c.RetransTimeout/rtoSpan, rtoFloor)
+	switch {
+	case floor > 0:
+	case c.Controller != "":
+		floor = rtoFloor
+	default:
+		floor = c.RetransTimeout
 	}
 	r := rto{cur: c.RetransTimeout, ceil: c.RetransTimeout, floor: floor}
 	r.sample(c.PathRTT)

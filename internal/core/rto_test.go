@@ -5,6 +5,9 @@ import (
 	"time"
 )
 
+// learning is a config whose estimator learns down to the 1 ms floor.
+func learning(tr time.Duration) Config { return Config{RetransTimeout: tr, MinRTO: rtoFloor} }
+
 // The paper's fixed timer is the estimator pinned: with MinRTO at Tr every
 // timeout is Tr, whatever the samples and timeouts before it.
 func TestRTOPinnedReturnsTr(t *testing.T) {
@@ -25,7 +28,7 @@ func TestRTOPinnedReturnsTr(t *testing.T) {
 }
 
 func TestRTOFirstSample(t *testing.T) {
-	r := newRTO(Config{RetransTimeout: 200 * time.Millisecond})
+	r := newRTO(learning(200 * time.Millisecond))
 	if r.cur != 200*time.Millisecond {
 		t.Error("unprimed estimator must use Tr")
 	}
@@ -40,7 +43,7 @@ func TestRTOFirstSample(t *testing.T) {
 // run of timeouts lifts the interval above it.
 func TestRTONeverExceedsTr(t *testing.T) {
 	const tr = 50 * time.Millisecond
-	r := newRTO(Config{RetransTimeout: tr})
+	r := newRTO(learning(tr))
 	for i := 0; i < 200; i++ {
 		r.sample(time.Duration(1+i%7) * 20 * time.Millisecond)
 		if got := r.cur; got > tr {
@@ -58,7 +61,7 @@ func TestRTONeverExceedsTr(t *testing.T) {
 // Karn's back-off (RFC 6298 §5.5): each timeout doubles the interval up to
 // Tr, and the doubled value holds until a clean sample resets it.
 func TestRTOBackoffDoublesToCapAndSampleResets(t *testing.T) {
-	r := newRTO(Config{RetransTimeout: 100 * time.Millisecond})
+	r := newRTO(learning(100 * time.Millisecond))
 	r.sample(4 * time.Millisecond) // 12 ms
 	for _, want := range []time.Duration{24, 48, 96, 100, 100} {
 		r.backoff()
@@ -73,26 +76,27 @@ func TestRTOBackoffDoublesToCapAndSampleResets(t *testing.T) {
 	}
 }
 
-// With no MinRTO the floor is Tr/64, never under 1 ms.
-func TestRTODefaultFloorScalesWithTr(t *testing.T) {
-	for _, c := range []struct{ tr, floor time.Duration }{
-		{250 * time.Millisecond, 250 * time.Millisecond / 64},
-		{time.Second, time.Second / 64},
-		{50 * time.Millisecond, rtoFloor},
-		{20 * time.Millisecond, rtoFloor},
-	} {
-		r := newRTO(Config{RetransTimeout: c.tr})
-		for i := 0; i < 100; i++ {
-			r.sample(10 * time.Microsecond)
-		}
-		if got := r.cur; got != c.floor {
-			t.Errorf("Tr %v: converged timeout %v, want the floor %v", c.tr, got, c.floor)
+// With no MinRTO a transfer a policy drives floors at rtoFloor, whatever
+// Tr is, and the fixed schedule keeps its Tr.
+func TestRTODefaultFloor(t *testing.T) {
+	for _, tr := range []time.Duration{time.Second, 250 * time.Millisecond, 20 * time.Millisecond} {
+		for _, c := range []struct {
+			controller string
+			want       time.Duration
+		}{{"aimd", rtoFloor}, {"", tr}} {
+			r := newRTO(Config{RetransTimeout: tr, Controller: c.controller})
+			for i := 0; i < 100; i++ {
+				r.sample(10 * time.Microsecond)
+			}
+			if got := r.cur; got != c.want {
+				t.Errorf("Tr %v, controller %q: converged timeout %v, want %v", tr, c.controller, got, c.want)
+			}
 		}
 	}
 }
 
 func TestRTOConvergesToSteadyResponse(t *testing.T) {
-	r := newRTO(Config{RetransTimeout: 100 * time.Millisecond})
+	r := newRTO(learning(time.Second))
 	for i := 0; i < 100; i++ {
 		r.sample(3 * time.Millisecond)
 	}
@@ -103,7 +107,7 @@ func TestRTOConvergesToSteadyResponse(t *testing.T) {
 }
 
 func TestRTOReactsToVariance(t *testing.T) {
-	r := newRTO(Config{RetransTimeout: time.Second})
+	r := newRTO(learning(time.Second))
 	for i := 0; i < 50; i++ {
 		if i%2 == 0 {
 			r.sample(2 * time.Millisecond)
@@ -119,7 +123,7 @@ func TestRTOReactsToVariance(t *testing.T) {
 }
 
 func TestRTOFloorAndGarbage(t *testing.T) {
-	r := newRTO(Config{RetransTimeout: time.Second})
+	r := newRTO(Config{RetransTimeout: time.Second, Controller: "aimd"})
 	r.sample(0)  // ignored
 	r.sample(-5) // ignored
 	if r.srtt != 0 || r.cur != time.Second {
@@ -147,10 +151,10 @@ func TestRTOMinRTORaisesFloor(t *testing.T) {
 }
 
 // A sender given the path's last smoothed RTT starts as if that were its
-// first sample: srtt = R, rttvar = R/2, so its first timeout is 3R, not Tr.
-// Nothing else needs setting.
+// first sample: srtt = R, rttvar = R/2, so a learning sender's first timeout
+// is 3R, not Tr. Nothing else needs setting.
 func TestRTOStartsFromPathRTT(t *testing.T) {
-	r := newRTO(Config{RetransTimeout: 200 * time.Millisecond, PathRTT: 4 * time.Millisecond})
+	r := newRTO(Config{RetransTimeout: 200 * time.Millisecond, Controller: "aimd", PathRTT: 4 * time.Millisecond})
 	if got, want := r.cur, 12*time.Millisecond; got != want {
 		t.Errorf("first RTO = %v, want %v", got, want)
 	}

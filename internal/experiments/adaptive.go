@@ -20,9 +20,8 @@ func init() {
 }
 
 // adaptiveVariant is one (protocol, timeout) column pair: a fixed column
-// pins the estimator with MinRTO = Tr, an adaptive one floors it at 1 ms,
-// under the ≈3 ms response it must find (Tr/64 would floor the multiblast
-// at 27 ms).
+// keeps the fixed schedule's pinned Tr, an adaptive one floors the
+// estimator at 1 ms (MinRTO), under the ≈3 ms response it must find.
 type adaptiveVariant struct {
 	label string
 	cfg   core.Config
@@ -45,12 +44,12 @@ func runAdaptive(opt Options) (*Result, error) {
 			"MB8 Tr=10·T0(D)", "σ", "MB8 adaptive", "σ"},
 	}
 	base := []adaptiveVariant{
-		{"saw-fixed", core.Config{Protocol: core.StopAndWait, RetransTimeout: 10 * t01, MinRTO: 10 * t01}},
+		{"saw-fixed", core.Config{Protocol: core.StopAndWait, RetransTimeout: 10 * t01}},
 		{"saw-adaptive", core.Config{Protocol: core.StopAndWait, RetransTimeout: 10 * t01, MinRTO: time.Millisecond}},
 		// Multiblast with 8-packet windows: the first window's response
 		// seeds the estimator for the remaining seven.
 		{"mb-fixed", core.Config{Protocol: core.Blast, Strategy: core.FullNoNak,
-			Window: 8, RetransTimeout: 10 * t0d, MinRTO: 10 * t0d}},
+			Window: 8, RetransTimeout: 10 * t0d}},
 		{"mb-adaptive", core.Config{Protocol: core.Blast, Strategy: core.FullNoNak,
 			Window: 8, RetransTimeout: 10 * t0d, MinRTO: time.Millisecond}},
 	}

@@ -75,7 +75,6 @@ func runAblationAdversary(opt Options) (*Result, error) {
 					Protocol:       core.Blast,
 					Strategy:       s,
 					RetransTimeout: analytic.TimeBlast(m, 64),
-					MinRTO:         analytic.TimeBlast(m, 64), // the paper's fixed Tr
 				},
 				Trials: trials,
 				Seed:   opt.Seed + int64(i)*1000,

@@ -151,7 +151,6 @@ func runAblationBurst(opt Options) (*Result, error) {
 		Protocol:       core.Blast,
 		Strategy:       core.GoBackN,
 		RetransTimeout: analytic.TimeBlast(m, 64),
-		MinRTO:         analytic.TimeBlast(m, 64), // the paper's fixed Tr
 	}
 	res := &Result{
 		ID:     "ablation-burst",
@@ -205,7 +204,6 @@ func runMultiblast(opt Options) (*Result, error) {
 			Window:         w,
 			RetransTimeout: analytic.TimeBlast(m, dump.Packets()) / 4,
 		}
-		cfg.MinRTO = cfg.RetransTimeout // the paper's fixed Tr
 		clean, err := one(cfg, simrun.Options{Cost: m})
 		if err != nil {
 			return err
@@ -276,7 +274,6 @@ func runUDPLoopback(opt Options) (*Result, error) {
 				Protocol:       p,
 				Strategy:       core.GoBackN,
 				RetransTimeout: 200 * time.Millisecond,
-				MinRTO:         200 * time.Millisecond, // the paper's fixed Tr
 				MaxAttempts:    50,
 				Linger:         100 * time.Millisecond,
 				ReceiverIdle:   2 * time.Second,

@@ -64,7 +64,6 @@ func runFigure3(opt Options) (*Result, error) {
 			Protocol:       v.proto,
 			Strategy:       core.GoBackN,
 			RetransTimeout: 500 * time.Millisecond,
-			MinRTO:         500 * time.Millisecond,
 		}, simrun.Options{Cost: v.cost, Trace: rec.Add})
 		if err != nil {
 			return nil, err

@@ -37,7 +37,6 @@ func runLoad(opt Options) (*Result, error) {
 				Protocol:       proto,
 				Strategy:       core.GoBackN,
 				RetransTimeout: 2 * time.Second,
-				MinRTO:         2 * time.Second, // the paper's fixed Tr
 			}
 			r, err := simrun.Transfer(cfg, simrun.Options{
 				Cost:           m,

@@ -92,7 +92,6 @@ func runChunkSweep(opt Options) (*Result, error) {
 			Protocol:       core.Blast,
 			Strategy:       core.GoBackN,
 			RetransTimeout: time.Second,
-			MinRTO:         time.Second, // the paper's fixed Tr
 		}
 		elapsed, err := one(cfg, simrun.Options{Cost: m})
 		if err != nil {

@@ -42,7 +42,6 @@ func table1Config(bytes int, p core.Protocol) core.Config {
 		Protocol:       p,
 		Strategy:       core.GoBackN,
 		RetransTimeout: 500 * time.Millisecond,
-		MinRTO:         500 * time.Millisecond, // the paper's fixed Tr
 	}
 }
 
@@ -96,7 +95,6 @@ func runTable2(opt Options) (*Result, error) {
 		Bytes:          1024,
 		Protocol:       core.StopAndWait,
 		RetransTimeout: 500 * time.Millisecond,
-		MinRTO:         500 * time.Millisecond,
 	}, simrun.Options{Cost: m, Trace: rec.Add})
 	if err != nil {
 		return nil, err

@@ -132,12 +132,10 @@ type Server struct {
 // it without bound.
 const pathCap = 1024
 
-// pathTable remembers, per peer host, the smoothed round-trip time the last
-// pull sender to that host ended with — RFC 9040's "temporal sharing". The
-// next pull sender to the same host starts its retransmission estimator
-// from it (core.Config.PathRTT), so a lost reliable last in its first
-// window costs about a round trip instead of the REQ's Tr. Every pull
-// sender reads it once and writes it once; nothing on the data path does.
+// pathTable remembers, per peer host, the smoothed RTT the last pull sender
+// to that host ended with (RFC 9040's "temporal sharing"); the next pull
+// sender there starts its estimator from it (core.Config.PathRTT). Every
+// pull sender reads it once and writes it once; nothing on the data path does.
 type pathTable struct {
 	mu  sync.Mutex
 	rtt map[pathKey]time.Duration

@@ -66,7 +66,6 @@ func TestBatchedPathPropertyGrid(t *testing.T) {
 					Protocol:       v.proto,
 					Strategy:       v.strat,
 					RetransTimeout: 100 * time.Millisecond,
-					MinRTO:         100 * time.Millisecond, // the paper's fixed Tr
 					MaxAttempts:    300,
 					// The linger must outlive Tr: a reorder hold can complete
 					// the receiver silently (full-no-nak never acks a gap-fill),

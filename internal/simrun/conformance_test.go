@@ -268,7 +268,6 @@ func scriptedConformance(t *testing.T, rows []twoPartyRow) {
 			Protocol:       p,
 			Strategy:       s,
 			RetransTimeout: 500 * time.Millisecond,
-			MinRTO:         500 * time.Millisecond, // the paper's fixed Tr: no timing-driven retries
 			MaxAttempts:    50,
 			Linger:         150 * time.Millisecond,
 			ReceiverIdle:   2 * time.Second,
@@ -351,7 +350,6 @@ func seededConformance(t *testing.T, rows []twoPartyRow) {
 					Protocol:       core.Blast,
 					Strategy:       s,
 					RetransTimeout: 80 * time.Millisecond,
-					MinRTO:         80 * time.Millisecond, // the paper's fixed Tr
 					MaxAttempts:    200,
 					Linger:         120 * time.Millisecond,
 					ReceiverIdle:   3 * time.Second,

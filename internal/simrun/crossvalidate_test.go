@@ -48,7 +48,6 @@ func TestMonteCarloMatchesDES(t *testing.T) {
 			Protocol:       core.Blast,
 			Strategy:       s,
 			RetransTimeout: tr,
-			MinRTO:         tr, // the Monte Carlo model's fixed Tr
 		}
 		desMean, desSigma := desEstimate(t, cfg,
 			Options{Cost: m, Loss: params.LossModel{PNet: pn}, Seed: 10_000}, 800)
@@ -82,7 +81,6 @@ func TestMonteCarloMatchesDESStopAndWait(t *testing.T) {
 		Bytes:          64 * 1024,
 		Protocol:       core.StopAndWait,
 		RetransTimeout: tr,
-		MinRTO:         tr, // the Monte Carlo model's fixed Tr
 	}
 	desMean, desSigma := desEstimate(t, cfg,
 		Options{Cost: m, Loss: params.LossModel{PNet: pn}, Seed: 50_000}, 500)
@@ -115,7 +113,6 @@ func TestCombinedLossMatchesDES(t *testing.T) {
 		Protocol:       core.Blast,
 		Strategy:       core.GoBackN,
 		RetransTimeout: tr,
-		MinRTO:         tr, // the Monte Carlo model's fixed Tr
 	}
 	desMean, _ := desEstimate(t, cfg, Options{Cost: m, Loss: loss, Seed: 90_000}, 500)
 	est, err := mc.Blast(mc.Params{

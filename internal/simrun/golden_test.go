@@ -145,13 +145,11 @@ func TestGoldenVirtualTime(t *testing.T) {
 		// pinned cell that reorders, its receivers sent 22 NAKs instead of
 		// 51 and its senders re-sent 433 packets instead of 622, and the
 		// makespan fell from 26.8 to 25.4 ms (26935bce80eb85f5 before), and
-		// again when every sender's RTO became one rule, capped at Tr,
-		// doubled per timeout and floored at Tr/64 (here 1.56 ms, not 1 ms):
-		// its senders re-sent 408 packets instead of 433, the receivers
-		// held 387 duplicates instead of 381 and sent 52 ACKs instead of 51,
-		// and the makespan rose from 25.4 to 26.0 ms; the digest also took
-		// in the senders' 4 timeouts, which load counts now carry.
-		check(t, loadDigest(res), "756cd89fa489e41b")
+		// again when a timeout began to double the RTO until the next clean
+		// sample (RFC 6298 §5.5) and load counts began to carry the senders'
+		// timeouts: the same 433 re-sent packets, 5 timeouts, the makespan
+		// 25.438 → 25.430 ms.
+		check(t, loadDigest(res), "843423ae08b1fb45")
 	})
 
 	t.Run("fanout/tree", func(t *testing.T) {

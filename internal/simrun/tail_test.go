@@ -247,45 +247,6 @@ func TestLostFirstLastCostsRTT(t *testing.T) {
 	})
 }
 
-// A fixed-schedule pull (no policy) that loses the ACK of a window's
-// reliable last waits a learned RTO, not its Tr, before asking again: the
-// first window's response has taught the sender the round trip, and the
-// default floor, Tr/64, bounds it from below. With a 250 ms Tr pinned the
-// same loss stalls the pull a quarter of a second.
-func TestLostWindowAckCostsRTT(t *testing.T) {
-	const tr = 250 * time.Millisecond
-	cfg := tailConfig(1)
-	cfg.Window, cfg.RetransTimeout = tailPackets/4, tr
-	// The second window's ACK names the third window's first packet.
-	secondAck := func(p *wire.Packet) bool {
-		return p.Type == wire.TypeAck && p.Flags&wire.FlagDone == 0 && int(p.Seq) == 2*cfg.Window
-	}
-	tailWorlds(t, func(t *testing.T, mk func() substrate, virtual bool) {
-		var res, cleanRes core.RecvResult
-		r := runTail(t, mk, dropOnce(secondAck), pull(cfg, &res))
-		clean := runTail(t, mk, nil, pull(cfg, &cleanRes))
-		lossy, ref := r.served.byID[1], clean.served.byID[1]
-		if !res.Completed || lossy.Timeouts < 1 || lossy.RTOFromPath {
-			t.Fatalf("completed %v with %d timeouts, RTO from the path %v: want a completed pull whose own sample timed out",
-				res.Completed, lossy.Timeouts, lossy.RTOFromPath)
-		}
-		if !virtual {
-			if lossy.Elapsed >= tr/5 {
-				t.Errorf("a lost window ACK cost the pull %v (clean %v), want under Tr/5 = %v", lossy.Elapsed, ref.Elapsed, tr/5)
-			}
-			return
-		}
-		// A round trip here is tens of µs, so the RTO is the floor, Tr/64;
-		// the loss costs that wait plus one more send of the reliable last,
-		// whose duplicate the receiver acknowledges at once.
-		cost := params.ModernGigabit()
-		want := tr/64 + cost.CopyTime(tailChunk) + cost.WireTime(tailChunk)
-		if stall := lossy.Elapsed - ref.Elapsed; stall != want {
-			t.Errorf("losing a window's ACK cost %v, want the Tr/64 RTO floor and one data packet: %v", stall, want)
-		}
-	})
-}
-
 // A lossy pull's FIN goes out twice, so losing one still releases the
 // receiver at once instead of after its linger.
 func TestLostFINReleasesReceiver(t *testing.T) {

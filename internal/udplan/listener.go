@@ -381,6 +381,8 @@ func (se *sessionEnv) nextBurst(timeout time.Duration) (*slab, error) {
 		}
 		return b, nil
 	case <-se.timer.C:
-		return nil, os.ErrDeadlineExceeded
+		// select picks either of a burst and the timer when both are
+		// ready: one that came in time is taken, not taken for a timeout.
+		return se.nextBurst(0)
 	}
 }

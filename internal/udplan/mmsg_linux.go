@@ -11,7 +11,9 @@ package udplan
 // mmsg_fallback.go.
 
 import (
+	"errors"
 	"net"
+	"os"
 	"syscall"
 	"unsafe"
 )
@@ -92,6 +94,7 @@ type mmsgReceiver struct {
 	got   int
 	errno syscall.Errno
 	read  func(fd uintptr) bool // r.recvmmsg
+	last  func(fd uintptr)      // r.recvmmsg, as RawConn.Control takes it
 }
 
 // fillBatch is rxBatch.fill on this platform: one recvmmsg into the whole
@@ -99,13 +102,20 @@ type mmsgReceiver struct {
 // read deadline) until the socket turns readable. On a GRO ring messages
 // carry their gso_size control data, so a coalesced superbuffer splits back
 // into frames as it is walked.
+// The poller reports an expired deadline without reading again (or, for a
+// zero-timeout poll, at all), so an expired deadline gets one last
+// non-blocking recvmmsg: a datagram that came as the timer fired is read,
+// not taken for a timeout.
 func fillBatch(raw syscall.RawConn, r *rxBatch) error {
 	rv := &r.recv
 	if rv.read == nil {
 		rv.read = r.recvmmsg
+		rv.last = func(fd uintptr) { r.recvmmsg(fd) }
 	}
 	if err := raw.Read(rv.read); err != nil {
-		return err // deadline expired or socket closed
+		if !errors.Is(err, os.ErrDeadlineExceeded) || raw.Control(rv.last) != nil || rv.errno == syscall.EAGAIN {
+			return err // socket closed, or nothing queued
+		}
 	}
 	if rv.errno != 0 {
 		return rv.errno

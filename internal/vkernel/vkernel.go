@@ -325,7 +325,6 @@ func (c *Cluster) transferConfig(payload []byte, opt MoveOptions) core.Config {
 		Protocol:       opt.Protocol,
 		Strategy:       opt.Strategy,
 		RetransTimeout: tr,
-		MinRTO:         tr, // V's fixed timer: the estimator pinned at Tr
 		Window:         opt.Window,
 		Controller:     opt.Controller,
 		MaxAttempts:    opt.MaxAttempts,
