@@ -285,6 +285,29 @@ func TestEndpointFiltersOnPeer(t *testing.T) {
 	}
 }
 
+// A wait whose deadline has already expired still reads a datagram that is
+// queued: Go's poller reports such a deadline without reading, and a
+// zero-timeout poll (sliding window's between sends) used to miss every
+// ack that way — batching off and on.
+func TestEndpointExpiredWaitReadsQueued(t *testing.T) {
+	for _, batch := range []int{1, 32} {
+		t.Run(fmt.Sprintf("batch%d", batch), func(t *testing.T) {
+			conn, peer := listenUDP(t, 0), listenUDP(t, 0)
+			e := NewEndpoint(conn, peer.LocalAddr())
+			e.SetBatch(batch)
+			if _, err := e.Recv(0); !core.IsTimeout(err) {
+				t.Fatalf("poll of a silent socket: %v", err)
+			}
+			buf, _ := (&wire.Packet{Type: wire.TypeAck, Trans: 1, Seq: 9}).Encode(nil)
+			peer.WriteTo(buf, conn.LocalAddr())
+			time.Sleep(20 * time.Millisecond) // loopback has queued it by now
+			if pkt, err := e.Recv(0); err != nil || pkt.Seq != 9 {
+				t.Errorf("poll with a datagram queued: %v, %v", pkt, err)
+			}
+		})
+	}
+}
+
 // The client mirror of TestRxParityAcrossTiers: one seeded script — GSO
 // superbuffers of equal frames, a control datagram riding a burst's short
 // tail and one on its own, one bit-flipped segment mid-burst, a short
