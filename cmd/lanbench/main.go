@@ -110,12 +110,18 @@ func main() {
 			os.Exit(1)
 		}
 		if *format == "csv" {
-			fmt.Printf("# %s — %s\n%s\n", res.ID, res.Title, experiments.RenderCSV(res))
+			fmt.Print(csvBlock(res))
 			continue
 		}
 		fmt.Print(experiments.Render(res))
 		fmt.Printf("(%s in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
+}
+
+// csvBlock is one experiment's -format csv output: a "# id — title" line,
+// the table, and a blank line.
+func csvBlock(res *experiments.Result) string {
+	return fmt.Sprintf("# %s — %s\n%s\n", res.ID, res.Title, experiments.RenderCSV(res))
 }
 
 // benchEntry is one micro-benchmark measurement in the snapshot.

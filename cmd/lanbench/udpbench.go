@@ -333,7 +333,7 @@ func runFanoutBench(objBytes, relays, lineRate int) (time.Duration, error) {
 	if res.Completed != 8 {
 		for _, r := range res.Receivers {
 			if r.Err != "" {
-				return res.Makespan, fmt.Errorf("fanout receiver %d: %s", r.Receiver, r.Err)
+				return res.Makespan, fmt.Errorf("fanout receiver %d: %s", r.Client, r.Err)
 			}
 		}
 		return res.Makespan, fmt.Errorf("fanout completed %d of 8 receivers", res.Completed)
@@ -523,8 +523,8 @@ func runUDPBench(path string, quick bool, streams int, controller string, tierNa
 	}
 
 	if streams == 0 {
-		// The failure-recovery cases, each one simrun.FaultScenario
-		// over the batched datapath. udp_pull_resume: a 64 MB pull whose
+		// The failure-recovery cases, each one simrun.LoadScenario fault
+		// row over the batched datapath. udp_pull_resume: a 64 MB pull whose
 		// server crashes at the halfway chunk and rebinds after 10 ms,
 		// recovered through core.PullResume's frontier offset REQ — crash
 		// detection, downtime and resume round trip included; the floor is
@@ -536,19 +536,19 @@ func runUDPBench(path string, quick bool, streams int, controller string, tierNa
 		const resumeBytes = 64 << 20
 		if err := measurePull(&snap, "udp_pull_resume", resumeBytes, 3,
 			func() (time.Duration, string, error) {
-				res, err := simrun.FaultScenario{
+				res, err := simrun.LoadScenario{
 					N: 1, Bytes: []int{resumeBytes}, Chunk: 1000, Window: 128, Tr: 20 * time.Millisecond,
 					Concurrency: 2,
 					Faults:      params.Faults{CrashAfterChunks: []int64{resumeBytes / 1000 / 2}, Downtime: 10 * time.Millisecond},
-					MaxResumes:  16, Backoff: 5 * time.Millisecond, Seed: 1,
+					Resume:      &core.ResumeOptions{MaxResumes: 16, Backoff: 5 * time.Millisecond}, Seed: 1,
 				}.RunUDP(udpRun)
 				switch {
 				case err != nil:
 					return 0, "", err
 				case res.Completed != 1:
 					err = fmt.Errorf("resumed pull incomplete: %s", res.Clients[0].Err)
-				case res.Sessions < 2:
-					err = fmt.Errorf("server never crashed (%d sessions)", res.Sessions)
+				case res.Resume.Sessions < 2:
+					err = fmt.Errorf("server never crashed (%d sessions)", res.Resume.Sessions)
 				}
 				return res.Clients[0].Elapsed, "", err
 			}); err != nil {
@@ -560,16 +560,16 @@ func runUDPBench(path string, quick bool, streams int, controller string, tierNa
 		}
 		if err := measurePull(&snap, "udp_busy_backoff", busyBytes*busyClients, 3,
 			func() (time.Duration, string, error) {
-				res, err := simrun.FaultScenario{
+				res, err := simrun.LoadScenario{
 					N: busyClients, Bytes: []int{busyBytes}, Chunk: 1000, Window: 128, Tr: 20 * time.Millisecond,
 					Concurrency: 2, RetryAfter: 10 * time.Millisecond,
-					MaxBusyWaits: 1 << 20, Backoff: 5 * time.Millisecond,
+					Resume: &core.ResumeOptions{MaxBusyWaits: 1 << 20, Backoff: 5 * time.Millisecond},
 				}.RunUDP(udpRun)
 				switch {
 				case err != nil:
 				case res.Completed != busyClients:
 					err = fmt.Errorf("%d of %d clients completed", res.Completed, busyClients)
-				case res.BusyWaits == 0:
+				case res.Resume.BusyWaits == 0:
 					err = fmt.Errorf("%d clients against a 2-session cap were never refused", busyClients)
 				}
 				return res.Makespan, "", err

@@ -64,6 +64,14 @@ type ResumeStats struct {
 	DupChunks     int // chunk arrivals discarded because already verified
 }
 
+// Add folds another pull's recovery ledger into s.
+func (s *ResumeStats) Add(o ResumeStats) {
+	s.Sessions += o.Sessions
+	s.BusyWaits += o.BusyWaits
+	s.ResumedChunks += o.ResumedChunks
+	s.DupChunks += o.DupChunks
+}
+
 const (
 	defaultMaxResumes   = 8
 	defaultMaxBusyWaits = 64

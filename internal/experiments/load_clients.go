@@ -70,7 +70,8 @@ func runLoadClients(opt Options) (*Result, error) {
 	}
 	res.Notes = append(res.Notes,
 		"every client pulls through the shared session layer (internal/session) from one sharded simulated server; the identical server code serves real UDP in blastd",
-		"clients beyond the Concurrency=8 session cap are dropped at REQ time and recover via REQ retransmission, which is what stretches the adversarial makespans",
+		"a REQ beyond the Concurrency=8 session cap is answered BUSY with a RETRY-AFTER hint, and the client asks again once the hint has passed",
+		"the lossy rows' longer makespans go with their retransmits, not with the cap: 8 clients never exceed it, and their lossy makespan stretches all the same",
 		"bit-identical at any worker count and GOMAXPROCS (handoff-scheduled DES); regression-pinned by TestLoadScenarioDeterministic",
 	)
 	return res, nil

@@ -34,7 +34,7 @@ type ContentionSweep struct {
 	// Arrival is the client arrival window (default 2 ms: a near-herd).
 	Arrival time.Duration
 	// Concurrency is the server session cap (default: the cell's client
-	// count — contention comes from the fabric, not REQ-time drops).
+	// count — contention comes from the fabric, not BUSY refusals).
 	Concurrency int
 	// Seed seeds the sweep. A cell's seed is Seed plus its (adversary,
 	// clients) coordinate — deliberately NOT its policy index, so every

@@ -2,6 +2,7 @@ package simrun
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,19 +10,16 @@ import (
 	"blastlan/internal/store"
 )
 
+// eagle is the disk rows' paper-era disk.
+var eagle = disk.FujitsuEagle()
+
 // A thundering herd against one cold cache costs exactly one pass over the
 // platter: with the cache at least file-sized, the store reads each extent
 // once no matter how many clients pulled — far fewer disk accesses than
 // chunks served.
 func TestDiskLoadSingleReadPerChunk(t *testing.T) {
 	const fileBytes, chunk = 8*store.ExtentBytes + 5000, 1 << 10
-	sc := DiskLoadScenario{
-		Name:      "herd",
-		N:         8,
-		FileBytes: fileBytes,
-		Chunk:     chunk,
-		Seed:      42,
-	}
+	sc := LoadScenario{Name: "herd", N: 8, Bytes: []int{fileBytes}, Chunk: chunk, Disk: &eagle, Seed: 42}
 	res, err := sc.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -49,12 +47,13 @@ func TestDiskLoadSingleReadPerChunk(t *testing.T) {
 // every store counter — reproduces exactly across runs.
 func TestDiskLoadDeterministic(t *testing.T) {
 	const fileBytes = 16 * store.ExtentBytes
-	sc := DiskLoadScenario{
+	sc := LoadScenario{
 		Name:       "det",
 		N:          6,
-		FileBytes:  fileBytes,
+		Bytes:      []int{fileBytes},
 		Chunk:      1 << 10,
-		Spacing:    3 * time.Millisecond,
+		Arrival:    18 * time.Millisecond,
+		Disk:       &eagle,
 		CacheBytes: fileBytes / 4, // pressure: evictions must reproduce too
 		Seed:       7,
 	}
@@ -85,16 +84,7 @@ func TestDiskLoadDeterministic(t *testing.T) {
 // read is bounded below by the disk model's full-file read time.
 func TestDiskLoadColdVsHot(t *testing.T) {
 	const fileBytes, chunk = 1 << 20, 1 << 10
-	g := disk.FujitsuEagle()
-	sc := DiskLoadScenario{
-		Name:      "coldhot",
-		Disk:      g,
-		N:         2,
-		FileBytes: fileBytes,
-		Chunk:     chunk,
-		Spacing:   2 * time.Second, // client 1 arrives after client 0 finishes
-		Seed:      3,
-	}
+	sc := LoadScenario{Name: "coldhot", N: 2, Bytes: []int{fileBytes}, Chunk: chunk, Arrival: time.Minute, Disk: &eagle, Seed: 3}
 	res, err := sc.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -103,9 +93,15 @@ func TestDiskLoadColdVsHot(t *testing.T) {
 		t.Fatalf("completed %d, want 2", res.Completed)
 	}
 	cold, hot := res.Clients[0], res.Clients[1]
+	if hot.Arrival < cold.Arrival {
+		cold, hot = hot, cold
+	}
+	if hot.Arrival < cold.End {
+		t.Fatalf("seed %d drew the hot client (at %v) into the cold pull (%v to %v)", sc.Seed, hot.Arrival, cold.Start, cold.End)
+	}
 	// The cold pull cannot beat the platter: its elapsed time is at least
 	// the model's cost of reading the file in extent-sized pages.
-	diskFloor := g.FileReadTime(fileBytes, store.ExtentBytes)
+	diskFloor := eagle.FileReadTime(fileBytes, store.ExtentBytes)
 	if cold.Elapsed < diskFloor {
 		t.Errorf("cold pull took %v, below the disk floor %v", cold.Elapsed, diskFloor)
 	}
@@ -123,15 +119,8 @@ func TestDiskLoadColdVsHot(t *testing.T) {
 // arriving together, the loser's stat earns BUSY, and with Tr deliberately
 // huge its whole stat + pull must still finish well inside one Tr wait.
 func TestDiskLoadStatHonorsBusy(t *testing.T) {
-	sc := DiskLoadScenario{
-		Name:        "busy-stat",
-		N:           2,
-		FileBytes:   2 * store.ExtentBytes,
-		Chunk:       1 << 10,
-		Tr:          5 * time.Second,
-		Concurrency: 1,
-		Seed:        3,
-	}
+	sc := LoadScenario{Name: "busy-stat", N: 2, Bytes: []int{2 * store.ExtentBytes}, Chunk: 1 << 10,
+		Tr: 5 * time.Second, Concurrency: 1, Disk: &eagle, Seed: 3}
 	res, err := sc.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -151,5 +140,13 @@ func TestDiskLoadStatHonorsBusy(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res, again) {
 		t.Error("BUSY-retried stat is not deterministic across runs")
+	}
+}
+
+// A disk row runs on the simulator only, and RunUDP says why.
+func TestDiskLoadRefusesUDP(t *testing.T) {
+	_, err := LoadScenario{Name: "disk", Disk: &eagle}.RunUDP(UDP{})
+	if err == nil || !strings.Contains(err.Error(), "virtual clock") {
+		t.Fatalf("RunUDP on a disk row = %v, want the simulator-only refusal", err)
 	}
 }

@@ -2,7 +2,6 @@ package simrun
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"time"
 
@@ -102,42 +101,12 @@ func (sc FanoutScenario) withFanoutDefaults() FanoutScenario {
 	return sc
 }
 
-// FanoutReceiverResult is one receiver's end-to-end outcome, all stripe
-// sessions folded together.
-type FanoutReceiverResult struct {
-	Receiver   int
-	Arrival    time.Duration
-	Start      time.Duration // first stripe REQ issued (the substrate's clock)
-	End        time.Duration // last stripe completed
-	Elapsed    time.Duration
-	Completed  bool
-	ChecksumOK bool
-	Data       []byte // the assembled payload (nil over UDP without KeepData)
-	// Counts sums the receiver's stripe sessions: receiver-side counters
-	// net of linger plus the serving sessions' sender-side ones.
-	Counts Counts
-	Resume core.ResumeStats
-	// Busy reports that a stripe surfaced a BUSY refusal after exhausting
-	// its busy-wait budget; RetryAfter is the server's hint.
-	Busy       bool
-	RetryAfter time.Duration
-	Err        string
-}
-
-// FanoutRelayResult is one relay's uplink outcome.
-type FanoutRelayResult struct {
-	Relay     int
-	Stripe    core.Stripe
-	Completed bool
-	Counts    Counts
-	Resume    core.ResumeStats
-	Err       string
-}
-
 // FanoutResult reports one fan-out run.
 type FanoutResult struct {
-	Receivers []FanoutReceiverResult
-	Relays    []FanoutRelayResult
+	// Receivers are the receivers' outcomes, every stripe folded together
+	// (Client is the receiver's index); Relays are the relay uplinks'.
+	Receivers []ClientResult
+	Relays    []ClientResult
 	Completed int           // receivers that assembled an intact object
 	Makespan  time.Duration // first receiver start to last receiver end
 	AggBytes  int64         // payload bytes delivered to intact receivers
@@ -158,14 +127,6 @@ func (r FanoutResult) AggMBps() float64 {
 	return float64(r.AggBytes) / r.Makespan.Seconds() / 1e6
 }
 
-// addResume folds one session's resume stats into an aggregate.
-func addResume(agg *core.ResumeStats, s core.ResumeStats) {
-	agg.Sessions += s.Sessions
-	agg.BusyWaits += s.BusyWaits
-	agg.ResumedChunks += s.ResumedChunks
-	agg.DupChunks += s.DupChunks
-}
-
 // fanoutParts returns the stripe plan: the relay stripes, or one
 // whole-object "stripe" for the baseline.
 func (sc FanoutScenario) fanoutParts() []core.Stripe {
@@ -184,37 +145,17 @@ func (sc FanoutScenario) arrival(i int) time.Duration {
 }
 
 // fanoutHop is one pull of the plan — a relay's uplink or one stripe of one
-// receiver: what to pull from whom, then, filled in by the hop's own thread
-// of control, how it went.
+// receiver: what to pull from whom (pulled.id names the transfer), then,
+// filled in by the hop's own thread of control, how it went.
 type fanoutHop struct {
 	name  string
 	at    host          // the server pulled from
 	delay time.Duration // before dialing
-	id    uint32
-	seed  int64 // backoff jitter
+	seed  int64         // backoff jitter
 	st    core.Stripe
 	sink  core.ChunkSink
 	fail  func(error) // when non-nil, told that the pull failed for good
-
-	res        core.RecvResult
-	rst        core.ResumeStats
-	err        error
-	start, end time.Duration
-}
-
-// counts joins the hop's receiver-side counters, net of linger, to the
-// serving session's sender-side ones.
-func (h *fanoutHop) counts(served map[uint32]session.TransferStats) Counts {
-	var c Counts
-	if h.err == nil {
-		c = recvCounts(h.res)
-	}
-	if ts, ok := served[h.id]; ok {
-		c.DataSent += ts.Packets
-		c.Retransmits += ts.Retransmits
-		c.Timeouts += ts.Timeouts
-	}
-	return c
+	pulled
 }
 
 // Run executes the scenario once on the discrete-event simulator.
@@ -330,7 +271,7 @@ func (sc FanoutScenario) run(sub substrate, keep bool) (FanoutResult, error) {
 			// A failed uplink poisons its board: the relay's children unblock
 			// and recover through their own resume budgets instead of
 			// deadlocking on a dead board.
-			uplinks[ki] = fanoutHop{name: fmt.Sprintf("relay%d-up", ki), at: src, id: session.FanoutRelayID(ki),
+			uplinks[ki] = fanoutHop{name: fmt.Sprintf("relay%d-up", ki), at: src, pulled: pulled{id: session.FanoutRelayID(ki)},
 				seed: sc.Seed + 7000 + int64(ki), st: st, sink: board.Sink(), fail: board.Fail}
 		}
 		for ki := range uplinks {
@@ -346,7 +287,7 @@ func (sc FanoutScenario) run(sub substrate, keep bool) (FanoutResult, error) {
 		}
 		for ki, st := range parts {
 			hops[i][ki] = fanoutHop{name: fmt.Sprintf("recv%d-%d", i, ki), at: targets[ki], delay: sc.arrival(i),
-				id: session.FanoutReceiverID(i, ki), seed: sc.Seed + int64(i*session.FanoutStripeStride+ki), st: st,
+				pulled: pulled{id: session.FanoutReceiverID(i, ki)}, seed: sc.Seed + int64(i*session.FanoutStripeStride+ki), st: st,
 				// Stripes cover disjoint ranges, so concurrent sinks never
 				// overlap; without keep the stripe checksums are the evidence.
 				sink: func(off int, b []byte) {
@@ -372,52 +313,24 @@ func (sc FanoutScenario) run(sub substrate, keep bool) (FanoutResult, error) {
 	served := log.byID
 	expected := core.SeededPayload(int64(sc.Bytes), sc.Bytes, sc.Chunk)
 	want := core.TransferChecksum(expected)
-	out := FanoutResult{
-		Receivers: make([]FanoutReceiverResult, sc.N),
-		Relays:    make([]FanoutRelayResult, len(uplinks)),
-	}
-	for ki := range uplinks {
-		h := &uplinks[ki]
+	out := FanoutResult{Receivers: make([]ClientResult, sc.N), Relays: make([]ClientResult, len(uplinks))}
+	for ki, h := range uplinks {
 		rr := &out.Relays[ki]
-		rr.Relay, rr.Stripe, rr.Resume, rr.Counts = ki, h.st, h.rst, h.counts(served)
-		if h.err != nil {
-			rr.Err = h.err.Error()
-		} else {
-			rr.Completed = h.res.Completed
-		}
+		rr.Client, rr.TransferID, rr.Bytes = ki, h.id, h.st.Bytes
+		rr.join(served, h.pulled)
 		out.SourceDataSent += rr.Counts.DataSent
 	}
 	var span makespan
 	for i := range out.Receivers {
 		r := &out.Receivers[i]
-		r.Receiver, r.Arrival = i, sc.arrival(i)
-		r.Completed = true
-		var whole makespan
+		r.Client, r.Bytes, r.Arrival, r.Data = i, sc.Bytes, sc.arrival(i), bufs[i]
+		ps := make([]pulled, len(hops[i]))
 		var sum wire.SumAcc
-		for ki := range hops[i] {
-			h := &hops[i][ki]
-			whole.add(h.start, h.end)
-			addResume(&r.Resume, h.rst)
-			if h.err != nil {
-				r.Completed = false
-				if r.Err == "" {
-					r.Err = h.err.Error()
-				}
-				var busy *core.BusyError
-				if errors.As(h.err, &busy) {
-					r.Busy = true
-					r.RetryAfter = busy.RetryAfter
-				}
-				continue
-			}
-			if !h.res.Completed {
-				r.Completed = false
-			}
+		for ki, h := range hops[i] {
+			ps[ki] = h.pulled
 			sum.AddChecksumAt(h.st.Offset, h.res.Checksum)
-			r.Counts.Add(h.counts(served))
 		}
-		r.Start, r.End, r.Elapsed = whole.first, whole.last, whole.span()
-		r.Data = bufs[i]
+		r.join(served, ps...)
 		r.ChecksumOK = r.Completed && sum.Sum16() == want && (!keep || bytes.Equal(bufs[i], expected))
 		if !treed {
 			// Baseline: the source's sessions are the receivers' own.
@@ -454,7 +367,9 @@ func (r BroadcastResult) AggMBps() float64 {
 // ether and every station hears it (internal/ether CSMA — one medium
 // occupancy regardless of receiver count). No per-receiver reliability, no
 // acks: this is the physical floor a relay tree is compared against, not a
-// usable protocol on its own.
+// usable protocol on its own. It has no UDP binding and bypasses the
+// substrate seam: loopback sockets have no shared medium, so there is no
+// one occupancy for every receiver to measure there.
 func (sc FanoutScenario) RunBroadcast() (BroadcastResult, error) {
 	sc = sc.withFanoutDefaults()
 	w, err := newDESWorld(sc.Cost, sc.Seed)

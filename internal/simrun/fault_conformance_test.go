@@ -7,18 +7,19 @@ import (
 	"testing"
 	"time"
 
+	"blastlan/internal/core"
 	"blastlan/internal/params"
 	"blastlan/internal/session"
 )
 
-// Fault-injection conformance: one FaultScenario value runs through Run (the
+// Fault-injection conformance: one LoadScenario fault row runs through Run (the
 // DES: station close/reopen) and RunUDP (socket close/rebind) at batch 1
 // and 32 with the payload kept, and both recover the same transfer through
 // core.PullResume.
 
 // faultRows runs sc on the DES and over UDP at batch 1 and 32, data kept,
 // handing each result to check. The UDP rows skip without loopback.
-func faultRows(t *testing.T, sc FaultScenario, check func(t *testing.T, sub string, res FaultResult)) {
+func faultRows(t *testing.T, sc LoadScenario, check func(t *testing.T, sub string, res LoadResult)) {
 	t.Helper()
 	for _, batch := range []int{0, 1, 32} {
 		sub := fmt.Sprintf("batch%d", batch)
@@ -26,7 +27,7 @@ func faultRows(t *testing.T, sc FaultScenario, check func(t *testing.T, sub stri
 			sub = "des"
 		}
 		t.Run(sub, func(t *testing.T) {
-			var res FaultResult
+			var res LoadResult
 			var err error
 			if batch == 0 {
 				res, err = sc.Run()
@@ -55,18 +56,17 @@ func faultRows(t *testing.T, sc FaultScenario, check func(t *testing.T, sub stri
 // resume too, and the kept bytes are the seeded stream (ChecksumOK).
 func TestFaultConformance(t *testing.T) {
 	const chunks = 200
-	sc := FaultScenario{
+	sc := LoadScenario{
 		Name:        "fault-conformance",
 		N:           1,
 		Bytes:       []int{chunks * 1000},
 		Chunk:       1000,
 		Concurrency: 2,
 		Faults:      params.Faults{CrashAfterChunks: []int64{80}, Downtime: 200 * time.Millisecond},
-		MaxResumes:  16,
-		Backoff:     50 * time.Millisecond,
+		Resume:      &core.ResumeOptions{MaxResumes: 16, Backoff: 50 * time.Millisecond},
 		Seed:        1,
 	}
-	faultRows(t, sc, func(t *testing.T, sub string, res FaultResult) {
+	faultRows(t, sc, func(t *testing.T, sub string, res LoadResult) {
 		st := res.Clients[0].Resume
 		if sub != "des" {
 			if st.Sessions < 2 {
@@ -86,11 +86,12 @@ func TestFaultConformance(t *testing.T) {
 // TestFaultBlackholeConformance: client 0's receive path goes dark for 40
 // chunks; it recovers on every substrate without a duplicate sink delivery.
 func TestFaultBlackholeConformance(t *testing.T) {
-	sc := FaultScenario{Name: "blackhole", N: 2, Bytes: []int{96 << 10},
-		Faults: params.Faults{BlackholeAfter: 20, BlackholeCount: 40}, Seed: 5}
-	faultRows(t, sc, func(t *testing.T, _ string, res FaultResult) {
-		if res.Dups != 0 {
-			t.Fatalf("blackhole recovery delivered %d duplicate chunks", res.Dups)
+	sc := LoadScenario{Name: "blackhole", N: 2, Bytes: []int{96 << 10},
+		Faults: params.Faults{BlackholeAfter: 20, BlackholeCount: 40},
+		Resume: &core.ResumeOptions{Backoff: 20 * time.Millisecond}, Seed: 5}
+	faultRows(t, sc, func(t *testing.T, _ string, res LoadResult) {
+		if res.Resume.DupChunks != 0 {
+			t.Fatalf("blackhole recovery delivered %d duplicate chunks", res.Resume.DupChunks)
 		}
 	})
 }
@@ -102,13 +103,13 @@ func TestFaultOverloadUDP(t *testing.T) {
 	if !udpAvailable() {
 		t.Skip("no UDP loopback")
 	}
-	res, err := FaultScenario{Name: "overload-udp", N: 16, Concurrency: 2,
-		RetryAfter: 10 * time.Millisecond, MaxBusyWaits: 1 << 20, Seed: 9}.RunUDP(UDP{Batch: 32})
+	res, err := LoadScenario{Name: "overload-udp", N: 16, Concurrency: 2, RetryAfter: 10 * time.Millisecond,
+		Resume: &core.ResumeOptions{MaxBusyWaits: 1 << 20, Backoff: 20 * time.Millisecond}, Seed: 9}.RunUDP(UDP{Batch: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Completed != 16 || res.BusyWaits == 0 || res.Dups != 0 {
-		t.Fatalf("completed %d/16, %d BUSY waits, %d dups; want all, some, none", res.Completed, res.BusyWaits, res.Dups)
+	if r := res.Resume; res.Completed != 16 || r.BusyWaits == 0 || r.DupChunks != 0 {
+		t.Fatalf("completed %d/16, %d BUSY waits, %d dups; want all, some, none", res.Completed, r.BusyWaits, r.DupChunks)
 	}
 }
 

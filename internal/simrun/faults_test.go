@@ -6,23 +6,22 @@ import (
 
 	"blastlan/internal/core"
 	"blastlan/internal/params"
+	"blastlan/internal/wire"
 )
 
 // crashScenario is the canonical 16-client crash/restart recovery scenario:
 // a seeded mixed workload against a capped server that dies twice on its
 // served-chunk schedule. Every client is expected to complete via resume.
-func crashScenario(seed int64) FaultScenario {
-	return FaultScenario{
+func crashScenario(seed int64) LoadScenario {
+	return LoadScenario{
 		Name:       "crash16",
 		N:          16,
 		Bytes:      []int{64 << 10, 128 << 10},
 		Strategies: []core.Strategy{core.GoBackN, core.FullNak},
 		Arrival:    200 * time.Millisecond,
-		Faults: params.Faults{
-			CrashAfterChunks: []int64{300, 900},
-			Downtime:         150 * time.Millisecond,
-		},
-		Seed: seed,
+		Faults:     params.Faults{CrashAfterChunks: []int64{300, 900}, Downtime: 150 * time.Millisecond},
+		Resume:     &core.ResumeOptions{Backoff: 20 * time.Millisecond},
+		Seed:       seed,
 	}
 }
 
@@ -46,14 +45,14 @@ func TestFaultScenarioRecovers(t *testing.T) {
 		}
 		t.Fatalf("completed %d/16 clients", res.Completed)
 	}
-	if res.Sessions <= 16 {
-		t.Fatalf("no client ever resumed (sessions=%d); the crashes were free", res.Sessions)
+	if res.Resume.Sessions <= 16 {
+		t.Fatalf("no client ever resumed (sessions=%d); the crashes were free", res.Resume.Sessions)
 	}
-	if res.Resumed == 0 {
+	if res.Resume.ResumedChunks == 0 {
 		t.Fatalf("no chunks were re-requested; recovery did not go through offset REQs")
 	}
-	if res.Dups != 0 {
-		t.Fatalf("resumed clients re-received %d verified chunks; resume REQs must start at the frontier", res.Dups)
+	if res.Resume.DupChunks != 0 {
+		t.Fatalf("resumed clients re-received %d verified chunks; resume REQs must start at the frontier", res.Resume.DupChunks)
 	}
 }
 
@@ -63,27 +62,25 @@ func TestFaultScenarioRecovers(t *testing.T) {
 // count. Each seed runs once per worker count, so the whole results,
 // per-client recovery ledgers included, must also repeat run to run.
 func TestFaultScenarioDeterministic(t *testing.T) {
-	requireWorkerInvariant(t, 3, 11, func(seed int64) (FaultResult, error) {
+	requireWorkerInvariant(t, 3, 11, func(seed int64) (LoadResult, error) {
 		return crashScenario(seed).Run()
 	})
 }
 
 // TestFaultScenarioCounterPinned: a single client whose serving session is
 // killed mid-blast provably re-fetches only unverified chunks — every chunk
-// crosses the wire to the sink exactly once (DataRecv == chunk count,
-// DupChunks == 0) even though it took two sessions.
+// crosses the wire to the sink exactly once (distinct arrivals == chunk
+// count, DupChunks == 0) even though it took two sessions.
 func TestFaultScenarioCounterPinned(t *testing.T) {
 	const chunks = 200
-	sc := FaultScenario{
-		Name:  "pin",
-		N:     1,
-		Bytes: []int{chunks * 1000},
-		Chunk: 1000,
-		Faults: params.Faults{
-			CrashAfterChunks: []int64{80},
-			Downtime:         150 * time.Millisecond,
-		},
-		Seed: 3,
+	sc := LoadScenario{
+		Name:   "pin",
+		N:      1,
+		Bytes:  []int{chunks * 1000},
+		Chunk:  1000,
+		Faults: params.Faults{CrashAfterChunks: []int64{80}, Downtime: 150 * time.Millisecond},
+		Resume: &core.ResumeOptions{Backoff: 20 * time.Millisecond},
+		Seed:   3,
 	}
 	res, err := sc.Run()
 	if err != nil {
@@ -99,43 +96,38 @@ func TestFaultScenarioCounterPinned(t *testing.T) {
 	if c.Resume.DupChunks != 0 {
 		t.Fatalf("resume re-received %d verified chunks", c.Resume.DupChunks)
 	}
-	if c.DataRecv != chunks {
-		t.Fatalf("chunks crossing the wire = %d, want exactly %d (each chunk once)", c.DataRecv, chunks)
+	if distinct := c.Counts.DataRecv - c.Counts.Duplicates; distinct != chunks {
+		t.Fatalf("chunks crossing the wire = %d, want exactly %d (each chunk once)", distinct, chunks)
 	}
+	// The two sessions partition the stream at the crash frontier.
 	if c.Resume.ResumedChunks == 0 || c.Resume.ResumedChunks >= chunks {
 		t.Fatalf("resume REQ re-requested %d of %d chunks; want a strict mid-transfer tail", c.Resume.ResumedChunks, chunks)
 	}
-	// The two sessions partition the stream at the crash frontier.
-	if first := c.DataRecv - c.Resume.ResumedChunks; first+c.Resume.ResumedChunks != chunks {
-		t.Fatalf("sessions do not partition the stream: first=%d resumed=%d total=%d",
-			first, c.Resume.ResumedChunks, chunks)
-	}
 }
 
-// TestFaultScenarioBlackhole: a client whose receive path goes dark for a
-// stretch of the stream still completes (in-session NAK recovery or a
-// resume, depending on strategy), with no duplicate sink deliveries.
-func TestFaultScenarioBlackhole(t *testing.T) {
-	sc := FaultScenario{
-		Name:       "blackhole",
-		N:          2,
-		Bytes:      []int{96 << 10},
-		Strategies: []core.Strategy{core.GoBackN},
-		Faults: params.Faults{
-			BlackholeAfter: 20,
-			BlackholeCount: 40,
-		},
-		Seed: 5,
-	}
-	res, err := sc.Run()
+// TestResumeCountsLingerOnce: a resumable pull whose completion ACK is lost
+// gets its last packet again in its linger; that arrival is a duplicate,
+// not a distinct chunk, and is counted once: distinct arrivals are exactly
+// the chunk count.
+func TestResumeCountsLingerOnce(t *testing.T) {
+	const chunks = 64
+	lost := false
+	res, err := LoadScenario{Name: "lost-ack", N: 1, Bytes: []int{chunks * 1000}, Chunk: 1000,
+		Adversary: params.Adversary{Script: func(p *wire.Packet) params.Mangle {
+			drop := !lost && p.Type == wire.TypeAck && p.Flags&wire.FlagAllReceived != 0
+			lost = lost || drop
+			return params.Mangle{Drop: drop}
+		}},
+		Resume: &core.ResumeOptions{}, Seed: 1}.Run()
 	if err != nil {
-		t.Fatalf("run: %v", err)
+		t.Fatal(err)
 	}
-	if res.Completed != 2 {
-		t.Fatalf("completed %d/2: %+v", res.Completed, res.Clients)
+	c := res.Clients[0]
+	if !lost || !c.Completed || c.Counts.DataSent != chunks+1 {
+		t.Fatalf("ack lost %v, completed %v, %d data packets sent: want the last re-sent once", lost, c.Completed, c.Counts.DataSent)
 	}
-	if res.Dups != 0 {
-		t.Fatalf("blackhole recovery delivered %d duplicate chunks", res.Dups)
+	if distinct := c.Counts.DataRecv - c.Counts.Duplicates; distinct != chunks {
+		t.Fatalf("%d distinct data arrivals, want %d", distinct, chunks)
 	}
 }
 
@@ -151,7 +143,7 @@ func TestFaultScenarioOverload(t *testing.T) {
 		// cap, and an overload test without refusals is vacuous.
 		n, arrival = 512, 100*time.Millisecond/8
 	}
-	sc := FaultScenario{
+	sc := LoadScenario{
 		Name:        "overload",
 		N:           n,
 		Bytes:       []int{4 << 10},
@@ -160,8 +152,8 @@ func TestFaultScenarioOverload(t *testing.T) {
 		Arrival:     arrival,
 		// Deep refusal queues: a late client may be refused many times
 		// before a slot frees up.
-		MaxBusyWaits: 1 << 20,
-		Seed:         9,
+		Resume: &core.ResumeOptions{MaxBusyWaits: 1 << 20, Backoff: 20 * time.Millisecond},
+		Seed:   9,
 	}
 	res, err := sc.Run()
 	if err != nil {
@@ -170,10 +162,10 @@ func TestFaultScenarioOverload(t *testing.T) {
 	if res.Completed != n {
 		t.Fatalf("completed %d/%d clients under overload", res.Completed, n)
 	}
-	if res.BusyWaits == 0 {
+	if res.Resume.BusyWaits == 0 {
 		t.Fatalf("no BUSY refusals at %d clients over an 8-session cap; admission control is not engaging", n)
 	}
-	if res.Crashes != 0 || res.Dups != 0 {
-		t.Fatalf("unexpected crashes=%d dups=%d", res.Crashes, res.Dups)
+	if res.Crashes != 0 || res.Resume.DupChunks != 0 {
+		t.Fatalf("unexpected crashes=%d dups=%d", res.Crashes, res.Resume.DupChunks)
 	}
 }

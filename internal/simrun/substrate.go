@@ -3,7 +3,6 @@ package simrun
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -22,11 +21,11 @@ type host any
 // substrate is the seam between the orchestration of a topology and the
 // medium it runs on: five operations and the two facts about time an
 // orchestration cannot know by itself. Every scenario with servers and
-// clients is written once against it — FanoutScenario, LoadScenario and
-// FaultScenario run on the DES binding (desWorld) and the UDP binding
-// (udpWorld) alike, and DiskLoadScenario, whose store waits on the virtual
-// clock, on the DES binding alone. The conformance suites substitute one
-// binding for the other and hold the two to identical counters.
+// clients is written once against it — FanoutScenario and LoadScenario run
+// on the DES binding (desWorld) and the UDP binding (udpWorld) alike, except
+// a LoadScenario disk row, whose store waits on the virtual clock, on the
+// DES binding alone. The conformance suites substitute one binding for the
+// other and hold the two to identical counters.
 type substrate interface {
 	// serve starts a session server on a fresh host. setup fills in the
 	// handlers and limits before the demux loop starts; the orchestration
@@ -224,28 +223,4 @@ func seededPull(n, chunk int, want uint16, keep bool) (core.ChunkSink, func(core
 	return func(off int, b []byte) { copy(buf[off:], b) }, func(res core.RecvResult) bool {
 		return res.Completed && res.Checksum == want && bytes.Equal(buf, core.SeededPayload(int64(n), n, chunk))
 	}
-}
-
-// clientDraw is one client's seeded workload: transfer size, blast strategy
-// and arrival offset.
-type clientDraw struct {
-	bytes    int
-	strategy core.Strategy
-	arrival  time.Duration
-}
-
-// drawClients draws n clients' workloads up front, in index order, from an
-// rng seeded seed — so a scenario is a pure function of its seed. Arrivals
-// are uniform over [0, arrival).
-func drawClients(seed int64, n int, sizes []int, strategies []core.Strategy, arrival time.Duration) []clientDraw {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]clientDraw, n)
-	for i := range out {
-		out[i].bytes = sizes[rng.Intn(len(sizes))]
-		out[i].strategy = strategies[rng.Intn(len(strategies))]
-		if arrival > 0 {
-			out[i].arrival = time.Duration(rng.Int63n(int64(arrival)))
-		}
-	}
-	return out
 }

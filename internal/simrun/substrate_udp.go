@@ -29,7 +29,7 @@ type UDP struct {
 	// KeepData has every client assemble its payload and verify it byte for
 	// byte; otherwise clients verify by checksum alone and hold nothing — a
 	// bench row fanning 16 MB out to 8 receivers must not assemble 128 MB.
-	// (A fan-out receiver's assembled bytes are FanoutReceiverResult.Data.)
+	// (A fan-out receiver's assembled bytes are its ClientResult.Data.)
 	KeepData bool
 }
 

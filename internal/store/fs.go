@@ -105,10 +105,14 @@ func NewSimFS(g disk.Geometry) *SimFS {
 	return &SimFS{geo: g, files: make(map[string]*simFile)}
 }
 
+// SimChunk is the chunk size SimFS content is generated at.
+const SimChunk = 1024
+
 // Add creates (or replaces) a simulated file with core.SeededPayload
-// content, so clients can verify pulled bytes against the same generator.
+// content, so clients can verify pulled bytes against the same generator:
+// core.SeededPayload(seed, size, SimChunk).
 func (s *SimFS) Add(name string, seed int64, size int) {
-	content := core.SeededPayload(seed, size, 1024)
+	content := core.SeededPayload(seed, size, SimChunk)
 	s.mu.Lock()
 	s.files[name] = &simFile{fs: s, content: content, lastEnd: -1}
 	s.mu.Unlock()
