@@ -180,11 +180,14 @@ func main() {
 		if ra == 0 {
 			ra = -1 // Options treats 0 as "default"; the flag's 0 means off
 		}
-		// Tell the runtime the budget: every miss makes a fresh extent and an
-		// evicted one waits for a collection, so at the default GOGC the heap
-		// grows to twice the live cache before the collector runs. The limit
-		// leaves the cache plus an eighth (at least 32 MiB) for everything
-		// else the daemon holds.
+		// Tell the runtime the budget. The store refills evicted extents'
+		// buffers, so the cache itself makes next to no garbage, but what
+		// still goes to the collector — short tail extents, an extent evicted
+		// under a pin that an abandoned session never drops, session rings —
+		// sits beside a live heap the size of the cache, and at the default
+		// GOGC the collector would wait for twice that. The limit leaves the
+		// cache plus an eighth (at least 32 MiB) for everything else the
+		// daemon holds.
 		cache := int64(*cacheMB) << 20
 		if cache <= 0 {
 			cache = 256 << 20 // store.Options' default budget: the limit needs the number
@@ -201,8 +204,8 @@ func main() {
 		// and read ops near the miss count mean the hot set outgrew it.
 		logStore = func() {
 			x := st.Stats()
-			log.Printf("blastd: store: %d extent hits, %d misses, %d read ops, %d evictions, %d bytes cached",
-				x.Hits, x.Misses, x.ReadOps, x.Evictions, x.BytesCached)
+			log.Printf("blastd: store: %d extent hits, %d misses, %d read ops (%d recycled), %d evictions, %d bytes cached",
+				x.Hits, x.Misses, x.ReadOps, x.Recycled, x.Evictions, x.BytesCached)
 		}
 		srv.SourceEnv = func(r wire.Req, env core.Env) (core.ChunkSource, bool) {
 			if r.Name == "" {

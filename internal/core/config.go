@@ -424,6 +424,7 @@ type RecvResult struct {
 	LingerAcks   int    // of AcksSent, those sent during the linger
 	LingerNaks   int    // of NaksSent, those sent during the linger
 	Reqs         int    // REQs Request sent: 1 when the first was answered
+	Refusals     int    // of Reqs, those the server refused with a BUSY
 
 	// sinkSum incrementally accumulates Checksum for Sink-mode transfers,
 	// where no contiguous Data buffer ever exists; usedSink records that

@@ -192,7 +192,8 @@ func recvOwn(env Env, trans uint32, idle time.Duration) (*wire.Packet, error) {
 // silence: a lost REQ costs Tr, and a server that never answers costs
 // Config.MaxAttempts·Tr. Once a packet of the transfer has arrived the
 // transfer is under way, and the attempt gives up only after 4·Tr of
-// silence. RecvResult.Reqs counts the REQs sent.
+// silence. RecvResult.Reqs counts the REQs sent and Refusals the BUSY
+// answers among them, on success and failure alike.
 func Request(env Env, cfg Config) (RecvResult, error) {
 	c, err := cfg.withDefaults()
 	if err != nil {
@@ -208,6 +209,10 @@ func Request(env Env, cfg Config) (RecvResult, error) {
 		var err error
 		res, err = RunReceiver(env, probe)
 		res.Reqs = 1 // this attempt's
+		var busy *BusyError
+		if errors.As(err, &busy) {
+			res.Refusals = 1
+		}
 		addRecv(&acc, res)
 		return err
 	})
@@ -218,7 +223,7 @@ func Request(env Env, cfg Config) (RecvResult, error) {
 	res.AcksSent, res.NaksSent = acc.AcksSent, acc.NaksSent
 	res.LingerEvents = acc.LingerEvents
 	res.LingerAcks, res.LingerNaks = acc.LingerAcks, acc.LingerNaks
-	res.Reqs = acc.Reqs
+	res.Reqs, res.Refusals = acc.Reqs, acc.Refusals
 	return res, nil
 }
 

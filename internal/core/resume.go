@@ -108,6 +108,7 @@ func addRecv(agg *RecvResult, r RecvResult) {
 	agg.LingerAcks += r.LingerAcks
 	agg.LingerNaks += r.LingerNaks
 	agg.Reqs += r.Reqs
+	agg.Refusals += r.Refusals
 }
 
 // PullResume performs the pull cfg describes with transfer-level failure

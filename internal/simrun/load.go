@@ -146,6 +146,10 @@ type ClientResult struct {
 	// Resume is the recovery ledger: sessions issued, BUSY waits honored,
 	// chunks re-requested, duplicate arrivals discarded.
 	Resume core.ResumeStats
+	// Refusals counts the BUSY answers the client's REQs drew, honoured or
+	// not. A substrate's timing decides which arrivals find the cap full,
+	// so it is no cross-substrate counter.
+	Refusals int
 	// Busy reports that a pull surfaced a BUSY refusal after its busy-wait
 	// budget ran out; RetryAfter is the server's hint.
 	Busy       bool
@@ -183,6 +187,7 @@ func (r *ClientResult) join(served map[uint32]session.TransferStats, ps ...pulle
 	for _, p := range ps {
 		span.add(p.start, p.end)
 		r.Resume.Add(p.rst)
+		r.Refusals += p.res.Refusals
 		for k := 0; k == 0 || k < p.rst.Sessions; k++ {
 			if ts, ok := served[p.id+uint32(k)<<24]; ok {
 				r.Counts.DataSent += ts.Packets

@@ -46,6 +46,37 @@ func requireWorkerInvariant[R any](t *testing.T, n int, seed int64, run func(see
 	}
 }
 
+// A plain LoadScenario row reports the session cap's refusals: four
+// clients arriving at once at a cap-1 server draw BUSY answers, and the
+// count is the same at every worker count.
+func TestLoadScenarioCountsRefusals(t *testing.T) {
+	requireWorkerInvariant(t, 4, 1, func(seed int64) ([]int, error) {
+		res, err := LoadScenario{
+			Name:        "cap1",
+			N:           4,
+			Bytes:       []int{32 << 10},
+			Concurrency: 1,
+			RetryAfter:  5 * time.Millisecond,
+			Seed:        seed,
+		}.Run()
+		if err != nil {
+			return nil, err
+		}
+		refusals := make([]int, len(res.Clients))
+		total := 0
+		for i, c := range res.Clients {
+			refusals[i], total = c.Refusals, total+c.Refusals
+		}
+		if total == 0 {
+			t.Errorf("seed %d: four simultaneous clients of a cap-1 server drew no refusal", seed)
+		}
+		if res.Completed != len(res.Clients) {
+			t.Errorf("seed %d: %d of %d clients completed", seed, res.Completed, len(res.Clients))
+		}
+		return refusals, nil
+	})
+}
+
 // TestLoadScenarioCompletes pins the basic contract: every client's pull
 // completes with an intact payload, the server served them all, and the
 // fairness index is sane.

@@ -8,8 +8,8 @@ import (
 	"blastlan/internal/core"
 )
 
-// The hot-object cache: extent-grained, CLOCK-evicted, with immutable
-// buffers and single-flight fills.
+// The hot-object cache: extent-grained, CLOCK-evicted, with pinned,
+// recycled buffers and single-flight fills.
 //
 // The unit of caching, reading and eviction is a fixed-size file extent,
 // keyed (object, extent index) and independent of any client's chunk size:
@@ -23,11 +23,14 @@ import (
 // virtual-time polling on the DES, where blocking on a channel would stall
 // the kernel's handoff scheduling).
 //
-// Buffers are written once and never recycled: eviction only unlinks the
-// extent from its index cell and reuses its ring slot, and the GC reclaims
-// the bytes once the last reader drops its pointer. A reader may therefore
-// hold a plain pointer to a filled extent for as long as it likes — no
-// refcount, no lock — and CLOCK only has to skip extents still mid-fill.
+// A reader pins the one extent it is inside (extent.ref), so it pays one
+// atomic per extent it enters and none per chunk. Eviction never waits on a
+// pin: it marks the extent gone and unlinks it, and a pin taken after that
+// fails, sending the reader back to the index. The buffer goes to the free
+// list exactly once — at eviction when nobody holds a pin, else at the last
+// unpin — and the next fill of a full-size extent takes it from there, so
+// a cache that evicts makes no garbage. A pin that is never dropped (an
+// abandoned session's) only leaves its buffer to the GC.
 
 // ExtentBytes is the cache grain: one backing read, one ring slot and one
 // index cell per this many file bytes. Chosen by BenchmarkColdSource
@@ -48,10 +51,14 @@ const (
 	extentFailed                // the read failed; err set, unlinked from the index
 )
 
-// extent is one cached piece of a file. buf and err are written exactly
-// once by the filling owner and published with a release store of state,
-// so any reader that sees a non-pending state may read them without a
-// lock. obj/idx are immutable; slot is guarded by the cache mutex.
+// gone is extent.ref's top bit: the extent was evicted, or its fill failed,
+// and is unlinked from its index cell. The bits below it count pins.
+const gone = 1 << 31
+
+// extent is one cached piece of a file. buf and err are written by the
+// filling owner and published with a release store of state, so any reader
+// that sees a non-pending state may read them without a lock. obj/idx are
+// immutable; slot is guarded by the cache mutex.
 type extent struct {
 	obj   *object
 	idx   int
@@ -59,7 +66,8 @@ type extent struct {
 	buf   []byte
 	err   error
 	state atomic.Uint32
-	hot   atomic.Bool // CLOCK reference bit
+	ref   atomic.Uint32 // pins, plus gone once unlinked
+	hot   atomic.Bool   // CLOCK reference bit
 	// prefetched marks an extent created by background read-ahead and not
 	// yet consumed by a reader. The first lookup consumes it (Swap) — the
 	// signal that the pipeline is live and the read-ahead window should
@@ -67,6 +75,20 @@ type extent struct {
 	// cached streams pay no read-ahead tax.
 	prefetched atomic.Bool
 	ready      chan struct{}
+}
+
+// pin takes a pin on e unless e is gone. Once gone is set no pin succeeds,
+// so the pin count only falls and exactly one release reaches zero.
+func (e *extent) pin() bool {
+	for {
+		v := e.ref.Load()
+		if v&gone != 0 {
+			return false
+		}
+		if e.ref.CompareAndSwap(v, v+1) {
+			return true
+		}
+	}
 }
 
 // cache is the CLOCK ring: a fixed number of slots (budget/ExtentBytes),
@@ -79,6 +101,7 @@ type cache struct {
 	mu   sync.Mutex
 	ring []*extent
 	hand int
+	free [][]byte // full-size buffers of released extents, for the next fills
 
 	bytes     atomic.Int64
 	evictions atomic.Int64
@@ -93,18 +116,28 @@ func newCache(budget int64, sim bool) *cache {
 }
 
 // acquire returns the live extent for cell i of o, creating a pending one
-// on a miss. The caller that misses (owner true) must call publish exactly
-// once; everyone else waits.
-func (c *cache) acquire(o *object, i int, prefetched bool) (e *extent, owner bool) {
+// on a miss, with a full-size buffer from the free list when one is there.
+// A demand lookup (prefetch false) returns e pinned. The caller that
+// misses (owner true) must call publish exactly once; everyone else waits.
+func (c *cache) acquire(o *object, i int, prefetch bool) (e *extent, owner bool) {
 	cell := &o.index[i]
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e = cell.Load(); e != nil {
+		if !prefetch {
+			e.pin() // cannot fail: unlinking takes c.mu
+		}
 		return e, false
 	}
 	e = &extent{obj: o, idx: i, ready: make(chan struct{})}
-	e.prefetched.Store(prefetched)
+	e.prefetched.Store(prefetch)
+	if !prefetch {
+		e.ref.Store(1)
+	}
 	c.place(e)
+	if n := len(c.free); n > 0 && o.size-int64(i)*ExtentBytes >= ExtentBytes {
+		e.buf, c.free = c.free[n-1], c.free[:n-1]
+	}
 	cell.Store(e)
 	return e, true
 }
@@ -132,6 +165,7 @@ func (c *cache) place(e *extent) {
 			v.obj.index[v.idx].Store(nil)
 			c.bytes.Add(-int64(len(v.buf)))
 			c.evictions.Add(1)
+			c.retire(v)
 		}
 		c.ring[i], e.slot = e, i
 		return
@@ -140,23 +174,51 @@ func (c *cache) place(e *extent) {
 	c.ring = append(c.ring, e)
 }
 
-// publish completes e's fill. A failed extent is unlinked and its slot
-// freed, so the next request retries the read instead of caching the
+// publish completes e's fill. A failed extent is unlinked, retired and its
+// slot freed, so the next request retries the read instead of caching the
 // error. The state store is the release barrier that publishes buf/err.
 func (c *cache) publish(e *extent, buf []byte, err error) {
+	e.buf = buf
 	if err != nil {
 		e.err = err
 		c.mu.Lock()
 		e.obj.index[e.idx].Store(nil)
 		c.ring[e.slot] = nil
+		c.retire(e)
 		c.mu.Unlock()
 		e.state.Store(extentFailed)
 	} else {
-		e.buf = buf
 		c.bytes.Add(int64(len(buf)))
 		e.state.Store(extentFilled)
 	}
 	close(e.ready)
+}
+
+// retire marks e gone, already unlinked from its cell, and frees its buffer
+// unless a pin holds it; the last unpin frees it then. Caller holds c.mu.
+func (c *cache) retire(e *extent) {
+	if e.ref.Add(gone) == gone {
+		c.recycle(e.buf)
+	}
+}
+
+// unpin drops a pin taken by pin or acquire, freeing the buffer of a gone
+// extent whose last pin this was.
+func (c *cache) unpin(e *extent) {
+	if e.ref.Add(^uint32(0)) == gone {
+		c.mu.Lock()
+		c.recycle(e.buf)
+		c.mu.Unlock()
+	}
+}
+
+// recycle puts a full-size buffer on the free list; a short tail extent's
+// is left to the GC. Caller holds c.mu. The list never makes the store hold
+// more: a fill allocates only while the list is empty.
+func (c *cache) recycle(buf []byte) {
+	if len(buf) == ExtentBytes {
+		c.free = append(c.free, buf)
+	}
 }
 
 // wait blocks until e's fill completes and reports its outcome. On the

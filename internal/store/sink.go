@@ -96,16 +96,34 @@ func (fs *FileSink) SinkStream(r wire.Req) (core.ChunkSink, func(core.RecvResult
 const chunkRun = 256 << 10
 
 // ChunkFile is a file being filled by a core.ChunkSink. Transfers deliver
-// mostly in order, a packet payload at a time; ChunkFile buffers the
-// contiguous in-order run and issues one WriteAt per run — flushed when a
-// delivery lands elsewhere (a repaired hole, another stripe), when the run
-// is full, and at Close — instead of one per chunk. Not safe for
-// concurrent use (the engines and core.StripeMerger serialise deliveries).
+// mostly in order, a packet payload at a time; ChunkFile gathers the
+// contiguous in-order run and writes it with one WriteAt — when a delivery
+// lands elsewhere (a repaired hole, another stripe), when the run is full,
+// and at Close — instead of one per chunk.
+//
+// The writes happen behind the receiver: a finished run goes to the file's
+// one writer goroutine, started by the first, while deliveries fill the
+// other of its two runs. The receiver waits only when it has filled a run
+// before the writer is done with the last one, so the disk and the
+// protocol engine overlap. A file that never fills a run is written at
+// Close and starts no goroutine. Not safe for concurrent use (the engines
+// and core.StripeMerger serialise deliveries).
 type ChunkFile struct {
 	f   *os.File
 	off int64  // file offset of run[0]
-	run []byte // contiguous bytes not yet written
-	err error  // first write error; later deliveries are dropped
+	run []byte // contiguous bytes not yet handed to the writer
+
+	todo   chan pendingRun // the writer's queue, one run deep
+	spare  chan []byte     // the run the writer is done with
+	done   chan struct{}   // closed when the writer has exited
+	failed atomic.Bool     // a write failed; later deliveries are dropped
+	err    error           // first error; the writer's until done is closed
+}
+
+// pendingRun is one run handed to the writer.
+type pendingRun struct {
+	b   []byte
+	off int64
 }
 
 // CreateChunkFile creates (or truncates) the named file.
@@ -119,24 +137,62 @@ func CreateChunkFile(name string) (*ChunkFile, error) {
 
 // Sink is the core.ChunkSink: b belongs at byte offset off of the file.
 func (w *ChunkFile) Sink(off int, b []byte) {
-	if int64(off) != w.off+int64(len(w.run)) || len(w.run)+len(b) > chunkRun {
-		w.flush()
-		w.off = int64(off)
+	for len(b) > 0 {
+		if int64(off) != w.off+int64(len(w.run)) || len(w.run) == chunkRun {
+			w.flush()
+			w.off = int64(off)
+		}
+		n := min(len(b), chunkRun-len(w.run))
+		w.run = append(w.run, b[:n]...)
+		b, off = b[n:], off+n
 	}
-	w.run = append(w.run, b...)
 }
 
+// flush hands the run to the writer and takes the writer's other run,
+// waiting for it only while its write is still going. After a failed
+// write the run is dropped instead.
 func (w *ChunkFile) flush() {
+	if len(w.run) == 0 {
+		return
+	}
+	if w.failed.Load() {
+		w.run = w.run[:0]
+		return
+	}
+	if w.todo == nil {
+		w.todo, w.spare, w.done = make(chan pendingRun, 1), make(chan []byte, 1), make(chan struct{})
+		w.spare <- make([]byte, 0, chunkRun)
+		go w.writeBehind()
+	}
+	w.todo <- pendingRun{w.run, w.off}
+	w.run = <-w.spare
+}
+
+// writeBehind is the writer goroutine: it writes each run it is handed
+// and hands the buffer back, until Close closes its queue.
+func (w *ChunkFile) writeBehind() {
+	defer close(w.done)
+	for p := range w.todo {
+		if w.err == nil {
+			if _, w.err = w.f.WriteAt(p.b, p.off); w.err != nil {
+				w.failed.Store(true)
+			}
+		}
+		w.spare <- p.b[:0]
+	}
+}
+
+// Close writes what is still buffered, waits for the writer and closes the
+// file, reporting the first error of the file's whole life.
+func (w *ChunkFile) Close() error {
+	if w.todo != nil {
+		close(w.todo)
+		<-w.done
+	}
 	if len(w.run) > 0 && w.err == nil {
 		_, w.err = w.f.WriteAt(w.run, w.off)
 	}
-	w.run = w.run[:0]
-}
-
-// Close writes what is still buffered and closes the file, reporting the
-// first error of the file's whole life.
-func (w *ChunkFile) Close() error {
-	w.flush()
+	w.run = nil
 	if err := w.f.Close(); w.err == nil {
 		w.err = err
 	}

@@ -11,8 +11,10 @@
 //
 //   - a hot-object cache of fixed-size file extents (ExtentBytes, far
 //     larger than a packet), so one disk read fans out to N concurrent
-//     pullers at any chunk size without copying per session or breaking
-//     the zero-alloc datapath (cache.go);
+//     pullers at any chunk size. A chunk inside one extent is served in
+//     place, out of the extent's buffer, under the pin its reader holds;
+//     an evicted extent's buffer is recycled for the next fill, so neither
+//     hits nor misses allocate (cache.go);
 //   - single-flight fills: N sessions racing for the same cold extent
 //     trigger exactly one backing read;
 //   - pipelined read-ahead that stays a configurable window of extents
@@ -79,11 +81,12 @@ func (o Options) withDefaults() Options {
 
 // Stats is a point-in-time snapshot of the store's counters, in extents:
 // a source looks an extent up once and then serves every chunk inside it
-// from the pointer it holds.
+// from the extent it pins.
 type Stats struct {
 	Hits        int64 // extent lookups served from cache (incl. waits on a fill in flight)
 	Misses      int64 // extent lookups that owned a backing fill
 	ReadOps     int64 // backing ReadAt calls: one per extent filled, demand or read-ahead
+	Recycled    int64 // of ReadOps, fills into an evicted extent's buffer
 	Evictions   int64 // extents reclaimed by CLOCK
 	BytesCached int64 // bytes resident in filled extents
 }
@@ -99,9 +102,10 @@ type Store struct {
 
 	sem chan struct{} // prefetch slots
 
-	hits    atomic.Int64
-	misses  atomic.Int64
-	readOps atomic.Int64
+	hits     atomic.Int64
+	misses   atomic.Int64
+	readOps  atomic.Int64
+	recycled atomic.Int64
 }
 
 // object is one resolved file in the registry.
@@ -147,6 +151,7 @@ func (s *Store) Stats() Stats {
 		Hits:        s.hits.Load(),
 		Misses:      s.misses.Load(),
 		ReadOps:     s.readOps.Load(),
+		Recycled:    s.recycled.Load(),
 		Evictions:   s.c.evictions.Load(),
 		BytesCached: s.c.bytes.Load(),
 	}
@@ -226,7 +231,7 @@ func (s *Store) SourceReq(r wire.Req, env core.Env) (core.ChunkSource, bool) {
 			r.Offset(), r.Offset()+r.Bytes, o.size, r.Name)
 		return nil, false
 	}
-	return s.source(o, int(r.Chunk), int(r.OffsetChunks), env), true
+	return s.source(o, int(r.Chunk), int(r.OffsetChunks), int64(r.Offset()+r.Bytes), env), true
 }
 
 // Source returns a chunk source for the named object, for callers outside
@@ -240,43 +245,55 @@ func (s *Store) Source(name string, chunk, offsetChunks int, env core.Env) (core
 	if err != nil {
 		return nil, err
 	}
-	return s.source(o, chunk, offsetChunks, env), nil
+	return s.source(o, chunk, offsetChunks, o.size, env), nil
 }
 
-// source builds the per-transfer chunk source. The engine owns the
-// returned bytes only until its next call (core.ChunkSource contract), so
-// a copy-out keeps cached buffers shared and immutable while staying
-// alloc-free on hits.
-func (s *Store) source(o *object, chunk, offsetChunks int, env core.Env) core.ChunkSource {
-	r := &reader{s: s, o: o, env: env}
+// source builds the per-transfer chunk source over the byte range that
+// ends at end. The engine consumes the returned bytes before its next call
+// (core.ChunkSource contract), so a chunk inside one extent is returned in
+// place — a slice of the pinned, immutable buffer, its capacity clipped —
+// and only a chunk that straddles two extents is copied into dst.
+func (s *Store) source(o *object, chunk, offsetChunks int, end int64, env core.Env) core.ChunkSource {
+	r := &reader{s: s, o: o, env: env, end: end}
 	return func(seq int, dst []byte) []byte {
 		return r.read(int64(offsetChunks+seq)*int64(chunk), chunk, dst)
 	}
 }
 
-// reader is one source's cursor over an object. It keeps a plain pointer
-// to the extent it is inside (safe because filled buffers are immutable,
-// cache.go), so the ~ExtentBytes/chunk chunks that follow a lookup cost a
-// bounds check and a memcpy: no atomics, no lock, no shared counter. That
-// is what keeps a fully cached pull at parity with the in-memory
-// generator.
+// reader is one source's cursor over an object. It holds one pin, on the
+// extent it is inside (cache.go), so the ~ExtentBytes/chunk chunks that
+// follow a lookup cost a bounds check and a slice: no atomics, no lock, no
+// shared counter, no copy. That is what keeps a fully cached pull at
+// parity with the in-memory generator. Entering the next extent pins it
+// before the old pin is dropped. The chunk that ends the REQ's range is
+// copied into dst and the pin dropped with it, so a finished transfer
+// holds no buffer; a retransmission after that pins again through the
+// index.
 type reader struct {
 	s   *Store
 	o   *object
 	env core.Env
+	end int64 // file offset where the source's range ends
 
-	cur    *extent // extent the last copy came from
+	cur    *extent // pinned extent the last chunk came from; nil holds no pin
 	curOff int64   // its file offset
 	ahead  int     // high-water extent index already dispatched to prefetch
 }
 
-// read copies up to n bytes at file offset off into dst. A chunk is just
-// a byte range — stripes' OffsetChunks are byte offsets in disguise — and
-// may straddle an extent boundary or, above ExtentBytes, several.
+// read serves up to n bytes at file offset off. A chunk is just a byte
+// range — stripes' OffsetChunks are byte offsets in disguise — and may
+// straddle an extent boundary or, above ExtentBytes, several.
 func (r *reader) read(off int64, n int, dst []byte) []byte {
 	n = int(min(int64(n), r.o.size-off))
 	if n <= 0 {
 		return dst[:0]
+	}
+	if !r.enter(off) {
+		return dst[:0]
+	}
+	last := off+int64(n) >= r.end
+	if a, b := off-r.curOff, off-r.curOff+int64(n); !last && b <= int64(len(r.cur.buf)) {
+		return r.cur.buf[a:b:b]
 	}
 	if cap(dst) < n {
 		dst = make([]byte, n)
@@ -284,39 +301,65 @@ func (r *reader) read(off int64, n int, dst []byte) []byte {
 	dst = dst[:n]
 	for done := 0; done < n; {
 		pos := off + int64(done)
-		if r.cur == nil || pos < r.curOff || pos >= r.curOff+int64(len(r.cur.buf)) {
-			i := int(pos / ExtentBytes)
-			e, err := r.extent(i)
-			if err != nil {
-				r.s.logf("store: reading %q extent %d: %v", r.o.name, i, err)
-				return dst[:0]
-			}
-			r.cur, r.curOff = e, int64(i)*ExtentBytes
+		if !r.enter(pos) {
+			return dst[:0]
 		}
 		done += copy(dst[done:], r.cur.buf[pos-r.curOff:])
+	}
+	if last {
+		r.release()
 	}
 	return dst
 }
 
-// extent returns extent i of the object, filled: from the index when it
-// is cached (one pointer load and one state load, no lock), waiting on
-// another session's fill when one is in flight, reading it from the
-// backing file otherwise.
+// enter makes r.cur the extent holding file offset pos, pinned, unless it
+// already is; the old pin is dropped only once the new one is held. It
+// reports false, holding no pin, when the extent cannot be read.
+func (r *reader) enter(pos int64) bool {
+	if e := r.cur; e != nil && pos >= r.curOff && pos < r.curOff+int64(len(e.buf)) {
+		return true
+	}
+	i := int(pos / ExtentBytes)
+	e, err := r.extent(i)
+	r.release()
+	if err != nil {
+		r.s.logf("store: reading %q extent %d: %v", r.o.name, i, err)
+		return false
+	}
+	r.cur, r.curOff = e, int64(i)*ExtentBytes
+	return true
+}
+
+// release drops the reader's pin, if it holds one.
+func (r *reader) release() {
+	if r.cur != nil {
+		r.s.c.unpin(r.cur)
+		r.cur = nil
+	}
+}
+
+// extent returns extent i of the object, filled and pinned: from the
+// index when it is cached (a pointer load, a state load and the pin's
+// compare-and-swap, no lock), waiting on another session's fill when one
+// is in flight, reading it from the backing file otherwise. A pin that
+// finds the extent gone — evicted since the load — takes the locked path.
 func (r *reader) extent(i int) (*extent, error) {
 	s, o := r.s, r.o
 	e := o.index[i].Load()
 	owner := false
-	if e == nil || e.state.Load() != extentFilled {
+	if e == nil || e.state.Load() != extentFilled || !e.pin() {
 		e, owner = s.c.acquire(o, i, false)
 	}
 	if owner {
 		s.misses.Add(1)
 		if err := s.fill(e, r.env); err != nil {
+			s.c.unpin(e)
 			return nil, err
 		}
 	} else {
 		s.hits.Add(1)
 		if err := s.c.wait(e, r.env); err != nil {
+			s.c.unpin(e)
 			return nil, err
 		}
 		if !e.hot.Load() {
@@ -342,10 +385,16 @@ func (r *reader) extent(i int) (*extent, error) {
 }
 
 // fill reads e's bytes from the backing file — the one ReadAt per extent
-// — and publishes the outcome to everyone waiting on it.
+// — into the recycled buffer acquire gave it, or a fresh one, and
+// publishes the outcome to everyone waiting on it.
 func (s *Store) fill(e *extent, env core.Env) error {
 	lo := int64(e.idx) * ExtentBytes
-	buf := make([]byte, min(ExtentBytes, e.obj.size-lo))
+	buf := e.buf
+	if buf != nil {
+		s.recycled.Add(1)
+	} else {
+		buf = make([]byte, min(ExtentBytes, e.obj.size-lo))
+	}
 	s.readOps.Add(1)
 	_, err := e.obj.f.ReadAt(env, buf, lo)
 	s.c.publish(e, buf, err)

@@ -275,8 +275,8 @@ func TestClockEviction(t *testing.T) {
 }
 
 // A source keeps serving from the extent it is inside after CLOCK has
-// evicted it: buffers are immutable and never recycled, so the held
-// pointer stays valid and costs no second read.
+// evicted it: its pin keeps the buffer off the free list, so the held
+// extent stays valid and costs no second read.
 func TestHeldExtentSurvivesEviction(t *testing.T) {
 	const chunk = 1000
 	fs := newMemFS()
@@ -300,6 +300,156 @@ func TestHeldExtentSurvivesEviction(t *testing.T) {
 	}
 	if got := s.Stats().ReadOps; got != reads {
 		t.Errorf("serving from a held extent cost %d backing reads", got-reads)
+	}
+}
+
+// Pins under churn: readers serving chunks in place out of a 3-extent
+// cache that their own misses and read-ahead churn, two in order with
+// retransmissions and two hopping at random. Every chunk must match
+// the file byte for byte, and once every range has ended no buffer may be
+// on the free list twice or there while an extent still uses it. Freeing a
+// buffer that a pin holds, or pinning an extent already gone, breaks one or
+// the other (under -race, the race detector flags the shared buffer too).
+func TestPinsUnderChurn(t *testing.T) {
+	const readers = 4
+	const size = 6*ExtentBytes + 777
+	fs := newMemFS()
+	f := fs.add("churn.bin", size, 0)
+	s := New(fs, Options{CacheBytes: 3 * ExtentBytes, ReadAhead: 2, Prefetchers: 2})
+	defer s.Close()
+
+	ranges := 1000
+	if testing.Short() {
+		ranges = 200
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, readers)
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			chunk := []int{1000, 4000, 1400, 9000}[g] // each extent entered after 14 to 131 chunks
+			total := (size + chunk - 1) / chunk
+			buf := make([]byte, chunk)
+			check := func(src core.ChunkSource, lo, seq int) bool {
+				off := (lo + seq) * chunk
+				want := f.content[off:min(off+chunk, size)]
+				if got := src(seq, buf); !bytes.Equal(got, want) {
+					errs <- fmt.Errorf("reader %d: chunk %d differs from the file", g, lo+seq)
+					return false
+				}
+				return true
+			}
+			for k := 0; k < ranges; k++ {
+				lo := rng.Intn(total)
+				n := 1 + rng.Intn(min(3*ExtentBytes/chunk, total-lo))
+				r := wire.Req{Name: "churn.bin", Chunk: uint32(chunk), OffsetChunks: uint32(lo), Total: size,
+					Bytes: uint64(min(n*chunk, size-lo*chunk))}
+				src, ok := s.SourceReq(r, nil)
+				if !ok {
+					errs <- fmt.Errorf("reader %d: range %+v refused", g, r)
+					return
+				}
+				for seq := 0; seq < n; seq++ {
+					at := seq
+					if g%2 == 1 {
+						at = rng.Intn(n) // a reader that hops, entering extents through the index
+					}
+					if !check(src, lo, at) {
+						return
+					}
+					if rng.Intn(10) == 0 && !check(src, lo, rng.Intn(seq+1)) { // a retransmission
+						return
+					}
+				}
+				if !check(src, lo, n-1) { // the last chunk again, after its pin was dropped
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for len(s.sem) > 0 && time.Now().Before(deadline) { // read-ahead still in flight
+		time.Sleep(time.Millisecond)
+	}
+
+	s.c.mu.Lock()
+	defer s.c.mu.Unlock()
+	owner := map[*byte]string{}
+	claim := func(b []byte, who string) {
+		if len(b) == 0 {
+			return
+		}
+		if prev, dup := owner[&b[0]]; dup {
+			t.Errorf("one buffer held twice: %s and %s", prev, who)
+		}
+		owner[&b[0]] = who
+	}
+	for i, b := range s.c.free {
+		claim(b, fmt.Sprintf("free list entry %d", i))
+	}
+	for _, e := range s.c.ring {
+		if e == nil || e.state.Load() != extentFilled {
+			continue
+		}
+		if pins := e.ref.Load() &^ gone; pins != 0 {
+			t.Errorf("extent %d holds %d pins after every range ended", e.idx, pins)
+		}
+		claim(e.buf, fmt.Sprintf("cached extent %d", e.idx))
+	}
+	if st := s.Stats(); st.Recycled == 0 || st.Evictions == 0 {
+		t.Errorf("scenario sized to churn, but %+v", st)
+	}
+}
+
+// The evict regime makes no garbage: a cyclic scan of a file larger than
+// the cache fills every extent into an evicted one's buffer, so in steady
+// state Recycled rises with ReadOps and an extent costs its small header,
+// not its ExtentBytes.
+func TestEvictRegimeMakesNoGarbage(t *testing.T) {
+	const chunk, extents = 1000, 16
+	fs := newMemFS()
+	f := fs.add("cycle.bin", extents*ExtentBytes, 0)
+	s := New(fs, Options{CacheBytes: 4 * ExtentBytes, ReadAhead: -1})
+	defer s.Close()
+	src, err := s.Source("cycle.bin", chunk, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := extents * ExtentBytes / chunk
+	buf := make([]byte, chunk)
+	scan := func() {
+		for seq := 0; seq < total; seq++ {
+			if b := src(seq, buf); !bytes.Equal(b, f.content[seq*chunk:min((seq+1)*chunk, len(f.content))]) {
+				t.Fatalf("chunk %d differs from the file", seq)
+			}
+		}
+	}
+	scan() // fills the cache and the free list
+	before := s.Stats()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	const passes = 4
+	for i := 0; i < passes; i++ {
+		scan()
+	}
+	runtime.ReadMemStats(&m1)
+	after := s.Stats()
+	reads, recycled := after.ReadOps-before.ReadOps, after.Recycled-before.Recycled
+	if reads != passes*extents {
+		t.Fatalf("ReadOps rose %d over %d passes of %d extents: the scan should never hit", reads, passes, extents)
+	}
+	if recycled != reads {
+		t.Errorf("Recycled rose %d while ReadOps rose %d: some fills allocated", recycled, reads)
+	}
+	if per := (m1.TotalAlloc - m0.TotalAlloc) / uint64(reads); per > 1<<10 {
+		t.Errorf("%d bytes allocated per extent filled, want the extent's header only (under 1 KiB)", per)
 	}
 }
 
@@ -724,5 +874,43 @@ func TestChunkFileCoalescesAnyOrder(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Error("file differs from the delivered bytes")
+	}
+}
+
+// Write-behind keeps the error contract of a synchronous file: the first
+// failed write surfaces at Close, later deliveries neither block nor
+// panic, and Close leaves no writer goroutine behind.
+func TestChunkFileWriteBehindError(t *testing.T) {
+	name := filepath.Join(t.TempDir(), "ro.bin")
+	w, err := CreateChunkFile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.f.Close()
+	if w.f, err = os.Open(name); err != nil { // read-only: every write fails
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	chunk := make([]byte, 1000)
+	delivered := make(chan struct{})
+	go func() {
+		defer close(delivered)
+		for off := 0; off < 8*chunkRun; off += len(chunk) {
+			w.Sink(off, chunk)
+		}
+		w.Sink(0, chunk) // out of order after the failure
+	}()
+	select {
+	case <-delivered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("deliveries blocked after a failed write")
+	}
+	if err := w.Close(); err == nil {
+		t.Fatal("Close reported no error for a file whose writes all failed")
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before the first write", runtime.NumGoroutine(), base)
+		}
 	}
 }
