@@ -457,9 +457,11 @@ func main() {
 	}
 }
 
-// logReasks notes on stderr how many pull REQs went unanswered for Tr and
-// were sent again (a resumed session's first REQ is not a re-send); stdout's
-// result line stays as it is.
+// logReasks notes on stderr how many pull REQs went unanswered for their
+// timer and were sent again (a resumed session's first REQ is not a
+// re-send); stdout's result line stays as it is. The timer is Tr: a
+// process that pulls once has no earlier round trip to the server's host
+// to start a shorter one from (core.Request, udplan.Pull).
 func logReasks(n int) {
 	if n > 0 {
 		log.Printf("blastcp: re-sent the pull REQ %d time(s)", n)

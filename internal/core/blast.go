@@ -436,7 +436,9 @@ func recvBlast(env Env, c Config) (RecvResult, error) {
 			res.Elapsed = env.Now() - start
 			return res, fmt.Errorf("blast receiver idle with %d/%d packets: %w", count, n, err)
 		}
-		wait = idle
+		if wait != idle { // the first own packet: the transfer is under way
+			wait, res.firstAt = idle, env.Now()-start
+		}
 		if pkt.Type != wire.TypeData {
 			if err := receiverControl(env, c, pkt, res.DataPackets > 0); err != nil {
 				res.Elapsed = env.Now() - start

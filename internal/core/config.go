@@ -116,11 +116,13 @@ type Config struct {
 	RetransTimeout time.Duration
 
 	// PathRTT, when positive, is the smoothed round-trip time an earlier
-	// sender measured to the same peer host. The sender's estimator takes
-	// it as its first sample (see rto.go) instead of starting from Tr, so a
-	// learning sender's lost reliable last in the first window costs about
-	// a round trip, not a Tr. It does not ride the REQ: the serving side's session layer
-	// remembers it per host and sets it.
+	// transfer measured to the same peer host. It is used at both ends: a
+	// sender's estimator and Request's wait for its first packet take it as
+	// their first sample (see rto.go) instead of starting from Tr, so a
+	// learning sender's lost reliable last in the first window, or a lost
+	// REQ, costs about a round trip, not a Tr. It does not ride the REQ:
+	// each end remembers it per host and sets it — session.Server for its
+	// pull senders, udplan.Pull and udplan.PullStriped for their REQs.
 	PathRTT time.Duration
 
 	// MinRTO floors the learned timeout. Zero means 1 ms for a transfer a
@@ -200,8 +202,8 @@ type Config struct {
 
 	// firstIdle, when positive and shorter than the idle bound, bounds the
 	// receiver's wait for the transfer's first own packet: Request sets it
-	// to Tr, so a lost REQ is asked again after Tr, not after the 4·Tr of
-	// silence a transfer under way may sit through.
+	// to its REQ timer (rto.go), so a lost REQ is asked again after that,
+	// not after the 4·Tr of silence a transfer under way may sit through.
 	firstIdle time.Duration
 
 	// surfaceBusy makes Request return a server's BUSY refusal to the
@@ -411,7 +413,7 @@ type SendResult struct {
 
 // RecvResult reports the receiver side of a transfer.
 type RecvResult struct {
-	Elapsed      time.Duration // first packet receipt to transfer completion
+	Elapsed      time.Duration // receiver start (the wait for the first packet included) to transfer completion
 	DataPackets  int           // data packets received, including duplicates
 	Duplicates   int           // data packets that were already held
 	AcksSent     int
@@ -426,6 +428,18 @@ type RecvResult struct {
 	Reqs         int    // REQs Request sent: 1 when the first was answered
 	Refusals     int    // of Reqs, those the server refused with a BUSY
 
+	// SRTT is Request's estimate of the round trip to the peer host when
+	// its first REQ was answered: Config.PathRTT with the time from that
+	// REQ to the transfer's first own packet folded in (rto.go), what a
+	// later pull from the same host may start from as its PathRTT. Zero
+	// when the first REQ went unanswered (Karn's rule: a re-asked REQ's
+	// answer could be either REQ's) and for a receiver Request did not run.
+	SRTT time.Duration
+
+	// firstAt is when the receiver's first own packet arrived, measured
+	// from the receiver's start: Request's REQ round-trip sample. Zero when
+	// none arrived.
+	firstAt time.Duration
 	// sinkSum incrementally accumulates Checksum for Sink-mode transfers,
 	// where no contiguous Data buffer ever exists; usedSink records that
 	// the transfer streamed.

@@ -20,15 +20,18 @@ import (
 // to the transfer". Four requests share the one ask loop and differ only in
 // the answer they wait for and how long each attempt waits:
 //
-//	Request   the transfer's data, taken by the receiver   Tr to its first packet, then 4·Tr idle
+//	Request   the transfer's data, taken by the receiver   the one timer (rto.go) to its first packet, then 4·Tr idle
 //	Stat      a stat reply (StatReply)                      Tr
 //	Push      the go-ahead (goAhead)                        Tr
 //	Copy      a copy progress ack, final reply or NAK       4·Tr
 //
 // A server answers a REQ for data, a stat or a push at once, from the
 // session that REQ opens, so a round trip is all a live one needs and Tr of
-// silence means the REQ or its answer was lost. A copy's first answer may
-// wait on the server dialing the copy's target, so it keeps 4·Tr.
+// silence means the REQ or its answer was lost. A pull's REQ runs the
+// senders' timer instead, so under a rate-control policy a client that knows
+// the host's round trip (Config.PathRTT) waits a floored multiple of it. A
+// copy's first answer may wait on the server dialing the copy's target, so
+// it keeps 4·Tr.
 //
 // A BUSY for the transfer is the server's admission refusal: the loop
 // sleeps its retry-after hint and asks again, and a request refused on every
@@ -188,27 +191,53 @@ func recvOwn(env Env, trans uint32, idle time.Duration) (*wire.Packet, error) {
 
 // Request asks the peer to blast the configured transfer to us and receives
 // it. The first data packet should arrive a round trip after the REQ lands,
-// so each attempt's receiver waits Tr for it and the REQ is asked again on
-// silence: a lost REQ costs Tr, and a server that never answers costs
-// Config.MaxAttempts·Tr. Once a packet of the transfer has arrived the
-// transfer is under way, and the attempt gives up only after 4·Tr of
-// silence. RecvResult.Reqs counts the REQs sent and Refusals the BUSY
-// answers among them, on success and failure alike.
+// so each attempt's receiver waits for it as long as a sender waits for a
+// response — the one timer of rto.go, started from Config.PathRTT — and the
+// REQ is asked again on silence:
+//   - on the fixed schedule with no MinRTO the wait is Tr;
+//   - under a rate-control policy, or with MinRTO set, it is
+//     clamp(srtt + 4·rttvar, floor, Tr) from PathRTT (3·PathRTT, at least
+//     the floor), and Tr with no PathRTT;
+//   - each silent attempt doubles it, up to Tr.
+//
+// So a lost REQ costs that wait, and a server that never answers costs the
+// sum of Config.MaxAttempts doubling waits, each at most Tr: w + 2w + 4w +
+// … for a first wait w, MaxAttempts·Tr on the fixed schedule. A duplicate
+// REQ reaches the session the first one opened, which passes over it, so
+// asking early costs one control packet. Once a packet of the transfer has
+// arrived the transfer is under way, and the attempt gives up only after
+// 4·Tr of silence.
+//
+// RecvResult.Reqs counts the REQs sent and Refusals the BUSY answers among
+// them, on success and failure alike. When the first REQ was answered, the
+// time from it to the transfer's first own packet is a round-trip sample
+// (Karn's rule: a re-asked REQ's answer pairs with neither REQ for sure),
+// and RecvResult.SRTT is the estimator after it: what the next pull from
+// the same host may start from as its PathRTT.
 func Request(env Env, cfg Config) (RecvResult, error) {
 	c, err := cfg.withDefaults()
 	if err != nil {
 		return RecvResult{}, err
 	}
+	est := newRTO(c)
 	// Counters accumulate across attempts, so even a failed request reports
 	// every packet that actually crossed the wire — the resume layer's
 	// recovery accounting depends on partial sessions not vanishing.
 	var acc, res RecvResult
 	err = ask(env, &c, c.reqPacket(ReqOf(c, false)), 4*c.RetransTimeout, func(patience time.Duration) error {
 		probe := c
-		probe.ReceiverIdle, probe.firstIdle = patience, c.RetransTimeout
+		probe.ReceiverIdle, probe.firstIdle = patience, est.cur
 		var err error
 		res, err = RunReceiver(env, probe)
-		res.Reqs = 1 // this attempt's
+		switch {
+		case acc.Reqs == 0 && res.firstAt > 0: // Karn: only the first REQ's answer is unambiguous
+			est.sample(res.firstAt)
+			acc.SRTT = est.srtt
+		case res.firstAt == 0 && IsTimeout(err):
+			est.backoff()
+		}
+		res.firstAt = 0 // read here only: results compare equal across substrates
+		res.Reqs = 1    // this attempt's
 		var busy *BusyError
 		if errors.As(err, &busy) {
 			res.Refusals = 1
@@ -224,6 +253,7 @@ func Request(env Env, cfg Config) (RecvResult, error) {
 	res.LingerEvents = acc.LingerEvents
 	res.LingerAcks, res.LingerNaks = acc.LingerAcks, acc.LingerNaks
 	res.Reqs, res.Refusals = acc.Reqs, acc.Refusals
+	res.SRTT = acc.SRTT
 	return res, nil
 }
 

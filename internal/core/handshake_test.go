@@ -12,16 +12,20 @@ import (
 )
 
 // scriptEnv is a clockwork Env for handshake tests: the i-th packet sent
-// earns replies[i] (nil: silence), a Recv with nothing pending advances the
-// clock by its whole timeout, and sleeps are recorded instead of slept.
+// earns replies[i] (nil: silence), arriving lag after it; a Recv with
+// nothing due within its timeout advances the clock by the whole timeout;
+// and sleeps are recorded instead of slept.
 type scriptEnv struct {
 	now     time.Duration
+	lag     time.Duration
 	replies []*wire.Packet
 	pending *wire.Packet
+	due     time.Duration // when pending arrives
 	sent    int
-	reqs    int      // how many of the sent packets were REQs
-	fins    int      // how many were FINs
-	ids     []uint32 // the transfer id of each REQ
+	reqs    int             // how many of the sent packets were REQs
+	reqAt   []time.Duration // when each REQ was sent
+	fins    int             // how many were FINs
+	ids     []uint32        // the transfer id of each REQ
 	slept   []time.Duration
 }
 
@@ -30,21 +34,22 @@ func (e *scriptEnv) Compute(time.Duration) {}
 func (e *scriptEnv) Send(p *wire.Packet) error {
 	if p.Type == wire.TypeReq {
 		e.reqs++
+		e.reqAt = append(e.reqAt, e.now)
 		e.ids = append(e.ids, p.Trans)
 	}
 	if p.Type == wire.TypeAck && p.Flags&wire.FlagDone != 0 && len(p.Payload) == 0 {
 		e.fins++
 	}
 	if e.sent < len(e.replies) {
-		e.pending = e.replies[e.sent]
+		e.pending, e.due = e.replies[e.sent], e.now+e.lag
 	}
 	e.sent++
 	return nil
 }
 func (e *scriptEnv) SendAsync(p *wire.Packet) error { return e.Send(p) }
 func (e *scriptEnv) Recv(timeout time.Duration) (*wire.Packet, error) {
-	if p := e.pending; p != nil {
-		e.pending = nil
+	if p := e.pending; p != nil && e.due-e.now <= timeout {
+		e.pending, e.now = nil, max(e.now, e.due)
 		return p, nil
 	}
 	e.now += timeout

@@ -117,7 +117,8 @@ func addRecv(agg *RecvResult, r RecvResult) {
 // server's retry-after hint, and backoff between sessions is exponential
 // with seeded jitter. The returned RecvResult aggregates packet counters
 // across every session; Data, Bytes and Checksum describe the reassembled
-// transfer exactly as an uninterrupted Request would report them.
+// transfer exactly as an uninterrupted Request would report them, and SRTT
+// is the last one any session's Request reported.
 //
 // cfg may itself be a stripe (StripeOffset/StripeTotal set): resumes then
 // re-request the unverified tail of that stripe. With cfg.Sink set, each
@@ -205,6 +206,9 @@ func PullResume(env Env, cfg Config, opts ResumeOptions) (RecvResult, ResumeStat
 		}
 		res, err := Request(env, acfg)
 		addRecv(&agg, res)
+		if res.SRTT > 0 {
+			agg.SRTT = res.SRTT
+		}
 		if err == nil {
 			break
 		}

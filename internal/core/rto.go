@@ -2,7 +2,10 @@ package core
 
 import "time"
 
-// Retransmission timeout: the one timer of stop-and-wait and blast senders.
+// Retransmission timeout: the one timer of stop-and-wait and blast senders,
+// and of Request's wait for the answer to its REQ (the transfer's first own
+// packet): the REQ is a reliably sent packet like a window's last, and a
+// client re-asks it on the rule a sender re-sends by.
 //
 // The paper's Figures 5 and 6 show that the elapsed-time variance of the
 // simpler retransmission strategies is driven by the retransmission
@@ -30,10 +33,13 @@ import "time"
 // and a fixed schedule that learned by default re-sent what was never lost
 // (DESIGN.md, "One timer").
 //
-// A sender given Config.PathRTT — the smoothed RTT an earlier transfer to
+// A timer given Config.PathRTT — the smoothed RTT an earlier transfer to
 // the same host ended with — takes it as that first sample (§2.2), the
 // "temporal sharing" of RFC 9040: a host's round trip measured a moment ago
-// is a better first guess than a Tr picked for the worst case.
+// is a better first guess than a Tr picked for the worst case. Both ends
+// keep one per host (session.PathTable): a server for its pull senders, a
+// udplan client for its REQs, whose one sample per pull is the time from
+// an answered first REQ to the first packet (RecvResult.SRTT).
 type rto struct {
 	srtt   time.Duration // zero until the first sample
 	rttvar time.Duration

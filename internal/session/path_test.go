@@ -32,7 +32,7 @@ func TestHostOf(t *testing.T) {
 // The table keeps the last RTT per host, never holds more than pathCap
 // hosts, and takes concurrent sessions' reads and writes.
 func TestPathTable(t *testing.T) {
-	var pt pathTable
+	var pt PathTable
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -40,8 +40,8 @@ func TestPathTable(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 2*pathCap; i++ {
 				host := stationName(fmt.Sprintf("h%d-%d", g, i))
-				pt.put(host, time.Duration(i+1))
-				if got := pt.get(host); got != 0 && got != time.Duration(i+1) {
+				pt.Put(host, time.Duration(i+1))
+				if got := pt.Get(host); got != 0 && got != time.Duration(i+1) {
 					t.Errorf("%s: %v, want %v", host, got, time.Duration(i+1))
 				}
 			}
@@ -52,9 +52,9 @@ func TestPathTable(t *testing.T) {
 		t.Errorf("%d hosts held, cap %d", n, pathCap)
 	}
 	h := stationName("h")
-	pt.put(h, time.Millisecond)
-	pt.put(h, 2*time.Millisecond)
-	if got := pt.get(h); got != 2*time.Millisecond {
+	pt.Put(h, time.Millisecond)
+	pt.Put(h, 2*time.Millisecond)
+	if got := pt.Get(h); got != 2*time.Millisecond {
 		t.Errorf("host h: %v, want the last RTT put, 2ms", got)
 	}
 }
@@ -62,14 +62,14 @@ func TestPathTable(t *testing.T) {
 // Every pull reads and writes the path table once: on a socket peer,
 // neither costs an allocation, for an IPv4 or an IPv6 host.
 func TestPathTableAllocatesNothing(t *testing.T) {
-	var pt pathTable
+	var pt PathTable
 	v4 := &net.UDPAddr{IP: net.IPv4(10, 0, 0, 7), Port: 4000}
 	v6 := &net.UDPAddr{IP: net.ParseIP("fd00:1234:5678:9abc:def0:1234:5678:9abc"), Port: 4000}
-	pt.put(v4, time.Millisecond)
-	pt.put(v6, time.Millisecond)
+	pt.Put(v4, time.Millisecond)
+	pt.Put(v6, time.Millisecond)
 	if allocs := testing.AllocsPerRun(100, func() {
 		for _, p := range []*net.UDPAddr{v4, v6} {
-			pt.put(p, pt.get(p)+1)
+			pt.Put(p, pt.Get(p)+1)
 		}
 	}); allocs != 0 {
 		t.Errorf("get and put allocated %v times per pair of pulls, want 0", allocs)

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -124,57 +123,7 @@ type Server struct {
 	active   atomic.Int32 // sessions admitted by the demux loops
 	draining atomic.Bool
 	limiter  logLimiter
-	paths    pathTable
-}
-
-// pathCap bounds the path table: a server that has heard from more hosts
-// than this starts the table over, so a stream of new sources cannot grow
-// it without bound.
-const pathCap = 1024
-
-// pathTable remembers, per peer host, the smoothed RTT the last pull sender
-// to that host ended with (RFC 9040's "temporal sharing"); the next pull
-// sender there starts its estimator from it (core.Config.PathRTT). Every
-// pull sender reads it once and writes it once; nothing on the data path does.
-type pathTable struct {
-	mu  sync.Mutex
-	rtt map[pathKey]time.Duration
-}
-
-// pathKey names the host a peer is on: its IP on sockets (every port of a
-// host shares the path), a simulated station's name on the DES.
-type pathKey struct {
-	ip   netip.Addr
-	name string
-}
-
-// hostOf keys a peer's host. A socket peer's key is built from its address
-// bytes, with no allocation.
-func hostOf(p transport.Peer) pathKey {
-	if a, ok := p.(*net.UDPAddr); ok {
-		ip, _ := netip.AddrFromSlice(a.IP)
-		return pathKey{ip: ip.Unmap()}
-	}
-	return pathKey{name: p.String()}
-}
-
-func (t *pathTable) get(p transport.Peer) time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.rtt[hostOf(p)]
-}
-
-func (t *pathTable) put(p transport.Peer, rtt time.Duration) {
-	k := hostOf(p)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.rtt == nil {
-		t.rtt = make(map[pathKey]time.Duration)
-	}
-	if _, ok := t.rtt[k]; !ok && len(t.rtt) >= pathCap {
-		clear(t.rtt)
-	}
-	t.rtt[k] = rtt
+	paths    PathTable
 }
 
 // logLimiter rate-limits per-peer operational log lines to one per second,
@@ -607,10 +556,10 @@ func (s *Server) serve(env core.Env, idle time.Duration, peer transport.Peer) er
 	} else {
 		// The sender starts from, and leaves behind, the path's smoothed
 		// RTT; the REQ's Tr is its ceiling.
-		cfg.PathRTT = s.paths.get(peer)
+		cfg.PathRTT = s.paths.Get(peer)
 		res, err := core.RunSender(env, cfg)
 		if res.SRTT > 0 {
-			s.paths.put(peer, res.SRTT)
+			s.paths.Put(peer, res.SRTT)
 		}
 		if err != nil {
 			return fmt.Errorf("session: serving pull: %w", err)

@@ -66,7 +66,7 @@ func TestReorderConformance(t *testing.T) {
 							t.Fatalf("the sender timed out %d times on pull %d", timeouts, try)
 						}
 					}
-					res.Elapsed, res.Data = 0, nil
+					res.Elapsed, res.SRTT, res.Data = 0, 0, nil
 					if !res.Completed || res.NaksSent != 1 || res.Duplicates > 2 {
 						t.Errorf("completed %v with %d NAKs and %d duplicates, want 1 NAK and at most 2 duplicates", res.Completed, res.NaksSent, res.Duplicates)
 					}

@@ -2,6 +2,7 @@ package simrun
 
 import (
 	"fmt"
+	"os"
 	"slices"
 	"sync"
 	"testing"
@@ -170,6 +171,104 @@ func TestLostREQCostsTr(t *testing.T) {
 		if got, want := r.end-r.clock.sent[1][0], clean.end-clean.clock.sent[0][0]; got != want {
 			t.Errorf("the re-asked pull took %v, a clean one %v", got, want)
 		}
+	})
+}
+
+// tailPathRTT is the host round trip rttConfig's pulls start from: their
+// REQ timer is 3·tailPathRTT, over the 1 ms floor and far under Tr.
+const tailPathRTT = 500 * time.Microsecond
+
+// rttConfig is tailConfig driven by aimd from a known round trip to the
+// server's host, as a client that pulled from it before starts.
+func rttConfig(id uint32) core.Config {
+	cfg := tailConfig(id)
+	cfg.Controller, cfg.PathRTT = core.ControllerAIMD, tailPathRTT
+	return cfg
+}
+
+// lateAnswer is a client env on which the answer to the first REQ comes
+// after the wait for it has run out: the first data packet, and whatever
+// follows it until that wait's deadline, is held and handed over only from
+// the next Recv on. The receiver keeps reading, so nothing overruns.
+type lateAnswer struct {
+	core.Env
+	held []*wire.Packet
+	done bool
+}
+
+func (e *lateAnswer) Recv(timeout time.Duration) (*wire.Packet, error) {
+	if len(e.held) > 0 {
+		p := e.held[0]
+		e.held = e.held[1:]
+		return p, nil
+	}
+	deadline := e.Now() + timeout
+	p, err := e.Env.Recv(timeout)
+	if e.done || err != nil || p.Type != wire.TypeData {
+		return p, err
+	}
+	e.done = true
+	for err == nil {
+		e.held = append(e.held, p.Clone())
+		left := deadline - e.Now()
+		if left <= 0 {
+			break
+		}
+		p, err = e.Env.Recv(left)
+	}
+	if err != nil && !core.IsTimeout(err) {
+		return nil, err
+	}
+	return nil, os.ErrDeadlineExceeded
+}
+
+// A pull whose client knows the host's round trip re-asks a lost REQ after
+// the senders' timer started from it, 3·PathRTT here, not after Tr. An
+// answer that comes after that timer draws a duplicate REQ, which the
+// running session passes over: the transfer moves exactly the packets a
+// clean pull moves.
+func TestLostREQCostsRTT(t *testing.T) {
+	t.Run("lost", func(t *testing.T) {
+		tailWorlds(t, func(t *testing.T, mk func() substrate, virtual bool) {
+			var res core.RecvResult
+			r := runTail(t, mk, dropOnce(isReq), pull(rttConfig(1), &res))
+			if !res.Completed || res.Reqs != 2 || len(r.clock.sent) != 2 || res.SRTT != 0 {
+				t.Fatalf("completed %v after %d REQs (%d sent), SRTT %v; want 2 and SRTT 0", res.Completed, res.Reqs, len(r.clock.sent), res.SRTT)
+			}
+			gap := r.clock.sent[1][0] - r.clock.sent[0][1]
+			if !virtual {
+				if r.took() >= tailTr/2 {
+					t.Errorf("a lost REQ cost %v (re-asked %v after it), want under Tr/2 = %v", r.took(), gap, tailTr/2)
+				}
+				return
+			}
+			var cleanRes core.RecvResult
+			clean := runTail(t, mk, nil, pull(rttConfig(1), &cleanRes))
+			if want := 3 * tailPathRTT; gap != want {
+				t.Errorf("REQ re-asked %v after the first left, want 3·PathRTT = %v", gap, want)
+			}
+			if got, want := r.end-r.clock.sent[1][0], clean.end-clean.clock.sent[0][0]; got != want {
+				t.Errorf("the re-asked pull took %v, a clean one %v", got, want)
+			}
+		})
+	})
+	t.Run("late", func(t *testing.T) {
+		tailWorlds(t, func(t *testing.T, mk func() substrate, virtual bool) {
+			var res, cleanRes core.RecvResult
+			late := runTail(t, mk, nil, func(env core.Env) error {
+				return pull(rttConfig(1), &res)(&lateAnswer{Env: env})
+			})
+			clean := runTail(t, mk, nil, pull(rttConfig(1), &cleanRes))
+			if !res.Completed || res.Reqs != 2 || late.served.n != 1 {
+				t.Fatalf("completed %v after %d REQs, %d transfers served; want 2 REQs and 1 transfer", res.Completed, res.Reqs, late.served.n)
+			}
+			if got, want := late.served.byID[1].Retransmits, clean.served.byID[1].Retransmits; got != want {
+				t.Errorf("the server re-sent %d packets after a duplicate REQ, %d in a clean pull", got, want)
+			}
+			if res.DataPackets != cleanRes.DataPackets {
+				t.Errorf("the receiver took %d data packets after a duplicate REQ, %d in a clean pull", res.DataPackets, cleanRes.DataPackets)
+			}
+		})
 	})
 }
 

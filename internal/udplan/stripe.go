@@ -1,6 +1,7 @@
 package udplan
 
 import (
+	"net"
 	"sync"
 	"time"
 
@@ -82,10 +83,18 @@ type StripedResult = session.StripedResult
 // handler honours the request's stripe fields. cfg.Sink and cfg.Payload are
 // ignored — delivery goes through opts.Sink. If one stripe fails its
 // siblings are cancelled promptly (their sockets close under them) and the
-// returned error names the stripe that failed first.
+// returned error names the stripe that failed first. As Pull does, every
+// stripe's REQ timer starts from the round trip the process last learned to
+// the server's host (cfg.PathRTT is set from it), and what the stripes
+// learn is kept for the next pull.
 func PullStriped(addr string, cfg core.Config, opts StripeOptions) (StripedResult, error) {
+	// An address that does not resolve fails every stripe's dial below.
+	raddr, rerr := net.ResolveUDPAddr("udp", addr)
+	if rerr == nil {
+		cfg.PathRTT = clientPaths.Get(raddr)
+	}
 	f := &stripeFabric{addr: addr, opts: opts}
-	return session.PullStriped(f, cfg, session.StripeOptions{
+	res, err := session.PullStriped(f, cfg, session.StripeOptions{
 		Streams:    opts.Streams,
 		Sink:       opts.Sink,
 		Repair:     opts.Repair,
@@ -93,6 +102,12 @@ func PullStriped(addr string, cfg core.Config, opts StripeOptions) (StripedResul
 		Backoff:    opts.Backoff,
 		Seed:       opts.Seed,
 	})
+	for _, s := range res.Stripes {
+		if rerr == nil && s.Recv.SRTT > 0 {
+			clientPaths.Put(raddr, s.Recv.SRTT)
+		}
+	}
+	return res, err
 }
 
 // stripeFabric implements transport.Fabric over dialed UDP endpoints: one

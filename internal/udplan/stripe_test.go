@@ -3,6 +3,7 @@ package udplan
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"slices"
 	"testing"
 	"time"
@@ -161,6 +162,56 @@ func TestStripedPullAdaptive(t *testing.T) {
 	}
 	if res.Bytes != total {
 		t.Errorf("bytes %d", res.Bytes)
+	}
+}
+
+// A client process remembers, per server host, the round trip its pulls'
+// REQs learned: an aimd striped pull leaves its stripes' SRTT in the table,
+// and the next pull from that host re-asks a lost REQ at about that round
+// trip (the 1 ms floor on loopback), not after Tr.
+func TestPullRemembersPathRTT(t *testing.T) {
+	const tr = 200 * time.Millisecond
+	addr := stripedLoopbackServer(t, 8)
+	host, err := net.ResolveUDPAddr("udp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clientPaths.Put(host, 0) // forget what earlier tests' pulls learned here
+	cfg := logicalCfg(64 << 10)
+	cfg.Controller, cfg.RetransTimeout = core.ControllerAIMD, tr
+	first, err := PullStriped(addr, cfg, StripeOptions{Streams: 2, Batch: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var learned time.Duration
+	for _, s := range first.Stripes {
+		if s.Recv.SRTT > 0 {
+			learned = s.Recv.SRTT
+		}
+	}
+	if got := clientPaths.Get(host); learned == 0 || got != learned {
+		t.Fatalf("the table holds %v for %v after a pull that learned %v, want that", got, host, learned)
+	}
+	cfg.TransferID += 2
+	lostREQ := func(stripe int) func(*wire.Packet) params.Mangle {
+		dropped := stripe > 0
+		return func(p *wire.Packet) params.Mangle {
+			if !dropped && p.Type == wire.TypeReq {
+				dropped = true
+				return params.Mangle{Drop: true}
+			}
+			return params.Mangle{}
+		}
+	}
+	second, err := PullStriped(addr, cfg, StripeOptions{Streams: 2, Batch: 8, MangleTx: lostREQ})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reqs := second.Stripes[0].Recv.Reqs; reqs != 2 {
+		t.Fatalf("stripe 0 sent %d REQs, want 2", reqs)
+	}
+	if second.Elapsed >= tr/4 {
+		t.Errorf("a pull that lost a REQ took %v from a learned round trip of %v, want under Tr/4 = %v", second.Elapsed, learned, tr/4)
 	}
 }
 

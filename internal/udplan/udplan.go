@@ -44,6 +44,7 @@ import (
 
 	"blastlan/internal/core"
 	"blastlan/internal/params"
+	"blastlan/internal/session"
 	"blastlan/internal/wire"
 )
 
@@ -594,11 +595,25 @@ func Push(e *Endpoint, cfg core.Config) (core.SendResult, error) {
 	return core.Push(e, cfg)
 }
 
+// clientPaths is the process's client half of the path memory: per server
+// host, the round trip the last pull's REQ learned (core.RecvResult.SRTT),
+// which the next pull from that host starts its REQ timer from
+// (core.Config.PathRTT). Servers keep the other half (session.Server).
+var clientPaths session.PathTable
+
 // Pull requests the configured transfer from the peer and receives it. The
-// configuration is validated against the endpoint's MTU first.
+// configuration is validated against the endpoint's MTU first. The REQ's
+// timer starts from the round trip the process's last pull learned to the
+// peer's host (cfg.PathRTT is set from it), and this pull's is kept for the
+// next.
 func Pull(e *Endpoint, cfg core.Config) (core.RecvResult, error) {
 	if err := e.ValidateConfig(cfg); err != nil {
 		return core.RecvResult{}, err
 	}
-	return core.Request(e, cfg)
+	cfg.PathRTT = clientPaths.Get(e.peer)
+	res, err := core.Request(e, cfg)
+	if res.SRTT > 0 {
+		clientPaths.Put(e.peer, res.SRTT)
+	}
+	return res, err
 }
