@@ -3,9 +3,8 @@
 // sliding-window and stop-and-wait protocol classes, the four blast
 // retransmission strategies, the closed-form cost models, and the
 // measurement substrates — a cycle-accurate discrete-event simulator of the
-// paper's SUN/3-Com/Ethernet hardware, a miniature V kernel with
-// MoveTo/MoveFrom, and a real UDP transport running the identical protocol
-// code.
+// paper's SUN/3-Com/Ethernet hardware, a miniature V kernel with MoveTo
+// and IPC, and a real UDP transport running the identical protocol code.
 //
 // This file is the public facade: it re-exports the pieces a downstream
 // user composes, so examples and applications only import "blastlan".
@@ -174,7 +173,7 @@ type (
 	Cluster = vkernel.Cluster
 	// ClusterOptions configures the cluster.
 	ClusterOptions = vkernel.Options
-	// MoveOptions selects the protocol for a MoveTo/MoveFrom.
+	// MoveOptions selects the protocol for a MoveTo.
 	MoveOptions = vkernel.MoveOptions
 	// VProcess is a V process: an address space plus access rights.
 	VProcess = vkernel.Process

@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync"
 	"syscall"
@@ -369,5 +371,137 @@ func TestGetResumesAcrossKill9(t *testing.T) {
 	}
 	if !resumedRE.Match(stdout.Bytes()) {
 		t.Errorf("blastcp reported no resumed stripe:\n%s", &stdout)
+	}
+}
+
+// A chunk too large for the MTU is a usage error found before any REQ is
+// sent, with and without -resume: blastcp exits 2 at once and the daemon
+// serves, and rejects, nothing.
+func TestChunkOverMTUIsAUsageError(t *testing.T) {
+	blastd, blastcp := buildBinaries(t)
+	d := startDaemon(t, blastd)
+	for _, extra := range [][]string{nil, {"-resume"}} {
+		var stderr bytes.Buffer
+		cmd := exec.Command(blastcp, append([]string{"-to", d.addr, "-pull", "100000", "-chunk", "4000"}, extra...)...)
+		cmd.Stderr = &stderr
+		t0 := time.Now()
+		err := cmd.Run()
+		if took := time.Since(t0); took > time.Second {
+			t.Errorf("-chunk 4000 %v took %v to fail", extra, took)
+		}
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != exitUsage {
+			t.Errorf("-chunk 4000 %v: %v, want exit code %d\n%s", extra, err, exitUsage, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), "blastcp: "+exitLabel(exitUsage)+": ") || !strings.Contains(stderr.String(), "MTU") {
+			t.Errorf("-chunk 4000 %v printed %q, want a usage line naming the MTU", extra, stderr.String())
+		}
+	}
+	d.cmd.Process.Signal(syscall.SIGTERM)
+	select {
+	case <-d.done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("blastd still running 10 s after SIGTERM")
+	}
+	log := strings.Join(d.lines(), "\n")
+	if strings.Contains(log, "rejecting") || !strings.Contains(log, "blastd: served 0 transfer(s)") {
+		t.Errorf("the daemon saw a request:\n%s", log)
+	}
+}
+
+// pulledRE is blastcp's result line for an unstriped pull.
+var pulledRE = regexp.MustCompile(`(?m)^pulled (\d+) bytes in .*, checksum ([0-9a-f]{4})$`)
+
+// pullSum is the -sum argument for a pull of n bytes of the size-seeded
+// stream blastd serves, at blastcp's default chunk size.
+func pullSum(n int) string { return fmt.Sprintf("%04x", core.SeededChecksum(int64(n), n, 1000)) }
+
+// SIGINT while a pull is in flight drains blastd: the shutdown line counts
+// the active session, the pull completes intact, and blastd exits 0 well
+// inside -drain with the transfer in its summary. The pull is stop-and-wait
+// so that it lasts long enough to be interrupted.
+func TestBlastdDrainsOnSIGINT(t *testing.T) {
+	blastd, blastcp := buildBinaries(t)
+	d := startDaemon(t, blastd, "-drain", "30s")
+	const n = 64 << 20
+	var stdout bytes.Buffer
+	cmd := exec.Command(blastcp, "-to", d.addr, "-proto", "saw", "-pull", fmt.Sprint(n), "-sum", pullSum(n))
+	cmd.Stdout = &stdout
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Kill()
+	// blastcp logs its datapath tier just before it sends the REQ.
+	sc := bufio.NewScanner(stderr)
+	for sc.Scan() && !strings.Contains(sc.Text(), "datapath tier") {
+	}
+	go io.Copy(io.Discard, stderr)
+	time.Sleep(100 * time.Millisecond)
+	t0 := time.Now()
+	d.cmd.Process.Signal(syscall.SIGINT)
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("the interrupted pull: %v", err)
+	}
+	if m := pulledRE.FindStringSubmatch(stdout.String()); m == nil || m[1] != fmt.Sprint(n) {
+		t.Errorf("the interrupted pull printed %q", stdout.String())
+	}
+	select {
+	case <-d.done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("blastd still running 30 s after SIGINT")
+	}
+	d.cmd.Wait()
+	if code := d.cmd.ProcessState.ExitCode(); code != 0 {
+		t.Errorf("blastd exited %d after draining", code)
+	}
+	if took := time.Since(t0); took > 20*time.Second {
+		t.Errorf("blastd took %v to drain one pull", took)
+	}
+	log := strings.Join(d.lines(), "\n")
+	if m := regexp.MustCompile(`shutdown: draining (\d+) active session`).FindStringSubmatch(log); m == nil || m[1] == "0" {
+		t.Errorf("the drain line does not count the pull in flight:\n%s", log)
+	}
+	if !strings.Contains(log, "blastd: served 1 transfer(s)") {
+		t.Errorf("the summary does not count the drained pull:\n%s", log)
+	}
+}
+
+// blastd -sockets 2 shards one port over two SO_REUSEPORT sockets: four
+// concurrent pulls complete intact and the summary counts all four.
+func TestBlastdSockets(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("SO_REUSEPORT sharding is Linux only")
+	}
+	blastd, blastcp := buildBinaries(t)
+	d := startDaemon(t, blastd, "-sockets", "2")
+	const pulls = 4
+	errs := make(chan error, pulls)
+	for i := 0; i < pulls; i++ {
+		n := 4<<20 + i*1000
+		go func() {
+			out, err := exec.Command(blastcp, "-to", d.addr, "-pull", fmt.Sprint(n), "-sum", pullSum(n)).CombinedOutput()
+			if err != nil {
+				err = fmt.Errorf("pull of %d bytes: %v\n%s", n, err, out)
+			}
+			errs <- err
+		}()
+	}
+	for i := 0; i < pulls; i++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	d.cmd.Process.Signal(syscall.SIGTERM)
+	select {
+	case <-d.done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("blastd still running 10 s after SIGTERM")
+	}
+	if log := strings.Join(d.lines(), "\n"); !strings.Contains(log, "2 socket(s)") ||
+		!strings.Contains(log, fmt.Sprintf("blastd: served %d transfer(s)", pulls)) {
+		t.Errorf("the summary does not count %d pulls over 2 sockets:\n%s", pulls, log)
 	}
 }

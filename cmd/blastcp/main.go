@@ -97,11 +97,14 @@ func fail(code int, format string, args ...any) {
 // bad-config beats give-up (errors wrap, the most specific class wins). A
 // remote copy failure — the serving side tried and reported why — lands in
 // the refused class: the request named something the server could not move.
+// A chunk too large for the MTU is a usage error: -chunk and -mtu disagree.
 func failErr(context string, err error) {
 	code := 1
 	var busy *core.BusyError
 	var rce *core.RemoteCopyError
 	switch {
+	case errors.Is(err, udplan.ErrMTU):
+		code = exitUsage
 	case errors.As(err, &busy):
 		code = exitBusy
 	case errors.As(err, &rce):
@@ -384,6 +387,11 @@ func main() {
 	}
 	if *lossRx > 0 {
 		e.MangleRx = udplan.SeededDrop(*lossRx, 2)
+	}
+	// Every mode's packets must fit the endpoint's datagrams: a push, a
+	// pull and a resumable pull are refused here, before any REQ is sent.
+	if err := e.ValidateConfig(cfg); err != nil {
+		failErr("config", err)
 	}
 
 	if *pushFile != "" {

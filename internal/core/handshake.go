@@ -426,20 +426,22 @@ func AcceptPush(env Env, cfg Config) (RecvResult, error) {
 }
 
 // ServeOnceID waits up to idle (negative = forever) for a REQ packet, asks
-// accept for the matching transfer configuration, and returns it so the
-// caller can run its side of the transfer. accept returning false rejects
-// the request and keeps waiting; malformed requests are ignored. accept sees
-// the REQ packet's transfer id, so a handler that answers a control
-// exchange from inside the hook (a stat reply, say) can address the reply
-// to the requesting transfer, then either reject the REQ to keep waiting
-// under the same idle bound, or accept it with a zero Config to hand the
-// next wait back to the caller (the session server waits for a stat's pull
-// only as long as a finished transfer lingers).
-func ServeOnceID(env Env, idle time.Duration, accept func(r wire.Req, trans uint32) (Config, bool)) (Config, error) {
+// accept for the matching transfer configuration, and returns it with ok
+// true so the caller can run its side of the transfer. Malformed requests
+// are ignored. accept returning false refuses the request and ends the
+// wait: ServeOnceID returns ok false, and the caller ends the session, so a
+// refused request holds no session slot. A retransmission of it opens a
+// new session, refused in turn. accept sees the REQ packet's transfer id,
+// so a handler that answers a control exchange from inside the hook (a
+// stat reply, say) can address the reply to the requesting transfer and
+// accept it with a zero Config to hand the next wait back to the caller
+// (the session server waits for a stat's pull only as long as a finished
+// transfer lingers).
+func ServeOnceID(env Env, idle time.Duration, accept func(r wire.Req, trans uint32) (Config, bool)) (Config, bool, error) {
 	for {
 		pkt, err := env.Recv(idle)
 		if err != nil {
-			return Config{}, err
+			return Config{}, false, err
 		}
 		if pkt.Type != wire.TypeReq {
 			continue
@@ -448,9 +450,11 @@ func ServeOnceID(env Env, idle time.Duration, accept func(r wire.Req, trans uint
 		if err != nil {
 			continue // malformed request: ignore, keep serving
 		}
-		if cfg, ok := accept(req, pkt.Trans); ok {
-			cfg.TransferID = pkt.Trans
-			return cfg, nil
+		cfg, ok := accept(req, pkt.Trans)
+		if !ok {
+			return Config{}, false, nil
 		}
+		cfg.TransferID = pkt.Trans
+		return cfg, true, nil
 	}
 }

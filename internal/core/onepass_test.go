@@ -17,8 +17,8 @@ func (e codecEnv) Send(p *wire.Packet) error {
 	if err != nil {
 		return err
 	}
-	q, err := wire.Decode(buf)
-	if err != nil {
+	q := new(wire.Packet)
+	if err := wire.DecodeInto(q, buf); err != nil {
 		return err
 	}
 	e.out <- q
@@ -77,8 +77,8 @@ func TestDeliverChunkReusesDecodeSum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := wire.Decode(buf)
-	if err != nil {
+	decoded := new(wire.Packet)
+	if err := wire.DecodeInto(decoded, buf); err != nil {
 		t.Fatal(err)
 	}
 	c := Config{ChunkSize: len(payload), Bytes: 2 * len(payload), Sink: func(int, []byte) {}}

@@ -120,11 +120,3 @@ func ControllerNameOf(id uint8) string {
 	}
 	return ControllerAIMD
 }
-
-// ValidateConfig applies Config defaulting and validation without running a
-// transfer: CLIs use it to reject an unknown -controller name (or any other
-// bad parameter) before dialing anything.
-func ValidateConfig(cfg Config) error {
-	_, err := cfg.withDefaults()
-	return err
-}

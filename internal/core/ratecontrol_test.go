@@ -25,10 +25,10 @@ func TestControllerRegistryDeterministicOrder(t *testing.T) {
 	}
 }
 
-// An unknown controller name is rejected by ValidateConfig with an error
+// An unknown controller name is rejected by Config defaulting with an error
 // that names the offender and the registered alternatives.
 func TestUnknownControllerRejected(t *testing.T) {
-	err := ValidateConfig(Config{Bytes: 64 << 10, Controller: "warp"})
+	_, err := Config{Bytes: 64 << 10, Controller: "warp"}.withDefaults()
 	if !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("unknown controller: err = %v, want ErrBadConfig", err)
 	}
@@ -36,7 +36,7 @@ func TestUnknownControllerRejected(t *testing.T) {
 		t.Errorf("error should name the offender and the registered policies: %v", err)
 	}
 	for _, name := range ControllerNames() {
-		if err := ValidateConfig(Config{Bytes: 64 << 10, Controller: name}); err != nil {
+		if _, err := (Config{Bytes: 64 << 10, Controller: name}).withDefaults(); err != nil {
 			t.Errorf("registered controller %q rejected: %v", name, err)
 		}
 	}

@@ -25,9 +25,6 @@ type Stripe struct {
 	Bytes  int // stripe length in bytes
 }
 
-// Chunks returns the number of data packets the stripe needs.
-func (s Stripe) Chunks(chunk int) int { return (s.Bytes + chunk - 1) / chunk }
-
 // PlanStripes splits a bytes-long transfer chunked at chunk bytes into at
 // most streams contiguous stripes. Every stripe boundary is chunk-aligned;
 // chunks are spread as evenly as possible (earlier stripes take the

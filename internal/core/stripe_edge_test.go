@@ -44,7 +44,7 @@ func TestStripeMergerEdgeCases(t *testing.T) {
 				s := plan[i]
 				sink := m.StripeSink(s)
 				var acc wire.SumAcc
-				order := rng.Perm(s.Chunks(tc.chunk))
+				order := rng.Perm(stripeChunks(s, tc.chunk))
 				for _, seq := range order {
 					lo := seq * tc.chunk
 					hi := lo + tc.chunk

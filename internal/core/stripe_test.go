@@ -46,7 +46,7 @@ func TestPlanStripesTiling(t *testing.T) {
 			if s.Bytes <= 0 {
 				t.Fatalf("stripe %d has %d bytes", i, s.Bytes)
 			}
-			c := s.Chunks(chunk)
+			c := stripeChunks(s, chunk)
 			if c < minChunks {
 				minChunks = c
 			}
@@ -177,7 +177,7 @@ func TestStripeMergerConcurrent(t *testing.T) {
 				// incremental checksum exactly like the engine does.
 				var acc wire.SumAcc
 				r := rand.New(rand.NewSource(seed))
-				order := r.Perm(s.Chunks(chunk))
+				order := r.Perm(stripeChunks(s, chunk))
 				for _, seq := range order {
 					lo := seq * chunk
 					hi := lo + chunk
@@ -199,3 +199,6 @@ func TestStripeMergerConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// stripeChunks returns the number of data packets stripe s needs.
+func stripeChunks(s Stripe, chunk int) int { return (s.Bytes + chunk - 1) / chunk }

@@ -42,11 +42,6 @@ type Faults struct {
 	BlackholeCount int64
 }
 
-// Active reports whether the schedule injects anything at all.
-func (f Faults) Active() bool {
-	return len(f.CrashAfterChunks) > 0 || f.BlackholeAfter > 0
-}
-
 // Validate reports whether the schedule is usable: crash thresholds must be
 // positive and strictly increasing (each names a cumulative chunk count).
 func (f Faults) Validate() error {

@@ -30,9 +30,6 @@ const (
 	DataPacketSize = 1024
 	// AckPacketSize is the acknowledgement packet size.
 	AckPacketSize = 64
-	// MaxEthernetPacket is the maximum packet size on the 10 Mb/s Ethernet
-	// quoted by the paper (§2.1.2 footnote).
-	MaxEthernetPacket = 1536
 )
 
 // CostModel captures the per-packet costs of one host/interface/network

@@ -43,17 +43,13 @@ type Board struct {
 // sleeps between board polls while the chunk it needs is still upstream.
 const boardWaitQuantum = 200 * time.Microsecond
 
-// NewBoard creates a board for a bytes-long object arriving in
-// upstream-chunk-sized pieces. sim selects virtual-time polling for the
-// blocked readers (see Options.Sim in internal/store for the same knob).
-func NewBoard(bytes, chunk int, sim bool) *Board {
-	return NewBoardAt(0, bytes, chunk, sim)
-}
-
-// NewBoardAt creates a board whose byte range sits origin bytes into the
-// logical stream — a stripe relay's board: the upstream stripe pull fills
-// it with stripe-local offsets, while children address it with the stream's
-// own stripe-range REQs (wire.Req.Offset), which SourceReq rebases.
+// NewBoardAt creates a board for a bytes-long object arriving in
+// upstream-chunk-sized pieces, whose byte range sits origin bytes into the
+// logical stream: a stripe relay's board, which the upstream stripe pull
+// fills with stripe-local offsets while children address it with the
+// stream's own stripe-range REQs (wire.Req.Offset), which SourceReq
+// rebases. sim selects virtual-time polling for the blocked readers (see
+// Options.Sim in internal/store for the same knob).
 func NewBoardAt(origin, bytes, chunk int, sim bool) *Board {
 	if bytes <= 0 || chunk <= 0 || origin < 0 {
 		panic(fmt.Sprintf("session: NewBoardAt(%d, %d, %d): bad dimensions", origin, bytes, chunk))

@@ -14,7 +14,7 @@ func TestBoardCutThrough(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i * 7)
 	}
-	b := NewBoard(len(payload), chunk, false)
+	b := NewBoardAt(0, len(payload), chunk, false)
 	src, ok := b.SourceReq(wire.Req{Bytes: uint64(len(payload)), Chunk: chunk}, nil)
 	if !ok {
 		t.Fatal("full-object request refused")
@@ -68,7 +68,7 @@ func TestBoardCutThrough(t *testing.T) {
 }
 
 func TestBoardFailUnblocks(t *testing.T) {
-	b := NewBoard(1000, 100, false)
+	b := NewBoardAt(0, 1000, 100, false)
 	src, _ := b.SourceReq(wire.Req{Bytes: 1000, Chunk: 100}, nil)
 	served := make(chan int)
 	go func() {

@@ -492,11 +492,13 @@ func (s *Server) serve(env core.Env, idle time.Duration, peer transport.Peer) er
 		return c, true
 	}
 	// A stat ends the wait it was answered in; the wait for the pull
-	// starts over, bounded by the stat's linger.
+	// starts over, bounded by the stat's linger. A refused request ends the
+	// session quietly (accept logged why, rate-limited), freeing its slot.
 	var cfg core.Config
 	for {
+		var ok bool
 		var err error
-		if cfg, err = core.ServeOnceID(env, idle, accept); err != nil {
+		if cfg, ok, err = core.ServeOnceID(env, idle, accept); err != nil || !ok {
 			return err
 		}
 		if !statted {

@@ -17,7 +17,7 @@ import (
 // trips overlap, which is what lets a single large transfer saturate a link
 // the way GridFTP-style parallel streams do. The fan-out itself is
 // substrate-free: the same orchestrator runs over UDP sockets
-// (udplan.PullStriped) and simulator processes (sim.Fabric), so striped
+// (udplan.PullStriped) and simulator processes (simrun's test fabric), so striped
 // behaviour is testable deterministically.
 
 // StripeOptions configures the substrate-independent part of a striped

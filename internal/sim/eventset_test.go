@@ -74,6 +74,10 @@ func (h *refHeap) down(i int) {
 	}
 }
 
+// evWake is what a lane entry with no event fires as: a broadcast reaching
+// one waiter (whose predicate may decline), carried by value.
+const evWake = evCopied + 1
+
 // kind is what the entry fires as.
 func (e entry) kind() eventKind {
 	if e.ev == nil {

@@ -43,7 +43,7 @@ type Kernel struct {
 	lane    []entry
 	head    int
 	seq     uint64
-	live    int // non-daemon processes that have not finished
+	live    int // processes that have not finished
 	failure error
 	procs   []*Proc // started and not finished: what unwind must stop
 	stats   KernelStats
@@ -72,7 +72,7 @@ func (k *Kernel) Now() time.Duration { return k.now }
 
 // Reset rewinds the kernel to time zero with an empty pending set so it can
 // run another simulation, keeping its event and waiter pools warm. Processes
-// still blocked (a parked daemon, an abandoned run) are unwound first; then
+// still blocked (an abandoned run) are unwound first; then
 // pending events are discarded into the pool.
 func (k *Kernel) Reset() {
 	k.unwind()
@@ -110,10 +110,6 @@ const (
 	evFunc eventKind = iota
 	// evResume hands control to a spawned or sleeping process.
 	evResume
-	// evWake is a broadcast reaching one waiter (whose predicate may decline).
-	// It is never an event record: no Timer can name a wake-up, so it rides
-	// the lane by value, as an entry with a waiter and no event.
-	evWake
 	// evWaitTimeout expires a Signal wait.
 	evWaitTimeout
 	// evTxDone marks a FIFO-medium transmission leaving the wire.
@@ -330,10 +326,9 @@ func (k *Kernel) After(d time.Duration, fire func()) Timer {
 }
 
 // Run drives the simulation until no events remain, then reports an error
-// if non-daemon processes are still blocked (deadlock) or a process
-// panicked. The kernel cannot resume after an error, so the processes still
-// blocked are unwound; daemons parked after a clean run are left for a later
-// Run (or Reset).
+// if processes are still blocked (deadlock) or a process panicked. The
+// kernel cannot resume after an error, so the processes still blocked are
+// unwound.
 func (k *Kernel) Run() error {
 	for k.step() {
 	}
@@ -387,7 +382,6 @@ func (k *Kernel) fail(err error) {
 type Proc struct {
 	k        *Kernel
 	name     string
-	daemon   bool
 	timedOut bool // whether the resume in progress is a wait's timeout
 	idx      int  // position in k.procs
 	fn       func(*Proc)
@@ -397,12 +391,6 @@ type Proc struct {
 	stop  func()
 	yield func(struct{}) bool
 }
-
-// Name returns the process name given to Go.
-func (p *Proc) Name() string { return p.name }
-
-// Kernel returns the owning kernel.
-func (p *Proc) Kernel() *Kernel { return p.k }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.k.now }
@@ -435,23 +423,12 @@ func (p *Proc) run(yield func(struct{}) bool) {
 		if r := recover(); r != nil && r != errUnwound {
 			k.fail(fmt.Errorf("sim: process %q panicked: %v", p.name, r))
 		}
-		if !p.daemon {
-			k.live--
-		}
+		k.live--
 		moved := k.procs[len(k.procs)-1]
 		k.procs[p.idx], moved.idx = moved, p.idx
 		k.procs = k.procs[:len(k.procs)-1]
 	}()
 	p.fn(p)
-}
-
-// Daemon marks the process as a background service: Run will not consider it
-// for deadlock detection when it remains blocked after all work completes.
-func (p *Proc) Daemon() {
-	if !p.daemon {
-		p.daemon = true
-		p.k.live--
-	}
 }
 
 // block returns control to the kernel — the one way a process blocks — and

@@ -225,19 +225,6 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
-func TestDaemonDoesNotDeadlock(t *testing.T) {
-	k := NewKernel()
-	var sig Signal
-	k.Go("daemon", func(p *Proc) {
-		p.Daemon()
-		p.Wait(&sig, -1)
-	})
-	k.Go("worker", func(p *Proc) { p.Sleep(time.Millisecond) })
-	if err := k.Run(); err != nil {
-		t.Errorf("daemon counted as deadlock: %v", err)
-	}
-}
-
 func TestProcPanicReported(t *testing.T) {
 	k := NewKernel()
 	k.Go("boom", func(p *Proc) {
@@ -246,21 +233,6 @@ func TestProcPanicReported(t *testing.T) {
 	})
 	if err := k.Run(); err == nil {
 		t.Error("expected panic to surface as error")
-	}
-}
-
-func TestProcAccessors(t *testing.T) {
-	k := NewKernel()
-	k.Go("alice", func(p *Proc) {
-		if p.Name() != "alice" {
-			t.Errorf("Name = %q", p.Name())
-		}
-		if p.Kernel() != k {
-			t.Error("Kernel() mismatch")
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"os"
 	"time"
 
-	"blastlan/internal/ether"
 	"blastlan/internal/params"
 	"blastlan/internal/wire"
 )
@@ -119,7 +118,10 @@ type AdvCounters struct {
 type Station struct {
 	net  *Network
 	Name string
-	Addr ether.Addr
+	// Addr is the station's 48-bit address: a locally administered
+	// unicast address (02:00:5e, then the station's number). The medium
+	// carries wire packets, not frames; a Listener keys sessions by it.
+	Addr [addrLen]byte
 
 	Counters Counters
 
@@ -132,9 +134,9 @@ type Station struct {
 
 	txFree int
 	txSig  Signal
-	// txReady and txIdle are the wait predicates on txSig, bound once here so
-	// the kernel can check them without waking the waiter (Proc.WaitCond).
-	txReady, txIdle func() bool
+	// txReady is the wait predicate on txSig, bound once here so the kernel
+	// can check it without waking the waiter (Proc.WaitCond).
+	txReady func() bool
 
 	sink   bool
 	closed bool
@@ -256,16 +258,23 @@ func own[T byte | uint32](buf *[]T, src []T) []T {
 // putPkt returns a copy nobody holds any more to the pool.
 func (n *Network) putPkt(q *medPkt) { n.freePkts = append(n.freePkts, q) }
 
+// addrLen is the length of a station address.
+const addrLen = 6
+
+// stationAddr returns the address of the i-th station.
+func stationAddr(i int) [addrLen]byte {
+	return [addrLen]byte{0x02, 0x00, 0x5e, byte(i >> 16), byte(i >> 8), byte(i)}
+}
+
 // AddStation attaches a new station to the network.
 func (n *Network) AddStation(name string) *Station {
 	s := &Station{
 		net:    n,
 		Name:   name,
-		Addr:   ether.HostAddr(len(n.stations) + 1),
+		Addr:   stationAddr(len(n.stations) + 1),
 		txFree: n.Cost.TxBuffers,
 	}
 	s.txReady = func() bool { return s.txFree > 0 }
-	s.txIdle = func() bool { return s.txFree == n.Cost.TxBuffers }
 	s.rxCopy = func() time.Duration {
 		if len(s.rxq) == 0 {
 			return -1
@@ -312,12 +321,6 @@ func (s *Station) SendAsync(p *Proc, to *Station, pkt *wire.Packet) {
 	s.copied(job)
 }
 
-// Drain blocks until all of the station's transmit buffers are idle,
-// ensuring previously issued SendAsync transmissions have left the wire.
-func (s *Station) Drain(p *Proc) {
-	p.WaitCond(&s.txSig, -1, s.txIdle)
-}
-
 func (s *Station) unicast(to *Station) *Station {
 	if to == nil || to == s {
 		panic(fmt.Sprintf("sim: station %s: invalid send destination", s.Name))
@@ -326,12 +329,12 @@ func (s *Station) unicast(to *Station) *Station {
 }
 
 // SendBroadcast transmits one frame heard by every other attached station
-// — the shared medium's native one-to-many (an ether.Broadcast frame on a
-// real LAN, §2 of the paper's setting). The wire is occupied exactly once
-// regardless of the receiver count; each receiver then runs the frame
-// through its own delivery path (drop filter, adversary, loss draws), so
-// a broadcast is unreliable per receiver just as on a real cable. Blocks
-// until the transmission completes, like Send.
+// — the shared medium's native one-to-many (a frame to the broadcast
+// address on a real LAN, §2 of the paper's setting). The wire is occupied
+// exactly once regardless of the receiver count; each receiver then runs
+// the frame through its own delivery path (drop filter, adversary, loss
+// draws), so a broadcast is unreliable per receiver just as on a real
+// cable. Blocks until the transmission completes, like Send.
 func (s *Station) SendBroadcast(p *Proc, pkt *wire.Packet) {
 	s.sendSync(p, nil, pkt)
 }

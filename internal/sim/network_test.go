@@ -286,6 +286,30 @@ func TestMediumSerialises(t *testing.T) {
 	}
 }
 
+// drain blocks p until every transmit buffer of s is idle: the SendAsync
+// transmissions issued so far have left the wire.
+func drain(p *Proc, s *Station) {
+	p.WaitCond(&s.txSig, -1, func() bool { return s.txFree == s.net.Cost.TxBuffers })
+}
+
+// TestStationAddr checks that stations get distinct locally administered
+// unicast addresses, which the Listener keys sessions by.
+func TestStationAddr(t *testing.T) {
+	_, n, a, b := newTestNet(t, params.Standalone3Com(), params.NoLoss(), 1)
+	c := n.AddStation("c")
+	if a.Addr == b.Addr || b.Addr == c.Addr || a.Addr == c.Addr {
+		t.Errorf("addresses not distinct: %x %x %x", a.Addr, b.Addr, c.Addr)
+	}
+	for _, s := range []*Station{a, b, c} {
+		if s.Addr[0]&1 != 0 || s.Addr[0]&2 == 0 {
+			t.Errorf("%s: %x is not a locally administered unicast address", s.Name, s.Addr)
+		}
+	}
+	if got, want := stationAddr(0x123456), [addrLen]byte{0x02, 0x00, 0x5e, 0x12, 0x34, 0x56}; got != want {
+		t.Errorf("stationAddr = %x, want %x", got, want)
+	}
+}
+
 // SendAsync with a double-buffered interface must pipeline copies with
 // transmissions: N packets leave in N·C + T when T ≤ C (Figure 3.d).
 func TestDoubleBufferedPipelines(t *testing.T) {
@@ -297,7 +321,7 @@ func TestDoubleBufferedPipelines(t *testing.T) {
 		for i := 0; i < n; i++ {
 			src.SendAsync(p, dst, dataPkt(uint32(i)))
 		}
-		src.Drain(p)
+		drain(p, src)
 	})
 	k.Go("receiver", func(p *Proc) {
 		for i := 0; i < n; i++ {
@@ -330,7 +354,7 @@ func TestSingleBufferedAsyncSerialises(t *testing.T) {
 		for i := 0; i < n; i++ {
 			src.SendAsync(p, dst, dataPkt(uint32(i)))
 		}
-		src.Drain(p)
+		drain(p, src)
 		sendDone = p.Now()
 	})
 	k.Go("receiver", func(p *Proc) {
@@ -400,7 +424,7 @@ func TestEndpointAdapter(t *testing.T) {
 		if err := env.SendAsync(dataPkt(1)); err != nil {
 			t.Error(err)
 		}
-		src.Drain(p)
+		drain(p, src)
 		elapsed = env.Now()
 	})
 	k.Go("receiver", func(p *Proc) {

@@ -637,13 +637,12 @@ func TestParkedProcessesDoNotOutliveTheirKernel(t *testing.T) {
 	}
 	settle(t, base, "deadlock")
 
-	// (b) One process panics while two are blocked, one of them a daemon
-	// and one mid-Sleep with its resume still on the heap.
+	// (b) One process panics while two are blocked, one of them waiting on
+	// a signal and one mid-Sleep with its resume still on the heap.
 	k = NewKernel()
 	unwound = 0
-	k.Go("daemon", func(p *Proc) {
+	k.Go("waiter", func(p *Proc) {
 		defer func() { unwound++ }()
-		p.Daemon()
 		p.Wait(&never, -1)
 	})
 	k.Go("sleeper", func(p *Proc) {
@@ -681,37 +680,41 @@ func TestParkedProcessesDoNotOutliveTheirKernel(t *testing.T) {
 	}
 	settle(t, base, "panic under Step")
 
-	// (c) A daemon parked after a clean run survives until Reset: a later
-	// Run on the same kernel can still wake it.
+	// (c) A process still parked when Step runs out of events survives
+	// until Reset: a later event on the same kernel can still wake it.
+	steps := func() {
+		for {
+			more, err := k.Step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !more {
+				return
+			}
+		}
+	}
 	k = NewKernel()
 	var poke Signal
 	served := 0
-	k.Go("daemon", func(p *Proc) {
-		p.Daemon()
+	k.Go("server", func(p *Proc) {
 		for {
 			p.Wait(&poke, -1)
 			served++
 		}
 	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	steps()
 	k.After(time.Millisecond, func() { poke.Broadcast(k) })
-	if err := k.Run(); err != nil || served != 1 {
-		t.Fatalf("second Run: err=%v served=%d, want the parked daemon woken once", err, served)
+	steps()
+	if served != 1 {
+		t.Fatalf("served=%d, want the parked process woken once", served)
 	}
 	k.Reset()
-	settle(t, base, "daemon after Reset")
+	settle(t, base, "parked process after Reset")
 
 	for i := 0; i < 1000; i++ {
-		k.Go("daemon", func(p *Proc) {
-			p.Daemon()
-			p.Wait(&never, -1)
-		})
+		k.Go("parked", func(p *Proc) { p.Wait(&never, -1) })
 		k.Go("worker", func(p *Proc) { p.Sleep(time.Millisecond) })
-		if err := k.Run(); err != nil {
-			t.Fatalf("cycle %d: %v", i, err)
-		}
+		steps()
 		k.Reset()
 	}
 	settle(t, base, "1000 Run+Reset cycles")

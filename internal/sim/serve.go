@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"blastlan/internal/core"
-	"blastlan/internal/ether"
 	"blastlan/internal/transport"
 	"blastlan/internal/wire"
 )
@@ -17,11 +16,11 @@ import (
 // internal/transport, so the shared session layer (internal/session) serves
 // many simulated clients exactly as it serves real UDP peers: the demux
 // loop runs as one simulated process reading the serving station's
-// interface, each admitted session becomes its own process, and the striped
-// client fan-out spawns one process per stripe. Everything stays under the
-// kernel's handoff scheduling, so a sharded many-client server is
-// deterministic bit for bit — the property the scale scenarios
-// (simrun.LoadScenario) and the server-side conformance suite rely on.
+// interface, and each admitted session becomes its own process.
+// Everything stays under the kernel's handoff scheduling, so a sharded
+// many-client server is deterministic bit for bit — the property the scale
+// scenarios (simrun.LoadScenario) and the server-side conformance suite
+// rely on.
 
 // Listener implements transport.Listener over one serving station: Accept
 // is a source-tagged receive on the station's interface, demux keys are the
@@ -33,7 +32,7 @@ type Listener struct {
 	st *Station
 	p  *Proc
 
-	keybuf [ether.AddrLen + 4]byte // source address, then transfer id
+	keybuf [addrLen + 4]byte // source address, then transfer id
 	last   *Station
 
 	spawned  int
@@ -69,7 +68,7 @@ func (l *Listener) Accept(idle time.Duration) (transport.Inbound, error) {
 	}
 	l.last = from
 	copy(l.keybuf[:], from.Addr[:])
-	binary.BigEndian.PutUint32(l.keybuf[ether.AddrLen:], pkt.Trans)
+	binary.BigEndian.PutUint32(l.keybuf[addrLen:], pkt.Trans)
 	return transport.Inbound{Key: l.keybuf[:], Msg: pkt}, nil
 }
 
@@ -242,81 +241,4 @@ func (e *serverEnv) Recv(timeout time.Duration) (*wire.Packet, error) {
 	}
 	e.lent = pkt
 	return &pkt.Packet, nil
-}
-
-// ClientConn is a dialed client-side conn (transport.Client): a fresh
-// station's endpoint plus socket-style teardown, so the shared stripe
-// orchestrator can abort simulated sessions exactly as it closes UDP
-// sockets.
-type ClientConn struct {
-	*Endpoint
-}
-
-// Close closes the conn's station; a blocked engine unblocks with
-// net.ErrClosed.
-func (c *ClientConn) Close() error {
-	c.St.Close()
-	return nil
-}
-
-// Abort is Close from a sibling's thread of control. Under handoff
-// scheduling only one process runs at a time, so the cross-process call is
-// safe by construction.
-func (c *ClientConn) Abort() { c.St.Close() }
-
-// Fabric implements transport.Fabric on the simulator: Fan gives every body
-// its own client station and process, all talking to one serving station.
-// Stations are created in index order before any body runs, so the fan-out
-// is deterministic at any GOMAXPROCS.
-type Fabric struct {
-	Net    *Network
-	Server *Station
-	// P is the orchestrating process; Fan blocks it until every body has
-	// returned.
-	P *Proc
-	// Name prefixes client station and process names (default "client").
-	Name string
-	// Prepare, when non-nil, configures client i's freshly created station
-	// before its session starts — the per-client adversary hook.
-	Prepare func(i int, st *Station) error
-}
-
-// Now exposes virtual time, so shared orchestrators measure elapsed in the
-// substrate's own clock.
-func (f *Fabric) Now() time.Duration { return f.Net.K.Now() }
-
-// Fan runs body(i, client_i) for i in [0, n) as concurrent simulated
-// processes and returns when all have finished.
-func (f *Fabric) Fan(n int, body func(i int, c transport.Client) error) []error {
-	errs := make([]error, n)
-	prefix := f.Name
-	if prefix == "" {
-		prefix = "client"
-	}
-	k := f.Net.K
-	var sig Signal
-	done := 0
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("%s%d", prefix, i)
-		st := f.Net.AddStation(name)
-		if f.Prepare != nil {
-			if err := f.Prepare(i, st); err != nil {
-				// Still runs through the body (see transport.Fabric), so
-				// the failure can cancel sibling sessions promptly.
-				errs[i] = body(i, transport.FailedClient(err))
-				done++
-				continue
-			}
-		}
-		i, st := i, st
-		k.Go(name, func(p *Proc) {
-			c := &ClientConn{Endpoint: NewEndpoint(p, st, f.Server)}
-			errs[i] = body(i, c)
-			st.Close()
-			done++
-			sig.Broadcast(k)
-		})
-	}
-	f.P.WaitCond(&sig, -1, func() bool { return done == n })
-	return errs
 }

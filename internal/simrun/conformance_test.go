@@ -1,6 +1,7 @@
 package simrun
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"testing"
@@ -13,6 +14,9 @@ import (
 	"blastlan/internal/udplan"
 	"blastlan/internal/wire"
 )
+
+// IntactPayload reports whether the delivered bytes match the scenario's.
+func (o Outcome) IntactPayload(want []byte) bool { return bytes.Equal(o.Data, want) }
 
 // Conformance matrix: every protocol on every hardware preset at several
 // sizes must match its §2.1.3 closed form. This is the regression net that

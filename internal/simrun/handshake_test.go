@@ -2,6 +2,7 @@ package simrun
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -48,14 +49,14 @@ func runHandshake(t *testing.T, push bool, loss params.LossModel, seed int64) (c
 		})
 		k.Go("accepter", func(p *sim.Proc) {
 			env := sim.NewEndpoint(p, dst, src)
-			acc, err := core.ServeOnceID(env, -1, func(r wire.Req, _ uint32) (core.Config, bool) {
+			acc, ok, err := core.ServeOnceID(env, -1, func(r wire.Req, _ uint32) (core.Config, bool) {
 				if !r.Push {
 					return core.Config{}, false
 				}
 				return core.ConfigOf(0, r), true
 			})
-			if err != nil {
-				rErr = err
+			if err != nil || !ok {
+				rErr = fmt.Errorf("push announce refused: %v", err)
 				return
 			}
 			rres, rErr = core.AcceptPush(env, acc)
@@ -63,7 +64,7 @@ func runHandshake(t *testing.T, push bool, loss params.LossModel, seed int64) (c
 	} else {
 		k.Go("server", func(p *sim.Proc) {
 			env := sim.NewEndpoint(p, src, dst)
-			acc, err := core.ServeOnceID(env, -1, func(r wire.Req, _ uint32) (core.Config, bool) {
+			acc, _, err := core.ServeOnceID(env, -1, func(r wire.Req, _ uint32) (core.Config, bool) {
 				c := core.ConfigOf(0, r)
 				c.Payload = payload
 				return c, true
@@ -170,7 +171,7 @@ func TestPushHonorsBusyAgainstCapOfOne(t *testing.T) {
 
 		var elapsed [2]time.Duration
 		k.Go("pushers", func(p *sim.Proc) {
-			f := &sim.Fabric{Net: n, Server: serverSt, P: p}
+			f := &simFabric{Net: n, Server: serverSt, P: p}
 			errs := f.Fan(2, func(i int, c transport.Client) error {
 				cfg := core.Config{
 					TransferID:     uint32(i + 1),

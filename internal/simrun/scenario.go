@@ -1,7 +1,6 @@
 package simrun
 
 import (
-	"bytes"
 	"fmt"
 	"net"
 
@@ -127,9 +126,6 @@ type Outcome struct {
 	// policy ran.
 	Controller *core.ControllerStats
 }
-
-// IntactPayload reports whether the delivered bytes match the scenario's.
-func (o Outcome) IntactPayload(want []byte) bool { return bytes.Equal(o.Data, want) }
 
 // Add folds another conversation's counters into c.
 func (c *Counts) Add(o Counts) {

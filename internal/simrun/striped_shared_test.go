@@ -37,7 +37,7 @@ func stripedSharedConfig() core.Config {
 
 // runStripedShared runs the striped pull on the simulator through the
 // shared session layer end to end: sharded session.Server on one station,
-// session.PullStriped over a sim.Fabric of per-stripe client stations.
+// session.PullStriped over a simFabric of per-stripe client stations.
 func runStripedSharedSim(t *testing.T, streams int, adv params.Adversary, seed int64, into []byte) session.StripedResult {
 	t.Helper()
 	k := sim.NewKernel()
@@ -57,7 +57,7 @@ func runStripedSharedSim(t *testing.T, streams int, adv params.Adversary, seed i
 	var res session.StripedResult
 	var resErr error
 	k.Go("striped-pull", func(p *sim.Proc) {
-		f := &sim.Fabric{
+		f := &simFabric{
 			Net:    n,
 			Server: serverSt,
 			P:      p,

@@ -418,7 +418,7 @@ func lossyPulls(t *testing.T, n int, loss float64) []time.Duration {
 	var pullErr error
 	k.Go("puller", func(p *sim.Proc) {
 		for i := range took {
-			f := &sim.Fabric{Net: network, Server: serverSt, P: p, Name: "stripe",
+			f := &simFabric{Net: network, Server: serverSt, P: p, Name: "stripe",
 				Prepare: func(s int, st *sim.Station) error {
 					return st.SetAdversary(params.Adversary{Loss: params.LossModel{PNet: loss}}, int64(2*i+s))
 				},

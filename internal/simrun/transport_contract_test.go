@@ -22,7 +22,7 @@ import (
 // sibling unblocks a pending Recv with an error; a conn outlives its
 // session, so a stripe whose first transfer dies resumes as a new transfer
 // on the conn it was dialed — held against both substrates' fabrics here,
-// where both are importable. sim.Fabric is driven directly. udplan's stripe
+// where both are importable. simFabric is driven directly. udplan's stripe
 // fabric is unexported, so it is driven through its one entry point,
 // udplan.PullStriped, and observed through the hooks the fabric itself runs
 // per dial (StripeOptions.MangleRx, the pre-dialed Endpoint).
@@ -80,7 +80,7 @@ func TestTransportContract(t *testing.T) {
 			const n = 3
 			calls, stations := make([]int, n), make([]*sim.Station, n)
 			failing := -1
-			f := &sim.Fabric{Net: w.n, Server: h.(*desHost).st, P: p, Prepare: func(i int, st *sim.Station) error {
+			f := &simFabric{Net: w.n, Server: h.(*desHost).st, P: p, Prepare: func(i int, st *sim.Station) error {
 				stations[i] = st
 				if i == failing {
 					return errPrepare
@@ -129,7 +129,7 @@ func TestTransportContract(t *testing.T) {
 			})
 
 			dials := make([]int, n)
-			deaf := &sim.Fabric{Net: w.n, Server: h.(*desHost).st, P: p, Name: "deaf", Prepare: func(i int, st *sim.Station) error {
+			deaf := &simFabric{Net: w.n, Server: h.(*desHost).st, P: p, Name: "deaf", Prepare: func(i int, st *sim.Station) error {
 				if dials[i]++; i > 0 {
 					return nil
 				}

@@ -1,15 +1,13 @@
 // Package stats provides the small statistics toolkit used by the
-// experiment harness: streaming moments (Welford), quantiles, histograms
-// and duration-typed convenience wrappers.
+// experiment harness: streaming moments (Welford) and a duration-typed
+// wrapper.
 //
 // Everything here is deterministic and allocation-light; benchmarks feed
 // millions of Monte-Carlo samples through Welford accumulators.
 package stats
 
 import (
-	"fmt"
 	"math"
-	"sort"
 	"time"
 )
 
@@ -59,28 +57,8 @@ func (w *Welford) Variance() float64 {
 	return w.m2 / float64(w.n-1)
 }
 
-// PopVariance returns the population variance (n denominator).
-func (w *Welford) PopVariance() float64 {
-	if w.n < 1 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
 // StdDev returns the unbiased sample standard deviation.
 func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// StdErr returns the standard error of the mean.
-func (w *Welford) StdErr() float64 {
-	if w.n < 1 {
-		return 0
-	}
-	return w.StdDev() / math.Sqrt(float64(w.n))
-}
-
-// CI95 returns the half-width of a normal-approximation 95 % confidence
-// interval for the mean.
-func (w *Welford) CI95() float64 { return 1.96 * w.StdErr() }
 
 // Merge combines another accumulator into w (parallel Welford / Chan et al.).
 func (w *Welford) Merge(o *Welford) {
@@ -123,169 +101,6 @@ func (d *Durations) StdDev() time.Duration { return time.Duration(d.w.StdDev()) 
 // Min and Max return observed extremes.
 func (d *Durations) Min() time.Duration { return time.Duration(d.w.Min()) }
 func (d *Durations) Max() time.Duration { return time.Duration(d.w.Max()) }
-
-// CI95 returns the 95 % confidence half-width for the mean.
-func (d *Durations) CI95() time.Duration { return time.Duration(d.w.CI95()) }
-
-// Welford exposes the underlying accumulator.
-func (d *Durations) Welford() *Welford { return &d.w }
-
-// Sample is an in-memory sample supporting exact quantiles.
-type Sample struct {
-	xs     []float64
-	sorted bool
-}
-
-// Add appends an observation.
-func (s *Sample) Add(x float64) {
-	s.xs = append(s.xs, x)
-	s.sorted = false
-}
-
-// N returns the sample size.
-func (s *Sample) N() int { return len(s.xs) }
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) using linear interpolation
-// between closest ranks. It returns NaN on an empty sample.
-func (s *Sample) Quantile(q float64) float64 {
-	if len(s.xs) == 0 {
-		return math.NaN()
-	}
-	if !s.sorted {
-		sort.Float64s(s.xs)
-		s.sorted = true
-	}
-	if q <= 0 {
-		return s.xs[0]
-	}
-	if q >= 1 {
-		return s.xs[len(s.xs)-1]
-	}
-	pos := q * float64(len(s.xs)-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	if lo+1 >= len(s.xs) {
-		return s.xs[lo]
-	}
-	return s.xs[lo]*(1-frac) + s.xs[lo+1]*frac
-}
-
-// Median is Quantile(0.5).
-func (s *Sample) Median() float64 { return s.Quantile(0.5) }
-
-// Mean returns the sample mean (NaN on empty sample).
-func (s *Sample) Mean() float64 {
-	if len(s.xs) == 0 {
-		return math.NaN()
-	}
-	var sum float64
-	for _, x := range s.xs {
-		sum += x
-	}
-	return sum / float64(len(s.xs))
-}
-
-// Histogram is a fixed-bin histogram over [Lo, Hi); out-of-range samples
-// are counted in the under/overflow bins.
-type Histogram struct {
-	Lo, Hi    float64
-	Counts    []int64
-	Underflow int64
-	Overflow  int64
-}
-
-// NewHistogram creates a histogram with the given bounds and bin count.
-func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if bins <= 0 {
-		return nil, fmt.Errorf("stats: bins must be positive, got %d", bins)
-	}
-	if !(lo < hi) {
-		return nil, fmt.Errorf("stats: need lo < hi, got [%g, %g)", lo, hi)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int64, bins)}, nil
-}
-
-// Add incorporates one observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Underflow++
-	case x >= h.Hi:
-		h.Overflow++
-	default:
-		i := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
-		if i == len(h.Counts) { // guard float rounding at the top edge
-			i--
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of observations, including out-of-range ones.
-func (h *Histogram) Total() int64 {
-	n := h.Underflow + h.Overflow
-	for _, c := range h.Counts {
-		n += c
-	}
-	return n
-}
-
-// Render draws the histogram as ASCII rows of at most width '#' characters.
-func (h *Histogram) Render(width int) string {
-	if width <= 0 {
-		width = 50
-	}
-	var peak int64 = 1
-	for _, c := range h.Counts {
-		if c > peak {
-			peak = c
-		}
-	}
-	out := ""
-	binW := (h.Hi - h.Lo) / float64(len(h.Counts))
-	for i, c := range h.Counts {
-		bar := int(int64(width) * c / peak)
-		out += fmt.Sprintf("%12.4g ┤%s %d\n", h.Lo+float64(i)*binW, repeat('#', bar), c)
-	}
-	return out
-}
-
-func repeat(ch byte, n int) string {
-	if n <= 0 {
-		return ""
-	}
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = ch
-	}
-	return string(b)
-}
-
-// Geometric helpers for the paper's attempt-count analysis (§3.1): the
-// number of *failures* before the first success when each attempt fails
-// independently with probability p.
-
-// GeomMeanFailures returns E[failures] = p/(1-p).
-func GeomMeanFailures(p float64) float64 {
-	if p >= 1 {
-		return math.Inf(1)
-	}
-	if p <= 0 {
-		return 0
-	}
-	return p / (1 - p)
-}
-
-// GeomVarFailures returns Var[failures] = p/(1-p)².
-func GeomVarFailures(p float64) float64 {
-	if p >= 1 {
-		return math.Inf(1)
-	}
-	if p <= 0 {
-		return 0
-	}
-	return p / ((1 - p) * (1 - p))
-}
 
 // RelErr returns |a-b| / max(|a|,|b|), or 0 when both are 0; convenient for
 // tolerance assertions in cross-validation tests.

@@ -186,15 +186,6 @@ func (s *Store) resolve(name string) (*object, error) {
 	return o, nil
 }
 
-// Stat reports the named object's size.
-func (s *Store) Stat(name string) (int64, error) {
-	o, err := s.resolve(name)
-	if err != nil {
-		return 0, err
-	}
-	return o.size, nil
-}
-
 // StatReq is the session.Server.Stat hook: it answers stat REQs for named
 // objects.
 func (s *Store) StatReq(r wire.Req) (int64, bool) {

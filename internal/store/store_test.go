@@ -97,9 +97,9 @@ func (f *memFile) readCount() int {
 // reassembled bytes.
 func pullAll(t *testing.T, s *Store, name string, chunk int, env core.Env) []byte {
 	t.Helper()
-	size, err := s.Stat(name)
-	if err != nil {
-		t.Fatal(err)
+	size, ok := s.StatReq(wire.Req{Name: name})
+	if !ok {
+		t.Fatalf("stat %q failed", name)
 	}
 	src, err := s.Source(name, chunk, 0, env)
 	if err != nil {
@@ -136,8 +136,8 @@ func TestDirFSServesAndValidates(t *testing.T) {
 	}
 	// Hostile names never escape the root.
 	for _, name := range []string{"../blob", "/etc/passwd", "sub/../../x", ".", "", "sub"} {
-		if _, err := s.Stat(name); err == nil {
-			t.Errorf("Stat(%q) resolved", name)
+		if _, ok := s.StatReq(wire.Req{Name: name}); ok {
+			t.Errorf("StatReq(%q) resolved", name)
 		}
 	}
 }

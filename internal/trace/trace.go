@@ -33,12 +33,6 @@ func (r *Recorder) Add(s sim.Span) {
 	r.spans = append(r.spans, s)
 }
 
-// Spans returns the recorded spans in arrival order.
-func (r *Recorder) Spans() []sim.Span { return r.spans }
-
-// Reset discards all recorded spans.
-func (r *Recorder) Reset() { r.spans = r.spans[:0] }
-
 // Window returns the earliest start and latest end across all spans.
 func (r *Recorder) Window() (start, end time.Duration) {
 	if len(r.spans) == 0 {

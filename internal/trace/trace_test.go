@@ -105,7 +105,7 @@ func TestBlastTimelineOverlaps(t *testing.T) {
 	start, end := rec.Window()
 	wall := end - start
 	var busy time.Duration
-	for _, s := range rec.Spans() {
+	for _, s := range rec.spans {
 		if s.Lane == sim.LaneCPU {
 			busy += s.End - s.Start
 		}
@@ -125,22 +125,11 @@ func TestStopAndWaitTimelineSerial(t *testing.T) {
 	start, end := rec.Window()
 	wall := end - start
 	var busy time.Duration
-	for _, s := range rec.Spans() {
+	for _, s := range rec.spans {
 		busy += s.End - s.Start
 	}
 	if busy > wall {
 		t.Errorf("stop-and-wait overlapped: busy=%v wall=%v", busy, wall)
-	}
-}
-
-func TestReset(t *testing.T) {
-	rec := onePacketExchange(t)
-	if len(rec.Spans()) == 0 {
-		t.Fatal("no spans recorded")
-	}
-	rec.Reset()
-	if len(rec.Spans()) != 0 {
-		t.Error("reset did not clear")
 	}
 }
 

@@ -201,7 +201,7 @@ func TestMTUValidationAndJumbo(t *testing.T) {
 	if err := eb.SetMTU(9000); err != nil {
 		t.Fatal(err)
 	}
-	if got := ea.MTU(); got != 9000 {
+	if got := ea.mtu; got != 9000 {
 		t.Fatalf("MTU = %d", got)
 	}
 	ea.SetBatch(4) // rings re-sized to the jumbo MTU

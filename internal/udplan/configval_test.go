@@ -67,7 +67,7 @@ func TestSetMTUBoundaries(t *testing.T) {
 	if err := ea.SetMTU(MaxMTU + 1); err == nil {
 		t.Error("MTU beyond the largest UDP datagram accepted")
 	}
-	if got := ea.MTU(); got != MaxMTU {
+	if got := ea.mtu; got != MaxMTU {
 		t.Errorf("failed SetMTU mutated the endpoint: MTU = %d", got)
 	}
 }

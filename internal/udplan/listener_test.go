@@ -145,7 +145,7 @@ func TestRxParityAcrossTiers(t *testing.T) {
 					if e == stranger || (e == a && p.Type == wire.TypeData && p.Seq == flipped) {
 						return
 					}
-					key := e.LocalAddr().String()
+					key := e.conn.LocalAddr().String()
 					want[key] = append(want[key], p.Clone())
 				}
 				chunk := seededChunk
@@ -215,7 +215,7 @@ func TestRxParityAcrossTiers(t *testing.T) {
 						}
 					}
 				}
-				if got[stranger.LocalAddr().String()] != nil {
+				if got[stranger.conn.LocalAddr().String()] != nil {
 					t.Error("a session saw the unannounced source's packets")
 				}
 				if d := l.drops.Load(); d != 0 {

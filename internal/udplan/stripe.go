@@ -68,9 +68,6 @@ type StripeOptions struct {
 	Seed       int64
 }
 
-// StripeOutcome is one stripe session's result.
-type StripeOutcome = session.StripeOutcome
-
 // StripedResult reports a striped pull: merged whole-transfer progress plus
 // the per-stripe feed.
 type StripedResult = session.StripedResult

@@ -189,9 +189,6 @@ func (e *Endpoint) SetMTU(n int) error {
 	return e.SetBatch(e.Batch()) // re-size the rings to the new MTU
 }
 
-// MTU returns the endpoint's maximum datagram size.
-func (e *Endpoint) MTU() int { return e.mtu }
-
 // SetConnBuffers raises the kernel send and receive buffers of a UDP
 // socket (no-op on sockets without buffer control). Large blast windows
 // need this: a ~1 KB datagram charges ~2-3 KB of skb truesize against
@@ -309,12 +306,6 @@ func (e *Endpoint) Close() error {
 	e.cur, e.off = nil, 0
 	return err
 }
-
-// LocalAddr returns the socket's address.
-func (e *Endpoint) LocalAddr() net.Addr { return e.conn.LocalAddr() }
-
-// Peer returns the address the endpoint talks to.
-func (e *Endpoint) Peer() net.Addr { return e.peer }
 
 // Now returns the wall-clock time since the endpoint was created.
 func (e *Endpoint) Now() time.Duration { return time.Since(e.start) }

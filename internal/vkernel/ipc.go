@@ -141,24 +141,6 @@ func (k *Kernel) SendMessage(p *sim.Proc, m Message, timeout time.Duration) (Mes
 	return Message{}, fmt.Errorf("seq %d after %d tries: %w", seq, ipcMaxTries, ErrIPCTimeout)
 }
 
-// ReceiveLoop runs the kernel's server side: it receives request messages
-// and replies via the registered handler until the idle timeout passes
-// with no traffic. V kernels run this forever; simulations bound it.
-func (k *Kernel) ReceiveLoop(p *sim.Proc, idle time.Duration) error {
-	peer := k.peer()
-	if peer == nil {
-		return ErrNoServer
-	}
-	env := sim.NewEndpoint(p, k.Station, peer.Station)
-	for {
-		pkt, err := env.Recv(idle)
-		if err != nil {
-			return nil // idle: done serving
-		}
-		k.maybeServe(p, env, pkt)
-	}
-}
-
 // maybeServe answers an incoming IPC request packet, with reply
 // deduplication for retransmitted requests.
 func (k *Kernel) maybeServe(p *sim.Proc, env *sim.Endpoint, pkt *wire.Packet) {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"blastlan/internal/params"
-	"blastlan/internal/sim"
 )
 
 // echoHandler replies with the request words incremented.
@@ -121,22 +120,10 @@ func TestIPCThenMoveTo(t *testing.T) {
 func TestExchangeCost(t *testing.T) {
 	c := newCluster(t, Options{})
 	c.B.ServeIPC(echoHandler)
-	var elapsed time.Duration
-	var sendErr error
-	c.Sim.Go("client", func(p *simProc) {
-		var req Message
-		start := p.Now()
-		_, sendErr = c.A.SendMessage(p, req, 10*time.Millisecond)
-		elapsed = p.Now() - start
-	})
-	c.Sim.Go("server", func(p *simProc) {
-		c.B.ReceiveLoop(p, 50*time.Millisecond)
-	})
-	if err := c.Sim.Run(); err != nil {
+	var req Message
+	_, elapsed, err := c.Exchange(c.A, c.B, req, 10*time.Millisecond)
+	if err != nil {
 		t.Fatal(err)
-	}
-	if sendErr != nil {
-		t.Fatal(sendErr)
 	}
 	m := c.Net.Cost
 	want := 2 * (2*m.Ca() + m.Ta() + m.Propagation)
@@ -144,6 +131,3 @@ func TestExchangeCost(t *testing.T) {
 		t.Errorf("exchange cost %v, want %v", elapsed, want)
 	}
 }
-
-// simProc aliases the simulator's process type for test readability.
-type simProc = sim.Proc

@@ -1,14 +1,15 @@
 // Package vkernel is a miniature reproduction of the V distributed kernel's
 // interprocess data-transfer facility (Cheriton & Zwaenepoel; the paper's
 // §2): processes own pre-allocated address-space segments, and the kernel
-// moves arbitrary amounts of data between the address spaces of processes —
-// MoveTo pushes, MoveFrom pulls — transparently across the network.
+// moves arbitrary amounts of data between the address spaces of processes
+// with MoveTo, transparently across the network. The pull direction,
+// MoveFrom, is the session layer's REQ-initiated pull (core.Request against
+// session.Server), which runs on these same stations and over UDP.
 //
 // Per the V IPC contract, "the recipient has sufficient buffers allocated to
-// receive the data prior to the transfer": a MoveTo/MoveFrom call names an
-// existing destination segment, so the kernel never needs intermediate
-// copies or flow control — exactly the precondition the blast protocol
-// exploits.
+// receive the data prior to the transfer": a MoveTo call names an existing
+// destination segment, so the kernel never needs intermediate copies or
+// flow control — exactly the precondition the blast protocol exploits.
 //
 // The kernels run on the internal/sim substrate with the params.VKernel cost
 // preset, whose copy constants (C = 1.83 ms, Ca = 0.67 ms) fold in the
@@ -24,9 +25,7 @@ import (
 
 	"blastlan/internal/core"
 	"blastlan/internal/params"
-	"blastlan/internal/session"
 	"blastlan/internal/sim"
-	"blastlan/internal/wire"
 )
 
 // Kernel-level errors.
@@ -61,7 +60,6 @@ type Kernel struct {
 	Name    string
 	Station *sim.Station
 	cluster *Cluster
-	procs   map[PID]*Process
 	nextPID PID
 	ipc     ipcState
 }
@@ -70,18 +68,7 @@ type Kernel struct {
 // size; writable controls whether remote kernels may move data into it.
 func (k *Kernel) CreateProcess(size int, writable bool) *Process {
 	k.nextPID++
-	p := &Process{PID: k.nextPID, kernel: k, space: make([]byte, size), writable: writable}
-	k.procs[p.PID] = p
-	return p
-}
-
-// Process looks up a process by PID.
-func (k *Kernel) Process(pid PID) (*Process, error) {
-	p, ok := k.procs[pid]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s pid %d", ErrNoProcess, k.Name, pid)
-	}
-	return p, nil
+	return &Process{PID: k.nextPID, kernel: k, space: make([]byte, size), writable: writable}
 }
 
 // Cluster is a pair of kernels on one simulated network — the paper's
@@ -127,45 +114,12 @@ func NewCluster(opts Options) (*Cluster, error) {
 	}
 	net.Trace = opts.Trace
 	c := &Cluster{Sim: sk, Net: net, opts: opts}
-	c.A = &Kernel{Name: "alpha", Station: net.AddStation("src"), cluster: c, procs: map[PID]*Process{}}
-	c.B = &Kernel{Name: "beta", Station: net.AddStation("dst"), cluster: c, procs: map[PID]*Process{}}
+	c.A = &Kernel{Name: "alpha", Station: net.AddStation("src"), cluster: c}
+	c.B = &Kernel{Name: "beta", Station: net.AddStation("dst"), cluster: c}
 	return c, nil
 }
 
-// AddKernel attaches another kernel to the cluster's network — the paper's
-// configuration generalised beyond two workstations, so a file-server
-// kernel can serve many client kernels at once through the shared session
-// layer (see Serve).
-func (c *Cluster) AddKernel(name string) *Kernel {
-	return &Kernel{Name: name, Station: c.Net.AddStation(name), cluster: c, procs: map[PID]*Process{}}
-}
-
-// ServeHandle reports a session-layer daemon started with Serve. Err is
-// meaningful once the simulation has quiesced (Sim.Run returned).
-type ServeHandle struct {
-	Proc *sim.Proc
-	err  error
-}
-
-// Err reports how the server exited (nil: clean close or idle bound).
-func (h *ServeHandle) Err() error { return h.err }
-
-// Serve runs a session-layer daemon on kernel k: the substrate-agnostic
-// sharded server of internal/session (the same demux loop, session table
-// and handlers that drive udplan's UDP daemon) listening on this kernel's
-// station. Client kernels reach it with ordinary REQ-initiated pulls
-// (core.Request on an endpoint bound to their own station), so a V file
-// server can serve a whole cluster of concurrently pulling clients — the
-// scale configuration the two-kernel MoveTo/MoveFrom paths cannot express.
-// The daemon completes when the server stops (its Idle bound expires with
-// no session in flight); check the handle's Err after the simulation runs.
-func (c *Cluster) Serve(k *Kernel, srv *session.Server) *ServeHandle {
-	h := &ServeHandle{}
-	h.Proc = sim.Serve(c.Net, k.Station, func(l *sim.Listener) { h.err = srv.Run(l) })
-	return h
-}
-
-// MoveOptions selects the transfer protocol for a MoveTo/MoveFrom.
+// MoveOptions selects the transfer protocol for a MoveTo.
 type MoveOptions struct {
 	Protocol core.Protocol
 	Strategy core.Strategy
@@ -250,57 +204,6 @@ func (c *Cluster) MoveTo(src *Process, srcOff int, dst *Process, dstOff, n int, 
 	}
 	copy(dst.space[dstOff:dstOff+n], res.Recv.Data)
 	res.Elapsed = res.Send.Elapsed
-	return res, nil
-}
-
-// MoveFrom schedules a move of n bytes from the (possibly remote) process
-// src into the local process dst: the destination side requests the data
-// with a REQ packet and the source side blasts it back (the paper's
-// MoveFrom direction). The REQ is retried until data flows.
-func (c *Cluster) MoveFrom(src *Process, srcOff int, dst *Process, dstOff, n int, opt MoveOptions) (*MoveResult, error) {
-	if src.kernel == dst.kernel {
-		return c.MoveTo(src, srcOff, dst, dstOff, n, opt)
-	}
-	if err := checkSegment(src, srcOff, n, false); err != nil {
-		return nil, err
-	}
-	if err := checkSegment(dst, dstOff, n, true); err != nil {
-		return nil, err
-	}
-	cfg := c.transferConfig(src.space[srcOff:srcOff+n], opt)
-	res := &MoveResult{}
-	var reqErr, srvErr error
-
-	// The data owner serves requests (V kernels always listen).
-	c.Sim.Go("movefrom-serve", func(p *sim.Proc) {
-		env := sim.NewEndpoint(p, src.kernel.Station, dst.kernel.Station)
-		_, srvErr = core.ServeOnceID(env, -1, func(req wire.Req, _ uint32) (core.Config, bool) {
-			if req.Bytes != uint64(n) {
-				return core.Config{}, false
-			}
-			return cfg, true
-		})
-		if srvErr == nil {
-			res.Send, srvErr = core.RunSender(env, cfg)
-		}
-	})
-	c.Sim.Go("movefrom-req", func(p *sim.Proc) {
-		env := sim.NewEndpoint(p, dst.kernel.Station, src.kernel.Station)
-		recvCfg := cfg
-		recvCfg.Payload = nil
-		res.Recv, reqErr = core.Request(env, recvCfg)
-	})
-	if err := c.Sim.Run(); err != nil {
-		return nil, err
-	}
-	if reqErr != nil {
-		return nil, fmt.Errorf("vkernel: MoveFrom: %w", reqErr)
-	}
-	if srvErr != nil {
-		return nil, fmt.Errorf("vkernel: MoveFrom server: %w", srvErr)
-	}
-	copy(dst.space[dstOff:dstOff+n], res.Recv.Data)
-	res.Elapsed = res.Recv.Elapsed
 	return res, nil
 }
 

@@ -96,43 +96,6 @@ func TestLocalMoveAvoidsNetwork(t *testing.T) {
 	}
 }
 
-func TestMoveFromPullsData(t *testing.T) {
-	c := newCluster(t, Options{})
-	server := c.A.CreateProcess(16*1024, false)
-	client := c.B.CreateProcess(16*1024, true)
-	fill(server.Bytes(), 4)
-
-	res, err := c.MoveFrom(server, 0, client, 0, 16*1024, MoveOptions{
-		Protocol: core.Blast, Strategy: core.Selective,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(client.Bytes(), server.Bytes()) {
-		t.Error("MoveFrom corrupted data")
-	}
-	if res.Elapsed <= 0 {
-		t.Error("no elapsed time recorded")
-	}
-}
-
-func TestMoveFromUnderLoss(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		c := newCluster(t, Options{Loss: params.LossModel{PNet: 0.02}, Seed: seed})
-		server := c.A.CreateProcess(32*1024, false)
-		client := c.B.CreateProcess(32*1024, true)
-		fill(server.Bytes(), seed)
-		if _, err := c.MoveFrom(server, 0, client, 0, 32*1024, MoveOptions{
-			Protocol: core.Blast, Strategy: core.GoBackN,
-		}); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if !bytes.Equal(client.Bytes(), server.Bytes()) {
-			t.Fatalf("seed %d: data corrupted", seed)
-		}
-	}
-}
-
 func TestMoveToUnderLossAllProtocols(t *testing.T) {
 	for _, proto := range []core.Protocol{core.StopAndWait, core.SlidingWindow, core.Blast} {
 		c := newCluster(t, Options{Loss: params.LossModel{PNet: 0.03}, Seed: 7})
@@ -174,21 +137,6 @@ func TestAccessChecks(t *testing.T) {
 	}
 	if _, err := c.MoveTo(nil, 0, wDst, 0, 1, MoveOptions{}); !errors.Is(err, ErrNoProcess) {
 		t.Errorf("nil process: %v", err)
-	}
-}
-
-func TestProcessLookup(t *testing.T) {
-	c := newCluster(t, Options{})
-	p := c.A.CreateProcess(10, true)
-	got, err := c.A.Process(p.PID)
-	if err != nil || got != p {
-		t.Errorf("lookup: %v %v", got, err)
-	}
-	if _, err := c.A.Process(999); !errors.Is(err, ErrNoProcess) {
-		t.Errorf("missing pid: %v", err)
-	}
-	if p.Size() != 10 {
-		t.Errorf("Size = %d", p.Size())
 	}
 }
 

@@ -13,9 +13,10 @@ package wire
 //     extension entirely, so an xflags bit degrades to "feature absent"
 //     rather than to a misread field.
 //
-// Every allocated bit is declared here and listed in ReqFeatureBits; the
-// registry test fails on overlapping masks and on any undeclared flags-byte
-// bit, so two branches cannot silently grab the same bit.
+// Every allocated bit is declared here and listed in the registry test's
+// table (features_test.go), which fails on overlapping masks and on any
+// undeclared flags-byte bit, so two branches cannot silently grab the same
+// bit.
 
 // flags-byte allocations (byte 14 of the fixed REQ encoding).
 const (
@@ -32,21 +33,3 @@ const (
 const (
 	reqXflagCopy = 1 << 0 // third-party copy: push Name to Target
 )
-
-// ReqFeatureBit records one allocation in a REQ bit namespace.
-type ReqFeatureBit struct {
-	Name string // feature name, for the registry test's diagnostics
-	Byte string // namespace: "flags" or "xflags"
-	Mask uint8  // the bits the feature occupies (fields span several)
-}
-
-// ReqFeatureBits is the authoritative allocation table for both REQ bit
-// namespaces. Adding a feature bit means adding a constant above AND a row
-// here; the registry test cross-checks the two and fails on overlap.
-var ReqFeatureBits = []ReqFeatureBit{
-	{Name: "push", Byte: "flags", Mask: reqFlagPush},
-	{Name: "adaptive", Byte: "flags", Mask: reqFlagAdaptive},
-	{Name: "stat", Byte: "flags", Mask: reqFlagStat},
-	{Name: "policy", Byte: "flags", Mask: reqPolicyMask << reqPolicyShift},
-	{Name: "copy", Byte: "xflags", Mask: reqXflagCopy},
-}

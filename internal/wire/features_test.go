@@ -15,7 +15,7 @@ import (
 func TestReqFeatureBitRegistry(t *testing.T) {
 	taken := map[string]uint8{}
 	names := map[string]bool{}
-	for _, f := range ReqFeatureBits {
+	for _, f := range reqFeatureBits {
 		if f.Mask == 0 {
 			t.Errorf("feature %q allocates no bits", f.Name)
 		}
@@ -114,4 +114,23 @@ func TestReqCopyExtension(t *testing.T) {
 		}()
 		EncodeReq(Req{Bytes: 1, Copy: true, Target: strings.Repeat("x", MaxReqTarget+1)})
 	}()
+}
+
+// reqFeatureBit records one allocation in a REQ bit namespace.
+type reqFeatureBit struct {
+	Name string // feature name, for the registry test's diagnostics
+	Byte string // namespace: "flags" or "xflags"
+	Mask uint8  // the bits the feature occupies (fields span several)
+}
+
+// reqFeatureBits is the authoritative allocation table for both REQ bit
+// namespaces. Adding a feature bit means adding a constant in features.go
+// AND a row here; the registry test cross-checks the two and fails on
+// overlap.
+var reqFeatureBits = []reqFeatureBit{
+	{Name: "push", Byte: "flags", Mask: reqFlagPush},
+	{Name: "adaptive", Byte: "flags", Mask: reqFlagAdaptive},
+	{Name: "stat", Byte: "flags", Mask: reqFlagStat},
+	{Name: "policy", Byte: "flags", Mask: reqPolicyMask << reqPolicyShift},
+	{Name: "copy", Byte: "xflags", Mask: reqXflagCopy},
 }

@@ -31,7 +31,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xB1}, HeaderSize))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := Decode(data)
+		p, err := decode(data)
 		if err != nil {
 			return // rejected: fine, as long as it did not panic
 		}
@@ -39,7 +39,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded packet failed to re-encode: %v", err)
 		}
-		q, err := Decode(out)
+		q, err := decode(out)
 		if err != nil {
 			t.Fatalf("re-encoded packet failed to decode: %v", err)
 		}
@@ -80,11 +80,11 @@ func FuzzCorrupt(f *testing.F) {
 		}
 		b := int(bit) % (len(buf) * 8)
 		buf[b/8] ^= 1 << (b % 8)
-		if q, err := Decode(buf); err == nil {
+		if q, err := decode(buf); err == nil {
 			t.Fatalf("single-bit flip at bit %d of %d bytes decoded to %v", b, len(buf), q)
 		}
 		buf[b/8] ^= 1 << (b % 8)
-		q, err := Decode(buf)
+		q, err := decode(buf)
 		if err != nil {
 			t.Fatalf("restored frame no longer decodes: %v", err)
 		}

@@ -115,10 +115,6 @@ const MaxReqName = 255
 // in one byte.
 const MaxReqTarget = 254
 
-// MaxReqPolicy is the largest rate-control policy id the flags byte can
-// carry.
-const MaxReqPolicy = reqPolicyMask
-
 // Req describes a requested transfer.
 type Req struct {
 	Bytes    uint64

@@ -30,14 +30,6 @@ func (a *SumAcc) AddSumAt(off int, sum uint16) {
 	a.sum += uint64(sum)
 }
 
-// Merge folds another accumulator's contribution into this one. Each
-// accumulator must have absorbed a disjoint set of chunks of the same
-// stream (with AddAt offsets in that stream's coordinates); afterwards this
-// accumulator's Sum16 covers their union. This is how a striped receiver
-// combines per-stripe checksums into the whole-transfer checksum without
-// any cross-stripe synchronisation during the transfer.
-func (a *SumAcc) Merge(b SumAcc) { a.sum += b.sum }
-
 // AddChecksumAt folds in the finished Internet checksum of a contiguous
 // byte range starting at stream offset off — the zero-copy, zero-rescan way
 // to merge a stripe's already-computed whole-range checksum (for example
@@ -51,6 +43,3 @@ func (a *SumAcc) AddChecksumAt(off int, checksum uint16) { a.AddSumAt(off, ^chec
 func (a *SumAcc) Sum16() uint16 {
 	return ^fold16(a.sum)
 }
-
-// Reset clears the accumulator for reuse.
-func (a *SumAcc) Reset() { a.sum = 0 }

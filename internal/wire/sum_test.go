@@ -43,9 +43,11 @@ func TestSumAccMatchesChecksum(t *testing.T) {
 	}
 }
 
-// Merging per-stripe accumulators (each folding a disjoint byte range at
-// stream offsets) must equal the whole-stream checksum, for any stripe cut
-// — including odd-offset boundaries.
+// Merging per-stripe accumulators (each folding a disjoint byte range in
+// its own stripe's coordinates) with AddChecksumAt at the stripe's stream
+// offset must equal the whole-stream checksum, for any stripe cut —
+// including odd-offset boundaries. This is how a striped receiver combines
+// its stripes' checksums.
 func TestSumAccMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 100; trial++ {
@@ -74,27 +76,18 @@ func TestSumAccMerge(t *testing.T) {
 				if off+l > bounds[s+1] {
 					l = bounds[s+1] - off
 				}
-				accs[s].AddAt(off, data[off:off+l])
+				accs[s].AddAt(off-bounds[s], data[off:off+l])
 				off += l
 			}
 		}
 		var total SumAcc
 		for s := range accs {
-			total.Merge(accs[s])
+			total.AddChecksumAt(bounds[s], accs[s].Sum16())
 		}
 		if got := total.Sum16(); got != want {
 			t.Fatalf("trial %d (n=%d, %d stripes): merged %04x, Checksum %04x",
 				trial, n, stripes, got, want)
 		}
-	}
-}
-
-func TestSumAccReset(t *testing.T) {
-	var acc SumAcc
-	acc.AddAt(0, []byte{1, 2, 3})
-	acc.Reset()
-	if got, want := acc.Sum16(), Checksum(nil); got != want {
-		t.Errorf("after reset: %04x, want empty checksum %04x", got, want)
 	}
 }
 

@@ -307,20 +307,9 @@ func DecodeInto(p *Packet, buf []byte) error {
 	return nil
 }
 
-// Decode parses one packet from buf, which must contain exactly one encoded
-// packet (datagram semantics). The returned packet aliases buf's payload
-// bytes; callers that retain the packet beyond the life of buf must Clone it.
-func Decode(buf []byte) (*Packet, error) {
-	p := new(Packet)
-	if err := DecodeInto(p, buf); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
 // Checksum computes the 16-bit one's-complement Internet checksum (RFC 1071)
 // of b. A buffer whose checksum field already holds the Checksum of the rest
-// verifies by recomputation in Decode.
+// verifies by recomputation in DecodeInto.
 func Checksum(b []byte) uint16 { return ^sum16(b) }
 
 // sum16 returns the folded one's-complement sum of b as big-endian 16-bit

@@ -27,7 +27,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if len(buf) != HeaderSize+len(p.Payload) {
 		t.Fatalf("encoded length = %d", len(buf))
 	}
-	q, err := Decode(buf)
+	q, err := decode(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		q, err := Decode(buf)
+		q, err := decode(buf)
 		if err != nil {
 			return false
 		}
@@ -82,7 +82,7 @@ func TestEncodeAppends(t *testing.T) {
 	if !bytes.HasPrefix(buf, prefix) {
 		t.Error("Encode must append to dst")
 	}
-	if _, err := Decode(buf[len(prefix):]); err != nil {
+	if _, err := decode(buf[len(prefix):]); err != nil {
 		t.Error(err)
 	}
 }
@@ -95,33 +95,33 @@ func TestDecodeErrors(t *testing.T) {
 	}
 
 	t.Run("short", func(t *testing.T) {
-		if _, err := Decode(good[:HeaderSize-1]); !errors.Is(err, ErrShort) {
+		if _, err := decode(good[:HeaderSize-1]); !errors.Is(err, ErrShort) {
 			t.Errorf("got %v", err)
 		}
 	})
 	t.Run("magic", func(t *testing.T) {
 		bad := append([]byte(nil), good...)
 		bad[0] ^= 0xff
-		if _, err := Decode(bad); !errors.Is(err, ErrMagic) {
+		if _, err := decode(bad); !errors.Is(err, ErrMagic) {
 			t.Errorf("got %v", err)
 		}
 	})
 	t.Run("version", func(t *testing.T) {
 		bad := append([]byte(nil), good...)
 		bad[2] = 99
-		if _, err := Decode(bad); !errors.Is(err, ErrVersion) {
+		if _, err := decode(bad); !errors.Is(err, ErrVersion) {
 			t.Errorf("got %v", err)
 		}
 	})
 	t.Run("type", func(t *testing.T) {
 		bad := append([]byte(nil), good...)
 		bad[3] = 0
-		if _, err := Decode(bad); !errors.Is(err, ErrType) {
+		if _, err := decode(bad); !errors.Is(err, ErrType) {
 			t.Errorf("got %v", err)
 		}
 	})
 	t.Run("truncated-payload", func(t *testing.T) {
-		if _, err := Decode(good[:len(good)-1]); !errors.Is(err, ErrShort) {
+		if _, err := decode(good[:len(good)-1]); !errors.Is(err, ErrShort) {
 			t.Errorf("got %v", err)
 		}
 	})
@@ -131,7 +131,7 @@ func TestDecodeErrors(t *testing.T) {
 		// see it (RFC 1071 sums are zero-padding invariant), which is how a
 		// corrupted length field would otherwise smuggle bytes in or out.
 		long := append(append([]byte(nil), good...), 0, 0)
-		if _, err := Decode(long); !errors.Is(err, ErrLength) {
+		if _, err := decode(long); !errors.Is(err, ErrLength) {
 			t.Errorf("got %v", err)
 		}
 	})
@@ -162,7 +162,7 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 	for i := range good {
 		bad := append([]byte(nil), good...)
 		bad[i] ^= 0x5a
-		if _, err := Decode(bad); err == nil {
+		if _, err := decode(bad); err == nil {
 			t.Errorf("corruption at byte %d not detected", i)
 		}
 	}
@@ -352,7 +352,7 @@ func TestReqRoundTrip(t *testing.T) {
 		t.Errorf("stripe round trip %+v -> %+v", r, got)
 	}
 	// Every policy id the flags byte can carry round-trips.
-	for id := uint8(1); id <= MaxReqPolicy; id++ {
+	for id := uint8(1); id <= reqPolicyMask; id++ {
 		r.Adaptive = id
 		if got, _ := DecodeReq(EncodeReq(r)); got.Adaptive != id {
 			t.Errorf("policy %d decoded as %d", id, got.Adaptive)
@@ -476,4 +476,10 @@ func TestDecodeReqPolicyField(t *testing.T) {
 			t.Errorf("%s: decoded policy %d, want %d", tc.name, got.Adaptive, tc.want)
 		}
 	}
+}
+
+// decode is DecodeInto into a fresh packet.
+func decode(buf []byte) (*Packet, error) {
+	p := new(Packet)
+	return p, DecodeInto(p, buf)
 }

@@ -63,12 +63,6 @@ func sizeName(nKB int) string {
 	return string(buf[i:]) + "KB"
 }
 
-// ScreenImage is the Alto screen download of §4's anecdote: a 606×808
-// monochrome framebuffer, ≈ 61 KB.
-func ScreenImage() Transfer {
-	return Transfer{Name: "alto-screen", Bytes: 606 * 808 / 8}
-}
-
 // FileDump is §1's remote file-system dump: orders of magnitude larger
 // than a packet, the motivating case for multiblast (§3.1.3).
 func FileDump() Transfer {

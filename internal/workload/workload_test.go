@@ -49,9 +49,6 @@ func TestPayloadDeterministic(t *testing.T) {
 }
 
 func TestNamedWorkloads(t *testing.T) {
-	if s := ScreenImage(); s.Bytes != 606*808/8 {
-		t.Errorf("alto screen = %d bytes", s.Bytes)
-	}
 	if d := FileDump(); d.Bytes != 1<<20 || d.Packets() != 1024 {
 		t.Errorf("dump: %+v", d)
 	}
