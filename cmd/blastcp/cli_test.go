@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -96,12 +97,50 @@ func startDaemonAt(t *testing.T, bin, addr string, args ...string) *daemon {
 	return d
 }
 
+// tierRE is blastcp's stderr tier line, which names the chunk it sends.
+var tierRE = regexp.MustCompile(`blastcp: datapath tier \S+ \(gro (true|false)\), chunk (\d+) \(route MTU \d+\)`)
+
+// tierChunk reads the chunk from blastcp's tier line in stderr.
+func tierChunk(t *testing.T, stderr string) int {
+	t.Helper()
+	m := tierRE.FindStringSubmatch(stderr)
+	if m == nil {
+		t.Fatalf("blastcp printed no tier line naming its chunk:\n%s", stderr)
+	}
+	n, _ := strconv.Atoi(m[2])
+	return n
+}
+
+// unservedPull runs a default-flag blastcp pull toward a loopback port
+// nobody serves. With a 1 ms -tr its 100 REQ attempts are spent in about
+// 100 ms; it returns the exit code and stderr.
+func unservedPull(t *testing.T, blastcp string) (int, string) {
+	t.Helper()
+	probe, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("no UDP loopback available: %v", err)
+	}
+	addr := probe.LocalAddr().String()
+	probe.Close()
+	code, stderr, _ := exitCode(t, blastcp, "-to", addr, "-pull", "1000", "-tr", "1ms")
+	return code, stderr
+}
+
+// defaultChunk is the chunk a default-flag blastcp sends toward loopback,
+// read from the tier line of a pull nobody answers.
+func defaultChunk(t *testing.T, blastcp string) int {
+	t.Helper()
+	_, stderr := unservedPull(t, blastcp)
+	return tierChunk(t, stderr)
+}
+
 var pushedRE = regexp.MustCompile(`(?m)^pushed (\d+) bytes in \S+ \([0-9.]+ MB/s\), (\d+) packets \((\d+) retransmitted\), checksum ([0-9a-f]{4})$`)
 
 // The path a user types, end to end through the shipped binaries: blastcp
 // -push at default flags streams files of awkward sizes — a single byte, one
-// short of a chunk, exactly a chunk, one over, and 8 MiB + 17 (many runs of
-// the file source, a window derived from the socket buffer) — to a blastd
+// short of a chunk, exactly a chunk, one over (the chunk the first push's
+// tier line names), and 8 MiB + 17 (many runs of the file source, a window
+// derived from the socket buffer) — to a blastd
 // -out, which must hold the identical bytes; blastcp prints the file's
 // checksum and exits 0. A file that is not there is a usage error with its
 // taxonomy line, not a fatal log, and so is a retired policy or flag. And
@@ -114,8 +153,10 @@ func TestPushThroughTheBinaries(t *testing.T) {
 	d := startDaemon(t, blastd, "-out", out)
 
 	src := t.TempDir()
-	sizes := []int{1, 999, 1000, 1001, 8<<20 + 17}
-	for i, size := range sizes {
+	// The chunk-edge sizes are filled in from the first push's tier line.
+	sizes := []int{1, 0, 0, 0, 8<<20 + 17}
+	for i := range sizes {
+		size := sizes[i]
 		want := core.SeededPayload(int64(size), size, 1000)
 		name := filepath.Join(src, fmt.Sprintf("f%d.bin", size))
 		if err := os.WriteFile(name, want, 0o644); err != nil {
@@ -139,6 +180,10 @@ func TestPushThroughTheBinaries(t *testing.T) {
 		}
 		if m[3] != "0" {
 			t.Logf("push of %d bytes retransmitted %s of %s packets", size, m[3], m[2])
+		}
+		if i == 0 {
+			chunk := tierChunk(t, stderr.String())
+			sizes[1], sizes[2], sizes[3] = chunk-1, chunk, chunk+1
 		}
 		// The daemon closes the file as its session completes, just after the
 		// final ack the client returned on.
@@ -412,8 +457,11 @@ func TestChunkOverMTUIsAUsageError(t *testing.T) {
 var pulledRE = regexp.MustCompile(`(?m)^pulled (\d+) bytes in .*, checksum ([0-9a-f]{4})$`)
 
 // pullSum is the -sum argument for a pull of n bytes of the size-seeded
-// stream blastd serves, at blastcp's default chunk size.
-func pullSum(n int) string { return fmt.Sprintf("%04x", core.SeededChecksum(int64(n), n, 1000)) }
+// stream blastd serves, at the chunk blastcp sends: the stream is seeded
+// per chunk, so its checksum depends on the chunk.
+func pullSum(n, chunk int) string {
+	return fmt.Sprintf("%04x", core.SeededChecksum(int64(n), n, chunk))
+}
 
 // SIGINT while a pull is in flight drains blastd: the shutdown line counts
 // the active session, the pull completes intact, and blastd exits 0 well
@@ -424,7 +472,7 @@ func TestBlastdDrainsOnSIGINT(t *testing.T) {
 	d := startDaemon(t, blastd, "-drain", "30s")
 	const n = 64 << 20
 	var stdout bytes.Buffer
-	cmd := exec.Command(blastcp, "-to", d.addr, "-proto", "saw", "-pull", fmt.Sprint(n), "-sum", pullSum(n))
+	cmd := exec.Command(blastcp, "-to", d.addr, "-proto", "saw", "-pull", fmt.Sprint(n), "-sum", pullSum(n, defaultChunk(t, blastcp)))
 	cmd.Stdout = &stdout
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
@@ -478,11 +526,12 @@ func TestBlastdSockets(t *testing.T) {
 	blastd, blastcp := buildBinaries(t)
 	d := startDaemon(t, blastd, "-sockets", "2")
 	const pulls = 4
+	chunk := defaultChunk(t, blastcp)
 	errs := make(chan error, pulls)
 	for i := 0; i < pulls; i++ {
 		n := 4<<20 + i*1000
 		go func() {
-			out, err := exec.Command(blastcp, "-to", d.addr, "-pull", fmt.Sprint(n), "-sum", pullSum(n)).CombinedOutput()
+			out, err := exec.Command(blastcp, "-to", d.addr, "-pull", fmt.Sprint(n), "-sum", pullSum(n, chunk)).CombinedOutput()
 			if err != nil {
 				err = fmt.Errorf("pull of %d bytes: %v\n%s", n, err, out)
 			}
@@ -503,5 +552,128 @@ func TestBlastdSockets(t *testing.T) {
 	if log := strings.Join(d.lines(), "\n"); !strings.Contains(log, "2 socket(s)") ||
 		!strings.Contains(log, fmt.Sprintf("blastd: served %d transfer(s)", pulls)) {
 		t.Errorf("the summary does not count %d pulls over 2 sockets:\n%s", pulls, log)
+	}
+}
+
+// exitCode runs blastcp with args and returns its exit code, its stderr and
+// how long it ran.
+func exitCode(t *testing.T, blastcp string, args ...string) (int, string, time.Duration) {
+	t.Helper()
+	var stderr bytes.Buffer
+	cmd := exec.Command(blastcp, args...)
+	cmd.Stderr = &stderr
+	t0 := time.Now()
+	err := cmd.Run()
+	took := time.Since(t0)
+	if err == nil {
+		return 0, stderr.String(), took
+	}
+	ee, ok := err.(*exec.ExitError)
+	if !ok {
+		t.Fatalf("blastcp %v: %v", args, err)
+	}
+	return ee.ExitCode(), stderr.String(), took
+}
+
+// A default-flag blastcp fills the path: toward a loopback daemon its tier
+// line names the largest chunk the 2048-byte datagram slot carries, 2024
+// bytes, where the route MTU can be read (Linux; elsewhere it keeps 1000).
+// An explicit -chunk wins, and a seeded pull at an explicit chunk moves the
+// same stream, and checksum, as before chunks were derived.
+func TestChunkFollowsThePath(t *testing.T) {
+	blastd, blastcp := buildBinaries(t)
+	d := startDaemon(t, blastd)
+	const n = 1 << 20
+	code, stderr, _ := exitCode(t, blastcp, "-to", d.addr, "-pull", fmt.Sprint(n))
+	if code != 0 {
+		t.Fatalf("default pull: exit %d\n%s", code, stderr)
+	}
+	want := 1000
+	if runtime.GOOS == "linux" {
+		want = 2024
+	}
+	if chunk := tierChunk(t, stderr); chunk != want {
+		t.Errorf("default pull toward loopback sent chunk %d, want %d:\n%s", chunk, want, stderr)
+	}
+	code, stderr, _ = exitCode(t, blastcp, "-to", d.addr, "-pull", fmt.Sprint(n), "-chunk", "1000", "-sum", pullSum(n, 1000))
+	if code != 0 {
+		t.Fatalf("pull at -chunk 1000: exit %d\n%s", code, stderr)
+	}
+	if chunk := tierChunk(t, stderr); chunk != 1000 {
+		t.Errorf("pull at -chunk 1000 sent chunk %d", chunk)
+	}
+}
+
+// Every failure class has its exit code and taxonomy line: 3 when nobody
+// answers, 5 when the daemon refuses the request — a chunk its datagrams
+// cannot carry, a name it does not hold — and 6 when the checksum differs
+// from -sum. A refusal ends the client at once instead of after its REQ
+// attempts.
+func TestExitCodes(t *testing.T) {
+	blastd, blastcp := buildBinaries(t)
+	check := func(what string, code int, stderr string, want int, mention string) {
+		t.Helper()
+		if code != want {
+			t.Errorf("%s: exit %d, want %d\n%s", what, code, want, stderr)
+		}
+		if !strings.Contains(stderr, "blastcp: "+exitLabel(want)+": ") || !strings.Contains(stderr, mention) {
+			t.Errorf("%s printed %q, want a %q line naming %q", what, stderr, exitLabel(want), mention)
+		}
+	}
+
+	code, stderr := unservedPull(t, blastcp)
+	check("a pull nobody answers", code, stderr, exitGiveUp, "maximum attempts")
+	chunk := tierChunk(t, stderr)
+
+	// A daemon whose datagram slot is one byte short of the default chunk's
+	// packet (1500 bytes where the chunk is 2024) refuses the REQ rather
+	// than truncate every packet.
+	mtu := min(1500, chunk+23)
+	small := startDaemon(t, blastd, "-mtu", fmt.Sprint(mtu))
+	code, stderr, took := exitCode(t, blastcp, "-to", small.addr, "-pull", "100000")
+	check(fmt.Sprintf("a default pull from a -mtu %d daemon", mtu), code, stderr, exitRefused, "MTU")
+	if took > 2*time.Second {
+		t.Errorf("the refused pull took %v", took)
+	}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "obj.bin"), core.SeededPayload(5, 10_000, 1000), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d := startDaemon(t, blastd, "-serve", dir)
+	code, stderr, took = exitCode(t, blastcp, "-to", d.addr, "-get", "missing.bin")
+	check("a get of a missing name", code, stderr, exitRefused, `no such object "missing.bin"`)
+	if took > 2*time.Second {
+		t.Errorf("the refused get took %v", took)
+	}
+
+	const n = 100_000
+	wrong := core.SeededChecksum(n, n, 1000) ^ 0xffff
+	code, stderr, _ = exitCode(t, blastcp, "-to", d.addr, "-pull", fmt.Sprint(n), "-chunk", "1000", "-sum", fmt.Sprintf("%04x", wrong))
+	check("a pull with the wrong -sum", code, stderr, exitChecksum, fmt.Sprintf("expected %04x", wrong))
+}
+
+// A striped get checks its chunk against the datagram slot before the stat:
+// -chunk 4000 fails with exit 2 and no traffic, so the daemon holds no
+// session for it when SIGTERM comes.
+func TestStripedGetChecksChunkBeforeStat(t *testing.T) {
+	blastd, blastcp := buildBinaries(t)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "obj.bin"), core.SeededPayload(7, 100_000, 1000), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d := startDaemon(t, blastd, "-serve", dir)
+	code, stderr, _ := exitCode(t, blastcp, "-to", d.addr, "-get", "obj.bin", "-streams", "2", "-chunk", "4000")
+	if code != exitUsage || !strings.Contains(stderr, "MTU") {
+		t.Errorf("-chunk 4000 -streams 2 -get: exit %d, want %d with a line naming the MTU\n%s", code, exitUsage, stderr)
+	}
+	d.cmd.Process.Signal(syscall.SIGTERM)
+	select {
+	case <-d.done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("blastd still running 10 s after SIGTERM")
+	}
+	if log := strings.Join(d.lines(), "\n"); !strings.Contains(log, "shutdown: draining 0 active session(s)") {
+		t.Errorf("the daemon held a session for the refused get:\n%s", log)
 	}
 }

@@ -6,7 +6,8 @@
 //	blastcp -to 127.0.0.1:7025 -push f -proto saw      # compare protocols
 //	blastcp -to 127.0.0.1:7025 -pull 1048576 -window 64 -strategy selective
 //	blastcp -to 127.0.0.1:7025 -pull 67108864 -window 128 -batch 32  # batched syscalls
-//	blastcp -to 127.0.0.1:7025 -pull 1048576 -chunk 8000 -mtu 9000   # jumbo frames
+//	blastcp -to 127.0.0.1:7025 -pull 1048576 -chunk 1000             # paper-sized packets
+//	blastcp -to 127.0.0.1:7025 -pull 1048576 -mtu 9000               # jumbo frames
 //	blastcp -to 127.0.0.1:7025 -pull 268435456 -streams 4            # striped parallel pull
 //	blastcp -to 127.0.0.1:7025 -pull 67108864 -controller aimd       # AIMD rate control
 //	blastcp -to 127.0.0.1:7025 -pull 67108864 -controller autotune   # hill-climbing window
@@ -14,15 +15,28 @@
 //	blastcp -to 127.0.0.1:7025 -get data.bin -streams 4              # striped named pull
 //	blastcp -to 127.0.0.1:7025 -pull 67108864 -resume                # survive a server restart
 //	blastcp -to 127.0.0.1:7025 -pull 268435456 -streams 4 -resume    # per-stripe repair
-//	blastcp -to 127.0.0.1:7025 -pull 65536 -sum 1a2b                 # verify the checksum
+//	blastcp -to 127.0.0.1:7025 -pull 65536 -chunk 1000 -sum 1a2b     # verify the checksum
 //	blastcp -to A:7025 -copy data.bin -dest B:7025                   # third-party copy A→B
+//
+// Every mode moves the largest chunk one packet to -to carries, unless
+// -chunk names one: the route MTU the kernel holds for the peer, less the
+// IP and UDP headers, capped at the -mtu datagram slot (2048 bytes by
+// default), less the 24-byte packet header. That is 2024 bytes on
+// loopback, 1448 over a 1500-byte IPv4 Ethernet and 1428 over IPv6; where
+// the route MTU cannot be read (off Linux) it is 1000. Each packet pays a
+// fixed cost, so fewer, fuller packets move the same bytes faster. The
+// stderr tier line names the chunk and the route MTU. A daemon started
+// with a smaller -mtu refuses a chunk it cannot receive (exit 5); pass
+// -chunk, or the same -mtu, to match it. A seeded -pull's bytes, and so its
+// checksum, depend on the chunk (the daemon seeds its stream per chunk), so
+// a script that checks one with -sum names -chunk too.
 //
 // A push streams the file: chunks are served out of one 256 KiB run buffer
 // and the printed checksum accumulates as they first go out, so pushing 1 GB
 // holds no 1 GB buffer and reads the file once. With -window left at 0 a
 // push derives its blast window from the socket receive buffer the kernel
-// actually granted (window x chunk <= 1/4 of it — 2048 packets at the
-// default -sockbuf): a blast larger than the receiver's buffering only
+// actually granted (window x chunk <= 1/4 of it — 2 MiB at the default
+// -sockbuf): a blast larger than the receiver's buffering only
 // earns retransmissions. An explicit -window is honoured verbatim.
 //
 // A named pull (-get) stats the remote object first — the daemon answers
@@ -36,9 +50,11 @@
 //
 // Failures exit with a distinct code per class — 2 usage, 3 give-up (peer
 // silent), 4 busy (admission refused past the retry budget, in every mode:
-// -pull, -get, -push and -copy alike), 5 refused range, 6 checksum mismatch
-// — each announced by a one-line taxonomy tag on stderr, so wrapping scripts
-// can branch without parsing prose.
+// -pull, -get, -push and -copy alike), 5 refused (the daemon answered that
+// it will not serve the request: a range, a name it does not hold, a chunk
+// its datagrams cannot carry), 6 checksum mismatch — each announced by a
+// one-line taxonomy tag on stderr, so wrapping scripts can branch without
+// parsing prose.
 package main
 
 import (
@@ -66,7 +82,7 @@ const (
 	exitUsage    = 2 // bad flags or flag combinations
 	exitGiveUp   = 3 // peer silent: transfer abandoned after max attempts/resumes
 	exitBusy     = 4 // server refused admission (BUSY) past the retry budget, any mode
-	exitRefused  = 5 // request shape refused: bad range, stripe or name
+	exitRefused  = 5 // request refused: bad range, stripe, name or chunk
 	exitChecksum = 6 // transfer completed but its checksum differs from -sum
 )
 
@@ -97,7 +113,9 @@ func fail(code int, format string, args ...any) {
 // bad-config beats give-up (errors wrap, the most specific class wins). A
 // remote copy failure — the serving side tried and reported why — lands in
 // the refused class: the request named something the server could not move.
-// A chunk too large for the MTU is a usage error: -chunk and -mtu disagree.
+// So does the daemon's refusal of a request, a chunk too large for its
+// datagrams among them; a chunk too large for this side's -mtu is a usage
+// error: -chunk and -mtu disagree.
 func failErr(context string, err error) {
 	code := 1
 	var busy *core.BusyError
@@ -141,7 +159,7 @@ func main() {
 		outFile   = flag.String("o", "", "write pulled bytes to this local file")
 		protoName = flag.String("proto", "blast", "protocol: saw, sw, blast")
 		stratName = flag.String("strategy", "go-back-n", "blast strategy")
-		chunk     = flag.Int("chunk", 1000, "payload bytes per packet")
+		chunk     = flag.Int("chunk", 0, "payload bytes per packet (0: the largest one packet to -to carries: its route MTU less the IP and UDP headers, capped at the -mtu slot, less the 24-byte header; 2024 on loopback, 1448 over a 1500-byte IPv4 Ethernet, 1000 where the route MTU cannot be read)")
 		window    = flag.Int("window", 0, "multiblast window in packets (0: a pull is one blast; a push derives it, window x chunk <= 1/4 of the granted socket receive buffer)")
 		tr        = flag.Duration("tr", 200*time.Millisecond, "retransmission timeout: fixed on the fixed schedule; under -controller the first and largest, the sender learning a shorter one from the responses it sees, down to 1ms")
 		id        = flag.Uint("id", 1, "transfer id")
@@ -154,7 +172,7 @@ func main() {
 		lossTx    = flag.Float64("drop-tx", 0, "inject outbound loss (testing)")
 		lossRx    = flag.Float64("drop-rx", 0, "inject inbound loss (testing)")
 		resume    = flag.Bool("resume", false, "resume a pull across server crashes/restarts (offset REQs from the verified frontier; striped: a failed stripe resumes instead of aborting its siblings)")
-		wantSum   = flag.String("sum", "", "expected transfer checksum (4 hex digits); mismatch exits 6")
+		wantSum   = flag.String("sum", "", "expected transfer checksum (4 hex digits); mismatch exits 6. A seeded -pull's bytes and checksum depend on the chunk, so name -chunk beside it")
 	)
 	flag.Parse()
 
@@ -193,6 +211,9 @@ func main() {
 	if *resume && *pushFile != "" {
 		fail(exitUsage, "-resume applies to pulls only")
 	}
+	if *chunk < 0 {
+		fail(exitUsage, "-chunk %d is negative", *chunk)
+	}
 	var expectSum uint16
 	if *wantSum != "" {
 		v, perr := strconv.ParseUint(*wantSum, 16, 16)
@@ -211,7 +232,6 @@ func main() {
 
 	cfg := core.Config{
 		TransferID:     uint32(*id),
-		ChunkSize:      *chunk,
 		Protocol:       proto,
 		Strategy:       strat,
 		Window:         *window,
@@ -251,27 +271,52 @@ func main() {
 		return
 	}
 
-	if *streams > 1 {
-		// Striped pull: the fan-out dials its own endpoints, so the loss
-		// knobs install per-stripe hooks (independent seeds per stripe).
-		cfg.Bytes = *pullBytes
-		var statEp *udplan.Endpoint
-		if *getName != "" {
-			// Stat on the pull's own endpoint: the socket (and the daemon
-			// session it opened) is handed to stripe 0 below instead of being
-			// thrown away after one round trip.
-			ep, err := udplan.Dial(*to)
-			if err != nil {
-				failErr("dial", err)
+	// open dials -to and configures the endpoint every transfer mode starts
+	// on: -mtu, -sockbuf, -tier and -batch, then the chunk — -chunk, or the
+	// largest the path and the datagram slot carry — which must fit the slot
+	// before any REQ or stat is sent.
+	open := func() *udplan.Endpoint {
+		e, err := udplan.Dial(*to)
+		if err != nil {
+			failErr("dial", err)
+		}
+		if *mtu > 0 {
+			if err := e.SetMTU(*mtu); err != nil {
+				fail(exitUsage, "-mtu: %v", err)
 			}
-			size, err := core.Stat(ep, cfg, *getName)
+		}
+		if *sockbuf > 0 {
+			e.SetSocketBuffers(*sockbuf)
+		}
+		e.MaxTier = tier
+		e.SetBatch(*batch)
+		pathChunk, route := e.PathChunk()
+		if cfg.ChunkSize = *chunk; cfg.ChunkSize == 0 {
+			cfg.ChunkSize = pathChunk
+		}
+		log.Printf("blastcp: datapath tier %s (gro %v), chunk %d (route MTU %d)", e.Tier(), e.GRO(), cfg.ChunkSize, route)
+		if err := e.ValidateConfig(cfg); err != nil {
+			failErr("config", err)
+		}
+		return e
+	}
+
+	if *streams > 1 {
+		// Striped pull: the fan-out dials the other stripes' endpoints, so
+		// the loss knobs install per-stripe hooks (independent seeds per
+		// stripe). Stripe 0 runs on the endpoint opened here, after a -get's
+		// stat: the socket (and the daemon session the stat opened) carries
+		// the first stripe instead of being thrown away after one round trip.
+		cfg.Bytes = *pullBytes
+		first := open()
+		if *getName != "" {
+			size, err := core.Stat(first, cfg, *getName)
 			if err != nil {
-				ep.Close()
+				first.Close()
 				failErr(fmt.Sprintf("stat %q", *getName), err)
 			}
 			log.Printf("blastcp: remote %q is %d bytes", *getName, size)
 			cfg.Name, cfg.Bytes = *getName, int(size)
-			statEp = ep
 		}
 		if *resume {
 			// One REQ round per session, now that the stat has had cfg's
@@ -284,7 +329,7 @@ func main() {
 		}
 		var out *store.ChunkFile
 		opts := udplan.StripeOptions{
-			Endpoint:  statEp,
+			Endpoint:  first,
 			Streams:   *streams,
 			Batch:     *batch,
 			Tier:      tier,
@@ -364,44 +409,23 @@ func main() {
 		pushed, pushBytes = f, int(st.Size())
 	}
 
-	e, err := udplan.Dial(*to)
-	if err != nil {
-		failErr("dial", err)
-	}
+	e := open()
 	defer e.Close()
-	if *mtu > 0 {
-		if err := e.SetMTU(*mtu); err != nil {
-			fail(exitUsage, "-mtu: %v", err)
-		}
-	}
-	if *sockbuf > 0 {
-		e.SetSocketBuffers(*sockbuf)
-	}
-	e.MaxTier = tier
-	e.SetBatch(*batch)
-	if *batch > 1 {
-		log.Printf("blastcp: datapath tier %s (gro %v)", e.Tier(), e.GRO())
-	}
 	if *lossTx > 0 {
 		e.MangleTx = udplan.SeededDrop(*lossTx, 1)
 	}
 	if *lossRx > 0 {
 		e.MangleRx = udplan.SeededDrop(*lossRx, 2)
 	}
-	// Every mode's packets must fit the endpoint's datagrams: a push, a
-	// pull and a resumable pull are refused here, before any REQ is sent.
-	if err := e.ValidateConfig(cfg); err != nil {
-		failErr("config", err)
-	}
 
 	if *pushFile != "" {
-		src := newFileSource(pushed, pushBytes, *chunk, func(err error) {
+		src := newFileSource(pushed, pushBytes, cfg.ChunkSize, func(err error) {
 			fail(1, "reading %s: %v", *pushFile, err)
 		})
 		cfg.Bytes = pushBytes
 		cfg.Source = src.Source
 		if cfg.Window == 0 {
-			cfg.Window = pushWindow(e.ReadBuffer(), *sockbuf, *chunk)
+			cfg.Window = pushWindow(e.ReadBuffer(), *sockbuf, cfg.ChunkSize)
 		}
 		res, err := udplan.Push(e, cfg)
 		if err != nil {

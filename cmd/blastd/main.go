@@ -232,16 +232,18 @@ func main() {
 			if size > int64(*maxBytes) {
 				return 0, fmt.Errorf("%d-byte object exceeds the %d-byte limit", size, *maxBytes)
 			}
-			chunk := 1000
-			src, err := st.Source(r.Name, chunk, 0, nil)
-			if err != nil {
-				return 0, err
-			}
 			e, err := udplan.Dial(r.Target)
 			if err != nil {
 				return 0, fmt.Errorf("dial %s: %v", r.Target, err)
 			}
 			defer e.Close()
+			// The largest chunk the path to the target carries in a
+			// default-sized datagram, as blastcp sends by default.
+			chunk, _ := e.PathChunk()
+			src, err := st.Source(r.Name, chunk, 0, nil)
+			if err != nil {
+				return 0, err
+			}
 			if *sockbuf > 0 {
 				e.SetSocketBuffers(*sockbuf)
 			}

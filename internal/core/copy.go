@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"blastlan/internal/params"
 	"blastlan/internal/wire"
 )
 
@@ -21,7 +20,7 @@ import (
 //	orchestrator → A   REQ{Copy, Name, Target}   retransmitted on silence
 //	A → orchestrator   progress acks             TypeAck, 8-byte bytes-so-far
 //	A → orchestrator   final reply               TypeAck+FlagDone+8-byte total
-//	                   or failure                TypeNak carrying the error text
+//	                   or failure                Refusal: a NAK carrying the error text
 //
 // The first progress ack (0 bytes) doubles as the go-ahead that stops the
 // REQ retransmit loop; the final reply is idempotent — A lingers briefly
@@ -31,9 +30,6 @@ import (
 // another progress ack — enough feedback to keep the orchestrator's
 // patience window open without an ack per chunk.
 const copyProgressQuantum = 1 << 20
-
-// maxCopyErrLen bounds the error text a failure NAK carries.
-const maxCopyErrLen = 200
 
 // copyProgressPacket reports bytes moved so far: a stat reply without
 // FlagDone. It is distinguishable from every other session packet: transfer
@@ -50,21 +46,6 @@ func copyProgress(p *wire.Packet, trans uint32) (int64, bool) {
 		return 0, false
 	}
 	return countAck(p, trans)
-}
-
-// copyFailPacket reports a failed copy with its error text. A NAK on a
-// copy session can mean nothing else — the orchestrator never receives
-// data packets.
-func copyFailPacket(trans uint32, msg string) *wire.Packet {
-	if len(msg) > maxCopyErrLen {
-		msg = msg[:maxCopyErrLen]
-	}
-	return &wire.Packet{
-		Type:        wire.TypeNak,
-		Trans:       trans,
-		Payload:     []byte(msg),
-		VirtualSize: params.AckPacketSize,
-	}
 }
 
 // RemoteCopyError reports that the serving side attempted the copy and
@@ -176,7 +157,7 @@ func ServeCopy(env Env, cfg Config, run func(progress func(int64)) (int64, error
 	bytes, err := run(progress)
 	final := StatReply(trans, bytes)
 	if err != nil {
-		final = copyFailPacket(trans, err.Error())
+		final = Refusal(trans, err.Error())
 	}
 	if serr := env.Send(final); serr != nil && err == nil {
 		return bytes, serr

@@ -35,7 +35,10 @@ import (
 //
 // A BUSY for the transfer is the server's admission refusal: the loop
 // sleeps its retry-after hint and asks again, and a request refused on every
-// attempt fails as both ErrGiveUp and the last *BusyError.
+// attempt fails as both ErrGiveUp and the last *BusyError. A Refusal is the
+// server declining the request itself (a name it does not hold, a chunk its
+// datagrams cannot carry): asking again cannot help, so the exchange ends at
+// once with an ErrBadConfig carrying the server's reason.
 
 // ReqOf encodes a transfer configuration as a request payload. The
 // rate-control policy rides as its wire id; an unknown policy name encodes
@@ -136,18 +139,27 @@ func ask(env Env, c *Config, req *wire.Packet, patience time.Duration, wait func
 
 // askFor holds an exchange whose answer is one packet: the first that answer
 // accepts, returned valid until the next Recv. A BUSY for c's transfer is the
-// refusal ask honours.
+// refusal ask honours; a Refusal ends the exchange.
 func askFor(env Env, c *Config, req *wire.Packet, patience time.Duration, answer func(*wire.Packet) bool) (*wire.Packet, error) {
 	var got *wire.Packet
 	err := ask(env, c, req, patience, func(patience time.Duration) error {
+		var rerr error
 		pkt, err := awaitReply(env, patience, func(p *wire.Packet) bool {
-			return p.Type == wire.TypeBusy && p.Trans == c.TransferID || answer(p)
+			if answer(p) {
+				return true
+			}
+			if p.Trans == c.TransferID && p.Type == wire.TypeBusy {
+				rerr = busyErrorOf(p)
+			} else {
+				rerr = refusalOf(p, c.TransferID)
+			}
+			return rerr != nil
 		})
 		if err != nil {
 			return err
 		}
-		if pkt.Type == wire.TypeBusy {
-			return busyErrorOf(pkt)
+		if rerr != nil {
+			return rerr
 		}
 		got = pkt
 		return nil
@@ -303,6 +315,35 @@ func (e *BusyError) wait(tr time.Duration) time.Duration {
 		return e.RetryAfter
 	}
 	return tr
+}
+
+// maxRefusalLen bounds the reason text a Refusal carries.
+const maxRefusalLen = 200
+
+// Refusal is the serving side's answer to a request it will not serve, or a
+// copy it could not complete: a NAK flagged FlagDone carrying the reason as
+// text. No transfer's NAK is flagged so, and the requester has sent no data
+// its peer could NAK, so it can mean nothing else.
+func Refusal(trans uint32, reason string) *wire.Packet {
+	if len(reason) > maxRefusalLen {
+		reason = reason[:maxRefusalLen]
+	}
+	return &wire.Packet{
+		Type:        wire.TypeNak,
+		Trans:       trans,
+		Flags:       wire.FlagDone,
+		Payload:     []byte(reason),
+		VirtualSize: params.AckPacketSize,
+	}
+}
+
+// refusalOf converts a Refusal of transfer trans into its client-side error
+// (nil for any other packet): an ErrBadConfig with the server's reason.
+func refusalOf(p *wire.Packet, trans uint32) error {
+	if p.Type != wire.TypeNak || p.Trans != trans || p.Flags&wire.FlagDone == 0 {
+		return nil
+	}
+	return fmt.Errorf("%w: refused by the server: %s", ErrBadConfig, p.Payload)
 }
 
 // busyErrorOf converts a received BUSY packet into its client-side error.

@@ -65,13 +65,18 @@ func awaitCumulativeAck(env Env, c Config, res *SendResult, want int, est *rto) 
 // receiverControl handles a non-data packet of the receiver's transfer. A
 // BUSY before any data is the server's admission refusal, returned at once
 // (it is not a timeout, so Request sees it); once data has flowed we were
-// admitted, and a BUSY is a straggler from an earlier refused REQ. A REQ is a
+// admitted, and a BUSY is a straggler from an earlier refused REQ. A Refusal
+// before any data ends the request with the server's reason. A REQ is a
 // retransmitted push announcement whose go-ahead was lost: it earns another.
 func receiverControl(env Env, c Config, pkt *wire.Packet, admitted bool) error {
 	switch pkt.Type {
 	case wire.TypeBusy:
 		if !admitted {
 			return busyErrorOf(pkt)
+		}
+	case wire.TypeNak:
+		if !admitted {
+			return refusalOf(pkt, c.TransferID)
 		}
 	case wire.TypeReq:
 		return env.Send(goAhead(c))

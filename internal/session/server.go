@@ -408,15 +408,23 @@ func (s *Server) serve(env core.Env, idle time.Duration, peer transport.Peer) er
 		pushDone func(core.RecvResult)
 		statted  bool // the last REQ was a stat, answered from the hook
 	)
+	// refuse answers a request the server will not serve with its reason,
+	// so the client fails at once with a typed error instead of asking
+	// until it gives up, and ends the session.
+	refuse := func(trans uint32, reason string) (core.Config, bool) {
+		if err := env.Send(core.Refusal(trans, reason)); err != nil {
+			s.logf("session: refusal to %v: %v", peer, err)
+		}
+		return core.Config{}, false
+	}
 	accept := func(r wire.Req, trans uint32) (core.Config, bool) {
 		if r.Copy {
 			// A copy ask opens a control session, not a transfer: the
 			// session relays progress while the Copy hook moves the bytes
-			// to the third party. Servers without the hook drop the REQ
-			// (the orchestrator's retry gives up on its own schedule).
+			// to the third party. Servers without the hook refuse it.
 			if s.Copy == nil {
 				s.logfPeer(peer, "session: copy %q to %q from %v: no copy handler", r.Name, r.Target, peer)
-				return core.Config{}, false
+				return refuse(trans, "no copy handler")
 			}
 			req, isCopy = r, true
 			c := core.Config{}
@@ -430,15 +438,14 @@ func (s *Server) serve(env core.Env, idle time.Duration, peer transport.Peer) er
 			// the accept hook and keep the session waiting for the pull
 			// that usually follows, but only as long as a transfer
 			// lingers. Retransmitted stats earn idempotent re-replies;
-			// unresolvable names are dropped silently on the wire (the
-			// client's retry gives up on its own schedule).
+			// unresolvable names are refused.
 			if s.Stat == nil {
-				return core.Config{}, false
+				return refuse(trans, "no stat handler")
 			}
 			size, ok := s.Stat(r)
 			if !ok {
 				s.logfPeer(peer, "session: stat %q from %v: no such object", r.Name, peer)
-				return core.Config{}, false
+				return refuse(trans, fmt.Sprintf("no such object %q", r.Name))
 			}
 			if serr := env.Send(core.StatReply(trans, size)); serr != nil {
 				s.logf("session: stat reply to %v: %v", peer, serr)
@@ -458,17 +465,17 @@ func (s *Server) serve(env core.Env, idle time.Duration, peer transport.Peer) er
 				// Rate-limited: a degenerate-REQ storm (one malformed client
 				// retransmitting hard) must not write a log line per packet.
 				s.logfPeer(peer, "session: rejecting request from %v: %v", peer, verr)
-				return core.Config{}, false
+				return refuse(trans, verr.Error())
 			}
 		}
 		req, isPush = r, r.Push
 		if r.Push {
 			if s.SinkStream == nil {
-				return core.Config{}, false
+				return refuse(trans, "pushes are not accepted")
 			}
 			sink, done, ok := s.SinkStream(r)
 			if !ok {
-				return core.Config{}, false
+				return refuse(trans, "push refused")
 			}
 			c.Sink, pushDone = sink, done
 			return c, true
@@ -476,24 +483,25 @@ func (s *Server) serve(env core.Env, idle time.Duration, peer transport.Peer) er
 		if s.SourceEnv != nil {
 			src, ok := s.SourceEnv(r, env)
 			if !ok {
-				return core.Config{}, false
+				return refuse(trans, "pull refused")
 			}
 			c.Source = src
 			return c, true
 		}
 		if s.Source == nil {
-			return core.Config{}, false
+			return refuse(trans, "pulls are not served")
 		}
 		src, ok := s.Source(r)
 		if !ok {
-			return core.Config{}, false
+			return refuse(trans, "pull refused")
 		}
 		c.Source = src
 		return c, true
 	}
 	// A stat ends the wait it was answered in; the wait for the pull
 	// starts over, bounded by the stat's linger. A refused request ends the
-	// session quietly (accept logged why, rate-limited), freeing its slot.
+	// session once refused (accept logged why, rate-limited), freeing its
+	// slot.
 	var cfg core.Config
 	for {
 		var ok bool

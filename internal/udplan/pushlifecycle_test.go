@@ -1,7 +1,6 @@
 package udplan
 
 import (
-	"net"
 	"os"
 	"sync"
 	"testing"
@@ -222,9 +221,9 @@ func TestPushForceCloseDiscardsPartialFile(t *testing.T) {
 }
 
 // The push path mirrors the pull path's degenerate-REQ guard: Bytes==0 or
-// Chunk==0 is rejected at admission with a log line, before any file is
-// created. (A degenerate push REQ used to reach the engine's chunk
-// arithmetic.)
+// Chunk==0 is refused at admission with a log line, before any file is
+// created, and the client is answered with a Refusal, not a go-ahead. (A
+// degenerate push REQ used to reach the engine's chunk arithmetic.)
 func TestPushRejectsDegenerateReq(t *testing.T) {
 	dir := t.TempDir()
 	rec := newDoneRecorder()
@@ -252,11 +251,11 @@ func TestPushRejectsDegenerateReq(t *testing.T) {
 		if err := e.Send(&wire.Packet{Type: wire.TypeReq, Trans: 4244, Payload: wire.EncodeReq(req)}); err != nil {
 			t.Fatal(err)
 		}
-		// No go-ahead comes back for a rejected push.
-		if pkt, err := e.Recv(300 * time.Millisecond); err == nil {
-			t.Errorf("degenerate push %+v got go-ahead %v", req, pkt.Type)
-		} else if !core.IsTimeout(err) && err != net.ErrClosed {
-			t.Logf("recv: %v", err)
+		// A refusal comes back for a rejected push, not a go-ahead.
+		if pkt, err := e.Recv(300 * time.Millisecond); err != nil {
+			t.Errorf("degenerate push %+v got no answer: %v", req, err)
+		} else if pkt.Type != wire.TypeNak || pkt.Flags&wire.FlagDone == 0 || pkt.Trans != 4244 {
+			t.Errorf("degenerate push %+v got %v (flags %#x), want a refusal", req, pkt.Type, pkt.Flags)
 		}
 		e.Close()
 	}

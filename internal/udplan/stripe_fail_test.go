@@ -13,8 +13,9 @@ import (
 
 // TestPullStripedPartialFailure pins the hardened partial-failure path over
 // real sockets: the server refuses exactly one stripe's range, that stripe
-// gives up, and PullStriped returns a wrapped error naming it — while the
-// surviving stripes' deliveries still show up in the partial result.
+// fails with the server's refusal, and PullStriped returns a wrapped error
+// naming it — while the surviving stripes' deliveries still show up in the
+// partial result.
 func TestPullStripedPartialFailure(t *testing.T) {
 	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
@@ -48,8 +49,8 @@ func TestPullStripedPartialFailure(t *testing.T) {
 		ChunkSize:  chunk,
 		Protocol:   core.Blast,
 		Strategy:   core.GoBackN,
-		// A refused stripe retries its REQ MaxAttempts times, Tr apart,
-		// before giving up; keep that budget small so the failure is fast.
+		// A stripe whose REQ went unanswered would retry it MaxAttempts
+		// times, Tr apart; keep that budget small so a failure is fast.
 		RetransTimeout: 50 * time.Millisecond,
 		MaxAttempts:    3,
 		Linger:         50 * time.Millisecond,
@@ -59,8 +60,8 @@ func TestPullStripedPartialFailure(t *testing.T) {
 	if err == nil {
 		t.Fatal("striped pull against a refusing server reported success")
 	}
-	if !errors.Is(err, core.ErrGiveUp) {
-		t.Errorf("error %v does not wrap core.ErrGiveUp", err)
+	if !errors.Is(err, core.ErrBadConfig) {
+		t.Errorf("error %v does not wrap core.ErrBadConfig", err)
 	}
 	if !strings.Contains(err.Error(), "stripe 1 of 4") {
 		t.Errorf("error %q does not name the refused stripe", err)
